@@ -8,7 +8,8 @@ Runs the library's diagnostics over a small panel:
 * one experiment per estimator scheme against a configurable source
   (expected verdict: w1_convergent at the default ladders).
 
-Writes one TSV per run into --outdir and prints a verdict summary.
+Writes one TSV per run into --outdir, in the format of
+``lorenzkit converge --tsv``, and prints a verdict summary.
 This is a driver, not a test; tolerances and verdicts are asserted in
 the test suite.
 """
@@ -23,12 +24,11 @@ from lorenzkit import (
     scenario_sequence,
     sequence_diagnostics,
 )
+from lorenzkit.cli import _tsv_text
 
 
 def write_tsv(report, path: pathlib.Path) -> None:
-    rows = report.tsv_rows()
-    text = "\n".join("\t".join(str(c) for c in row) for row in rows) + "\n"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(_tsv_text(report.tsv_rows()), encoding="utf-8")
 
 
 def main() -> None:

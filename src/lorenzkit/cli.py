@@ -256,49 +256,49 @@ def _cmd_extremal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="tolerance: cross-route bound (index, w1) or verdict rel_tol (converge)",
-    )
-    fmt = common.add_mutually_exclusive_group()
+def _output_flags(p: argparse.ArgumentParser, tsv: bool = True) -> None:
+    fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit JSON")
-    fmt.add_argument("--tsv", action="store_true", help="emit TSV")
-    common.add_argument("--out", default=None, help="write output to this path")
+    if tsv:
+        fmt.add_argument("--tsv", action="store_true", help="emit TSV")
+    p.add_argument("--out", default=None, help="write output to this path")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lorenzkit",
         description="Inequality indices, Lorenz curves, and W1 diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("index", parents=[common], help="all index routes, as a report")
+    p = sub.add_parser("index", help="all index routes, as a report")
     p.add_argument("spec", help="distribution expression or file:<path>")
+    p.add_argument(
+        "--tol", type=float, default=None, help="cross-route residual bound (default 1e-4)"
+    )
+    _output_flags(p)
     p.set_defaults(handler=_cmd_index)
 
-    p = sub.add_parser("lorenz", parents=[common], help="Lorenz curve table")
+    p = sub.add_parser("lorenz", help="Lorenz curve table")
     p.add_argument("spec", help="distribution expression or file:<path>")
     p.add_argument("--res", type=int, default=100, help="number of grid cells")
     p.add_argument(
         "--kendall", action="store_true", help="append the Kendall point block"
     )
+    _output_flags(p)
     p.set_defaults(handler=_cmd_lorenz)
 
-    p = sub.add_parser("w1", parents=[common], help="Wasserstein-1 distance")
+    p = sub.add_parser("w1", help="Wasserstein-1 distance")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
     p.add_argument(
         "--verbose", action="store_true", help="also print both route values"
     )
+    p.add_argument("--tol", type=float, default=None, help="bound on the route gap")
+    _output_flags(p)
     p.set_defaults(handler=_cmd_w1)
 
-    p = sub.add_parser(
-        "converge", parents=[common], help="run a convergence experiment"
-    )
+    p = sub.add_parser("converge", help="run a convergence experiment")
     p.add_argument(
         "target",
         help=f"experiment JSON path or one of: {', '.join(SCENARIOS)}",
@@ -306,16 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--steps", type=int, default=50, help="steps for built-in scenarios"
     )
+    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    p.add_argument("--tol", type=float, default=None, help="verdict rel_tol")
+    _output_flags(p)
     p.set_defaults(handler=_cmd_converge)
 
-    p = sub.add_parser(
-        "extremal", parents=[common], help="attainable Gini range for a Hoover value"
-    )
+    p = sub.add_parser("extremal", help="attainable Gini range for a Hoover value")
     p.add_argument("h", type=float, help="Hoover value in (0, 1)")
     p.add_argument(
         "--alpha", type=float, default=None, help="poor-group share in [h, 1)"
     )
     p.add_argument("--mean", type=float, default=1.0, help="mean of the extremal law")
+    _output_flags(p, tsv=False)
     p.set_defaults(handler=_cmd_extremal)
 
     return parser

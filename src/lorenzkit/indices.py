@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorenz import integral_lorenz, lorenz
-from .measures import Distribution, discrete, require_member
+from .measures import TAIL_LEVELS, Distribution, discrete, require_member
 from .quadrature import cell_integrals, integrate
 
 __all__ = [
@@ -54,9 +54,8 @@ def _mean_abs_difference_discrete(d: Distribution) -> float:
 
 def _p_cells(d: Distribution) -> np.ndarray:
     """Probability grid whose cells contain no quantile jumps or kinks."""
-    tail = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
     edges = np.concatenate(
-        [d.p_breakpoints(), np.linspace(0.0, 1.0, 65), tail, [0.0, 1.0]]
+        [d.p_breakpoints(), np.linspace(0.0, 1.0, 65), TAIL_LEVELS, [0.0, 1.0]]
     )
     return np.unique(np.clip(edges, 0.0, 1.0))
 
@@ -123,7 +122,7 @@ def gini_dorfman(d: Distribution) -> float:
 
     i1 = integrate(surv, 0.0, hi, points=pts, tol=1e-11)
     i2 = integrate(lambda x: surv(x) ** 2, 0.0, hi, points=pts, tol=1e-11)
-    i1 += max(d.mean - d.partial_expectation(hi) - hi * d.survival(hi), 0.0)
+    i1 += d.excess_mean(hi)
     return 1.0 - i2 / i1
 
 
@@ -147,7 +146,7 @@ def hoover_mean_deviation(d: Distribution) -> float:
     above = integrate(
         lambda x: 1.0 - d._cdf_arr(x), m, hi, points=upper_pts, tol=1e-11
     )
-    above += max(d.mean - d.partial_expectation(hi) - hi * d.survival(hi), 0.0)
+    above += d.excess_mean(hi)
     return (below + above) / (2.0 * m)
 
 
@@ -162,19 +161,15 @@ def hoover_max(d: Distribution) -> float:
     """Hoover index as the largest vertical gap p - L(p).
 
     The gap is maximized at p = F(mean); the value there is returned after a
-    sweep over a dyadic-plus-uniform probability ladder confirms no probe
+    sweep over the probability breakpoints and the ladder of step 2^-10
+    (which holds every dyadic probe down to that level) confirms no probe
     beats it by more than numerical slack.
     """
     require_member(d)
     curve = lorenz(d)
     p_star = float(d.cdf(d.mean))
     value = p_star - float(curve.eval(p_star))
-    dyadic = np.asarray(
-        [k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**lvl, 2)]
-    )
-    ps = np.unique(
-        np.concatenate([np.linspace(0.0, 1.0, 1025), dyadic, d.p_breakpoints()])
-    )
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1025), d.p_breakpoints()]))
     sweep = float(np.max(ps - curve.eval(ps)))
     if sweep > value + 1e-9:
         raise RuntimeError(
@@ -194,9 +189,8 @@ def robin_hood_shares(d: Distribution) -> tuple[float, float]:
     """
     require_member(d)
     m = d.mean
-    above = float((m - d.partial_expectation(m)) - m * d.survival(m))
     below = float(m * d.cdf_left(m) - d.partial_expectation_left(m))
-    return max(above, 0.0), max(below, 0.0)
+    return d.excess_mean(m), max(below, 0.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import Distribution, QuantileTable, quantile_table, require_member
+from .measures import DYADIC, Distribution, QuantileTable, quantile_table, require_member
 from .quadrature import cell_integrals, integrate
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "reconstruct",
     "integral_lorenz",
 ]
-
-_P_TAIL = 1.0 - 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -120,14 +118,6 @@ class LorenzCurve:
 
     __call__ = eval
 
-    def _batch_for_quad(self, p: np.ndarray) -> np.ndarray:
-        """Clipped unvalidated array evaluation, for use as a quadrature integrand."""
-        flat = np.clip(np.asarray(p, dtype=float).ravel(), 0.0, 1.0)
-        order = np.argsort(flat, kind="stable")
-        vals = np.empty_like(flat)
-        vals[order] = self._eval_sorted(flat[order])
-        return vals.reshape(np.shape(p))
-
     def left_derivative(self, p) -> float | np.ndarray:
         """Left derivative of the curve: Q(p) / mean on (0, 1].
 
@@ -192,10 +182,7 @@ def kendall_points(d: Distribution, t_grid) -> list[tuple[float, float]]:
 
 
 def _probe_ladder(grid: int, *extra: np.ndarray) -> np.ndarray:
-    dyadic = np.asarray(
-        [k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**lvl, 2)]
-    )
-    parts = [np.linspace(0.0, 1.0, max(grid, 2) + 1), dyadic]
+    parts = [np.linspace(0.0, 1.0, max(grid, 2) + 1), DYADIC]
     parts.extend(extra)
     return np.unique(np.clip(np.concatenate(parts), 0.0, 1.0))
 
@@ -279,4 +266,6 @@ def integral_lorenz(curve: LorenzCurve, tol: float = 1e-9) -> float:
         ps, ls = curve._vertices
         return float(np.trapezoid(ls, ps))
     breaks = curve.source.p_breakpoints()
-    return integrate(curve._batch_for_quad, 0.0, 1.0, points=breaks, tol=tol)
+    return integrate(
+        lambda p: curve.eval(np.clip(p, 0.0, 1.0)), 0.0, 1.0, points=breaks, tol=tol
+    )

@@ -57,6 +57,15 @@ __all__ = [
 #: validation slack for weights and probabilities
 WEIGHT_TOL = 1e-12
 
+#: the 1023 dyadic probabilities k / 2^j, k odd, j <= 10, level by level
+DYADIC = np.asarray([k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**lvl, 2)])
+#: tail probability levels 1 - 2^-k, k = 1..40
+TAIL_LEVELS = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
+#: where probability-space integrals and ladders stop short of 1
+P_TAIL = 1.0 - 2.0**-40
+DYADIC.flags.writeable = False
+TAIL_LEVELS.flags.writeable = False
+
 
 class MeanDomainError(ValueError):
     """The distribution's mean puts it outside the domain of index computations."""
@@ -618,6 +627,10 @@ class Distribution:
             raise ValueError("tail threshold must be >= 0")
         return max(self.mean - self.partial_expectation(float(alpha)), 0.0)
 
+    def excess_mean(self, x: float) -> float:
+        """E[(X - x)^+]: the first moment above x less x times the survival."""
+        return max(self.mean - self.partial_expectation(x) - x * self.survival(x), 0.0)
+
     # -- quantiles ----------------------------------------------------------
 
     def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
@@ -641,31 +654,40 @@ class Distribution:
 
     def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
         """Smallest floats q with computed cdf(q) >= p, elementwise; p in (0, 1)."""
-        pmax = float(p.max())
+        # Float weights of a flattened mixture may sum just below 1, so p can
+        # exceed every value the cdf reaches; cap it at that total.
+        pmax = min(float(p.max()), float(self._cdf_arr(np.asarray([math.inf]))[0]))
         eps = min(1e-16, max((1.0 - pmax) / 4.0, 1e-300))
         hi_val = max(self.support_hi(eps), 0.0)
         while hi_val > 0.0 and float(self._cdf_arr(np.asarray([hi_val]))[0]) < pmax:
             hi_val *= 2.0
         lo = np.zeros_like(p)
         hi = np.full_like(p, hi_val)
-        at_zero = self._cdf_arr(lo) >= p
-        hi[at_zero] = 0.0
-        active = ~at_zero
+        hi[self._cdf_arr(lo) >= p] = 0.0
+        return self._bisect(p, lo, hi, 0.0)
+
+    def _bisect(self, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+        """Shrink brackets [lo, hi] with cdf(hi) >= p until hi - lo <= tol.
+
+        Bisection on the computed cdf; a bracket also stops once its ends are
+        adjacent floats, so every tolerance, 0 included, terminates. Returns
+        the final upper ends. Finished brackets leave the working arrays, so
+        a round costs only what is still open.
+        """
+        out = hi.copy()
+        idx = np.arange(p.size)
         while True:
             nxt = np.nextafter(lo, hi)
-            can = active & (nxt < hi)
-            if not can.any():
-                break
-            mid = 0.5 * (lo[can] + hi[can])
-            mid = np.minimum(np.maximum(mid, nxt[can]), np.nextafter(hi[can], lo[can]))
-            ge = self._cdf_arr(mid) >= p[can]
-            hi_c = hi[can]
-            lo_c = lo[can]
-            hi_c[ge] = mid[ge]
-            lo_c[~ge] = mid[~ge]
-            hi[can] = hi_c
-            lo[can] = lo_c
-        return hi
+            live = (hi - lo > tol) & (nxt < hi)
+            if not live.all():
+                out[idx] = hi
+                idx, p, lo, hi, nxt = idx[live], p[live], lo[live], hi[live], nxt[live]
+            if not idx.size:
+                return out
+            mid = np.minimum(np.maximum(0.5 * (lo + hi), nxt), np.nextafter(hi, lo))
+            ge = self._cdf_arr(mid) >= p
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""
@@ -709,9 +731,8 @@ class Distribution:
         via_survival = integrate(
             lambda x: 1.0 - self._cdf_arr(x), 0.0, hi, points=self.x_breakpoints(), tol=1e-10
         )
-        p_hi = 1.0 - 2.0**-40
         via_quantile = integrate(
-            self._quantile_arr, 0.0, p_hi, points=self.p_breakpoints(), tol=1e-10
+            self._quantile_arr, 0.0, P_TAIL, points=self.p_breakpoints(), tol=1e-10
         )
         return via_survival, via_quantile
 
@@ -831,17 +852,12 @@ def require_member(d: Distribution) -> Distribution:
     return d
 
 
-def _dyadic_ladder(levels: int = 10) -> np.ndarray:
-    pts = [k / 2.0**lvl for lvl in range(1, levels + 1) for k in range(1, 2**lvl, 2)]
-    return np.unique(np.asarray([0.0] + pts))
-
-
 def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     """First-order stochastic dominance of d1 over d2.
 
     Checked on two routes that must agree: F_{d1} <= F_{d2} on an abscissa
     ladder, and Q_{d1} >= Q_{d2} on a probability ladder. The ladders join
-    both operands' breakpoints with uniform and dyadic probes.
+    both operands' breakpoints with uniform, dyadic and tail probes.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -853,7 +869,7 @@ def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     )
     cdf_route = bool(np.all(d1._cdf_arr(xs) <= d2._cdf_arr(xs)))
     ps = np.unique(
-        np.concatenate([d1.p_breakpoints(), d2.p_breakpoints(), _dyadic_ladder()])
+        np.concatenate([d1.p_breakpoints(), d2.p_breakpoints(), DYADIC, TAIL_LEVELS])
     )
     ps = ps[ps < 1.0]
     quantile_route = bool(np.all(d1._quantile_arr(ps) >= d2._quantile_arr(ps)))

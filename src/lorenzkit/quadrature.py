@@ -92,57 +92,15 @@ def _initial_edges(a: float, b: float, points) -> np.ndarray:
     return np.unique(np.concatenate(([a], inner, [b])))
 
 
-def integrate(f, a: float, b: float, *, points=(), tol: float = 1e-10, limit: int = 4096) -> float:
-    """Integrate a vectorized callable over [a, b].
+def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: float, limit: int):
+    """Refine panels [lo_i, hi_i] against one global error budget.
 
-    `points` lists abscissae where the integrand may jump or kink; panels are
-    forced to break there. Refinement bisects every panel whose error estimate
-    exceeds its share of the global budget, until the total estimated error
-    drops under `tol` or the panel count reaches `limit`.
+    Bisects every panel whose error estimate exceeds its share of `tol`,
+    until the total estimated error drops under `tol` or the panel count
+    reaches `limit`. Returns (values, owner): the final panels' integrals and
+    the index of the starting panel each one descends from.
     """
-    if not (b > a):
-        return 0.0
-    edges = _initial_edges(a, b, points)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, lo, hi)
-    while errs.sum() > tol and lo.size < limit:
-        mask = errs > tol / lo.size
-        if not mask.any():
-            break
-        keep_lo, keep_hi = lo[~mask], hi[~mask]
-        keep_vals, keep_errs = vals[~mask], errs[~mask]
-        mids = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[mask], mids])
-        new_hi = np.concatenate([mids, hi[mask]])
-        new_vals, new_errs = _eval_panels(f, new_lo, new_hi)
-        lo = np.concatenate([keep_lo, new_lo])
-        hi = np.concatenate([keep_hi, new_hi])
-        vals = np.concatenate([keep_vals, new_vals])
-        errs = np.concatenate([keep_errs, new_errs])
-    return float(vals.sum())
-
-
-def cell_integrals(
-    f, edges: np.ndarray, *, tol: float = 1e-10, limit: int = 16384
-) -> np.ndarray:
-    """Per-cell integrals of a vectorized callable over consecutive edge pairs.
-
-    Returns an array of length len(edges) - 1 whose k-th entry approximates the
-    integral over [edges[k], edges[k+1]]. Cells are refined jointly against one
-    global error budget; children keep contributing to their original cell.
-    Zero-width cells yield exactly 0.
-    """
-    edges = np.asarray(edges, dtype=float)
-    n_cells = edges.size - 1
-    if n_cells <= 0:
-        return np.zeros(0)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    owner = np.arange(n_cells)
-    live = hi > lo
-    lo, hi, owner = lo[live], hi[live], owner[live]
-    out = np.zeros(n_cells)
-    if lo.size == 0:
-        return out
+    owner = np.arange(lo.size)
     vals, errs = _eval_panels(f, lo, hi)
     while errs.sum() > tol and lo.size < limit:
         mask = errs > tol / lo.size
@@ -158,5 +116,40 @@ def cell_integrals(
         owner = np.concatenate([owner[~mask], new_owner])
         vals = np.concatenate([vals[~mask], new_vals])
         errs = np.concatenate([errs[~mask], new_errs])
-    np.add.at(out, owner, vals)
+    return vals, owner
+
+
+def integrate(f, a: float, b: float, *, points=(), tol: float = 1e-10) -> float:
+    """Integrate a vectorized callable over [a, b].
+
+    `points` lists abscissae where the integrand may jump or kink; panels are
+    forced to break there. Refinement bisects every panel whose error estimate
+    exceeds its share of the global budget, until the total estimated error
+    drops under `tol` or the panel count reaches 4096.
+    """
+    if not (b > a):
+        return 0.0
+    edges = _initial_edges(a, b, points)
+    vals, _ = _refine(f, edges[:-1], edges[1:], tol, 4096)
+    return float(vals.sum())
+
+
+def cell_integrals(f, edges: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
+    """Per-cell integrals of a vectorized callable over consecutive edge pairs.
+
+    Returns an array of length len(edges) - 1 whose k-th entry approximates the
+    integral over [edges[k], edges[k+1]]. Cells are refined jointly against one
+    global error budget, up to 16384 panels; children keep contributing to
+    their original cell. Zero-width cells yield exactly 0.
+    """
+    edges = np.asarray(edges, dtype=float)
+    n_cells = edges.size - 1
+    if n_cells <= 0:
+        return np.zeros(0)
+    out = np.zeros(n_cells)
+    live = np.flatnonzero(edges[1:] > edges[:-1])
+    if live.size == 0:
+        return out
+    vals, owner = _refine(f, edges[:-1][live], edges[1:][live], tol, 16384)
+    np.add.at(out, live[owner], vals)
     return out

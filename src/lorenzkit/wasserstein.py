@@ -25,7 +25,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import Distribution, atom, require_member
+from .measures import DYADIC, P_TAIL, TAIL_LEVELS, Distribution, atom, require_member
 
 __all__ = [
     "w1",
@@ -38,8 +38,6 @@ __all__ = [
     "ConvergenceReport",
     "sequence_diagnostics",
 ]
-
-_P_TAIL = 1.0 - 2.0**-40
 
 
 def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
@@ -63,21 +61,11 @@ def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     `lo` and `hi` must bracket Q(p) elementwise with cdf(hi) >= p. Plain
     bisection on the cdf; callers that subdivide cells pass the parents'
     quantile values back in, so brackets shrink and iterations stay few.
+    A tolerance below the float spacing of a bracket yields Q(p) itself.
     """
     if d._discrete is not None:
         return d._quantile_arr(p)
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    active = (hi - lo) > tol
-    while np.any(active):
-        mid = 0.5 * (lo[active] + hi[active])
-        ge = d._cdf_arr(mid) >= p[active]
-        hi_a, lo_a = hi[active], lo[active]
-        hi_a[ge] = mid[ge]
-        lo_a[~ge] = mid[~ge]
-        hi[active], lo[active] = hi_a, lo_a
-        active = (hi - lo) > tol
-    return hi
+    return d._bisect(p, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), tol)
 
 
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:
@@ -150,11 +138,10 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     hi2 = d2.support_hi(1e-13)
     tol_q = 1e-11 * max(1.0, hi1, hi2)
 
-    tail_levels = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
     edges = np.concatenate(
-        [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), tail_levels]
+        [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), TAIL_LEVELS]
     )
-    edges = np.unique(np.concatenate([edges[edges < _P_TAIL], [0.0, _P_TAIL]]))
+    edges = np.unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
 
     def eval_q(ps, br1, br2):
         out = []
@@ -191,9 +178,7 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
         return f1, a1, f2, a2
 
     body_f, _, _ = _abs_gap_body(xedges, eval_x, budget)
-    t1 = max(d1.mean - d1.partial_expectation(hi) - hi * d1.survival(hi), 0.0)
-    t2 = max(d2.mean - d2.partial_expectation(hi) - hi * d2.survival(hi), 0.0)
-    by_cdf = body_f + abs(t1 - t2)
+    by_cdf = body_f + abs(d1.excess_mean(hi) - d2.excess_mean(hi))
     return by_quantile, by_cdf
 
 
@@ -370,24 +355,18 @@ class ConvergenceReport:
 
 
 def _weak_probes(limit: Distribution) -> np.ndarray:
-    dyadic = np.asarray(
-        [k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**lvl, 2)]
-    )
     jumps = limit.p_breakpoints()
     jumps = jumps[(jumps > 0.0) & (jumps < 1.0)]
-    if jumps.size:
-        clear = np.min(np.abs(dyadic[:, None] - jumps[None, :]), axis=1) > 1e-9
-        dyadic = dyadic[clear]
-    return dyadic
+    if not jumps.size:
+        return DYADIC
+    clear = np.min(np.abs(DYADIC[:, None] - jumps[None, :]), axis=1) > 1e-9
+    return DYADIC[clear]
 
 
 def _lorenz_ladder(limit: Distribution) -> np.ndarray:
-    dyadic = np.asarray(
-        [k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**lvl, 2)]
-    )
     return np.unique(
         np.concatenate(
-            [dyadic, np.linspace(0.0, 1.0, 65), limit.p_breakpoints(), [0.0, 1.0]]
+            [DYADIC, np.linspace(0.0, 1.0, 65), limit.p_breakpoints(), [0.0, 1.0]]
         )
     )
 
@@ -435,7 +414,7 @@ def sequence_diagnostics(
     q_limit = limit._quantile_arr(probes)
     delta = 0.5 * rel_tol
     band_lo = limit._quantile_arr(np.maximum(probes - delta, 0.0))
-    band_hi = limit._quantile_arr(np.minimum(probes + delta, _P_TAIL))
+    band_hi = limit._quantile_arr(np.minimum(probes + delta, P_TAIL))
     l_limit = lorenz(limit).eval(ladder)
 
     steps = []

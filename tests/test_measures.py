@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from lorenzkit import standard_battery
 from lorenzkit.estimators import quantile_approx
 from lorenzkit.measures import (
     InfiniteMeanError,
@@ -210,6 +211,21 @@ def test_rescale_homogeneity():
     assert s.mean == pytest.approx(2.5 * d.mean, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "tail", [uniform(1.0, 2.0), exponential(1.0)], ids=["bounded", "unbounded"]
+)
+def test_quantile_above_float_weight_total_terminates(tail, deadline):
+    # The flattened weights sum just below 1, so the cdf never reaches p.
+    d = mixture([(0.3, uniform(0.0, 1.0)), (0.7 - 5e-13, tail)])
+    with deadline(20):
+        q = quantile(d, 1.0 - 1e-14)
+    assert math.isfinite(q)
+    assert cdf(d, q) == cdf(d, 1e300)
+    assert q >= quantile(d, 0.999)
+    if tail.sup_support() == 2.0:
+        assert q == 2.0
+
+
 def test_mean_routes_agree(battery):
     for name, d in battery:
         direct, via_quantile = d.mean_routes()
@@ -231,6 +247,19 @@ def test_fsd_on_atoms():
 def test_fsd_source_dominates_its_quantile_table():
     u = uniform(0.0, 1.0)
     assert fsd_dominates(u, quantile_approx(u, 4))
+
+
+_BATTERY = standard_battery()
+
+
+@pytest.mark.parametrize(
+    "i, j",
+    [(i, j) for i in range(len(_BATTERY)) for j in range(len(_BATTERY)) if i != j],
+    ids=lambda k: _BATTERY[k][0],
+)
+def test_fsd_routes_agree_over_battery_pairs(i, j):
+    # The quantile route must probe as deep into the tails as the cdf route.
+    assert isinstance(fsd_dominates(_BATTERY[i][1], _BATTERY[j][1]), bool)
 
 
 def test_fsd_reflexive():

@@ -1,6 +1,8 @@
 """Distribution grammar, atom formatting, and the command-line surface."""
 
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from lorenzkit import (
     midpoint_atom_mixture,
     gini_mean_difference,
     reconstruct,
+    scenario_sequence,
+    sequence_diagnostics,
     uniform,
     w1,
 )
@@ -230,6 +234,18 @@ def test_converge_scenario_writes_report(tmp_path, capsys, monkeypatch):
     assert len(rows) == 1 + len(payload["steps"])
 
 
+def test_convergence_script_tsv_matches_cli(tmp_path, monkeypatch):
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "run_convergence.py"
+    spec = importlib.util.spec_from_file_location("run_convergence", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seq, limit = scenario_sequence("counterexample1", 4)
+    script.write_tsv(sequence_diagnostics(seq, limit), tmp_path / "script.tsv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["converge", "counterexample1", "--steps", "4", "--tsv", "--out", "cli"]) == 0
+    assert (tmp_path / "script.tsv").read_bytes() == (tmp_path / "cli.tsv").read_bytes()
+
+
 def test_converge_experiment_file(tmp_path, capsys):
     spec_path = tmp_path / "exp.json"
     spec_path.write_text(json.dumps({
@@ -274,6 +290,23 @@ def test_extremal_with_alpha_prints_witness(capsys):
 def test_extremal_domain_error(capsys):
     assert main(["extremal", "1.5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "exp(1)", "--seed", "1"],
+        ["lorenz", "exp(1)", "--seed", "1"],
+        ["w1", "exp(1)", "atom(1)", "--seed", "1"],
+        ["extremal", "0.5", "--seed", "1"],
+        ["lorenz", "exp(1)", "--tol", "0.1"],
+        ["extremal", "0.5", "--tol", "0.1"],
+        ["extremal", "0.5", "--tsv"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

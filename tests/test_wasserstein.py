@@ -26,6 +26,7 @@ from lorenzkit import (
 )
 from lorenzkit.catalog import counterexample1_step
 from lorenzkit.estimators import quantile_approx
+from lorenzkit.wasserstein import _q_within
 
 
 GOLDEN_PAIRS = [
@@ -79,6 +80,14 @@ def test_route_agreement_over_battery_pairs(battery):
                 worst_quad = max(worst_quad, gap / scale)
     assert worst_exact < 1e-8
     assert worst_quad < 1e-5
+
+
+def test_bracketed_quantile_terminates_below_float_spacing(deadline):
+    # At 7e11 the float spacing is 1.2e-4, far above the tolerance.
+    d = exponential(1e-12)
+    with deadline(20):
+        q = _q_within(d, np.array([0.5]), np.array([0.0]), np.array([1e14]), 1e-11)
+    assert q[0] == d.quantile(0.5)
 
 
 def test_distance_is_mean_gap_under_displacement():
