@@ -1,0 +1,205 @@
+#!/usr/bin/env python3
+"""Dump lorenzkit outputs bit for bit, and diff two dumps.
+
+``dump OUT.json`` evaluates a fixed battery through the public API and
+writes every value as ``float.hex``: the fields of `index_report`, both
+`w1_routes` values, quantiles, cdf and partial-expectation values and
+Lorenz values. The battery is `standard_battery()` plus seeded nested
+mixtures, atom-rich mixtures (a density plus tens to hundreds of atoms)
+and mixtures with quantile-table and kernel-smoothed parts. A call that
+raises is recorded by its exception type.
+
+``diff A.json B.json`` matches the two dumps key by key and prints, per
+field and per kind (``discrete`` when every law involved is
+finite-discrete, else ``general``), how many values are bit-identical and
+the largest relative difference.
+
+Run each side against its own source tree, for example
+
+    PYTHONPATH=old/src python3 scripts/compare_outputs.py dump old.json
+    PYTHONPATH=src python3 scripts/compare_outputs.py dump new.json
+    PYTHONPATH=src python3 scripts/compare_outputs.py diff old.json new.json
+"""
+
+import argparse
+import json
+import math
+from collections import defaultdict
+
+import numpy as np
+
+from lorenzkit import (
+    atom,
+    discrete,
+    exponential,
+    gamma_dist,
+    index_report,
+    kde,
+    lognormal,
+    lorenz,
+    mixture,
+    quantile_approx,
+    quantile_table,
+    standard_battery,
+    uniform,
+    w1_routes,
+)
+
+INDEX_FIELDS = (
+    "gini_mean_difference",
+    "gini_dorfman",
+    "gini_lorenz",
+    "hoover_mean_deviation",
+    "hoover_cdf",
+    "hoover_max",
+    "r_share",
+    "p_share",
+    "max_cross_route_residual",
+)
+PS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
+LORENZ_PS = np.linspace(0.0, 1.0, 33)
+#: battery laws every extra law is paired with for W1
+W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
+               "mix(0.3*atom(0),0.7*exp(1))")
+
+
+def _density(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        a = float(rng.uniform(0.0, 2.0))
+        return uniform(a, a + float(rng.uniform(0.1, 3.0)))
+    if kind == 1:
+        return exponential(float(10.0 ** rng.uniform(-1.0, 1.0)))
+    if kind == 2:
+        return gamma_dist(float(rng.uniform(0.5, 5.0)), float(10.0 ** rng.uniform(-1.0, 1.0)))
+    return lognormal(float(rng.normal()), float(rng.uniform(0.2, 1.2)))
+
+
+def _atoms(rng, n):
+    return discrete(rng.lognormal(0.0, float(rng.uniform(0.3, 1.5)), size=n))
+
+
+def extra_laws():
+    """Seeded laws beyond the standard battery, as (name, distribution)."""
+    rng = np.random.default_rng(20240)
+    laws = []
+    for k in range(6):
+        parts = [_density(rng), atom(float(rng.uniform(0.0, 4.0))), _atoms(rng, 3 + 4 * k)]
+        if k % 2:
+            inner = atom(float(rng.uniform(0.0, 4.0)))
+            parts.append(mixture([(0.5, _density(rng)), (0.5, inner)]))
+        ws = rng.dirichlet(np.ones(len(parts)))
+        laws.append((f"nested-{k}", mixture(list(zip(ws, parts)))))
+    for k, n in enumerate((40, 120, 300)):
+        w = float(rng.uniform(0.2, 0.8))
+        laws.append((f"atom_rich-{k}", mixture([(w, _density(rng)), (1.0 - w, _atoms(rng, n))])))
+    laws.append(("atoms-200", _atoms(rng, 200)))
+    u = uniform(0.0, 2.0)
+    step = quantile_approx(u, 8)
+    laws.append(("step_table_mix", mixture([(0.6, exponential(1.0)), (0.4, step)])))
+    linear = quantile_table([0.0, 0.3, 0.6, 0.9], [0.0, 1.0, 1.0, 3.0], mode="linear")
+    laws.append(("linear_table_mix", mixture([(0.5, linear), (0.5, _atoms(rng, 30))])))
+    smooth = kde(rng.lognormal(0.0, 0.5, size=40), "epanechnikov", 0.3)
+    laws.append(("kde_mix", mixture([(0.7, smooth), (0.3, _atoms(rng, 25))])))
+    return laws
+
+
+def _attempt(out, key, fn):
+    try:
+        values = fn()
+    except Exception as exc:  # recorded, so both sides can be compared
+        out[key + "#0"] = "raise:" + type(exc).__name__
+        return
+    for i, v in enumerate(np.atleast_1d(np.asarray(values, dtype=float))):
+        out[f"{key}#{i}"] = float(v).hex()
+
+
+def _index_fields(d):
+    report = index_report(d)
+    return [getattr(report, f) for f in INDEX_FIELDS]
+
+
+def dump(path):
+    base, extra = standard_battery(), extra_laws()
+    laws = base + extra
+    by_name = dict(laws)
+    values = {}
+    for name, d in laws:
+        kind = "discrete" if d.is_finite_discrete else "general"
+        _attempt(values, f"{kind}|index|{name}", lambda: _index_fields(d))
+        _attempt(values, f"{kind}|quantile|{name}", lambda: d.quantile(PS))
+        xs = np.unique(np.concatenate([[0.0], d.quantile(PS)]))
+        _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
+        _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))
+        _attempt(values, f"{kind}|lorenz|{name}", lambda: lorenz(d).eval(LORENZ_PS))
+    base = [n for n, _ in base]
+    extra = [n for n, _ in extra]
+    pairs = [(a, b) for i, a in enumerate(base) for b in base[i + 1:]]
+    pairs += [(a, b) for a in extra for b in W1_PARTNERS]
+    pairs += [(a, b) for i, a in enumerate(extra) for b in extra[i + 1:]]
+    for a, b in pairs:
+        d1, d2 = by_name[a], by_name[b]
+        kind = "discrete" if d1.is_finite_discrete and d2.is_finite_discrete else "general"
+        _attempt(values, f"{kind}|w1_routes|{a} vs {b}", lambda: w1_routes(d1, d2))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(values, fh, indent=0, sort_keys=True)
+    print(f"{len(values)} values over {len(laws)} laws and {len(pairs)} pairs -> {path}")
+
+
+def _field(key):
+    """(kind, field) of a dump key; index values are split per index field."""
+    kind, field, rest = key.split("|", 2)
+    if field == "index":
+        field = "index." + INDEX_FIELDS[int(rest.rsplit("#", 1)[1])]
+    elif field == "w1_routes":
+        field = "w1_routes." + ("quantile" if rest.endswith("#0") else "cdf")
+    return kind, field
+
+
+def diff(path_a, path_b):
+    with open(path_a, encoding="utf-8") as fh:
+        a = json.load(fh)
+    with open(path_b, encoding="utf-8") as fh:
+        b = json.load(fh)
+    stats = defaultdict(lambda: [0, 0, 0.0])  # values, bit-identical, max relative difference
+    changed = []
+    for key in sorted(set(a) | set(b)):
+        row = stats[_field(key)]
+        row[0] += 1
+        va, vb = a.get(key), b.get(key)
+        if va == vb:
+            row[1] += 1
+            continue
+        if va is None or vb is None or va.startswith("raise") or vb.startswith("raise"):
+            changed.append(f"{key}: {va} -> {vb}")
+            row[2] = math.inf
+            continue
+        xa, xb = float.fromhex(va), float.fromhex(vb)
+        scale = max(abs(xa), abs(xb))
+        row[2] = max(row[2], abs(xa - xb) / scale if scale else 0.0)
+    print(f"{'kind':9} {'field':34} {'values':>7} {'identical':>9} {'max_rel_diff':>12}")
+    for (kind, field), (n, same, rel) in sorted(stats.items()):
+        print(f"{kind:9} {field:34} {n:7d} {same:9d} {rel:12.3g}")
+    total = sum(r[0] for r in stats.values())
+    same = sum(r[1] for r in stats.values())
+    print(f"total: {same} of {total} values bit-identical")
+    for line in changed:
+        print("changed outcome:", line)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    sub.add_parser("dump", help="evaluate the battery and write a dump").add_argument("out")
+    d = sub.add_parser("diff", help="compare two dumps")
+    d.add_argument("a")
+    d.add_argument("b")
+    args = ap.parse_args()
+    if args.cmd == "dump":
+        dump(args.out)
+    else:
+        diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    main()

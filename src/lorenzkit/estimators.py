@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .measures import Distribution, ZeroMeanError, discrete, require_member
+from .measures import Distribution, ZeroMeanError, discrete, require_member, scalar_or_array
 from .wasserstein import ConvergenceReport, sequence_diagnostics
 
 __all__ = [
@@ -172,7 +172,7 @@ def estimate_lorenz_at(s, x) -> float | np.ndarray:
     grid = np.arange(xs.size + 1) / xs.size
     heads = np.concatenate([[0.0], np.cumsum(xs)]) / total
     out = np.interp(arr, grid, heads)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return scalar_or_array(x, out)
 
 
 def quantile_approx(d: Distribution, ell: int) -> Distribution:

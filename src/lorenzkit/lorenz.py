@@ -26,7 +26,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import DYADIC, Distribution, QuantileTable, quantile_table, require_member
+from .measures import (
+    DYADIC,
+    Distribution,
+    QuantileTable,
+    quantile_table,
+    require_member,
+    scalar_or_array,
+)
 from .quadrature import cell_integrals, integrate
 
 __all__ = [
@@ -114,7 +121,7 @@ class LorenzCurve:
         vals = np.empty_like(flat)
         vals[order] = self._eval_sorted(flat[order])
         out = vals.reshape(arr.shape)
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        return scalar_or_array(p, out)
 
     __call__ = eval
 
@@ -131,7 +138,7 @@ class LorenzCurve:
         top = arr == 1.0
         out[top] = self.source.sup_support() / self.source_mean
         out[~top] = self.source._quantile_arr(arr[~top]) / self.source_mean
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        return scalar_or_array(p, out)
 
 
 def lorenz(d: Distribution) -> LorenzCurve:
@@ -157,7 +164,7 @@ def pseudo_lorenz(d: Distribution, p) -> float | np.ndarray:
     q = d._quantile_arr(arr[inner])
     out[inner] = np.asarray(d.partial_expectation(q)) / d.mean
     out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+    return scalar_or_array(p, out)
 
 
 def kendall_points(d: Distribution, t_grid) -> list[tuple[float, float]]:

@@ -7,6 +7,14 @@ atom masses and partial expectation ``pe(x) = integral of u over [0, x]``, so
 the quantities downstream modules need (Lorenz values, tail moments, Robin
 Hood shares) reduce to closed forms plus one generic quantile inversion.
 
+A mixture may carry hundreds of point-mass parts (`discrete` and `mixture`
+flatten every atom into its own part). A distribution therefore pools the
+atoms of all its atomic parts (atoms, step quantile tables) into one sorted
+block with prefix sums of mass and of mass times location: the CDF, atom
+mass and partial expectation of that block cost one ``searchsorted`` per
+call, and only the remaining parts (densities, linear quantile tables,
+plug-in components such as kernel mixtures) are evaluated one by one.
+
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
 F(0) >= 0 holds trivially. When no closed form applies, the quantile is found
@@ -77,6 +85,11 @@ class ZeroMeanError(MeanDomainError):
 
 class InfiniteMeanError(MeanDomainError):
     """The mean diverges."""
+
+
+def scalar_or_array(x, out):
+    """`out` as a float when the input `x` is a scalar or 0-d, else unchanged."""
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -465,6 +478,11 @@ class Distribution:
     mass_at, quantile, x_breaks, sup_support, support_hi, rescaled, atoms)
     participates, which is how the KDE estimator plugs in its cut kernel
     mixture without this module knowing about it.
+
+    Pointwise evaluations (cdf, atom mass, partial expectation) read the
+    parts whose ``atoms()`` lists them from one pooled block (`_atomic`) and
+    call the component methods of the other parts only; a law with no other
+    part is finite-discrete (`_discrete`).
     """
 
     parts: tuple[tuple[float, object], ...]
@@ -485,25 +503,42 @@ class Distribution:
     # -- structure ---------------------------------------------------------
 
     @cached_property
-    def _discrete(self):
-        """(support, weights, cumweights) when purely atomic, else None."""
-        locs, masses = [], []
+    def _atomic(self):
+        """The atoms of every atomic part, pooled into one sorted block.
+
+        Returns ``(support, weights, cum, cum_xm, rest)``: the sorted unique
+        locations of the atoms of every part whose ``atoms()`` lists them,
+        their merged masses, the cumulative mass and the cumulative mass times
+        location of the first i locations (both padded with a leading 0, so
+        ``searchsorted(support, x, side="right")`` indexes them directly),
+        and the remaining (weight, component) parts, which are evaluated one
+        by one. When no part remains ``cum[-1]`` is 1.0 exactly.
+        """
+        locs, masses, rest = [], [], []
         for w, comp in self.parts:
             at = comp.atoms()
             if at is None:
-                return None
+                rest.append((w, comp))
+                continue
             for loc, m in at:
                 locs.append(loc)
                 masses.append(w * m)
-        locs = np.asarray(locs)
-        masses = np.asarray(masses)
+        locs = np.asarray(locs, dtype=float)
+        masses = np.asarray(masses, dtype=float)
         order = np.argsort(locs, kind="stable")
-        locs, masses = locs[order], masses[order]
-        support, start = np.unique(locs, return_index=True)
-        weights = np.add.reduceat(masses, start)
-        cum = np.cumsum(weights)
-        cum[-1] = 1.0
-        return support, weights, cum
+        support, start = np.unique(locs[order], return_index=True)
+        weights = np.add.reduceat(masses[order], start)
+        cum = np.concatenate([[0.0], np.cumsum(weights)])
+        if not rest:
+            cum[-1] = 1.0
+        cum_xm = np.concatenate([[0.0], np.cumsum(weights * support)])
+        return support, weights, cum, cum_xm, tuple(rest)
+
+    @cached_property
+    def _discrete(self):
+        """(support, weights, cumweights) when purely atomic, else None."""
+        support, weights, cum, _, rest = self._atomic
+        return None if rest else (support, weights, cum[1:])
 
     @property
     def is_finite_discrete(self) -> bool:
@@ -527,9 +562,8 @@ class Distribution:
 
     def x_breakpoints(self) -> np.ndarray:
         """Sorted abscissae where the CDF may jump or change analytic form."""
-        if self._discrete is not None:
-            return self._discrete[0].copy()
-        pts = np.concatenate([np.asarray(comp.x_breaks()) for _, comp in self.parts])
+        support, _, _, _, rest = self._atomic
+        pts = np.concatenate([support] + [np.asarray(comp.x_breaks()) for _, comp in rest])
         return np.unique(pts[np.isfinite(pts)])
 
     def p_breakpoints(self) -> np.ndarray:
@@ -553,13 +587,9 @@ class Distribution:
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self._discrete is not None:
-            support, _, cum = self._discrete
-            idx = np.searchsorted(support, x, side="right")
-            padded = np.concatenate([[0.0], cum])
-            return padded[idx]
-        out = np.zeros_like(x)
-        for w, comp in self.parts:
+        support, _, cum, _, rest = self._atomic
+        out = cum[np.searchsorted(support, x, side="right")]
+        for w, comp in rest:
             out = out + w * comp.cdf(x)
         return np.minimum(out, 1.0)
 
@@ -568,50 +598,40 @@ class Distribution:
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("cdf is defined for finite x >= 0")
-        out = self._cdf_arr(arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return scalar_or_array(x, self._cdf_arr(arr))
 
     def _mass_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self._discrete is not None:
-            support, weights, _ = self._discrete
-            idx = np.minimum(np.searchsorted(support, x), support.size - 1)
-            return np.where(support[idx] == x, weights[idx], 0.0)
+        support, weights, _, _, rest = self._atomic
         out = np.zeros_like(x)
-        for w, comp in self.parts:
+        if support.size:
+            idx = np.minimum(np.searchsorted(support, x), support.size - 1)
+            out = np.where(support[idx] == x, weights[idx], 0.0)
+        for w, comp in rest:
             out = out + w * comp.mass_at(x)
         return out
 
     def mass_at(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = self._mass_arr(arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return scalar_or_array(x, self._mass_arr(np.asarray(x, dtype=float)))
 
     def cdf_left(self, x) -> float | np.ndarray:
         """P[X < x], the left limit of the CDF."""
         arr = np.asarray(x, dtype=float)
-        out = np.maximum(self._cdf_arr(arr) - self._mass_arr(arr), 0.0)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return scalar_or_array(x, np.maximum(self._cdf_arr(arr) - self._mass_arr(arr), 0.0))
 
     def survival(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.maximum(1.0 - self._cdf_arr(arr), 0.0)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return scalar_or_array(x, np.maximum(1.0 - self._cdf_arr(np.asarray(x, dtype=float)), 0.0))
 
     def partial_expectation(self, x) -> float | np.ndarray:
         """Integral of u over [0, x] against the measure (atom at x included)."""
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValueError("partial expectation is defined for x >= 0")
-        if self._discrete is not None:
-            support, weights, _ = self._discrete
-            cwv = np.concatenate([[0.0], np.cumsum(weights * support)])
-            out = cwv[np.searchsorted(support, arr, side="right")]
-        else:
-            out = np.zeros_like(arr)
-            for w, comp in self.parts:
-                out = out + w * comp.pe(arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        support, _, _, cum_xm, rest = self._atomic
+        out = cum_xm[np.searchsorted(support, arr, side="right")]
+        for w, comp in rest:
+            out = out + w * comp.pe(arr)
+        return scalar_or_array(x, out)
 
     def partial_expectation_left(self, x) -> float | np.ndarray:
         """Integral of u over [0, x), excluding any atom at x."""
@@ -619,7 +639,7 @@ class Distribution:
         out = np.maximum(
             np.asarray(self.partial_expectation(arr)) - arr * self._mass_arr(arr), 0.0
         )
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return scalar_or_array(x, out)
 
     def tail_moment(self, alpha: float) -> float:
         """Integral of x over (alpha, infinity): the first moment above alpha."""
@@ -694,8 +714,7 @@ class Distribution:
         arr = np.asarray(p, dtype=float)
         if np.any(arr < 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
             raise ValueError("quantile is defined on [0, 1)")
-        out = self._quantile_arr(arr)
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+        return scalar_or_array(p, self._quantile_arr(arr))
 
     def integral_quantile(self, p: float) -> float:
         """Integral of Q over [0, p], 0 <= p <= 1; equals the mean at p = 1."""
@@ -707,11 +726,9 @@ class Distribution:
         if p == 1.0:
             return self.mean
         if self._discrete is not None:
-            support, weights, cum = self._discrete
-            j = int(np.searchsorted(cum, p, side="left"))
-            head = np.concatenate([[0.0], np.cumsum(weights * support)])[j]
-            prev = 0.0 if j == 0 else float(cum[j - 1])
-            return float(head + (p - prev) * support[j])
+            support, _, cum, cum_xm, _ = self._atomic
+            j = int(np.searchsorted(cum, p, side="left")) - 1
+            return float(cum_xm[j] + (p - cum[j]) * support[j])
         qp = float(self._quantile_arr(np.asarray(p)))
         if qp == 0.0:
             return 0.0
@@ -857,22 +874,26 @@ def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
 
     Checked on two routes that must agree: F_{d1} <= F_{d2} on an abscissa
     ladder, and Q_{d1} >= Q_{d2} on a probability ladder. The ladders join
-    both operands' breakpoints with uniform, dyadic and tail probes.
+    both operands' breakpoints with uniform, dyadic and tail probes; the
+    abscissa ladder also holds both quantile functions on the probability
+    ladder, so it resolves heavy-tailed laws whose mass sits far below the
+    uniform grid's first step.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    hi = max(d1.support_hi(1e-9), d2.support_hi(1e-9))
-    xs = np.unique(
-        np.concatenate(
-            [d1.x_breakpoints(), d2.x_breakpoints(), np.linspace(0.0, hi, grid)]
-        )
-    )
-    cdf_route = bool(np.all(d1._cdf_arr(xs) <= d2._cdf_arr(xs)))
     ps = np.unique(
         np.concatenate([d1.p_breakpoints(), d2.p_breakpoints(), DYADIC, TAIL_LEVELS])
     )
     ps = ps[ps < 1.0]
-    quantile_route = bool(np.all(d1._quantile_arr(ps) >= d2._quantile_arr(ps)))
+    q1, q2 = d1._quantile_arr(ps), d2._quantile_arr(ps)
+    quantile_route = bool(np.all(q1 >= q2))
+    hi = max(d1.support_hi(1e-9), d2.support_hi(1e-9))
+    xs = np.unique(
+        np.concatenate(
+            [d1.x_breakpoints(), d2.x_breakpoints(), np.linspace(0.0, hi, grid), q1, q2]
+        )
+    )
+    cdf_route = bool(np.all(d1._cdf_arr(xs) <= d2._cdf_arr(xs)))
     if cdf_route != quantile_route:
         raise RuntimeError(
             "stochastic dominance routes disagree: "

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lorenzkit import standard_battery
-from lorenzkit.estimators import quantile_approx
+from lorenzkit import index_report, standard_battery, w1_routes
+from lorenzkit.estimators import kde, quantile_approx
 from lorenzkit.measures import (
+    Atom,
     InfiniteMeanError,
     MeanDomainError,
     ZeroMeanError,
@@ -26,6 +27,7 @@ from lorenzkit.measures import (
     mean,
     mixture,
     quantile,
+    quantile_table,
     require_member,
     rescale,
     sample,
@@ -158,6 +160,97 @@ def test_survival_complements_cdf():
 
 
 # ---------------------------------------------------------------------------
+# pooled atoms against the per-part sums
+# ---------------------------------------------------------------------------
+
+
+def _pooled_cases():
+    rng = np.random.default_rng(11)
+    linear = quantile_table([0.0, 0.3, 0.6, 0.9], [0.0, 1.0, 1.0, 3.0], mode="linear")
+    step = quantile_table([0.0, 0.25, 0.5], [0.5, 1.0, 2.0])
+    smooth = kde(rng.lognormal(0.0, 0.5, size=30), "gaussian", 0.2)
+    rich = mixture([(0.4, exponential(1.0)), (0.6, discrete(rng.lognormal(0.0, 0.8, size=200)))])
+    return {
+        "density+200 atoms": rich,
+        "shared, zero and endpoint atoms": mixture(
+            [(0.2, atom(0.0)), (0.2, atom(1.0)), (0.2, discrete([1.0, 2.0])),
+             (0.4, uniform(0.0, 2.0))]
+        ),
+        "step and linear tables": mixture(
+            [(0.3, step), (0.3, linear), (0.4, discrete([1.0, 3.0, 4.0]))]
+        ),
+        "kde+atoms": mixture([(0.5, smooth), (0.5, discrete([0.0, 0.7, 1.0, 2.5]))]),
+        "far atom": mixture([(1.0 - 1e-12, rich), (1e-12, atom(1e12))]),
+    }
+
+
+_POOLED = _pooled_cases()
+
+
+def _per_part(d, x):
+    """Each evaluation summed part by part, with the magnitude it sums."""
+    c = [w * np.asarray(comp.cdf(x), dtype=float) for w, comp in d.parts]
+    m = [w * np.asarray(comp.mass_at(x), dtype=float) for w, comp in d.parts]
+    pe = [w * np.asarray(comp.pe(x), dtype=float) for w, comp in d.parts]
+
+    def size(terms):
+        return sum(np.abs(t) for t in terms)
+
+    return {
+        "cdf": (sum(c), size(c)),
+        "cdf_left": (np.maximum(sum(ci - mi for ci, mi in zip(c, m)), 0.0), size(c) + size(m)),
+        "mass_at": (sum(m), size(m)),
+        "pe": (sum(pe), size(pe)),
+        "pe_left": (
+            np.maximum(sum(pi - x * mi for pi, mi in zip(pe, m)), 0.0),
+            size(pe) + x * size(m),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_POOLED))
+def test_pooled_atoms_match_per_part_sums(name):
+    d = _POOLED[name]
+    locs = np.concatenate(
+        [[loc for loc, _ in comp.atoms()] for _, comp in d.parts if comp.atoms() is not None]
+    )
+    rng = np.random.default_rng(5)
+    x = np.sort(np.concatenate([[0.0], locs, rng.uniform(0.0, 1.2 * d.support_hi(1e-6), 500)]))
+    got = {
+        "cdf": d.cdf(x),
+        "cdf_left": d.cdf_left(x),
+        "mass_at": d.mass_at(x),
+        "pe": d.partial_expectation(x),
+        "pe_left": d.partial_expectation_left(x),
+    }
+    # Pooling sums the atoms in location order instead of part order. Both
+    # are running sums, whose rounding errors grow like sqrt(terms) ulps of
+    # the magnitude summed.
+    rel = 2.0 * math.sqrt(len(d.parts)) * np.finfo(float).eps
+    for k, (ref, mag) in _per_part(d, x).items():
+        assert np.all(np.abs(got[k] - ref) <= rel * mag), (name, k)
+    assert np.all(np.diff(got["cdf"]) >= 0.0), name
+
+
+def test_atom_rich_mixture_never_evaluates_atom_parts(monkeypatch):
+    # Evaluations take the pooled block; a loop over the 200 Atom parts
+    # would call their methods thousands of times per index report.
+    calls = []
+    for meth in ("cdf", "pe", "mass_at"):
+
+        def counted(self, x, original=getattr(Atom, meth)):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(Atom, meth, counted)
+    rng = np.random.default_rng(3)
+    d = mixture([(0.5, exponential(1.0)), (0.5, discrete(rng.lognormal(0.0, 0.8, size=200)))])
+    index_report(d)
+    w1_routes(d, uniform(0.0, 2.0))
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
 # quantile conventions
 # ---------------------------------------------------------------------------
 
@@ -249,7 +342,9 @@ def test_fsd_source_dominates_its_quantile_table():
     assert fsd_dominates(u, quantile_approx(u, 4))
 
 
-_BATTERY = standard_battery()
+# lognormal(0,1.5) keeps most of its mass below the first step of a uniform
+# abscissa grid over its support, which the cdf route must still resolve.
+_BATTERY = standard_battery() + [("lognormal(0,1.5)", lognormal(0.0, 1.5))]
 
 
 @pytest.mark.parametrize(
@@ -258,7 +353,7 @@ _BATTERY = standard_battery()
     ids=lambda k: _BATTERY[k][0],
 )
 def test_fsd_routes_agree_over_battery_pairs(i, j):
-    # The quantile route must probe as deep into the tails as the cdf route.
+    # Each route must probe wherever the other one can find a violation.
     assert isinstance(fsd_dominates(_BATTERY[i][1], _BATTERY[j][1]), bool)
 
 
