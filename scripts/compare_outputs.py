@@ -5,14 +5,16 @@
 writes every value as ``float.hex``: the fields of `index_report`, both
 `w1_routes` values, quantiles, cdf and partial-expectation values and
 Lorenz values. The battery is `standard_battery()` plus seeded nested
-mixtures, atom-rich mixtures (a density plus tens to hundreds of atoms)
-and mixtures with quantile-table and kernel-smoothed parts. A call that
-raises is recorded by its exception type.
+mixtures, atom-rich mixtures (a density plus tens to hundreds of atoms),
+mixtures with quantile-table and kernel-smoothed parts, and three battery
+laws rescaled by 1e-12, 1e-6, 1e6 and 1e12 (W1 pairs them within each
+scale). A call that raises is recorded by its exception type.
 
-``diff A.json B.json`` matches the two dumps key by key and prints, per
+``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
 finite-discrete, else ``general``), how many values are bit-identical and
-the largest relative difference.
+the largest relative difference; it then lists the keys found in one dump
+only.
 
 Run each side against its own source tree, for example
 
@@ -61,6 +63,10 @@ LORENZ_PS = np.linspace(0.0, 1.0, 33)
 #: battery laws every extra law is paired with for W1
 W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
                "mix(0.3*atom(0),0.7*exp(1))")
+#: battery laws dumped again at each of SCALES, so drift across scales shows
+SCALED = ("mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))", "gamma(2,0.5)",
+          "mix(0.3*atom(0),0.7*exp(1))")
+SCALES = (1e-12, 1e-6, 1e6, 1e12)
 
 
 def _density(rng):
@@ -121,7 +127,9 @@ def _index_fields(d):
 
 def dump(path):
     base, extra = standard_battery(), extra_laws()
-    laws = base + extra
+    unit = dict(base)
+    scaled = [[(f"{n} x{c:g}", unit[n].rescaled(c)) for n in SCALED] for c in SCALES]
+    laws = base + extra + [law for group in scaled for law in group]
     by_name = dict(laws)
     values = {}
     for name, d in laws:
@@ -137,6 +145,8 @@ def dump(path):
     pairs = [(a, b) for i, a in enumerate(base) for b in base[i + 1:]]
     pairs += [(a, b) for a in extra for b in W1_PARTNERS]
     pairs += [(a, b) for i, a in enumerate(extra) for b in extra[i + 1:]]
+    for group in scaled:
+        pairs += [(a, b) for i, (a, _) in enumerate(group) for b, _ in group[i + 1:]]
     for a, b in pairs:
         d1, d2 = by_name[a], by_name[b]
         kind = "discrete" if d1.is_finite_discrete and d2.is_finite_discrete else "general"
@@ -163,14 +173,14 @@ def diff(path_a, path_b):
         b = json.load(fh)
     stats = defaultdict(lambda: [0, 0, 0.0])  # values, bit-identical, max relative difference
     changed = []
-    for key in sorted(set(a) | set(b)):
+    for key in sorted(set(a) & set(b)):
         row = stats[_field(key)]
         row[0] += 1
-        va, vb = a.get(key), b.get(key)
+        va, vb = a[key], b[key]
         if va == vb:
             row[1] += 1
             continue
-        if va is None or vb is None or va.startswith("raise") or vb.startswith("raise"):
+        if va.startswith("raise") or vb.startswith("raise"):
             changed.append(f"{key}: {va} -> {vb}")
             row[2] = math.inf
             continue
@@ -185,6 +195,8 @@ def diff(path_a, path_b):
     print(f"total: {same} of {total} values bit-identical")
     for line in changed:
         print("changed outcome:", line)
+    for key in sorted(set(a) ^ set(b)):
+        print(f"only in {path_a if key in a else path_b}: {key}")
 
 
 def main():

@@ -2,8 +2,7 @@
 
 The battery spans the component algebra: pure atoms, finite discrete laws
 (including the pair that shares a Hoover value while the Gini values split),
-absolutely continuous families, and atom-plus-density mixtures. Scales stay
-order-one so quadrature error budgets are meaningful across the set.
+absolutely continuous families, and atom-plus-density mixtures.
 
 Also here: the two mass-escape sequences used by the convergence
 diagnostics. Both send mass 1/n^2 out to n^2 so the escaping lump carries

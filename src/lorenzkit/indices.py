@@ -63,15 +63,12 @@ def _p_cells(d: Distribution) -> np.ndarray:
 def _quantile_integrals(d: Distribution, edges: np.ndarray) -> np.ndarray:
     """Integral of Q over each cell of `edges`, by partial-expectation identity.
 
-    S(p) = pe_left(Q(p)) + Q(p) * (p - F_left(Q(p))) holds for every p < 1,
-    and S(1) is the mean, so cell integrals are differences of exactly
-    evaluable endpoint values; no quadrature enters.
+    S(p) (`Distribution._quantile_integral`) is exact at every p < 1 and S(1)
+    is the mean, so cell integrals are differences of exactly evaluable
+    endpoint values; no quadrature enters.
     """
     inner = edges[:-1] if edges[-1] == 1.0 else edges
-    q = d._quantile_arr(inner)
-    s = np.asarray(d.partial_expectation_left(q)) + q * (
-        inner - np.asarray(d.cdf_left(q))
-    )
+    s = d._quantile_integral(inner, d._quantile_arr(inner))
     if edges[-1] == 1.0:
         s = np.concatenate([s, [d.mean]])
     return np.diff(s)

@@ -254,10 +254,10 @@ def reconstruct(ell, target_mean: float, grid=None) -> Distribution:
     if slopes[0] < -1e-9:
         raise ValueError("curve values must be nondecreasing")
     q = target_mean * np.maximum.accumulate(np.maximum(slopes, 0.0))
-    # Divided differences of rounded curve values wobble by ~eps/grid-step;
-    # collapse runs of near-equal quantiles so affine stretches of the input
-    # come back as single atoms.
-    snap = 1e-11 * np.maximum(1.0, q[1:])
+    # Divided differences of rounded curve values wobble by ~eps/grid-step
+    # relative to the mean; collapse runs of near-equal quantiles so affine
+    # stretches of the input come back as single atoms.
+    snap = 1e-11 * np.maximum(target_mean, q[1:])
     starts = np.concatenate([[True], np.diff(q) > snap])
     q = q[starts][np.cumsum(starts) - 1]
     return quantile_table(tuple(ps[:-1]), tuple(q), mode="step")

@@ -173,7 +173,7 @@ class UniformDensity:
 
     def pe(self, x: np.ndarray) -> np.ndarray:
         xc = np.clip(x, self.a, self.b)
-        return (xc * xc - self.a * self.a) / (2.0 * (self.b - self.a))
+        return 0.5 * (xc + self.a) * ((xc - self.a) / (self.b - self.a))
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         return self.a + p * (self.b - self.a)
@@ -736,6 +736,10 @@ class Distribution:
         return integrate(
             lambda x: p - self._cdf_arr(x), 0.0, qp, points=breaks, tol=1e-10
         )
+
+    def _quantile_integral(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Integral of Q over [0, p < 1] as pe_left(q) + q (p - F_left(q)); exact at q = Q(p)."""
+        return np.asarray(self.partial_expectation_left(q)) + q * (p - np.asarray(self.cdf_left(q)))
 
     def mean_routes(self) -> tuple[float, float]:
         """The two integral representations of the mean.

@@ -3,8 +3,9 @@
 The rest of the package integrates survival functions, CDF gaps and quantile
 functions. Those integrands are piecewise smooth with kinks and jumps at atom
 locations and component boundaries, so the integrator here accepts an explicit
-list of forced split points and refines panels by a global error budget. All
-panel evaluations are batched: the integrand receives one flat array per round.
+list of forced split points and refines panels by a global error budget
+relative to the integral of |f| (QUADPACK's ``epsrel``). All panel
+evaluations are batched: the integrand receives one flat array per round.
 """
 
 from __future__ import annotations
@@ -95,15 +96,15 @@ def _initial_edges(a: float, b: float, points) -> np.ndarray:
 def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: float, limit: int):
     """Refine panels [lo_i, hi_i] against one global error budget.
 
-    Bisects every panel whose error estimate exceeds its share of `tol`,
-    until the total estimated error drops under `tol` or the panel count
-    reaches `limit`. Returns (values, owner): the final panels' integrals and
-    the index of the starting panel each one descends from.
+    Bisects every panel whose error estimate exceeds its share of `tol` times
+    the summed |panel integral|, until the total estimated error drops under
+    that or the panel count reaches `limit`. Returns (values, owner): the final
+    panels' integrals and the index of the starting panel each one descends from.
     """
     owner = np.arange(lo.size)
     vals, errs = _eval_panels(f, lo, hi)
-    while errs.sum() > tol and lo.size < limit:
-        mask = errs > tol / lo.size
+    while errs.sum() > tol * np.abs(vals).sum() and lo.size < limit:
+        mask = errs > tol * np.abs(vals).sum() / lo.size
         if not mask.any():
             break
         mids = 0.5 * (lo[mask] + hi[mask])
@@ -125,7 +126,7 @@ def integrate(f, a: float, b: float, *, points=(), tol: float = 1e-10) -> float:
     `points` lists abscissae where the integrand may jump or kink; panels are
     forced to break there. Refinement bisects every panel whose error estimate
     exceeds its share of the global budget, until the total estimated error
-    drops under `tol` or the panel count reaches 4096.
+    drops under `tol` times the integral of |f| or the panel count is 4096.
     """
     if not (b > a):
         return 0.0
@@ -139,8 +140,8 @@ def cell_integrals(f, edges: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
 
     Returns an array of length len(edges) - 1 whose k-th entry approximates the
     integral over [edges[k], edges[k+1]]. Cells are refined jointly against one
-    global error budget, up to 16384 panels; children keep contributing to
-    their original cell. Zero-width cells yield exactly 0.
+    global budget, `tol` times the integral of |f|, up to 16384 panels; children
+    keep contributing to their original cell. Zero-width cells yield exactly 0.
     """
     edges = np.asarray(edges, dtype=float)
     n_cells = edges.size - 1

@@ -56,7 +56,7 @@ def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 
 
 def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Left quantiles to absolute tolerance: values in [Q(p), Q(p) + tol].
+    """Left quantiles within `tol` (1e-10 s from `_w1_general`): in [Q(p), Q(p) + tol].
 
     `lo` and `hi` must bracket Q(p) elementwise with cdf(hi) >= p. Plain
     bisection on the cdf; callers that subdivide cells pass the parents'
@@ -125,18 +125,18 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     """Both W1 routes for at least one non-discrete law, quadrature free.
 
     Quantile route: cells in p, cell integrals of Q from the partial
-    expectation identity S(p) = pe_left(Q(p)) + Q(p)(p - F_left(Q(p))).
-    Approximate quantiles are harmless here: S is stationary in its quantile
-    argument, so an O(tol) quantile error moves S by O(tol) at worst (and
-    O(tol^2) off plateaus). CDF route: cells in x, cell integrals of F from
-    integration by parts, A(x) = x F(x) - pe(x). Both truncate at matched
-    tails whose first moments enter as a difference.
+    expectation identity (`Distribution._quantile_integral`), stationary in
+    its quantile argument, so approximate quantiles serve. CDF route: cells
+    in x, cell integrals of F from integration by parts, A(x) = x F(x) -
+    pe(x). Both truncate at matched tails whose first moments enter as a
+    difference. Budgets scale with s = m1 + m2, a bound on W1: 1e-7 s per
+    route and quantiles to 1e-10 s, so rescaling both laws rescales both.
     """
-    scale = max(1.0, d1.mean + d2.mean)
+    scale = d1.mean + d2.mean
     budget = 1e-7 * scale
     hi1 = d1.support_hi(1e-13)
     hi2 = d2.support_hi(1e-13)
-    tol_q = 1e-11 * max(1.0, hi1, hi2)
+    tol_q = 1e-10 * scale
 
     edges = np.concatenate(
         [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), TAIL_LEVELS]
@@ -153,10 +153,7 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
                 lo = np.maximum(br[0] - tol_q, 0.0)
                 hi = br[1]
             q = _q_within(d, ps, lo, hi, tol_q)
-            s = np.asarray(d.partial_expectation_left(q)) + q * (
-                ps - np.asarray(d.cdf_left(q))
-            )
-            out.extend((q, s))
+            out.extend((q, d._quantile_integral(ps, q)))
         return tuple(out)
 
     body_q, s1_tail, s2_tail = _abs_gap_body(edges, eval_q, budget)
@@ -164,7 +161,7 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
         max(d1.mean - s1_tail, 0.0) - max(d2.mean - s2_tail, 0.0)
     )
 
-    hi = max(hi1, hi2, 1e-12)
+    hi = max(hi1, hi2)
     xb = np.concatenate([d1.x_breakpoints(), d2.x_breakpoints()])
     xedges = np.unique(
         np.concatenate([xb[(xb > 0.0) & (xb < hi)], np.linspace(0.0, hi, 129)])
@@ -185,16 +182,15 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 def w1_routes(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     """Both W1 evaluations (quantile-gap integral, cdf-gap integral).
 
-    The routes must agree (1e-8 for a pair of finite-discrete laws, 1e-5
-    otherwise, scaled up for large means). Raises RuntimeError on
-    disagreement, which indicates an evaluation bug rather than a property
-    of the inputs.
+    The routes must agree within 1e-8 s (finite-discrete pair) or 1e-5 s,
+    s = m1 + m2. Raises RuntimeError on disagreement, which indicates an
+    evaluation bug rather than a property of the inputs.
     """
     exact = d1.is_finite_discrete and d2.is_finite_discrete
     by_quantile, by_cdf = (
         _w1_discrete(d1, d2) if exact else _w1_general(d1, d2)
     )
-    tol = (1e-8 if exact else 1e-5) * max(1.0, d1.mean + d2.mean)
+    tol = (1e-8 if exact else 1e-5) * (d1.mean + d2.mean)
     if abs(by_quantile - by_cdf) > tol:
         raise RuntimeError(
             f"W1 route disagreement: quantile {by_quantile!r} vs cdf {by_cdf!r}"
@@ -249,9 +245,10 @@ def limit_from_lorenz(ell, alpha: float, grid=None) -> tuple[Distribution, float
     it may top out below 1 when mass escapes. `alpha` is the limit of the
     means. The limiting mean is alpha times the left limit of `ell` at 1
     (linearly extrapolated from the last two grid points, exact whenever the
-    final piece is affine); when that is zero the limit is the point mass at
-    zero with zero mean. Otherwise `ell` rescaled to a genuine Lorenz curve
-    is carried back to a distribution with the limiting mean.
+    final piece is affine); when that scale-free value or alpha is zero the
+    limit is the point mass at zero with zero mean. Otherwise `ell` rescaled
+    to a genuine Lorenz curve is carried back to a distribution with the
+    limiting mean.
     """
     alpha = float(alpha)
     if not (alpha >= 0.0 and math.isfinite(alpha)):
@@ -272,7 +269,7 @@ def limit_from_lorenz(ell, alpha: float, grid=None) -> tuple[Distribution, float
     last_slope = (vals[-1] - vals[-2]) / (ps[-1] - ps[-2])
     at_one = vals[-1] + last_slope * (1.0 - ps[-1])
     mean_limit = at_one * alpha
-    if mean_limit <= 1e-12:
+    if at_one <= 1e-12 or mean_limit == 0.0:
         return atom(0.0), 0.0
     full_ps = np.concatenate([ps, [1.0]])
     full_vals = np.concatenate([vals / at_one, [1.0]])

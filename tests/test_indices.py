@@ -11,6 +11,7 @@ from lorenzkit import (
     discrete,
     exponential,
     extremal_bimodal,
+    gamma_dist,
     midpoint_atom_mixture,
     gini_dorfman,
     gini_lorenz,
@@ -21,11 +22,12 @@ from lorenzkit import (
     hoover_mean_deviation,
     index_report,
     lognormal,
+    mixture,
     robin_hood_shares,
     three_group,
     uniform,
 )
-from lorenzkit.measures import ZeroMeanError, rescale
+from lorenzkit.measures import Distribution, ZeroMeanError, rescale
 
 GINI_ROUTES = (gini_mean_difference, gini_dorfman, gini_lorenz)
 HOOVER_ROUTES = (hoover_mean_deviation, hoover_cdf, hoover_max)
@@ -161,6 +163,50 @@ def test_scale_invariance():
     d = midpoint_atom_mixture()
     for route in GINI_ROUTES + HOOVER_ROUTES:
         assert route(rescale(d, 11.0)) == pytest.approx(route(d), abs=1e-8)
+
+
+SCALE_LAWS = [
+    ("uniform(0,1)", uniform(0.0, 1.0)),
+    ("exp(1)", exponential(1.0)),
+    ("gamma(2,0.5)", gamma_dist(2.0, 0.5)),
+    ("lognormal(0,0.5)", lognormal(0.0, 0.5)),
+    ("mix(0.3*atom(0),0.7*gamma(2,0.5))", mixture([(0.3, atom(0.0)), (0.7, gamma_dist(2.0, 0.5))])),
+]
+
+
+@pytest.mark.parametrize("d", [d for _, d in SCALE_LAWS], ids=[n for n, _ in SCALE_LAWS])
+def test_index_report_is_scale_invariant(d, deadline):
+    # Every index is scale-free, so rescaling by 1e-12 .. 1e12 must change
+    # neither the values nor the agreement between routes.
+    with deadline(60):
+        unit = index_report(d)
+        for scale in (1e-12, 1e-6, 1e6, 1e12):
+            report = index_report(d.rescaled(scale))
+            assert report.max_cross_route_residual <= 1e-9, scale
+            for route in GINI_ROUTES + HOOVER_ROUTES:
+                field = route.__name__
+                assert abs(getattr(report, field) - getattr(unit, field)) <= 1e-9, (scale, field)
+
+
+def test_index_report_cost_does_not_grow_with_scale(monkeypatch, deadline):
+    points = [0]
+    plain = Distribution._cdf_arr
+
+    def counted(self, x):
+        x = np.asarray(x, dtype=float)
+        points[0] += x.size
+        return plain(self, x)
+
+    def cost(d):
+        points[0] = 0
+        index_report(d)
+        return points[0]
+
+    monkeypatch.setattr(Distribution, "_cdf_arr", counted)
+    with deadline(120):
+        for name, d in SCALE_LAWS:
+            unit, huge = cost(d), cost(d.rescaled(1e12))
+            assert huge <= 1.5 * unit, (name, unit, huge)
 
 
 def test_outside_m_is_typed(battery):

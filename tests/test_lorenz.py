@@ -200,6 +200,18 @@ def test_reconstruct_square_curve_gives_uniform():
     assert w1(d, uniform(0.0, 2.0)) < 1e-3
 
 
+def test_reconstruct_is_scale_equivariant():
+    # The snap that merges near-equal quantiles is relative to the target
+    # mean, so a tiny mean must not collapse the steps into one atom.
+    grid = np.linspace(0.0, 1.0, 257)
+    unit = reconstruct(lambda p: p * p, 1.0, grid)
+    tiny = reconstruct(lambda p: p * p, 1e-9, grid)
+    assert tiny.mean == pytest.approx(1e-9, rel=1e-12)
+    np.testing.assert_allclose(
+        tiny.support_atoms()[0], 1e-9 * unit.support_atoms()[0], rtol=1e-12
+    )
+
+
 def test_reconstruct_kinked_curve_gives_bimodal():
     alpha, h = 0.75, 0.5
 

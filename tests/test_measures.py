@@ -117,6 +117,16 @@ def test_uniform_against_scipy():
     assert d.partial_expectation(3.0) == pytest.approx(1.25)
 
 
+def test_uniform_partial_expectation_at_tiny_scale():
+    # x^2 - a^2 underflows below about 1e-154; the factored form does not.
+    d = uniform(0.0, 1e-300)
+    assert d.partial_expectation(0.5e-300) == pytest.approx(0.125e-300, rel=1e-14)
+    assert d.partial_expectation(1e-300) == pytest.approx(d.mean, rel=1e-14)
+    report = index_report(d)
+    assert report.max_cross_route_residual <= 1e-9
+    assert report.gini_mean_difference == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
 def test_exponential_against_scipy():
     d = exponential(2.0)
     ref = scipy.stats.expon(scale=0.5)

@@ -130,7 +130,7 @@ def test_w1_routes_agree(d1, d2, pick):
     if pick >= 0:
         d2 = PARAMETRIC_POOL[pick]
     by_q, by_f = w1_routes(d1, d2)
-    scale = max(1.0, d1.mean + d2.mean)
+    scale = d1.mean + d2.mean
     tol = 1e-8 if d2.is_finite_discrete else 1e-5
     assert abs(by_q - by_f) <= tol * scale
 

@@ -46,6 +46,46 @@ def test_closed_form_distances(d1, d2, expected):
     assert w1(d1, d2) == pytest.approx(expected, abs=1e-9)
 
 
+SCALE_PAIRS = [
+    # W1 of U(0, a) and U(0, b) is (b - a) / 2
+    ("uniform 1e-20", uniform(0.0, 1e-20), uniform(0.0, 1.5e-20), 0.25e-20),
+    ("uniform 1e-8", uniform(0.0, 1e-8), uniform(0.0, 1.5e-8), 0.25e-8),
+    # W1 of X and cX is (c - 1) E[X] for X >= 0; here E[X] = 0.7e-9
+    (
+        "exp(1e9) mixture",
+        mixture([(0.3, atom(0.0)), (0.7, exponential(1e9))]),
+        mixture([(0.3, atom(0.0)), (0.7, exponential(1e9 / 1.5))]),
+        0.5 * 0.7e-9,
+    ),
+    # far atoms of mass eps against exp(1): integrate |F1 - F2| piecewise,
+    # split where the exponential's survival e^-x crosses eps
+    (
+        "far atom 1e12",
+        discrete([0.0, 1e12], [1.0 - 1e-9, 1e-9]),
+        exponential(1.0),
+        1.0 - 2e-9 + 1e-9 * (1e12 - 2.0 * math.log(1e9)),
+    ),
+    (
+        "far atom 1e8 on uniform",
+        mixture([(1.0 - 1e-10, uniform(0.0, 1.0)), (1e-10, atom(1e8))]),
+        exponential(1.0),
+        0.5 - 1.5e-10 + 1e-10 * (1e8 - 2.0 * math.log(1e10)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "d1,d2,expected", [p[1:] for p in SCALE_PAIRS], ids=[p[0] for p in SCALE_PAIRS]
+)
+def test_w1_at_extreme_scales_matches_closed_form(d1, d2, expected):
+    # Budgets are relative to s = m1 + m2, so tiny laws and far atoms are
+    # resolved as well as order-one ones.
+    by_q, by_f = w1_routes(d1, d2)
+    budget = 1e-7 * (d1.mean + d2.mean)
+    assert abs(by_q - expected) <= budget
+    assert abs(by_f - expected) <= budget
+
+
 def test_symmetry_is_exact(battery):
     picks = [battery[i][1] for i in (0, 4, 8, 11, 17)]
     for a in picks:
@@ -73,7 +113,7 @@ def test_route_agreement_over_battery_pairs(battery):
         for n2, d2 in battery[i + 1:]:
             by_q, by_f = w1_routes(d1, d2)
             gap = abs(by_q - by_f)
-            scale = max(1.0, d1.mean + d2.mean)
+            scale = d1.mean + d2.mean
             if d1.is_finite_discrete and d2.is_finite_discrete:
                 worst_exact = max(worst_exact, gap / scale)
             else:
@@ -169,6 +209,14 @@ def test_limit_from_vanishing_curve():
     assert m == 0.0
     locs, masses = d.support_atoms()
     assert list(locs) == [0.0]
+
+
+def test_limit_from_identity_curve_at_tiny_mean():
+    # Vanishing mass is judged on the scale-free curve, not on the mean.
+    d, m = limit_from_lorenz(lambda p: p, 1e-13)
+    assert m == pytest.approx(1e-13, rel=1e-9)
+    locs, _ = d.support_atoms()
+    np.testing.assert_allclose(locs, [1e-13], rtol=1e-9)
 
 
 def test_limit_from_mass_escape_curve():
