@@ -6,9 +6,9 @@ writes every value as ``float.hex``: the fields of `index_report`, both
 `w1_routes` values, quantiles, cdf and partial-expectation values and
 Lorenz values. The battery is `standard_battery()` plus seeded nested
 mixtures, atom-rich mixtures (a density plus tens to hundreds of atoms),
-mixtures with quantile-table and kernel-smoothed parts, and three battery
-laws rescaled by 1e-12, 1e-6, 1e6 and 1e12 (W1 pairs them within each
-scale). A call that raises is recorded by its exception type.
+mixtures with quantile-table and kernel-smoothed parts, the heavy-tailed
+lognormal(0, 2.5) and lognormal(0, 3), and three battery laws rescaled by
+1e-12, 1e-6, 1e6 and 1e12 (W1 pairs them within each scale). A call that raises is recorded by its exception type.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
@@ -67,6 +67,8 @@ W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom
 SCALED = ("mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))", "gamma(2,0.5)",
           "mix(0.3*atom(0),0.7*exp(1))")
 SCALES = (1e-12, 1e-6, 1e6, 1e12)
+#: log-sd of the heavy-tailed lognormal laws dumped after the seeded ones
+HEAVY_SIGMAS = (2.5, 3.0)
 
 
 def _density(rng):
@@ -107,6 +109,7 @@ def extra_laws():
     laws.append(("linear_table_mix", mixture([(0.5, linear), (0.5, _atoms(rng, 30))])))
     smooth = kde(rng.lognormal(0.0, 0.5, size=40), "epanechnikov", 0.3)
     laws.append(("kde_mix", mixture([(0.7, smooth), (0.3, _atoms(rng, 25))])))
+    laws.extend((f"lognormal(0,{s:g})", lognormal(0.0, s)) for s in HEAVY_SIGMAS)
     return laws
 
 

@@ -1,15 +1,24 @@
 """Gini and Hoover indices, each by several independent routes.
 
 Routes are deliberately redundant: a disagreement between them is the
-cheapest bug detector this package has, so nothing here shares a code path
-with the route it is checked against.
+cheapest bug detector this package has, so the routes of one index rest on
+different primitives.
 
-Gini comes as half the normalized mean absolute difference (computed in
-probability space), as one minus the ratio of integrated squared survival to
-integrated survival, and as one minus twice the area under the Lorenz curve.
-Hoover comes as half the normalized mean absolute deviation, as the Lorenz
-gap at the cumulative probability of the mean, and as the maximum Lorenz gap
-over a probability sweep.
+- cdf quadrature in x: integrals of F or 1 - F over the support, split at
+  the law's breakpoints and at halvings of the integral's upper end.
+- the partial-expectation identity S(p) = E[X; X < q] + q (p - F(q-)) for
+  the quantile integral at q = Q(p), evaluated in closed form; the Lorenz
+  curve is S / m.
+
+Gini comes as one minus the ratio of integrated squared survival to
+integrated survival (cdf quadrature), as one minus twice the area under the
+Lorenz curve (the identity, integrated over p), and as half the normalized
+mean absolute difference (the identity on off-diagonal cells, quadrature of
+v Q(v) over p on the diagonal). Hoover comes as half the normalized mean
+absolute deviation (cdf quadrature), as the Lorenz gap at the cumulative
+probability of the mean with the quantile integral taken by cdf quadrature
+(`Distribution.integral_quantile`), and as the maximum Lorenz gap over a
+probability sweep (the identity).
 
 The mean-difference route rests on the double integral of |Q(u) - Q(v)| over
 the unit square. Cutting the square into cells [a_i, a_{i+1}) x [a_j, a_{j+1})
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorenz import integral_lorenz, lorenz
-from .measures import TAIL_LEVELS, Distribution, discrete, require_member
+from .measures import HALVINGS, TAIL_LEVELS, Distribution, discrete, require_member
 from .quadrature import cell_integrals, integrate
 
 __all__ = [
@@ -111,8 +120,7 @@ def gini_dorfman(d: Distribution) -> float:
         i2 = float(np.sum(widths * s_steps[:-1] ** 2))
         return 1.0 - i2 / i1
     hi = d.support_hi(1e-13)
-    xb = d.x_breakpoints()
-    pts = tuple(xb[(xb > 0.0) & (xb < hi)])
+    pts = np.concatenate([d.x_breakpoints(), hi * HALVINGS])
 
     def surv(x: np.ndarray) -> np.ndarray:
         return 1.0 - d._cdf_arr(x)
@@ -137,8 +145,8 @@ def hoover_mean_deviation(d: Distribution) -> float:
         return float(np.sum(weights * np.abs(support - m))) / (2.0 * m)
     hi = max(d.support_hi(1e-13), m * (1.0 + 1e-9))
     xb = d.x_breakpoints()
-    lower_pts = tuple(xb[(xb > 0.0) & (xb < m)])
-    upper_pts = tuple(xb[(xb > m) & (xb < hi)])
+    lower_pts = np.concatenate([xb, m * HALVINGS])
+    upper_pts = np.concatenate([xb, hi * HALVINGS])
     below = integrate(d._cdf_arr, 0.0, m, points=lower_pts, tol=1e-11)
     above = integrate(
         lambda x: 1.0 - d._cdf_arr(x), m, hi, points=upper_pts, tol=1e-11
@@ -148,7 +156,11 @@ def hoover_mean_deviation(d: Distribution) -> float:
 
 
 def hoover_cdf(d: Distribution) -> float:
-    """Hoover index as F(mean) - L(F(mean)), the Lorenz gap at the mean."""
+    """Hoover index as F(mean) - L(F(mean)), the Lorenz gap at the mean.
+
+    L(F(mean)) is the quantile integral by cdf quadrature in x
+    (`Distribution.integral_quantile`), not the Lorenz curve's identity.
+    """
     require_member(d)
     p_star = float(d.cdf(d.mean))
     return p_star - d.integral_quantile(p_star) / d.mean
@@ -157,10 +169,12 @@ def hoover_cdf(d: Distribution) -> float:
 def hoover_max(d: Distribution) -> float:
     """Hoover index as the largest vertical gap p - L(p).
 
-    The gap is maximized at p = F(mean); the value there is returned after a
-    sweep over the probability breakpoints and the ladder of step 2^-10
-    (which holds every dyadic probe down to that level) confirms no probe
-    beats it by more than numerical slack.
+    The gap is maximized at p = F(mean). The value there is read off the
+    Lorenz curve, that is by the partial-expectation identity, which shares
+    no quadrature with `hoover_cdf`'s x-space integral at the same p. It is
+    returned after a sweep over the probability breakpoints and the ladder
+    of step 2^-10 (which holds every dyadic probe down to that level)
+    confirms no probe beats it by more than numerical slack.
     """
     require_member(d)
     curve = lorenz(d)

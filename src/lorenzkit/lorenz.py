@@ -1,16 +1,18 @@
 """Lorenz curve machinery.
 
 The Lorenz value at p is the normalized quantile integral
-``L(p) = (1/m) * integral of Q over [0, p]``. For finite-discrete sources the
-curve is piecewise affine with vertices at the cumulative weights and is
-evaluated exactly by interpolation. For everything else, batched evaluation
-runs one sweep over the support: writing S(p) for the quantile integral,
+``L(p) = S(p) / m`` with ``S(p) = integral of Q over [0, p]`` (Gastwirth
+1971). Every law evaluates it by one identity: with q = Q(p),
 
-    S(p') - S(p) = (p' - p) Q(p) + integral over [Q(p), Q(p')] of (p' - F(x)) dx,
+    S(p) = E[X; X < q] + q (p - F(q-)),
 
-which follows from Fubini plus the Galois inequalities, so a sorted batch of
-probabilities costs one vectorized quantile call and one pass of cell
-quadrature between consecutive quantile values.
+the partial expectation strictly below the p-quantile plus the part of the
+atom at q that the first 100p centiles take. This is the centile-share
+proposition: L(p) is the share of the first 100p centiles, and it differs
+from the share owned up to the p-quantile (the pseudo-Lorenz value) only by
+the rest of the atom at Q(p), q (F(q) - p) / m. A batch of probabilities
+costs one vectorized quantile call and one partial-expectation call; no
+quadrature enters.
 
 Also here: the pseudo-Lorenz functional, Kendall points, the domination
 predicate, and the inverse map from a convex curve plus a mean back to a
@@ -22,19 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .measures import (
     DYADIC,
     Distribution,
-    QuantileTable,
     quantile_table,
     require_member,
     scalar_or_array,
 )
-from .quadrature import cell_integrals, integrate
+from .quadrature import integrate
 
 __all__ = [
     "LorenzCurve",
@@ -45,6 +45,9 @@ __all__ = [
     "reconstruct",
     "integral_lorenz",
 ]
+
+#: relative error budget of `integral_lorenz`
+AREA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,58 +60,17 @@ class LorenzCurve:
         The distribution the curve was built from.
     source_mean:
         Its mean (positive; membership is checked on construction).
-    representation:
-        "exact-piecewise-affine" when the source is finite-discrete, in which
-        case evaluation interpolates the stored vertices; "quadrature-backed"
-        otherwise.
     """
 
     source: Distribution = field(repr=False)
     source_mean: float
-    representation: str
-
-    @cached_property
-    def _vertices(self):
-        if self.representation != "exact-piecewise-affine":
-            return None
-        support, weights = self.source.support_atoms()
-        ps = np.concatenate([[0.0], np.cumsum(weights)])
-        ps[-1] = 1.0
-        ls = np.concatenate([[0.0], np.cumsum(weights * support)]) / self.source_mean
-        ls[-1] = 1.0
-        return ps, ls
 
     def _eval_sorted(self, p: np.ndarray) -> np.ndarray:
-        """Values at a sorted, validated probability array."""
-        if self._vertices is not None:
-            ps, ls = self._vertices
-            return np.interp(p, ps, ls)
+        """Values at a flat, validated probability array, in any order."""
         d = self.source
-        out = np.empty_like(p)
+        out = np.ones_like(p)
         inner = p < 1.0
-        out[~inner] = 1.0
-        pin = p[inner]
-        if pin.size == 0:
-            return out
-        q = d._quantile_arr(pin)
-        s0 = d.integral_quantile(float(pin[0]))
-        if pin.size > 1:
-            xb = d.x_breakpoints()
-            cuts = xb[(xb > q[0]) & (xb < q[-1])]
-            edges = np.unique(np.concatenate([q, cuts]))
-            neg_f = cell_integrals(lambda x: -d._cdf_arr(x), edges, tol=1e-11)
-            owner = np.searchsorted(q, edges[:-1], side="right") - 1
-            cell_f = np.zeros(pin.size - 1)
-            np.add.at(cell_f, owner, neg_f)
-            inc = (
-                np.diff(pin) * q[:-1]
-                + pin[1:] * np.diff(q)
-                + cell_f
-            )
-            s = s0 + np.concatenate([[0.0], np.cumsum(inc)])
-        else:
-            s = np.asarray([s0])
-        out[inner] = s / self.source_mean
+        out[inner] = d._quantile_integral(p[inner], d._quantile_arr(p[inner])) / self.source_mean
         return np.clip(out, 0.0, 1.0)
 
     def eval(self, p) -> float | np.ndarray:
@@ -116,11 +78,7 @@ class LorenzCurve:
         arr = np.asarray(p, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
             raise ValueError("Lorenz curve is defined on [0, 1]")
-        flat = arr.ravel()
-        order = np.argsort(flat, kind="stable")
-        vals = np.empty_like(flat)
-        vals[order] = self._eval_sorted(flat[order])
-        out = vals.reshape(arr.shape)
+        out = self._eval_sorted(arr.ravel()).reshape(arr.shape)
         return scalar_or_array(p, out)
 
     __call__ = eval
@@ -144,8 +102,7 @@ class LorenzCurve:
 def lorenz(d: Distribution) -> LorenzCurve:
     """Lorenz curve of a distribution with finite nonzero mean."""
     require_member(d)
-    rep = "exact-piecewise-affine" if d.is_finite_discrete else "quadrature-backed"
-    return LorenzCurve(source=d, source_mean=d.mean, representation=rep)
+    return LorenzCurve(source=d, source_mean=d.mean)
 
 
 def pseudo_lorenz(d: Distribution, p) -> float | np.ndarray:
@@ -210,9 +167,9 @@ def lorenz_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> boo
 def _curve_values(ell, grid) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(ell, LorenzCurve):
         if grid is None:
-            ps = np.linspace(0.0, 1.0, 4097)
-            if ell._vertices is not None:
-                ps = np.unique(np.concatenate([ps, ell._vertices[0]]))
+            ps = np.unique(
+                np.concatenate([np.linspace(0.0, 1.0, 4097), ell.source.p_breakpoints()])
+            )
         else:
             ps = np.asarray(grid, float)
         return ps, np.asarray(ell.eval(ps), dtype=float)
@@ -263,16 +220,13 @@ def reconstruct(ell, target_mean: float, grid=None) -> Distribution:
     return quantile_table(tuple(ps[:-1]), tuple(q), mode="step")
 
 
-def integral_lorenz(curve: LorenzCurve, tol: float = 1e-9) -> float:
+def integral_lorenz(curve: LorenzCurve) -> float:
     """Integral of the Lorenz curve over [0, 1].
 
-    Exact trapezoid sum over the affine pieces for discrete sources,
-    adaptive quadrature otherwise.
+    Adaptive quadrature split at the quantile's breakpoints, so the affine
+    pieces of a discrete law's curve are integrated exactly.
     """
-    if curve._vertices is not None:
-        ps, ls = curve._vertices
-        return float(np.trapezoid(ls, ps))
     breaks = curve.source.p_breakpoints()
     return integrate(
-        lambda p: curve.eval(np.clip(p, 0.0, 1.0)), 0.0, 1.0, points=breaks, tol=tol
+        lambda p: curve.eval(np.clip(p, 0.0, 1.0)), 0.0, 1.0, points=breaks, tol=AREA_TOL
     )

@@ -52,13 +52,7 @@ __all__ = [
     "lognormal",
     "discrete",
     "mixture",
-    "rescale",
-    "cdf",
-    "quantile",
-    "mean",
-    "integral_quantile",
     "fsd_dominates",
-    "sample",
     "require_member",
 ]
 
@@ -71,8 +65,13 @@ DYADIC = np.asarray([k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**l
 TAIL_LEVELS = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
 #: where probability-space integrals and ladders stop short of 1
 P_TAIL = 1.0 - 2.0**-40
+#: factors 2^-k, k = 1..60: an x-space integral over [a, b] also splits at
+#: b 2^-k, so panels are geometric in x and a heavy tail is resolved at
+#: every scale between b 2^-60 and b, with no quantile inversion
+HALVINGS = 2.0 ** -np.arange(1.0, 61.0)
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
+HALVINGS.flags.writeable = False
 
 
 class MeanDomainError(ValueError):
@@ -732,7 +731,7 @@ class Distribution:
         qp = float(self._quantile_arr(np.asarray(p)))
         if qp == 0.0:
             return 0.0
-        breaks = self.x_breakpoints()
+        breaks = np.concatenate([self.x_breakpoints(), qp * HALVINGS])
         return integrate(
             lambda x: p - self._cdf_arr(x), 0.0, qp, points=breaks, tol=1e-10
         )
@@ -745,13 +744,18 @@ class Distribution:
         """The two integral representations of the mean.
 
         Returns (survival-function route, quantile route). Both are quadrature
-        based and independent of the cached closed-form mean; they exist to be
-        cross-checked against it.
+        based and exist to be cross-checked against the cached closed-form
+        mean, which enters only the survival route's tail term E[(X - hi)^+]
+        beyond its cut-off hi, a mass below 1e-14.
         """
         hi = self.support_hi(1e-14)
         via_survival = integrate(
-            lambda x: 1.0 - self._cdf_arr(x), 0.0, hi, points=self.x_breakpoints(), tol=1e-10
-        )
+            lambda x: 1.0 - self._cdf_arr(x),
+            0.0,
+            hi,
+            points=np.concatenate([self.x_breakpoints(), hi * HALVINGS]),
+            tol=1e-10,
+        ) + self.excess_mean(hi)
         via_quantile = integrate(
             self._quantile_arr, 0.0, P_TAIL, points=self.p_breakpoints(), tol=1e-10
         )
@@ -838,30 +842,6 @@ def mixture(parts) -> Distribution:
     if abs(total - 1.0) > WEIGHT_TOL:
         raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     return Distribution(tuple(flat))
-
-
-def rescale(d: Distribution, alpha: float) -> Distribution:
-    return d.rescaled(alpha)
-
-
-def cdf(d: Distribution, x):
-    return d.cdf(x)
-
-
-def quantile(d: Distribution, p):
-    return d.quantile(p)
-
-
-def mean(d: Distribution) -> float:
-    return d.mean
-
-
-def integral_quantile(d: Distribution, p: float) -> float:
-    return d.integral_quantile(p)
-
-
-def sample(d: Distribution, seed: int, n: int) -> np.ndarray:
-    return d.sample(seed, n)
 
 
 def require_member(d: Distribution) -> Distribution:

@@ -27,7 +27,7 @@ from lorenzkit import (
     three_group,
     uniform,
 )
-from lorenzkit.measures import Distribution, ZeroMeanError, rescale
+from lorenzkit.measures import Distribution, ZeroMeanError
 
 GINI_ROUTES = (gini_mean_difference, gini_dorfman, gini_lorenz)
 HOOVER_ROUTES = (hoover_mean_deviation, hoover_cdf, hoover_max)
@@ -72,6 +72,19 @@ def test_lognormal_gini_closed_form():
     assert gini_mean_difference(lognormal(2.0, sigma)) == pytest.approx(
         expected, abs=1e-7
     )
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 2.5, 3.0, 3.5])
+def test_lognormal_heavy_tail_closed_forms(sigma):
+    # G = erf(sigma / 2) and H = erf(sigma / (2 sqrt 2)); at sigma = 3.5
+    # the density spans about 25 decades above 1e-13 survival.
+    d = lognormal(0.0, sigma)
+    assert gini_dorfman(d) == pytest.approx(math.erf(sigma / 2.0), abs=1e-8)
+    assert hoover_mean_deviation(d) == pytest.approx(
+        math.erf(sigma / (2.0 * math.sqrt(2.0))), abs=1e-8
+    )
+    assert index_report(d).max_cross_route_residual <= 1e-4
+    assert d.mean_routes()[0] == pytest.approx(d.mean, rel=1e-8)
 
 
 def test_midpoint_atom_mixture_cross_route():
@@ -162,7 +175,7 @@ def test_zero_index_iff_dirac(battery):
 def test_scale_invariance():
     d = midpoint_atom_mixture()
     for route in GINI_ROUTES + HOOVER_ROUTES:
-        assert route(rescale(d, 11.0)) == pytest.approx(route(d), abs=1e-8)
+        assert route(d.rescaled(11.0)) == pytest.approx(route(d), abs=1e-8)
 
 
 SCALE_LAWS = [

@@ -19,16 +19,19 @@ from lorenzkit import (
     exponential,
     midpoint_atom_mixture,
     integral_lorenz,
+    kde,
     kendall_points,
+    lognormal,
     lorenz,
     lorenz_dominates,
     mixture,
     pseudo_lorenz,
     reconstruct,
+    standard_battery,
     uniform,
     w1,
 )
-from lorenzkit.measures import ZeroMeanError, rescale
+from lorenzkit.measures import TAIL_LEVELS, ZeroMeanError
 
 
 def test_atom_curve_is_identity():
@@ -127,6 +130,30 @@ def test_pseudo_lorenz_gap_identity():
         assert gap >= -1e-12
 
 
+def _formula_check_laws():
+    xs = np.random.default_rng(11).lognormal(0.0, 0.5, size=40)
+    return standard_battery() + [
+        ("lognormal(0,2.5)", lognormal(0.0, 2.5)),
+        ("lognormal(0,3)", lognormal(0.0, 3.0)),
+        ("kde_epanechnikov", kde(xs, "epanechnikov", 0.3)),
+        ("kde_gaussian", kde(xs, "gaussian", 0.3)),
+    ]
+
+
+FORMULA_CHECK_LAWS = _formula_check_laws()
+
+
+@pytest.mark.parametrize(
+    "d", [d for _, d in FORMULA_CHECK_LAWS], ids=[n for n, _ in FORMULA_CHECK_LAWS]
+)
+def test_curve_matches_x_space_quantile_integral(d):
+    # The curve is evaluated by the partial-expectation identity; the
+    # reference integrates p - F(x) over [0, Q(p)] by quadrature in x.
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 65), TAIL_LEVELS, 1.0 - TAIL_LEVELS]))
+    expected = np.asarray([d.integral_quantile(p) for p in ps]) / d.mean
+    np.testing.assert_allclose(lorenz(d).eval(ps), expected, rtol=0.0, atol=1e-9)
+
+
 def test_kendall_points_on_atom():
     pts = kendall_points(atom(2.0), [0.0, 1.0, 2.0, 3.0])
     assert (0.0, 0.0) in pts and (1.0, 1.0) in pts
@@ -159,14 +186,14 @@ def test_domination_examples():
 
 def test_domination_is_scale_blind():
     d = discrete([1.0, 2.0, 5.0])
-    assert lorenz_dominates(d, rescale(d, 7.0))
-    assert lorenz_dominates(rescale(d, 7.0), d)
+    assert lorenz_dominates(d, d.rescaled(7.0))
+    assert lorenz_dominates(d.rescaled(7.0), d)
 
 
 def test_scale_invariance_of_curve():
     d = mixture([(0.5, uniform(0.0, 1.0)), (0.5, atom(0.5))])
     c1 = lorenz(d)
-    c2 = lorenz(rescale(d, 3.25))
+    c2 = lorenz(d.rescaled(3.25))
     ps = np.linspace(0.0, 1.0, 64)
     np.testing.assert_allclose(c1.eval(ps), c2.eval(ps), atol=1e-10)
 

@@ -18,19 +18,14 @@ from lorenzkit.measures import (
     MeanDomainError,
     ZeroMeanError,
     atom,
-    cdf,
     discrete,
     exponential,
     fsd_dominates,
     gamma_dist,
     lognormal,
-    mean,
     mixture,
-    quantile,
     quantile_table,
     require_member,
-    rescale,
-    sample,
     uniform,
 )
 
@@ -43,11 +38,11 @@ from lorenzkit.measures import (
 def test_atom_basics():
     d = atom(2.0)
     assert d.mean == 2.0
-    assert cdf(d, 1.9) == 0.0
-    assert cdf(d, 2.0) == 1.0
+    assert d.cdf(1.9) == 0.0
+    assert d.cdf(2.0) == 1.0
     assert d.cdf_left(2.0) == 0.0
     assert d.mass_at(2.0) == 1.0
-    assert quantile(d, 0.5) == 2.0
+    assert d.quantile(0.5) == 2.0
 
 
 def test_negative_atom_rejected():
@@ -77,14 +72,14 @@ def test_mixture_identity():
     d = uniform(0.0, 1.0)
     m = mixture([(1.0, d)])
     for x in (0.1, 0.5, 0.9):
-        assert cdf(m, x) == cdf(d, x)
+        assert m.cdf(x) == d.cdf(x)
 
 
 def test_mixture_cdf_is_weighted_sum():
     m = mixture([(0.5, atom(0.0)), (0.5, atom(1.0))])
-    assert cdf(m, 0.0) == 0.5
+    assert m.cdf(0.0) == 0.5
     fig = mixture([(0.5, uniform(0.0, 1.0)), (0.5, atom(0.5))])
-    assert cdf(fig, 0.5) == pytest.approx(0.75)
+    assert fig.cdf(0.5) == pytest.approx(0.75)
     assert fig.cdf_left(0.5) == pytest.approx(0.25)
 
 
@@ -110,9 +105,9 @@ def test_uniform_against_scipy():
     d = uniform(2.0, 4.0)
     ref = scipy.stats.uniform(loc=2.0, scale=2.0)
     xs = np.array([2.0, 2.5, 3.0, 3.7, 4.0])
-    np.testing.assert_allclose(cdf(d, xs), ref.cdf(xs), atol=1e-14)
+    np.testing.assert_allclose(d.cdf(xs), ref.cdf(xs), atol=1e-14)
     assert d.mean == pytest.approx(3.0)
-    assert quantile(d, 0.25) == pytest.approx(2.5)
+    assert d.quantile(0.25) == pytest.approx(2.5)
     # partial expectation: integral of u/2 over [2, 3]
     assert d.partial_expectation(3.0) == pytest.approx(1.25)
 
@@ -131,9 +126,9 @@ def test_exponential_against_scipy():
     d = exponential(2.0)
     ref = scipy.stats.expon(scale=0.5)
     xs = np.array([0.0, 0.1, 0.5, 1.5, 4.0])
-    np.testing.assert_allclose(cdf(d, xs), ref.cdf(xs), atol=1e-14)
+    np.testing.assert_allclose(d.cdf(xs), ref.cdf(xs), atol=1e-14)
     np.testing.assert_allclose(
-        quantile(d, np.array([0.1, 0.5, 0.99])),
+        d.quantile(np.array([0.1, 0.5, 0.99])),
         ref.ppf([0.1, 0.5, 0.99]),
         atol=1e-12,
     )
@@ -150,7 +145,7 @@ def test_gamma_against_scipy():
     d = gamma_dist(2.0, 0.5)
     ref = scipy.stats.gamma(a=2.0, scale=0.5)
     xs = np.array([0.05, 0.3, 1.0, 2.5])
-    np.testing.assert_allclose(cdf(d, xs), ref.cdf(xs), atol=1e-13)
+    np.testing.assert_allclose(d.cdf(xs), ref.cdf(xs), atol=1e-13)
     assert d.mean == pytest.approx(1.0)
     assert d.partial_expectation(50.0) == pytest.approx(1.0, rel=1e-10)
 
@@ -159,14 +154,14 @@ def test_lognormal_against_scipy():
     d = lognormal(0.0, 0.5)
     ref = scipy.stats.lognorm(s=0.5)
     xs = np.array([0.2, 0.8, 1.0, 3.0])
-    np.testing.assert_allclose(cdf(d, xs), ref.cdf(xs), atol=1e-13)
+    np.testing.assert_allclose(d.cdf(xs), ref.cdf(xs), atol=1e-13)
     assert d.mean == pytest.approx(math.exp(0.125), rel=1e-12)
 
 
 def test_survival_complements_cdf():
     d = mixture([(0.3, atom(1.0)), (0.7, exponential(1.0))])
     xs = np.array([0.0, 0.5, 1.0, 2.0])
-    np.testing.assert_allclose(d.survival(xs), 1.0 - cdf(d, xs), atol=1e-15)
+    np.testing.assert_allclose(d.survival(xs), 1.0 - d.cdf(xs), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -267,49 +262,49 @@ def test_atom_rich_mixture_never_evaluates_atom_parts(monkeypatch):
 
 def test_quantile_at_zero_is_zero():
     # Q(0) = min{q >= 0 : F(q) >= 0} = 0 even when the support starts higher.
-    assert quantile(uniform(2.0, 4.0), 0.0) == 0.0
-    assert quantile(atom(5.0), 0.0) == 0.0
+    assert uniform(2.0, 4.0).quantile(0.0) == 0.0
+    assert atom(5.0).quantile(0.0) == 0.0
 
 
 def test_quantile_rejects_one():
     with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        quantile(exponential(1.0), 1.0)
+        exponential(1.0).quantile(1.0)
     with pytest.raises(ValueError):
-        quantile(exponential(1.0), -0.01)
+        exponential(1.0).quantile(-0.01)
 
 
 def test_quantile_min_convention_on_atoms():
     d = discrete([0.0, 1.0])
     # F(0) = 0.5 >= 0.5, so the smallest admissible point at p = 0.5 is 0.
-    assert quantile(d, 0.5) == 0.0
-    assert quantile(d, 0.5000001) == 1.0
+    assert d.quantile(0.5) == 0.0
+    assert d.quantile(0.5000001) == 1.0
 
 
 def test_quantile_nondecreasing_and_left_continuous():
     d = mixture([(0.5, uniform(0.0, 1.0)), (0.5, atom(0.5))])
     ps = np.linspace(0.0, 0.999, 400)
-    qs = np.asarray(quantile(d, ps))
+    qs = np.asarray(d.quantile(ps))
     assert np.all(np.diff(qs) >= -1e-15)
     # left continuity at the jump p = 0.75: values from below approach Q(0.75)
-    below = np.asarray(quantile(d, np.array([0.75 - 1e-9, 0.75])))
+    below = np.asarray(d.quantile(np.array([0.75 - 1e-9, 0.75])))
     assert abs(below[1] - below[0]) < 1e-6
 
 
 def test_galois_spot_checks():
     d = mixture([(0.4, discrete([0.0, 2.0])), (0.6, gamma_dist(3.0, 0.5))])
     for p in (0.05, 0.2, 0.5, 0.8, 0.99):
-        q = quantile(d, p)
-        assert cdf(d, q) >= p
+        q = d.quantile(p)
+        assert d.cdf(q) >= p
         if q > 0:
-            assert cdf(d, q * (1.0 - 1e-12)) < p or q * (1.0 - 1e-12) == q
+            assert d.cdf(q * (1.0 - 1e-12)) < p or q * (1.0 - 1e-12) == q
 
 
 def test_rescale_homogeneity():
     d = mixture([(0.5, discrete([1.0, 3.0])), (0.5, exponential(1.0))])
-    s = rescale(d, 2.5)
+    s = d.rescaled(2.5)
     ps = np.array([0.1, 0.37, 0.62, 0.9])
     np.testing.assert_allclose(
-        quantile(s, ps), 2.5 * np.asarray(quantile(d, ps)), rtol=1e-10
+        s.quantile(ps), 2.5 * np.asarray(d.quantile(ps)), rtol=1e-10
     )
     assert s.mean == pytest.approx(2.5 * d.mean, rel=1e-12)
 
@@ -321,10 +316,10 @@ def test_quantile_above_float_weight_total_terminates(tail, deadline):
     # The flattened weights sum just below 1, so the cdf never reaches p.
     d = mixture([(0.3, uniform(0.0, 1.0)), (0.7 - 5e-13, tail)])
     with deadline(20):
-        q = quantile(d, 1.0 - 1e-14)
+        q = d.quantile(1.0 - 1e-14)
     assert math.isfinite(q)
-    assert cdf(d, q) == cdf(d, 1e300)
-    assert q >= quantile(d, 0.999)
+    assert d.cdf(q) == d.cdf(1e300)
+    assert q >= d.quantile(0.999)
     if tail.sup_support() == 2.0:
         assert q == 2.0
 
@@ -373,26 +368,26 @@ def test_fsd_reflexive():
 
 
 def test_sample_of_atom_is_constant():
-    assert list(sample(atom(3.0), 12345, 5)) == [3.0] * 5
+    assert list(atom(3.0).sample(12345, 5)) == [3.0] * 5
 
 
 def test_sample_determinism():
     d = mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))])
-    a = sample(d, 99, 1000)
-    b = sample(d, 99, 1000)
-    c = sample(d, 100, 1000)
+    a = d.sample(99, 1000)
+    b = d.sample(99, 1000)
+    c = d.sample(100, 1000)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_mean_law_of_large_numbers():
-    xs = sample(uniform(0.0, 1.0), 7, 100_000)
+    xs = uniform(0.0, 1.0).sample(7, 100_000)
     assert abs(xs.mean() - 0.5) < 0.01
 
 
 def test_glivenko_cantelli_round_trip():
     d = mixture([(0.5, uniform(0.0, 1.0)), (0.5, atom(0.5))])
-    xs = np.sort(sample(d, 31, 100_000))
+    xs = np.sort(d.sample(31, 100_000))
     n = xs.size
     # Kolmogorov distance of the empirical cdf to the source. Ties matter
     # here (half the draws sit exactly on the atom), so the empirical cdf
@@ -401,7 +396,7 @@ def test_glivenko_cantelli_round_trip():
     emp_hi = np.searchsorted(xs, ux, side="right") / n
     emp_lo = np.searchsorted(xs, ux, side="left") / n
     gap = max(
-        np.max(np.abs(emp_hi - np.asarray(cdf(d, ux)))),
+        np.max(np.abs(emp_hi - np.asarray(d.cdf(ux)))),
         np.max(np.abs(emp_lo - np.asarray(d.cdf_left(ux)))),
     )
     assert gap < 0.01
@@ -416,6 +411,6 @@ def test_breakpoint_inventories():
     assert 0.25 in pb and 0.75 in pb
 
 
-def test_mean_helper_matches_property():
+def test_mean_property_matches_closed_form():
     d = gamma_dist(3.0, 0.5)
-    assert mean(d) == d.mean
+    assert d.mean == 3.0 * 0.5

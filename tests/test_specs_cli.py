@@ -117,6 +117,11 @@ def test_index_exit_codes(capsys):
     assert main(["index"]) == 1  # missing operand is a usage error
 
 
+def test_index_heavy_tail_exits_zero(capsys):
+    assert main(["index", "lognormal(0,2.5)"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_index_reads_sample_files(tmp_path, capsys):
     p = tmp_path / "s.csv"
     p.write_text("0\n0\n1\n3\n")
