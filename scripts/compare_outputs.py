@@ -7,8 +7,11 @@ writes every value as ``float.hex``: the fields of `index_report`, both
 Lorenz values. The battery is `standard_battery()` plus seeded nested
 mixtures, atom-rich mixtures (a density plus tens to hundreds of atoms),
 mixtures with quantile-table and kernel-smoothed parts, the heavy-tailed
-lognormal(0, 2.5) and lognormal(0, 3), and three battery laws rescaled by
-1e-12, 1e-6, 1e6 and 1e12 (W1 pairs them within each scale). A call that raises is recorded by its exception type.
+lognormal(0, 2.5) and lognormal(0, 3), three battery laws rescaled by
+1e-12, 1e-6, 1e6 and 1e12 (W1 pairs them within each scale), and
+single-part kernel estimates (uniform, Epanechnikov and Gaussian kernel,
+n = 200, h = 0.03), each paired with the W1 partners. A call that raises
+is recorded by its exception type.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
@@ -69,6 +72,8 @@ SCALED = ("mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))", "gamma(2,0.5
 SCALES = (1e-12, 1e-6, 1e6, 1e12)
 #: log-sd of the heavy-tailed lognormal laws dumped after the seeded ones
 HEAVY_SIGMAS = (2.5, 3.0)
+#: kernels of the single-part KDE laws, sample size and bandwidth
+KDE_KERNELS, KDE_N, KDE_H = ("uniform", "epanechnikov", "gaussian"), 200, 0.03
 
 
 def _density(rng):
@@ -113,6 +118,12 @@ def extra_laws():
     return laws
 
 
+def kde_laws():
+    """Single-part kernel estimates of one uniform(0,1) sample, as (name, distribution)."""
+    xs = np.random.default_rng(20241).uniform(0.0, 1.0, size=KDE_N)
+    return [(f"kde-{k}-{KDE_N}-{KDE_H:g}", kde(xs, k, KDE_H)) for k in KDE_KERNELS]
+
+
 def _attempt(out, key, fn):
     try:
         values = fn()
@@ -129,10 +140,10 @@ def _index_fields(d):
 
 
 def dump(path):
-    base, extra = standard_battery(), extra_laws()
+    base, extra, smooth = standard_battery(), extra_laws(), kde_laws()
     unit = dict(base)
     scaled = [[(f"{n} x{c:g}", unit[n].rescaled(c)) for n in SCALED] for c in SCALES]
-    laws = base + extra + [law for group in scaled for law in group]
+    laws = base + extra + [law for group in scaled for law in group] + smooth
     by_name = dict(laws)
     values = {}
     for name, d in laws:
@@ -148,6 +159,7 @@ def dump(path):
     pairs = [(a, b) for i, a in enumerate(base) for b in base[i + 1:]]
     pairs += [(a, b) for a in extra for b in W1_PARTNERS]
     pairs += [(a, b) for i, a in enumerate(extra) for b in extra[i + 1:]]
+    pairs += [(a, b) for a, _ in smooth for b in W1_PARTNERS]
     for group in scaled:
         pairs += [(a, b) for i, (a, _) in enumerate(group) for b, _ in group[i + 1:]]
     for a, b in pairs:

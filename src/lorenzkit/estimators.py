@@ -12,6 +12,12 @@ turning data or a distribution into a tractable approximating law:
   X drawn from the sample and Y from the kernel. Its cdf at t >= 0 averages
   G((t - x_i)/h) over the sample, G the kernel's cdf, and everything else
   (mass at zero, partial expectations, means) has a closed form per point.
+  Each query sums only the sample points in its own window [t - r h,
+  t + r h], so a value depends on t alone. With the uniform or
+  Epanechnikov kernel the cdf is a polynomial of degree 1 or 3 between the
+  knots 0 and x_i +- h: the law lists every knot as a breakpoint and
+  inverts its cdf in closed form from a table of per-knot coefficients (cf.
+  Fan & Marron, JCGS 1994), so no quantile of it needs bisection.
 
 ``run_experiment`` drives the convergence diagnostics over five sequence
 schemes (noise, sampling, quantile, quantile_of_sample, kde) from a
@@ -214,14 +220,17 @@ def _epan_density(y):
     return np.where(np.abs(y) <= 1.0, 0.75 * (1.0 - y * y), 0.0)
 
 
+# Powers are written as products: numpy sends y**3 and y**4 to pow(), about
+# 60 times slower than multiplying, and these run on every kernel term.
 def _epan_cdf(y):
     y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
-    return 0.25 * (2.0 + 3.0 * y - y**3)
+    return 0.25 * (2.0 + 3.0 * y - y * y * y)
 
 
 def _epan_partial_first(y):
     y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
-    return 0.75 * (0.5 * y * y - 0.25 * y**4) - 3.0 / 16.0
+    y2 = y * y
+    return 0.75 * (0.5 * y2 - 0.25 * y2 * y2) - 3.0 / 16.0
 
 
 def _unif_density(y):
@@ -286,18 +295,41 @@ UNIFORM = KernelSpec(
 
 KERNELS = {k.name: k for k in (GAUSSIAN, EPANECHNIKOV, UNIFORM)}
 
-_X_BLOCK = 256
+#: kernel terms evaluated per chunk of a windowed sum
+_PAIR_CHUNK = 1 << 16
+#: cap on the safeguarded Newton rounds of a knot-cell inversion
+_NEWTON_ROUNDS = 64
+
+
+def _unif_cell(a, d1, d2, d3):
+    return 0.5 * (a + d1), 0.5 * a, np.zeros_like(a), np.zeros_like(a)
+
+
+def _epan_cell(a, d1, d2, d3):
+    return 0.25 * (2.0 * a + 3.0 * d1 - d3), 0.75 * (a - d2), -0.75 * d1, -0.25 * a
+
+
+#: kernels whose cdf is a polynomial on [-1, 1]: coefficients c0..c3 of
+#: sum_i G(d_i + s) over A active points, from A and D_m = sum_i d_i^m
+_CELL_POLYNOMIALS = {UNIFORM: _unif_cell, EPANECHNIKOV: _epan_cell}
 
 
 @dataclass(frozen=True)
 class _CutKernelMixture:
     """Law of max(X + hY, 0): X uniform on the sample, Y from the kernel.
 
-    Pointwise functionals average closed forms over the sample. Evaluation
-    sorts the query abscissae and walks them in blocks, restricting each
-    block to the sample window that can still contribute a non-saturated
-    kernel value; points left of the window contribute their saturated
-    constant through a prefix sum.
+    Pointwise functionals average closed forms over the sample. Each query
+    t sums the kernel terms of its own window, the sample points within
+    r h of t (r the kernel's tail radius); points left of the window
+    contribute their saturated constant through a prefix sum. A value
+    therefore depends on t alone, not on the other points of the call.
+
+    The uniform and Epanechnikov kernels have radius 1 and a polynomial
+    cdf, so the law's cdf is a polynomial between the knots 0 and x_i +- h.
+    For them `_knot_table` holds every knot with its polynomial,
+    `x_breaks` lists the knots, and `quantile` inverts the table in closed
+    form. The Gaussian kernel has no knots; its quantile is left to the
+    bisection of `Distribution`.
     """
 
     points: tuple[float, ...]
@@ -313,97 +345,172 @@ class _CutKernelMixture:
         return self.kernel.tail_radius(1e-17)
 
     @cached_property
-    def _point_means(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point truncated means E[max(x_i + hY, 0)] and their prefix sums."""
+    def _lower_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """G and M at each point's lower end -x_i/h, the per-point truncated
+        means E[max(x_i + hY, 0)] and their prefix sums."""
         h = self.bandwidth
         c = -self._sorted / h
         g = np.asarray(self.kernel.cdf(c), dtype=float)
         m = np.asarray(self.kernel.partial_first_moment(c), dtype=float)
         means = self._sorted * (1.0 - g) - h * m
-        return means, np.concatenate([[0.0], np.cumsum(means)])
+        return g, m, means, np.concatenate([[0.0], np.cumsum(means)])
 
     def mean(self) -> float:
-        means, _ = self._point_means
-        return float(means.mean())
+        return float(self._lower_ends[2].mean())
 
-    def _blockwise(self, x: np.ndarray, per_block) -> np.ndarray:
-        """Evaluate a windowed average over sorted query blocks."""
+    def _windows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat queries, the count of sample points left of each query's
+        window and the end of the window."""
         flat = np.asarray(x, dtype=float).ravel()
-        out = np.zeros(flat.shape)
-        order = np.argsort(flat, kind="stable")
-        xs = flat[order]
-        vals = np.empty_like(xs)
         span = self._radius * self.bandwidth
-        pts = self._sorted
-        for start in range(0, xs.size, _X_BLOCK):
-            blk = xs[start : start + _X_BLOCK]
-            lo = int(np.searchsorted(pts, blk[0] - span, side="right"))
-            hi = int(np.searchsorted(pts, blk[-1] + span, side="left"))
-            vals[start : start + _X_BLOCK] = per_block(blk, lo, hi)
-        out[order] = vals
-        return out.reshape(np.shape(x))
+        lo = np.searchsorted(self._sorted, flat - span, side="right")
+        hi = np.maximum(np.searchsorted(self._sorted, flat + span, side="left"), lo)
+        return flat, lo, hi
+
+    def _window_sums(self, x, lo, hi, terms, count: int) -> np.ndarray:
+        """Per-query sums of the `count` arrays `terms(u, i)` over i in [lo, hi).
+
+        Each (query, sample point) pair has u = (x_q - x_i) / h. Pairs are
+        evaluated in chunks of about _PAIR_CHUNK, and np.add.reduceat sums
+        each query's own terms, so a sum depends on that query alone.
+        """
+        pts, h = self._sorted, self.bandwidth
+        sums = np.zeros((count, x.size))
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        start = 0
+        while start < x.size:
+            budget = ends[start] - counts[start] + _PAIR_CHUNK
+            stop = max(int(np.searchsorted(ends, budget, side="right")), start + 1)
+            c = counts[start:stop]
+            first = np.cumsum(c) - c
+            i = np.arange(first[-1] + c[-1]) + np.repeat(lo[start:stop] - first, c)
+            if i.size:
+                u = (np.repeat(x[start:stop], c) - pts.take(i)) / h
+                some = c > 0
+                for row, vals in zip(sums, terms(u, i)):
+                    row[start:stop][some] = np.add.reduceat(vals, first[some])
+            start = stop
+        return sums
 
     def cdf(self, x) -> np.ndarray:
-        pts = self._sorted
-        n = pts.size
-        h = self.bandwidth
+        flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
+        (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(u),), 1)
+        out = np.where(flat < 0.0, 0.0, (lo + inside) / self._sorted.size)
+        return out.reshape(np.shape(x))
 
-        def per_block(blk, lo, hi):
-            inside = (
-                np.asarray(kernel_cdf((blk[:, None] - pts[None, lo:hi]) / h)).sum(axis=1)
-                if hi > lo
-                else 0.0
-            )
-            res = (lo + inside) / n
-            return np.where(blk < 0.0, 0.0, res)
-
-        return self._blockwise(x, per_block)
+    @cached_property
+    def _mass_at_zero(self) -> float:
+        return float(self.cdf(np.zeros(1))[0])
 
     def mass_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        at_zero = float(self.cdf(np.zeros(1))[0])
-        return np.where(x == 0.0, at_zero, 0.0)
+        return np.where(np.asarray(x, dtype=float) == 0.0, self._mass_at_zero, 0.0)
 
     def pe(self, x) -> np.ndarray:
         """Partial expectation: averages E[(x_i + hY); 0 < x_i + hY <= x]."""
-        pts = self._sorted
-        n = pts.size
-        h = self.bandwidth
+        pts, h = self._sorted, self.bandwidth
         kernel_cdf = self.kernel.cdf
         pfm = self.kernel.partial_first_moment
-        means, prefix = self._point_means
-        g_low = np.asarray(kernel_cdf(-pts / h), dtype=float)
-        m_low = np.asarray(pfm(-pts / h), dtype=float)
+        g_low, m_low, _, prefix = self._lower_ends
 
-        def per_block(blk, lo, hi):
-            if hi > lo:
-                upper = (blk[:, None] - pts[None, lo:hi]) / h
-                g_hi = np.asarray(kernel_cdf(upper))
-                m_hi = np.asarray(pfm(upper))
-                window = (
-                    pts[None, lo:hi] * (g_hi - g_low[None, lo:hi])
-                    + h * (m_hi - m_low[None, lo:hi])
-                ).sum(axis=1)
-            else:
-                window = 0.0
-            res = (prefix[lo] + window) / n
-            return np.where(blk < 0.0, 0.0, np.maximum(res, 0.0))
+        def terms(u, i):
+            return (pts.take(i) * (kernel_cdf(u) - g_low.take(i)) + h * (pfm(u) - m_low.take(i)),)
 
-        return self._blockwise(x, per_block)
+        flat, lo, hi = self._windows(x)
+        (window,) = self._window_sums(flat, lo, hi, terms, 1)
+        res = (prefix[lo] + window) / pts.size
+        out = np.where(flat < 0.0, 0.0, np.maximum(res, 0.0))
+        return out.reshape(np.shape(x))
+
+    @cached_property
+    def _knot_table(self):
+        """(tau, saturated, level, coeffs) for a polynomial kernel, else None.
+
+        tau holds the knots, unique({0} and every x_i +- h) on [0, inf). On
+        the cell [tau_j, tau_{j+1}], with s = (t - tau_j) / h,
+
+            n F(t) = L_j + c0 + c1 s + c2 s^2 + c3 s^3,
+
+        where L_j = #{x_i + h <= tau_j} points are saturated (`saturated`),
+        the A_j points with x_i - h <= tau_j < x_i + h are active, and the
+        coefficients (`coeffs`, shape (4, knots)) come from A_j and the sums
+        D_m of d_i^m, d_i = (tau_j - x_i) / h in [-1, 1], over the active
+        points. Every term is centred on its own cell, so nothing cancels
+        beyond O(A eps). `level` is L_j + c0 = n F(tau_j), made nondecreasing.
+        """
+        cell = _CELL_POLYNOMIALS.get(self.kernel)
+        if cell is None:
+            return None
+        x, h = self._sorted, self.bandwidth
+        plus, minus = x + h, x - h
+        tau = np.unique(np.concatenate([[0.0], minus, plus]))
+        tau = tau[tau >= 0.0]
+        saturated = np.searchsorted(plus, tau, side="right")
+        reached = np.searchsorted(minus, tau, side="right")
+
+        def powers(u, i):
+            d = np.clip(u, -1.0, 1.0)
+            return d, d * d, d * d * d
+
+        d1, d2, d3 = self._window_sums(tau, saturated, reached, powers, 3)
+        coeffs = np.asarray(cell((reached - saturated).astype(float), d1, d2, d3))
+        level = np.maximum.accumulate(saturated + coeffs[0])
+        return tau, saturated, level, coeffs
 
     def quantile(self, p):
-        return None
+        """Q(p) from the knot table, or None for a kernel without one.
+
+        Q(p) = 0 when n F(0) >= n p. Otherwise the cell is the last knot with
+        n F(tau_j) < n p, and its polynomial is solved for s: s is the cell's
+        width when the polynomial stays below n p there, else safeguarded
+        Newton runs from s = (n p - n F(tau_j)) / c1, which already is the
+        root for the uniform kernel, until a step moves Q by at most an ulp.
+        Then Q = tau_j + h s.
+        """
+        table = self._knot_table
+        if table is None:
+            return None
+        tau, saturated, level, coeffs = table
+        h = self.bandwidth
+        y = self._sorted.size * np.asarray(p, dtype=float)
+        j = np.searchsorted(level, y, side="left") - 1
+        cell = np.clip(j, 0, tau.size - 2)
+        c0, c1, c2, c3 = coeffs[:, cell]
+        target = y - saturated[cell] - c0
+        width = (tau[cell + 1] - tau[cell]) / h
+        resolution = np.finfo(float).eps * (tau[cell] / h + width)
+
+        def excess(s):
+            return ((c3 * s + c2) * s + c1) * s - target
+
+        short = excess(width) <= 0.0
+        lo, hi = np.zeros_like(width), width
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(short, width, np.clip(np.nan_to_num(target / c1), 0.0, width))
+            live = (j >= 0) & ~short
+            for _ in range(_NEWTON_ROUNDS):
+                if not live.any():
+                    break
+                f = excess(s)
+                below = f < 0.0
+                lo = np.where(below, s, lo)
+                hi = np.where(below, hi, s)
+                nxt = s - f / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
+                nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+                step = np.abs(nxt - s)
+                s = np.where(live, nxt, s)
+                live &= step > resolution
+        q = np.minimum(tau[cell] + h * s, tau[cell + 1])
+        return np.where(j >= 0, q, 0.0)
 
     def x_breaks(self) -> np.ndarray:
-        h = self.bandwidth
-        span = self._radius * h
+        table = self._knot_table
+        if table is not None:
+            return table[0]
+        span = self._radius * self.bandwidth
         pts = self._sorted
-        hull = [max(pts[0] - span, 0.0), pts[-1] + span]
-        if self._radius == 1.0 and pts.size <= 64:
-            kinks = np.concatenate([pts - h, pts + h])
-            hull.extend(kinks[kinks > 0.0])
-        return np.unique(np.asarray(hull + [0.0]))
+        return np.unique([0.0, max(pts[0] - span, 0.0), pts[-1] + span])
 
     def sup_support(self) -> float:
         if self._radius == 1.0:

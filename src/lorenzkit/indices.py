@@ -14,7 +14,7 @@ Gini comes as one minus the ratio of integrated squared survival to
 integrated survival (cdf quadrature), as one minus twice the area under the
 Lorenz curve (the identity, integrated over p), and as half the normalized
 mean absolute difference (the identity on off-diagonal cells, quadrature of
-v Q(v) over p on the diagonal). Hoover comes as half the normalized mean
+v Q(v) over p on the diagonal, the identity again on the last cell). Hoover comes as half the normalized mean
 absolute deviation (cdf quadrature), as the Lorenz gap at the cumulative
 probability of the mean with the quantile integral taken by cdf quadrature
 (`Distribution.integral_quantile`), and as the maximum Lorenz gap over a
@@ -94,9 +94,12 @@ def _mean_abs_difference(d: Distribution) -> float:
     off_diagonal = 2.0 * float(np.sum(s * w_prefix) - np.sum(w * s_prefix))
 
     def v_times_q(p: np.ndarray) -> np.ndarray:
-        return p * d._quantile_arr(np.minimum(p, 1.0 - 2.0**-44))
+        return p * d._quantile_arr(p)
 
-    a = cell_integrals(v_times_q, edges, tol=1e-11)
+    # On the last cell, [1 - w, 1] with w <= 2^-40, v = 1 - O(w): the integral
+    # of v Q(v) is s (1 - w/2) to within w s / 2, s its quantile integral, which
+    # holds the whole tail of the mean; quadrature would need Q near 1.
+    a = np.append(cell_integrals(v_times_q, edges[:-1], tol=1e-11), s[-1] * (1.0 - 0.5 * w[-1]))
     diagonal = float(np.sum(2.0 * (2.0 * a - (edges[:-1] + edges[1:]) * s)))
     return off_diagonal + diagonal
 

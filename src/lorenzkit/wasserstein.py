@@ -56,15 +56,19 @@ def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 
 
 def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Left quantiles within `tol` (1e-10 s from `_w1_general`): in [Q(p), Q(p) + tol].
+    """Left quantiles within `tol` (1e-10 s from `_w1_general`) of Q(p).
 
-    `lo` and `hi` must bracket Q(p) elementwise with cdf(hi) >= p. Plain
-    bisection on the cdf; callers that subdivide cells pass the parents'
-    quantile values back in, so brackets shrink and iterations stay few.
-    A tolerance below the float spacing of a bracket yields Q(p) itself.
+    A law with a closed-form quantile (finite-discrete, or one part with a
+    closed form) returns it, exact to a few eps. Any other law bisects the
+    bracket [lo, hi], which must hold Q(p) elementwise with cdf(hi) >= p,
+    and returns its upper end, in [Q(p), Q(p) + tol]; callers that subdivide
+    cells pass the parents' quantile values back in, so brackets shrink and
+    iterations stay few. A tolerance below the float spacing of a bracket
+    yields Q(p) itself.
     """
-    if d._discrete is not None:
-        return d._quantile_arr(p)
+    q = d._closed_quantile(p)
+    if q is not None:
+        return q
     return d._bisect(p, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), tol)
 
 

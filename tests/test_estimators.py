@@ -10,13 +10,18 @@ from scipy.special import ndtr
 from lorenzkit import (
     ZeroMeanError,
     atom,
+    exponential,
     gini_mean_difference,
     hoover_mean_deviation,
+    index_report,
     lognormal,
     lorenz,
+    mixture,
     uniform,
     w1,
+    w1_routes,
 )
+from lorenzkit.measures import TAIL_LEVELS
 from lorenzkit.estimators import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -165,6 +170,84 @@ def test_kernel_lookup_and_validation():
         kde([1.0], "gaussian", 0.0)
     with pytest.raises(ValueError, match="bandwidth"):
         kde([1.0], "gaussian", float("inf"))
+
+
+def _uniform_sample(n, seed=0):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kde_values_depend_on_the_abscissa_alone(kernel):
+    # Each query sums its own window in a fixed order, so a value computed
+    # alone equals the same value computed in a batch, bit for bit.
+    d = kde(_uniform_sample(200), kernel, 0.03)
+    xs = np.linspace(0.0, 1.2, 300)
+    batch_cdf = d.cdf(xs)
+    batch_pe = d.partial_expectation(xs)
+    for x, f, m in zip(xs, batch_cdf, batch_pe):
+        assert d.cdf(x) == f
+        assert d.partial_expectation(x) == m
+
+
+def test_gaussian_kde_quantile_is_float_exact_call_by_call():
+    d = kde(_uniform_sample(200), GAUSSIAN, 0.03)
+    ps = np.random.default_rng(1).uniform(0.0, 1.0, size=200)
+    for p, q in zip(ps, d.quantile(ps)):
+        assert d.cdf(q) >= p
+        if q > 0.0:
+            assert d.cdf(np.nextafter(q, 0.0)) < p
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+def test_compact_kde_publishes_every_knot(kernel):
+    xs = _uniform_sample(200)
+    h = 0.03
+    knots = kde(xs, kernel, h).x_breakpoints()
+    wanted = np.concatenate([xs - h, xs + h])
+    assert np.all(np.isin(wanted[wanted > 0.0], knots))
+    assert knots[0] == 0.0
+
+
+def _knot_sample(source, n):
+    if source == "uniform":
+        return _uniform_sample(n, n)
+    if source == "mix":
+        return mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))]).sample(n, n)
+    # two clusters 1.7 apart, far more than 2h
+    return np.concatenate([0.3 * _uniform_sample(n // 2, 4), 2.0 + _uniform_sample(n - n // 2, 5)])
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+@pytest.mark.parametrize(
+    "source,n,h",
+    [("uniform", 25, 0.3), ("mix", 25, 0.3), ("uniform", 200, 0.03), ("mix", 200, 0.03),
+     ("gap", 25, 0.1)],
+)
+def test_compact_kde_quantile_sandwich(kernel, source, n, h):
+    # Q comes from the knot table, the cdf from window sums: within a few
+    # eps, F(Q(p)-) <= p <= F(Q(p)), and Q is nondecreasing in p.
+    xs = _knot_sample(source, n)
+    d = kde(xs, kernel, h)
+    eps = np.finfo(float).eps
+    levels = d.cdf(d.x_breakpoints())
+    ps = np.concatenate(
+        [np.linspace(0.0, 1.0, 257), TAIL_LEVELS, levels,
+         np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)]
+    )
+    ps = np.unique(ps[(ps >= 0.0) & (ps < 1.0)])
+    q = d.quantile(ps)
+    assert np.all(np.diff(q) >= 0.0)
+    assert np.all(d.cdf_left(q) - 4.0 * eps <= ps)
+    assert np.all(ps <= d.cdf(q) + 4.0 * eps)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+def test_compact_kde_at_n_2000_routes_agree(kernel, deadline):
+    d = kde(_uniform_sample(2000), kernel, 0.02)
+    with deadline(60):
+        assert index_report(d).max_cross_route_residual <= 1e-12
+        by_quantile, by_cdf = w1_routes(d, uniform(0.0, 1.0))
+    assert by_quantile == pytest.approx(by_cdf, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,15 @@ def test_lognormal_heavy_tail_closed_forms(sigma):
     assert d.mean_routes()[0] == pytest.approx(d.mean, rel=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [4.0, 5.0, 6.0])
+def test_lognormal_mean_difference_holds_the_whole_tail(sigma):
+    # Above 1 - 2^-44 sits 3.1e-4 of the mean at sigma = 4 and 0.12 at 6;
+    # the mean-difference route's last p-cell must carry it.
+    d = lognormal(0.0, sigma)
+    assert gini_mean_difference(d) == pytest.approx(math.erf(sigma / 2.0), abs=1e-9)
+    assert index_report(d).max_cross_route_residual <= 1e-4
+
+
 def test_midpoint_atom_mixture_cross_route():
     d = midpoint_atom_mixture()
     g = gini_mean_difference(d)

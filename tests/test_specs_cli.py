@@ -122,6 +122,11 @@ def test_index_heavy_tail_exits_zero(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_index_sigma_four_tail_exits_zero(capsys):
+    assert main(["index", "lognormal(0,4)"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_index_reads_sample_files(tmp_path, capsys):
     p = tmp_path / "s.csv"
     p.write_text("0\n0\n1\n3\n")
