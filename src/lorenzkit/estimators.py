@@ -17,7 +17,10 @@ turning data or a distribution into a tractable approximating law:
   Epanechnikov kernel the cdf is a polynomial of degree 1 or 3 between the
   knots 0 and x_i +- h: the law lists every knot as a breakpoint and
   inverts its cdf in closed form from a table of per-knot coefficients (cf.
-  Fan & Marron, JCGS 1994), so no quantile of it needs bisection.
+  Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth and
+  its density is one more window sum, so its quantile is found by
+  safeguarded Newton and finished to the float by a few bisection rounds.
+  No kernel estimate's quantile is found by bisection from [0, hi].
 
 ``run_experiment`` drives the convergence diagnostics over five sequence
 schemes (noise, sampling, quantile, quantile_of_sample, kde) from a
@@ -36,7 +39,15 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .measures import Distribution, ZeroMeanError, discrete, require_member, scalar_or_array
+from .measures import (
+    Distribution,
+    ZeroMeanError,
+    _bisect,
+    _upper_end,
+    discrete,
+    require_member,
+    scalar_or_array,
+)
 from .wasserstein import ConvergenceReport, sequence_diagnostics
 
 __all__ = [
@@ -297,8 +308,11 @@ KERNELS = {k.name: k for k in (GAUSSIAN, EPANECHNIKOV, UNIFORM)}
 
 #: kernel terms evaluated per chunk of a windowed sum
 _PAIR_CHUNK = 1 << 16
-#: cap on the safeguarded Newton rounds of a knot-cell inversion
+#: cap on the safeguarded Newton rounds of a quantile inversion
 _NEWTON_ROUNDS = 64
+#: ulps of Q, and of p over the density, within which a Newton quantile
+#: stops and around which its float-exact finish probes
+_FINISH_ULPS = 4
 
 
 def _unif_cell(a, d1, d2, d3):
@@ -328,8 +342,9 @@ class _CutKernelMixture:
     cdf, so the law's cdf is a polynomial between the knots 0 and x_i +- h.
     For them `_knot_table` holds every knot with its polynomial,
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
-    form. The Gaussian kernel has no knots; its quantile is left to the
-    bisection of `Distribution`.
+    form. The Gaussian kernel has no knots; `quantile` runs safeguarded
+    Newton on its window sums and finishes with the float bisection of the
+    measures module (`_newton_quantile`).
     """
 
     points: tuple[float, ...]
@@ -363,34 +378,45 @@ class _CutKernelMixture:
         window and the end of the window."""
         flat = np.asarray(x, dtype=float).ravel()
         span = self._radius * self.bandwidth
-        lo = np.searchsorted(self._sorted, flat - span, side="right")
-        hi = np.maximum(np.searchsorted(self._sorted, flat + span, side="left"), lo)
+        lo = self._sorted.searchsorted(flat - span, side="right")
+        hi = np.maximum(self._sorted.searchsorted(flat + span, side="left"), lo)
         return flat, lo, hi
 
     def _window_sums(self, x, lo, hi, terms, count: int) -> np.ndarray:
         """Per-query sums of the `count` arrays `terms(u, i)` over i in [lo, hi).
 
-        Each (query, sample point) pair has u = (x_q - x_i) / h. Pairs are
-        evaluated in chunks of about _PAIR_CHUNK, and np.add.reduceat sums
-        each query's own terms, so a sum depends on that query alone.
+        Each (query, sample point) pair has u = (x_q - x_i) / h. A call
+        whose pairs fit in _PAIR_CHUNK, a lone query among them, is evaluated
+        in one pass; a larger one in chunks of about that many pairs.
+        np.add.reduceat sums each query's own terms, so a sum depends on
+        that query alone, not on the chunk it fell in.
         """
-        pts, h = self._sorted, self.bandwidth
-        sums = np.zeros((count, x.size))
         counts = hi - lo
-        ends = np.cumsum(counts)
+        ends = counts.cumsum()
+        if x.size and ends[-1] <= _PAIR_CHUNK:
+            return self._pair_sums(x, lo, counts, ends - counts, terms, count)
+        sums = np.zeros((count, x.size))
         start = 0
         while start < x.size:
             budget = ends[start] - counts[start] + _PAIR_CHUNK
-            stop = max(int(np.searchsorted(ends, budget, side="right")), start + 1)
+            stop = max(int(ends.searchsorted(budget, side="right")), start + 1)
             c = counts[start:stop]
-            first = np.cumsum(c) - c
-            i = np.arange(first[-1] + c[-1]) + np.repeat(lo[start:stop] - first, c)
-            if i.size:
-                u = (np.repeat(x[start:stop], c) - pts.take(i)) / h
-                some = c > 0
-                for row, vals in zip(sums, terms(u, i)):
-                    row[start:stop][some] = np.add.reduceat(vals, first[some])
+            sums[:, start:stop] = self._pair_sums(
+                x[start:stop], lo[start:stop], c, c.cumsum() - c, terms, count
+            )
             start = stop
+        return sums
+
+    def _pair_sums(self, x, lo, counts, first, terms, count: int) -> np.ndarray:
+        """`_window_sums` over one batch of pairs; `first` indexes each
+        query's first pair."""
+        sums = np.zeros((count, x.size))
+        i = np.arange(first[-1] + counts[-1]) + (lo - first).repeat(counts)
+        if i.size:
+            u = (x.repeat(counts) - self._sorted.take(i)) / self.bandwidth
+            some = counts > 0
+            for row, vals in zip(sums, terms(u, i)):
+                row[some] = np.add.reduceat(vals, first[some])
         return sums
 
     def cdf(self, x) -> np.ndarray:
@@ -459,18 +485,18 @@ class _CutKernelMixture:
         return tau, saturated, level, coeffs
 
     def quantile(self, p):
-        """Q(p) from the knot table, or None for a kernel without one.
+        """Q(p) from the knot table, or by `_newton_quantile` without one.
 
-        Q(p) = 0 when n F(0) >= n p. Otherwise the cell is the last knot with
-        n F(tau_j) < n p, and its polynomial is solved for s: s is the cell's
-        width when the polynomial stays below n p there, else safeguarded
-        Newton runs from s = (n p - n F(tau_j)) / c1, which already is the
-        root for the uniform kernel, until a step moves Q by at most an ulp.
-        Then Q = tau_j + h s.
+        With the table, Q(p) = 0 when n F(0) >= n p. Otherwise the cell is
+        the last knot with n F(tau_j) < n p, and its polynomial is solved for
+        s: s is the cell's width when the polynomial stays below n p there,
+        else safeguarded Newton runs from s = (n p - n F(tau_j)) / c1, which
+        already is the root for the uniform kernel, until a step moves Q by
+        at most an ulp. Then Q = tau_j + h s.
         """
         table = self._knot_table
         if table is None:
-            return None
+            return self._newton_quantile(np.asarray(p, dtype=float))
         tau, saturated, level, coeffs = table
         h = self.bandwidth
         y = self._sorted.size * np.asarray(p, dtype=float)
@@ -503,6 +529,68 @@ class _CutKernelMixture:
                 live &= step > resolution
         q = np.minimum(tau[cell] + h * s, tau[cell + 1])
         return np.where(j >= 0, q, 0.0)
+
+    def _newton_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) for a kernel without knots: safeguarded Newton, float-exact finish.
+
+        Q(p) = 0 where p <= F(0). Elsewhere Newton runs on F(t) - p from the
+        order statistic x_(ceil(n p)), with F from `cdf` and the density
+        f(t) = (1/nh) sum K((t - x_i)/h) over the same windows, inside a sign
+        bracket F(lo) < p <= F(hi) that starts at [0, hi] with hi taken as
+        for the bisection of `Distribution`. A step that leaves the bracket
+        is replaced by its midpoint; a step onto F = p stays. The computed
+        cdf is exact only to an ulp or so of p, which blurs its crossing of p
+        over about spacing(p) / f in t, so Newton stops once a step is within
+        a few ulps of t plus a few ulps of p over f (its reach), or once the
+        bracket is within a few ulps. Probes one reach either side of the
+        last iterate narrow the bracket, and `_bisect` finishes it to the
+        smallest float whose computed cdf reaches p, so F(Q-) < p <= F(Q)
+        holds exactly.
+        """
+        pts, h = self._sorted, self.bandwidth
+        density = self.kernel.density
+        out = np.zeros_like(p)
+        (pos,) = np.nonzero(p > self._mass_at_zero)
+        if not pos.size:
+            return out
+        p = p[pos]
+        lo = np.zeros_like(p)
+        hi = np.full_like(p, _upper_end(self.cdf, self.support_hi, p))
+        rank = np.clip(np.ceil(pts.size * p).astype(int) - 1, 0, pts.size - 1)
+        t = np.minimum(pts[rank], hi)
+        state = [t, lo, hi, np.zeros_like(p)]
+        idx = np.arange(p.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_ROUNDS):
+                target = p[idx]
+                f = self.cdf(t) - target
+                below = f < 0.0
+                lo = np.where(below, t, lo)
+                hi = np.where(below, hi, t)
+                flat, first, last = self._windows(t)
+                (slope,) = self._window_sums(flat, first, last, lambda u, i: (density(u),), 1)
+                slope /= pts.size * h
+                nxt = t - f / slope
+                newton = (nxt >= lo) & (nxt <= hi)
+                nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+                reach = _FINISH_ULPS * (np.spacing(nxt) + np.spacing(target) / slope)
+                open_ = ~(newton & (np.abs(nxt - t) <= reach)) & (
+                    hi - lo > _FINISH_ULPS * np.spacing(hi)
+                )
+                for full, part in zip(state, (nxt, lo, hi, reach)):
+                    full[idx] = part
+                idx, t, lo, hi = idx[open_], nxt[open_], lo[open_], hi[open_]
+                if not idx.size:
+                    break
+        t, lo, hi, reach = state
+        probes = (np.maximum(t - reach, lo), np.minimum(t + reach, hi))
+        values = np.split(self.cdf(np.concatenate(probes)), 2)
+        for c, fc in zip(probes, values):
+            inside = (c > lo) & (c < hi)
+            lo = np.where(inside & (fc < p), c, lo)
+            hi = np.where(inside & (fc >= p), c, hi)
+        out[pos] = _bisect(self.cdf, p, lo, hi, 0.0)
+        return out
 
     def x_breaks(self) -> np.ndarray:
         table = self._knot_table

@@ -17,14 +17,17 @@ plug-in components such as kernel mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
-F(0) >= 0 holds trivially. When no closed form applies, the quantile is found
-by monotone bisection over the floats, returning the smallest double whose
-computed CDF clears p; for these laws the Galois inequalities hold exactly in
+F(0) >= 0 holds trivially. A mixture that is not finite-discrete finds its
+quantile by monotone bisection over the floats (`_bisect`, the one bisection
+loop), returning the smallest double whose computed CDF clears p; for these
+laws the Galois inequalities F(Q(p)-) < p <= F(Q(p)) hold exactly in
 floating point, not merely approximately. Finite-discrete laws meet them
-exactly too. Other closed forms (single densities, linear tables, and
-kernel estimates with the uniform or Epanechnikov kernel, whose quantile is
-a root of the cdf's polynomial on one knot cell) meet them to a few eps; for
-the kernel estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
+exactly too, and so do kernel estimates with the Gaussian kernel, whose
+safeguarded Newton iteration ends in that same bisection loop. Other closed
+forms (single densities, linear tables, and kernel estimates with the
+uniform or Epanechnikov kernel, whose quantile is a root of the cdf's
+polynomial on one knot cell) meet them to a few eps; for those kernel
+estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
 """
 
 from __future__ import annotations
@@ -100,6 +103,44 @@ def _check_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _upper_end(cdf, support_hi, p: np.ndarray) -> float:
+    """An abscissa where the computed `cdf` reaches max(p), for brackets.
+
+    Float weights of a flattened mixture may sum just below 1, so p can
+    exceed every value the cdf reaches; max(p) is capped at that total.
+    """
+    pmax = min(float(p.max()), float(cdf(np.asarray([math.inf]))[0]))
+    eps = min(1e-16, max((1.0 - pmax) / 4.0, 1e-300))
+    hi = max(support_hi(eps), 0.0)
+    while hi > 0.0 and float(cdf(np.asarray([hi]))[0]) < pmax:
+        hi *= 2.0
+    return hi
+
+
+def _bisect(cdf, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Shrink brackets [lo, hi] with cdf(hi) >= p until hi - lo <= tol.
+
+    Bisection on the computed `cdf`; a bracket also stops once its ends are
+    adjacent floats, so every tolerance, 0 included, terminates. Returns
+    the final upper ends. Finished brackets leave the working arrays, so
+    a round costs only what is still open.
+    """
+    out = hi.copy()
+    idx = np.arange(p.size)
+    while True:
+        nxt = np.nextafter(lo, hi)
+        live = (hi - lo > tol) & (nxt < hi)
+        if not live.all():
+            out[idx] = hi
+            idx, p, lo, hi, nxt = idx[live], p[live], lo[live], hi[live], nxt[live]
+        if not idx.size:
+            return out
+        mid = np.minimum(np.maximum(0.5 * (lo + hi), nxt), np.nextafter(hi, lo))
+        ge = cdf(mid) >= p
+        hi = np.where(ge, mid, hi)
+        lo = np.where(ge, lo, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +708,10 @@ class Distribution:
         return out
 
     def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
-        """Q(p) without bisection, or None when the law has no closed form.
+        """Q(p) without bisecting this law, or None for a mixture of parts.
 
         Finite-discrete laws read their cumulative masses; a law of one part
-        uses that part's `quantile`, which returns None when it has none.
+        uses that part's `quantile`.
         """
         if self._discrete is None and len(self.parts) > 1:
             return None
@@ -679,49 +720,16 @@ class Distribution:
         if self._discrete is not None:
             support, _, cum = self._discrete
             out[pos] = support[np.searchsorted(cum, p[pos], side="left")]
-            return out
-        q = self.parts[0][1].quantile(p[pos])
-        if q is None:
-            return None
-        out[pos] = q
+        else:
+            out[pos] = self.parts[0][1].quantile(p[pos])
         return out
 
     def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
         """Smallest floats q with computed cdf(q) >= p, elementwise; p in (0, 1)."""
-        # Float weights of a flattened mixture may sum just below 1, so p can
-        # exceed every value the cdf reaches; cap it at that total.
-        pmax = min(float(p.max()), float(self._cdf_arr(np.asarray([math.inf]))[0]))
-        eps = min(1e-16, max((1.0 - pmax) / 4.0, 1e-300))
-        hi_val = max(self.support_hi(eps), 0.0)
-        while hi_val > 0.0 and float(self._cdf_arr(np.asarray([hi_val]))[0]) < pmax:
-            hi_val *= 2.0
         lo = np.zeros_like(p)
-        hi = np.full_like(p, hi_val)
+        hi = np.full_like(p, _upper_end(self._cdf_arr, self.support_hi, p))
         hi[self._cdf_arr(lo) >= p] = 0.0
-        return self._bisect(p, lo, hi, 0.0)
-
-    def _bisect(self, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-        """Shrink brackets [lo, hi] with cdf(hi) >= p until hi - lo <= tol.
-
-        Bisection on the computed cdf; a bracket also stops once its ends are
-        adjacent floats, so every tolerance, 0 included, terminates. Returns
-        the final upper ends. Finished brackets leave the working arrays, so
-        a round costs only what is still open.
-        """
-        out = hi.copy()
-        idx = np.arange(p.size)
-        while True:
-            nxt = np.nextafter(lo, hi)
-            live = (hi - lo > tol) & (nxt < hi)
-            if not live.all():
-                out[idx] = hi
-                idx, p, lo, hi, nxt = idx[live], p[live], lo[live], hi[live], nxt[live]
-            if not idx.size:
-                return out
-            mid = np.minimum(np.maximum(0.5 * (lo + hi), nxt), np.nextafter(hi, lo))
-            ge = self._cdf_arr(mid) >= p
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
+        return _bisect(self._cdf_arr, p, lo, hi, 0.0)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""
@@ -760,8 +768,9 @@ class Distribution:
 
         Returns (survival-function route, quantile route). Both are quadrature
         based and exist to be cross-checked against the cached closed-form
-        mean, which enters only the survival route's tail term E[(X - hi)^+]
-        beyond its cut-off hi, a mass below 1e-14.
+        mean, which enters only their tail terms: E[(X - hi)^+] beyond the
+        survival route's cut-off hi, a mass below 1e-14, and the integral of
+        Q over [P_TAIL, 1], E[(X - q)^+] + q (1 - P_TAIL) with q = Q(P_TAIL).
         """
         hi = self.support_hi(1e-14)
         via_survival = integrate(
@@ -771,9 +780,10 @@ class Distribution:
             points=np.concatenate([self.x_breakpoints(), hi * HALVINGS]),
             tol=1e-10,
         ) + self.excess_mean(hi)
+        q = float(self._quantile_arr(np.asarray(P_TAIL)))
         via_quantile = integrate(
             self._quantile_arr, 0.0, P_TAIL, points=self.p_breakpoints(), tol=1e-10
-        )
+        ) + self.excess_mean(q) + q * (1.0 - P_TAIL)
         return via_survival, via_quantile
 
     # -- transforms ----------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import DYADIC, P_TAIL, TAIL_LEVELS, Distribution, atom, require_member
+from .measures import DYADIC, P_TAIL, TAIL_LEVELS, Distribution, _bisect, atom, require_member
 
 __all__ = [
     "w1",
@@ -58,18 +58,19 @@ def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     """Left quantiles within `tol` (1e-10 s from `_w1_general`) of Q(p).
 
-    A law with a closed-form quantile (finite-discrete, or one part with a
-    closed form) returns it, exact to a few eps. Any other law bisects the
-    bracket [lo, hi], which must hold Q(p) elementwise with cdf(hi) >= p,
-    and returns its upper end, in [Q(p), Q(p) + tol]; callers that subdivide
-    cells pass the parents' quantile values back in, so brackets shrink and
-    iterations stay few. A tolerance below the float spacing of a bracket
-    yields Q(p) itself.
+    A finite-discrete law or a law of one part returns its closed-form
+    quantile: exact to the float for finite-discrete laws and Gaussian
+    kernel estimates, to a few eps otherwise. Any other mixture of parts
+    bisects the bracket [lo, hi], which must hold Q(p) elementwise with
+    cdf(hi) >= p, and returns its upper end, in [Q(p), Q(p) + tol]; callers
+    that subdivide cells pass the parents' quantile values back in, so
+    brackets shrink and iterations stay few. A tolerance below the float
+    spacing of a bracket yields Q(p) itself.
     """
     q = d._closed_quantile(p)
     if q is not None:
         return q
-    return d._bisect(p, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), tol)
+    return _bisect(d._cdf_arr, p, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), tol)
 
 
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:

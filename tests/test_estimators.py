@@ -38,6 +38,7 @@ from lorenzkit.estimators import (
     quantile_of_sample,
     read_sample_csv,
     run_experiment,
+    _CutKernelMixture,
 )
 
 
@@ -239,6 +240,41 @@ def test_compact_kde_quantile_sandwich(kernel, source, n, h):
     assert np.all(np.diff(q) >= 0.0)
     assert np.all(d.cdf_left(q) - 4.0 * eps <= ps)
     assert np.all(ps <= d.cdf(q) + 4.0 * eps)
+
+
+def _ladder(*extra):
+    ps = np.concatenate([np.linspace(0.0, 1.0, 257), TAIL_LEVELS, *extra])
+    return np.unique(ps[(ps >= 0.0) & (ps < 1.0)])
+
+
+@pytest.mark.parametrize("source", ["uniform", "mix", "gap"])
+@pytest.mark.parametrize("n,h", [(25, 0.1), (200, 0.03), (2000, 0.03)])
+def test_gaussian_kde_quantile_galois_pair(source, n, h):
+    # Newton on the window sums, finished by float bisection: Q is the
+    # smallest float whose computed cdf reaches p, exactly. Levels across
+    # [0.3, 2] put Q where the gap sample's density nearly vanishes, so
+    # Newton steps leave their bracket and bisection steps replace them.
+    d = kde(_knot_sample(source, n), GAUSSIAN, h)
+    levels = d.cdf(np.linspace(0.3, 2.0, 9))
+    ps = _ladder(levels, np.nextafter(levels, 1.0))
+    q = d.quantile(ps)
+    assert np.all(np.diff(q) >= 0.0)
+    at_zero = ps <= d.cdf(0.0)
+    assert np.all((q == 0.0) == at_zero)
+    assert np.all(d.cdf(q) >= ps)
+    assert np.all(d.cdf(np.nextafter(q[~at_zero], 0.0)) < ps[~at_zero])
+
+
+def test_gaussian_kde_quantile_cdf_budget(monkeypatch):
+    # Bisection from [0, hi] spent 54.3 cdf points per probability here.
+    points = []
+    cdf = _CutKernelMixture.cdf
+    monkeypatch.setattr(
+        _CutKernelMixture, "cdf", lambda self, x: points.append(np.size(x)) or cdf(self, x)
+    )
+    ps = _ladder()
+    kde(_uniform_sample(200), GAUSSIAN, 0.03).quantile(ps)
+    assert sum(points) <= 20 * ps.size
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])

@@ -332,6 +332,14 @@ def test_mean_routes_agree(battery):
         assert abs(direct - d.mean) < tol, name
 
 
+@pytest.mark.parametrize("sigma", [2.5, 3.0, 3.5, 4.0, 5.0])
+def test_mean_quantile_route_keeps_the_tail(sigma):
+    # Q on [P_TAIL, 1] carries 2e-2 of the mean at sigma = 5; the route
+    # adds it as E[(X - q)^+] + q (1 - P_TAIL), q = Q(P_TAIL).
+    d = lognormal(0.0, sigma)
+    assert d.mean_routes()[1] == pytest.approx(d.mean, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # stochastic order and sampling
 # ---------------------------------------------------------------------------
