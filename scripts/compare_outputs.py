@@ -3,21 +3,25 @@
 
 ``dump OUT.json`` evaluates a fixed battery through the public API and
 writes every value as ``float.hex``: the fields of `index_report`, both
-`w1_routes` values, quantiles, cdf and partial-expectation values and
-Lorenz values. The battery is `standard_battery()` plus seeded nested
-mixtures, atom-rich mixtures (a density plus tens to hundreds of atoms),
-mixtures with quantile-table and kernel-smoothed parts, the heavy-tailed
-lognormal(0, 2.5) and lognormal(0, 3), three battery laws rescaled by
-1e-12, 1e-6, 1e6 and 1e12 (W1 pairs them within each scale), and
-single-part kernel estimates (uniform, Epanechnikov and Gaussian kernel,
-n = 200, h = 0.03), each paired with the W1 partners. A call that raises
-is recorded by its exception type.
+`w1_routes` values, quantiles, cdf and partial-expectation values, Lorenz
+values and, for each law whose quantile is float-exact (finite-discrete
+laws, mixtures of parts, Gaussian kernel estimates), how many probabilities
+of a ladder break the exact Galois pair F(prev(Q)) < p <= F(Q) or the order
+of Q (key ``galois``; the contract is 0). The battery is
+`standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
+density plus tens to hundreds of atoms), mixtures with quantile-table and
+kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
+lognormal(0, 3), three battery laws rescaled by 1e-12, 1e-6, 1e6 and 1e12
+(W1 pairs them within each scale), and single-part kernel estimates
+(uniform, Epanechnikov and Gaussian kernel, n = 200, h = 0.03), each paired
+with the W1 partners. A call that raises is recorded by its exception type.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
 finite-discrete, else ``general``), how many values are bit-identical and
-the largest relative difference; it then lists the keys found in one dump
-only.
+the largest relative difference, and each dump's total of Galois failures,
+so a quantile that moved can be seen to meet the contract still; it then
+lists the keys found in one dump only.
 
 Run each side against its own source tree, for example
 
@@ -49,6 +53,7 @@ from lorenzkit import (
     uniform,
     w1_routes,
 )
+from lorenzkit.measures import TAIL_LEVELS
 
 INDEX_FIELDS = (
     "gini_mean_difference",
@@ -63,6 +68,8 @@ INDEX_FIELDS = (
 )
 PS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
 LORENZ_PS = np.linspace(0.0, 1.0, 33)
+#: probabilities of the Galois check: the 257-level ladder, the tail levels 1 - 2^-k and PS
+GALOIS_PS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS, PS]))
 #: battery laws every extra law is paired with for W1
 W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
                "mix(0.3*atom(0),0.7*exp(1))")
@@ -134,6 +141,16 @@ def _attempt(out, key, fn):
         out[f"{key}#{i}"] = float(v).hex()
 
 
+def galois_failures(d, ps=GALOIS_PS):
+    """How many p in the sorted `ps` break the exact Galois pair
+    F(prev(Q)) < p <= F(Q), or see Q fall below the previous quantile."""
+    q = np.asarray(d.quantile(ps))
+    below = np.asarray(d.cdf(np.nextafter(q, 0.0)))
+    ok = (ps <= np.asarray(d.cdf(q))) & ((q == 0.0) | (below < ps))
+    ok[1:] &= q[1:] >= q[:-1]
+    return int(np.sum(~ok))
+
+
 def _index_fields(d):
     report = index_report(d)
     return [getattr(report, f) for f in INDEX_FIELDS]
@@ -150,6 +167,8 @@ def dump(path):
         kind = "discrete" if d.is_finite_discrete else "general"
         _attempt(values, f"{kind}|index|{name}", lambda: _index_fields(d))
         _attempt(values, f"{kind}|quantile|{name}", lambda: d.quantile(PS))
+        if d.is_finite_discrete or len(d.parts) > 1 or name.startswith("kde-gaussian"):
+            _attempt(values, f"{kind}|galois|{name}", lambda: galois_failures(d))
         xs = np.unique(np.concatenate([[0.0], d.quantile(PS)]))
         _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
         _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))
@@ -205,6 +224,9 @@ def diff(path_a, path_b):
     print(f"{'kind':9} {'field':34} {'values':>7} {'identical':>9} {'max_rel_diff':>12}")
     for (kind, field), (n, same, rel) in sorted(stats.items()):
         print(f"{kind:9} {field:34} {n:7d} {same:9d} {rel:12.3g}")
+    for path, dumped in ((path_a, a), (path_b, b)):
+        fails = sum(float.fromhex(v) for k, v in dumped.items() if "|galois|" in k and not v.startswith("raise"))
+        print(f"galois failures in {path}: {fails:g}")
     total = sum(r[0] for r in stats.values())
     same = sum(r[1] for r in stats.values())
     print(f"total: {same} of {total} values bit-identical")

@@ -42,7 +42,10 @@ from scipy.special import ndtr, ndtri
 from .measures import (
     Distribution,
     ZeroMeanError,
-    _bisect,
+    _FINISH_ULPS,
+    _MAX_ROUNDS,
+    _finish,
+    _reach,
     _upper_end,
     discrete,
     require_member,
@@ -308,11 +311,6 @@ KERNELS = {k.name: k for k in (GAUSSIAN, EPANECHNIKOV, UNIFORM)}
 
 #: kernel terms evaluated per chunk of a windowed sum
 _PAIR_CHUNK = 1 << 16
-#: cap on the safeguarded Newton rounds of a quantile inversion
-_NEWTON_ROUNDS = 64
-#: ulps of Q, and of p over the density, within which a Newton quantile
-#: stops and around which its float-exact finish probes
-_FINISH_ULPS = 4
 
 
 def _unif_cell(a, d1, d2, d3):
@@ -343,7 +341,7 @@ class _CutKernelMixture:
     For them `_knot_table` holds every knot with its polynomial,
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
     form. The Gaussian kernel has no knots; `quantile` runs safeguarded
-    Newton on its window sums and finishes with the float bisection of the
+    Newton on its window sums and ends in the float-exact finish of the
     measures module (`_newton_quantile`).
     """
 
@@ -515,7 +513,7 @@ class _CutKernelMixture:
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(short, width, np.clip(np.nan_to_num(target / c1), 0.0, width))
             live = (j >= 0) & ~short
-            for _ in range(_NEWTON_ROUNDS):
+            for _ in range(_MAX_ROUNDS):
                 if not live.any():
                     break
                 f = excess(s)
@@ -542,10 +540,11 @@ class _CutKernelMixture:
         cdf is exact only to an ulp or so of p, which blurs its crossing of p
         over about spacing(p) / f in t, so Newton stops once a step is within
         a few ulps of t plus a few ulps of p over f (its reach), or once the
-        bracket is within a few ulps. Probes one reach either side of the
-        last iterate narrow the bracket, and `_bisect` finishes it to the
-        smallest float whose computed cdf reaches p, so F(Q-) < p <= F(Q)
-        holds exactly.
+        bracket is within a few ulps. The finish of the measures module
+        (`_finish`, shared with the Illinois inversion of mixtures) probes one
+        reach either side of the last iterate to narrow the bracket and
+        bisects it to adjacent floats, so F(prev(Q)) < p <= F(Q) holds
+        exactly.
         """
         pts, h = self._sorted, self.bandwidth
         density = self.kernel.density
@@ -561,7 +560,7 @@ class _CutKernelMixture:
         state = [t, lo, hi, np.zeros_like(p)]
         idx = np.arange(p.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_ROUNDS):
+            for _ in range(_MAX_ROUNDS):
                 target = p[idx]
                 f = self.cdf(t) - target
                 below = f < 0.0
@@ -573,7 +572,7 @@ class _CutKernelMixture:
                 nxt = t - f / slope
                 newton = (nxt >= lo) & (nxt <= hi)
                 nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-                reach = _FINISH_ULPS * (np.spacing(nxt) + np.spacing(target) / slope)
+                reach = _reach(nxt, target, slope)
                 open_ = ~(newton & (np.abs(nxt - t) <= reach)) & (
                     hi - lo > _FINISH_ULPS * np.spacing(hi)
                 )
@@ -582,14 +581,7 @@ class _CutKernelMixture:
                 idx, t, lo, hi = idx[open_], nxt[open_], lo[open_], hi[open_]
                 if not idx.size:
                     break
-        t, lo, hi, reach = state
-        probes = (np.maximum(t - reach, lo), np.minimum(t + reach, hi))
-        values = np.split(self.cdf(np.concatenate(probes)), 2)
-        for c, fc in zip(probes, values):
-            inside = (c > lo) & (c < hi)
-            lo = np.where(inside & (fc < p), c, lo)
-            hi = np.where(inside & (fc >= p), c, hi)
-        out[pos] = _bisect(self.cdf, p, lo, hi, 0.0)
+        out[pos] = _finish(self.cdf, p, *state, 0.0)
         return out
 
     def x_breaks(self) -> np.ndarray:

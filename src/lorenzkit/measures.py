@@ -17,17 +17,22 @@ plug-in components such as kernel mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
-F(0) >= 0 holds trivially. A mixture that is not finite-discrete finds its
-quantile by monotone bisection over the floats (`_bisect`, the one bisection
-loop), returning the smallest double whose computed CDF clears p; for these
-laws the Galois inequalities F(Q(p)-) < p <= F(Q(p)) hold exactly in
-floating point, not merely approximately. Finite-discrete laws meet them
-exactly too, and so do kernel estimates with the Gaussian kernel, whose
-safeguarded Newton iteration ends in that same bisection loop. Other closed
-forms (single densities, linear tables, and kernel estimates with the
-uniform or Epanechnikov kernel, whose quantile is a root of the cdf's
-polynomial on one knot cell) meet them to a few eps; for those kernel
-estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
+F(0) >= 0 holds trivially. For quantiles found by inversion the contract is
+the exact Galois pair in floating point: F(prev(Q)) < p <= F(Q) for the
+computed F, prev(Q) the float below Q, with Q nondecreasing in p. A mixture
+of parts brackets p between adjacent knots of a per-law table
+(`Distribution._knots`), narrows the bracket by Illinois steps (`_invert`)
+and finishes it in the one bisection loop (`_bisect`), so the pair holds
+exactly. Where a mixture's computed cdf is not monotone at the ulp level,
+more than one float can meet the pair, and which one is returned depends on
+the bracket: the pair, not "the smallest float whose computed cdf clears
+p", is the contract. Finite-discrete laws meet it exactly too, and so do
+kernel estimates with the Gaussian kernel, whose safeguarded Newton
+iteration ends in the same finish (`_finish`). Other closed forms (single
+densities, linear tables, and kernel estimates with the uniform or
+Epanechnikov kernel, whose quantile is a root of the cdf's polynomial on
+one knot cell) meet it to a few eps; for those kernel estimates,
+F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
 """
 
 from __future__ import annotations
@@ -74,8 +79,15 @@ TAIL_LEVELS = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
 P_TAIL = 1.0 - 2.0**-40
 #: factors 2^-k, k = 1..60: an x-space integral over [a, b] also splits at
 #: b 2^-k, so panels are geometric in x and a heavy tail is resolved at
-#: every scale between b 2^-60 and b, with no quantile inversion
+#: every scale between b 2^-60 and b, with no quantile inversion; a
+#: mixture's knot table (`Distribution._knots`) holds the same ladder below
+#: its top, so no bracket from the table spans more than one octave there
 HALVINGS = 2.0 ** -np.arange(1.0, 61.0)
+#: cap on the rounds of an iterative quantile inversion (Newton, Illinois)
+_MAX_ROUNDS = 64
+#: ulps of Q, and of p over the slope, within which an iterative quantile
+#: stops and around which its float-exact finish probes (`_reach`)
+_FINISH_ULPS = 4
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
 HALVINGS.flags.writeable = False
@@ -124,8 +136,10 @@ def _bisect(cdf, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> n
 
     Bisection on the computed `cdf`; a bracket also stops once its ends are
     adjacent floats, so every tolerance, 0 included, terminates. Returns
-    the final upper ends. Finished brackets leave the working arrays, so
-    a round costs only what is still open.
+    the final upper ends; where cdf(lo) < p too, the Galois pair
+    cdf(prev(q)) < p <= cdf(q) holds for q = hi at tolerance 0. Finished
+    brackets leave the working arrays, so a round costs only what is still
+    open.
     """
     out = hi.copy()
     idx = np.arange(p.size)
@@ -141,6 +155,90 @@ def _bisect(cdf, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> n
         ge = cdf(mid) >= p
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
+
+
+def _reach(t, p, slope, tol: float = 0.0):
+    """How far from t an iterate may stop: max(tol, a few ulps of t plus a
+    few ulps of p over the slope), since the computed cdf blurs its
+    crossing of p over about spacing(p) / slope in t."""
+    return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.spacing(p) / slope))
+
+
+def _finish(cdf, p, t, lo, hi, reach, tol: float) -> np.ndarray:
+    """The float-exact finish of an iterative inversion.
+
+    Where `reach` > 0, probes t - reach and t + reach narrow the bracket
+    [lo, hi] (cdf(lo) < p <= cdf(hi)) when they fall strictly inside it
+    (only rows where one of them can are probed); then one `_bisect` call
+    shrinks every bracket of the batch to `tol`.
+    """
+    (probed,) = np.nonzero((reach > 0.0) & ((t - reach > lo) | (t + reach < hi)))
+    if probed.size:
+        lo, hi = lo.copy(), hi.copy()
+        pp, a, b = p[probed], lo[probed], hi[probed]
+        probes = (np.maximum(t[probed] - reach[probed], a), np.minimum(t[probed] + reach[probed], b))
+        values = np.split(cdf(np.concatenate(probes)), 2)
+        for c, fc in zip(probes, values):
+            inside = (c > a) & (c < b)
+            a = np.where(inside & (fc < pp), c, a)
+            b = np.where(inside & (fc >= pp), c, b)
+        lo[probed], hi[probed] = a, b
+    return _bisect(cdf, p, lo, hi, tol)
+
+
+def _invert(cdf, p, lo, hi, flo, fhi, tol: float) -> np.ndarray:
+    """Quantiles in [Q(p), Q(p) + tol] from brackets [lo, hi] holding Q(p).
+
+    Where the evaluated ends bracket p by sign, flo = cdf(lo) < p <= fhi =
+    cdf(hi), Illinois steps (regula falsi that halves the residual of an end
+    kept twice running; Dowell & Jarratt, BIT 1971) narrow the bracket. The
+    upper residual is floored at spacing(p) / 2 in the interpolation: where
+    cdf(hi) = p exactly, as on a plateau, a zero residual would pin every
+    step to hi. A row stops once a step moves t by at most its `_reach`
+    (the bracket's secant stands in for the density) or the bracket is
+    that narrow; `_finish` then probes one reach either side of the last
+    iterate and bisects the whole batch. Rows whose ends do not bracket p
+    (nan ends included) skip the steps and are bisected as given. At tol 0
+    the Galois pair cdf(prev(q)) < p <= cdf(q) holds exactly.
+    """
+    lo, hi, t, reach = lo.copy(), hi.copy(), hi.copy(), np.zeros_like(p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = _reach(hi, p, (fhi - flo) / (hi - lo), tol)
+        (idx,) = np.nonzero((flo < p) & (p <= fhi) & (hi - lo > first))
+        # one row per quantity, one column per open p: the bracket, its cdf
+        # values, the Illinois residuals, p, the last iterate, and the end
+        # the last step moved (1 upper, 0 lower, 0.5 none yet)
+        a, b, target = lo[idx], hi[idx], p[idx]
+        fa, fb = flo[idx], fhi[idx]
+        state = np.stack(
+            [a, b, fa, fb, fa - target, fb - target, target, np.full_like(a, np.inf), np.full_like(a, 0.5)]
+        )
+        for rnd in range(_MAX_ROUNDS):
+            if not idx.size:
+                break
+            a, b, fa, fb, ga, gb, target, last, moved = state
+            s = a - ga * (b - a) / (np.maximum(gb, 0.5 * np.spacing(target)) - ga)
+            s = np.minimum(np.maximum(s, np.nextafter(a, b)), np.nextafter(b, a))
+            fs = cdf(s)
+            g = fs - target
+            up = g >= 0.0
+            down = ~up
+            np.multiply(ga, 0.5, out=ga, where=up & (moved == 1.0))
+            np.multiply(gb, 0.5, out=gb, where=down & (moved == 0.0))
+            for row, new in ((a, s), (fa, fs), (ga, g)):
+                np.copyto(row, new, where=down)
+            for row, new in ((b, s), (fb, fs), (gb, g)):
+                np.copyto(row, new, where=up)
+            np.copyto(moved, up)
+            r = _reach(s, target, (fb - fa) / (b - a), tol)
+            open_ = (np.abs(s - last) > r) & (b - a > r) & (rnd < _MAX_ROUNDS - 1)
+            np.copyto(last, s)
+            if not open_.all():
+                shut = ~open_
+                rows = idx[shut]
+                t[rows], lo[rows], hi[rows], reach[rows] = s[shut], a[shut], b[shut], r[shut]
+                idx, state = idx[open_], state[:, open_]
+    return _finish(cdf, p, t, lo, hi, reach, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +806,12 @@ class Distribution:
         return out
 
     def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
-        """Q(p) without bisecting this law, or None for a mixture of parts.
+        """Q(p) without inverting this law's cdf, or None for a mixture of parts.
 
-        Finite-discrete laws read their cumulative masses; a law of one part
-        uses that part's `quantile`.
+        Finite-discrete laws read their cumulative masses, which meets the
+        Galois pair exactly; a law of one part uses that part's `quantile`.
+        A mixture of parts inverts its cdf from the knot table instead
+        (`_bisect_quantile`, `wasserstein._q_within`).
         """
         if self._discrete is None and len(self.parts) > 1:
             return None
@@ -724,12 +824,58 @@ class Distribution:
             out[pos] = self.parts[0][1].quantile(p[pos])
         return out
 
+    @cached_property
+    def _knots(self):
+        """(x, F(x)) at the knots that bracket every inversion, or None.
+
+        The knots are 0, every breakpoint, the float just below every
+        positive breakpoint and the ladder top 2^-k (k = 0..60, `HALVINGS`)
+        with top = support_hi(1e-16); one cdf call evaluates them all. Every
+        atom is a breakpoint, so no atom lies inside a bracket between
+        adjacent knots, and a p on an atom's jump gets the one-ulp bracket
+        [prev(a), a]. None where the computed cdf is not monotone across the
+        knots, since the table's brackets then do not hold.
+        """
+        xb = self.x_breakpoints()
+        top = self.support_hi(1e-16)
+        x = np.unique(
+            np.concatenate([[0.0, top], xb, np.nextafter(xb[xb > 0.0], 0.0), top * HALVINGS])
+        )
+        x = x[np.isfinite(x)]
+        f = self._cdf_arr(x)
+        return None if np.any(f[1:] < f[:-1]) else (x, f)
+
+    def _knot_brackets(self, p: np.ndarray):
+        """(lo, hi, F(lo), F(hi)) from adjacent knots with F(lo) < p <= F(hi).
+
+        A p <= F(0) gets [0, 0]. Where the table cannot bracket p (p above F
+        at the top knot, or no table) all four are nan.
+        """
+        table = self._knots
+        if table is None:
+            return tuple(np.full((4,) + p.shape, np.nan))
+        x, f = table
+        j = np.searchsorted(f, p, side="left")
+        up = np.minimum(j, x.size - 1)
+        down = np.maximum(up - 1, 0)
+        miss = j == x.size
+        return tuple(np.where(miss, np.nan, v[k]) for v, k in ((x, down), (x, up), (f, down), (f, up)))
+
     def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Smallest floats q with computed cdf(q) >= p, elementwise; p in (0, 1)."""
-        lo = np.zeros_like(p)
-        hi = np.full_like(p, _upper_end(self._cdf_arr, self.support_hi, p))
-        hi[self._cdf_arr(lo) >= p] = 0.0
-        return _bisect(self._cdf_arr, p, lo, hi, 0.0)
+        """Q(p) for p in (0, 1) with F(prev(Q)) < p <= F(Q) exactly, F computed.
+
+        Brackets come from the knot table, and `_invert` narrows them by
+        Illinois steps and finishes them to the float. Where the table
+        cannot bracket p, bisection runs from [0, hi] with hi from
+        `_upper_end`.
+        """
+        lo, hi, flo, fhi = self._knot_brackets(p)
+        miss = np.isnan(hi)
+        if miss.any():
+            lo[miss] = 0.0
+            hi[miss] = _upper_end(self._cdf_arr, self.support_hi, p[miss])
+            hi[miss & (p <= self._cdf_arr(np.zeros(1))[0])] = 0.0
+        return _invert(self._cdf_arr, p, lo, hi, flo, fhi, 0.0)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import DYADIC, P_TAIL, TAIL_LEVELS, Distribution, _bisect, atom, require_member
+from .measures import DYADIC, P_TAIL, TAIL_LEVELS, Distribution, _invert, atom, require_member
 
 __all__ = [
     "w1",
@@ -56,21 +56,29 @@ def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 
 
 def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Left quantiles within `tol` (1e-10 s from `_w1_general`) of Q(p).
+    """Left quantiles in [Q(p), Q(p) + tol] (tol 1e-10 s from `_w1_general`).
 
     A finite-discrete law or a law of one part returns its closed-form
     quantile: exact to the float for finite-discrete laws and Gaussian
     kernel estimates, to a few eps otherwise. Any other mixture of parts
-    bisects the bracket [lo, hi], which must hold Q(p) elementwise with
-    cdf(hi) >= p, and returns its upper end, in [Q(p), Q(p) + tol]; callers
-    that subdivide cells pass the parents' quantile values back in, so
-    brackets shrink and iterations stay few. A tolerance below the float
-    spacing of a bracket yields Q(p) itself.
+    intersects the bracket [lo, hi], which must hold Q(p) elementwise with
+    cdf(hi) >= p, with the law's knot-table bracket, evaluates the cdf at
+    the ends the caller supplied, and narrows by `measures._invert` to
+    within tol. Callers that subdivide cells pass the parents' quantile
+    values back in, so brackets shrink as cells do. A tolerance below the
+    float spacing of a bracket yields Q(p) itself.
     """
     q = d._closed_quantile(p)
     if q is not None:
         return q
-    return _bisect(d._cdf_arr, p, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), tol)
+    lo_k, hi_k, flo, fhi = d._knot_brackets(p)
+    lo = np.fmax(np.asarray(lo, dtype=float), lo_k)
+    hi = np.fmin(np.asarray(hi, dtype=float), hi_k)
+    own_lo, own_hi = lo != lo_k, hi != hi_k
+    if own_lo.any() or own_hi.any():
+        f = d._cdf_arr(np.concatenate([lo[own_lo], hi[own_hi]]))
+        flo[own_lo], fhi[own_hi] = np.split(f, [int(own_lo.sum())])
+    return _invert(d._cdf_arr, p, lo, hi, flo, fhi, tol)
 
 
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:

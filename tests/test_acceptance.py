@@ -195,5 +195,5 @@ def test_criterion_9_property_suites():
         )
         assert proc.returncode == 0, proc.stdout[-2000:]
         counts = [int(m) for m in re.findall(r"(\d+) passing examples", proc.stdout)]
-        assert len(counts) == 7, proc.stdout[-2000:]
+        assert len(counts) == 8, proc.stdout[-2000:]
         assert all(n >= 200 for n in counts), counts

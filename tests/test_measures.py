@@ -13,7 +13,9 @@ import scipy.stats
 from lorenzkit import index_report, standard_battery, w1_routes
 from lorenzkit.estimators import kde, quantile_approx
 from lorenzkit.measures import (
+    TAIL_LEVELS,
     Atom,
+    Distribution,
     InfiniteMeanError,
     MeanDomainError,
     ZeroMeanError,
@@ -28,6 +30,7 @@ from lorenzkit.measures import (
     require_member,
     uniform,
 )
+from lorenzkit.wasserstein import _q_within
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +293,110 @@ def test_quantile_nondecreasing_and_left_continuous():
     assert abs(below[1] - below[0]) < 1e-6
 
 
+def _galois_battery():
+    """Mixtures of parts whose quantiles must meet the Galois pair exactly."""
+    nested = mixture(
+        [(0.3, lognormal(0.0, 1.0)), (0.3, exponential(1.0)), (0.4, discrete([0.5, 1.0, 1.5, 3.0]))]
+    )
+    return [
+        ("atoms at 0 and 2, gamma", mixture([(0.4, discrete([0.0, 2.0])), (0.6, gamma_dist(3.0, 0.5))])),
+        ("atoms at 0 and inside", mixture([(0.2, atom(0.0)), (0.2, atom(0.5)), (0.6, uniform(0.0, 1.0))])),
+        ("plateau", mixture([(0.5, uniform(0.0, 1.0)), (0.5, uniform(2.0, 3.0))])),
+        ("gamma(0.3,1) mixed", mixture([(0.5, gamma_dist(0.3, 1.0)), (0.3, lognormal(0.0, 1.0)), (0.2, atom(1.0))])),
+        ("far atom", mixture([(1.0 - 1e-12, exponential(1.0)), (1e-12, atom(1e12))])),
+        ("nested x1e-12", nested.rescaled(1e-12)),
+        ("nested x1e12", nested.rescaled(1e12)),
+        ("lognormal(0,4) mixed", mixture([(0.5, lognormal(0.0, 4.0)), (0.5, exponential(2.0))])),
+    ]
+
+
+def _galois_probabilities(d):
+    """The 257-level ladder, the tail levels, and F(a-) and F(a) of every
+    atom a with their neighbouring floats, up to the law's float total."""
+    xb = d.x_breakpoints()
+    xa = xb[np.asarray(d.mass_at(xb)) > 0.0]
+    jumps = np.concatenate([np.asarray(d.cdf_left(xa)), np.asarray(d.cdf(xa))])
+    ps = np.concatenate(
+        [np.linspace(0.0, 1.0, 257), TAIL_LEVELS, jumps, np.nextafter(jumps, 0.0), np.nextafter(jumps, 1.0)]
+    )
+    return np.unique(ps[(ps >= 0.0) & (ps < 1.0) & (ps <= d.cdf(d.support_hi(1e-300)))])
+
+
+def _assert_galois_pair(d, ps, name=""):
+    """Exact in floating point: F(prev(Q)) < p <= F(Q), Q nondecreasing."""
+    q = np.asarray(d.quantile(ps))
+    assert np.all(np.diff(q) >= 0.0), name
+    assert np.all(np.asarray(d.cdf(q)) >= ps), name
+    pos = q > 0.0
+    assert np.all(np.asarray(d.cdf(np.nextafter(q[pos], 0.0))) < ps[pos]), name
+    return q
+
+
 def test_galois_spot_checks():
-    d = mixture([(0.4, discrete([0.0, 2.0])), (0.6, gamma_dist(3.0, 0.5))])
-    for p in (0.05, 0.2, 0.5, 0.8, 0.99):
-        q = d.quantile(p)
-        assert d.cdf(q) >= p
-        if q > 0:
-            assert d.cdf(q * (1.0 - 1e-12)) < p or q * (1.0 - 1e-12) == q
+    for name, d in _galois_battery():
+        _assert_galois_pair(d, _galois_probabilities(d), name)
+    plateau = dict(_galois_battery())["plateau"]
+    assert plateau.quantile(0.5) == 1.0
+
+
+@pytest.mark.parametrize("name,d", _galois_battery(), ids=[n for n, _ in _galois_battery()])
+def test_bracketed_quantile_within_tolerance_on_mixtures(name, d):
+    hi = d.support_hi(1e-13)
+    ps = _galois_probabilities(d)
+    ps = ps[(ps > 0.0) & (ps <= d.cdf(hi))]
+    exact = np.asarray(d.quantile(ps))
+    tol = 1e-10 * d.mean
+    wide = _q_within(d, ps, np.zeros_like(ps), np.full_like(ps, hi), tol)
+    narrow = _q_within(d, ps, 0.5 * exact, np.minimum(2.0 * exact, hi), tol)
+    for q in (wide, narrow):
+        assert np.all(q >= exact)
+        assert np.all(q <= exact + tol)
+
+
+def test_mixture_without_knot_table_bisects_from_zero():
+    # A table whose computed cdf is not monotone is dropped; inversion then
+    # brackets every p by [0, hi] as before the table existed.
+    law = mixture([(0.3, atom(0.0)), (0.3, uniform(0.5, 1.5)), (0.4, lognormal(0.0, 2.0))])
+    ps = _galois_probabilities(law)
+    ps = ps[ps > 0.0]
+    bare = mixture([(0.3, atom(0.0)), (0.3, uniform(0.5, 1.5)), (0.4, lognormal(0.0, 2.0))])
+    bare.__dict__["_knots"] = None
+    q = _assert_galois_pair(bare, ps)
+    # the two brackets may end on different floats that both meet the pair
+    np.testing.assert_allclose(q, law.quantile(ps), rtol=1e-14)
+    wide = _q_within(bare, ps, np.zeros_like(ps), np.full_like(ps, bare.support_hi(1e-13)), 1e-10)
+    np.testing.assert_allclose(wide, q, rtol=1e-14, atol=1e-10)
+
+
+def test_mixture_inversion_round_budget(monkeypatch):
+    # Bisection from [0, hi] made about 64 cdf rounds per inversion here.
+    laws = [
+        mixture([(0.3, lognormal(0.0, 1.0)), (0.2, gamma_dist(2.0, 0.5)),
+                 (0.5, mixture([(0.5, exponential(1.0)), (0.5, discrete([0.5, 1.5, 4.0]))]))]),
+        mixture([(0.4, uniform(0.0, 2.0)), (0.35, lognormal(0.5, 0.8)), (0.25, discrete([0.0, 1.0, 3.0]))]),
+        mixture([(0.6, gamma_dist(0.7, 2.0)), (0.4, mixture([(0.5, uniform(1.0, 3.0)), (0.5, atom(2.0))]))]),
+    ]
+    cdf, invert = Distribution._cdf_arr, Distribution._bisect_quantile
+    counts = {"calls": 0, "rounds": 0, "inside": False}
+
+    def counted_cdf(self, x):
+        counts["rounds"] += counts["inside"]
+        return cdf(self, x)
+
+    def counted_invert(self, p):
+        counts["calls"] += 1
+        counts["inside"] = True
+        try:
+            return invert(self, p)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(Distribution, "_cdf_arr", counted_cdf)
+    monkeypatch.setattr(Distribution, "_bisect_quantile", counted_invert)
+    for d in laws:
+        index_report(d)
+    assert counts["calls"] > 0
+    assert counts["rounds"] <= 40 * counts["calls"]
 
 
 def test_rescale_homogeneity():

@@ -1,6 +1,6 @@
 """Randomized invariant checks.
 
-Seven suites, one per structural law the library promises. Each runs with
+Eight suites, one per structural law the library promises. Each runs with
 max_examples=200 so the acceptance gate can count cases from the hypothesis
 statistics output.
 """
@@ -24,6 +24,7 @@ from lorenzkit import (
     w1,
     w1_routes,
 )
+from lorenzkit.measures import TAIL_LEVELS
 from lorenzkit.estimators import (
     empirical,
     estimate_gini,
@@ -67,6 +68,40 @@ PARAMETRIC_POOL = (
 )
 def test_quantile_cdf_galois_connection(d, p, q):
     assert (d.quantile(p) <= q) == (p <= d.cdf(q))
+
+
+@st.composite
+def mixture_dists(draw):
+    """1-3 pool laws plus lognormal(0, sigma <= 6), 0-3 atoms, sometimes a
+    far atom of mass near 1e-9, all rescaled by 10^k, |k| <= 12."""
+    parts = [draw(st.sampled_from(PARAMETRIC_POOL)) for _ in range(draw(st.integers(1, 3)))]
+    parts.append(lognormal(0.0, draw(st.floats(min_value=0.05, max_value=6.0))))
+    parts += [atom(x) for x in draw(st.lists(st.floats(0.0, 50.0), max_size=3))]
+    ticks = draw(st.lists(st.integers(1, 9), min_size=len(parts), max_size=len(parts)))
+    weighted = [(t / sum(ticks), d) for t, d in zip(ticks, parts)]
+    if draw(st.booleans()):
+        far = draw(st.floats(min_value=3e-10, max_value=3e-9))
+        weighted = [(w * (1.0 - far), d) for w, d in weighted]
+        weighted.append((far, atom(10.0 ** draw(st.integers(3, 9)))))
+    return mixture(weighted).rescaled(10.0 ** draw(st.integers(-12, 12)))
+
+
+GALOIS_LADDER = np.concatenate([np.linspace(0.0, 1.0, 65)[:-1], TAIL_LEVELS])
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    d=mixture_dists(),
+    extra=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
+)
+def test_mixture_quantile_meets_galois_pair_exactly(d, extra):
+    ps = np.unique(np.concatenate([GALOIS_LADDER, extra]))
+    ps = ps[ps <= d.cdf(d.support_hi(1e-300))]
+    q = np.asarray(d.quantile(ps))
+    assert np.all(np.diff(q) >= 0.0)
+    assert np.all(np.asarray(d.cdf(q)) >= ps)
+    pos = q > 0.0
+    assert np.all(np.asarray(d.cdf(np.nextafter(q[pos], 0.0))) < ps[pos])
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
