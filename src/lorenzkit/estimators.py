@@ -482,7 +482,7 @@ class _CutKernelMixture:
         level = np.maximum.accumulate(saturated + coeffs[0])
         return tau, saturated, level, coeffs
 
-    def quantile(self, p):
+    def quantile(self, p, exact: bool = True):
         """Q(p) from the knot table, or by `_newton_quantile` without one.
 
         With the table, Q(p) = 0 when n F(0) >= n p. Otherwise the cell is
@@ -494,7 +494,7 @@ class _CutKernelMixture:
         """
         table = self._knot_table
         if table is None:
-            return self._newton_quantile(np.asarray(p, dtype=float))
+            return self._newton_quantile(np.asarray(p, dtype=float), exact)
         tau, saturated, level, coeffs = table
         h = self.bandwidth
         y = self._sorted.size * np.asarray(p, dtype=float)
@@ -528,7 +528,7 @@ class _CutKernelMixture:
         q = np.minimum(tau[cell] + h * s, tau[cell + 1])
         return np.where(j >= 0, q, 0.0)
 
-    def _newton_quantile(self, p: np.ndarray) -> np.ndarray:
+    def _newton_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         """Q(p) for a kernel without knots: safeguarded Newton, float-exact finish.
 
         Q(p) = 0 where p <= F(0). Elsewhere Newton runs on F(t) - p from the
@@ -544,7 +544,10 @@ class _CutKernelMixture:
         (`_finish`, shared with the Illinois inversion of mixtures) probes one
         reach either side of the last iterate to narrow the bracket and
         bisects it to adjacent floats, so F(prev(Q)) < p <= F(Q) holds
-        exactly.
+        exactly, the contract of `quantile`. With `exact` false the finish
+        stops within two reaches above Q instead, the resolution the Lorenz
+        identity needs. The atom at 0 is settled before Newton, so no atom
+        lies inside a bracket.
         """
         pts, h = self._sorted, self.bandwidth
         density = self.kernel.density
@@ -581,7 +584,7 @@ class _CutKernelMixture:
                 idx, t, lo, hi = idx[open_], nxt[open_], lo[open_], hi[open_]
                 if not idx.size:
                     break
-        out[pos] = _finish(self.cdf, p, *state, 0.0)
+        out[pos] = _finish(self.cdf, p, *state, 0.0, exact)
         return out
 
     def x_breaks(self) -> np.ndarray:

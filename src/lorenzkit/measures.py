@@ -33,6 +33,12 @@ densities, linear tables, and kernel estimates with the uniform or
 Epanechnikov kernel, whose quantile is a root of the cdf's polynomial on
 one knot cell) meet it to a few eps; for those kernel estimates,
 F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
+
+`quantile`, sampling, dominance and the W1 routes keep that exact pair. The
+internal inverters also take ``exact=False``, which the Lorenz curve alone
+passes: an iteration that converged then stops within two reaches of its
+last iterate (`_finish`), a q in [Q, Q + 2 reach] with F(q) >= p, since
+its identity S(p, q) is stationary in q at Q (`lorenz`).
 """
 
 from __future__ import annotations
@@ -131,24 +137,27 @@ def _upper_end(cdf, support_hi, p: np.ndarray) -> float:
     return hi
 
 
-def _bisect(cdf, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+def _bisect(cdf, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
     """Shrink brackets [lo, hi] with cdf(hi) >= p until hi - lo <= tol.
 
-    Bisection on the computed `cdf`; a bracket also stops once its ends are
-    adjacent floats, so every tolerance, 0 included, terminates. Returns
-    the final upper ends; where cdf(lo) < p too, the Galois pair
-    cdf(prev(q)) < p <= cdf(q) holds for q = hi at tolerance 0. Finished
-    brackets leave the working arrays, so a round costs only what is still
-    open.
+    Bisection on the computed `cdf`; `tol` is one tolerance or one per row.
+    A bracket also stops once its ends are adjacent floats, so every
+    tolerance, 0 included, terminates. Returns the final upper ends; where
+    cdf(lo) < p too, the Galois pair cdf(prev(q)) < p <= cdf(q) holds for
+    q = hi at tolerance 0, the contract of `quantile`. Finished brackets
+    leave the working arrays, so a round costs only what is still open.
     """
     out = hi.copy()
     idx = np.arange(p.size)
+    per_row = isinstance(tol, np.ndarray)
     while True:
         nxt = np.nextafter(lo, hi)
         live = (hi - lo > tol) & (nxt < hi)
         if not live.all():
             out[idx] = hi
             idx, p, lo, hi, nxt = idx[live], p[live], lo[live], hi[live], nxt[live]
+            if per_row:
+                tol = tol[live]
         if not idx.size:
             return out
         mid = np.minimum(np.maximum(0.5 * (lo + hi), nxt), np.nextafter(hi, lo))
@@ -164,13 +173,18 @@ def _reach(t, p, slope, tol: float = 0.0):
     return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.spacing(p) / slope))
 
 
-def _finish(cdf, p, t, lo, hi, reach, tol: float) -> np.ndarray:
-    """The float-exact finish of an iterative inversion.
+def _finish(cdf, p, t, lo, hi, reach, tol: float, exact: bool = True) -> np.ndarray:
+    """The finish of an iterative inversion, to the float or to the cdf's resolution.
 
     Where `reach` > 0, probes t - reach and t + reach narrow the bracket
     [lo, hi] (cdf(lo) < p <= cdf(hi)) when they fall strictly inside it
     (only rows where one of them can are probed); then one `_bisect` call
-    shrinks every bracket of the batch to `tol`.
+    shrinks every bracket of the batch. With `exact` (what `quantile`
+    asks for) it shrinks them to `tol`, so at tol 0 the exact Galois pair
+    holds. Without it, a row that converged by iteration (reach > 0) stops
+    once hi - lo <= max(tol, 2 reach): q = hi lies in [Q, Q + 2 reach] with
+    cdf(q) >= p, which is all the Lorenz identity needs (`lorenz`). Rows
+    with reach 0, bracketed but never iterated, still go to `tol`.
     """
     (probed,) = np.nonzero((reach > 0.0) & ((t - reach > lo) | (t + reach < hi)))
     if probed.size:
@@ -183,10 +197,12 @@ def _finish(cdf, p, t, lo, hi, reach, tol: float) -> np.ndarray:
             a = np.where(inside & (fc < pp), c, a)
             b = np.where(inside & (fc >= pp), c, b)
         lo[probed], hi[probed] = a, b
+    if not exact:
+        tol = np.where(reach > 0.0, np.maximum(tol, 2.0 * reach), tol)
     return _bisect(cdf, p, lo, hi, tol)
 
 
-def _invert(cdf, p, lo, hi, flo, fhi, tol: float) -> np.ndarray:
+def _invert(cdf, p, lo, hi, flo, fhi, tol: float, exact: bool = True) -> np.ndarray:
     """Quantiles in [Q(p), Q(p) + tol] from brackets [lo, hi] holding Q(p).
 
     Where the evaluated ends bracket p by sign, flo = cdf(lo) < p <= fhi =
@@ -199,7 +215,9 @@ def _invert(cdf, p, lo, hi, flo, fhi, tol: float) -> np.ndarray:
     that narrow; `_finish` then probes one reach either side of the last
     iterate and bisects the whole batch. Rows whose ends do not bracket p
     (nan ends included) skip the steps and are bisected as given. At tol 0
-    the Galois pair cdf(prev(q)) < p <= cdf(q) holds exactly.
+    the Galois pair cdf(prev(q)) < p <= cdf(q) holds exactly, as `quantile`
+    needs; with `exact` false the finish stops at the cdf's resolution
+    instead, within two reaches above Q(p) (`_finish`).
     """
     lo, hi, t, reach = lo.copy(), hi.copy(), hi.copy(), np.zeros_like(p)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -238,7 +256,7 @@ def _invert(cdf, p, lo, hi, flo, fhi, tol: float) -> np.ndarray:
                 rows = idx[shut]
                 t[rows], lo[rows], hi[rows], reach[rows] = s[shut], a[shut], b[shut], r[shut]
                 idx, state = idx[open_], state[:, open_]
-    return _finish(cdf, p, t, lo, hi, reach, tol)
+    return _finish(cdf, p, t, lo, hi, reach, tol, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +288,7 @@ class Atom:
     def pe(self, x: np.ndarray) -> np.ndarray:
         return self.location * (x >= self.location)
 
-    def quantile(self, p: np.ndarray) -> np.ndarray:
+    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         return np.full_like(p, self.location)
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -308,7 +326,9 @@ class UniformDensity:
         return 0.5 * (self.a + self.b)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
+        # clipped to [a, b] first, x - a cannot overflow the ratio far out
+        xc = np.minimum(np.maximum(x, self.a), self.b)
+        return (xc - self.a) / (self.b - self.a)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -317,7 +337,7 @@ class UniformDensity:
         xc = np.clip(x, self.a, self.b)
         return 0.5 * (xc + self.a) * ((xc - self.a) / (self.b - self.a))
 
-    def quantile(self, p: np.ndarray) -> np.ndarray:
+    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         return self.a + p * (self.b - self.a)
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -351,17 +371,22 @@ class Exponential:
     def mean(self) -> float:
         return 1.0 / self.rate
 
+    def _capped(self, x: np.ndarray) -> np.ndarray:
+        """x on [0, 800 / rate]: e^-800 is 0 in floating point, so the cap
+        changes no value and keeps rate x finite far out."""
+        return np.minimum(np.maximum(x, 0.0), 800.0 / self.rate)
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return -np.expm1(-self.rate * np.maximum(x, 0.0))
+        return -np.expm1(-self.rate * self._capped(x))
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def pe(self, x: np.ndarray) -> np.ndarray:
-        xc = np.maximum(x, 0.0)
+        xc = self._capped(x)
         return -np.expm1(-self.rate * xc) / self.rate - xc * np.exp(-self.rate * xc)
 
-    def quantile(self, p: np.ndarray) -> np.ndarray:
+    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         return -np.log1p(-p) / self.rate
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -398,17 +423,22 @@ class Gamma:
     def mean(self) -> float:
         return self.shape * self.scale
 
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        """x / scale on [0, 1e300]: gammainc is 1 from far below 1e300 on, so
+        the cap changes no value and keeps the ratio finite far out."""
+        return np.minimum(np.maximum(x, 0.0), 1e300 * self.scale) / self.scale
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return sp.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
+        return sp.gammainc(self.shape, self._scaled(x))
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def pe(self, x: np.ndarray) -> np.ndarray:
         # integral of u * gamma(k, theta) density over [0, x], via the shape-(k+1) CDF
-        return self.mean() * sp.gammainc(self.shape + 1.0, np.maximum(x, 0.0) / self.scale)
+        return self.mean() * sp.gammainc(self.shape + 1.0, self._scaled(x))
 
-    def quantile(self, p: np.ndarray) -> np.ndarray:
+    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         return self.scale * sp.gammaincinv(self.shape, p)
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -460,7 +490,7 @@ class Lognormal:
             z = (np.log(np.maximum(x, 0.0)) - self.log_mean - self.log_sd**2) / self.log_sd
         return np.where(x > 0.0, self.mean() * sp.ndtr(z), 0.0)
 
-    def quantile(self, p: np.ndarray) -> np.ndarray:
+    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         return np.exp(self.log_mean + self.log_sd * sp.ndtri(p))
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -558,10 +588,9 @@ class QuantileTable:
         slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
         out = (x[..., None] >= atom_loc) @ atom_w
         if slab_lo.size:
-            frac = np.clip(
-                (x[..., None] - slab_lo) / (slab_hi - slab_lo), 0.0, 1.0
-            )
-            out = out + frac @ slab_w
+            # clipped to each slab first, as in `UniformDensity.cdf`
+            xc = np.clip(x[..., None], slab_lo, slab_hi)
+            out = out + ((xc - slab_lo) / (slab_hi - slab_lo)) @ slab_w
         return np.minimum(out, 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
@@ -578,7 +607,7 @@ class QuantileTable:
             out = out + ((xc * xc - slab_lo * slab_lo) / (2.0 * (slab_hi - slab_lo))) @ slab_w
         return out
 
-    def quantile(self, p: np.ndarray) -> np.ndarray:
+    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         g = np.asarray(self.grid)
         v = np.asarray(self.values)
         if self.mode == "linear":
@@ -619,7 +648,8 @@ class Distribution:
     typed; anything exposing the small protocol used above (mean, cdf, pe,
     mass_at, quantile, x_breaks, sup_support, support_hi, rescaled, atoms)
     participates, which is how the KDE estimator plugs in its cut kernel
-    mixture without this module knowing about it.
+    mixture without this module knowing about it. `quantile(p, exact)`
+    takes the keyword of `_quantile_arr`; closed forms ignore it.
 
     Pointwise evaluations (cdf, atom mass, partial expectation) read the
     parts whose ``atoms()`` lists them from one pooled block (`_atomic`) and
@@ -795,23 +825,24 @@ class Distribution:
 
     # -- quantiles ----------------------------------------------------------
 
-    def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
+    def _quantile_arr(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        out = self._closed_quantile(p)
+        out = self._closed_quantile(p, exact)
         if out is None:
             out = np.zeros_like(p)
             pos = p > 0.0
             if np.any(pos):
-                out[pos] = self._bisect_quantile(p[pos])
+                out[pos] = self._bisect_quantile(p[pos], exact=exact)
         return out
 
-    def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
+    def _closed_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray | None:
         """Q(p) without inverting this law's cdf, or None for a mixture of parts.
 
         Finite-discrete laws read their cumulative masses, which meets the
-        Galois pair exactly; a law of one part uses that part's `quantile`.
-        A mixture of parts inverts its cdf from the knot table instead
-        (`_bisect_quantile`, `wasserstein._q_within`).
+        Galois pair exactly; a law of one part uses that part's `quantile`,
+        passing `exact` on (only an iterative one, the Gaussian kernel
+        estimate, reads it). A mixture of parts inverts its cdf from the knot
+        table instead (`_bisect_quantile`, `wasserstein._q_within`).
         """
         if self._discrete is None and len(self.parts) > 1:
             return None
@@ -821,7 +852,7 @@ class Distribution:
             support, _, cum = self._discrete
             out[pos] = support[np.searchsorted(cum, p[pos], side="left")]
         else:
-            out[pos] = self.parts[0][1].quantile(p[pos])
+            out[pos] = self.parts[0][1].quantile(p[pos], exact=exact)
         return out
 
     @cached_property
@@ -861,13 +892,15 @@ class Distribution:
         miss = j == x.size
         return tuple(np.where(miss, np.nan, v[k]) for v, k in ((x, down), (x, up), (f, down), (f, up)))
 
-    def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) for p in (0, 1) with F(prev(Q)) < p <= F(Q) exactly, F computed.
+    def _bisect_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+        """Q(p) for p in (0, 1) with F(prev(Q)) < p <= F(Q) exactly, F computed
+        (with `exact`; else within the cdf's resolution above Q(p)).
 
         Brackets come from the knot table, and `_invert` narrows them by
-        Illinois steps and finishes them to the float. Where the table
-        cannot bracket p, bisection runs from [0, hi] with hi from
-        `_upper_end`.
+        Illinois steps and finishes them to the float, or with `exact` false
+        to the cdf's resolution (`_finish`). Where the table cannot bracket
+        p, bisection runs from [0, hi] with hi from `_upper_end`, to the
+        float either way.
         """
         lo, hi, flo, fhi = self._knot_brackets(p)
         miss = np.isnan(hi)
@@ -875,7 +908,7 @@ class Distribution:
             lo[miss] = 0.0
             hi[miss] = _upper_end(self._cdf_arr, self.support_hi, p[miss])
             hi[miss & (p <= self._cdf_arr(np.zeros(1))[0])] = 0.0
-        return _invert(self._cdf_arr, p, lo, hi, flo, fhi, 0.0)
+        return _invert(self._cdf_arr, p, lo, hi, flo, fhi, 0.0, exact)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""

@@ -154,6 +154,45 @@ def test_curve_matches_x_space_quantile_integral(d):
     np.testing.assert_allclose(lorenz(d).eval(ps), expected, rtol=0.0, atol=1e-9)
 
 
+def _resolution_laws():
+    nested = mixture(
+        [(0.3, lognormal(0.0, 1.0)), (0.3, exponential(1.0)), (0.4, discrete([0.5, 1.0, 1.5, 3.0]))]
+    )
+    rng = np.random.default_rng(5)
+    return [
+        (f"lognormal(0,{s}) + exp(1)", mixture([(0.5, lognormal(0.0, s)), (0.5, exponential(1.0))]))
+        for s in (1.0, 2.0, 3.0, 4.0, 6.0)
+    ] + [
+        ("nested with atoms", mixture([(0.2, atom(0.0)), (0.6, nested), (0.2, atom(2.0))])),
+        ("nested x1e-12", nested.rescaled(1e-12)),
+        ("nested x1e12", nested.rescaled(1e12)),
+        ("kde gaussian n=200 h=0.03", kde(rng.uniform(0.0, 1.0, 200), "gaussian", 0.03)),
+        ("kde gaussian n=25 h=1", kde(rng.lognormal(0.0, 0.5, 25), "gaussian", 1.0)),
+    ]
+
+
+RESOLUTION_LAWS = _resolution_laws()
+
+
+@pytest.mark.parametrize(
+    "d", [d for _, d in RESOLUTION_LAWS], ids=[n for n, _ in RESOLUTION_LAWS]
+)
+def test_curve_quantile_resolved_to_the_cdf(d):
+    # The curve evaluates S(p, q) = E[X; X < q] + q (p - F(q-)) at a q that
+    # stops within the cdf's resolution above Q(p), not at the float. S is
+    # stationary in q there (dS/dq = p - F(q) = 0 at Q), so S moves by no
+    # more than its own rounding, q spacing(p) plus spacing(S).
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257), TAIL_LEVELS]))
+    ps = ps[(ps > 0.0) & (ps < 1.0)]
+    exact = d._quantile_arr(ps)
+    q = d._quantile_arr(ps, exact=False)
+    assert np.all(q >= exact)
+    assert np.all(np.asarray(d.cdf(q)) >= ps)
+    s_exact = d._quantile_integral(ps, exact)
+    moved = np.abs(d._quantile_integral(ps, q) - s_exact)
+    assert np.all(moved <= 64.0 * (q * np.spacing(ps) + np.spacing(s_exact)))
+
+
 def test_kendall_points_on_atom():
     pts = kendall_points(atom(2.0), [0.0, 1.0, 2.0, 3.0])
     assert (0.0, 0.0) in pts and (1.0, 1.0) in pts

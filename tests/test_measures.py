@@ -5,12 +5,13 @@ no code with the closed forms inside the package.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from lorenzkit import index_report, standard_battery, w1_routes
+from lorenzkit import index_report, integral_lorenz, lorenz, standard_battery, w1_routes
 from lorenzkit.estimators import kde, quantile_approx
 from lorenzkit.measures import (
     TAIL_LEVELS,
@@ -159,6 +160,20 @@ def test_lognormal_against_scipy():
     xs = np.array([0.2, 0.8, 1.0, 3.0])
     np.testing.assert_allclose(d.cdf(xs), ref.cdf(xs), atol=1e-13)
     assert d.mean == pytest.approx(math.exp(0.125), rel=1e-12)
+
+
+def test_far_out_evaluations_do_not_warn():
+    # rate x, x / scale and (x - a) / (b - a) would overflow at 1e300 on
+    # these laws; the values there are the limits, and no warning leaks.
+    tiny = mixture([(0.5, exponential(1.0)), (0.5, uniform(0.0, 1.0))]).rescaled(1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exponential(1e12).cdf(1e300) == 1.0
+        assert tiny.partial_expectation(1e300) == pytest.approx(7.5e-13, rel=1e-12)
+        assert tiny.cdf(1e300) == 1.0
+        for d in (gamma_dist(2.0, 1e-12), quantile_table([0.0, 0.5], [0.0, 1e-12], "linear")):
+            assert d.cdf(1e300) == 1.0
+            assert d.partial_expectation(1e300) == pytest.approx(d.mean, rel=1e-12)
 
 
 def test_survival_complements_cdf():
@@ -368,14 +383,17 @@ def test_mixture_without_knot_table_bisects_from_zero():
     np.testing.assert_allclose(wide, q, rtol=1e-14, atol=1e-10)
 
 
-def test_mixture_inversion_round_budget(monkeypatch):
-    # Bisection from [0, hi] made about 64 cdf rounds per inversion here.
-    laws = [
+def _nested_budget_laws():
+    return [
         mixture([(0.3, lognormal(0.0, 1.0)), (0.2, gamma_dist(2.0, 0.5)),
                  (0.5, mixture([(0.5, exponential(1.0)), (0.5, discrete([0.5, 1.5, 4.0]))]))]),
         mixture([(0.4, uniform(0.0, 2.0)), (0.35, lognormal(0.5, 0.8)), (0.25, discrete([0.0, 1.0, 3.0]))]),
         mixture([(0.6, gamma_dist(0.7, 2.0)), (0.4, mixture([(0.5, uniform(1.0, 3.0)), (0.5, atom(2.0))]))]),
     ]
+
+
+def _count_inversions(monkeypatch):
+    """Count `_bisect_quantile` calls and the cdf rounds made inside them."""
     cdf, invert = Distribution._cdf_arr, Distribution._bisect_quantile
     counts = {"calls": 0, "rounds": 0, "inside": False}
 
@@ -383,20 +401,38 @@ def test_mixture_inversion_round_budget(monkeypatch):
         counts["rounds"] += counts["inside"]
         return cdf(self, x)
 
-    def counted_invert(self, p):
+    def counted_invert(self, p, **kwargs):
         counts["calls"] += 1
         counts["inside"] = True
         try:
-            return invert(self, p)
+            return invert(self, p, **kwargs)
         finally:
             counts["inside"] = False
 
     monkeypatch.setattr(Distribution, "_cdf_arr", counted_cdf)
     monkeypatch.setattr(Distribution, "_bisect_quantile", counted_invert)
-    for d in laws:
+    return counts
+
+
+def test_mixture_inversion_round_budget(monkeypatch):
+    # Bisection from [0, hi] made about 64 cdf rounds per inversion here.
+    counts = _count_inversions(monkeypatch)
+    for d in _nested_budget_laws():
         index_report(d)
     assert counts["calls"] > 0
     assert counts["rounds"] <= 40 * counts["calls"]
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_integral_lorenz_inversion_budget(monkeypatch, i):
+    # Split at the quantile's breakpoints only, quadrature crept up on p = 1
+    # in 9 to 11 curve calls of 243 to 301 cdf rounds, each Lorenz value's
+    # quantile finished to the float.
+    d = _nested_budget_laws()[i]
+    counts = _count_inversions(monkeypatch)
+    integral_lorenz(lorenz(d))
+    assert 0 < counts["calls"] <= 3
+    assert counts["rounds"] <= 60
 
 
 def test_rescale_homogeneity():
