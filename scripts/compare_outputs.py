@@ -6,8 +6,12 @@ writes every value as ``float.hex``: the fields of `index_report`, both
 `w1_routes` values, quantiles, cdf and partial-expectation values, Lorenz
 values and, for each law whose quantile is float-exact (finite-discrete
 laws, mixtures of parts, Gaussian kernel estimates), how many probabilities
-of a ladder break the exact Galois pair F(prev(Q)) < p <= F(Q) or the order
-of Q (key ``galois``; the contract is 0). The battery is
+of a ladder break the exact Galois pair or the order of Q (key ``galois``;
+the contract is 0). The pair is two-sided where the library inverts the
+survival function: a mixture of parts meets sf(Q) <= 1 - p < sf(prev(Q))
+for F(x_h) < p <= F(top), x_h the first knot of its table where F >= 1/2
+and top the last, and F(prev(Q)) < p <= F(Q) elsewhere; a tree without
+`Distribution._sf_arr` is held to the cdf form alone. The battery is
 `standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
 density plus tens to hundreds of atoms), mixtures with quantile-table and
 kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
@@ -141,12 +145,30 @@ def _attempt(out, key, fn):
         out[f"{key}#{i}"] = float(v).hex()
 
 
+def _sf_form(d, ps):
+    """Rows of `ps` whose quantile meets the survival form of the pair: those
+    above F(x_h) up to F(top), read from a mixture's knot table."""
+    if not hasattr(d, "_sf_arr") or d.is_finite_discrete or len(d.parts) == 1:
+        return np.zeros(ps.shape, dtype=bool)
+    _, f, _, h = d._knot_values
+    return (ps > f[h]) & (ps <= f[-1])
+
+
 def galois_failures(d, ps=GALOIS_PS):
-    """How many p in the sorted `ps` break the exact Galois pair
-    F(prev(Q)) < p <= F(Q), or see Q fall below the previous quantile."""
+    """How many p in the sorted `ps` break the exact Galois pair of their
+    form, F(prev(Q)) < p <= F(Q) or sf(Q) <= 1 - p < sf(prev(Q)), or see Q
+    fall below the previous quantile."""
     q = np.asarray(d.quantile(ps))
-    below = np.asarray(d.cdf(np.nextafter(q, 0.0)))
-    ok = (ps <= np.asarray(d.cdf(q))) & ((q == 0.0) | (below < ps))
+    prev = np.nextafter(q, 0.0)
+    by_cdf = (ps <= np.asarray(d.cdf(q))) & ((q == 0.0) | (np.asarray(d.cdf(prev)) < ps))
+    up = _sf_form(d, ps)
+    by_sf = np.zeros_like(up)
+    if up.any():
+        r = 1.0 - ps[up]
+        by_sf[up] = (np.asarray(d.survival(q[up])) <= r) & (
+            (q[up] == 0.0) | (np.asarray(d.survival(prev[up])) > r)
+        )
+    ok = np.where(up, by_sf, by_cdf)
     ok[1:] &= q[1:] >= q[:-1]
     return int(np.sum(~ok))
 

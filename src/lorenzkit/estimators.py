@@ -342,7 +342,8 @@ class _CutKernelMixture:
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
     form. The Gaussian kernel has no knots; `quantile` runs safeguarded
     Newton on its window sums and ends in the float-exact finish of the
-    measures module (`_newton_quantile`).
+    measures module (`_newton_quantile`). `sf` sums G(-u) over the same
+    windows plus the points right of them, never 1 - cdf.
     """
 
     points: tuple[float, ...]
@@ -422,6 +423,16 @@ class _CutKernelMixture:
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(u),), 1)
         out = np.where(flat < 0.0, 0.0, (lo + inside) / self._sorted.size)
+        return out.reshape(np.shape(x))
+
+    def sf(self, x) -> np.ndarray:
+        """P[X > x]: points right of each query's window count whole, and
+        the window adds G(-u) per point, so the tail keeps its digits."""
+        flat, lo, hi = self._windows(x)
+        kernel_cdf = self.kernel.cdf
+        (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(-u),), 1)
+        n = self._sorted.size
+        out = np.where(flat < 0.0, 1.0, (n - hi + inside) / n)
         return out.reshape(np.shape(x))
 
     @cached_property
@@ -544,7 +555,10 @@ class _CutKernelMixture:
         (`_finish`, shared with the Illinois inversion of mixtures) probes one
         reach either side of the last iterate to narrow the bracket and
         bisects it to adjacent floats, so F(prev(Q)) < p <= F(Q) holds
-        exactly, the contract of `quantile`. With `exact` false the finish
+        exactly, the contract of `quantile`. A Gaussian-kernel estimate is a
+        law of one part, so it keeps this cdf form of the pair at every p;
+        only mixtures of parts invert the survival function near p = 1
+        (`Distribution._knot_brackets`). With `exact` false the finish
         stops within two reaches above Q instead, the resolution the Lorenz
         identity needs. The atom at 0 is settled before Newton, so no atom
         lies inside a bracket.
@@ -557,7 +571,12 @@ class _CutKernelMixture:
             return out
         p = p[pos]
         lo = np.zeros_like(p)
-        hi = np.full_like(p, _upper_end(self.cdf, self.support_hi, p))
+
+        def level(t, y):
+            """The cdf, which every row compares with its p (`measures._invert`)."""
+            return self.cdf(t)
+
+        hi = np.full_like(p, _upper_end(level, self.support_hi, p))
         rank = np.clip(np.ceil(pts.size * p).astype(int) - 1, 0, pts.size - 1)
         t = np.minimum(pts[rank], hi)
         state = [t, lo, hi, np.zeros_like(p)]
@@ -584,7 +603,7 @@ class _CutKernelMixture:
                 idx, t, lo, hi = idx[open_], nxt[open_], lo[open_], hi[open_]
                 if not idx.size:
                     break
-        out[pos] = _finish(self.cdf, p, *state, 0.0, exact)
+        out[pos] = _finish(level, p, *state, 0.0, exact)
         return out
 
     def x_breaks(self) -> np.ndarray:

@@ -4,8 +4,10 @@ Routes are deliberately redundant: a disagreement between them is the
 cheapest bug detector this package has, so the routes of one index rest on
 different primitives.
 
-- cdf quadrature in x: integrals of F or 1 - F over the support, split at
-  the law's breakpoints and at halvings of the integral's upper end.
+- cdf quadrature in x: integrals of F or of the survival function sf over
+  the support, split at the law's breakpoints and at halvings of the
+  integral's upper end. sf is summed from the parts' own survival
+  functions, not taken as 1 - F, so the tail keeps its digits.
 - the partial-expectation identity S(p) = E[X; X < q] + q (p - F(q-)) for
   the quantile integral at q = Q(p), evaluated in closed form; the Lorenz
   curve is S / m.
@@ -124,10 +126,7 @@ def gini_dorfman(d: Distribution) -> float:
         return 1.0 - i2 / i1
     hi = d.support_hi(1e-13)
     pts = np.concatenate([d.x_breakpoints(), hi * HALVINGS])
-
-    def surv(x: np.ndarray) -> np.ndarray:
-        return 1.0 - d._cdf_arr(x)
-
+    surv = d._sf_arr
     i1 = integrate(surv, 0.0, hi, points=pts, tol=1e-11)
     i2 = integrate(lambda x: surv(x) ** 2, 0.0, hi, points=pts, tol=1e-11)
     i1 += d.excess_mean(hi)
@@ -151,9 +150,7 @@ def hoover_mean_deviation(d: Distribution) -> float:
     lower_pts = np.concatenate([xb, m * HALVINGS])
     upper_pts = np.concatenate([xb, hi * HALVINGS])
     below = integrate(d._cdf_arr, 0.0, m, points=lower_pts, tol=1e-11)
-    above = integrate(
-        lambda x: 1.0 - d._cdf_arr(x), m, hi, points=upper_pts, tol=1e-11
-    )
+    above = integrate(d._sf_arr, m, hi, points=upper_pts, tol=1e-11)
     above += d.excess_mean(hi)
     return (below + above) / (2.0 * m)
 

@@ -19,7 +19,9 @@ where no atom lies between Q(p) and q, dS/dq = p - F(q), which vanishes at
 Q(p). So q need not be Q(p) to the float. The curve takes a quantile
 resolved only to the cdf's resolution: an inversion that converged stops
 within two reaches above Q(p) (`measures._finish`), where the computed cdf
-already blurs its crossing of p, with F(q) >= p. Moving q by such a delta
+already blurs its crossing of p, with F(q) >= p (sf(q) <= 1 - p in the
+upper half of a mixture, which inverts its survival function there, whose
+blur is finer still). Moving q by such a delta
 changes S by about delta times spacing(p), below the rounding q spacing(p)
 that S carries anyway, so the curve is exact to S's own rounding and skips
 the float-exact finish, the larger share of an inversion near p = 1. No

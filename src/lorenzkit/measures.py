@@ -3,42 +3,52 @@
 A `Distribution` is a finite mixture of primitive components: point masses,
 uniform densities, lognormal / gamma / exponential densities, and quantile
 tables (step or piecewise-linear). Every component knows its exact mean, CDF,
-atom masses and partial expectation ``pe(x) = integral of u over [0, x]``, so
-the quantities downstream modules need (Lorenz values, tail moments, Robin
-Hood shares) reduce to closed forms plus one generic quantile inversion.
+survival function ``sf(x) = P[X > x]``, atom masses and partial expectation
+``pe(x) = integral of u over [0, x]``, so the quantities downstream modules
+need (Lorenz values, tail moments, Robin Hood shares) reduce to closed forms
+plus one generic quantile inversion. A component's sf is its own closed form
+(ndtr(-z), gammaincc, e^-rate x, exact slab and atom sums, kernel window sums
+of G(-u)), never 1 - cdf, so it keeps full relative precision in the tail,
+where 1 - F has no digits left.
 
 A mixture may carry hundreds of point-mass parts (`discrete` and `mixture`
 flatten every atom into its own part). A distribution therefore pools the
 atoms of all its atomic parts (atoms, step quantile tables) into one sorted
-block with prefix sums of mass and of mass times location: the CDF, atom
-mass and partial expectation of that block cost one ``searchsorted`` per
-call, and only the remaining parts (densities, linear quantile tables,
-plug-in components such as kernel mixtures) are evaluated one by one.
+block with prefix sums of mass and of mass times location, and suffix sums
+of mass: the CDF, survival function, atom mass and partial expectation of
+that block cost one ``searchsorted`` per call, and only the remaining parts
+(densities, linear quantile tables, plug-in components such as kernel
+mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
 F(0) >= 0 holds trivially. For quantiles found by inversion the contract is
-the exact Galois pair in floating point: F(prev(Q)) < p <= F(Q) for the
-computed F, prev(Q) the float below Q, with Q nondecreasing in p. A mixture
-of parts brackets p between adjacent knots of a per-law table
-(`Distribution._knots`), narrows the bracket by Illinois steps (`_invert`)
-and finishes it in the one bisection loop (`_bisect`), so the pair holds
-exactly. Where a mixture's computed cdf is not monotone at the ulp level,
-more than one float can meet the pair, and which one is returned depends on
-the bracket: the pair, not "the smallest float whose computed cdf clears
-p", is the contract. Finite-discrete laws meet it exactly too, and so do
-kernel estimates with the Gaussian kernel, whose safeguarded Newton
-iteration ends in the same finish (`_finish`). Other closed forms (single
-densities, linear tables, and kernel estimates with the uniform or
-Epanechnikov kernel, whose quantile is a root of the cdf's polynomial on
-one knot cell) meet it to a few eps; for those kernel estimates,
-F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
+an exact Galois pair in floating point, with Q nondecreasing in p. A
+mixture of parts has a two-sided one. Let x_h be the first knot of its
+table (`Distribution._knot_values`) where F >= 1/2. Rows with p <= F(x_h)
+meet F(prev(Q)) < p <= F(Q) for the computed F, prev(Q) the float below Q;
+rows above meet sf(Q) <= 1 - p < sf(prev(Q)) for the computed sf, since
+they invert -sf against p - 1, which is exact (Sterbenz), and near p = 1 the
+sum F = sum w_i F_i resolves only ulp(1) while sf resolves the tail
+(`_knot_brackets`). Every row brackets its target between adjacent knots,
+the Illinois steps of `_invert` narrow all rows of a batch in one loop, and
+the one bisection loop (`_bisect`) finishes them, so the pair holds exactly.
+Where the computed function is not monotone at the ulp level, more than one
+float can meet the pair, and which one is returned depends on the bracket:
+the pair, not "the smallest float that clears p", is the contract.
+Finite-discrete laws meet the cdf form exactly too, and so do kernel
+estimates with the Gaussian kernel, a law of one part whose safeguarded
+Newton iteration ends in the same finish (`_finish`) on the cdf alone.
+Other closed forms (single densities, linear tables, and kernel estimates
+with the uniform or Epanechnikov kernel, whose quantile is a root of the
+cdf's polynomial on one knot cell) meet it to a few eps; for those kernel
+estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
 
 `quantile`, sampling, dominance and the W1 routes keep that exact pair. The
 internal inverters also take ``exact=False``, which the Lorenz curve alone
 passes: an iteration that converged then stops within two reaches of its
-last iterate (`_finish`), a q in [Q, Q + 2 reach] with F(q) >= p, since
-its identity S(p, q) is stationary in q at Q (`lorenz`).
+last iterate (`_finish`), a q in [Q, Q + 2 reach] that clears its target,
+since its identity S(p, q) is stationary in q at Q (`lorenz`).
 """
 
 from __future__ import annotations
@@ -85,10 +95,13 @@ TAIL_LEVELS = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
 P_TAIL = 1.0 - 2.0**-40
 #: factors 2^-k, k = 1..60: an x-space integral over [a, b] also splits at
 #: b 2^-k, so panels are geometric in x and a heavy tail is resolved at
-#: every scale between b 2^-60 and b, with no quantile inversion; a
-#: mixture's knot table (`Distribution._knots`) holds the same ladder below
-#: its top, so no bracket from the table spans more than one octave there
+#: every scale between b 2^-60 and b, with no quantile inversion (the knot
+#: table of a mixture has a finer ladder of its own, `_KNOT_LADDER`)
 HALVINGS = 2.0 ** -np.arange(1.0, 61.0)
+#: factors 2^(-k/8), k = 1..480: the ladder of a mixture's knot table
+#: (`Distribution._knot_values`), eight knots per octave over the octaves
+#: of `HALVINGS`, so an inversion starts from a bracket under 10 % wide
+_KNOT_LADDER = 2.0 ** -(np.arange(1.0, 481.0) / 8.0)
 #: cap on the rounds of an iterative quantile inversion (Newton, Illinois)
 _MAX_ROUNDS = 64
 #: ulps of Q, and of p over the slope, within which an iterative quantile
@@ -97,6 +110,7 @@ _FINISH_ULPS = 4
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
 HALVINGS.flags.writeable = False
+_KNOT_LADDER.flags.writeable = False
 
 
 class MeanDomainError(ValueError):
@@ -123,121 +137,132 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _upper_end(cdf, support_hi, p: np.ndarray) -> float:
-    """An abscissa where the computed `cdf` reaches max(p), for brackets.
+def _upper_end(level, support_hi, y: np.ndarray) -> float:
+    """An abscissa where level(t, y) reaches every target y, for brackets.
 
-    Float weights of a flattened mixture may sum just below 1, so p can
-    exceed every value the cdf reaches; max(p) is capped at that total.
+    `level` is what an inversion compares with its targets (`_invert`); only
+    the hardest of each form is checked, the largest cdf target p and the
+    smallest survival target p - 1. Float weights of a flattened mixture may
+    sum just below 1, so a cdf target can exceed every value the cdf
+    reaches; targets are capped at the level at infinity. The search starts
+    at the support's end for a tail mass below 1 - p.
     """
-    pmax = min(float(p.max()), float(cdf(np.asarray([math.inf]))[0]))
-    eps = min(1e-16, max((1.0 - pmax) / 4.0, 1e-300))
+    hardest = np.asarray([np.max(y, initial=0.0), np.min(y, initial=0.0)])
+    y = np.minimum(hardest, level(np.full(2, math.inf), hardest))
+    eps = min(1e-16, max(float(np.min(np.where(y < 0.0, -y, 1.0 - y))) / 4.0, 1e-300))
     hi = max(support_hi(eps), 0.0)
-    while hi > 0.0 and float(cdf(np.asarray([hi]))[0]) < pmax:
+    while hi > 0.0 and np.any(level(np.full(2, hi), y) < y):
         hi *= 2.0
     return hi
 
 
-def _bisect(cdf, p: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
-    """Shrink brackets [lo, hi] with cdf(hi) >= p until hi - lo <= tol.
+def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+    """Shrink brackets [lo, hi] with level(hi, y) >= y until hi - lo <= tol.
 
-    Bisection on the computed `cdf`; `tol` is one tolerance or one per row.
-    A bracket also stops once its ends are adjacent floats, so every
-    tolerance, 0 included, terminates. Returns the final upper ends; where
-    cdf(lo) < p too, the Galois pair cdf(prev(q)) < p <= cdf(q) holds for
-    q = hi at tolerance 0, the contract of `quantile`. Finished brackets
-    leave the working arrays, so a round costs only what is still open.
+    Bisection on the computed `level` (`_invert`); `tol` is one tolerance
+    or one per row. A bracket also stops once its ends are adjacent floats,
+    so every tolerance, 0 included, terminates. Returns the final upper
+    ends; where level(lo) < y too, the Galois pair level(prev(q)) < y <=
+    level(q) holds for q = hi at tolerance 0, the contract of `quantile`.
+    Finished brackets leave the working arrays, so a round costs only what
+    is still open.
     """
     out = hi.copy()
-    idx = np.arange(p.size)
+    idx = np.arange(y.size)
     per_row = isinstance(tol, np.ndarray)
     while True:
         nxt = np.nextafter(lo, hi)
         live = (hi - lo > tol) & (nxt < hi)
         if not live.all():
             out[idx] = hi
-            idx, p, lo, hi, nxt = idx[live], p[live], lo[live], hi[live], nxt[live]
+            idx, y, lo, hi, nxt = idx[live], y[live], lo[live], hi[live], nxt[live]
             if per_row:
                 tol = tol[live]
         if not idx.size:
             return out
         mid = np.minimum(np.maximum(0.5 * (lo + hi), nxt), np.nextafter(hi, lo))
-        ge = cdf(mid) >= p
+        ge = level(mid, y) >= y
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
 
 
-def _reach(t, p, slope, tol: float = 0.0):
+def _reach(t, y, slope, tol: float = 0.0):
     """How far from t an iterate may stop: max(tol, a few ulps of t plus a
-    few ulps of p over the slope), since the computed cdf blurs its
-    crossing of p over about spacing(p) / slope in t."""
-    return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.spacing(p) / slope))
+    few ulps of the target y over the slope), since the computed level
+    blurs its crossing of y over about |spacing(y)| / slope in t."""
+    return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.abs(np.spacing(y)) / slope))
 
 
-def _finish(cdf, p, t, lo, hi, reach, tol: float, exact: bool = True) -> np.ndarray:
-    """The finish of an iterative inversion, to the float or to the cdf's resolution.
+def _finish(level, y, t, lo, hi, reach, tol: float, exact: bool = True) -> np.ndarray:
+    """The finish of an iterative inversion, to the float or to the level's resolution.
 
     Where `reach` > 0, probes t - reach and t + reach narrow the bracket
-    [lo, hi] (cdf(lo) < p <= cdf(hi)) when they fall strictly inside it
+    [lo, hi] (level(lo) < y <= level(hi)) when they fall strictly inside it
     (only rows where one of them can are probed); then one `_bisect` call
     shrinks every bracket of the batch. With `exact` (what `quantile`
     asks for) it shrinks them to `tol`, so at tol 0 the exact Galois pair
     holds. Without it, a row that converged by iteration (reach > 0) stops
     once hi - lo <= max(tol, 2 reach): q = hi lies in [Q, Q + 2 reach] with
-    cdf(q) >= p, which is all the Lorenz identity needs (`lorenz`). Rows
+    level(q) >= y, which is all the Lorenz identity needs (`lorenz`). Rows
     with reach 0, bracketed but never iterated, still go to `tol`.
     """
     (probed,) = np.nonzero((reach > 0.0) & ((t - reach > lo) | (t + reach < hi)))
     if probed.size:
         lo, hi = lo.copy(), hi.copy()
-        pp, a, b = p[probed], lo[probed], hi[probed]
+        yy, a, b = y[probed], lo[probed], hi[probed]
         probes = (np.maximum(t[probed] - reach[probed], a), np.minimum(t[probed] + reach[probed], b))
-        values = np.split(cdf(np.concatenate(probes)), 2)
+        values = np.split(level(np.concatenate(probes), np.concatenate([yy, yy])), 2)
         for c, fc in zip(probes, values):
             inside = (c > a) & (c < b)
-            a = np.where(inside & (fc < pp), c, a)
-            b = np.where(inside & (fc >= pp), c, b)
+            a = np.where(inside & (fc < yy), c, a)
+            b = np.where(inside & (fc >= yy), c, b)
         lo[probed], hi[probed] = a, b
     if not exact:
         tol = np.where(reach > 0.0, np.maximum(tol, 2.0 * reach), tol)
-    return _bisect(cdf, p, lo, hi, tol)
+    return _bisect(level, y, lo, hi, tol)
 
 
-def _invert(cdf, p, lo, hi, flo, fhi, tol: float, exact: bool = True) -> np.ndarray:
+def _invert(level, y, lo, hi, vlo, vhi, tol: float, exact: bool = True) -> np.ndarray:
     """Quantiles in [Q(p), Q(p) + tol] from brackets [lo, hi] holding Q(p).
 
-    Where the evaluated ends bracket p by sign, flo = cdf(lo) < p <= fhi =
-    cdf(hi), Illinois steps (regula falsi that halves the residual of an end
-    kept twice running; Dowell & Jarratt, BIT 1971) narrow the bracket. The
-    upper residual is floored at spacing(p) / 2 in the interpolation: where
-    cdf(hi) = p exactly, as on a plateau, a zero residual would pin every
-    step to hi. A row stops once a step moves t by at most its `_reach`
-    (the bracket's secant stands in for the density) or the bracket is
-    that narrow; `_finish` then probes one reach either side of the last
-    iterate and bisects the whole batch. Rows whose ends do not bracket p
-    (nan ends included) skip the steps and are bisected as given. At tol 0
-    the Galois pair cdf(prev(q)) < p <= cdf(q) holds exactly, as `quantile`
-    needs; with `exact` false the finish stops at the cdf's resolution
-    instead, within two reaches above Q(p) (`_finish`).
+    `level(t, y)` is the nondecreasing function each row compares with its
+    target y: the cdf against p, or for the upper half of a mixture minus
+    the survival function against p - 1 (`Distribution._level_arr`).
+    Where the evaluated ends bracket the target by sign, vlo = level(lo) <
+    y <= vhi = level(hi), Illinois steps (regula falsi that halves the
+    residual of an end kept twice running; Dowell & Jarratt, BIT 1971)
+    narrow the bracket. The upper residual is floored at |spacing(y)| / 2
+    in the interpolation: where level(hi) = y exactly, as on a plateau, a
+    zero residual would pin every step to hi. A row stops once its bracket
+    is at most two `_reach` wide (the bracket's secant stands in for the
+    density), or after `_MAX_ROUNDS` steps; `_finish` then probes one reach
+    either side of the last iterate and bisects the whole batch. Rows whose
+    ends do not bracket y (nan ends included) skip the steps and are
+    bisected as given. At tol 0 the Galois pair level(prev(q)) < y <=
+    level(q) holds exactly, as `quantile` needs; with `exact` false the
+    finish stops at the level's resolution instead, within two reaches
+    above Q(p) (`_finish`).
     """
-    lo, hi, t, reach = lo.copy(), hi.copy(), hi.copy(), np.zeros_like(p)
+    lo, hi, t, reach = lo.copy(), hi.copy(), hi.copy(), np.zeros_like(y)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first = _reach(hi, p, (fhi - flo) / (hi - lo), tol)
-        (idx,) = np.nonzero((flo < p) & (p <= fhi) & (hi - lo > first))
-        # one row per quantity, one column per open p: the bracket, its cdf
-        # values, the Illinois residuals, p, the last iterate, and the end
-        # the last step moved (1 upper, 0 lower, 0.5 none yet)
-        a, b, target = lo[idx], hi[idx], p[idx]
-        fa, fb = flo[idx], fhi[idx]
+        first = _reach(hi, y, (vhi - vlo) / (hi - lo), tol)
+        (idx,) = np.nonzero((vlo < y) & (y <= vhi) & (hi - lo > 2.0 * first))
+        # one row per quantity, one column per open target: the bracket, its
+        # level values, the Illinois residuals, the target, the residual
+        # floor, and the end the last step moved (1 upper, 0 lower, 0.5 none yet)
+        a, b, target = lo[idx], hi[idx], y[idx]
+        fa, fb = vlo[idx], vhi[idx]
         state = np.stack(
-            [a, b, fa, fb, fa - target, fb - target, target, np.full_like(a, np.inf), np.full_like(a, 0.5)]
+            [a, b, fa, fb, fa - target, fb - target, target,
+             0.5 * np.abs(np.spacing(target)), np.full_like(a, 0.5)]
         )
         for rnd in range(_MAX_ROUNDS):
             if not idx.size:
                 break
-            a, b, fa, fb, ga, gb, target, last, moved = state
-            s = a - ga * (b - a) / (np.maximum(gb, 0.5 * np.spacing(target)) - ga)
+            a, b, fa, fb, ga, gb, target, floor, moved = state
+            s = a - ga * (b - a) / (np.maximum(gb, floor) - ga)
             s = np.minimum(np.maximum(s, np.nextafter(a, b)), np.nextafter(b, a))
-            fs = cdf(s)
+            fs = level(s, target)
             g = fs - target
             up = g >= 0.0
             down = ~up
@@ -249,14 +274,13 @@ def _invert(cdf, p, lo, hi, flo, fhi, tol: float, exact: bool = True) -> np.ndar
                 np.copyto(row, new, where=up)
             np.copyto(moved, up)
             r = _reach(s, target, (fb - fa) / (b - a), tol)
-            open_ = (np.abs(s - last) > r) & (b - a > r) & (rnd < _MAX_ROUNDS - 1)
-            np.copyto(last, s)
+            open_ = (b - a > 2.0 * r) & (rnd < _MAX_ROUNDS - 1)
             if not open_.all():
                 shut = ~open_
                 rows = idx[shut]
                 t[rows], lo[rows], hi[rows], reach[rows] = s[shut], a[shut], b[shut], r[shut]
                 idx, state = idx[open_], state[:, open_]
-    return _finish(cdf, p, t, lo, hi, reach, tol, exact)
+    return _finish(level, y, t, lo, hi, reach, tol, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +305,9 @@ class Atom:
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return (x >= self.location).astype(float)
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return (x < self.location).astype(float)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return (x == self.location).astype(float)
@@ -330,6 +357,10 @@ class UniformDensity:
         xc = np.minimum(np.maximum(x, self.a), self.b)
         return (xc - self.a) / (self.b - self.a)
 
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        xc = np.minimum(np.maximum(x, self.a), self.b)
+        return (self.b - xc) / (self.b - self.a)
+
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -378,6 +409,9 @@ class Exponential:
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return -np.expm1(-self.rate * self._capped(x))
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return np.exp(-self.rate * self._capped(x))
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -431,6 +465,9 @@ class Gamma:
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return sp.gammainc(self.shape, self._scaled(x))
 
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return sp.gammaincc(self.shape, self._scaled(x))
+
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -480,6 +517,12 @@ class Lognormal:
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 0.0)) - self.log_mean) / self.log_sd
         return np.where(x > 0.0, sp.ndtr(z), 0.0)
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            z = (np.log(np.maximum(x, 0.0)) - self.log_mean) / self.log_sd
+        return np.where(x > 0.0, sp.ndtr(-z), 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -593,6 +636,15 @@ class QuantileTable:
             out = out + ((xc - slab_lo) / (slab_hi - slab_lo)) @ slab_w
         return np.minimum(out, 1.0)
 
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
+        out = (x[..., None] < atom_loc) @ atom_w
+        if slab_lo.size:
+            xc = np.clip(x[..., None], slab_lo, slab_hi)
+            out = out + ((slab_hi - xc) / (slab_hi - slab_lo)) @ slab_w
+        return np.minimum(out, 1.0)
+
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         _, _, _, atom_loc, atom_w = self._pieces
@@ -645,16 +697,16 @@ class Distribution:
     """Finite mixture of components, normalized to total mass 1.
 
     `parts` is a tuple of (weight, component) pairs. Components are duck
-    typed; anything exposing the small protocol used above (mean, cdf, pe,
-    mass_at, quantile, x_breaks, sup_support, support_hi, rescaled, atoms)
-    participates, which is how the KDE estimator plugs in its cut kernel
+    typed; anything exposing the small protocol used above (mean, cdf, sf,
+    pe, mass_at, quantile, x_breaks, sup_support, support_hi, rescaled,
+    atoms) participates, which is how the KDE estimator plugs in its cut kernel
     mixture without this module knowing about it. `quantile(p, exact)`
     takes the keyword of `_quantile_arr`; closed forms ignore it.
 
-    Pointwise evaluations (cdf, atom mass, partial expectation) read the
-    parts whose ``atoms()`` lists them from one pooled block (`_atomic`) and
-    call the component methods of the other parts only; a law with no other
-    part is finite-discrete (`_discrete`).
+    Pointwise evaluations (cdf, survival, atom mass, partial expectation)
+    read the parts whose ``atoms()`` lists them from one pooled block
+    (`_atomic`) and call the component methods of the other parts only; a
+    law with no other part is finite-discrete (`_discrete`).
     """
 
     parts: tuple[tuple[float, object], ...]
@@ -678,13 +730,15 @@ class Distribution:
     def _atomic(self):
         """The atoms of every atomic part, pooled into one sorted block.
 
-        Returns ``(support, weights, cum, cum_xm, rest)``: the sorted unique
-        locations of the atoms of every part whose ``atoms()`` lists them,
-        their merged masses, the cumulative mass and the cumulative mass times
-        location of the first i locations (both padded with a leading 0, so
-        ``searchsorted(support, x, side="right")`` indexes them directly),
-        and the remaining (weight, component) parts, which are evaluated one
-        by one. When no part remains ``cum[-1]`` is 1.0 exactly.
+        Returns ``(support, weights, cum, cum_xm, tail, rest)``: the sorted
+        unique locations of the atoms of every part whose ``atoms()`` lists
+        them, their merged masses, the cumulative mass and the cumulative mass
+        times location of the first i locations (both padded with a leading 0,
+        so ``searchsorted(support, x, side="right")`` indexes them directly),
+        the mass of the locations from the i-th on (the suffix sums, padded
+        with a trailing 0 and indexed the same way), and the remaining
+        (weight, component) parts, which are evaluated one by one. When no
+        part remains ``cum[-1]`` and ``tail[0]`` are 1.0 exactly.
         """
         locs, masses, rest = [], [], []
         for w, comp in self.parts:
@@ -701,15 +755,16 @@ class Distribution:
         support, start = np.unique(locs[order], return_index=True)
         weights = np.add.reduceat(masses[order], start)
         cum = np.concatenate([[0.0], np.cumsum(weights)])
+        tail = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
         if not rest:
-            cum[-1] = 1.0
+            cum[-1] = tail[0] = 1.0
         cum_xm = np.concatenate([[0.0], np.cumsum(weights * support)])
-        return support, weights, cum, cum_xm, tuple(rest)
+        return support, weights, cum, cum_xm, tail, tuple(rest)
 
     @cached_property
     def _discrete(self):
         """(support, weights, cumweights) when purely atomic, else None."""
-        support, weights, cum, _, rest = self._atomic
+        support, weights, cum, _, _, rest = self._atomic
         return None if rest else (support, weights, cum[1:])
 
     @property
@@ -734,7 +789,7 @@ class Distribution:
 
     def x_breakpoints(self) -> np.ndarray:
         """Sorted abscissae where the CDF may jump or change analytic form."""
-        support, _, _, _, rest = self._atomic
+        support, _, _, _, _, rest = self._atomic
         pts = np.concatenate([support] + [np.asarray(comp.x_breaks()) for _, comp in rest])
         return np.unique(pts[np.isfinite(pts)])
 
@@ -759,11 +814,36 @@ class Distribution:
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        support, _, cum, _, rest = self._atomic
+        support, _, cum, _, _, rest = self._atomic
         out = cum[np.searchsorted(support, x, side="right")]
         for w, comp in rest:
             out = out + w * comp.cdf(x)
         return np.minimum(out, 1.0)
+
+    def _sf_arr(self, x: np.ndarray) -> np.ndarray:
+        """P[X > x] as a sum of the parts' own survival functions, so it
+        keeps its relative precision where 1 - F has none left."""
+        x = np.asarray(x, dtype=float)
+        support, _, _, _, tail, rest = self._atomic
+        out = tail[np.searchsorted(support, x, side="right")]
+        for w, comp in rest:
+            out = out + w * comp.sf(x)
+        return np.minimum(out, 1.0)
+
+    def _level_arr(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """What an inversion row with target y compares with it (`_invert`):
+        F(t) where y >= 0, a target p; -sf(t) where y < 0, a target p - 1
+        of the upper half (`_knot_brackets`)."""
+        up = y < 0.0
+        n_up = np.count_nonzero(up)
+        if n_up == 0:
+            return self._cdf_arr(t)
+        if n_up == up.size:
+            return -self._sf_arr(t)
+        out = np.empty_like(t)
+        out[~up] = self._cdf_arr(t[~up])
+        out[up] = -self._sf_arr(t[up])
+        return out
 
     def cdf(self, x) -> float | np.ndarray:
         """P[X <= x]; right-continuous. Rejects negative abscissae."""
@@ -774,7 +854,7 @@ class Distribution:
 
     def _mass_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        support, weights, _, _, rest = self._atomic
+        support, weights, _, _, _, rest = self._atomic
         out = np.zeros_like(x)
         if support.size:
             idx = np.minimum(np.searchsorted(support, x), support.size - 1)
@@ -792,14 +872,15 @@ class Distribution:
         return scalar_or_array(x, np.maximum(self._cdf_arr(arr) - self._mass_arr(arr), 0.0))
 
     def survival(self, x) -> float | np.ndarray:
-        return scalar_or_array(x, np.maximum(1.0 - self._cdf_arr(np.asarray(x, dtype=float)), 0.0))
+        """P[X > x], summed from the parts' survival functions, not 1 - F."""
+        return scalar_or_array(x, self._sf_arr(np.asarray(x, dtype=float)))
 
     def partial_expectation(self, x) -> float | np.ndarray:
         """Integral of u over [0, x] against the measure (atom at x included)."""
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0):
             raise ValueError("partial expectation is defined for x >= 0")
-        support, _, _, cum_xm, rest = self._atomic
+        support, _, _, cum_xm, _, rest = self._atomic
         out = cum_xm[np.searchsorted(support, arr, side="right")]
         for w, comp in rest:
             out = out + w * comp.pe(arr)
@@ -839,10 +920,12 @@ class Distribution:
         """Q(p) without inverting this law's cdf, or None for a mixture of parts.
 
         Finite-discrete laws read their cumulative masses, which meets the
-        Galois pair exactly; a law of one part uses that part's `quantile`,
-        passing `exact` on (only an iterative one, the Gaussian kernel
-        estimate, reads it). A mixture of parts inverts its cdf from the knot
-        table instead (`_bisect_quantile`, `wasserstein._q_within`).
+        cdf form of the Galois pair exactly; a law of one part uses that
+        part's `quantile`, passing `exact` on (only an iterative one, the
+        Gaussian kernel estimate, reads it, and it keeps the cdf form). A
+        mixture of parts inverts its cdf, and its survival function above
+        F(x_h), from the knot table instead (`_bisect_quantile`,
+        `wasserstein._q_within`).
         """
         if self._discrete is None and len(self.parts) > 1:
             return None
@@ -856,59 +939,81 @@ class Distribution:
         return out
 
     @cached_property
-    def _knots(self):
-        """(x, F(x)) at the knots that bracket every inversion, or None.
+    def _knot_values(self):
+        """(x, F(x), -sf(x), h) at the knots of the inversion table.
 
         The knots are 0, every breakpoint, the float just below every
-        positive breakpoint and the ladder top 2^-k (k = 0..60, `HALVINGS`)
-        with top = support_hi(1e-16); one cdf call evaluates them all. Every
-        atom is a breakpoint, so no atom lies inside a bracket between
+        positive breakpoint, and a ladder of eight knots per octave, top
+        2^(-k/8) for k = 0..480 (`_KNOT_LADDER`) with top =
+        support_hi(1e-16); one cdf call and one sf call evaluate them all.
+        Every atom is a breakpoint, so no atom lies inside a bracket between
         adjacent knots, and a p on an atom's jump gets the one-ulp bracket
-        [prev(a), a]. None where the computed cdf is not monotone across the
-        knots, since the table's brackets then do not hold.
+        [prev(a), a]. x_h = x[h] is the first knot where F >= 1/2: rows
+        with p above F(x_h) invert the survival function (`_knot_brackets`).
         """
         xb = self.x_breakpoints()
         top = self.support_hi(1e-16)
         x = np.unique(
-            np.concatenate([[0.0, top], xb, np.nextafter(xb[xb > 0.0], 0.0), top * HALVINGS])
+            np.concatenate([[0.0, top], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER])
         )
         x = x[np.isfinite(x)]
         f = self._cdf_arr(x)
-        return None if np.any(f[1:] < f[:-1]) else (x, f)
+        return x, f, -self._sf_arr(x), min(int(np.searchsorted(f, 0.5)), x.size - 1)
+
+    @cached_property
+    def _knots(self):
+        """`_knot_values` where both columns are monotone, else None, since
+        the table's brackets then do not hold."""
+        x, f, g, h = self._knot_values
+        return None if np.any(f[1:] < f[:-1]) or np.any(g[1:] < g[:-1]) else (x, f, g, h)
 
     def _knot_brackets(self, p: np.ndarray):
-        """(lo, hi, F(lo), F(hi)) from adjacent knots with F(lo) < p <= F(hi).
+        """(lo, hi, v(lo), v(hi), y): adjacent knots with v(lo) < y <= v(hi).
 
-        A p <= F(0) gets [0, 0]. Where the table cannot bracket p (p above F
-        at the top knot, or no table) all four are nan.
+        Rows with p <= F(x_h) (`_knot_values`) compare v = F with y = p.
+        Rows with F(x_h) < p <= F(top) compare v = -sf with y = p - 1, which
+        is exact by Sterbenz's lemma, over the knots from x_h up, so their
+        quantile is never below x_h and their Galois pair reads sf(Q) <=
+        1 - p < sf(prev(Q)); -sf resolves the tail where F has no digits
+        left. Rows above F(top), which only float weights summing below 1
+        allow, keep y = p. A p <= F(0) gets [0, 0], and an upper p with
+        sf(x_h) <= 1 - p gets [x_h, x_h]. Where the table cannot bracket y
+        (p above F at the top knot, sf there above 1 - p, or no table) the
+        four ends are nan.
         """
-        table = self._knots
-        if table is None:
-            return tuple(np.full((4,) + p.shape, np.nan))
-        x, f = table
-        j = np.searchsorted(f, p, side="left")
+        x, f, g, h = self._knot_values
+        y = np.where((p > f[h]) & (p <= f[-1]), p - 1.0, p)
+        if self._knots is None:
+            return tuple(np.full((4,) + p.shape, np.nan)) + (y,)
+        upper = y < 0.0
+        j = np.where(upper, h + np.searchsorted(g[h:], y, side="left"), np.searchsorted(f, y, side="left"))
         up = np.minimum(j, x.size - 1)
-        down = np.maximum(up - 1, 0)
+        down = np.maximum(up - 1, np.where(upper, h, 0))
         miss = j == x.size
-        return tuple(np.where(miss, np.nan, v[k]) for v, k in ((x, down), (x, up), (f, down), (f, up)))
+        lo, hi = np.where(miss, np.nan, x[down]), np.where(miss, np.nan, x[up])
+        vlo = np.where(miss, np.nan, np.where(upper, g[down], f[down]))
+        vhi = np.where(miss, np.nan, np.where(upper, g[up], f[up]))
+        return lo, hi, vlo, vhi, y
 
     def _bisect_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
-        """Q(p) for p in (0, 1) with F(prev(Q)) < p <= F(Q) exactly, F computed
-        (with `exact`; else within the cdf's resolution above Q(p)).
+        """Q(p) for p in (0, 1) meeting its Galois pair exactly, F and sf computed
+        (with `exact`; else within the resolution above Q(p)).
 
-        Brackets come from the knot table, and `_invert` narrows them by
-        Illinois steps and finishes them to the float, or with `exact` false
-        to the cdf's resolution (`_finish`). Where the table cannot bracket
-        p, bisection runs from [0, hi] with hi from `_upper_end`, to the
-        float either way.
+        The pair is F(prev(Q)) < p <= F(Q) for p <= F(x_h) and sf(Q) <= 1 - p
+        < sf(prev(Q)) above (`_knot_brackets`). Brackets come from the knot
+        table, and `_invert` narrows them by Illinois steps on `_level_arr`
+        and finishes them to the float, or with `exact` false to the
+        resolution (`_finish`), all rows in one call. Where the table cannot
+        bracket p, bisection runs from [0, hi] with hi from `_upper_end`, to
+        the float either way.
         """
-        lo, hi, flo, fhi = self._knot_brackets(p)
+        lo, hi, vlo, vhi, y = self._knot_brackets(p)
         miss = np.isnan(hi)
         if miss.any():
             lo[miss] = 0.0
-            hi[miss] = _upper_end(self._cdf_arr, self.support_hi, p[miss])
+            hi[miss] = _upper_end(self._level_arr, self.support_hi, y[miss])
             hi[miss & (p <= self._cdf_arr(np.zeros(1))[0])] = 0.0
-        return _invert(self._cdf_arr, p, lo, hi, flo, fhi, 0.0, exact)
+        return _invert(self._level_arr, y, lo, hi, vlo, vhi, 0.0, exact)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""
@@ -927,7 +1032,7 @@ class Distribution:
         if p == 1.0:
             return self.mean
         if self._discrete is not None:
-            support, _, cum, cum_xm, _ = self._atomic
+            support, _, cum, cum_xm, _, _ = self._atomic
             j = int(np.searchsorted(cum, p, side="left")) - 1
             return float(cum_xm[j] + (p - cum[j]) * support[j])
         qp = float(self._quantile_arr(np.asarray(p)))
@@ -953,7 +1058,7 @@ class Distribution:
         """
         hi = self.support_hi(1e-14)
         via_survival = integrate(
-            lambda x: 1.0 - self._cdf_arr(x),
+            self._sf_arr,
             0.0,
             hi,
             points=np.concatenate([self.x_breakpoints(), hi * HALVINGS]),

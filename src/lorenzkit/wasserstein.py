@@ -61,9 +61,11 @@ def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     A finite-discrete law or a law of one part returns its closed-form
     quantile: exact to the float for finite-discrete laws and Gaussian
     kernel estimates, to a few eps otherwise. Any other mixture of parts
-    intersects the bracket [lo, hi], which must hold Q(p) elementwise with
-    cdf(hi) >= p, with the law's knot-table bracket, evaluates the cdf at
-    the ends the caller supplied, and narrows by `measures._invert` to
+    shares the split of `Distribution._bisect_quantile`: rows above F(x_h)
+    invert -sf against p - 1, the rest F against p (`_knot_brackets`). It
+    intersects the bracket [lo, hi], which must hold Q(p) elementwise, with
+    the law's knot-table bracket, evaluates each row's level (`_level_arr`)
+    at the ends the caller supplied, and narrows by `measures._invert` to
     within tol. Callers that subdivide cells pass the parents' quantile
     values back in, so brackets shrink as cells do. A tolerance below the
     float spacing of a bracket yields Q(p) itself.
@@ -71,14 +73,14 @@ def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     q = d._closed_quantile(p)
     if q is not None:
         return q
-    lo_k, hi_k, flo, fhi = d._knot_brackets(p)
+    lo_k, hi_k, vlo, vhi, y = d._knot_brackets(p)
     lo = np.fmax(np.asarray(lo, dtype=float), lo_k)
     hi = np.fmin(np.asarray(hi, dtype=float), hi_k)
     own_lo, own_hi = lo != lo_k, hi != hi_k
     if own_lo.any() or own_hi.any():
-        f = d._cdf_arr(np.concatenate([lo[own_lo], hi[own_hi]]))
-        flo[own_lo], fhi[own_hi] = np.split(f, [int(own_lo.sum())])
-    return _invert(d._cdf_arr, p, lo, hi, flo, fhi, tol)
+        v = d._level_arr(np.concatenate([lo[own_lo], hi[own_hi]]), np.concatenate([y[own_lo], y[own_hi]]))
+        vlo[own_lo], vhi[own_hi] = np.split(v, [int(own_lo.sum())])
+    return _invert(d._level_arr, y, lo, hi, vlo, vhi, tol)
 
 
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:

@@ -27,6 +27,7 @@ from lorenzkit import (
     three_group,
     uniform,
 )
+from lorenzkit import quadrature
 from lorenzkit.measures import Distribution, ZeroMeanError
 
 GINI_ROUTES = (gini_mean_difference, gini_dorfman, gini_lorenz)
@@ -312,3 +313,36 @@ def test_three_group_sweeps_the_open_range():
     lo, hi = gini_range_given_hoover(h)
     assert all(lo <= g < hi for g in seen)
     assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("sigma", [2.0, 4.0, 6.0])
+def test_index_report_integrals_end_within_budget(monkeypatch, sigma):
+    # 1 - F has no digits left in a heavy tail, so integrating it ran to the
+    # 4096-panel cap and stopped 7 to 3e6 times over budget; the x-space
+    # routes integrate the survival function itself.
+    refine, eval_panels = quadrature._refine, quadrature._eval_panels
+    over = []
+
+    def logged(f, lo, hi, tol, limit):
+        seen = {}
+
+        def panels(g, a, b):
+            vals, errs = eval_panels(g, a, b)
+            seen.update(zip(zip(a.tolist(), b.tolist()), zip(vals.tolist(), errs.tolist())))
+            return vals, errs
+
+        monkeypatch.setattr(quadrature, "_eval_panels", panels)
+        try:
+            out = refine(f, lo, hi, tol, limit)
+        finally:
+            monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
+        if limit == 4096:  # `integrate`; `cell_integrals` passes its own cap
+            final = [ve for (a, b), ve in seen.items() if (a, 0.5 * (a + b)) not in seen]
+            err = sum(e for _, e in final)
+            if err > tol * sum(abs(v) for v, _ in final):
+                over.append((len(final), err))
+        return out
+
+    monkeypatch.setattr(quadrature, "_refine", logged)
+    index_report(lognormal(0.0, sigma))
+    assert over == []
