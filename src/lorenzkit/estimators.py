@@ -493,7 +493,7 @@ class _CutKernelMixture:
         level = np.maximum.accumulate(saturated + coeffs[0])
         return tau, saturated, level, coeffs
 
-    def quantile(self, p, exact: bool = True):
+    def quantile(self, p):
         """Q(p) from the knot table, or by `_newton_quantile` without one.
 
         With the table, Q(p) = 0 when n F(0) >= n p. Otherwise the cell is
@@ -505,7 +505,7 @@ class _CutKernelMixture:
         """
         table = self._knot_table
         if table is None:
-            return self._newton_quantile(np.asarray(p, dtype=float), exact)
+            return self._newton_quantile(np.asarray(p, dtype=float))
         tau, saturated, level, coeffs = table
         h = self.bandwidth
         y = self._sorted.size * np.asarray(p, dtype=float)
@@ -539,7 +539,7 @@ class _CutKernelMixture:
         q = np.minimum(tau[cell] + h * s, tau[cell + 1])
         return np.where(j >= 0, q, 0.0)
 
-    def _newton_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def _newton_quantile(self, p: np.ndarray) -> np.ndarray:
         """Q(p) for a kernel without knots: safeguarded Newton, float-exact finish.
 
         Q(p) = 0 where p <= F(0). Elsewhere Newton runs on F(t) - p from the
@@ -558,10 +558,8 @@ class _CutKernelMixture:
         exactly, the contract of `quantile`. A Gaussian-kernel estimate is a
         law of one part, so it keeps this cdf form of the pair at every p;
         only mixtures of parts invert the survival function near p = 1
-        (`Distribution._knot_brackets`). With `exact` false the finish
-        stops within two reaches above Q instead, the resolution the Lorenz
-        identity needs. The atom at 0 is settled before Newton, so no atom
-        lies inside a bracket.
+        (`Distribution._knot_brackets`). The atom at 0 is settled before
+        Newton, so no atom lies inside a bracket.
         """
         pts, h = self._sorted, self.bandwidth
         density = self.kernel.density
@@ -603,7 +601,7 @@ class _CutKernelMixture:
                 idx, t, lo, hi = idx[open_], nxt[open_], lo[open_], hi[open_]
                 if not idx.size:
                     break
-        out[pos] = _finish(level, p, *state, 0.0, exact)
+        out[pos] = _finish(level, p, *state, 0.0)
         return out
 
     def x_breaks(self) -> np.ndarray:

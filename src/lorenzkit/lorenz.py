@@ -14,20 +14,6 @@ the rest of the atom at Q(p), q (F(q) - p) / m. A batch of probabilities
 costs one vectorized quantile call and one partial-expectation call; no
 quadrature enters.
 
-The identity S(p, q) = E[X; X < q] + q (p - F(q-)) is stationary in q:
-where no atom lies between Q(p) and q, dS/dq = p - F(q), which vanishes at
-Q(p). So q need not be Q(p) to the float. The curve takes a quantile
-resolved only to the cdf's resolution: an inversion that converged stops
-within two reaches above Q(p) (`measures._finish`), where the computed cdf
-already blurs its crossing of p, with F(q) >= p (sf(q) <= 1 - p in the
-upper half of a mixture, which inverts its survival function there, whose
-blur is finer still). Moving q by such a delta
-changes S by about delta times spacing(p), below the rounding q spacing(p)
-that S carries anyway, so the curve is exact to S's own rounding and skips
-the float-exact finish, the larger share of an inversion near p = 1. No
-atom lies inside an inversion's bracket, so the condition holds. `quantile`
-and every other caller keep the exact Galois pair.
-
 Also here: the pseudo-Lorenz functional, Kendall points, the domination
 predicate, and the inverse map from a convex curve plus a mean back to a
 distribution (mass target_mean times the left derivative, pushed forward from
@@ -85,17 +71,12 @@ class LorenzCurve:
         d = self.source
         out = np.ones_like(p)
         inner = p < 1.0
-        q = d._quantile_arr(p[inner], exact=False)
+        q = d._quantile_arr(p[inner])
         out[inner] = d._quantile_integral(p[inner], q) / self.source_mean
         return np.clip(out, 0.0, 1.0)
 
     def eval(self, p) -> float | np.ndarray:
-        """L(p) for p in [0, 1], scalar or array, any order.
-
-        S(p, q) / m at a q within the cdf's resolution above Q(p), not Q(p)
-        to the float; S is stationary in q there, so the value is exact to
-        the rounding S carries (see the module docstring).
-        """
+        """L(p) for p in [0, 1], scalar or array, any order."""
         arr = np.asarray(p, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
             raise ValueError("Lorenz curve is defined on [0, 1]")

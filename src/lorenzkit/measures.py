@@ -43,12 +43,6 @@ Other closed forms (single densities, linear tables, and kernel estimates
 with the uniform or Epanechnikov kernel, whose quantile is a root of the
 cdf's polynomial on one knot cell) meet it to a few eps; for those kernel
 estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
-
-`quantile`, sampling, dominance and the W1 routes keep that exact pair. The
-internal inverters also take ``exact=False``, which the Lorenz curve alone
-passes: an iteration that converged then stops within two reaches of its
-last iterate (`_finish`), a q in [Q, Q + 2 reach] that clears its target,
-since its identity S(p, q) is stationary in q at Q (`lorenz`).
 """
 
 from __future__ import annotations
@@ -156,28 +150,25 @@ def _upper_end(level, support_hi, y: np.ndarray) -> float:
     return hi
 
 
-def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Shrink brackets [lo, hi] with level(hi, y) >= y until hi - lo <= tol.
 
-    Bisection on the computed `level` (`_invert`); `tol` is one tolerance
-    or one per row. A bracket also stops once its ends are adjacent floats,
-    so every tolerance, 0 included, terminates. Returns the final upper
-    ends; where level(lo) < y too, the Galois pair level(prev(q)) < y <=
-    level(q) holds for q = hi at tolerance 0, the contract of `quantile`.
+    Bisection on the computed `level` (`_invert`). A bracket also stops
+    once its ends are adjacent floats, so every tolerance, 0 included,
+    terminates. Returns the final upper ends; where level(lo) < y too, the
+    Galois pair level(prev(q)) < y <= level(q) holds for q = hi at
+    tolerance 0, the contract of `quantile`.
     Finished brackets leave the working arrays, so a round costs only what
     is still open.
     """
     out = hi.copy()
     idx = np.arange(y.size)
-    per_row = isinstance(tol, np.ndarray)
     while True:
         nxt = np.nextafter(lo, hi)
         live = (hi - lo > tol) & (nxt < hi)
         if not live.all():
             out[idx] = hi
             idx, y, lo, hi, nxt = idx[live], y[live], lo[live], hi[live], nxt[live]
-            if per_row:
-                tol = tol[live]
         if not idx.size:
             return out
         mid = np.minimum(np.maximum(0.5 * (lo + hi), nxt), np.nextafter(hi, lo))
@@ -193,18 +184,14 @@ def _reach(t, y, slope, tol: float = 0.0):
     return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.abs(np.spacing(y)) / slope))
 
 
-def _finish(level, y, t, lo, hi, reach, tol: float, exact: bool = True) -> np.ndarray:
-    """The finish of an iterative inversion, to the float or to the level's resolution.
+def _finish(level, y, t, lo, hi, reach, tol: float) -> np.ndarray:
+    """The finish of an iterative inversion.
 
     Where `reach` > 0, probes t - reach and t + reach narrow the bracket
     [lo, hi] (level(lo) < y <= level(hi)) when they fall strictly inside it
     (only rows where one of them can are probed); then one `_bisect` call
-    shrinks every bracket of the batch. With `exact` (what `quantile`
-    asks for) it shrinks them to `tol`, so at tol 0 the exact Galois pair
-    holds. Without it, a row that converged by iteration (reach > 0) stops
-    once hi - lo <= max(tol, 2 reach): q = hi lies in [Q, Q + 2 reach] with
-    level(q) >= y, which is all the Lorenz identity needs (`lorenz`). Rows
-    with reach 0, bracketed but never iterated, still go to `tol`.
+    shrinks every bracket of the batch to `tol`, so at tol 0 the exact
+    Galois pair holds.
     """
     (probed,) = np.nonzero((reach > 0.0) & ((t - reach > lo) | (t + reach < hi)))
     if probed.size:
@@ -217,12 +204,10 @@ def _finish(level, y, t, lo, hi, reach, tol: float, exact: bool = True) -> np.nd
             a = np.where(inside & (fc < yy), c, a)
             b = np.where(inside & (fc >= yy), c, b)
         lo[probed], hi[probed] = a, b
-    if not exact:
-        tol = np.where(reach > 0.0, np.maximum(tol, 2.0 * reach), tol)
     return _bisect(level, y, lo, hi, tol)
 
 
-def _invert(level, y, lo, hi, vlo, vhi, tol: float, exact: bool = True) -> np.ndarray:
+def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
     """Quantiles in [Q(p), Q(p) + tol] from brackets [lo, hi] holding Q(p).
 
     `level(t, y)` is the nondecreasing function each row compares with its
@@ -239,9 +224,7 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float, exact: bool = True) -> np.nd
     either side of the last iterate and bisects the whole batch. Rows whose
     ends do not bracket y (nan ends included) skip the steps and are
     bisected as given. At tol 0 the Galois pair level(prev(q)) < y <=
-    level(q) holds exactly, as `quantile` needs; with `exact` false the
-    finish stops at the level's resolution instead, within two reaches
-    above Q(p) (`_finish`).
+    level(q) holds exactly, as `quantile` needs.
     """
     lo, hi, t, reach = lo.copy(), hi.copy(), hi.copy(), np.zeros_like(y)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -280,7 +263,7 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float, exact: bool = True) -> np.nd
                 rows = idx[shut]
                 t[rows], lo[rows], hi[rows], reach[rows] = s[shut], a[shut], b[shut], r[shut]
                 idx, state = idx[open_], state[:, open_]
-    return _finish(level, y, t, lo, hi, reach, tol, exact)
+    return _finish(level, y, t, lo, hi, reach, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +298,7 @@ class Atom:
     def pe(self, x: np.ndarray) -> np.ndarray:
         return self.location * (x >= self.location)
 
-    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         return np.full_like(p, self.location)
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -368,7 +351,7 @@ class UniformDensity:
         xc = np.clip(x, self.a, self.b)
         return 0.5 * (xc + self.a) * ((xc - self.a) / (self.b - self.a))
 
-    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         return self.a + p * (self.b - self.a)
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -420,7 +403,7 @@ class Exponential:
         xc = self._capped(x)
         return -np.expm1(-self.rate * xc) / self.rate - xc * np.exp(-self.rate * xc)
 
-    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         return -np.log1p(-p) / self.rate
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -475,7 +458,7 @@ class Gamma:
         # integral of u * gamma(k, theta) density over [0, x], via the shape-(k+1) CDF
         return self.mean() * sp.gammainc(self.shape + 1.0, self._scaled(x))
 
-    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         return self.scale * sp.gammaincinv(self.shape, p)
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -533,7 +516,7 @@ class Lognormal:
             z = (np.log(np.maximum(x, 0.0)) - self.log_mean - self.log_sd**2) / self.log_sd
         return np.where(x > 0.0, self.mean() * sp.ndtr(z), 0.0)
 
-    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         return np.exp(self.log_mean + self.log_sd * sp.ndtri(p))
 
     def x_breaks(self) -> tuple[float, ...]:
@@ -659,7 +642,7 @@ class QuantileTable:
             out = out + ((xc * xc - slab_lo * slab_lo) / (2.0 * (slab_hi - slab_lo))) @ slab_w
         return out
 
-    def quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def quantile(self, p: np.ndarray) -> np.ndarray:
         g = np.asarray(self.grid)
         v = np.asarray(self.values)
         if self.mode == "linear":
@@ -700,8 +683,7 @@ class Distribution:
     typed; anything exposing the small protocol used above (mean, cdf, sf,
     pe, mass_at, quantile, x_breaks, sup_support, support_hi, rescaled,
     atoms) participates, which is how the KDE estimator plugs in its cut kernel
-    mixture without this module knowing about it. `quantile(p, exact)`
-    takes the keyword of `_quantile_arr`; closed forms ignore it.
+    mixture without this module knowing about it.
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
     read the parts whose ``atoms()`` lists them from one pooled block
@@ -906,26 +888,25 @@ class Distribution:
 
     # -- quantiles ----------------------------------------------------------
 
-    def _quantile_arr(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
+    def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        out = self._closed_quantile(p, exact)
+        out = self._closed_quantile(p)
         if out is None:
             out = np.zeros_like(p)
             pos = p > 0.0
             if np.any(pos):
-                out[pos] = self._bisect_quantile(p[pos], exact=exact)
+                out[pos] = self._bisect_quantile(p[pos])
         return out
 
-    def _closed_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray | None:
+    def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
         """Q(p) without inverting this law's cdf, or None for a mixture of parts.
 
         Finite-discrete laws read their cumulative masses, which meets the
         cdf form of the Galois pair exactly; a law of one part uses that
-        part's `quantile`, passing `exact` on (only an iterative one, the
-        Gaussian kernel estimate, reads it, and it keeps the cdf form). A
-        mixture of parts inverts its cdf, and its survival function above
-        F(x_h), from the knot table instead (`_bisect_quantile`,
-        `wasserstein._q_within`).
+        part's `quantile` (an iterative one, the Gaussian kernel estimate,
+        keeps the cdf form). A mixture of parts inverts its cdf, and its
+        survival function above F(x_h), from the knot table instead
+        (`_bisect_quantile`, `wasserstein._q_within`).
         """
         if self._discrete is None and len(self.parts) > 1:
             return None
@@ -935,7 +916,7 @@ class Distribution:
             support, _, cum = self._discrete
             out[pos] = support[np.searchsorted(cum, p[pos], side="left")]
         else:
-            out[pos] = self.parts[0][1].quantile(p[pos], exact=exact)
+            out[pos] = self.parts[0][1].quantile(p[pos])
         return out
 
     @cached_property
@@ -995,17 +976,15 @@ class Distribution:
         vhi = np.where(miss, np.nan, np.where(upper, g[up], f[up]))
         return lo, hi, vlo, vhi, y
 
-    def _bisect_quantile(self, p: np.ndarray, exact: bool = True) -> np.ndarray:
-        """Q(p) for p in (0, 1) meeting its Galois pair exactly, F and sf computed
-        (with `exact`; else within the resolution above Q(p)).
+    def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) for p in (0, 1) meeting its Galois pair exactly, F and sf computed.
 
         The pair is F(prev(Q)) < p <= F(Q) for p <= F(x_h) and sf(Q) <= 1 - p
         < sf(prev(Q)) above (`_knot_brackets`). Brackets come from the knot
         table, and `_invert` narrows them by Illinois steps on `_level_arr`
-        and finishes them to the float, or with `exact` false to the
-        resolution (`_finish`), all rows in one call. Where the table cannot
-        bracket p, bisection runs from [0, hi] with hi from `_upper_end`, to
-        the float either way.
+        and finishes them to the float (`_finish`), all rows in one call.
+        Where the table cannot bracket p, bisection runs from [0, hi] with hi
+        from `_upper_end`.
         """
         lo, hi, vlo, vhi, y = self._knot_brackets(p)
         miss = np.isnan(hi)
@@ -1013,7 +992,7 @@ class Distribution:
             lo[miss] = 0.0
             hi[miss] = _upper_end(self._level_arr, self.support_hi, y[miss])
             hi[miss & (p <= self._cdf_arr(np.zeros(1))[0])] = 0.0
-        return _invert(self._level_arr, y, lo, hi, vlo, vhi, 0.0, exact)
+        return _invert(self._level_arr, y, lo, hi, vlo, vhi, 0.0)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: panel count at which refinement stops
+PANEL_LIMIT = 4096
+
 # 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule.
 _XGK = np.array(
     [
@@ -93,31 +96,28 @@ def _initial_edges(a: float, b: float, points) -> np.ndarray:
     return np.unique(np.concatenate(([a], inner, [b])))
 
 
-def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: float, limit: int):
+def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Refine panels [lo_i, hi_i] against one global error budget.
 
     Bisects every panel whose error estimate exceeds its share of `tol` times
     the summed |panel integral|, until the total estimated error drops under
-    that or the panel count reaches `limit`. Returns (values, owner): the final
-    panels' integrals and the index of the starting panel each one descends from.
+    that or the panel count reaches `PANEL_LIMIT`. Returns the final panels'
+    integrals.
     """
-    owner = np.arange(lo.size)
     vals, errs = _eval_panels(f, lo, hi)
-    while errs.sum() > tol * np.abs(vals).sum() and lo.size < limit:
+    while errs.sum() > tol * np.abs(vals).sum() and lo.size < PANEL_LIMIT:
         mask = errs > tol * np.abs(vals).sum() / lo.size
         if not mask.any():
             break
         mids = 0.5 * (lo[mask] + hi[mask])
         new_lo = np.concatenate([lo[mask], mids])
         new_hi = np.concatenate([mids, hi[mask]])
-        new_owner = np.concatenate([owner[mask], owner[mask]])
         new_vals, new_errs = _eval_panels(f, new_lo, new_hi)
         lo = np.concatenate([lo[~mask], new_lo])
         hi = np.concatenate([hi[~mask], new_hi])
-        owner = np.concatenate([owner[~mask], new_owner])
         vals = np.concatenate([vals[~mask], new_vals])
         errs = np.concatenate([errs[~mask], new_errs])
-    return vals, owner
+    return vals
 
 
 def integrate(f, a: float, b: float, *, points=(), tol: float = 1e-10) -> float:
@@ -126,31 +126,10 @@ def integrate(f, a: float, b: float, *, points=(), tol: float = 1e-10) -> float:
     `points` lists abscissae where the integrand may jump or kink; panels are
     forced to break there. Refinement bisects every panel whose error estimate
     exceeds its share of the global budget, until the total estimated error
-    drops under `tol` times the integral of |f| or the panel count is 4096.
+    drops under `tol` times the integral of |f| or the panel count reaches
+    `PANEL_LIMIT`.
     """
     if not (b > a):
         return 0.0
     edges = _initial_edges(a, b, points)
-    vals, _ = _refine(f, edges[:-1], edges[1:], tol, 4096)
-    return float(vals.sum())
-
-
-def cell_integrals(f, edges: np.ndarray, *, tol: float = 1e-10) -> np.ndarray:
-    """Per-cell integrals of a vectorized callable over consecutive edge pairs.
-
-    Returns an array of length len(edges) - 1 whose k-th entry approximates the
-    integral over [edges[k], edges[k+1]]. Cells are refined jointly against one
-    global budget, `tol` times the integral of |f|, up to 16384 panels; children
-    keep contributing to their original cell. Zero-width cells yield exactly 0.
-    """
-    edges = np.asarray(edges, dtype=float)
-    n_cells = edges.size - 1
-    if n_cells <= 0:
-        return np.zeros(0)
-    out = np.zeros(n_cells)
-    live = np.flatnonzero(edges[1:] > edges[:-1])
-    if live.size == 0:
-        return out
-    vals, owner = _refine(f, edges[:-1][live], edges[1:][live], tol, 16384)
-    np.add.at(out, live[owner], vals)
-    return out
+    return float(_refine(f, edges[:-1], edges[1:], tol).sum())

@@ -93,7 +93,7 @@ def test_lognormal_mean_difference_holds_the_whole_tail(sigma):
     # Above 1 - 2^-44 sits 3.1e-4 of the mean at sigma = 4 and 0.12 at 6;
     # the mean-difference route's last p-cell must carry it.
     d = lognormal(0.0, sigma)
-    assert gini_mean_difference(d) == pytest.approx(math.erf(sigma / 2.0), abs=1e-9)
+    assert gini_mean_difference(d) == pytest.approx(math.erf(sigma / 2.0), abs=1e-12)
     assert index_report(d).max_cross_route_residual <= 1e-4
 
 
@@ -113,6 +113,32 @@ def test_lorenz_route_in_the_tail_staircase(sigma, partner):
     d = mixture([(0.5, lognormal(0.0, sigma)), (0.5, partner)])
     report = index_report(d)
     assert abs(report.gini_lorenz - report.gini_dorfman) <= 1e-9
+    assert abs(report.gini_mean_difference - report.gini_lorenz) <= 1e-12
+    assert report.max_cross_route_residual <= 1e-4
+
+
+@pytest.mark.parametrize("partner", [x for _, x in TAIL_PARTNERS], ids=[n for n, _ in TAIL_PARTNERS])
+@pytest.mark.parametrize("sigma", [2.0, 3.0, 4.0, 5.0, 6.0])
+def test_mean_difference_quantile_budget(monkeypatch, sigma, partner):
+    # The diagonal's quadrature once ran past 16384 panels, to 791,593
+    # quantile points, on the staircase of these mixtures near p = 1.
+    quantile = Distribution._quantile_arr
+    points = []
+
+    def counted(self, p):
+        points.append(np.size(p))
+        return quantile(self, p)
+
+    monkeypatch.setattr(Distribution, "_quantile_arr", counted)
+    gini_mean_difference(mixture([(0.5, lognormal(0.0, sigma)), (0.5, partner)]))
+    assert 0 < sum(points) <= 3000
+
+
+@pytest.mark.parametrize("part", [exponential(1.0), uniform(1.0, 2.0)], ids=["exp(1)", "uniform(1,2)"])
+def test_mass_only_in_the_last_p_cell(part):
+    # Every p-cell below the last holds Q = 0, so the diagonal's quadrature
+    # has nothing to integrate and no scale to set its budget by.
+    report = index_report(mixture([(1.0 - 1e-13, atom(0.0)), (1e-13, part)]))
     assert report.max_cross_route_residual <= 1e-4
 
 
@@ -323,7 +349,7 @@ def test_index_report_integrals_end_within_budget(monkeypatch, sigma):
     refine, eval_panels = quadrature._refine, quadrature._eval_panels
     over = []
 
-    def logged(f, lo, hi, tol, limit):
+    def logged(f, lo, hi, tol):
         seen = {}
 
         def panels(g, a, b):
@@ -333,14 +359,13 @@ def test_index_report_integrals_end_within_budget(monkeypatch, sigma):
 
         monkeypatch.setattr(quadrature, "_eval_panels", panels)
         try:
-            out = refine(f, lo, hi, tol, limit)
+            out = refine(f, lo, hi, tol)
         finally:
             monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
-        if limit == 4096:  # `integrate`; `cell_integrals` passes its own cap
-            final = [ve for (a, b), ve in seen.items() if (a, 0.5 * (a + b)) not in seen]
-            err = sum(e for _, e in final)
-            if err > tol * sum(abs(v) for v, _ in final):
-                over.append((len(final), err))
+        final = [ve for (a, b), ve in seen.items() if (a, 0.5 * (a + b)) not in seen]
+        err = sum(e for _, e in final)
+        if err > tol * sum(abs(v) for v, _ in final):
+            over.append((len(final), err))
         return out
 
     monkeypatch.setattr(quadrature, "_refine", logged)

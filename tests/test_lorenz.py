@@ -33,8 +33,6 @@ from lorenzkit import (
 )
 from lorenzkit.measures import TAIL_LEVELS, ZeroMeanError
 
-from galois import sf_form_rows
-
 
 def test_atom_curve_is_identity():
     c = lorenz(atom(4.0))
@@ -154,48 +152,6 @@ def test_curve_matches_x_space_quantile_integral(d):
     ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 65), TAIL_LEVELS, 1.0 - TAIL_LEVELS]))
     expected = np.asarray([d.integral_quantile(p) for p in ps]) / d.mean
     np.testing.assert_allclose(lorenz(d).eval(ps), expected, rtol=0.0, atol=1e-9)
-
-
-def _resolution_laws():
-    nested = mixture(
-        [(0.3, lognormal(0.0, 1.0)), (0.3, exponential(1.0)), (0.4, discrete([0.5, 1.0, 1.5, 3.0]))]
-    )
-    rng = np.random.default_rng(5)
-    return [
-        (f"lognormal(0,{s}) + exp(1)", mixture([(0.5, lognormal(0.0, s)), (0.5, exponential(1.0))]))
-        for s in (1.0, 2.0, 3.0, 4.0, 6.0)
-    ] + [
-        ("nested with atoms", mixture([(0.2, atom(0.0)), (0.6, nested), (0.2, atom(2.0))])),
-        ("nested x1e-12", nested.rescaled(1e-12)),
-        ("nested x1e12", nested.rescaled(1e12)),
-        ("kde gaussian n=200 h=0.03", kde(rng.uniform(0.0, 1.0, 200), "gaussian", 0.03)),
-        ("kde gaussian n=25 h=1", kde(rng.lognormal(0.0, 0.5, 25), "gaussian", 1.0)),
-    ]
-
-
-RESOLUTION_LAWS = _resolution_laws()
-
-
-@pytest.mark.parametrize(
-    "d", [d for _, d in RESOLUTION_LAWS], ids=[n for n, _ in RESOLUTION_LAWS]
-)
-def test_curve_quantile_resolved_to_the_cdf(d):
-    # The curve evaluates S(p, q) = E[X; X < q] + q (p - F(q-)) at a q that
-    # stops within the cdf's resolution above Q(p), not at the float. S is
-    # stationary in q there (dS/dq = p - F(q) = 0 at Q), so S moves by no
-    # more than its own rounding, q spacing(p) plus spacing(S).
-    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257), TAIL_LEVELS]))
-    ps = ps[(ps > 0.0) & (ps < 1.0)]
-    exact = d._quantile_arr(ps)
-    q = d._quantile_arr(ps, exact=False)
-    assert np.all(q >= exact)
-    # q clears p in the form its row was inverted in (`galois`)
-    up = sf_form_rows(d, ps)
-    assert np.all(np.asarray(d.cdf(q[~up])) >= ps[~up])
-    assert np.all(np.asarray(d.survival(q[up])) <= 1.0 - ps[up])
-    s_exact = d._quantile_integral(ps, exact)
-    moved = np.abs(d._quantile_integral(ps, q) - s_exact)
-    assert np.all(moved <= 64.0 * (q * np.spacing(ps) + np.spacing(s_exact)))
 
 
 def test_kendall_points_on_atom():

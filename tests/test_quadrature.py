@@ -1,11 +1,11 @@
-"""Integration kernel checks: exactness, forced splits, cell partitions."""
+"""Integration kernel checks: exactness, forced splits."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lorenzkit.quadrature import cell_integrals, integrate
+from lorenzkit.quadrature import integrate
 
 
 def test_polynomial_is_exact():
@@ -40,20 +40,6 @@ def test_points_outside_interval_are_ignored():
 
 def test_empty_interval():
     assert integrate(np.sin, 2.0, 2.0) == 0.0
-
-
-def test_cell_integrals_partition_the_whole():
-    edges = np.array([0.0, 0.1, 0.25, 0.6, 1.0])
-    cells = cell_integrals(np.exp, edges, tol=1e-12)
-    assert cells.shape == (4,)
-    assert abs(cells.sum() - (math.e - 1.0)) < 1e-11
-    for a, b, c in zip(edges[:-1], edges[1:], cells):
-        assert abs(c - (math.exp(b) - math.exp(a))) < 1e-12
-
-
-def test_cell_integrals_degenerate_edges_give_no_cells():
-    assert cell_integrals(np.exp, np.array([0.5])).shape == (0,)
-    assert cell_integrals(np.exp, np.array([])).shape == (0,)
 
 
 def test_vectorized_integrand_contract():
