@@ -23,9 +23,10 @@ with the W1 partners. A call that raises is recorded by its exception type.
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
 finite-discrete, else ``general``), how many values are bit-identical and
-the largest relative difference, and each dump's total of Galois failures,
-so a quantile that moved can be seen to meet the contract still; it then
-lists the keys found in one dump only.
+the largest relative difference (for ``index.max_cross_route_residual``,
+each dump's largest residual instead, so a rise shows), and each dump's
+total of Galois failures, so a quantile that moved can be seen to meet the
+contract still; it then lists the keys found in one dump only.
 
 Run each side against its own source tree, for example
 
@@ -70,6 +71,8 @@ INDEX_FIELDS = (
     "p_share",
     "max_cross_route_residual",
 )
+#: the residual field, diffed as each dump's largest value, not a relative difference
+RESIDUAL = "index.max_cross_route_residual"
 PS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
 LORENZ_PS = np.linspace(0.0, 1.0, 33)
 #: probabilities of the Galois check: the 257-level ladder, the tail levels 1 - 2^-k and PS
@@ -228,11 +231,17 @@ def diff(path_a, path_b):
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
     stats = defaultdict(lambda: [0, 0, 0.0])  # values, bit-identical, max relative difference
+    worst = defaultdict(lambda: [0.0, 0.0])  # each dump's largest residual, per kind
     changed = []
     for key in sorted(set(a) & set(b)):
-        row = stats[_field(key)]
+        kind, field = _field(key)
+        row = stats[kind, field]
         row[0] += 1
         va, vb = a[key], b[key]
+        if field == RESIDUAL:
+            for i, v in enumerate((va, vb)):
+                if not v.startswith("raise"):
+                    worst[kind][i] = max(worst[kind][i], float.fromhex(v))
         if va == vb:
             row[1] += 1
             continue
@@ -245,7 +254,11 @@ def diff(path_a, path_b):
         row[2] = max(row[2], abs(xa - xb) / scale if scale else 0.0)
     print(f"{'kind':9} {'field':34} {'values':>7} {'identical':>9} {'max_rel_diff':>12}")
     for (kind, field), (n, same, rel) in sorted(stats.items()):
-        print(f"{kind:9} {field:34} {n:7d} {same:9d} {rel:12.3g}")
+        if field == RESIDUAL:
+            # a relative difference of residuals reads ~1 for any fall
+            print(f"{kind:9} {field:34} {n:7d} {same:9d}  largest {worst[kind][0]:.3g} -> {worst[kind][1]:.3g}")
+        else:
+            print(f"{kind:9} {field:34} {n:7d} {same:9d} {rel:12.3g}")
     for path, dumped in ((path_a, a), (path_b, b)):
         fails = sum(float.fromhex(v) for k, v in dumped.items() if "|galois|" in k and not v.startswith("raise"))
         print(f"galois failures in {path}: {fails:g}")

@@ -543,8 +543,9 @@ class _CutKernelMixture:
         """Q(p) for a kernel without knots: safeguarded Newton, float-exact finish.
 
         Q(p) = 0 where p <= F(0). Elsewhere Newton runs on F(t) - p from the
-        order statistic x_(ceil(n p)), with F from `cdf` and the density
-        f(t) = (1/nh) sum K((t - x_i)/h) over the same windows, inside a sign
+        order statistic x_(ceil(n p)), with F and the density f(t) = (1/nh)
+        sum K((t - x_i)/h) from one `_window_sums` call over each round's
+        windows (F formed exactly as `cdf` forms it), inside a sign
         bracket F(lo) < p <= F(hi) that starts at [0, hi] with hi taken as
         for the bisection of `Distribution`. A step that leaves the bracket
         is replaced by its midpoint; a step onto F = p stays. The computed
@@ -562,7 +563,7 @@ class _CutKernelMixture:
         Newton, so no atom lies inside a bracket.
         """
         pts, h = self._sorted, self.bandwidth
-        density = self.kernel.density
+        kernel_cdf, density = self.kernel.cdf, self.kernel.density
         out = np.zeros_like(p)
         (pos,) = np.nonzero(p > self._mass_at_zero)
         if not pos.size:
@@ -582,12 +583,14 @@ class _CutKernelMixture:
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_MAX_ROUNDS):
                 target = p[idx]
-                f = self.cdf(t) - target
+                flat, first, last = self._windows(t)
+                inside, slope = self._window_sums(
+                    flat, first, last, lambda u, i: (kernel_cdf(u), density(u)), 2
+                )
+                f = np.where(flat < 0.0, 0.0, (first + inside) / pts.size) - target
                 below = f < 0.0
                 lo = np.where(below, t, lo)
                 hi = np.where(below, hi, t)
-                flat, first, last = self._windows(t)
-                (slope,) = self._window_sums(flat, first, last, lambda u, i: (density(u),), 1)
                 slope /= pts.size * h
                 nxt = t - f / slope
                 newton = (nxt >= lo) & (nxt <= hi)

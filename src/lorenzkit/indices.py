@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorenz import integral_lorenz, lorenz
-from .measures import HALVINGS, TAIL_LEVELS, Distribution, discrete, require_member
+from .measures import HALVINGS, P_SPLITS, Distribution, discrete, require_member
 from .quadrature import integrate
 
 __all__ = [
@@ -69,9 +69,14 @@ def _mean_abs_difference_discrete(d: Distribution) -> float:
 
 
 def _p_cells(d: Distribution) -> np.ndarray:
-    """Probability grid whose cells contain no quantile jumps or kinks."""
+    """Probability grid whose cells contain no quantile jumps or kinks.
+
+    It joins the quantile's breakpoints, 64 equal cells and the shared
+    p-space ladder `P_SPLITS`, so the cells, and with them the panels of
+    the diagonal's quadrature, start out graded toward both ends.
+    """
     edges = np.concatenate(
-        [d.p_breakpoints(), np.linspace(0.0, 1.0, 65), TAIL_LEVELS, [0.0, 1.0]]
+        [d.p_breakpoints(), np.linspace(0.0, 1.0, 65), P_SPLITS, [0.0, 1.0]]
     )
     return np.unique(np.clip(edges, 0.0, 1.0))
 

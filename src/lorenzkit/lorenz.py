@@ -29,7 +29,7 @@ import numpy as np
 
 from .measures import (
     DYADIC,
-    TAIL_LEVELS,
+    P_SPLITS,
     Distribution,
     quantile_table,
     require_member,
@@ -226,12 +226,13 @@ def integral_lorenz(curve: LorenzCurve) -> float:
     """Integral of the Lorenz curve over [0, 1].
 
     Adaptive quadrature split at the quantile's breakpoints, so the affine
-    pieces of a discrete law's curve are integrated exactly, and at the tail
-    ladder 1 - 2^-k (`TAIL_LEVELS`), so the first round already has panels
-    at every scale toward p = 1 and refinement does not creep up on it one
-    small batch of curve values at a time.
+    pieces of a discrete law's curve are integrated exactly, and at the
+    shared p-space ladder `P_SPLITS` (2^-k and 1 - 2^-k), so the first round
+    already has panels at every scale toward p = 0 and p = 1 and refinement
+    does not creep up on either end one small batch of curve values at a
+    time.
     """
-    breaks = np.concatenate([curve.source.p_breakpoints(), TAIL_LEVELS])
+    breaks = np.concatenate([curve.source.p_breakpoints(), P_SPLITS])
     return integrate(
         lambda p: curve.eval(np.clip(p, 0.0, 1.0)), 0.0, 1.0, points=breaks, tol=AREA_TOL
     )

@@ -87,6 +87,11 @@ DYADIC = np.asarray([k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**l
 TAIL_LEVELS = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
 #: where probability-space integrals and ladders stop short of 1
 P_TAIL = 1.0 - 2.0**-40
+#: where every integral over p splits: the head ladder 2^-k, k = 1..10, and
+#: `TAIL_LEVELS`, so the first round of quadrature already has panels at
+#: every scale toward both ends, where Q may be singular (p^(1/k) at 0 for a
+#: gamma-like part, a log-like run at 1)
+P_SPLITS = np.unique(np.concatenate([2.0 ** -np.arange(1.0, 11.0), TAIL_LEVELS]))
 #: factors 2^-k, k = 1..60: an x-space integral over [a, b] also splits at
 #: b 2^-k, so panels are geometric in x and a heavy tail is resolved at
 #: every scale between b 2^-60 and b, with no quantile inversion (the knot
@@ -103,6 +108,7 @@ _MAX_ROUNDS = 64
 _FINISH_ULPS = 4
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
+P_SPLITS.flags.writeable = False
 HALVINGS.flags.writeable = False
 _KNOT_LADDER.flags.writeable = False
 
@@ -1034,6 +1040,8 @@ class Distribution:
         mean, which enters only their tail terms: E[(X - hi)^+] beyond the
         survival route's cut-off hi, a mass below 1e-14, and the integral of
         Q over [P_TAIL, 1], E[(X - q)^+] + q (1 - P_TAIL) with q = Q(P_TAIL).
+        The quantile route splits at the quantile's breakpoints and at
+        `P_SPLITS`, like every integral over p.
         """
         hi = self.support_hi(1e-14)
         via_survival = integrate(
@@ -1045,7 +1053,11 @@ class Distribution:
         ) + self.excess_mean(hi)
         q = float(self._quantile_arr(np.asarray(P_TAIL)))
         via_quantile = integrate(
-            self._quantile_arr, 0.0, P_TAIL, points=self.p_breakpoints(), tol=1e-10
+            self._quantile_arr,
+            0.0,
+            P_TAIL,
+            points=np.concatenate([self.p_breakpoints(), P_SPLITS]),
+            tol=1e-10,
         ) + self.excess_mean(q) + q * (1.0 - P_TAIL)
         return via_survival, via_quantile
 

@@ -4,16 +4,21 @@ The rest of the package integrates survival functions, CDF gaps and quantile
 functions. Those integrands are piecewise smooth with kinks and jumps at atom
 locations and component boundaries, so the integrator here accepts an explicit
 list of forced split points and refines panels by a global error budget
-relative to the integral of |f| (QUADPACK's ``epsrel``). All panel
-evaluations are batched: the integrand receives one flat array per round.
+relative to the integral of |f| (QUADPACK's ``epsrel``). A flagged panel is
+cut into eight children graded toward both of its ends (`_CUTS`), so an
+endpoint singularity, such as Q ~ p^(1/k) at p = 0, is resolved sixteen
+times finer per round rather than twice. All panel evaluations are batched:
+the integrand receives one flat array per round.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: panel count at which refinement stops
+#: panel count that refinement never exceeds
 PANEL_LIMIT = 4096
+#: where `_refine` cuts a flagged panel, as fractions of its width
+_CUTS = np.array([0.0, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16, 1.0])
 
 # 15-point Kronrod nodes on [-1, 1] with the embedded 7-point Gauss rule.
 _XGK = np.array(
@@ -99,19 +104,27 @@ def _initial_edges(a: float, b: float, points) -> np.ndarray:
 def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Refine panels [lo_i, hi_i] against one global error budget.
 
-    Bisects every panel whose error estimate exceeds its share of `tol` times
-    the summed |panel integral|, until the total estimated error drops under
-    that or the panel count reaches `PANEL_LIMIT`. Returns the final panels'
-    integrals.
+    Cuts every panel whose error estimate exceeds its share of `tol` times
+    the summed |panel integral| at the fractions `_CUTS` of its width, until
+    the total estimated error drops under that or no flagged panel can be
+    cut without taking the panel count past `PANEL_LIMIT`. Near the limit
+    only the flagged panels of largest error that fit are cut. Returns the
+    final panels' integrals.
     """
     vals, errs = _eval_panels(f, lo, hi)
-    while errs.sum() > tol * np.abs(vals).sum() and lo.size < PANEL_LIMIT:
+    while errs.sum() > tol * np.abs(vals).sum():
         mask = errs > tol * np.abs(vals).sum() / lo.size
-        if not mask.any():
+        # a cut panel gives way to _CUTS.size - 1 children
+        room = (PANEL_LIMIT - lo.size) // (_CUTS.size - 2)
+        if not mask.any() or room < 1:
             break
-        mids = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[mask], mids])
-        new_hi = np.concatenate([mids, hi[mask]])
+        if np.count_nonzero(mask) > room:
+            mask = np.zeros_like(mask)
+            mask[np.argpartition(errs, -room)[-room:]] = True
+        a, b = lo[mask], hi[mask]
+        cuts = np.minimum(a[:, None] + (b - a)[:, None] * _CUTS, b[:, None])
+        cuts[:, -1] = b
+        new_lo, new_hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
         new_vals, new_errs = _eval_panels(f, new_lo, new_hi)
         lo = np.concatenate([lo[~mask], new_lo])
         hi = np.concatenate([hi[~mask], new_hi])
@@ -124,10 +137,10 @@ def integrate(f, a: float, b: float, *, points=(), tol: float = 1e-10) -> float:
     """Integrate a vectorized callable over [a, b].
 
     `points` lists abscissae where the integrand may jump or kink; panels are
-    forced to break there. Refinement bisects every panel whose error estimate
-    exceeds its share of the global budget, until the total estimated error
-    drops under `tol` times the integral of |f| or the panel count reaches
-    `PANEL_LIMIT`.
+    forced to break there. Refinement cuts every panel whose error estimate
+    exceeds its share of the global budget into eight graded children
+    (`_refine`), until the total estimated error drops under `tol` times the
+    integral of |f| or no flagged panel fits under `PANEL_LIMIT`.
     """
     if not (b > a):
         return 0.0

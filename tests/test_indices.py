@@ -350,11 +350,11 @@ def test_index_report_integrals_end_within_budget(monkeypatch, sigma):
     over = []
 
     def logged(f, lo, hi, tol):
-        seen = {}
+        rounds = []
 
         def panels(g, a, b):
             vals, errs = eval_panels(g, a, b)
-            seen.update(zip(zip(a.tolist(), b.tolist()), zip(vals.tolist(), errs.tolist())))
+            rounds.append((a, b, vals, errs))
             return vals, errs
 
         monkeypatch.setattr(quadrature, "_eval_panels", panels)
@@ -362,10 +362,18 @@ def test_index_report_integrals_end_within_budget(monkeypatch, sigma):
             out = refine(f, lo, hi, tol)
         finally:
             monkeypatch.setattr(quadrature, "_eval_panels", eval_panels)
-        final = [ve for (a, b), ve in seen.items() if (a, 0.5 * (a + b)) not in seen]
-        err = sum(e for _, e in final)
-        if err > tol * sum(abs(v) for v, _ in final):
-            over.append((len(final), err))
+        # A panel is final when no panel evaluated in a later round lies
+        # inside it; the panels of one round are disjoint.
+        vals, errs = [], []
+        for r, (a, b, v, e) in enumerate(rounds):
+            later = np.sort(np.concatenate([0.5 * (c + d) for c, d, _, _ in rounds[r + 1:]] + [[]]))
+            final = later.searchsorted(a, side="right") == later.searchsorted(b, side="left")
+            vals.append(v[final])
+            errs.append(e[final])
+        vals, errs = np.concatenate(vals), np.concatenate(errs)
+        assert vals.size == out.size
+        if errs.sum() > tol * np.abs(vals).sum():
+            over.append((vals.size, errs.sum()))
         return out
 
     monkeypatch.setattr(quadrature, "_refine", logged)

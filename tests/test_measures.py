@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lorenzkit import index_report, integral_lorenz, lorenz, standard_battery, w1_routes
+from lorenzkit import (
+    gini_mean_difference,
+    index_report,
+    integral_lorenz,
+    lorenz,
+    standard_battery,
+    w1_routes,
+)
 from lorenzkit.estimators import kde, quantile_approx
 from lorenzkit.measures import (
     TAIL_LEVELS,
@@ -434,6 +441,37 @@ def test_integral_lorenz_inversion_budget(monkeypatch, i):
     integral_lorenz(lorenz(d))
     assert 0 < counts["calls"] <= 3
     assert counts["rounds"] <= 60
+
+
+def _creep_laws():
+    return [
+        mixture([(0.9, exponential(0.5)), (0.1, atom(20.0))]),
+        mixture([(0.7, gamma_dist(3.0, 1.0)), (0.3, atom(1.0))]),
+        mixture([(0.4756, gamma_dist(4.794, 9.707)), (0.1593, atom(2.605)), (0.3651, atom(0.4037))]),
+        mixture([(0.5, gamma_dist(2.0, 1.0)), (0.5, uniform(1.0, 2.0))]),
+    ]
+
+
+@pytest.mark.parametrize("route, budget", [("lorenz", 3), ("mean_difference", 4)])
+@pytest.mark.parametrize("i", range(4))
+def test_p_space_integral_inversion_budget(monkeypatch, route, budget, i):
+    # Panels halved once per round crept up on Q's singularity at p = 0
+    # (Q ~ p^(1/k) for a gamma part) and on the log-like run below a far
+    # atom, one full inversion per round: 5 to 8 calls per Lorenz area and
+    # 6 to 8 per mean difference.
+    d = _creep_laws()[i]
+    invert, calls = measures._invert, []
+
+    def counted(*args):
+        calls.append(1)
+        return invert(*args)
+
+    monkeypatch.setattr(measures, "_invert", counted)
+    if route == "lorenz":
+        integral_lorenz(lorenz(d))
+    else:
+        gini_mean_difference(d)
+    assert 0 < len(calls) <= budget
 
 
 def test_rescale_homogeneity():

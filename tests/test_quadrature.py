@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lorenzkit.quadrature import integrate
+from lorenzkit import quadrature
+from lorenzkit.quadrature import PANEL_LIMIT, integrate
 
 
 def test_polynomial_is_exact():
@@ -58,3 +59,19 @@ def test_oscillatory_integrand_converges():
     w = 50.0 * math.pi
     val = integrate(lambda x: np.sin(w * x), 0.0, 1.0, tol=1e-11)
     assert abs(val - (1.0 - math.cos(w)) / w) < 1e-10
+
+
+def test_refinement_never_passes_the_panel_limit(monkeypatch):
+    # Seeded noise never meets the budget, so refinement runs to the cap;
+    # bisecting every flagged panel could overshoot it up to 2x.
+    rng = np.random.default_rng(13)
+    refine, final = quadrature._refine, []
+
+    def logged(*args):
+        vals = refine(*args)
+        final.append(vals.size)
+        return vals
+
+    monkeypatch.setattr(quadrature, "_refine", logged)
+    integrate(lambda x: rng.random(x.shape), 0.0, 1.0, points=np.linspace(0.0, 1.0, 700))
+    assert PANEL_LIMIT - 7 <= final[0] <= PANEL_LIMIT
