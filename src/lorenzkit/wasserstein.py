@@ -25,7 +25,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import DYADIC, P_TAIL, TAIL_LEVELS, Distribution, _invert, atom, require_member
+from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, Distribution, _invert, atom, require_member
 
 __all__ = [
     "w1",
@@ -83,6 +83,20 @@ def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     return _invert(d._level_arr, y, lo, hi, vlo, vhi, tol)
 
 
+#: where `_abs_gap_body` cuts an open cell, as fractions of its width: 8
+#: equal children
+_GAP_CUTS = np.arange(1.0, 8.0) / 8.0
+#: count of open cells that no level of `_abs_gap_body` takes past
+_GAP_CELL_LIMIT = 16384
+
+
+def _children(lo: np.ndarray, hi: np.ndarray, inner, cut: np.ndarray, wait: np.ndarray):
+    """Per-cell (lo, hi) arrays of the cells that wait, then of the children
+    of the cut cells, with `inner` holding `_GAP_CUTS.size` values a cut cell."""
+    grid = np.column_stack([lo[cut], np.reshape(inner, (cut.size, -1)), hi[cut]])
+    return np.concatenate([lo[wait], grid[:, :-1].ravel()]), np.concatenate([hi[wait], grid[:, 1:].ravel()])
+
+
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:
     """Integral of |g1 - g2| between two nondecreasing functions over cells.
 
@@ -90,11 +104,17 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     exact antiderivative of g_i; `br_i` are bracket arrays for inverse-style
     evaluators (None on the first call). On any cell, monotonicity pins
     g1 - g2 inside [g1(a) - g2(b), g1(b) - g2(a)]; cells where that interval
-    has one sign contribute |A-difference| exactly, the rest split in half,
-    everything vectorized one depth level at a time. Ambiguous cells are
+    has one sign contribute |A-difference| exactly, the rest are cut into 8
+    equal children, everything vectorized one depth level at a time, each
+    cut point bracketed by its parent's end values. Ambiguous cells are
     accepted once their width-times-oscillation bound fits the remaining
-    error budget. Returns (integral, A1 at the last edge, A2 at the last
-    edge); the trailing antiderivative values serve tail corrections.
+    error budget, or once their ends are adjacent floats; either way the
+    bound is charged to the budget. No level takes the count of open cells
+    past `_GAP_CELL_LIMIT`: near it only the open cells of largest bound
+    are cut and the others wait, and once none can be cut, or at depth 47,
+    the open cells are added without charging their bound. Returns
+    (integral, A1 at the last edge, A2 at the last edge); the trailing
+    antiderivative values serve tail corrections.
     """
     v1, a1, v2, a2 = evaluate(edges, None, None)
     end1, end2 = float(a1[-1]), float(a2[-1])
@@ -113,26 +133,34 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
         n_active = int(np.sum(~sure))
         if n_active:
             allowance = max(budget - spent, 0.0) / n_active
-            accept = ~sure & (err <= allowance)
+            uncuttable = b <= np.nextafter(a, np.inf)
+            accept = ~sure & ((err <= allowance) | uncuttable)
             spent += float(err[accept].sum())
         else:
             accept = np.zeros_like(sure)
         done = sure | accept
         total += float(np.abs(integ[done]).sum())
-        keep = ~done
-        n_keep = int(keep.sum())
-        if n_keep == 0 or depth == 47 or 2 * n_keep > 16384:
-            total += float(np.abs(integ[keep]).sum())
+        open_ = np.flatnonzero(~done)
+        # a cut cell gives way to _GAP_CUTS.size + 1 children
+        room = (_GAP_CELL_LIMIT - open_.size) // _GAP_CUTS.size
+        if open_.size == 0 or depth == 47 or room < 1:
+            total += float(np.abs(integ[open_]).sum())
             break
-        mid = 0.5 * (a[keep] + b[keep])
+        if open_.size > room:
+            open_ = open_[np.argpartition(err[open_], -room)]
+        wait, cut = open_[:-room], open_[-room:]
+        x = np.minimum(a[cut, None] + (b - a)[cut, None] * _GAP_CUTS, b[cut, None])
+        n = _GAP_CUTS.size
         m1, c1, m2, c2 = evaluate(
-            mid, (va1[keep], vb1[keep]), (va2[keep], vb2[keep])
+            x.ravel(),
+            (np.repeat(va1[cut], n), np.repeat(vb1[cut], n)),
+            (np.repeat(va2[cut], n), np.repeat(vb2[cut], n)),
         )
-        a, b = np.concatenate([a[keep], mid]), np.concatenate([mid, b[keep]])
-        va1, vb1 = np.concatenate([va1[keep], m1]), np.concatenate([m1, vb1[keep]])
-        va2, vb2 = np.concatenate([va2[keep], m2]), np.concatenate([m2, vb2[keep]])
-        aa1, ab1 = np.concatenate([aa1[keep], c1]), np.concatenate([c1, ab1[keep]])
-        aa2, ab2 = np.concatenate([aa2[keep], c2]), np.concatenate([c2, ab2[keep]])
+        a, b = _children(a, b, x, cut, wait)
+        va1, vb1 = _children(va1, vb1, m1, cut, wait)
+        va2, vb2 = _children(va2, vb2, m2, cut, wait)
+        aa1, ab1 = _children(aa1, ab1, c1, cut, wait)
+        aa2, ab2 = _children(aa2, ab2, c2, cut, wait)
     return total, end1, end2
 
 
@@ -144,8 +172,12 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     its quantile argument, so approximate quantiles serve. CDF route: cells
     in x, cell integrals of F from integration by parts, A(x) = x F(x) -
     pe(x). Both truncate at matched tails whose first moments enter as a
-    difference. Budgets scale with s = m1 + m2, a bound on W1: 1e-7 s per
-    route and quantiles to 1e-10 s, so rescaling both laws rescales both.
+    difference. The first cells of each route are graded toward both ends,
+    where the two curves may touch and stay ambiguous for many levels: the
+    p-cells split at 2^-k and 1 - 2^-k for k = 1..40, the x-cells at
+    hi 2^-k for k = 1..60 (`HALVINGS`). Budgets scale with s = m1 + m2, a
+    bound on W1: 1e-7 s per route and quantiles to 1e-10 s, so rescaling
+    both laws rescales both.
     """
     scale = d1.mean + d2.mean
     budget = 1e-7 * scale
@@ -154,7 +186,7 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     tol_q = 1e-10 * scale
 
     edges = np.concatenate(
-        [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), TAIL_LEVELS]
+        [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), 1.0 - TAIL_LEVELS, TAIL_LEVELS]
     )
     edges = np.unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
 
@@ -179,7 +211,7 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     hi = max(hi1, hi2)
     xb = np.concatenate([d1.x_breakpoints(), d2.x_breakpoints()])
     xedges = np.unique(
-        np.concatenate([xb[(xb > 0.0) & (xb < hi)], np.linspace(0.0, hi, 129)])
+        np.concatenate([xb[(xb > 0.0) & (xb < hi)], np.linspace(0.0, hi, 129), hi * HALVINGS])
     )
 
     def eval_x(xs, br1, br2):

@@ -30,7 +30,7 @@ from lorenzkit import (
     sequence_diagnostics,
     three_group,
     uniform,
-    w1,
+    w1_routes,
 )
 from lorenzkit.catalog import standard_battery
 from lorenzkit.estimators import (
@@ -176,8 +176,12 @@ def test_criterion_8_curve_round_trip():
         grid = np.linspace(0.0, 1.0, 4097)
         for name, d in BATTERY:
             rebuilt = reconstruct(lorenz(d).eval(grid), d.mean, grid)
-            err = w1(rebuilt, d)
+            err, by_cdf = w1_routes(rebuilt, d)
             assert err <= 1e-3, (name, err)
+            # the rebuilt law crosses its source in every grid cell, so the
+            # gap integrator meets thousands of open cells at its first level;
+            # both routes must still meet their budget, not stop at a cap
+            assert abs(err - by_cdf) <= 1e-7 * (rebuilt.mean + d.mean), name
             if d.is_finite_discrete:
                 _, masses = d.support_atoms()
                 knots = np.cumsum(masses)[:-1] * 4096.0

@@ -24,6 +24,7 @@ from lorenzkit import (
     w1,
     w1_routes,
 )
+from lorenzkit import wasserstein
 from lorenzkit.catalog import counterexample1_step
 from lorenzkit.estimators import quantile_approx
 from lorenzkit.wasserstein import _q_within
@@ -120,6 +121,52 @@ def test_route_agreement_over_battery_pairs(battery):
                 worst_quad = max(worst_quad, gap / scale)
     assert worst_exact < 1e-8
     assert worst_quad < 1e-5
+
+
+def _count_gap_levels(monkeypatch) -> list[int]:
+    """Refinement levels of every `_abs_gap_body` call, in call order: the
+    quantile route, then the cdf route, of each general pair."""
+    body, levels = wasserstein._abs_gap_body, []
+
+    def counted_body(edges, evaluate, budget):
+        calls = []
+
+        def counted(points, br1, br2):
+            calls.append(1)
+            return evaluate(points, br1, br2)
+
+        try:
+            return body(edges, counted, budget)
+        finally:
+            levels.append(len(calls) - 1)
+
+    monkeypatch.setattr(wasserstein, "_abs_gap_body", counted_body)
+    return levels
+
+
+def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
+    # Halving one level at a time took up to 17 quantile-route and 20
+    # cdf-route levels on these pairs, one level per halving of the cells
+    # [0, 2^-k] and of the cells where the two curves cross.
+    general = [d for _, d in battery if not d.is_finite_discrete]
+    assert len(general) == 12
+    levels = _count_gap_levels(monkeypatch)
+    for i, d1 in enumerate(general):
+        for d2 in general[i + 1:]:
+            w1_routes(d1, d2)
+    assert len(levels) == 2 * 66
+    assert max(levels[0::2]) <= 4
+    assert max(levels[1::2]) <= 8
+
+
+def test_far_atom_quantile_route_stops_at_float_resolution(monkeypatch):
+    # The jump of Q1 to 1e12 at p = 1 - 1e-9 leaves a cell whose ends are
+    # adjacent floats and whose bound exceeds its share of the budget; it is
+    # accepted instead of being carried on to depth 47.
+    d1, d2 = [p[1:3] for p in SCALE_PAIRS if p[0] == "far atom 1e12"][0]
+    levels = _count_gap_levels(monkeypatch)
+    w1_routes(d1, d2)
+    assert levels[0] <= 8
 
 
 def test_bracketed_quantile_terminates_below_float_spacing(deadline):
