@@ -7,10 +7,13 @@ writes every value as ``float.hex``: the fields of `index_report`, both
 values and, for each law whose quantile is float-exact (finite-discrete
 laws, mixtures of parts, Gaussian kernel estimates), how many probabilities
 of a ladder break the exact Galois pair or the order of Q (key ``galois``;
-the contract is 0). The pair is two-sided where the library inverts the
-survival function: a mixture of parts meets sf(Q) <= 1 - p < sf(prev(Q))
-for F(x_h) < p <= F(top), x_h the first knot of its table where F >= 1/2
-and top the last, and F(prev(Q)) < p <= F(Q) elsewhere; a tree without
+the contract is 0) and how many of the same probabilities get a quantile
+from shuffled chunks that differs from the one batch, each side on a cold
+copy of the law (key ``batch``; the contract is 0, the premise of the
+quantile memo of `Distribution`). The pair is two-sided where the library
+inverts the survival function: a mixture of parts meets sf(Q) <= 1 - p <
+sf(prev(Q)) for F(x_h) < p <= F(top), x_h the first knot of its table where
+F >= 1/2 and top the last, and F(prev(Q)) < p <= F(Q) elsewhere; a tree without
 `Distribution._sf_arr` is held to the cdf form alone. The battery is
 `standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
 density plus tens to hundreds of atoms), mixtures with quantile-table and
@@ -25,8 +28,8 @@ field and per kind (``discrete`` when every law involved is
 finite-discrete, else ``general``), how many values are bit-identical and
 the largest relative difference (for ``index.max_cross_route_residual``,
 each dump's largest residual instead, so a rise shows), and each dump's
-total of Galois failures, so a quantile that moved can be seen to meet the
-contract still; it then lists the keys found in one dump only.
+totals of Galois and batch failures, so a quantile that moved can be seen
+to meet the contract still; it then lists the keys found in one dump only.
 
 Run each side against its own source tree, for example
 
@@ -43,6 +46,7 @@ from collections import defaultdict
 import numpy as np
 
 from lorenzkit import (
+    Distribution,
     atom,
     discrete,
     exponential,
@@ -77,6 +81,8 @@ PS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)
 LORENZ_PS = np.linspace(0.0, 1.0, 33)
 #: probabilities of the Galois check: the 257-level ladder, the tail levels 1 - 2^-k and PS
 GALOIS_PS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS, PS]))
+#: chunks the shuffled Galois ladder is split into for the batch check
+BATCH_CHUNKS = 17
 #: battery laws every extra law is paired with for W1
 W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
                "mix(0.3*atom(0),0.7*exp(1))")
@@ -176,6 +182,18 @@ def galois_failures(d, ps=GALOIS_PS):
     return int(np.sum(~ok))
 
 
+def batch_failures(d, ps=GALOIS_PS):
+    """How many p in `ps` get a quantile from shuffled chunks that differs,
+    bit for bit, from the one batch; each side runs on a cold copy of `d`."""
+    whole = np.asarray(Distribution(d.parts).quantile(ps))
+    cold = Distribution(d.parts)
+    chunked = np.empty_like(whole)
+    order = np.random.default_rng(0).permutation(ps.size)
+    for rows in np.array_split(order, BATCH_CHUNKS):
+        chunked[rows] = cold.quantile(ps[rows])
+    return int(np.sum(chunked.view(np.uint64) != whole.view(np.uint64)))
+
+
 def _index_fields(d):
     report = index_report(d)
     return [getattr(report, f) for f in INDEX_FIELDS]
@@ -194,6 +212,7 @@ def dump(path):
         _attempt(values, f"{kind}|quantile|{name}", lambda: d.quantile(PS))
         if d.is_finite_discrete or len(d.parts) > 1 or name.startswith("kde-gaussian"):
             _attempt(values, f"{kind}|galois|{name}", lambda: galois_failures(d))
+            _attempt(values, f"{kind}|batch|{name}", lambda: batch_failures(d))
         xs = np.unique(np.concatenate([[0.0], d.quantile(PS)]))
         _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
         _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))
@@ -259,9 +278,11 @@ def diff(path_a, path_b):
             print(f"{kind:9} {field:34} {n:7d} {same:9d}  largest {worst[kind][0]:.3g} -> {worst[kind][1]:.3g}")
         else:
             print(f"{kind:9} {field:34} {n:7d} {same:9d} {rel:12.3g}")
-    for path, dumped in ((path_a, a), (path_b, b)):
-        fails = sum(float.fromhex(v) for k, v in dumped.items() if "|galois|" in k and not v.startswith("raise"))
-        print(f"galois failures in {path}: {fails:g}")
+    for check in ("galois", "batch"):
+        for path, dumped in ((path_a, a), (path_b, b)):
+            tag = f"|{check}|"
+            fails = sum(float.fromhex(v) for k, v in dumped.items() if tag in k and not v.startswith("raise"))
+            print(f"{check} failures in {path}: {fails:g}")
     total = sum(r[0] for r in stats.values())
     same = sum(r[1] for r in stats.values())
     print(f"total: {same} of {total} values bit-identical")

@@ -539,6 +539,12 @@ class _CutKernelMixture:
         q = np.minimum(tau[cell] + h * s, tau[cell + 1])
         return np.where(j >= 0, q, 0.0)
 
+    @property
+    def iterative_quantile(self) -> bool:
+        """True without a knot table: `quantile` then iterates
+        (`_newton_quantile`), and `Distribution` keeps a memo of it."""
+        return self._knot_table is None
+
     def _newton_quantile(self, p: np.ndarray) -> np.ndarray:
         """Q(p) for a kernel without knots: safeguarded Newton, float-exact finish.
 

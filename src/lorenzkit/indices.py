@@ -4,6 +4,13 @@ Routes are deliberately redundant: a disagreement between them is the
 cheapest bug detector this package has, so the routes of one index rest on
 different primitives.
 
+The routes of one law share its quantile values: a law with an iterative
+quantile inverts each p once and keeps it in a memo (`Distribution`), which
+changes no number because Q(p) depends on p alone. They share no
+quadrature: each integral runs its own panels and error budget, even where
+the mean-difference diagonal and the Lorenz area start from the same
+probability cells (`Distribution._p_cells`).
+
 - cdf quadrature in x: integrals of F or of the survival function sf over
   the support, split at the law's breakpoints and at halvings of the
   integral's upper end. sf is summed from the parts' own survival
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorenz import integral_lorenz, lorenz
-from .measures import HALVINGS, P_SPLITS, Distribution, discrete, require_member
+from .measures import HALVINGS, Distribution, discrete, require_member
 from .quadrature import integrate
 
 __all__ = [
@@ -68,26 +75,15 @@ def _mean_abs_difference_discrete(d: Distribution) -> float:
     return float(2.0 * np.sum(weights * support * (cum + cum_prev - 1.0)))
 
 
-def _p_cells(d: Distribution) -> np.ndarray:
-    """Probability grid whose cells contain no quantile jumps or kinks.
-
-    It joins the quantile's breakpoints, 64 equal cells and the shared
-    p-space ladder `P_SPLITS`, so the cells, and with them the panels of
-    the diagonal's quadrature, start out graded toward both ends.
-    """
-    edges = np.concatenate(
-        [d.p_breakpoints(), np.linspace(0.0, 1.0, 65), P_SPLITS, [0.0, 1.0]]
-    )
-    return np.unique(np.clip(edges, 0.0, 1.0))
-
-
-def _quantile_integrals(d: Distribution, edges: np.ndarray) -> np.ndarray:
-    """Integral of Q over each cell of `edges`, by partial-expectation identity.
+def _quantile_integrals(d: Distribution) -> np.ndarray:
+    """Integral of Q over each cell of `Distribution._p_cells`, by the
+    partial-expectation identity.
 
     S(p) (`Distribution._quantile_integral`) is exact at every p < 1 and S(1)
     is the mean, so cell integrals are differences of exactly evaluable
     endpoint values; no quadrature enters.
     """
+    edges = d._p_cells
     inner = edges[:-1] if edges[-1] == 1.0 else edges
     s = d._quantile_integral(inner, d._quantile_arr(inner))
     if edges[-1] == 1.0:
@@ -98,9 +94,9 @@ def _quantile_integrals(d: Distribution, edges: np.ndarray) -> np.ndarray:
 def _mean_abs_difference(d: Distribution) -> float:
     if d.is_finite_discrete:
         return _mean_abs_difference_discrete(d)
-    edges = _p_cells(d)
+    edges = d._p_cells
     w = np.diff(edges)
-    s = _quantile_integrals(d, edges)
+    s = _quantile_integrals(d)
     w_prefix = np.concatenate([[0.0], np.cumsum(w)[:-1]])
     s_prefix = np.concatenate([[0.0], np.cumsum(s)[:-1]])
     off_diagonal = 2.0 * float(np.sum(s * w_prefix) - np.sum(w * s_prefix))

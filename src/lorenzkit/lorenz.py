@@ -29,7 +29,6 @@ import numpy as np
 
 from .measures import (
     DYADIC,
-    P_SPLITS,
     Distribution,
     quantile_table,
     require_member,
@@ -225,14 +224,14 @@ def reconstruct(ell, target_mean: float, grid=None) -> Distribution:
 def integral_lorenz(curve: LorenzCurve) -> float:
     """Integral of the Lorenz curve over [0, 1].
 
-    Adaptive quadrature split at the quantile's breakpoints, so the affine
-    pieces of a discrete law's curve are integrated exactly, and at the
-    shared p-space ladder `P_SPLITS` (2^-k and 1 - 2^-k), so the first round
-    already has panels at every scale toward p = 0 and p = 1 and refinement
-    does not creep up on either end one small batch of curve values at a
-    time.
+    Adaptive quadrature split at the law's shared probability cells
+    (`Distribution._p_cells`), not only at `P_SPLITS`. They hold the
+    quantile's breakpoints, so the affine pieces of a discrete law's curve
+    are integrated exactly; the ladder `P_SPLITS` (2^-k and 1 - 2^-k), so
+    the first round already has panels at every scale toward p = 0 and
+    p = 1 and refinement does not creep up on either end; and 64 equal
+    cells. The mean-difference diagonal starts from the same cells, so the
+    first round's curve values reuse its quantiles from the law's memo.
     """
-    breaks = np.concatenate([curve.source.p_breakpoints(), P_SPLITS])
-    return integrate(
-        lambda p: curve.eval(np.clip(p, 0.0, 1.0)), 0.0, 1.0, points=breaks, tol=AREA_TOL
-    )
+    cells = curve.source._p_cells
+    return integrate(lambda p: curve.eval(np.clip(p, 0.0, 1.0)), 0.0, 1.0, points=cells, tol=AREA_TOL)

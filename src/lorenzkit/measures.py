@@ -106,6 +106,8 @@ _MAX_ROUNDS = 64
 #: ulps of Q, and of p over the slope, within which an iterative quantile
 #: stops and around which its float-exact finish probes (`_reach`)
 _FINISH_ULPS = 4
+#: entries a law's quantile memo holds at most (`Distribution._quantile_arr`)
+QUANTILE_MEMO_CAP = 2**16
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
 P_SPLITS.flags.writeable = False
@@ -695,6 +697,16 @@ class Distribution:
     read the parts whose ``atoms()`` lists them from one pooled block
     (`_atomic`) and call the component methods of the other parts only; a
     law with no other part is finite-discrete (`_discrete`).
+
+    A law whose quantile is iterative keeps a memo of it: a mixture of
+    parts, or a law of one part whose component sets ``iterative_quantile``
+    (the Gaussian kernel estimate). Its index routes read Q at many of the
+    same p (the shared cells `_p_cells`, the dyadic sweep of `hoover_max`),
+    and each p is inverted once per law. The memo rests on one premise: a
+    quantile depends on its p alone, never on the other rows of its batch,
+    so a value read back from the memo is the value a cold law would
+    compute. It holds at most `QUANTILE_MEMO_CAP` entries and stops growing
+    there; a copy ``Distribution(d.parts)`` starts cold.
     """
 
     parts: tuple[tuple[float, object], ...]
@@ -894,8 +906,58 @@ class Distribution:
 
     # -- quantiles ----------------------------------------------------------
 
+    @cached_property
+    def _memoized(self) -> bool:
+        """Whether the quantile is iterative, so `_quantile_arr` keeps a memo."""
+        if self._discrete is not None:
+            return False
+        return len(self.parts) > 1 or getattr(self.parts[0][1], "iterative_quantile", False)
+
     def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) at an array of p in [0, 1) of any shape, 0-d included.
+
+        A law with an iterative quantile (`_memoized`) looks every finite p up
+        in its memo, sorted (p, Q) arrays held as one tuple in the instance
+        ``__dict__``. The misses are deduplicated and inverted in one batch
+        (`_fresh_quantile`), and `_remember` merges them in. Other laws read
+        their closed form each time.
+        """
         p = np.asarray(p, dtype=float)
+        if not self._memoized:
+            return self._closed_quantile(p)
+        flat = p.ravel()
+        memo_p, memo_q = self.__dict__.get("_quantile_memo", (flat[:0], flat[:0]))
+        out = np.empty_like(flat)
+        miss = np.ones(flat.shape, dtype=bool)
+        if memo_p.size:
+            at = np.minimum(np.searchsorted(memo_p, flat), memo_p.size - 1)
+            hit = memo_p[at] == flat
+            out[hit] = memo_q[at[hit]]
+            miss = ~hit
+        if miss.any():
+            new_p, back = np.unique(flat[miss], return_inverse=True)
+            new_q = self._fresh_quantile(new_p)
+            out[miss] = new_q[back]
+            self._remember(memo_p, memo_q, new_p, new_q)
+        return out.reshape(p.shape)
+
+    def _remember(self, memo_p, memo_q, new_p, new_q) -> None:
+        """Merge sorted new (p, Q) rows, none of them in the memo, into it.
+
+        Only finite p enter, and only as many of the smallest as fit under
+        `QUANTILE_MEMO_CAP`. The merged arrays replace the old ones as one
+        tuple, so a concurrent reader sees either memo whole; a merge that
+        loses a race drops its rows, which only costs their inversion again.
+        """
+        keep = np.isfinite(new_p)
+        room = QUANTILE_MEMO_CAP - memo_p.size
+        new_p, new_q = new_p[keep][:room], new_q[keep][:room]
+        if new_p.size:
+            at = np.searchsorted(memo_p, new_p)
+            self.__dict__["_quantile_memo"] = (np.insert(memo_p, at, new_p), np.insert(memo_q, at, new_q))
+
+    def _fresh_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) evaluated, not read from the memo."""
         out = self._closed_quantile(p)
         if out is None:
             out = np.zeros_like(p)
@@ -924,6 +986,25 @@ class Distribution:
         else:
             out[pos] = self.parts[0][1].quantile(p[pos])
         return out
+
+    @cached_property
+    def _p_cells(self) -> np.ndarray:
+        """The probability cells every index integral over p starts from.
+
+        They join the quantile's breakpoints, so no cell holds a jump or kink
+        of Q, 64 equal cells and the ladder `P_SPLITS`, so the first panels
+        are graded toward both ends. The mean-difference diagonal and its
+        cell integrals of Q (`indices._mean_abs_difference`) and the Lorenz
+        area (`lorenz.integral_lorenz`) split here, so their first round of
+        Kronrod nodes is one set of p, and the quantile memo answers it for
+        whichever route comes second.
+        """
+        edges = np.concatenate(
+            [self.p_breakpoints(), np.linspace(0.0, 1.0, 65), P_SPLITS, [0.0, 1.0]]
+        )
+        edges = np.unique(np.clip(edges, 0.0, 1.0))
+        edges.flags.writeable = False
+        return edges
 
     @cached_property
     def _knot_values(self):
