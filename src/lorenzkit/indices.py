@@ -6,10 +6,13 @@ different primitives.
 
 The routes of one law share its quantile values: a law with an iterative
 quantile inverts each p once and keeps it in a memo (`Distribution`), which
-changes no number because Q(p) depends on p alone. They share no
-quadrature: each integral runs its own panels and error budget, even where
-the mean-difference diagonal and the Lorenz area start from the same
-probability cells (`Distribution._p_cells`).
+changes no number because Q(p) depends on p alone. `index_report` inverts
+every p the routes' first rounds read (`Distribution._first_round_p`) in one
+batch before any route runs, so a cold law pays one run of inversion rounds
+for them, not one per route. The routes share no quadrature: each integral
+runs its own panels and error budget, even where the mean-difference
+diagonal and the Lorenz area start from the same probability cells
+(`Distribution._p_cells`).
 
 - cdf quadrature in x: integrals of F or of the survival function sf over
   the support, split at the law's breakpoints and at halvings of the
@@ -188,11 +191,12 @@ def hoover_max(d: Distribution) -> float:
     returned after a sweep over the probability breakpoints and the ladder
     of step 2^-10 (which holds every dyadic probe down to that level)
     confirms no probe beats it by more than numerical slack; F(mean) is
-    evaluated in the same batch as the sweep, one curve call for all.
+    evaluated in the same batch as the sweep (`Distribution._gap_sweep`),
+    one curve call for all.
     """
     require_member(d)
     p_star = float(d.cdf(d.mean))
-    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1025), d.p_breakpoints(), [p_star]]))
+    ps = d._gap_sweep
     gaps = ps - lorenz(d).eval(ps)
     value = float(gaps[np.searchsorted(ps, p_star)])
     sweep = float(np.max(gaps))
@@ -258,7 +262,14 @@ class IndexReport:
 
 
 def index_report(d: Distribution) -> IndexReport:
-    """Compute every route and record the largest within-index disagreement."""
+    """Compute every route and record the largest within-index disagreement.
+
+    A law with a quantile memo first inverts, in one batch, every p that
+    the routes' first rounds read (`Distribution._first_round_p`); the
+    routes then read those values from the memo.
+    """
+    if require_member(d)._memoized:
+        d._quantile_arr(d._first_round_p)
     g_md = gini_mean_difference(d)
     g_dorf = gini_dorfman(d)
     g_lor = gini_lorenz(d)

@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special as sp
 
-from .quadrature import integrate
+from .quadrature import first_nodes, integrate
 
 __all__ = [
     "MeanDomainError",
@@ -701,12 +701,14 @@ class Distribution:
     A law whose quantile is iterative keeps a memo of it: a mixture of
     parts, or a law of one part whose component sets ``iterative_quantile``
     (the Gaussian kernel estimate). Its index routes read Q at many of the
-    same p (the shared cells `_p_cells`, the dyadic sweep of `hoover_max`),
-    and each p is inverted once per law. The memo rests on one premise: a
-    quantile depends on its p alone, never on the other rows of its batch,
-    so a value read back from the memo is the value a cold law would
-    compute. It holds at most `QUANTILE_MEMO_CAP` entries and stops growing
-    there; a copy ``Distribution(d.parts)`` starts cold.
+    same p (the shared cells `_p_cells`, the sweep `_gap_sweep` of
+    `hoover_max`), and each p is inverted once per law; `index_report`
+    inverts every p its routes' first rounds read in one batch
+    (`_first_round_p`) before any route runs. The memo rests on one
+    premise: a quantile depends on its p alone, never on the other rows of
+    its batch, so a value read back from the memo is the value a cold law
+    would compute. It holds at most `QUANTILE_MEMO_CAP` entries and stops
+    growing there; a copy ``Distribution(d.parts)`` starts cold.
     """
 
     parts: tuple[tuple[float, object], ...]
@@ -1005,6 +1007,32 @@ class Distribution:
         edges = np.unique(np.clip(edges, 0.0, 1.0))
         edges.flags.writeable = False
         return edges
+
+    @cached_property
+    def _gap_sweep(self) -> np.ndarray:
+        """The probabilities where `indices.hoover_max` reads the Lorenz gap:
+        the ladder of step 2^-10, the quantile's breakpoints and F(mean)."""
+        ps = np.unique(
+            np.concatenate([np.linspace(0.0, 1.0, 1025), self.p_breakpoints(), [float(self.cdf(self.mean))]])
+        )
+        ps.flags.writeable = False
+        return ps
+
+    @cached_property
+    def _first_round_p(self) -> np.ndarray:
+        """Every p below 1 at which the routes of `indices.index_report`
+        first read Q, sorted.
+
+        They are the edges of `_p_cells`, the first-round Kronrod nodes of
+        its cells (`quadrature.first_nodes`: the Lorenz area's, and less the
+        last cell's the mean-difference diagonal's), and `_gap_sweep`. One
+        `_quantile_arr` call on them inverts all of these in one batch.
+        """
+        cells = self._p_cells
+        ps = np.unique(np.concatenate([cells, first_nodes(cells), self._gap_sweep]))
+        ps = ps[ps < 1.0]
+        ps.flags.writeable = False
+        return ps
 
     @cached_property
     def _knot_values(self):

@@ -73,6 +73,25 @@ _WG = np.array(
 )
 
 
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod abscissae of each panel [lo_i, hi_i], one row a panel."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[:, None] + half[:, None] * _XGK[None, :]
+
+
+def first_nodes(edges: np.ndarray) -> np.ndarray:
+    """The abscissae of the first round of `integrate` over [edges[0],
+    edges[-1]] with ``points=edges`` (sorted and unique), flat.
+
+    `_eval_panels` builds its nodes by the same expression, so a caller that
+    evaluates the integrand's ingredients here in advance, such as a law's
+    quantile memo, holds exactly the values the first round asks for.
+    """
+    edges = np.asarray(edges, dtype=float)
+    return _nodes(edges[:-1], edges[1:]).ravel()
+
+
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the 15-point rule on each panel [lo_i, hi_i].
 
@@ -82,8 +101,7 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
     answers disagree badly, which is what flags a hidden kink.
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[:, None] + half[:, None] * _XGK[None, :]
+    x = _nodes(lo, hi)
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     resk = half * (fx @ _WGK)
     resg = half * (fx[:, 1::2] @ _WG)

@@ -496,6 +496,23 @@ def test_index_report_inverts_each_p_once(monkeypatch, i):
     assert rows[0] <= 30
 
 
+@pytest.mark.parametrize("i", range(7))
+def test_index_report_inverts_in_one_batch(monkeypatch, i):
+    # Each route inverted the p its first round read in a call of its own:
+    # a cold index_report made 5 to 7 `_invert` calls, each a full run of
+    # Illinois rounds, where one batch of all those p now leaves 1 to 3.
+    d = Distribution((_nested_budget_laws() + _creep_laws())[i].parts)
+    invert, calls = measures._invert, []
+
+    def counted(*args):
+        calls.append(1)
+        return invert(*args)
+
+    monkeypatch.setattr(measures, "_invert", counted)
+    index_report(d)
+    assert 0 < len(calls) <= 3
+
+
 def test_rescale_homogeneity():
     d = mixture([(0.5, discrete([1.0, 3.0])), (0.5, exponential(1.0))])
     s = d.rescaled(2.5)

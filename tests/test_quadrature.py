@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from lorenzkit import quadrature
-from lorenzkit.quadrature import PANEL_LIMIT, integrate
+from lorenzkit.quadrature import PANEL_LIMIT, first_nodes, integrate
+
+from test_measures import _nested_budget_laws
 
 
 def test_polynomial_is_exact():
@@ -75,3 +77,21 @@ def test_refinement_never_passes_the_panel_limit(monkeypatch):
     monkeypatch.setattr(quadrature, "_refine", logged)
     integrate(lambda x: rng.random(x.shape), 0.0, 1.0, points=np.linspace(0.0, 1.0, 700))
     assert PANEL_LIMIT - 7 <= final[0] <= PANEL_LIMIT
+
+
+@pytest.mark.parametrize("route", ["lorenz_area", "diagonal"])
+def test_first_round_evaluates_first_nodes(route):
+    # A law's quantile memo is filled at `first_nodes` before the index
+    # routes run, so they must be the very floats the first round asks for:
+    # the Lorenz area's call over [0, 1] and the diagonal's over the cells
+    # below the last.
+    cells = _nested_budget_laws()[0]._p_cells
+    edges, points = (cells, cells) if route == "lorenz_area" else (cells[:-1], cells[:-2])
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.sqrt(x)
+
+    integrate(f, 0.0, edges[-1], points=points)
+    assert np.array_equal(seen[0].view(np.uint64), first_nodes(edges).view(np.uint64))

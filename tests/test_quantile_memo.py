@@ -13,7 +13,18 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from lorenzkit import Distribution, index_report, lorenz
+from lorenzkit import (
+    Distribution,
+    gini_dorfman,
+    gini_lorenz,
+    gini_mean_difference,
+    hoover_cdf,
+    hoover_max,
+    hoover_mean_deviation,
+    index_report,
+    lorenz,
+    robin_hood_shares,
+)
 from lorenzkit.estimators import kde
 from lorenzkit.measures import (
     DYADIC,
@@ -76,6 +87,30 @@ def test_warm_memo_matches_cold_law(i):
     p = np.asarray(0.3)
     q = d._quantile_arr(p)
     assert q.shape == () and _bits(q) == _bits(Distribution(d.parts)._quantile_arr(p))
+
+
+#: each route of `index_report`, by the report's field names
+ROUTES = {
+    "gini_mean_difference": gini_mean_difference,
+    "gini_dorfman": gini_dorfman,
+    "gini_lorenz": gini_lorenz,
+    "hoover_mean_deviation": hoover_mean_deviation,
+    "hoover_cdf": hoover_cdf,
+    "hoover_max": hoover_max,
+    "r_share": lambda d: robin_hood_shares(d)[0],
+    "p_share": lambda d: robin_hood_shares(d)[1],
+}
+
+
+@pytest.mark.parametrize("i", range(len(_memo_laws())))
+def test_report_prefetch_matches_each_route_alone(i):
+    # index_report inverts every p its routes' first rounds read in one
+    # batch before any route runs; each field must still be the value its
+    # route gives alone on a cold law.
+    d = _memo_laws()[i]
+    report = index_report(Distribution(d.parts))
+    for name, route in ROUTES.items():
+        assert _bits(getattr(report, name)) == _bits(route(Distribution(d.parts))), name
 
 
 def test_closed_form_laws_keep_no_memo():
