@@ -20,8 +20,11 @@ density plus tens to hundreds of atoms), mixtures with quantile-table and
 kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
 lognormal(0, 3), three battery laws rescaled by 1e-12, 1e-6, 1e6 and 1e12
 (W1 pairs them within each scale), and single-part kernel estimates
-(uniform, Epanechnikov and Gaussian kernel, n = 200, h = 0.03), each paired
-with the W1 partners. A call that raises is recorded by its exception type.
+(uniform, Epanechnikov and Gaussian kernel, n = 200, h = 0.03) of one
+uniform(0,1) sample plus a Gaussian one (same n and h) of a two-cluster
+sample on [0, 0.3] and [2, 3], whose density nearly vanishes between the
+clusters, each paired with the W1 partners. A call that raises is recorded
+by its exception type.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
@@ -139,9 +142,15 @@ def extra_laws():
 
 
 def kde_laws():
-    """Single-part kernel estimates of one uniform(0,1) sample, as (name, distribution)."""
+    """Single-part kernel estimates of one uniform(0,1) sample, and a
+    Gaussian one of a two-cluster sample, as (name, distribution)."""
     xs = np.random.default_rng(20241).uniform(0.0, 1.0, size=KDE_N)
-    return [(f"kde-{k}-{KDE_N}-{KDE_H:g}", kde(xs, k, KDE_H)) for k in KDE_KERNELS]
+    laws = [(f"kde-{k}-{KDE_N}-{KDE_H:g}", kde(xs, k, KDE_H)) for k in KDE_KERNELS]
+    half = KDE_N // 2
+    gap = np.concatenate([0.3 * np.random.default_rng(4).uniform(0.0, 1.0, size=half),
+                          2.0 + np.random.default_rng(5).uniform(0.0, 1.0, size=KDE_N - half)])
+    laws.append((f"kde-gaussian-gap-{KDE_N}-{KDE_H:g}", kde(gap, "gaussian", KDE_H)))
+    return laws
 
 
 def _attempt(out, key, fn):

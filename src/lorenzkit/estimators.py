@@ -17,10 +17,12 @@ turning data or a distribution into a tractable approximating law:
   Epanechnikov kernel the cdf is a polynomial of degree 1 or 3 between the
   knots 0 and x_i +- h: the law lists every knot as a breakpoint and
   inverts its cdf in closed form from a table of per-knot coefficients (cf.
-  Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth and
-  its density is one more window sum, so its quantile is found by
-  safeguarded Newton and finished to the float by a few bisection rounds.
-  No kernel estimate's quantile is found by bisection from [0, hi].
+  Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth:
+  its values at 0, the sample points and a top are cached once, each p is
+  bracketed between two of them, and the Illinois inversion that mixtures
+  use (`measures._invert`) narrows the brackets on the cdf and finishes
+  them to the float. No kernel estimate's quantile is found by bisection
+  from [0, hi].
 
 ``run_experiment`` drives the convergence diagnostics over five sequence
 schemes (noise, sampling, quantile, quantile_of_sample, kde) from a
@@ -42,10 +44,8 @@ from scipy.special import ndtr, ndtri
 from .measures import (
     Distribution,
     ZeroMeanError,
-    _FINISH_ULPS,
     _MAX_ROUNDS,
-    _finish,
-    _reach,
+    _invert,
     _upper_end,
     discrete,
     require_member,
@@ -220,18 +220,9 @@ def quantile_of_sample(s, ell: int) -> Distribution:
 _INV_SQRT_TAU = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gauss_density(y):
-    y = np.asarray(y, dtype=float)
-    return _INV_SQRT_TAU * np.exp(-0.5 * y * y)
-
-
 def _gauss_partial_first(y):
-    return -_gauss_density(y)
-
-
-def _epan_density(y):
     y = np.asarray(y, dtype=float)
-    return np.where(np.abs(y) <= 1.0, 0.75 * (1.0 - y * y), 0.0)
+    return -(_INV_SQRT_TAU * np.exp(-0.5 * y * y))
 
 
 # Powers are written as products: numpy sends y**3 and y**4 to pow(), about
@@ -245,11 +236,6 @@ def _epan_partial_first(y):
     y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
     y2 = y * y
     return 0.75 * (0.5 * y2 - 0.25 * y2 * y2) - 3.0 / 16.0
-
-
-def _unif_density(y):
-    y = np.asarray(y, dtype=float)
-    return np.where(np.abs(y) <= 1.0, 0.5, 0.0)
 
 
 def _unif_cdf(y):
@@ -266,14 +252,13 @@ def _unif_partial_first(y):
 class KernelSpec:
     """A symmetric smoothing kernel with the pieces the estimator needs.
 
-    cdf is the running integral of density; partial_first_moment is
-    ``M(y) = integral of s * density(s) for s <= y`` (so M(inf) = 0 by
-    symmetry), which is what closed-form truncated means are made of;
-    tail_radius(eps) bounds where the cdf leaves [eps, 1 - eps].
+    cdf is the running integral of the kernel K; partial_first_moment is
+    ``M(y) = integral of s K(s) for s <= y`` (so M(inf) = 0 by symmetry),
+    which is what closed-form truncated means are made of; tail_radius(eps)
+    bounds where the cdf leaves [eps, 1 - eps].
     """
 
     name: str
-    density: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     first_abs_moment: float
     partial_first_moment: Callable[[np.ndarray], np.ndarray]
@@ -282,7 +267,6 @@ class KernelSpec:
 
 GAUSSIAN = KernelSpec(
     name="gaussian",
-    density=_gauss_density,
     cdf=ndtr,
     first_abs_moment=math.sqrt(2.0 / math.pi),
     partial_first_moment=_gauss_partial_first,
@@ -291,7 +275,6 @@ GAUSSIAN = KernelSpec(
 
 EPANECHNIKOV = KernelSpec(
     name="epanechnikov",
-    density=_epan_density,
     cdf=_epan_cdf,
     first_abs_moment=0.375,
     partial_first_moment=_epan_partial_first,
@@ -300,7 +283,6 @@ EPANECHNIKOV = KernelSpec(
 
 UNIFORM = KernelSpec(
     name="uniform",
-    density=_unif_density,
     cdf=_unif_cdf,
     first_abs_moment=0.5,
     partial_first_moment=_unif_partial_first,
@@ -340,10 +322,11 @@ class _CutKernelMixture:
     cdf, so the law's cdf is a polynomial between the knots 0 and x_i +- h.
     For them `_knot_table` holds every knot with its polynomial,
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
-    form. The Gaussian kernel has no knots; `quantile` runs safeguarded
-    Newton on its window sums and ends in the float-exact finish of the
-    measures module (`_newton_quantile`). `sf` sums G(-u) over the same
-    windows plus the points right of them, never 1 - cdf.
+    form. The Gaussian kernel has no polynomial knots; its `quantile`
+    brackets p between cdf values cached at 0, the sample and a top
+    (`_cdf_knots`), and the Illinois inversion of the measures module
+    (`_invert`) narrows the brackets on the cdf alone. `sf` sums G(-u)
+    over the same windows plus the points right of them, never 1 - cdf.
     """
 
     points: tuple[float, ...]
@@ -493,8 +476,32 @@ class _CutKernelMixture:
         level = np.maximum.accumulate(saturated + coeffs[0])
         return tau, saturated, level, coeffs
 
+    def _level(self, t, y):
+        """The cdf, which every row of an inversion compares with its p
+        (`measures._invert`)."""
+        return self.cdf(t)
+
+    @cached_property
+    def _cdf_knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, F(x)) at the brackets of a quantile without a knot table.
+
+        The knots are 0, the sorted sample and a top from `_upper_end` where
+        F reaches nextafter(1, 0), the largest p below 1; one cdf call
+        evaluates them all. Where the computed F column is not nondecreasing,
+        a bracket found by searchsorted can depend on the other rows of its
+        batch, and so can Q; only the ends 0 and top are then kept, and every
+        row is bracketed from [0, top], as a mixture without a table is
+        (`Distribution._knots`).
+        """
+        top = _upper_end(self._level, self.support_hi, np.array([np.nextafter(1.0, 0.0)]))
+        x = np.unique(np.concatenate([[0.0], self._sorted, [top]]))
+        f = self.cdf(x)
+        if np.any(f[1:] < f[:-1]):
+            x, f = x[[0, -1]], f[[0, -1]]
+        return x, f
+
     def quantile(self, p):
-        """Q(p) from the knot table, or by `_newton_quantile` without one.
+        """Q(p) from the knot table, or by Illinois steps without one.
 
         With the table, Q(p) = 0 when n F(0) >= n p. Otherwise the cell is
         the last knot with n F(tau_j) < n p, and its polynomial is solved for
@@ -502,10 +509,25 @@ class _CutKernelMixture:
         else safeguarded Newton runs from s = (n p - n F(tau_j)) / c1, which
         already is the root for the uniform kernel, until a step moves Q by
         at most an ulp. Then Q = tau_j + h s.
+
+        Without a table (the Gaussian kernel), Q(p) = 0 where p <= F(0), so
+        the atom at 0 lies in no bracket. Elsewhere adjacent knots of
+        `_cdf_knots` give F(lo) < p <= F(hi), and one `measures._invert`
+        call (Illinois steps on the cdf, then the float bisection) narrows
+        every bracket, so F(prev(Q)) < p <= F(Q) holds exactly for the
+        computed cdf. The law has one part, so it keeps this cdf form of the
+        pair at every p; only mixtures of parts invert the survival function
+        near p = 1 (`Distribution._knot_brackets`).
         """
         table = self._knot_table
         if table is None:
-            return self._newton_quantile(np.asarray(p, dtype=float))
+            x, f = self._cdf_knots
+            p = np.asarray(p, dtype=float)
+            out = np.zeros_like(p)
+            pos = p > f[0]
+            up = np.searchsorted(f, p[pos], side="left")
+            out[pos] = _invert(self._level, p[pos], x[up - 1], x[up], f[up - 1], f[up], 0.0)
+            return out
         tau, saturated, level, coeffs = table
         h = self.bandwidth
         y = self._sorted.size * np.asarray(p, dtype=float)
@@ -541,77 +563,9 @@ class _CutKernelMixture:
 
     @property
     def iterative_quantile(self) -> bool:
-        """True without a knot table: `quantile` then iterates
-        (`_newton_quantile`), and `Distribution` keeps a memo of it."""
+        """True without a knot table: `quantile` then iterates (Illinois
+        steps of `measures._invert`), and `Distribution` keeps a memo of it."""
         return self._knot_table is None
-
-    def _newton_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) for a kernel without knots: safeguarded Newton, float-exact finish.
-
-        Q(p) = 0 where p <= F(0). Elsewhere Newton runs on F(t) - p from the
-        order statistic x_(ceil(n p)), with F and the density f(t) = (1/nh)
-        sum K((t - x_i)/h) from one `_window_sums` call over each round's
-        windows (F formed exactly as `cdf` forms it), inside a sign
-        bracket F(lo) < p <= F(hi) that starts at [0, hi] with hi taken as
-        for the bisection of `Distribution`. A step that leaves the bracket
-        is replaced by its midpoint; a step onto F = p stays. The computed
-        cdf is exact only to an ulp or so of p, which blurs its crossing of p
-        over about spacing(p) / f in t, so Newton stops once a step is within
-        a few ulps of t plus a few ulps of p over f (its reach), or once the
-        bracket is within a few ulps. The finish of the measures module
-        (`_finish`, shared with the Illinois inversion of mixtures) probes one
-        reach either side of the last iterate to narrow the bracket and
-        bisects it to adjacent floats, so F(prev(Q)) < p <= F(Q) holds
-        exactly, the contract of `quantile`. A Gaussian-kernel estimate is a
-        law of one part, so it keeps this cdf form of the pair at every p;
-        only mixtures of parts invert the survival function near p = 1
-        (`Distribution._knot_brackets`). The atom at 0 is settled before
-        Newton, so no atom lies inside a bracket.
-        """
-        pts, h = self._sorted, self.bandwidth
-        kernel_cdf, density = self.kernel.cdf, self.kernel.density
-        out = np.zeros_like(p)
-        (pos,) = np.nonzero(p > self._mass_at_zero)
-        if not pos.size:
-            return out
-        p = p[pos]
-        lo = np.zeros_like(p)
-
-        def level(t, y):
-            """The cdf, which every row compares with its p (`measures._invert`)."""
-            return self.cdf(t)
-
-        hi = np.full_like(p, _upper_end(level, self.support_hi, p))
-        rank = np.clip(np.ceil(pts.size * p).astype(int) - 1, 0, pts.size - 1)
-        t = np.minimum(pts[rank], hi)
-        state = [t, lo, hi, np.zeros_like(p)]
-        idx = np.arange(p.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_MAX_ROUNDS):
-                target = p[idx]
-                flat, first, last = self._windows(t)
-                inside, slope = self._window_sums(
-                    flat, first, last, lambda u, i: (kernel_cdf(u), density(u)), 2
-                )
-                f = np.where(flat < 0.0, 0.0, (first + inside) / pts.size) - target
-                below = f < 0.0
-                lo = np.where(below, t, lo)
-                hi = np.where(below, hi, t)
-                slope /= pts.size * h
-                nxt = t - f / slope
-                newton = (nxt >= lo) & (nxt <= hi)
-                nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-                reach = _reach(nxt, target, slope)
-                open_ = ~(newton & (np.abs(nxt - t) <= reach)) & (
-                    hi - lo > _FINISH_ULPS * np.spacing(hi)
-                )
-                for full, part in zip(state, (nxt, lo, hi, reach)):
-                    full[idx] = part
-                idx, t, lo, hi = idx[open_], nxt[open_], lo[open_], hi[open_]
-                if not idx.size:
-                    break
-        out[pos] = _finish(level, p, *state, 0.0)
-        return out
 
     def x_breaks(self) -> np.ndarray:
         table = self._knot_table

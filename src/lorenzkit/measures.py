@@ -37,8 +37,9 @@ Where the computed function is not monotone at the ulp level, more than one
 float can meet the pair, and which one is returned depends on the bracket:
 the pair, not "the smallest float that clears p", is the contract.
 Finite-discrete laws meet the cdf form exactly too, and so do kernel
-estimates with the Gaussian kernel, a law of one part whose safeguarded
-Newton iteration ends in the same finish (`_finish`) on the cdf alone.
+estimates with the Gaussian kernel, a law of one part whose quantile runs
+the same `_invert` on its cdf alone, from brackets between its cdf at 0,
+the sample points and a top.
 Other closed forms (single densities, linear tables, and kernel estimates
 with the uniform or Epanechnikov kernel, whose quantile is a root of the
 cdf's polynomial on one knot cell) meet it to a few eps; for those kernel
@@ -101,7 +102,8 @@ HALVINGS = 2.0 ** -np.arange(1.0, 61.0)
 #: (`Distribution._knot_values`), eight knots per octave over the octaves
 #: of `HALVINGS`, so an inversion starts from a bracket under 10 % wide
 _KNOT_LADDER = 2.0 ** -(np.arange(1.0, 481.0) / 8.0)
-#: cap on the rounds of an iterative quantile inversion (Newton, Illinois)
+#: cap on the rounds of an iterative quantile inversion: the Illinois loop
+#: of `_invert` and the polynomial Newton of the compact-kernel estimates
 _MAX_ROUNDS = 64
 #: ulps of Q, and of p over the slope, within which an iterative quantile
 #: stops and around which its float-exact finish probes (`_reach`)

@@ -214,6 +214,10 @@ def _knot_sample(source, n):
         return _uniform_sample(n, n)
     if source == "mix":
         return mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))]).sample(n, n)
+    if source == "point":
+        return np.full(n, 0.7)
+    if source == "tied":
+        return np.repeat([0.2, 0.9], n // 2)
     # two clusters 1.7 apart, far more than 2h
     return np.concatenate([0.3 * _uniform_sample(n // 2, 4), 2.0 + _uniform_sample(n - n // 2, 5)])
 
@@ -247,22 +251,51 @@ def _ladder(*extra):
     return np.unique(ps[(ps >= 0.0) & (ps < 1.0)])
 
 
-@pytest.mark.parametrize("source", ["uniform", "mix", "gap"])
-@pytest.mark.parametrize("n,h", [(25, 0.1), (200, 0.03), (2000, 0.03)])
+@pytest.mark.parametrize(
+    "n,h,source",
+    [(n, h, source) for n, h in [(25, 0.1), (200, 0.03), (2000, 0.03)]
+     for source in ("uniform", "mix", "gap")]
+    + [(1, 0.1, "point"), (10, 0.1, "tied"), (10, 0.03, "tied")],
+)
 def test_gaussian_kde_quantile_galois_pair(source, n, h):
-    # Newton on the window sums, finished by float bisection: Q is the
-    # smallest float whose computed cdf reaches p, exactly. Levels across
-    # [0.3, 2] put Q where the gap sample's density nearly vanishes, so
-    # Newton steps leave their bracket and bisection steps replace them.
+    # Illinois steps on the cdf from brackets between cached knots (0, the
+    # sample, a top), finished by float bisection: F(prev(Q)) < p <= F(Q)
+    # holds exactly for the computed cdf. Levels across [0.3, 2] put Q
+    # where the gap sample's density nearly vanishes, between knots far
+    # apart. 1 - 2^-52 and nextafter(1, 0) need the top knot; the one-point
+    # sample has a single knot inside, the tied sample repeats its points.
     d = kde(_knot_sample(source, n), GAUSSIAN, h)
     levels = d.cdf(np.linspace(0.3, 2.0, 9))
-    ps = _ladder(levels, np.nextafter(levels, 1.0))
+    ps = _ladder(levels, np.nextafter(levels, 1.0), [1.0 - 2.0**-52, np.nextafter(1.0, 0.0)])
     q = d.quantile(ps)
     assert np.all(np.diff(q) >= 0.0)
     at_zero = ps <= d.cdf(0.0)
     assert np.all((q == 0.0) == at_zero)
     assert np.all(d.cdf(q) >= ps)
     assert np.all(d.cdf(np.nextafter(q[~at_zero], 0.0)) < ps[~at_zero])
+
+
+def test_gaussian_kde_quantile_brackets_from_the_ends_without_monotone_knots(monkeypatch):
+    # A searchsorted bracket on a cdf column that is not nondecreasing
+    # depends on the other rows of the batch, and so may Q. Such a column
+    # brackets every row from [0, top] instead: each Q depends on its p
+    # alone and meets the pair for the computed cdf, here raised to 1 at
+    # the middle knot.
+    xs = _uniform_sample(25)
+    dent = np.sort(xs)[12]
+    cdf = _CutKernelMixture.cdf
+    monkeypatch.setattr(
+        _CutKernelMixture, "cdf", lambda self, x: np.where(np.equal(x, dent), 1.0, cdf(self, x))
+    )
+    d = kde(xs, GAUSSIAN, 0.1)
+    ps = _ladder(d.cdf(np.nextafter(dent, [0.0, 1.0])))
+    q = d.quantile(ps)
+    assert d.parts[0][1]._cdf_knots[0].size == 2
+    cold = kde(xs, GAUSSIAN, 0.1)
+    assert [cold.quantile(p) for p in ps] == list(q)
+    pos = q > 0.0
+    assert np.all(d.cdf(q) >= ps)
+    assert np.all(d.cdf(np.nextafter(q[pos], 0.0)) < ps[pos])
 
 
 def test_gaussian_kde_quantile_cdf_budget(monkeypatch):
@@ -275,6 +308,23 @@ def test_gaussian_kde_quantile_cdf_budget(monkeypatch):
     ps = _ladder()
     kde(_uniform_sample(200), GAUSSIAN, 0.03).quantile(ps)
     assert sum(points) <= 20 * ps.size
+
+
+def test_gaussian_kde_quantile_kernel_work(monkeypatch):
+    # Kernel evaluations of one cold quantile call: (query, sample point)
+    # pairs times the term arrays of each pair. Newton summed the cdf and
+    # the density every round, 1,259 evaluations per probability here.
+    work = []
+    pair_sums = _CutKernelMixture._pair_sums
+
+    def counted(self, x, lo, counts, first, terms, count):
+        work.append(int(counts.sum()) * count)
+        return pair_sums(self, x, lo, counts, first, terms, count)
+
+    monkeypatch.setattr(_CutKernelMixture, "_pair_sums", counted)
+    ps = _ladder()
+    kde(_uniform_sample(200), GAUSSIAN, 0.03).quantile(ps)
+    assert sum(work) <= 800 * ps.size
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
