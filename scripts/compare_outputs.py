@@ -23,8 +23,12 @@ lognormal(0, 3), three battery laws rescaled by 1e-12, 1e-6, 1e6 and 1e12
 (uniform, Epanechnikov and Gaussian kernel, n = 200, h = 0.03) of one
 uniform(0,1) sample plus a Gaussian one (same n and h) of a two-cluster
 sample on [0, 0.3] and [2, 3], whose density nearly vanishes between the
-clusters, each paired with the W1 partners. A call that raises is recorded
-by its exception type.
+clusters, each paired with the W1 partners, and two mixtures of
+lognormal(0, 0.5) and uniform(0.5, 1.5) (weights 1/2 and 3/10 on the
+uniform) whose computed F and -sf fall by an ulp between some candidate
+knots, so their tables keep only the monotone knots; they are paired with
+the W1 partners and with each other. A call that raises is recorded by its
+exception type.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
@@ -153,6 +157,13 @@ def kde_laws():
     return laws
 
 
+def dented_laws():
+    """Mixtures whose knot tables drop the knots where the computed F or
+    -sf is below its running maximum, as (name, distribution)."""
+    return [(f"mix({1 - w:g}*lognormal(0,0.5),{w:g}*uniform(0.5,1.5))",
+             mixture([(1.0 - w, lognormal(0.0, 0.5)), (w, uniform(0.5, 1.5))])) for w in (0.5, 0.3)]
+
+
 def _attempt(out, key, fn):
     try:
         values = fn()
@@ -209,10 +220,10 @@ def _index_fields(d):
 
 
 def dump(path):
-    base, extra, smooth = standard_battery(), extra_laws(), kde_laws()
+    base, extra, smooth, dented = standard_battery(), extra_laws(), kde_laws(), dented_laws()
     unit = dict(base)
     scaled = [[(f"{n} x{c:g}", unit[n].rescaled(c)) for n in SCALED] for c in SCALES]
-    laws = base + extra + [law for group in scaled for law in group] + smooth
+    laws = base + extra + [law for group in scaled for law in group] + smooth + dented
     by_name = dict(laws)
     values = {}
     for name, d in laws:
@@ -231,7 +242,8 @@ def dump(path):
     pairs = [(a, b) for i, a in enumerate(base) for b in base[i + 1:]]
     pairs += [(a, b) for a in extra for b in W1_PARTNERS]
     pairs += [(a, b) for i, a in enumerate(extra) for b in extra[i + 1:]]
-    pairs += [(a, b) for a, _ in smooth for b in W1_PARTNERS]
+    pairs += [(a, b) for a, _ in smooth + dented for b in W1_PARTNERS]
+    pairs.append((dented[0][0], dented[1][0]))
     for group in scaled:
         pairs += [(a, b) for i, (a, _) in enumerate(group) for b, _ in group[i + 1:]]
     for a, b in pairs:

@@ -18,11 +18,12 @@ turning data or a distribution into a tractable approximating law:
   knots 0 and x_i +- h: the law lists every knot as a breakpoint and
   inverts its cdf in closed form from a table of per-knot coefficients (cf.
   Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth:
-  its values at 0, the sample points and a top are cached once, each p is
-  bracketed between two of them, and the Illinois inversion that mixtures
-  use (`measures._invert`) narrows the brackets on the cdf and finishes
-  them to the float. No kernel estimate's quantile is found by bisection
-  from [0, hi].
+  its values at 0, the sample points and a top are cached once, the knots
+  where it equals its running maximum are kept, as a mixture's table keeps
+  them, each p is bracketed between two adjacent kept knots, and the
+  Illinois inversion that mixtures use (`measures._invert`) narrows the
+  brackets on the cdf and finishes them to the float. No quantile, of a
+  kernel estimate or a mixture, is found by bisection from [0, hi].
 
 ``run_experiment`` drives the convergence diagnostics over five sequence
 schemes (noise, sampling, quantile, quantile_of_sample, kde) from a
@@ -46,6 +47,7 @@ from .measures import (
     ZeroMeanError,
     _MAX_ROUNDS,
     _invert,
+    _monotone_knots,
     _upper_end,
     discrete,
     require_member,
@@ -485,20 +487,19 @@ class _CutKernelMixture:
     def _cdf_knots(self) -> tuple[np.ndarray, np.ndarray]:
         """(x, F(x)) at the brackets of a quantile without a knot table.
 
-        The knots are 0, the sorted sample and a top from `_upper_end` where
-        F reaches nextafter(1, 0), the largest p below 1; one cdf call
-        evaluates them all. Where the computed F column is not nondecreasing,
-        a bracket found by searchsorted can depend on the other rows of its
-        batch, and so can Q; only the ends 0 and top are then kept, and every
-        row is bracketed from [0, top], as a mixture without a table is
-        (`Distribution._knots`).
+        The candidate knots are 0, the sorted sample and a top from
+        `_upper_end` where F reaches nextafter(1, 0), the largest p below 1;
+        one cdf call evaluates them all. Only the knots where F equals its
+        running maximum are kept (`measures._monotone_knots`, as a
+        mixture's table is), so a searchsorted bracket depends on its p
+        alone, and so does Q, where the computed F column is not
+        nondecreasing.
         """
-        top = _upper_end(self._level, self.support_hi, np.array([np.nextafter(1.0, 0.0)]))
+        top = _upper_end(self.cdf, self.support_hi)
         x = np.unique(np.concatenate([[0.0], self._sorted, [top]]))
         f = self.cdf(x)
-        if np.any(f[1:] < f[:-1]):
-            x, f = x[[0, -1]], f[[0, -1]]
-        return x, f
+        keep = _monotone_knots(f)
+        return x[keep], f[keep]
 
     def quantile(self, p):
         """Q(p) from the knot table, or by Illinois steps without one.

@@ -30,16 +30,18 @@ meet F(prev(Q)) < p <= F(Q) for the computed F, prev(Q) the float below Q;
 rows above meet sf(Q) <= 1 - p < sf(prev(Q)) for the computed sf, since
 they invert -sf against p - 1, which is exact (Sterbenz), and near p = 1 the
 sum F = sum w_i F_i resolves only ulp(1) while sf resolves the tail
-(`_knot_brackets`). Every row brackets its target between adjacent knots,
-the Illinois steps of `_invert` narrow all rows of a batch in one loop, and
+(`_knot_brackets`). Every row brackets its target between adjacent kept
+knots, those where the computed F and -sf equal their running maximum (an
+atom may fall inside such a bracket, which the pair does not need), the
+Illinois steps of `_invert` narrow all rows of a batch in one loop, and
 the one bisection loop (`_bisect`) finishes them, so the pair holds exactly.
 Where the computed function is not monotone at the ulp level, more than one
 float can meet the pair, and which one is returned depends on the bracket:
 the pair, not "the smallest float that clears p", is the contract.
 Finite-discrete laws meet the cdf form exactly too, and so do kernel
 estimates with the Gaussian kernel, a law of one part whose quantile runs
-the same `_invert` on its cdf alone, from brackets between its cdf at 0,
-the sample points and a top.
+the same `_invert` on its cdf alone, from brackets between kept knots
+among 0, the sample points and a top.
 Other closed forms (single densities, linear tables, and kernel estimates
 with the uniform or Epanechnikov kernel, whose quantile is a root of the
 cdf's polynomial on one knot cell) meet it to a few eps; for those kernel
@@ -141,23 +143,34 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _upper_end(level, support_hi, y: np.ndarray) -> float:
-    """An abscissa where level(t, y) reaches every target y, for brackets.
+def _nonnegative(name: str, x) -> np.ndarray:
+    """x as a float array; raises unless every entry is >= 0, so NaN too."""
+    arr = np.asarray(x, dtype=float)
+    if not (arr >= 0).all():
+        raise ValueError(f"{name} is defined for x >= 0")
+    return arr
 
-    `level` is what an inversion compares with its targets (`_invert`); only
-    the hardest of each form is checked, the largest cdf target p and the
-    smallest survival target p - 1. Float weights of a flattened mixture may
-    sum just below 1, so a cdf target can exceed every value the cdf
-    reaches; targets are capped at the level at infinity. The search starts
-    at the support's end for a tail mass below 1 - p.
-    """
-    hardest = np.asarray([np.max(y, initial=0.0), np.min(y, initial=0.0)])
-    y = np.minimum(hardest, level(np.full(2, math.inf), hardest))
-    eps = min(1e-16, max(float(np.min(np.where(y < 0.0, -y, 1.0 - y))) / 4.0, 1e-300))
-    hi = max(support_hi(eps), 0.0)
-    while hi > 0.0 and np.any(level(np.full(2, hi), y) < y):
+
+def _upper_end(cdf, support_hi) -> float:
+    """The top knot of a quantile's table: an abscissa where `cdf` reaches
+    min(nextafter(1, 0), F(inf)), capped since float weights of a mixture
+    may sum just below 1. The search starts at the support's end for a tail
+    mass a quarter of 1 - target (at most 1e-16) and doubles from there."""
+    y = min(np.nextafter(1.0, 0.0), float(cdf(np.array([math.inf]))[0]))
+    hi = max(support_hi(min(1e-16, max((1.0 - y) / 4.0, 1e-300))), 0.0)
+    while hi > 0.0 and cdf(np.array([hi]))[0] < y:
         hi *= 2.0
     return hi
+
+
+def _monotone_knots(*columns: np.ndarray) -> np.ndarray:
+    """Which knots of a table to keep: those where every column equals its
+    running maximum. The kept columns are nondecreasing, so a searchsorted
+    bracket on them depends on its target alone, and the knot 0 is kept."""
+    keep = np.ones(columns[0].shape, dtype=bool)
+    for col in columns:
+        keep &= col == np.maximum.accumulate(col)
+    return keep
 
 
 def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
@@ -868,22 +881,21 @@ class Distribution:
         return out
 
     def mass_at(self, x) -> float | np.ndarray:
-        return scalar_or_array(x, self._mass_arr(np.asarray(x, dtype=float)))
+        """P[X = x], the atom mass at x."""
+        return scalar_or_array(x, self._mass_arr(_nonnegative("mass_at", x)))
 
     def cdf_left(self, x) -> float | np.ndarray:
         """P[X < x], the left limit of the CDF."""
-        arr = np.asarray(x, dtype=float)
+        arr = _nonnegative("cdf_left", x)
         return scalar_or_array(x, np.maximum(self._cdf_arr(arr) - self._mass_arr(arr), 0.0))
 
     def survival(self, x) -> float | np.ndarray:
         """P[X > x], summed from the parts' survival functions, not 1 - F."""
-        return scalar_or_array(x, self._sf_arr(np.asarray(x, dtype=float)))
+        return scalar_or_array(x, self._sf_arr(_nonnegative("survival", x)))
 
     def partial_expectation(self, x) -> float | np.ndarray:
         """Integral of u over [0, x] against the measure (atom at x included)."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError("partial expectation is defined for x >= 0")
+        arr = _nonnegative("partial expectation", x)
         support, _, _, cum_xm, _, rest = self._atomic
         out = cum_xm[np.searchsorted(support, arr, side="right")]
         for w, comp in rest:
@@ -1040,75 +1052,59 @@ class Distribution:
     def _knot_values(self):
         """(x, F(x), -sf(x), h) at the knots of the inversion table.
 
-        The knots are 0, every breakpoint, the float just below every
-        positive breakpoint, and a ladder of eight knots per octave, top
-        2^(-k/8) for k = 0..480 (`_KNOT_LADDER`) with top =
-        support_hi(1e-16); one cdf call and one sf call evaluate them all.
-        Every atom is a breakpoint, so no atom lies inside a bracket between
-        adjacent knots, and a p on an atom's jump gets the one-ulp bracket
-        [prev(a), a]. x_h = x[h] is the first knot where F >= 1/2: rows
-        with p above F(x_h) invert the survival function (`_knot_brackets`).
+        The candidates are 0, every breakpoint and the float below it, a
+        ladder of eight knots per octave, top 2^(-k/8) for k = 0..480
+        (`_KNOT_LADDER`) with top = support_hi(1e-16), and a far knot
+        (`_upper_end`); one cdf and one sf call evaluate them. Only knots
+        where both columns equal their running maximum are kept
+        (`_monotone_knots`), so a bracket between adjacent kept knots
+        depends on its p alone. x_h = x[h] is the first kept knot where
+        F >= 1/2: rows with p above F(x_h) invert the survival function
+        (`_knot_brackets`).
         """
         xb = self.x_breakpoints()
         top = self.support_hi(1e-16)
+        far = _upper_end(self._cdf_arr, self.support_hi)
         x = np.unique(
-            np.concatenate([[0.0, top], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER])
+            np.concatenate([[0.0, top, far], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER])
         )
         x = x[np.isfinite(x)]
-        f = self._cdf_arr(x)
-        return x, f, -self._sf_arr(x), min(int(np.searchsorted(f, 0.5)), x.size - 1)
-
-    @cached_property
-    def _knots(self):
-        """`_knot_values` where both columns are monotone, else None, since
-        the table's brackets then do not hold."""
-        x, f, g, h = self._knot_values
-        return None if np.any(f[1:] < f[:-1]) or np.any(g[1:] < g[:-1]) else (x, f, g, h)
+        f, g = self._cdf_arr(x), -self._sf_arr(x)
+        keep = _monotone_knots(f, g)
+        x, f, g = x[keep], f[keep], g[keep]
+        return x, f, g, min(int(np.searchsorted(f, 0.5)), x.size - 1)
 
     def _knot_brackets(self, p: np.ndarray):
-        """(lo, hi, v(lo), v(hi), y): adjacent knots with v(lo) < y <= v(hi).
+        """(lo, hi, v(lo), v(hi), y): adjacent kept knots with v(lo) < y <= v(hi).
 
         Rows with p <= F(x_h) (`_knot_values`) compare v = F with y = p.
-        Rows with F(x_h) < p <= F(top) compare v = -sf with y = p - 1, which
-        is exact by Sterbenz's lemma, over the knots from x_h up, so their
-        quantile is never below x_h and their Galois pair reads sf(Q) <=
-        1 - p < sf(prev(Q)); -sf resolves the tail where F has no digits
-        left. Rows above F(top), which only float weights summing below 1
-        allow, keep y = p. A p <= F(0) gets [0, 0], and an upper p with
-        sf(x_h) <= 1 - p gets [x_h, x_h]. Where the table cannot bracket y
-        (p above F at the top knot, sf there above 1 - p, or no table) the
-        four ends are nan.
+        Rows with F(x_h) < p <= F(top), top the last kept knot, compare
+        v = -sf with y = p - 1, which is exact by Sterbenz's lemma, over the
+        knots from x_h up, so their quantile is never below x_h and their
+        Galois pair reads sf(Q) <= 1 - p < sf(prev(Q)); -sf resolves the
+        tail where F has no digits left. Rows above F(top), which only
+        float weights summing below 1 allow, keep y = p and get [top, top],
+        so their quantile is the top knot. A p <= F(0) gets [0, 0], and an
+        upper p with sf(x_h) <= 1 - p gets [x_h, x_h].
         """
         x, f, g, h = self._knot_values
         y = np.where((p > f[h]) & (p <= f[-1]), p - 1.0, p)
-        if self._knots is None:
-            return tuple(np.full((4,) + p.shape, np.nan)) + (y,)
         upper = y < 0.0
         j = np.where(upper, h + np.searchsorted(g[h:], y, side="left"), np.searchsorted(f, y, side="left"))
         up = np.minimum(j, x.size - 1)
-        down = np.maximum(up - 1, np.where(upper, h, 0))
-        miss = j == x.size
-        lo, hi = np.where(miss, np.nan, x[down]), np.where(miss, np.nan, x[up])
-        vlo = np.where(miss, np.nan, np.where(upper, g[down], f[down]))
-        vhi = np.where(miss, np.nan, np.where(upper, g[up], f[up]))
-        return lo, hi, vlo, vhi, y
+        down = np.maximum(j - 1, np.where(upper, h, 0))
+        return x[down], x[up], np.where(upper, g[down], f[down]), np.where(upper, g[up], f[up]), y
 
     def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
         """Q(p) for p in (0, 1) meeting its Galois pair exactly, F and sf computed.
 
         The pair is F(prev(Q)) < p <= F(Q) for p <= F(x_h) and sf(Q) <= 1 - p
-        < sf(prev(Q)) above (`_knot_brackets`). Brackets come from the knot
-        table, and `_invert` narrows them by Illinois steps on `_level_arr`
-        and finishes them to the float (`_finish`), all rows in one call.
-        Where the table cannot bracket p, bisection runs from [0, hi] with hi
-        from `_upper_end`.
+        < sf(prev(Q)) above (`_knot_brackets`). Every row is bracketed
+        between adjacent kept knots of the table, and `_invert` narrows the
+        brackets by Illinois steps on `_level_arr` and finishes them to the
+        float (`_finish`), all rows in one call.
         """
         lo, hi, vlo, vhi, y = self._knot_brackets(p)
-        miss = np.isnan(hi)
-        if miss.any():
-            lo[miss] = 0.0
-            hi[miss] = _upper_end(self._level_arr, self.support_hi, y[miss])
-            hi[miss & (p <= self._cdf_arr(np.zeros(1))[0])] = 0.0
         return _invert(self._level_arr, y, lo, hi, vlo, vhi, 0.0)
 
     def quantile(self, p) -> float | np.ndarray:

@@ -64,11 +64,12 @@ def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     shares the split of `Distribution._bisect_quantile`: rows above F(x_h)
     invert -sf against p - 1, the rest F against p (`_knot_brackets`). It
     intersects the bracket [lo, hi], which must hold Q(p) elementwise, with
-    the law's knot-table bracket, evaluates each row's level (`_level_arr`)
-    at the ends the caller supplied, and narrows by `measures._invert` to
-    within tol. Callers that subdivide cells pass the parents' quantile
-    values back in, so brackets shrink as cells do. A tolerance below the
-    float spacing of a bracket yields Q(p) itself.
+    the bracket between adjacent kept knots of the law's table, evaluates
+    each row's level (`_level_arr`) at the ends the caller supplied, and
+    narrows by `measures._invert` to within tol. Callers that subdivide
+    cells pass the parents' quantile values back in, so brackets shrink as
+    cells do. A tolerance below the float spacing of a bracket yields Q(p)
+    itself.
     """
     q = d._closed_quantile(p)
     if q is not None:

@@ -275,12 +275,13 @@ def test_gaussian_kde_quantile_galois_pair(source, n, h):
     assert np.all(d.cdf(np.nextafter(q[~at_zero], 0.0)) < ps[~at_zero])
 
 
-def test_gaussian_kde_quantile_brackets_from_the_ends_without_monotone_knots(monkeypatch):
+def test_gaussian_kde_quantile_keeps_the_monotone_knots(monkeypatch):
     # A searchsorted bracket on a cdf column that is not nondecreasing
     # depends on the other rows of the batch, and so may Q. Such a column
-    # brackets every row from [0, top] instead: each Q depends on its p
-    # alone and meets the pair for the computed cdf, here raised to 1 at
-    # the middle knot.
+    # keeps only the knots where F equals its running maximum: here the
+    # cdf is raised to 1 at the middle knot, so the kept sample knots end
+    # there and only the top, where F is 1 too, follows. Each Q depends on
+    # its p alone and meets the pair for the computed cdf.
     xs = _uniform_sample(25)
     dent = np.sort(xs)[12]
     cdf = _CutKernelMixture.cdf
@@ -290,7 +291,9 @@ def test_gaussian_kde_quantile_brackets_from_the_ends_without_monotone_knots(mon
     d = kde(xs, GAUSSIAN, 0.1)
     ps = _ladder(d.cdf(np.nextafter(dent, [0.0, 1.0])))
     q = d.quantile(ps)
-    assert d.parts[0][1]._cdf_knots[0].size == 2
+    x, f = d.parts[0][1]._cdf_knots
+    assert np.all(np.diff(f) >= 0.0) and list(f[-2:]) == [1.0, 1.0]
+    np.testing.assert_array_equal(x[:-1], np.concatenate([[0.0], np.sort(xs)[:13]]))
     cold = kde(xs, GAUSSIAN, 0.1)
     assert [cold.quantile(p) for p in ps] == list(q)
     pos = q > 0.0

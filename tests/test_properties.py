@@ -104,7 +104,7 @@ def test_mixture_quantile_meets_galois_pair_exactly(d, extra):
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(d=discrete_dists(positive_mean=True))
+@given(d=st.one_of(discrete_dists(positive_mean=True), mixture_dists()))
 def test_hoover_never_exceeds_gini(d):
     g = gini_mean_difference(d)
     h = hoover_mean_deviation(d)
