@@ -27,8 +27,12 @@ clusters, each paired with the W1 partners, and two mixtures of
 lognormal(0, 0.5) and uniform(0.5, 1.5) (weights 1/2 and 3/10 on the
 uniform) whose computed F and -sf fall by an ulp between some candidate
 knots, so their tables keep only the monotone knots; they are paired with
-the W1 partners and with each other. A call that raises is recorded by its
-exception type.
+the W1 partners and with each other. It also dumps `lorenz_dominates` (at
+the default grid and at grid 100) and `fsd_dominates` over every ordered
+pair of `standard_battery()` laws, and every field of `sequence_diagnostics`
+on both built-in scenarios (`scenario_sequence`, 50 steps). A call that
+raises is recorded by its exception type, a text field (a verdict) as
+``text:`` and its value.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
@@ -36,7 +40,9 @@ finite-discrete, else ``general``), how many values are bit-identical and
 the largest relative difference (for ``index.max_cross_route_residual``,
 each dump's largest residual instead, so a rise shows), and each dump's
 totals of Galois and batch failures, so a quantile that moved can be seen
-to meet the contract still; it then lists the keys found in one dump only.
+to meet the contract still. It lists as changed outcomes the dominance
+answers, text fields and raising calls that differ, then the keys found in
+one dump only.
 
 Run each side against its own source tree, for example
 
@@ -53,18 +59,23 @@ from collections import defaultdict
 import numpy as np
 
 from lorenzkit import (
+    SCENARIOS,
     Distribution,
     atom,
     discrete,
     exponential,
+    fsd_dominates,
     gamma_dist,
     index_report,
     kde,
     lognormal,
     lorenz,
+    lorenz_dominates,
     mixture,
     quantile_approx,
     quantile_table,
+    scenario_sequence,
+    sequence_diagnostics,
     standard_battery,
     uniform,
     w1_routes,
@@ -84,6 +95,8 @@ INDEX_FIELDS = (
 )
 #: the residual field, diffed as each dump's largest value, not a relative difference
 RESIDUAL = "index.max_cross_route_residual"
+#: prefixes of dumped values that are outcomes, not floats: a change is listed
+OUTCOMES = ("raise:", "text:")
 PS = np.concatenate([np.arange(1, 64) / 64.0, 1.0 - 2.0 ** -np.arange(7.0, 31.0)])
 LORENZ_PS = np.linspace(0.0, 1.0, 33)
 #: probabilities of the Galois check: the 257-level ladder, the tail levels 1 - 2^-k and PS
@@ -101,6 +114,13 @@ SCALES = (1e-12, 1e-6, 1e6, 1e12)
 HEAVY_SIGMAS = (2.5, 3.0)
 #: kernels of the single-part KDE laws, sample size and bandwidth
 KDE_KERNELS, KDE_N, KDE_H = ("uniform", "epanechnikov", "gaussian"), 200, 0.03
+#: grids of `lorenz_dominates` on the battery pairs: its default and one
+#: whose cells are not a power of two
+DOMINANCE_GRIDS = (256, 100)
+#: the numeric fields of a `sequence_diagnostics` report outside its steps
+DIAGNOSTICS_SCALARS = ("alpha_ref", "rel_tol")
+#: its text fields, dumped as ``text:`` values
+DIAGNOSTICS_TEXT = ("verdict", "deciding_diagnostic", "scheffe_verdict")
 
 
 def _density(rng):
@@ -170,8 +190,49 @@ def _attempt(out, key, fn):
     except Exception as exc:  # recorded, so both sides can be compared
         out[key + "#0"] = "raise:" + type(exc).__name__
         return
+    if isinstance(values, str):
+        out[key + "#0"] = "text:" + values
+        return
     for i, v in enumerate(np.atleast_1d(np.asarray(values, dtype=float))):
         out[f"{key}#{i}"] = float(v).hex()
+
+
+def _kind(*ds):
+    return "discrete" if all(d.is_finite_discrete for d in ds) else "general"
+
+
+def dump_dominance(values, battery):
+    """`lorenz_dominates` at each of `DOMINANCE_GRIDS` and `fsd_dominates`
+    over every ordered pair of distinct battery laws."""
+    for a, d1 in battery:
+        for b, d2 in battery:
+            if a == b:
+                continue
+            kind = _kind(d1, d2)
+            for grid in DOMINANCE_GRIDS:
+                _attempt(values, f"{kind}|lorenz_dominates|{a} vs {b} grid {grid}",
+                         lambda: lorenz_dominates(d1, d2, grid=grid))
+            _attempt(values, f"{kind}|fsd_dominates|{a} vs {b}", lambda: fsd_dominates(d1, d2))
+
+
+def dump_diagnostics(values):
+    """Every field of `sequence_diagnostics` on each built-in scenario."""
+    for name in SCENARIOS:
+        seq, limit = scenario_sequence(name)
+        kind = _kind(limit, *seq)
+        try:
+            report = sequence_diagnostics(seq, limit).to_json_dict()
+        except Exception as exc:
+            values[f"{kind}|diagnostics|{name}#0"] = "raise:" + type(exc).__name__
+            continue
+        for col in report["steps"][0]:
+            _attempt(values, f"{kind}|diagnostics.{col}|{name}", lambda: [s[col] for s in report["steps"]])
+        for field, v in report["limit_summary"].items():
+            _attempt(values, f"{kind}|diagnostics.limit_{field}|{name}", lambda: v)
+        for field in DIAGNOSTICS_SCALARS:
+            _attempt(values, f"{kind}|diagnostics.{field}|{name}", lambda: report[field])
+        for field in DIAGNOSTICS_TEXT:
+            _attempt(values, f"{kind}|diagnostics.{field}|{name}", lambda: report[field])
 
 
 def _sf_form(d, ps):
@@ -227,7 +288,7 @@ def dump(path):
     by_name = dict(laws)
     values = {}
     for name, d in laws:
-        kind = "discrete" if d.is_finite_discrete else "general"
+        kind = _kind(d)
         _attempt(values, f"{kind}|index|{name}", lambda: _index_fields(d))
         _attempt(values, f"{kind}|quantile|{name}", lambda: d.quantile(PS))
         if d.is_finite_discrete or len(d.parts) > 1 or name.startswith("kde-gaussian"):
@@ -248,11 +309,13 @@ def dump(path):
         pairs += [(a, b) for i, (a, _) in enumerate(group) for b, _ in group[i + 1:]]
     for a, b in pairs:
         d1, d2 = by_name[a], by_name[b]
-        kind = "discrete" if d1.is_finite_discrete and d2.is_finite_discrete else "general"
-        _attempt(values, f"{kind}|w1_routes|{a} vs {b}", lambda: w1_routes(d1, d2))
+        _attempt(values, f"{_kind(d1, d2)}|w1_routes|{a} vs {b}", lambda: w1_routes(d1, d2))
+    dump_dominance(values, standard_battery())
+    dump_diagnostics(values)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(values, fh, indent=0, sort_keys=True)
-    print(f"{len(values)} values over {len(laws)} laws and {len(pairs)} pairs -> {path}")
+    print(f"{len(values)} values over {len(laws)} laws, {len(pairs)} W1 pairs, the battery's"
+          f" dominance pairs and {len(SCENARIOS)} scenarios -> {path}")
 
 
 def _field(key):
@@ -285,7 +348,7 @@ def diff(path_a, path_b):
         if va == vb:
             row[1] += 1
             continue
-        if va.startswith("raise") or vb.startswith("raise"):
+        if va.startswith(OUTCOMES) or vb.startswith(OUTCOMES) or field.endswith("_dominates"):
             changed.append(f"{key}: {va} -> {vb}")
             row[2] = math.inf
             continue

@@ -189,7 +189,7 @@ def estimate_lorenz_at(s, x) -> float | np.ndarray:
     if total <= 0.0:
         raise ZeroMeanError("all-zero sample: Lorenz values are undefined")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("Lorenz argument must lie in [0, 1]")
     grid = np.arange(xs.size + 1) / xs.size
     heads = np.concatenate([[0.0], np.cumsum(xs)]) / total

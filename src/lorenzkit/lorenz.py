@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import (
-    DYADIC,
     Distribution,
     quantile_table,
     require_member,
@@ -91,7 +90,7 @@ class LorenzCurve:
         inf for unbounded sources.
         """
         arr = np.asarray(p, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
+        if not np.all((arr > 0.0) & (arr <= 1.0)):
             raise ValueError("left derivative is defined on (0, 1]")
         out = np.empty_like(arr)
         top = arr == 1.0
@@ -146,20 +145,16 @@ def kendall_points(d: Distribution, t_grid) -> list[tuple[float, float]]:
     return pts
 
 
-def _probe_ladder(grid: int, *extra: np.ndarray) -> np.ndarray:
-    parts = [np.linspace(0.0, 1.0, max(grid, 2) + 1), DYADIC]
-    parts.extend(extra)
-    return np.unique(np.clip(np.concatenate(parts), 0.0, 1.0))
-
-
 def lorenz_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     """True when L_{d1} <= L_{d2} everywhere on the probe ladder.
 
     Lower Lorenz curve means more unequal; this is the classical domination
-    order. Probes join a uniform grid, a dyadic ladder and both operands'
-    probability breakpoints.
+    order. Probes join `grid` uniform cells of [0, 1] (grid >= 2) and both
+    operands' probe ladders (`Distribution._probe_ladder`).
     """
-    ps = _probe_ladder(grid, d1.p_breakpoints(), d2.p_breakpoints())
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), d1._probe_ladder, d2._probe_ladder]))
     l1 = lorenz(d1).eval(ps)
     l2 = lorenz(d2).eval(ps)
     return bool(np.all(l1 <= l2 + 1e-10))

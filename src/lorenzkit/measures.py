@@ -107,8 +107,8 @@ _KNOT_LADDER = 2.0 ** -(np.arange(1.0, 481.0) / 8.0)
 #: cap on the rounds of an iterative quantile inversion: the Illinois loop
 #: of `_invert` and the polynomial Newton of the compact-kernel estimates
 _MAX_ROUNDS = 64
-#: ulps of Q, and of p over the slope, within which an iterative quantile
-#: stops and around which its float-exact finish probes (`_reach`)
+#: ulps of Q, and of p over the slope, within which the Illinois steps of
+#: an iterative quantile stop before its one bisection (`_reach`)
 _FINISH_ULPS = 4
 #: entries a law's quantile memo holds at most (`Distribution._quantile_arr`)
 QUANTILE_MEMO_CAP = 2**16
@@ -201,33 +201,12 @@ def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) ->
 
 
 def _reach(t, y, slope, tol: float = 0.0):
-    """How far from t an iterate may stop: max(tol, a few ulps of t plus a
-    few ulps of the target y over the slope), since the computed level
-    blurs its crossing of y over about |spacing(y)| / slope in t."""
+    """Half the bracket width at which the Illinois steps of `_invert` stop
+    around an iterate t: max(tol, a few ulps of t plus a few ulps of the
+    target y over the slope), since the computed level blurs its crossing
+    of y over about |spacing(y)| / slope in t; `_bisect` goes on from
+    there."""
     return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.abs(np.spacing(y)) / slope))
-
-
-def _finish(level, y, t, lo, hi, reach, tol: float) -> np.ndarray:
-    """The finish of an iterative inversion.
-
-    Where `reach` > 0, probes t - reach and t + reach narrow the bracket
-    [lo, hi] (level(lo) < y <= level(hi)) when they fall strictly inside it
-    (only rows where one of them can are probed); then one `_bisect` call
-    shrinks every bracket of the batch to `tol`, so at tol 0 the exact
-    Galois pair holds.
-    """
-    (probed,) = np.nonzero((reach > 0.0) & ((t - reach > lo) | (t + reach < hi)))
-    if probed.size:
-        lo, hi = lo.copy(), hi.copy()
-        yy, a, b = y[probed], lo[probed], hi[probed]
-        probes = (np.maximum(t[probed] - reach[probed], a), np.minimum(t[probed] + reach[probed], b))
-        values = np.split(level(np.concatenate(probes), np.concatenate([yy, yy])), 2)
-        for c, fc in zip(probes, values):
-            inside = (c > a) & (c < b)
-            a = np.where(inside & (fc < yy), c, a)
-            b = np.where(inside & (fc >= yy), c, b)
-        lo[probed], hi[probed] = a, b
-    return _bisect(level, y, lo, hi, tol)
 
 
 def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
@@ -243,13 +222,14 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
     in the interpolation: where level(hi) = y exactly, as on a plateau, a
     zero residual would pin every step to hi. A row stops once its bracket
     is at most two `_reach` wide (the bracket's secant stands in for the
-    density), or after `_MAX_ROUNDS` steps; `_finish` then probes one reach
-    either side of the last iterate and bisects the whole batch. Rows whose
-    ends do not bracket y (nan ends included) skip the steps and are
-    bisected as given. At tol 0 the Galois pair level(prev(q)) < y <=
-    level(q) holds exactly, as `quantile` needs.
+    density), or after `_MAX_ROUNDS` steps. Each step's point replaces one
+    end, so the last iterate is an end of the bracket it leaves, and one
+    `_bisect` call then shrinks the brackets of the whole batch to tol.
+    Rows whose ends do not bracket y skip the steps and are bisected as
+    given. At tol 0 the Galois pair level(prev(q)) < y <= level(q) holds
+    exactly, as `quantile` needs.
     """
-    lo, hi, t, reach = lo.copy(), hi.copy(), hi.copy(), np.zeros_like(y)
+    lo, hi = lo.copy(), hi.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         first = _reach(hi, y, (vhi - vlo) / (hi - lo), tol)
         (idx,) = np.nonzero((vlo < y) & (y <= vhi) & (hi - lo > 2.0 * first))
@@ -283,10 +263,9 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
             open_ = (b - a > 2.0 * r) & (rnd < _MAX_ROUNDS - 1)
             if not open_.all():
                 shut = ~open_
-                rows = idx[shut]
-                t[rows], lo[rows], hi[rows], reach[rows] = s[shut], a[shut], b[shut], r[shut]
+                lo[idx[shut]], hi[idx[shut]] = a[shut], b[shut]
                 idx, state = idx[open_], state[:, open_]
-    return _finish(level, y, t, lo, hi, reach, tol)
+    return _bisect(level, y, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -975,12 +954,7 @@ class Distribution:
     def _fresh_quantile(self, p: np.ndarray) -> np.ndarray:
         """Q(p) evaluated, not read from the memo."""
         out = self._closed_quantile(p)
-        if out is None:
-            out = np.zeros_like(p)
-            pos = p > 0.0
-            if np.any(pos):
-                out[pos] = self._bisect_quantile(p[pos])
-        return out
+        return self._bisect_quantile(p) if out is None else out
 
     def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
         """Q(p) without inverting this law's cdf, or None for a mixture of parts.
@@ -1023,12 +997,21 @@ class Distribution:
         return edges
 
     @cached_property
+    def _probe_ladder(self) -> np.ndarray:
+        """The probe ladder over p: the levels k 2^-10, k = 0..1024, and the
+        quantile's breakpoints, sorted. The sweep of `hoover_max`
+        (`_gap_sweep`), the dominance checks (`lorenz.lorenz_dominates`,
+        `fsd_dominates`) and the Lorenz gap of
+        `wasserstein.sequence_diagnostics` all start from it."""
+        ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1025), self.p_breakpoints()]))
+        ps.flags.writeable = False
+        return ps
+
+    @cached_property
     def _gap_sweep(self) -> np.ndarray:
         """The probabilities where `indices.hoover_max` reads the Lorenz gap:
-        the ladder of step 2^-10, the quantile's breakpoints and F(mean)."""
-        ps = np.unique(
-            np.concatenate([np.linspace(0.0, 1.0, 1025), self.p_breakpoints(), [float(self.cdf(self.mean))]])
-        )
+        the probe ladder (`_probe_ladder`) and F(mean)."""
+        ps = np.unique(np.concatenate([self._probe_ladder, [float(self.cdf(self.mean))]]))
         ps.flags.writeable = False
         return ps
 
@@ -1096,13 +1079,13 @@ class Distribution:
         return x[down], x[up], np.where(upper, g[down], f[down]), np.where(upper, g[up], f[up]), y
 
     def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) for p in (0, 1) meeting its Galois pair exactly, F and sf computed.
+        """Q(p) for p in [0, 1) meeting its Galois pair exactly, F and sf computed.
 
         The pair is F(prev(Q)) < p <= F(Q) for p <= F(x_h) and sf(Q) <= 1 - p
         < sf(prev(Q)) above (`_knot_brackets`). Every row is bracketed
-        between adjacent kept knots of the table, and `_invert` narrows the
-        brackets by Illinois steps on `_level_arr` and finishes them to the
-        float (`_finish`), all rows in one call.
+        between adjacent kept knots of the table (a p <= F(0) gets [0, 0]),
+        and `_invert` narrows the brackets by Illinois steps on `_level_arr`
+        and then bisects them to the float, all rows in one call.
         """
         lo, hi, vlo, vhi, y = self._knot_brackets(p)
         return _invert(self._level_arr, y, lo, hi, vlo, vhi, 0.0)
@@ -1264,17 +1247,17 @@ def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     """First-order stochastic dominance of d1 over d2.
 
     Checked on two routes that must agree: F_{d1} <= F_{d2} on an abscissa
-    ladder, and Q_{d1} >= Q_{d2} on a probability ladder. The ladders join
-    both operands' breakpoints with uniform, dyadic and tail probes; the
-    abscissa ladder also holds both quantile functions on the probability
-    ladder, so it resolves heavy-tailed laws whose mass sits far below the
-    uniform grid's first step.
+    ladder, and Q_{d1} >= Q_{d2} on a probability ladder below 1. The
+    probability ladder joins both operands' probe ladders
+    (`Distribution._probe_ladder`) with the tail levels; the abscissa
+    ladder joins both operands' breakpoints, `grid` uniform points and both
+    quantile functions on the probability ladder, so it resolves
+    heavy-tailed laws whose mass sits far below the uniform grid's first
+    step.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    ps = np.unique(
-        np.concatenate([d1.p_breakpoints(), d2.p_breakpoints(), DYADIC, TAIL_LEVELS])
-    )
+    ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder, TAIL_LEVELS]))
     ps = ps[ps < 1.0]
     q1, q2 = d1._quantile_arr(ps), d2._quantile_arr(ps)
     quantile_route = bool(np.all(q1 >= q2))

@@ -408,14 +408,6 @@ def _weak_probes(limit: Distribution) -> np.ndarray:
     return DYADIC[clear]
 
 
-def _lorenz_ladder(limit: Distribution) -> np.ndarray:
-    return np.unique(
-        np.concatenate(
-            [DYADIC, np.linspace(0.0, 1.0, 65), limit.p_breakpoints(), [0.0, 1.0]]
-        )
-    )
-
-
 def sequence_diagnostics(
     seq,
     limit: Distribution,
@@ -426,10 +418,10 @@ def sequence_diagnostics(
     """Measure a sequence against its candidate limit and classify it.
 
     Every step gets its W1 distance to the limit, mean, Gini, Hoover, the
-    sup gap between its Lorenz curve and the limit's on a fixed ladder, and
-    the tail first moment above alpha_ref (the largest entry of alpha_grid,
-    default mean * (2, 4, 8, 16)). Thresholds are rel_tol times the limit
-    mean throughout.
+    sup gap between its Lorenz curve and the limit's on the limit's probe
+    ladder (`Distribution._probe_ladder`), and the tail first moment above
+    alpha_ref (the largest entry of alpha_grid, default mean * (2, 4, 8,
+    16)). Thresholds are rel_tol times the limit mean throughout.
 
     Weak convergence is probed on `probes` (default: a dyadic ladder that
     sidesteps the limit's quantile jumps) through a two-sided band: the
@@ -453,9 +445,9 @@ def sequence_diagnostics(
         probes = _weak_probes(limit)
     else:
         probes = np.asarray(list(probes), dtype=float)
-        if probes.size == 0 or np.any(probes <= 0.0) or np.any(probes >= 1.0):
+        if probes.size == 0 or not np.all((probes > 0.0) & (probes < 1.0)):
             raise ValueError("probes must be a nonempty ladder inside (0, 1)")
-    ladder = _lorenz_ladder(limit)
+    ladder = limit._probe_ladder
     q_limit = limit._quantile_arr(probes)
     delta = 0.5 * rel_tol
     band_lo = limit._quantile_arr(np.maximum(probes - delta, 0.0))

@@ -70,6 +70,14 @@ def test_lorenz_values_by_fractional_indexing():
         estimate_lorenz_at([0.0, 0.0], 0.5)
 
 
+def test_lorenz_value_rejects_nan():
+    # a NaN passed both range comparisons as False and came back as nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        estimate_lorenz_at([1.0, 1.0, 2.0], math.nan)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        estimate_lorenz_at([1.0, 1.0, 2.0], np.array([0.5, math.nan]))
+
+
 def test_estimators_agree_with_empirical_law():
     """The plug-in shortcuts are the exact indices of the atom measure."""
     rng = np.random.default_rng(3)

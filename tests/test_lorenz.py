@@ -97,6 +97,15 @@ def test_left_derivative_matches_quantile():
         )
 
 
+def test_left_derivative_rejects_nan():
+    # a NaN passed both `p <= 0` and `p > 1` as False and read Q(nan) = 0.0
+    c = lorenz(exponential(1.0))
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        c.left_derivative(math.nan)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        c.left_derivative(np.array([0.5, math.nan]))
+
+
 def test_outside_m_rejected():
     with pytest.raises(ZeroMeanError):
         lorenz(atom(0.0))
@@ -182,6 +191,14 @@ def test_domination_examples():
     assert lorenz_dominates(discrete([0.0, 1.0]), atom(1.0))
     d = midpoint_atom_mixture()
     assert lorenz_dominates(d, d)
+
+
+def test_domination_rejects_grid_below_2():
+    # grid 0 or 1 silently probed a 2-cell grid, where `fsd_dominates` raised
+    d = discrete([1.0, 2.0, 5.0])
+    for grid in (0, 1):
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            lorenz_dominates(d, d, grid=grid)
 
 
 def test_domination_is_scale_blind():

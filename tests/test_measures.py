@@ -19,6 +19,7 @@ from lorenzkit import (
     kendall_points,
     lorenz,
     standard_battery,
+    w1,
     w1_routes,
 )
 from lorenzkit.estimators import kde, quantile_approx
@@ -40,7 +41,7 @@ from lorenzkit.measures import (
     require_member,
     uniform,
 )
-from lorenzkit import measures
+from lorenzkit import estimators, measures, wasserstein
 from lorenzkit.quadrature import _XGK
 from lorenzkit.wasserstein import _q_within
 
@@ -697,8 +698,8 @@ def test_mixture_tail_quantile_steps_evenly(k):
 
 def test_quantile_round_budget_on_kronrod_nodes(monkeypatch):
     # One batch of 15 Kronrod nodes per p-cell, tail cells included: each
-    # inversion may evaluate its residual at most 36 times (Illinois steps,
-    # finish probes and bisection rounds). From one knot per octave and a
+    # inversion may evaluate its residual at most 36 times (Illinois steps
+    # and bisection rounds). From one knot per octave and a
     # step-size stop it took up to 70.
     invert = measures._invert
     evaluations = []
@@ -720,3 +721,40 @@ def test_quantile_round_budget_on_kronrod_nodes(monkeypatch):
         d._quantile_arr(nodes)
     assert len(evaluations) == len(laws)
     assert max(evaluations) <= 36
+
+
+def _repeat_laws():
+    sample = np.random.default_rng(7).lognormal(0.0, 0.5, size=200)
+    return [
+        mixture([(0.4, lognormal(0.0, 1.0)), (0.3, exponential(1.0)), (0.3, gamma_dist(2.0, 1.0))]),
+        mixture([(0.4, atom(0.0)), (0.6, gamma_dist(3.0, 0.5))]),
+        kde(sample, "gaussian", 0.03),
+    ]
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_inversion_never_evaluates_a_level_point_twice(monkeypatch, i):
+    # After its Illinois steps the inversion probed one reach either side of
+    # the last iterate, which is always an end of its bracket: one probe
+    # clipped onto that end and evaluated it again (33, 23 and 29 repeated
+    # points on these three laws), the other did what a bisection round does.
+    invert, repeats = measures._invert, [0]
+
+    def counted(level, *args):
+        seen = set()
+
+        def recorded(t, y):
+            for point in zip(t.tolist(), y.tolist()):
+                repeats[0] += point in seen
+                seen.add(point)
+            return level(t, y)
+
+        return invert(recorded, *args)
+
+    for module in (measures, wasserstein, estimators):
+        monkeypatch.setattr(module, "_invert", counted)
+    d = _repeat_laws()[i]
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS]))
+    Distribution(d.parts).quantile(ps)
+    w1(Distribution(d.parts), exponential(1.0))
+    assert repeats[0] == 0

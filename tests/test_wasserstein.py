@@ -385,6 +385,13 @@ def test_probe_validation():
         sequence_diagnostics([], d)
 
 
+def test_probe_validation_rejects_nan():
+    # a NaN probe passed both range comparisons as False and a verdict came back
+    d = uniform(0.0, 1.0)
+    with pytest.raises(ValueError, match="ladder"):
+        sequence_diagnostics([d], d, probes=[0.5, math.nan])
+
+
 def test_report_serialization_shape():
     d = uniform(0.0, 1.0)
     report = sequence_diagnostics([d, d], d)
