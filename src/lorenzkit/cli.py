@@ -256,6 +256,22 @@ def _cmd_extremal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bound(text: str) -> float:
+    """A residual bound for --tol: >= 0 or inf; under a NaN bound every check passes."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _rel_tol(text: str) -> float:
+    """A verdict rel_tol for --tol: finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _output_flags(p: argparse.ArgumentParser, tsv: bool = True) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit JSON")
@@ -274,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="all index routes, as a report")
     p.add_argument("spec", help="distribution expression or file:<path>")
     p.add_argument(
-        "--tol", type=float, default=None, help="cross-route residual bound (default 1e-4)"
+        "--tol", type=_bound, default=None, help="cross-route residual bound (default 1e-4)"
     )
     _output_flags(p)
     p.set_defaults(handler=_cmd_index)
@@ -294,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose", action="store_true", help="also print both route values"
     )
-    p.add_argument("--tol", type=float, default=None, help="bound on the route gap")
+    p.add_argument("--tol", type=_bound, default=None, help="bound on the route gap")
     _output_flags(p)
     p.set_defaults(handler=_cmd_w1)
 
@@ -307,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=50, help="steps for built-in scenarios"
     )
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--tol", type=float, default=None, help="verdict rel_tol")
+    p.add_argument("--tol", type=_rel_tol, default=None, help="verdict rel_tol")
     _output_flags(p)
     p.set_defaults(handler=_cmd_converge)
 

@@ -40,8 +40,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import measures
 from .measures import (
     Distribution,
     ZeroMeanError,
@@ -227,6 +227,10 @@ def _gauss_partial_first(y):
     return -(_INV_SQRT_TAU * np.exp(-0.5 * y * y))
 
 
+def _gauss_cdf(y):
+    return measures.sp.ndtr(y)
+
+
 # Powers are written as products: numpy sends y**3 and y**4 to pow(), about
 # 60 times slower than multiplying, and these run on every kernel term.
 def _epan_cdf(y):
@@ -269,10 +273,10 @@ class KernelSpec:
 
 GAUSSIAN = KernelSpec(
     name="gaussian",
-    cdf=ndtr,
+    cdf=_gauss_cdf,
     first_abs_moment=math.sqrt(2.0 / math.pi),
     partial_first_moment=_gauss_partial_first,
-    tail_radius=lambda eps: float(-ndtri(min(max(eps, 5e-324), 0.5))),
+    tail_radius=lambda eps: float(-measures.sp.ndtri(min(max(eps, 5e-324), 0.5))),
 )
 
 EPANECHNIKOV = KernelSpec(

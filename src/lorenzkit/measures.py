@@ -9,7 +9,10 @@ need (Lorenz values, tail moments, Robin Hood shares) reduce to closed forms
 plus one generic quantile inversion. A component's sf is its own closed form
 (ndtr(-z), gammaincc, e^-rate x, exact slab and atom sums, kernel window sums
 of G(-u)), never 1 - cdf, so it keeps full relative precision in the tail,
-where 1 - F has no digits left.
+where 1 - F has no digits left. ndtr and gammaincc, like the Gaussian
+kernel's ndtr in the estimators module, come from scipy.special, which `sp`
+imports at its first use: atoms, slabs, exponentials, quantile tables and
+compact-kernel estimates never load it.
 
 A mixture may carry hundreds of point-mass parts (`discrete` and `mixture`
 flatten every atom into its own part). A distribution therefore pools the
@@ -55,7 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special as sp
 
 from .quadrature import first_nodes, integrate
 
@@ -117,6 +119,24 @@ TAIL_LEVELS.flags.writeable = False
 P_SPLITS.flags.writeable = False
 HALVINGS.flags.writeable = False
 _KNOT_LADDER.flags.writeable = False
+
+
+class _SpecialOnFirstUse:
+    """Stands in for ``scipy.special``, whose import takes longer than the
+    rest of the package, until a special function is first read: that read
+    imports it and rebinds the module global `sp` to it, so every later call
+    goes straight to scipy."""
+
+    def __getattr__(self, name):
+        global sp
+        from scipy import special
+
+        sp = special
+        return getattr(special, name)
+
+
+#: ``scipy.special``, imported on first use (`_SpecialOnFirstUse`)
+sp = _SpecialOnFirstUse()
 
 
 class MeanDomainError(ValueError):

@@ -432,6 +432,15 @@ def sequence_diagnostics(
     freedom weak convergence grants; a law that is genuinely displaced
     still fails because no nearby p explains its quantile values.
     """
+    rel_tol = float(rel_tol)
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    if alpha_grid is not None:
+        alpha_grid = np.asarray(list(alpha_grid), dtype=float)
+        if alpha_grid.size == 0 or not np.all(np.isfinite(alpha_grid) & (alpha_grid >= 0.0)):
+            raise ValueError(
+                f"alpha_grid must be nonempty, finite and >= 0, got {alpha_grid.tolist()!r}"
+            )
     members = list(seq)
     if not members:
         raise ValueError("sequence must be nonempty")
@@ -439,7 +448,7 @@ def sequence_diagnostics(
     m_inf = limit.mean
     if alpha_grid is None:
         alpha_grid = m_inf * np.asarray([2.0, 4.0, 8.0, 16.0])
-    alpha_ref = float(np.max(np.asarray(list(alpha_grid), dtype=float)))
+    alpha_ref = float(np.max(alpha_grid))
 
     if probes is None:
         probes = _weak_probes(limit)

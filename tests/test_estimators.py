@@ -415,6 +415,12 @@ def test_spec_scheme_and_pairing_validation():
         run_experiment(ExperimentSpec(scheme="kde", source="exp(1)", kernel="nope"))
 
 
+def test_spec_rel_tol_reaches_the_diagnostics_check():
+    spec = ExperimentSpec(scheme="quantile", source="uniform(0,1)", steps=2, rel_tol=math.nan)
+    with pytest.raises(ValueError, match="rel_tol"):
+        run_experiment(spec)
+
+
 def test_sampling_experiment_is_deterministic_and_converges():
     spec = ExperimentSpec(scheme="sampling", source="uniform(0,1)", seed=11, steps=8)
     r1 = run_experiment(spec)

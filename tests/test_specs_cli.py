@@ -224,6 +224,28 @@ def test_w1_route_gap_tolerance(capsys):
     assert "W1 routes differ by" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["index", "lognormal(0,4)", "--tol", "nan"], ">= 0"),
+        (["index", "exp(1)", "--tol=-1e-4"], ">= 0"),
+        (["w1", "uniform(0,1)", "exp(1)", "--tol", "nan"], ">= 0"),
+        (["w1", "uniform(0,1)", "exp(1)", "--tol", "-1"], ">= 0"),
+        (["w1", "uniform(0,1)", "exp(1)", "--tol", "tiny"], "invalid"),
+        (["converge", "counterexample1", "--tol", "nan"], "finite and > 0"),
+        (["converge", "counterexample1", "--tol", "inf"], "finite and > 0"),
+        (["converge", "counterexample1", "--tol=-inf"], "finite and > 0"),
+        (["converge", "counterexample1", "--tol", "0"], "finite and > 0"),
+        (["converge", "counterexample1", "--tol", "-0.05"], "finite and > 0"),
+    ],
+)
+def test_tol_that_would_switch_a_check_off_is_a_usage_error(argv, message, capsys):
+    # every comparison against a NaN bound is False, so the check never failed
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "argument --tol" in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # CLI: converge
 # ---------------------------------------------------------------------------

@@ -392,6 +392,23 @@ def test_probe_validation_rejects_nan():
         sequence_diagnostics([d], d, probes=[0.5, math.nan])
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"rel_tol": math.nan}, "rel_tol"),
+        ({"rel_tol": -1.0}, "rel_tol"),
+        ({"alpha_grid": []}, "alpha_grid"),
+        ({"alpha_grid": [math.nan]}, "alpha_grid"),
+    ],
+)
+def test_scalar_validation(kwargs, message):
+    # a NaN or negative rel_tol came back as the verdict "divergent"; an empty
+    # or NaN alpha_grid failed deep inside numpy or partial_expectation
+    u = uniform(0.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        sequence_diagnostics([u, u], u, **kwargs)
+
+
 def test_report_serialization_shape():
     d = uniform(0.0, 1.0)
     report = sequence_diagnostics([d, d], d)
