@@ -11,10 +11,14 @@ the contract is 0) and how many of the same probabilities get a quantile
 from shuffled chunks that differs from the one batch, each side on a cold
 copy of the law (key ``batch``; the contract is 0, the premise of the
 quantile memo of `Distribution`). The pair is two-sided where the library
-inverts the survival function: a mixture of parts meets sf(Q) <= 1 - p <
-sf(prev(Q)) for F(x_h) < p <= F(top), x_h the first knot of its table where
-F >= 1/2 and top the last, and F(prev(Q)) < p <= F(Q) elsewhere; a tree without
-`Distribution._sf_arr` is held to the cdf form alone. The battery is
+inverts the survival function: a law that inverts from its knot table
+(`Distribution._memoized`: a mixture of parts or a Gaussian kernel estimate)
+meets sf(Q) <= 1 - p < sf(prev(Q)) for F(x_h) < p <= F(top), x_h the first
+knot of its table where F >= 1/2 and top the last, and F(prev(Q)) < p <= F(Q)
+elsewhere; a tree without `Distribution._sf_arr` is held to the cdf form
+alone. A tree whose Gaussian kernel estimates invert their cdf at every p
+(before they took the knot table) is dumped with its own copy of this
+script, which holds them to the cdf form. The battery is
 `standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
 density plus tens to hundreds of atoms), mixtures with quantile-table and
 kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
@@ -237,8 +241,9 @@ def dump_diagnostics(values):
 
 def _sf_form(d, ps):
     """Rows of `ps` whose quantile meets the survival form of the pair: those
-    above F(x_h) up to F(top), read from a mixture's knot table."""
-    if not hasattr(d, "_sf_arr") or d.is_finite_discrete or len(d.parts) == 1:
+    above F(x_h) up to F(top), read from the knot table of a law that
+    inverts from one (`Distribution._memoized`)."""
+    if not hasattr(d, "_sf_arr") or not d._memoized:
         return np.zeros(ps.shape, dtype=bool)
     _, f, _, h = d._knot_values
     return (ps > f[h]) & (ps <= f[-1])

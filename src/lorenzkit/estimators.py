@@ -17,13 +17,14 @@ turning data or a distribution into a tractable approximating law:
   Epanechnikov kernel the cdf is a polynomial of degree 1 or 3 between the
   knots 0 and x_i +- h: the law lists every knot as a breakpoint and
   inverts its cdf in closed form from a table of per-knot coefficients (cf.
-  Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth:
-  its values at 0, the sample points and a top are cached once, the knots
-  where it equals its running maximum are kept, as a mixture's table keeps
-  them, each p is bracketed between two adjacent kept knots, and the
-  Illinois inversion that mixtures use (`measures._invert`) narrows the
-  brackets on the cdf and finishes them to the float. No quantile, of a
-  kernel estimate or a mixture, is found by bisection from [0, hi].
+  Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth
+  and has no closed-form inverse: the law inverts as a mixture does, from
+  the knot table of `Distribution` (`_knot_values`, a ladder of eight
+  knots per octave, so its size does not grow with n), by Illinois steps
+  on the cdf against p up to F(x_h), the first knot with F >= 1/2, and on
+  minus the survival function against p - 1 above it, where 1 - F has no
+  digits left but sf keeps them. No quantile, of a kernel estimate or a
+  mixture, is found by bisection from [0, hi].
 
 ``run_experiment`` drives the convergence diagnostics over five sequence
 schemes (noise, sampling, quantile, quantile_of_sample, kde) from a
@@ -46,14 +47,11 @@ from .measures import (
     Distribution,
     ZeroMeanError,
     _MAX_ROUNDS,
-    _invert,
-    _monotone_knots,
-    _upper_end,
     discrete,
     require_member,
     scalar_or_array,
 )
-from .wasserstein import ConvergenceReport, sequence_diagnostics
+from .wasserstein import ConvergenceReport, _checked_thresholds, sequence_diagnostics
 
 __all__ = [
     "SampleSet",
@@ -328,11 +326,11 @@ class _CutKernelMixture:
     cdf, so the law's cdf is a polynomial between the knots 0 and x_i +- h.
     For them `_knot_table` holds every knot with its polynomial,
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
-    form. The Gaussian kernel has no polynomial knots; its `quantile`
-    brackets p between cdf values cached at 0, the sample and a top
-    (`_cdf_knots`), and the Illinois inversion of the measures module
-    (`_invert`) narrows the brackets on the cdf alone. `sf` sums G(-u)
-    over the same windows plus the points right of them, never 1 - cdf.
+    form. The Gaussian kernel has no polynomial knots and no `quantile` of
+    its own: `iterative_quantile` sends its law to the knot table and
+    Illinois inversion of `Distribution`, which reads F up to F(x_h) and
+    `sf` above. `sf` sums G(-u) over the same windows plus the points
+    right of them, never 1 - cdf, so it keeps its digits in the tail.
     """
 
     points: tuple[float, ...]
@@ -482,57 +480,21 @@ class _CutKernelMixture:
         level = np.maximum.accumulate(saturated + coeffs[0])
         return tau, saturated, level, coeffs
 
-    def _level(self, t, y):
-        """The cdf, which every row of an inversion compares with its p
-        (`measures._invert`)."""
-        return self.cdf(t)
-
-    @cached_property
-    def _cdf_knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, F(x)) at the brackets of a quantile without a knot table.
-
-        The candidate knots are 0, the sorted sample and a top from
-        `_upper_end` where F reaches nextafter(1, 0), the largest p below 1;
-        one cdf call evaluates them all. Only the knots where F equals its
-        running maximum are kept (`measures._monotone_knots`, as a
-        mixture's table is), so a searchsorted bracket depends on its p
-        alone, and so does Q, where the computed F column is not
-        nondecreasing.
-        """
-        top = _upper_end(self.cdf, self.support_hi)
-        x = np.unique(np.concatenate([[0.0], self._sorted, [top]]))
-        f = self.cdf(x)
-        keep = _monotone_knots(f)
-        return x[keep], f[keep]
-
     def quantile(self, p):
-        """Q(p) from the knot table, or by Illinois steps without one.
+        """Q(p) from the knot table of a polynomial kernel.
 
-        With the table, Q(p) = 0 when n F(0) >= n p. Otherwise the cell is
-        the last knot with n F(tau_j) < n p, and its polynomial is solved for
-        s: s is the cell's width when the polynomial stays below n p there,
-        else safeguarded Newton runs from s = (n p - n F(tau_j)) / c1, which
+        Q(p) = 0 when n F(0) >= n p. Otherwise the cell is the last knot
+        with n F(tau_j) < n p, and its polynomial is solved for s: s is the
+        cell's width when the polynomial stays below n p there, else
+        safeguarded Newton runs from s = (n p - n F(tau_j)) / c1, which
         already is the root for the uniform kernel, until a step moves Q by
         at most an ulp. Then Q = tau_j + h s.
 
-        Without a table (the Gaussian kernel), Q(p) = 0 where p <= F(0), so
-        the atom at 0 lies in no bracket. Elsewhere adjacent knots of
-        `_cdf_knots` give F(lo) < p <= F(hi), and one `measures._invert`
-        call (Illinois steps on the cdf, then the float bisection) narrows
-        every bracket, so F(prev(Q)) < p <= F(Q) holds exactly for the
-        computed cdf. The law has one part, so it keeps this cdf form of the
-        pair at every p; only mixtures of parts invert the survival function
-        near p = 1 (`Distribution._knot_brackets`).
+        The Gaussian kernel has no table and no closed-form quantile: its
+        law inverts from the knot table of `Distribution`, as a mixture
+        does (`iterative_quantile`).
         """
         table = self._knot_table
-        if table is None:
-            x, f = self._cdf_knots
-            p = np.asarray(p, dtype=float)
-            out = np.zeros_like(p)
-            pos = p > f[0]
-            up = np.searchsorted(f, p[pos], side="left")
-            out[pos] = _invert(self._level, p[pos], x[up - 1], x[up], f[up - 1], f[up], 0.0)
-            return out
         tau, saturated, level, coeffs = table
         h = self.bandwidth
         y = self._sorted.size * np.asarray(p, dtype=float)
@@ -568,8 +530,10 @@ class _CutKernelMixture:
 
     @property
     def iterative_quantile(self) -> bool:
-        """True without a knot table: `quantile` then iterates (Illinois
-        steps of `measures._invert`), and `Distribution` keeps a memo of it."""
+        """True without a polynomial knot table (the Gaussian kernel): the
+        law then inverts its cdf, and its survival function above F(x_h),
+        from `Distribution._knot_values` by Illinois steps, and keeps a memo
+        of the quantiles (`Distribution._memoized`)."""
         return self._knot_table is None
 
     def x_breaks(self) -> np.ndarray:
@@ -635,7 +599,10 @@ class ExperimentSpec:
     the limit the sequence is measured against. Schedules default to
     doubling ladders of length `steps`; the two-parameter schemes
     (quantile_of_sample, kde) pair their schedules positionally so both
-    parameters sharpen together.
+    parameters sharpen together. `rel_tol` and `alpha_grid` are checked at
+    construction, as `sequence_diagnostics` checks them
+    (`wasserstein._checked_thresholds`), so a bad one raises before any
+    member is sampled or built.
     """
 
     scheme: str
@@ -662,6 +629,7 @@ class ExperimentSpec:
             )
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        _checked_thresholds(self.rel_tol, self.alpha_grid)
 
     def source_distribution(self) -> Distribution:
         from .specs import parse_distribution

@@ -41,14 +41,13 @@ the one bisection loop (`_bisect`) finishes them, so the pair holds exactly.
 Where the computed function is not monotone at the ulp level, more than one
 float can meet the pair, and which one is returned depends on the bracket:
 the pair, not "the smallest float that clears p", is the contract.
-Finite-discrete laws meet the cdf form exactly too, and so do kernel
-estimates with the Gaussian kernel, a law of one part whose quantile runs
-the same `_invert` on its cdf alone, from brackets between kept knots
-among 0, the sample points and a top.
-Other closed forms (single densities, linear tables, and kernel estimates
-with the uniform or Epanechnikov kernel, whose quantile is a root of the
-cdf's polynomial on one knot cell) meet it to a few eps; for those kernel
-estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
+A kernel estimate with the Gaussian kernel, a law of one part whose
+component sets ``iterative_quantile``, inverts from the same table and
+meets the same two-sided pair. Finite-discrete laws meet the cdf form
+exactly. Other closed forms (single densities, linear tables, and kernel
+estimates with the uniform or Epanechnikov kernel, whose quantile is a
+root of the cdf's polynomial on one knot cell) meet it to a few eps; for
+those kernel estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
 """
 
 from __future__ import annotations
@@ -712,10 +711,12 @@ class Distribution:
     (`_atomic`) and call the component methods of the other parts only; a
     law with no other part is finite-discrete (`_discrete`).
 
-    A law whose quantile is iterative keeps a memo of it: a mixture of
-    parts, or a law of one part whose component sets ``iterative_quantile``
-    (the Gaussian kernel estimate). Its index routes read Q at many of the
-    same p (the shared cells `_p_cells`, the sweep `_gap_sweep` of
+    A law whose quantile is iterative, a mixture of parts or a law of one
+    part whose component sets ``iterative_quantile`` (the Gaussian kernel
+    estimate), inverts its cdf, and its survival function above F(x_h),
+    from the knot table (`_knot_values`, `_bisect_quantile`), and keeps a
+    memo of its quantiles (`_memoized`). Its index routes read Q at many
+    of the same p (the shared cells `_p_cells`, the sweep `_gap_sweep` of
     `hoover_max`), and each p is inverted once per law; `index_report`
     inverts every p its routes' first rounds read in one batch
     (`_first_round_p`) before any route runs. The memo rests on one
@@ -923,7 +924,8 @@ class Distribution:
 
     @cached_property
     def _memoized(self) -> bool:
-        """Whether the quantile is iterative, so `_quantile_arr` keeps a memo."""
+        """Whether the quantile is iterative: the law inverts from its knot
+        table (`_bisect_quantile`), and `_quantile_arr` keeps a memo."""
         if self._discrete is not None:
             return False
         return len(self.parts) > 1 or getattr(self.parts[0][1], "iterative_quantile", False)
@@ -934,7 +936,7 @@ class Distribution:
         A law with an iterative quantile (`_memoized`) looks every finite p up
         in its memo, sorted (p, Q) arrays held as one tuple in the instance
         ``__dict__``. The misses are deduplicated and inverted in one batch
-        (`_fresh_quantile`), and `_remember` merges them in. Other laws read
+        (`_bisect_quantile`), and `_remember` merges them in. Other laws read
         their closed form each time.
         """
         p = np.asarray(p, dtype=float)
@@ -951,7 +953,7 @@ class Distribution:
             miss = ~hit
         if miss.any():
             new_p, back = np.unique(flat[miss], return_inverse=True)
-            new_q = self._fresh_quantile(new_p)
+            new_q = self._bisect_quantile(new_p)
             out[miss] = new_q[back]
             self._remember(memo_p, memo_q, new_p, new_q)
         return out.reshape(p.shape)
@@ -971,22 +973,18 @@ class Distribution:
             at = np.searchsorted(memo_p, new_p)
             self.__dict__["_quantile_memo"] = (np.insert(memo_p, at, new_p), np.insert(memo_q, at, new_q))
 
-    def _fresh_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) evaluated, not read from the memo."""
-        out = self._closed_quantile(p)
-        return self._bisect_quantile(p) if out is None else out
-
     def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
-        """Q(p) without inverting this law's cdf, or None for a mixture of parts.
+        """Q(p) without inverting this law's cdf, or None for a law whose
+        quantile is iterative (`_memoized`).
 
         Finite-discrete laws read their cumulative masses, which meets the
-        cdf form of the Galois pair exactly; a law of one part uses that
-        part's `quantile` (an iterative one, the Gaussian kernel estimate,
-        keeps the cdf form). A mixture of parts inverts its cdf, and its
-        survival function above F(x_h), from the knot table instead
-        (`_bisect_quantile`, `wasserstein._q_within`).
+        cdf form of the Galois pair exactly; any other law of one part whose
+        component does not set ``iterative_quantile`` uses that part's
+        `quantile`. A mixture of parts and a Gaussian kernel estimate invert
+        their cdf, and their survival function above F(x_h), from the knot
+        table instead (`_bisect_quantile`, `wasserstein._q_within`).
         """
-        if self._discrete is None and len(self.parts) > 1:
+        if self._memoized:
             return None
         out = np.zeros_like(p)
         pos = p > 0.0

@@ -58,10 +58,11 @@ def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     """Left quantiles in [Q(p), Q(p) + tol] (tol 1e-10 s from `_w1_general`).
 
-    A finite-discrete law or a law of one part returns its closed-form
-    quantile: exact to the float for finite-discrete laws and Gaussian
-    kernel estimates, to a few eps otherwise. Any other mixture of parts
-    shares the split of `Distribution._bisect_quantile`: rows above F(x_h)
+    A law with a closed-form quantile (`Distribution._closed_quantile`)
+    returns it: exact to the float for finite-discrete laws, to a few eps
+    otherwise. A law that inverts from its knot table, a mixture of parts
+    or a Gaussian kernel estimate, stops within tol instead and shares the
+    split of `Distribution._bisect_quantile`: rows above F(x_h)
     invert -sf against p - 1, the rest F against p (`_knot_brackets`). It
     intersects the bracket [lo, hi], which must hold Q(p) elementwise, with
     the bracket between adjacent kept knots of the law's table, evaluates
@@ -408,6 +409,23 @@ def _weak_probes(limit: Distribution) -> np.ndarray:
     return DYADIC[clear]
 
 
+def _checked_thresholds(rel_tol, alpha_grid):
+    """(rel_tol, alpha_grid) as a float and a float array (or None), or a
+    ValueError unless rel_tol is finite and > 0 and alpha_grid, when given,
+    is nonempty, finite and >= 0. `sequence_diagnostics` and
+    `estimators.ExperimentSpec` both check with it."""
+    rel_tol = float(rel_tol)
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    if alpha_grid is not None:
+        alpha_grid = np.asarray(list(alpha_grid), dtype=float)
+        if alpha_grid.size == 0 or not np.all(np.isfinite(alpha_grid) & (alpha_grid >= 0.0)):
+            raise ValueError(
+                f"alpha_grid must be nonempty, finite and >= 0, got {alpha_grid.tolist()!r}"
+            )
+    return rel_tol, alpha_grid
+
+
 def sequence_diagnostics(
     seq,
     limit: Distribution,
@@ -432,15 +450,7 @@ def sequence_diagnostics(
     freedom weak convergence grants; a law that is genuinely displaced
     still fails because no nearby p explains its quantile values.
     """
-    rel_tol = float(rel_tol)
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
-    if alpha_grid is not None:
-        alpha_grid = np.asarray(list(alpha_grid), dtype=float)
-        if alpha_grid.size == 0 or not np.all(np.isfinite(alpha_grid) & (alpha_grid >= 0.0)):
-            raise ValueError(
-                f"alpha_grid must be nonempty, finite and >= 0, got {alpha_grid.tolist()!r}"
-            )
+    rel_tol, alpha_grid = _checked_thresholds(rel_tol, alpha_grid)
     members = list(seq)
     if not members:
         raise ValueError("sequence must be nonempty")

@@ -8,9 +8,12 @@ p - 1 above (`Distribution._knot_brackets`), so a quantile Q meets
     sf(Q) <= 1 - p < sf(prev(Q))    for F(x_h) < p <= F(top),
 
 top the table's last knot; p above F(top), which only float weights summing
-below 1 allow, keeps the cdf form. Laws whose quantile needs no table
-(finite-discrete laws, laws of one part) meet the cdf form everywhere.
-Every check is an exact inequality of the computed functions.
+below 1 allow, keeps the cdf form. A Gaussian kernel estimate, a law of one
+part whose quantile is iterative, inverts from the same table and meets the
+same pair; every law that inverts from its table says so by
+`Distribution._memoized`. Laws with a closed-form quantile (finite-discrete
+laws, other laws of one part) meet the cdf form everywhere. Every check is
+an exact inequality of the computed functions.
 """
 
 import numpy as np
@@ -18,9 +21,9 @@ import numpy as np
 
 def sf_form_rows(d, ps):
     """Rows of `ps` whose quantile meets the survival form, read from the
-    law's knot table."""
+    knot table of a law that inverts from one."""
     ps = np.asarray(ps, dtype=float)
-    if d.is_finite_discrete or len(d.parts) == 1:
+    if not d._memoized:
         return np.zeros(ps.shape, dtype=bool)
     _, f, _, h = d._knot_values
     return (ps > f[h]) & (ps <= f[-1])

@@ -21,7 +21,7 @@ from lorenzkit import (
     w1,
     w1_routes,
 )
-from lorenzkit.measures import TAIL_LEVELS
+from lorenzkit.measures import TAIL_LEVELS, Distribution
 from lorenzkit.estimators import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -40,6 +40,8 @@ from lorenzkit.estimators import (
     run_experiment,
     _CutKernelMixture,
 )
+
+from galois import assert_galois_pair, sf_form_rows
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +201,14 @@ def test_kde_values_depend_on_the_abscissa_alone(kernel):
 
 
 def test_gaussian_kde_quantile_is_float_exact_call_by_call():
+    # The batch meets the two-sided pair, F below F(x_h) and sf above, and
+    # so does each probability on its own scalar cdf or sf calls.
     d = kde(_uniform_sample(200), GAUSSIAN, 0.03)
-    ps = np.random.default_rng(1).uniform(0.0, 1.0, size=200)
-    for p, q in zip(ps, d.quantile(ps)):
-        assert d.cdf(q) >= p
-        if q > 0.0:
-            assert d.cdf(np.nextafter(q, 0.0)) < p
+    ps = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, size=200))
+    assert sf_form_rows(d, ps).any() and not sf_form_rows(d, ps).all()
+    q = assert_galois_pair(d, ps)
+    for p, qp in zip(ps, q):
+        assert assert_galois_pair(d, [p]) == [qp]
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
@@ -266,65 +270,77 @@ def _ladder(*extra):
     + [(1, 0.1, "point"), (10, 0.1, "tied"), (10, 0.03, "tied")],
 )
 def test_gaussian_kde_quantile_galois_pair(source, n, h):
-    # Illinois steps on the cdf from brackets between cached knots (0, the
-    # sample, a top), finished by float bisection: F(prev(Q)) < p <= F(Q)
-    # holds exactly for the computed cdf. Levels across [0.3, 2] put Q
-    # where the gap sample's density nearly vanishes, between knots far
-    # apart. 1 - 2^-52 and nextafter(1, 0) need the top knot; the one-point
-    # sample has a single knot inside, the tied sample repeats its points.
+    # Illinois steps from brackets between kept knots of the law's table,
+    # finished by float bisection: F(prev(Q)) < p <= F(Q) holds exactly for
+    # the computed cdf up to F(x_h), and sf(Q) <= 1 - p < sf(prev(Q)) for the
+    # computed sf above. Levels across [0.3, 2] put Q where the gap sample's
+    # density nearly vanishes. 1 - 2^-52 and nextafter(1, 0) need the top
+    # knots; the one-point sample has a single point, the tied sample
+    # repeats its points.
     d = kde(_knot_sample(source, n), GAUSSIAN, h)
     levels = d.cdf(np.linspace(0.3, 2.0, 9))
     ps = _ladder(levels, np.nextafter(levels, 1.0), [1.0 - 2.0**-52, np.nextafter(1.0, 0.0)])
-    q = d.quantile(ps)
-    assert np.all(np.diff(q) >= 0.0)
-    at_zero = ps <= d.cdf(0.0)
-    assert np.all((q == 0.0) == at_zero)
-    assert np.all(d.cdf(q) >= ps)
-    assert np.all(d.cdf(np.nextafter(q[~at_zero], 0.0)) < ps[~at_zero])
+    q = assert_galois_pair(d, ps)
+    assert np.all((q == 0.0) == (ps <= d.cdf(0.0)))
+    assert sf_form_rows(d, ps).any()
 
 
 def test_gaussian_kde_quantile_keeps_the_monotone_knots(monkeypatch):
-    # A searchsorted bracket on a cdf column that is not nondecreasing
-    # depends on the other rows of the batch, and so may Q. Such a column
-    # keeps only the knots where F equals its running maximum: here the
-    # cdf is raised to 1 at the middle knot, so the kept sample knots end
-    # there and only the top, where F is 1 too, follows. Each Q depends on
-    # its p alone and meets the pair for the computed cdf.
+    # A searchsorted bracket on a column that is not nondecreasing depends
+    # on the other rows of the batch, and so may Q. The law's table keeps
+    # only the knots where F and -sf equal their running maximum: here F
+    # falls at one knot below x_h and -sf at one knot above, so exactly
+    # those two knots go. Each Q depends on its p alone and meets its form
+    # of the pair for the computed cdf and sf.
     xs = _uniform_sample(25)
-    dent = np.sort(xs)[12]
-    cdf = _CutKernelMixture.cdf
+    x0, f0, g0, h0 = kde(xs, GAUSSIAN, 0.1)._knot_values
+    low, high = x0[h0 - 3], x0[h0 + 3]
+    cdf, sf = _CutKernelMixture.cdf, _CutKernelMixture.sf
     monkeypatch.setattr(
-        _CutKernelMixture, "cdf", lambda self, x: np.where(np.equal(x, dent), 1.0, cdf(self, x))
+        _CutKernelMixture, "cdf", lambda self, x: np.where(np.equal(x, low), f0[h0 - 5], cdf(self, x))
+    )
+    monkeypatch.setattr(
+        _CutKernelMixture, "sf", lambda self, x: np.where(np.equal(x, high), -g0[h0 + 1], sf(self, x))
     )
     d = kde(xs, GAUSSIAN, 0.1)
-    ps = _ladder(d.cdf(np.nextafter(dent, [0.0, 1.0])))
-    q = d.quantile(ps)
-    x, f = d.parts[0][1]._cdf_knots
-    assert np.all(np.diff(f) >= 0.0) and list(f[-2:]) == [1.0, 1.0]
-    np.testing.assert_array_equal(x[:-1], np.concatenate([[0.0], np.sort(xs)[:13]]))
+    x, f, g, h = d._knot_values
+    np.testing.assert_array_equal(x, x0[(x0 != low) & (x0 != high)])
+    assert np.all(np.diff(f) >= 0.0) and np.all(np.diff(g) >= 0.0)
+    assert x[h] == x0[h0]
+    near = np.concatenate([f0[h0 - 5 : h0], 1.0 + g0[h0 + 1 : h0 + 6]])
+    ps = _ladder(near, np.nextafter(near, 1.0))
+    q = assert_galois_pair(d, ps)
     cold = kde(xs, GAUSSIAN, 0.1)
     assert [cold.quantile(p) for p in ps] == list(q)
-    pos = q > 0.0
-    assert np.all(d.cdf(q) >= ps)
-    assert np.all(d.cdf(np.nextafter(q[pos], 0.0)) < ps[pos])
+
+
+def _counted_points(monkeypatch):
+    """A list that gets the size of every kernel-estimate cdf and sf call."""
+    points = []
+    for meth in ("cdf", "sf"):
+        fn = getattr(_CutKernelMixture, meth)
+        monkeypatch.setattr(
+            _CutKernelMixture, meth, lambda self, x, fn=fn: points.append(np.size(x)) or fn(self, x)
+        )
+    return points
 
 
 def test_gaussian_kde_quantile_cdf_budget(monkeypatch):
-    # Bisection from [0, hi] spent 54.3 cdf points per probability here.
-    points = []
-    cdf = _CutKernelMixture.cdf
-    monkeypatch.setattr(
-        _CutKernelMixture, "cdf", lambda self, x: points.append(np.size(x)) or cdf(self, x)
-    )
+    # Points of cdf and sf calls, the knot table's included. Bisection from
+    # [0, hi] spent 54.3 cdf points per probability here; the table and
+    # Illinois steps on F below x_h and on -sf above spend 12.1.
+    points = _counted_points(monkeypatch)
     ps = _ladder()
     kde(_uniform_sample(200), GAUSSIAN, 0.03).quantile(ps)
     assert sum(points) <= 20 * ps.size
 
 
 def test_gaussian_kde_quantile_kernel_work(monkeypatch):
-    # Kernel evaluations of one cold quantile call: (query, sample point)
-    # pairs times the term arrays of each pair. Newton summed the cdf and
-    # the density every round, 1,259 evaluations per probability here.
+    # Kernel evaluations of one cold quantile call, the knot table's
+    # included: (query, sample point) pairs times the term arrays of each
+    # pair. Newton summed the cdf and the density every round, 1,259
+    # evaluations per probability here; the law's table and Illinois steps
+    # spend 796.5.
     work = []
     pair_sums = _CutKernelMixture._pair_sums
 
@@ -336,6 +352,41 @@ def test_gaussian_kde_quantile_kernel_work(monkeypatch):
     ps = _ladder()
     kde(_uniform_sample(200), GAUSSIAN, 0.03).quantile(ps)
     assert sum(work) <= 800 * ps.size
+
+
+def test_gaussian_kde_knot_table_does_not_grow_with_n(monkeypatch):
+    # The inversion table's candidates are 0, the support's ends, a ladder
+    # of eight knots per octave below the top and a far knot, none of them a
+    # sample point. A lone cold quantile at a p inside the atom at 0
+    # evaluates the table alone: as many query points at n = 2000 as at
+    # n = 200, where a table with a knot per sample point paid 2,004
+    # against 204.
+    points = _counted_points(monkeypatch)
+    xs = _uniform_sample(2000)
+    spent = []
+    for n in (200, 2000):
+        d = kde(xs[:n], GAUSSIAN, 0.03)
+        p = 0.5 * d.cdf(0.0)
+        points.clear()
+        assert d.quantile(p) == 0.0
+        spent.append(sum(points))
+    assert spent[1] <= spent[0]
+
+
+@pytest.mark.parametrize("n,h", [(200, 0.03), (2000, 0.003)])
+@pytest.mark.parametrize("c", [1.001, 1.1])
+def test_gaussian_kde_w1_rescaling_identity(n, h, c):
+    # kde(c xs, c h) is the law of c X for X ~ kde(xs, h), so W1 between
+    # them is (c - 1) m in closed form. Each route meets it within its own
+    # budget of 1e-7 (m1 + m2); both read 8e-16 or less. The bandwidth
+    # shrinks with n as along a kde sequence (at n = 2000 and h = 0.03 the
+    # c = 1.001 pair takes 12 s: the gap integrator resolves two near-equal
+    # laws at 395,000 query points of 1,000 window terms each).
+    xs = _uniform_sample(n)
+    d1, d2 = kde(xs, GAUSSIAN, h), kde(c * xs, GAUSSIAN, c * h)
+    m1, m2 = d1.mean, d2.mean
+    for value in w1_routes(d1, d2):
+        assert abs(value - (c - 1.0) * m1) <= 1e-7 * (m1 + m2)
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
@@ -416,9 +467,24 @@ def test_spec_scheme_and_pairing_validation():
 
 
 def test_spec_rel_tol_reaches_the_diagnostics_check():
-    spec = ExperimentSpec(scheme="quantile", source="uniform(0,1)", steps=2, rel_tol=math.nan)
     with pytest.raises(ValueError, match="rel_tol"):
-        run_experiment(spec)
+        run_experiment(ExperimentSpec(scheme="quantile", source="uniform(0,1)", steps=2, rel_tol=math.nan))
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [({"rel_tol": math.nan}, "rel_tol"), ({"rel_tol": 0.0}, "rel_tol"),
+     ({"alpha_grid": ()}, "alpha_grid"), ({"alpha_grid": (-1.0,)}, "alpha_grid")],
+)
+def test_spec_rejects_bad_thresholds_before_sampling(monkeypatch, bad, match):
+    # The spec checks rel_tol and alpha_grid as sequence_diagnostics does,
+    # so a kde experiment raises before it draws a sample or builds a member.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(Distribution, "sample_rng", no_sampling)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(ExperimentSpec(scheme="kde", source="uniform(0,1)", steps=2, **bad))
 
 
 def test_sampling_experiment_is_deterministic_and_converges():

@@ -41,7 +41,7 @@ from lorenzkit.measures import (
     require_member,
     uniform,
 )
-from lorenzkit import estimators, measures, wasserstein
+from lorenzkit import measures, wasserstein
 from lorenzkit.quadrature import _XGK
 from lorenzkit.wasserstein import _q_within
 
@@ -751,7 +751,7 @@ def test_inversion_never_evaluates_a_level_point_twice(monkeypatch, i):
 
         return invert(recorded, *args)
 
-    for module in (measures, wasserstein, estimators):
+    for module in (measures, wasserstein):
         monkeypatch.setattr(module, "_invert", counted)
     d = _repeat_laws()[i]
     ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS]))
