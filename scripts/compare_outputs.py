@@ -4,7 +4,9 @@
 ``dump OUT.json`` evaluates a fixed battery through the public API and
 writes every value as ``float.hex``: the fields of `index_report`, both
 `w1_routes` values, quantiles, cdf and partial-expectation values, Lorenz
-values and, for each law whose quantile is float-exact (finite-discrete
+values, both `mean_routes` values, the support's end (`sup_support`) and
+the Lorenz curve's left derivative at 1, `excess_mean` and `tail_moment` at
+the mean times each of `TAIL_MULTIPLES`, and, for each law whose quantile is float-exact (finite-discrete
 laws, mixtures of parts, Gaussian kernel estimates), how many probabilities
 of a ladder break the exact Galois pair or the order of Q (key ``galois``;
 the contract is 0) and how many of the same probabilities get a quantile
@@ -121,6 +123,8 @@ KDE_KERNELS, KDE_N, KDE_H = ("uniform", "epanechnikov", "gaussian"), 200, 0.03
 #: grids of `lorenz_dominates` on the battery pairs: its default and one
 #: whose cells are not a power of two
 DOMINANCE_GRIDS = (256, 100)
+#: multiples of the mean at which `excess_mean` and `tail_moment` are dumped
+TAIL_MULTIPLES = (1.0, 4.0, 16.0)
 #: the numeric fields of a `sequence_diagnostics` report outside its steps
 DIAGNOSTICS_SCALARS = ("alpha_ref", "rel_tol")
 #: its text fields, dumped as ``text:`` values
@@ -303,6 +307,13 @@ def dump(path):
         _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
         _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))
         _attempt(values, f"{kind}|lorenz|{name}", lambda: lorenz(d).eval(LORENZ_PS))
+        _attempt(values, f"{kind}|mean_routes|{name}", d.mean_routes)
+        _attempt(values, f"{kind}|sup_support|{name}", d.sup_support)
+        _attempt(values, f"{kind}|lorenz_slope_at_1|{name}", lambda: lorenz(d).left_derivative(1.0))
+        _attempt(values, f"{kind}|excess_mean|{name}",
+                 lambda: [d.excess_mean(c * d.mean) for c in TAIL_MULTIPLES])
+        _attempt(values, f"{kind}|tail_moment|{name}",
+                 lambda: [d.tail_moment(c * d.mean) for c in TAIL_MULTIPLES])
     base = [n for n, _ in base]
     extra = [n for n, _ in extra]
     pairs = [(a, b) for i, a in enumerate(base) for b in base[i + 1:]]
@@ -324,12 +335,15 @@ def dump(path):
 
 
 def _field(key):
-    """(kind, field) of a dump key; index values are split per index field."""
+    """(kind, field) of a dump key; index values are split per index field,
+    and the two-route values per route."""
     kind, field, rest = key.split("|", 2)
     if field == "index":
         field = "index." + INDEX_FIELDS[int(rest.rsplit("#", 1)[1])]
     elif field == "w1_routes":
         field = "w1_routes." + ("quantile" if rest.endswith("#0") else "cdf")
+    elif field == "mean_routes":
+        field = "mean_routes." + ("survival" if rest.endswith("#0") else "quantile")
     return kind, field
 
 

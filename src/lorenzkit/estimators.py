@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -195,6 +196,14 @@ def estimate_lorenz_at(s, x) -> float | np.ndarray:
     return scalar_or_array(x, out)
 
 
+def _whole(name: str, v) -> int:
+    """v as an int; raises ValueError, rather than floor, unless v is an
+    integral number (4 and 4.0 pass, 2.5, NaN and "4" do not)."""
+    if not isinstance(v, numbers.Real) or not float(v).is_integer():
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def quantile_approx(d: Distribution, ell: int) -> Distribution:
     """Equal atoms at Q(k/ell) for k = 0..ell-1.
 
@@ -202,7 +211,7 @@ def quantile_approx(d: Distribution, ell: int) -> Distribution:
     there is always an atom at zero carrying weight 1/ell (or more).
     """
     require_member(d)
-    ell = int(ell)
+    ell = _whole("table size", ell)
     if ell < 1:
         raise ValueError("table size must be a positive integer")
     return discrete(d._quantile_arr(np.arange(ell) / ell))
@@ -259,7 +268,9 @@ class KernelSpec:
     cdf is the running integral of the kernel K; partial_first_moment is
     ``M(y) = integral of s K(s) for s <= y`` (so M(inf) = 0 by symmetry),
     which is what closed-form truncated means are made of; tail_radius(eps)
-    bounds where the cdf leaves [eps, 1 - eps].
+    bounds where the cdf leaves [eps, 1 - eps], and is the kernel's reach,
+    inf for the Gaussian, at eps = 0 (`Distribution.support_hi`, whose
+    integrals to infinity cut at eps = `measures.X_CUT`).
     """
 
     name: str
@@ -274,7 +285,7 @@ GAUSSIAN = KernelSpec(
     cdf=_gauss_cdf,
     first_abs_moment=math.sqrt(2.0 / math.pi),
     partial_first_moment=_gauss_partial_first,
-    tail_radius=lambda eps: float(-measures.sp.ndtri(min(max(eps, 5e-324), 0.5))),
+    tail_radius=lambda eps: float(-measures.sp.ndtri(min(eps, 0.5))),
 )
 
 EPANECHNIKOV = KernelSpec(
@@ -544,13 +555,8 @@ class _CutKernelMixture:
         pts = self._sorted
         return np.unique([0.0, max(pts[0] - span, 0.0), pts[-1] + span])
 
-    def sup_support(self) -> float:
-        if self._radius == 1.0:
-            return float(self._sorted[-1] + self.bandwidth)
-        return math.inf
-
     def support_hi(self, eps: float) -> float:
-        r = self.kernel.tail_radius(max(eps, 5e-324))
+        r = self.kernel.tail_radius(eps)
         return float(self._sorted[-1] + r * self.bandwidth)
 
     def rescaled(self, alpha: float) -> "_CutKernelMixture":
@@ -602,7 +608,8 @@ class ExperimentSpec:
     parameters sharpen together. `rel_tol` and `alpha_grid` are checked at
     construction, as `sequence_diagnostics` checks them
     (`wasserstein._checked_thresholds`), so a bad one raises before any
-    member is sampled or built.
+    member is sampled or built; so are `steps`, `sample_size` and the
+    entries of the integer schedules, which must be integral.
     """
 
     scheme: str
@@ -627,8 +634,12 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}"
             )
-        if self.steps < 1:
+        if _whole("steps", self.steps) < 1:
             raise ValueError("steps must be >= 1")
+        _whole("sample_size", self.sample_size)
+        for key in ("sample_sizes", "table_sizes", "noise_exponents"):
+            for v in getattr(self, key) or ():
+                _whole(f"{key} entry", v)
         _checked_thresholds(self.rel_tol, self.alpha_grid)
 
     def source_distribution(self) -> Distribution:

@@ -16,7 +16,8 @@ diagonal and the Lorenz area start from the same probability cells
 
 - cdf quadrature in x: integrals of F or of the survival function sf over
   the support, split at the law's breakpoints and at halvings of the
-  integral's upper end. sf is summed from the parts' own survival
+  integral's upper end (`Distribution._x_integral`; to infinity,
+  `Distribution._sf_integral`). sf is summed from the parts' own survival
   functions, not taken as 1 - F, so the tail keeps its digits.
 - the partial-expectation identity S(p) = E[X; X < q] + q (p - F(q-)) for
   the quantile integral at q = Q(p), evaluated in closed form; the Lorenz
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorenz import integral_lorenz, lorenz
-from .measures import HALVINGS, Distribution, discrete, require_member
+from .measures import X_CUT, Distribution, discrete, require_member
 from .quadrature import integrate
 
 __all__ = [
@@ -140,12 +141,8 @@ def gini_dorfman(d: Distribution) -> float:
         i1 = float(np.sum(widths * s_steps[:-1]))
         i2 = float(np.sum(widths * s_steps[:-1] ** 2))
         return 1.0 - i2 / i1
-    hi = d.support_hi(1e-13)
-    pts = np.concatenate([d.x_breakpoints(), hi * HALVINGS])
-    surv = d._sf_arr
-    i1 = integrate(surv, 0.0, hi, points=pts, tol=1e-11)
-    i2 = integrate(lambda x: surv(x) ** 2, 0.0, hi, points=pts, tol=1e-11)
-    i1 += d.excess_mean(hi)
+    i1 = d._sf_integral(0.0, 1e-11)
+    i2 = d._x_integral(lambda x: d._sf_arr(x) ** 2, 0.0, d.support_hi(X_CUT), 1e-11)
     return 1.0 - i2 / i1
 
 
@@ -161,14 +158,8 @@ def hoover_mean_deviation(d: Distribution) -> float:
     if d.is_finite_discrete:
         support, weights = d.support_atoms()
         return float(np.sum(weights * np.abs(support - m))) / (2.0 * m)
-    hi = max(d.support_hi(1e-13), m * (1.0 + 1e-9))
-    xb = d.x_breakpoints()
-    lower_pts = np.concatenate([xb, m * HALVINGS])
-    upper_pts = np.concatenate([xb, hi * HALVINGS])
-    below = integrate(d._cdf_arr, 0.0, m, points=lower_pts, tol=1e-11)
-    above = integrate(d._sf_arr, m, hi, points=upper_pts, tol=1e-11)
-    above += d.excess_mean(hi)
-    return (below + above) / (2.0 * m)
+    below = d._x_integral(d._cdf_arr, 0.0, m, 1e-11)
+    return (below + d._sf_integral(m, 1e-11)) / (2.0 * m)
 
 
 def hoover_cdf(d: Distribution) -> float:

@@ -101,6 +101,9 @@ P_SPLITS = np.unique(np.concatenate([2.0 ** -np.arange(1.0, 11.0), TAIL_LEVELS])
 #: every scale between b 2^-60 and b, with no quantile inversion (the knot
 #: table of a mixture has a finer ladder of its own, `_KNOT_LADDER`)
 HALVINGS = 2.0 ** -np.arange(1.0, 61.0)
+#: survival mass beyond the cut of an x-space integral to infinity, whose
+#: tail past the cut enters in closed form (`Distribution._sf_integral`)
+X_CUT = 1e-13
 #: factors 2^(-k/8), k = 1..480: the ladder of a mixture's knot table
 #: (`Distribution._knot_values`), eight knots per octave over the octaves
 #: of `HALVINGS`, so an inversion starts from a bracket under 10 % wide
@@ -325,9 +328,6 @@ class Atom:
     def x_breaks(self) -> tuple[float, ...]:
         return (self.location,)
 
-    def sup_support(self) -> float:
-        return self.location
-
     def support_hi(self, eps: float) -> float:
         return self.location
 
@@ -378,9 +378,6 @@ class UniformDensity:
     def x_breaks(self) -> tuple[float, ...]:
         return (self.a, self.b)
 
-    def sup_support(self) -> float:
-        return self.b
-
     def support_hi(self, eps: float) -> float:
         return self.b
 
@@ -430,11 +427,8 @@ class Exponential:
     def x_breaks(self) -> tuple[float, ...]:
         return (0.0,)
 
-    def sup_support(self) -> float:
-        return math.inf
-
     def support_hi(self, eps: float) -> float:
-        return -math.log(eps) / self.rate
+        return -math.log(eps) / self.rate if eps > 0.0 else math.inf
 
     def rescaled(self, alpha: float) -> "Exponential":
         return Exponential(self.rate / alpha)
@@ -484,9 +478,6 @@ class Gamma:
 
     def x_breaks(self) -> tuple[float, ...]:
         return (0.0,)
-
-    def sup_support(self) -> float:
-        return math.inf
 
     def support_hi(self, eps: float) -> float:
         return float(self.scale * sp.gammainccinv(self.shape, eps))
@@ -542,9 +533,6 @@ class Lognormal:
 
     def x_breaks(self) -> tuple[float, ...]:
         return (0.0,)
-
-    def sup_support(self) -> float:
-        return math.inf
 
     def support_hi(self, eps: float) -> float:
         return math.exp(self.log_mean - self.log_sd * float(sp.ndtri(eps)))
@@ -674,9 +662,6 @@ class QuantileTable:
     def x_breaks(self) -> tuple[float, ...]:
         return tuple(np.unique(np.asarray(self.values)))
 
-    def sup_support(self) -> float:
-        return self.values[-1]
-
     def support_hi(self, eps: float) -> float:
         return self.values[-1]
 
@@ -702,8 +687,8 @@ class Distribution:
 
     `parts` is a tuple of (weight, component) pairs. Components are duck
     typed; anything exposing the small protocol used above (mean, cdf, sf,
-    pe, mass_at, quantile, x_breaks, sup_support, support_hi, rescaled,
-    atoms) participates, which is how the KDE estimator plugs in its cut kernel
+    pe, mass_at, quantile, x_breaks, support_hi, rescaled, atoms)
+    participates, which is how the KDE estimator plugs in its cut kernel
     mixture without this module knowing about it.
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
@@ -821,10 +806,13 @@ class Distribution:
         return np.unique(np.clip(ps, 0.0, 1.0))
 
     def sup_support(self) -> float:
-        return max(comp.sup_support() for _, comp in self.parts)
+        """The supremum of the support, inf for an unbounded law."""
+        return self.support_hi(0.0)
 
-    def support_hi(self, eps: float = 1e-12) -> float:
-        """A finite abscissa beyond which survival mass is at most eps."""
+    def support_hi(self, eps: float) -> float:
+        """An abscissa beyond which survival mass is at most eps: finite for
+        eps > 0, and at eps = 0 the supremum of the support, inf for an
+        unbounded law. Integrals in x to infinity cut at eps = `X_CUT`."""
         return max(comp.support_hi(eps) for _, comp in self.parts)
 
     # -- pointwise evaluations ---------------------------------------------
@@ -1129,12 +1117,21 @@ class Distribution:
             j = int(np.searchsorted(cum, p, side="left")) - 1
             return float(cum_xm[j] + (p - cum[j]) * support[j])
         qp = float(self._quantile_arr(np.asarray(p)))
-        if qp == 0.0:
-            return 0.0
-        breaks = np.concatenate([self.x_breakpoints(), qp * HALVINGS])
+        return self._x_integral(lambda x: p - self._cdf_arr(x), 0.0, qp, 1e-10)
+
+    def _x_integral(self, f, a: float, b: float, tol: float) -> float:
+        """Integral of f over [a, b], split at the breakpoints and at b 2^-k
+        (`HALVINGS`)."""
         return integrate(
-            lambda x: p - self._cdf_arr(x), 0.0, qp, points=breaks, tol=1e-10
+            f, a, b, points=np.concatenate([self.x_breakpoints(), b * HALVINGS]), tol=tol
         )
+
+    def _sf_integral(self, a: float, tol: float) -> float:
+        """E[(X - a)^+], the integral of sf over [a, inf): quadrature up to
+        hi = max(support_hi(X_CUT), a) and the closed-form excess_mean(hi)
+        beyond it."""
+        hi = max(self.support_hi(X_CUT), a)
+        return self._x_integral(self._sf_arr, a, hi, tol) + self.excess_mean(hi)
 
     def _quantile_integral(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Integral of Q over [0, p < 1] as pe_left(q) + q (p - F_left(q)); exact at q = Q(p)."""
@@ -1146,19 +1143,13 @@ class Distribution:
         Returns (survival-function route, quantile route). Both are quadrature
         based and exist to be cross-checked against the cached closed-form
         mean, which enters only their tail terms: E[(X - hi)^+] beyond the
-        survival route's cut-off hi, a mass below 1e-14, and the integral of
-        Q over [P_TAIL, 1], E[(X - q)^+] + q (1 - P_TAIL) with q = Q(P_TAIL).
-        The quantile route splits at the quantile's breakpoints and at
-        `P_SPLITS`, like every integral over p.
+        survival route's cut-off hi, where the survival mass is below `X_CUT`
+        (`_sf_integral`), and the integral of Q over [P_TAIL, 1],
+        E[(X - q)^+] + q (1 - P_TAIL) with q = Q(P_TAIL). The quantile route
+        splits at the quantile's breakpoints and at `P_SPLITS`, like every
+        integral over p.
         """
-        hi = self.support_hi(1e-14)
-        via_survival = integrate(
-            self._sf_arr,
-            0.0,
-            hi,
-            points=np.concatenate([self.x_breakpoints(), hi * HALVINGS]),
-            tol=1e-10,
-        ) + self.excess_mean(hi)
+        via_survival = self._sf_integral(0.0, 1e-10)
         q = float(self._quantile_arr(np.asarray(P_TAIL)))
         via_quantile = integrate(
             self._quantile_arr,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, Distribution, _invert, atom, require_member
+from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, X_CUT, Distribution, _invert, atom, require_member
 
 __all__ = [
     "w1",
@@ -177,14 +177,15 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     difference. The first cells of each route are graded toward both ends,
     where the two curves may touch and stay ambiguous for many levels: the
     p-cells split at 2^-k and 1 - 2^-k for k = 1..40, the x-cells at
-    hi 2^-k for k = 1..60 (`HALVINGS`). Budgets scale with s = m1 + m2, a
+    hi 2^-k for k = 1..60 (`HALVINGS`), hi the larger of the laws'
+    support_hi(`X_CUT`). Budgets scale with s = m1 + m2, a
     bound on W1: 1e-7 s per route and quantiles to 1e-10 s, so rescaling
     both laws rescales both.
     """
     scale = d1.mean + d2.mean
     budget = 1e-7 * scale
-    hi1 = d1.support_hi(1e-13)
-    hi2 = d2.support_hi(1e-13)
+    hi1 = d1.support_hi(X_CUT)
+    hi2 = d2.support_hi(X_CUT)
     tol_q = 1e-10 * scale
 
     edges = np.concatenate(

@@ -49,6 +49,16 @@ def test_scipy_free_laws_never_load_it(call):
     assert not _loads_special(f"import lorenzkit as L\n{call}")
 
 
+@pytest.mark.parametrize(
+    "law",
+    ["L.exponential(2.0)", "L.uniform(0.5, 3.0)", "L.kde([0.2, 0.5, 1.5], 'epanechnikov', 0.25)"],
+)
+def test_support_end_of_a_scipy_free_law_never_loads_it(law):
+    # the supremum is support_hi(0.0), which reads no special function here
+    code = f"import lorenzkit as L\nd = {law}\nd.sup_support()\nL.lorenz(d).left_derivative(1.0)"
+    assert not _loads_special(code)
+
+
 def test_lognormal_loads_it_and_reports_the_same():
     code = (
         "import json, lorenzkit as L\n"

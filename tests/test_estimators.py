@@ -106,6 +106,17 @@ def test_quantile_table_of_uniform():
     assert w1(one, atom(0.0)) == 0.0
 
 
+@pytest.mark.parametrize("ell", [2.5, 4.2, math.nan, math.inf, "4"])
+def test_quantile_table_rejects_a_non_integral_size(ell):
+    with pytest.raises(ValueError, match="table size must be an integer"):
+        quantile_approx(uniform(0.0, 1.0), ell)
+
+
+def test_quantile_table_takes_an_integral_float_size():
+    u = uniform(0.0, 1.0)
+    assert quantile_approx(u, 4.0) == quantile_approx(u, 4)
+
+
 def test_quantile_table_cdf_sandwich():
     # the table's cdf dominates the source cdf by at most one cell of mass
     u = uniform(0.0, 1.0)
@@ -464,6 +475,26 @@ def test_spec_scheme_and_pairing_validation():
         ))
     with pytest.raises(ValueError, match="unknown kernel"):
         run_experiment(ExperimentSpec(scheme="kde", source="exp(1)", kernel="nope"))
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [({"steps": 2.5}, "steps"), ({"sample_size": 25.9}, "sample_size"),
+     ({"sample_sizes": (25.9, 40)}, "sample_sizes entry"),
+     ({"table_sizes": (2.7, 4.2)}, "table_sizes entry"),
+     ({"noise_exponents": (1, 2.5)}, "noise_exponents entry")],
+)
+def test_spec_rejects_non_integral_sizes(bad, match):
+    # a fractional size would be floored by the schedules or fail in range()
+    with pytest.raises(ValueError, match=f"{match} must be an integer"):
+        ExperimentSpec(scheme="quantile_of_sample", source="uniform(0,1)", **bad)
+
+
+def test_spec_takes_integral_float_sizes():
+    spec = ExperimentSpec(scheme="quantile_of_sample", source="uniform(0,1)", steps=2.0,
+                          sample_sizes=(64.0, 128), table_sizes=(4.0, 8))
+    assert spec.schedule_sample_sizes() == (64, 128)
+    assert spec.schedule_table_sizes() == (4, 8)
 
 
 def test_spec_rel_tol_reaches_the_diagnostics_check():

@@ -580,6 +580,34 @@ def test_quantile_above_float_weight_total_terminates(tail, deadline):
         assert q == 2.0
 
 
+_KDE_POINTS = [0.2, 0.5, 1.5]
+
+
+@pytest.mark.parametrize(
+    "d,end",
+    [
+        (atom(2.0), 2.0),
+        (uniform(0.5, 3.0), 3.0),
+        (exponential(2.0), math.inf),
+        (gamma_dist(2.0, 0.5), math.inf),
+        (lognormal(0.0, 1.0), math.inf),
+        (quantile_table([0.0, 0.5], [1.0, 4.0]), 4.0),
+        (quantile_table([0.0, 0.3, 0.6], [0.0, 1.0, 3.0], mode="linear"), 3.0),
+        (kde(_KDE_POINTS, "uniform", 0.25), 1.75),
+        (kde(_KDE_POINTS, "epanechnikov", 0.25), 1.75),
+        (kde(_KDE_POINTS, "gaussian", 0.25), math.inf),
+    ],
+    ids=["atom", "uniform", "exponential", "gamma", "lognormal", "step_table",
+         "linear_table", "kde_uniform", "kde_epanechnikov", "kde_gaussian"],
+)
+def test_support_end_per_component_type(d, end):
+    # support_hi at eps = 0 is the supremum of the support, and the Lorenz
+    # curve's slope at p = 1 is that end over the mean
+    assert d.support_hi(0.0) == end
+    assert d.sup_support() == end
+    assert lorenz(d).left_derivative(1.0) * d.mean == pytest.approx(end, rel=1e-15)
+
+
 def test_mean_routes_agree(battery):
     for name, d in battery:
         direct, via_quantile = d.mean_routes()
