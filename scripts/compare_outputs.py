@@ -36,9 +36,14 @@ knots, so their tables keep only the monotone knots; they are paired with
 the W1 partners and with each other. It also dumps `lorenz_dominates` (at
 the default grid and at grid 100) and `fsd_dominates` over every ordered
 pair of `standard_battery()` laws, and every field of `sequence_diagnostics`
-on both built-in scenarios (`scenario_sequence`, 50 steps). A call that
-raises is recorded by its exception type, a text field (a verdict) as
-``text:`` and its value.
+on both built-in scenarios (`scenario_sequence`, 50 steps). Last, it runs
+the command line (`lorenzkit.cli.main`) in-process and records what the
+serializers write: the stdout of ``index NAME`` and ``index NAME --tsv`` for
+every `standard_battery()` name, and the stdout (with the output directory
+masked) and the JSON and TSV report files of ``converge SCENARIO --steps 6``
+(``--out`` in a temporary directory) for both built-in scenarios, so a
+changed byte shows. A call that raises is recorded by its exception type, a
+text field (a verdict, a CLI output) as ``text:`` and its value.
 
 ``diff A.json B.json`` matches the keys the two dumps share and prints, per
 field and per kind (``discrete`` when every law involved is
@@ -58,8 +63,12 @@ Run each side against its own source tree, for example
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from collections import defaultdict
 
 import numpy as np
@@ -86,6 +95,7 @@ from lorenzkit import (
     uniform,
     w1_routes,
 )
+from lorenzkit.cli import main as cli_main
 from lorenzkit.measures import TAIL_LEVELS
 
 INDEX_FIELDS = (
@@ -129,6 +139,8 @@ TAIL_MULTIPLES = (1.0, 4.0, 16.0)
 DIAGNOSTICS_SCALARS = ("alpha_ref", "rel_tol")
 #: its text fields, dumped as ``text:`` values
 DIAGNOSTICS_TEXT = ("verdict", "deciding_diagnostic", "scheffe_verdict")
+#: steps of the built-in scenarios whose ``converge`` report files are dumped
+CLI_STEPS = 6
 
 
 def _density(rng):
@@ -243,6 +255,40 @@ def dump_diagnostics(values):
             _attempt(values, f"{kind}|diagnostics.{field}|{name}", lambda: report[field])
 
 
+def _cli_stdout(argv):
+    """What `lorenzkit.cli.main(argv)` writes to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(argv)
+    return out.getvalue()
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def dump_cli(values, battery):
+    """CLI output as ``text:`` values: ``index`` stdout, JSON and TSV, for
+    each battery law, and the stdout (its output directory masked) and
+    report files of ``converge`` on each built-in scenario."""
+    for name, d in battery:
+        kind = _kind(d)
+        _attempt(values, f"{kind}|cli.index|{name}", lambda: _cli_stdout(["index", name]))
+        _attempt(values, f"{kind}|cli.index_tsv|{name}",
+                 lambda: _cli_stdout(["index", name, "--tsv"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SCENARIOS:
+            seq, limit = scenario_sequence(name, CLI_STEPS)
+            kind, base = _kind(limit, *seq), os.path.join(tmp, name)
+            argv = ["converge", name, "--steps", str(CLI_STEPS), "--out", base]
+            _attempt(values, f"{kind}|cli.converge|{name}",
+                     lambda: _cli_stdout(argv).replace(tmp, "<out>"))
+            for ext in ("json", "tsv"):
+                _attempt(values, f"{kind}|cli.converge.{ext}|{name}",
+                         lambda: _read(f"{base}.{ext}"))
+
+
 def _sf_form(d, ps):
     """Rows of `ps` whose quantile meets the survival form of the pair: those
     above F(x_h) up to F(top), read from the knot table of a law that
@@ -328,10 +374,11 @@ def dump(path):
         _attempt(values, f"{_kind(d1, d2)}|w1_routes|{a} vs {b}", lambda: w1_routes(d1, d2))
     dump_dominance(values, standard_battery())
     dump_diagnostics(values)
+    dump_cli(values, standard_battery())
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(values, fh, indent=0, sort_keys=True)
     print(f"{len(values)} values over {len(laws)} laws, {len(pairs)} W1 pairs, the battery's"
-          f" dominance pairs and {len(SCENARIOS)} scenarios -> {path}")
+          f" dominance pairs, {len(SCENARIOS)} scenarios and the CLI -> {path}")
 
 
 def _field(key):

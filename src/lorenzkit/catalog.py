@@ -15,16 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .measures import (
-    Distribution,
-    atom,
-    discrete,
-    exponential,
-    gamma_dist,
-    lognormal,
-    mixture,
-    uniform,
-)
+from .measures import Distribution, _whole, atom, discrete, mixture, uniform
+from .specs import parse_distribution
 
 __all__ = [
     "standard_battery",
@@ -42,48 +34,35 @@ def midpoint_atom_mixture() -> Distribution:
     return mixture([(0.5, uniform(0.0, 1.0)), (0.5, atom(0.5))])
 
 
+#: the battery's laws, each written once, in the grammar of the specs module
+_BATTERY = (
+    "atom(1)",
+    "atom(2.5)",
+    "mix(0.5*atom(0),0.5*atom(1))",
+    "mix(0.25*atom(0),0.75*atom(1))",
+    "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
+    "mix(0.5*atom(0),0.5*atom(2))",
+    "mix(0.75*atom(1),0.25*atom(2))",
+    "mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))",
+    "uniform(0,1)",
+    "uniform(0.5,1.5)",
+    "uniform(2,4)",
+    "exp(1)",
+    "exp(2)",
+    "gamma(2,0.5)",
+    "gamma(3,0.5)",
+    "lognormal(0,0.5)",
+    "lognormal(-0.125,0.5)",
+    "mix(0.5*uniform(0,1),0.5*atom(0.5))",
+    "mix(0.3*atom(0),0.7*exp(1))",
+    "mix(0.2*atom(0),0.5*uniform(0,2),0.3*gamma(2,0.5))",
+)
+
+
 def standard_battery() -> list[tuple[str, Distribution]]:
-    """Twenty named distributions covering every component combination."""
-    return [
-        ("atom(1)", atom(1.0)),
-        ("atom(2.5)", atom(2.5)),
-        ("mix(0.5*atom(0),0.5*atom(1))", discrete([0.0, 1.0])),
-        ("mix(0.25*atom(0),0.75*atom(1))", discrete([0.0, 1.0], [0.25, 0.75])),
-        (
-            "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
-            discrete([0.0, 0.0, 1.0, 3.0]),
-        ),
-        ("mix(0.5*atom(0),0.5*atom(2))", discrete([0.0, 0.0, 2.0, 2.0])),
-        ("mix(0.75*atom(1),0.25*atom(2))", discrete([1.0, 2.0], [0.75, 0.25])),
-        (
-            "mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))",
-            discrete([0.5, 1.0, 2.0, 4.0], [0.4, 0.3, 0.2, 0.1]),
-        ),
-        ("uniform(0,1)", uniform(0.0, 1.0)),
-        ("uniform(0.5,1.5)", uniform(0.5, 1.5)),
-        ("uniform(2,4)", uniform(2.0, 4.0)),
-        ("exp(1)", exponential(1.0)),
-        ("exp(2)", exponential(2.0)),
-        ("gamma(2,0.5)", gamma_dist(2.0, 0.5)),
-        ("gamma(3,0.5)", gamma_dist(3.0, 0.5)),
-        ("lognormal(0,0.5)", lognormal(0.0, 0.5)),
-        ("lognormal(-0.125,0.5)", lognormal(-0.125, 0.5)),
-        ("mix(0.5*uniform(0,1),0.5*atom(0.5))", midpoint_atom_mixture()),
-        (
-            "mix(0.3*atom(0),0.7*exp(1))",
-            mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))]),
-        ),
-        (
-            "mix(0.2*atom(0),0.5*uniform(0,2),0.3*gamma(2,0.5))",
-            mixture(
-                [
-                    (0.2, atom(0.0)),
-                    (0.5, uniform(0.0, 2.0)),
-                    (0.3, gamma_dist(2.0, 0.5)),
-                ]
-            ),
-        ),
-    ]
+    """Twenty named distributions covering every component combination,
+    each the law its name parses to."""
+    return [(name, parse_distribution(name)) for name in _BATTERY]
 
 
 def three_group(h: float, alpha: float, mean: float = 1.0) -> Distribution:
@@ -112,7 +91,7 @@ def three_group(h: float, alpha: float, mean: float = 1.0) -> Distribution:
 
 def counterexample1_step(n: int) -> Distribution:
     """Mass 1/n^2 escapes from 1 out to n^2; the rest sits at 1."""
-    n = int(n)
+    n = _whole("step parameter", n)
     if n < 2:
         raise ValueError("step parameter must be >= 2")
     u = 1.0 / (n * n)
@@ -121,7 +100,7 @@ def counterexample1_step(n: int) -> Distribution:
 
 def counterexample2_step(n: int) -> Distribution:
     """Half the mass at zero, a 1/n^2 lump escaping to n^2, the rest at 1."""
-    n = int(n)
+    n = _whole("step parameter", n)
     if n < 2:
         raise ValueError("step parameter must be >= 2")
     u = 1.0 / (n * n)
@@ -138,7 +117,7 @@ def scenario_sequence(
 
     Steps use n = 4k for k = 1..steps, so fifty steps end at n = 200.
     """
-    steps = int(steps)
+    steps = _whole("steps", steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     ns = [4 * k for k in range(1, steps + 1)]

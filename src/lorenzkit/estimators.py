@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -48,6 +47,7 @@ from .measures import (
     Distribution,
     ZeroMeanError,
     _MAX_ROUNDS,
+    _whole,
     discrete,
     require_member,
     scalar_or_array,
@@ -194,14 +194,6 @@ def estimate_lorenz_at(s, x) -> float | np.ndarray:
     heads = np.concatenate([[0.0], np.cumsum(xs)]) / total
     out = np.interp(arr, grid, heads)
     return scalar_or_array(x, out)
-
-
-def _whole(name: str, v) -> int:
-    """v as an int; raises ValueError, rather than floor, unless v is an
-    integral number (4 and 4.0 pass, 2.5, NaN and "4" do not)."""
-    if not isinstance(v, numbers.Real) or not float(v).is_integer():
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
 
 
 def quantile_approx(d: Distribution, ell: int) -> Distribution:
@@ -609,7 +601,8 @@ class ExperimentSpec:
     construction, as `sequence_diagnostics` checks them
     (`wasserstein._checked_thresholds`), so a bad one raises before any
     member is sampled or built; so are `steps`, `sample_size` and the
-    entries of the integer schedules, which must be integral.
+    entries of the integer schedules, which must be integral (and, but for
+    the noise exponents, >= 1), and the bandwidths, finite and > 0.
     """
 
     scheme: str
@@ -634,12 +627,17 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}"
             )
-        if _whole("steps", self.steps) < 1:
-            raise ValueError("steps must be >= 1")
-        _whole("sample_size", self.sample_size)
-        for key in ("sample_sizes", "table_sizes", "noise_exponents"):
-            for v in getattr(self, key) or ():
-                _whole(f"{key} entry", v)
+        counts = [("steps", self.steps), ("sample_size", self.sample_size)]
+        for key in ("sample_sizes", "table_sizes"):
+            counts += [(f"{key} entry", v) for v in getattr(self, key) or ()]
+        for name, v in counts:
+            if _whole(name, v) < 1:
+                raise ValueError(f"{name} must be >= 1, got {v!r}")
+        for v in self.noise_exponents or ():
+            _whole("noise_exponents entry", v)
+        for h in self.bandwidths or ():
+            if not 0.0 < float(h) < math.inf:
+                raise ValueError(f"bandwidths entry must be finite and > 0, got {h!r}")
         _checked_thresholds(self.rel_tol, self.alpha_grid)
 
     def source_distribution(self) -> Distribution:
@@ -674,26 +672,19 @@ class ExperimentSpec:
             if isinstance(text_or_dict, (str, bytes))
             else dict(text_or_dict)
         )
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
-        for key in ("sample_sizes", "table_sizes", "bandwidths", "noise_exponents",
-                    "alpha_grid"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def to_json_dict(self) -> dict:
-        out = {"scheme": self.scheme, "source": self.source, "seed": self.seed,
-               "steps": self.steps, "sample_size": self.sample_size,
-               "kernel": self.kernel, "rel_tol": self.rel_tol}
-        for key in ("sample_sizes", "table_sizes", "bandwidths", "noise_exponents",
-                    "alpha_grid"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = list(val)
-        return out
+        """The fields in declaration order, tuples as lists; unset schedules
+        and alpha_grid (None) are left out."""
+        return {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(self).items()
+            if v is not None
+        }
 
 
 def _substream(seed: int, counter: int) -> np.random.Generator:

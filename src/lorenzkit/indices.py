@@ -49,7 +49,7 @@ the test laws, so the quadrature's budget is set relative to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -213,6 +213,11 @@ def robin_hood_shares(d: Distribution) -> tuple[float, float]:
     return d.excess_mean(m), max(below, 0.0)
 
 
+def _spread(*values: float) -> float:
+    """How far apart the routes of one index land."""
+    return max(values) - min(values)
+
+
 @dataclass(frozen=True)
 class IndexReport:
     """Every index route for one distribution, plus their disagreements."""
@@ -228,28 +233,14 @@ class IndexReport:
     max_cross_route_residual: float
 
     def residuals(self) -> dict[str, float]:
-        ginis = (self.gini_mean_difference, self.gini_dorfman, self.gini_lorenz)
-        hoovers = (self.hoover_mean_deviation, self.hoover_cdf, self.hoover_max)
         return {
-            "gini": max(ginis) - min(ginis),
-            "hoover": max(hoovers) - min(hoovers),
+            "gini": _spread(self.gini_mean_difference, self.gini_dorfman, self.gini_lorenz),
+            "hoover": _spread(self.hoover_mean_deviation, self.hoover_cdf, self.hoover_max),
             "r_minus_p": abs(self.r_share - self.p_share),
         }
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "gini_mean_difference": self.gini_mean_difference,
-            "gini_dorfman": self.gini_dorfman,
-            "gini_lorenz": self.gini_lorenz,
-            "hoover_mean_deviation": self.hoover_mean_deviation,
-            "hoover_cdf": self.hoover_cdf,
-            "hoover_max": self.hoover_max,
-            "r_share": self.r_share,
-            "p_share": self.p_share,
-            "max_cross_route_residual": self.max_cross_route_residual,
-        }
-        out["residuals"] = self.residuals()
-        return out
+        return {**asdict(self), "residuals": self.residuals()}
 
 
 def index_report(d: Distribution) -> IndexReport:
@@ -261,27 +252,10 @@ def index_report(d: Distribution) -> IndexReport:
     """
     if require_member(d)._memoized:
         d._quantile_arr(d._first_round_p)
-    g_md = gini_mean_difference(d)
-    g_dorf = gini_dorfman(d)
-    g_lor = gini_lorenz(d)
-    h_md = hoover_mean_deviation(d)
-    h_cdf = hoover_cdf(d)
-    h_max = hoover_max(d)
-    r, p = robin_hood_shares(d)
-    residual = max(
-        max(g_md, g_dorf, g_lor) - min(g_md, g_dorf, g_lor),
-        max(h_md, h_cdf, h_max) - min(h_md, h_cdf, h_max),
-    )
+    ginis = (gini_mean_difference(d), gini_dorfman(d), gini_lorenz(d))
+    hoovers = (hoover_mean_deviation(d), hoover_cdf(d), hoover_max(d))
     return IndexReport(
-        gini_mean_difference=g_md,
-        gini_dorfman=g_dorf,
-        gini_lorenz=g_lor,
-        hoover_mean_deviation=h_md,
-        hoover_cdf=h_cdf,
-        hoover_max=h_max,
-        r_share=r,
-        p_share=p,
-        max_cross_route_residual=residual,
+        *ginis, *hoovers, *robin_hood_shares(d), max(_spread(*ginis), _spread(*hoovers))
     )
 
 

@@ -53,6 +53,7 @@ those kernel estimates, F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps is tested.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,6 +117,9 @@ _MAX_ROUNDS = 64
 _FINISH_ULPS = 4
 #: entries a law's quantile memo holds at most (`Distribution._quantile_arr`)
 QUANTILE_MEMO_CAP = 2**16
+#: the largest float: the pointwise methods cap x at it where they multiply
+#: x by a mass that is 0 at x = inf
+_MAX_FLOAT = float(np.finfo(float).max)
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
 P_SPLITS.flags.writeable = False
@@ -165,8 +169,17 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _whole(name: str, v) -> int:
+    """v as an int; raises ValueError, rather than floor, unless v is an
+    integral number (4 and 4.0 pass, 2.5, NaN and "4" do not)."""
+    if not isinstance(v, numbers.Real) or not float(v).is_integer():
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _nonnegative(name: str, x) -> np.ndarray:
-    """x as a float array; raises unless every entry is >= 0, so NaN too."""
+    """x as a float array; raises unless every entry is >= 0, so NaN too.
+    +inf passes, and each pointwise method returns its limit there."""
     arr = np.asarray(x, dtype=float)
     if not (arr >= 0).all():
         raise ValueError(f"{name} is defined for x >= 0")
@@ -851,11 +864,8 @@ class Distribution:
         return out
 
     def cdf(self, x) -> float | np.ndarray:
-        """P[X <= x]; right-continuous. Rejects negative abscissae."""
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("cdf is defined for finite x >= 0")
-        return scalar_or_array(x, self._cdf_arr(arr))
+        """P[X <= x]; right-continuous."""
+        return scalar_or_array(x, self._cdf_arr(_nonnegative("cdf", x)))
 
     def _mass_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -894,7 +904,9 @@ class Distribution:
         """Integral of u over [0, x), excluding any atom at x."""
         arr = np.asarray(x, dtype=float)
         out = np.maximum(
-            np.asarray(self.partial_expectation(arr)) - arr * self._mass_arr(arr), 0.0
+            np.asarray(self.partial_expectation(arr))
+            - np.minimum(arr, _MAX_FLOAT) * self._mass_arr(arr),
+            0.0,
         )
         return scalar_or_array(x, out)
 
@@ -906,7 +918,8 @@ class Distribution:
 
     def excess_mean(self, x: float) -> float:
         """E[(X - x)^+]: the first moment above x less x times the survival."""
-        return max(self.mean - self.partial_expectation(x) - x * self.survival(x), 0.0)
+        rest = self.mean - self.partial_expectation(x)
+        return max(rest - min(x, _MAX_FLOAT) * self.survival(x), 0.0)
 
     # -- quantiles ----------------------------------------------------------
 

@@ -32,7 +32,14 @@ __all__ = ["parse_distribution", "format_mixture_of_atoms"]
 _NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _NAME = re.compile(r"[a-z_]+")
 
-_ARITY = {"atom": 1, "uniform": 2, "lognormal": 2, "gamma": 2, "exp": 1}
+#: the grammar's leaves: name -> (number of parameters, constructor)
+_LEAVES = {
+    "atom": (1, atom),
+    "uniform": (2, uniform),
+    "lognormal": (2, lognormal),
+    "gamma": (2, gamma_dist),
+    "exp": (1, exponential),
+}
 
 
 class _Parser:
@@ -72,28 +79,21 @@ class _Parser:
         self.pos = m.end()
         if name == "mix":
             return self.mix(start)
-        if name not in _ARITY:
+        if name not in _LEAVES:
             self.pos = start
             self.fail(
                 f"unknown distribution {name!r}; expected one of "
-                "atom, uniform, lognormal, gamma, exp, mix"
+                + ", ".join([*_LEAVES, "mix"])
             )
+        arity, make = _LEAVES[name]
         self.expect("(")
         params = [self.number()]
-        for _ in range(_ARITY[name] - 1):
+        for _ in range(arity - 1):
             self.expect(",")
             params.append(self.number())
         self.expect(")")
         try:
-            if name == "atom":
-                return atom(params[0])
-            if name == "uniform":
-                return uniform(params[0], params[1])
-            if name == "lognormal":
-                return lognormal(params[0], params[1])
-            if name == "gamma":
-                return gamma_dist(params[0], params[1])
-            return exponential(params[0])
+            return make(*params)
         except ValueError as ex:
             self.pos = start
             self.fail(str(ex))

@@ -19,7 +19,7 @@ the two classifications are cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -366,6 +366,7 @@ class ConvergenceReport:
     alpha_ref: float
     rel_tol: float
 
+    #: the TSV columns, kept fixed; the JSON report is the fields, in order
     _TSV_COLUMNS = (
         "index",
         "w1_to_limit",
@@ -377,22 +378,7 @@ class ConvergenceReport:
     )
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": [
-                {name: getattr(s, name) for name in self._TSV_COLUMNS}
-                for s in self.steps
-            ],
-            "limit_summary": {
-                "mean": self.limit_summary.mean,
-                "gini": self.limit_summary.gini,
-                "hoover": self.limit_summary.hoover,
-            },
-            "verdict": self.verdict,
-            "deciding_diagnostic": self.deciding_diagnostic,
-            "scheffe_verdict": self.scheffe_verdict,
-            "alpha_ref": self.alpha_ref,
-            "rel_tol": self.rel_tol,
-        }
+        return asdict(self)
 
     def tsv_rows(self) -> list[tuple]:
         rows = [self._TSV_COLUMNS]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -455,6 +456,18 @@ def test_spec_json_round_trip():
     assert again == spec
 
 
+def test_spec_json_is_its_fields_and_round_trips_with_every_field_set():
+    spec = ExperimentSpec(
+        scheme="quantile_of_sample", source="mix(0.3*atom(0),0.7*exp(1))", seed=5,
+        steps=3, sample_size=100, sample_sizes=(10, 20, 40), table_sizes=(2, 4, 8),
+        bandwidths=(0.5, 0.25, 0.125), noise_exponents=(1, 2, 3),
+        kernel="epanechnikov", rel_tol=0.1, alpha_grid=(0.0, 2.0),
+    )
+    payload = spec.to_json_dict()
+    assert list(payload) == [f.name for f in fields(ExperimentSpec)]
+    assert ExperimentSpec.from_json(json.dumps(payload)) == spec
+
+
 def test_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown experiment keys: \['bogus'\]"):
         ExperimentSpec.from_json('{"scheme": "noise", "source": "atom(1)", "bogus": 3}')
@@ -516,6 +529,29 @@ def test_spec_rejects_bad_thresholds_before_sampling(monkeypatch, bad, match):
     monkeypatch.setattr(Distribution, "sample_rng", no_sampling)
     with pytest.raises(ValueError, match=match):
         run_experiment(ExperimentSpec(scheme="kde", source="uniform(0,1)", steps=2, **bad))
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [({"sample_size": 0, "scheme": "noise"}, "sample_size"),
+     ({"sample_sizes": (0, 10)}, "sample_sizes entry"),
+     ({"table_sizes": (-2, 4), "scheme": "quantile_of_sample"}, "table_sizes entry"),
+     ({"bandwidths": (0.1, -1.0)}, "bandwidths entry"),
+     ({"bandwidths": (0.1, math.inf)}, "bandwidths entry"),
+     ({"bandwidths": (math.nan, 0.1)}, "bandwidths entry")],
+    ids=["sample_size", "sample_sizes", "table_sizes", "negative_bandwidth",
+         "inf_bandwidth", "nan_bandwidth"],
+)
+def test_spec_rejects_unusable_sizes_before_sampling(monkeypatch, bad, match):
+    # These specs were built, and run_experiment raised only once it reached
+    # the bad entry, after sampling the members before it.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(Distribution, "sample_rng", no_sampling)
+    spec = {"scheme": "kde", "source": "uniform(0,1)", "steps": 2, **bad}
+    with pytest.raises(ValueError, match=match):
+        run_experiment(ExperimentSpec(**spec))
 
 
 def test_sampling_experiment_is_deterministic_and_converges():

@@ -1,6 +1,7 @@
 """Gini and Hoover routes, the Robin Hood decomposition, extremal analysis."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lorenzkit import (
     uniform,
 )
 from lorenzkit import quadrature
+from lorenzkit.indices import IndexReport
 from lorenzkit.measures import Distribution, ZeroMeanError
 
 GINI_ROUTES = (gini_mean_difference, gini_dorfman, gini_lorenz)
@@ -204,6 +206,11 @@ def test_report_structure_and_residuals():
     }
     assert rep.max_cross_route_residual < 1e-4
     assert all(v >= 0.0 for v in rep.residuals().values())
+
+
+def test_report_json_keys_are_its_fields_in_order():
+    payload = index_report(exponential(1.0)).to_json_dict()
+    assert list(payload) == [f.name for f in fields(IndexReport)] + ["residuals"]
 
 
 def test_hoover_below_gini(battery):

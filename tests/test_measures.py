@@ -222,6 +222,28 @@ def test_pointwise_methods_reject_nan_and_negative_x(evaluate, x):
         evaluate(d, x)
 
 
+@pytest.mark.parametrize(
+    "evaluate, limit",
+    [
+        (lambda d, x: d.cdf(x), lambda d: 1.0),
+        (lambda d, x: d.cdf_left(x), lambda d: 1.0),
+        (lambda d, x: d.survival(x), lambda d: 0.0),
+        (lambda d, x: d.mass_at(x), lambda d: 0.0),
+        (lambda d, x: d.partial_expectation(x), lambda d: d.mean),
+        (lambda d, x: d.partial_expectation_left(x), lambda d: d.mean),
+        (lambda d, x: d.tail_moment(x), lambda d: 0.0),
+        (lambda d, x: d.excess_mean(x), lambda d: 0.0),
+    ],
+    ids=["cdf", "cdf_left", "survival", "mass_at", "partial_expectation",
+         "partial_expectation_left", "tail_moment", "excess_mean"],
+)
+def test_pointwise_methods_return_their_limit_at_inf(evaluate, limit):
+    # cdf raised at +inf while the others accepted it, and
+    # partial_expectation_left and excess_mean returned inf * 0 = nan.
+    d = mixture([(0.3, atom(1.0)), (0.7, exponential(1.0))])
+    assert evaluate(d, math.inf) == pytest.approx(limit(d), rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # pooled atoms against the per-part sums
 # ---------------------------------------------------------------------------

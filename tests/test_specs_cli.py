@@ -15,6 +15,7 @@ from lorenzkit import (
     reconstruct,
     scenario_sequence,
     sequence_diagnostics,
+    standard_battery,
     uniform,
     w1,
 )
@@ -25,6 +26,19 @@ from lorenzkit.specs import format_mixture_of_atoms, parse_distribution
 # ---------------------------------------------------------------------------
 # grammar
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, d", standard_battery(), ids=[n for n, _ in standard_battery()])
+def test_battery_law_is_the_law_its_name_parses_to(name, d):
+    # The battery wrote each law twice, as a name and as constructor calls;
+    # the 0.4/0.3/0.2/0.1 law's hand-built weights were not the parser's.
+    parsed = parse_distribution(name)
+    *blocks, rest = d._atomic
+    *parsed_blocks, parsed_rest = parsed._atomic
+    for a, b in zip(blocks, parsed_blocks):
+        assert a.tobytes() == b.tobytes()
+    assert rest == parsed_rest
+    assert d.mean == parsed.mean
 
 
 def test_parse_golden_expressions():

@@ -1,6 +1,7 @@
 """Transport distance and the convergence diagnostics built on it."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from lorenzkit import (
     w1_routes,
 )
 from lorenzkit import wasserstein
-from lorenzkit.catalog import counterexample1_step
+from lorenzkit.catalog import counterexample1_step, counterexample2_step
 from lorenzkit.estimators import quantile_approx
-from lorenzkit.wasserstein import _q_within
+from lorenzkit.wasserstein import ConvergenceReport, StepDiagnostics, _q_within
 
 
 GOLDEN_PAIRS = [
@@ -407,6 +408,31 @@ def test_scalar_validation(kwargs, message):
     u = uniform(0.0, 1.0)
     with pytest.raises(ValueError, match=message):
         sequence_diagnostics([u, u], u, **kwargs)
+
+
+def test_report_json_keys_are_its_fields_in_order():
+    seq, limit = scenario_sequence("counterexample2", 3)
+    payload = sequence_diagnostics(seq, limit).to_json_dict()
+    assert list(payload) == [f.name for f in fields(ConvergenceReport)]
+    for step in payload["steps"]:
+        assert list(step) == [f.name for f in fields(StepDiagnostics)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: counterexample1_step(2.5), lambda: counterexample2_step(2.5),
+     lambda: scenario_sequence("counterexample1", 2.5)],
+    ids=["counterexample1_step", "counterexample2_step", "scenario_sequence"],
+)
+def test_scenarios_reject_fractional_sizes(build):
+    # int() floored them: 2.5 built the n = 2 law, or a 2-step sequence.
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_scenarios_accept_integral_floats():
+    assert counterexample1_step(4.0).support_atoms()[0].tolist() == [1.0, 16.0]
+    assert len(scenario_sequence("counterexample2", 3.0)[0]) == 3
 
 
 def test_report_serialization_shape():
