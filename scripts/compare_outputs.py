@@ -60,6 +60,16 @@ Run each side against its own source tree, for example
     PYTHONPATH=old/src python3 scripts/compare_outputs.py dump old.json
     PYTHONPATH=src python3 scripts/compare_outputs.py dump new.json
     PYTHONPATH=src python3 scripts/compare_outputs.py diff old.json new.json
+
+``counts A B`` compares the work two trees do rather than their numbers. A
+and B are saved stdouts of ``bench/run.py --trace 1``; it reads the JSON
+last line of each and lists every count metric (a per-layer metric whose
+unit is not ``s`` or ``ns``, deterministic at a fixed seed) whose value
+differs, with both values, then how many count metrics it compared:
+
+    (cd old && python3 bench/run.py --workload w1_pairs --seed 3 --seconds 0 --trace 1) > old.txt
+    python3 bench/run.py --workload w1_pairs --seed 3 --seconds 0 --trace 1 > new.txt
+    PYTHONPATH=src python3 scripts/compare_outputs.py counts old.txt new.txt
 """
 
 import argparse
@@ -442,6 +452,24 @@ def diff(path_a, path_b):
         print(f"only in {path_a if key in a else path_b}: {key}")
 
 
+def _count_metrics(path):
+    """{name: value} of the count metrics on the JSON last line of a saved
+    ``bench/run.py --trace 1`` stdout."""
+    with open(path, encoding="utf-8") as fh:
+        last = fh.read().strip().splitlines()[-1]
+    metrics = json.loads(last)["metrics"]
+    return {k: m["value"] for k, m in metrics.items() if m["unit"] not in ("s", "ns")}
+
+
+def counts(path_a, path_b):
+    a, b = _count_metrics(path_a), _count_metrics(path_b)
+    names = sorted(set(a) | set(b))
+    differing = [k for k in names if a.get(k) != b.get(k)]
+    for k in differing:
+        print(f"{k}: {a.get(k, 'absent')} -> {b.get(k, 'absent')}")
+    print(f"{len(differing)} of {len(names)} count metrics differ")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -449,11 +477,16 @@ def main():
     d = sub.add_parser("diff", help="compare two dumps")
     d.add_argument("a")
     d.add_argument("b")
+    c = sub.add_parser("counts", help="compare the count metrics of two bench/run.py --trace 1 stdouts")
+    c.add_argument("a")
+    c.add_argument("b")
     args = ap.parse_args()
     if args.cmd == "dump":
         dump(args.out)
-    else:
+    elif args.cmd == "diff":
         diff(args.a, args.b)
+    else:
+        counts(args.a, args.b)
 
 
 if __name__ == "__main__":

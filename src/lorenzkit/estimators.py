@@ -602,7 +602,8 @@ class ExperimentSpec:
     (`wasserstein._checked_thresholds`), so a bad one raises before any
     member is sampled or built; so are `steps`, `sample_size` and the
     entries of the integer schedules, which must be integral (and, but for
-    the noise exponents, >= 1), and the bandwidths, finite and > 0.
+    the noise exponents, >= 1), the bandwidths, finite and > 0, and
+    `seed`, integral and >= 0 (kept as an int).
     """
 
     scheme: str
@@ -639,6 +640,9 @@ class ExperimentSpec:
             if not 0.0 < float(h) < math.inf:
                 raise ValueError(f"bandwidths entry must be finite and > 0, got {h!r}")
         _checked_thresholds(self.rel_tol, self.alpha_grid)
+        if _whole("seed", self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def source_distribution(self) -> Distribution:
         from .specs import parse_distribution

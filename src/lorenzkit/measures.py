@@ -711,17 +711,18 @@ class Distribution:
 
     A law whose quantile is iterative, a mixture of parts or a law of one
     part whose component sets ``iterative_quantile`` (the Gaussian kernel
-    estimate), inverts its cdf, and its survival function above F(x_h),
-    from the knot table (`_knot_values`, `_bisect_quantile`), and keeps a
-    memo of its quantiles (`_memoized`). Its index routes read Q at many
-    of the same p (the shared cells `_p_cells`, the sweep `_gap_sweep` of
-    `hoover_max`), and each p is inverted once per law; `index_report`
-    inverts every p its routes' first rounds read in one batch
-    (`_first_round_p`) before any route runs. The memo rests on one
-    premise: a quantile depends on its p alone, never on the other rows of
-    its batch, so a value read back from the memo is the value a cold law
-    would compute. It holds at most `QUANTILE_MEMO_CAP` entries and stops
-    growing there; a copy ``Distribution(d.parts)`` starts cold.
+    estimate), inverts its cdf, and its survival function above F(x_h), from
+    the knot table (`_knot_values`, `_quantile_within`, to the float in
+    `_bisect_quantile`), and keeps a memo of its quantiles (`_memoized`).
+    Its index routes read Q at many of the same p (the shared cells
+    `_p_cells`, the sweep `_gap_sweep` of `hoover_max`), and each p is
+    inverted once per law; `index_report` inverts every p its routes' first
+    rounds read in one batch (`_first_round_p`) before any route runs. The
+    memo rests on one premise: a quantile depends on its p alone, never on
+    the other rows of its batch, so a value read back from the memo is the
+    value a cold law would compute. It holds at most `QUANTILE_MEMO_CAP`
+    entries and stops growing there; a copy ``Distribution(d.parts)`` starts
+    cold.
     """
 
     parts: tuple[tuple[float, object], ...]
@@ -826,7 +827,8 @@ class Distribution:
         """An abscissa beyond which survival mass is at most eps: finite for
         eps > 0, and at eps = 0 the supremum of the support, inf for an
         unbounded law. Integrals in x to infinity cut at eps = `X_CUT`."""
-        return max(comp.support_hi(eps) for _, comp in self.parts)
+        support, _, _, _, _, rest = self._atomic
+        return float(max([comp.support_hi(eps) for _, comp in rest] + support[-1:].tolist()))
 
     # -- pointwise evaluations ---------------------------------------------
 
@@ -912,12 +914,12 @@ class Distribution:
 
     def tail_moment(self, alpha: float) -> float:
         """Integral of x over (alpha, infinity): the first moment above alpha."""
-        if alpha < 0:
-            raise ValueError("tail threshold must be >= 0")
-        return max(self.mean - self.partial_expectation(float(alpha)), 0.0)
+        alpha = float(_nonnegative("tail_moment", alpha))
+        return max(self.mean - self.partial_expectation(alpha), 0.0)
 
     def excess_mean(self, x: float) -> float:
         """E[(X - x)^+]: the first moment above x less x times the survival."""
+        x = float(_nonnegative("excess_mean", x))
         rest = self.mean - self.partial_expectation(x)
         return max(rest - min(x, _MAX_FLOAT) * self.survival(x), 0.0)
 
@@ -925,8 +927,9 @@ class Distribution:
 
     @cached_property
     def _memoized(self) -> bool:
-        """Whether the quantile is iterative: the law inverts from its knot
-        table (`_bisect_quantile`), and `_quantile_arr` keeps a memo."""
+        """Whether the quantile is iterative, inverted from the knot table
+        (`_quantile_within`) and memoized by `_quantile_arr`; if not, it
+        is `_closed_quantile`."""
         if self._discrete is not None:
             return False
         return len(self.parts) > 1 or getattr(self.parts[0][1], "iterative_quantile", False)
@@ -974,19 +977,16 @@ class Distribution:
             at = np.searchsorted(memo_p, new_p)
             self.__dict__["_quantile_memo"] = (np.insert(memo_p, at, new_p), np.insert(memo_q, at, new_q))
 
-    def _closed_quantile(self, p: np.ndarray) -> np.ndarray | None:
-        """Q(p) without inverting this law's cdf, or None for a law whose
-        quantile is iterative (`_memoized`).
+    def _closed_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) without inverting the cdf, for a law whose quantile is not
+        iterative (not `_memoized`).
 
         Finite-discrete laws read their cumulative masses, which meets the
         cdf form of the Galois pair exactly; any other law of one part whose
         component does not set ``iterative_quantile`` uses that part's
         `quantile`. A mixture of parts and a Gaussian kernel estimate invert
-        their cdf, and their survival function above F(x_h), from the knot
-        table instead (`_bisect_quantile`, `wasserstein._q_within`).
+        from the knot table instead (`_quantile_within`).
         """
-        if self._memoized:
-            return None
         out = np.zeros_like(p)
         pos = p > 0.0
         if self._discrete is not None:
@@ -1097,17 +1097,28 @@ class Distribution:
         down = np.maximum(j - 1, np.where(upper, h, 0))
         return x[down], x[up], np.where(upper, g[down], f[down]), np.where(upper, g[up], f[up]), y
 
-    def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) for p in [0, 1) meeting its Galois pair exactly, F and sf computed.
+    def _quantile_within(self, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
+        """Quantiles in [Q(p), Q(p) + tol] of a law that inverts from its knot
+        table (`_memoized`), for brackets [lo, hi] (scalars or arrays) that
+        hold Q(p). Each bracket is cut down to the one between adjacent kept
+        knots (`_knot_brackets`: rows above F(x_h) compare -sf with p - 1),
+        the level (`_level_arr`) is evaluated at the caller's ends where
+        they are the tighter ones, and one `_invert` call narrows every row
+        to within tol; a tol below a bracket's float spacing yields Q(p)."""
+        lo_k, hi_k, vlo, vhi, y = self._knot_brackets(p)
+        lo, hi = np.fmax(lo, lo_k), np.fmin(hi, hi_k)
+        own_lo, own_hi = lo != lo_k, hi != hi_k
+        if own_lo.any() or own_hi.any():
+            v = self._level_arr(np.concatenate([lo[own_lo], hi[own_hi]]), np.concatenate([y[own_lo], y[own_hi]]))
+            vlo[own_lo], vhi[own_hi] = np.split(v, [int(own_lo.sum())])
+        return _invert(self._level_arr, y, lo, hi, vlo, vhi, tol)
 
-        The pair is F(prev(Q)) < p <= F(Q) for p <= F(x_h) and sf(Q) <= 1 - p
-        < sf(prev(Q)) above (`_knot_brackets`). Every row is bracketed
-        between adjacent kept knots of the table (a p <= F(0) gets [0, 0]),
-        and `_invert` narrows the brackets by Illinois steps on `_level_arr`
-        and then bisects them to the float, all rows in one call.
-        """
-        lo, hi, vlo, vhi, y = self._knot_brackets(p)
-        return _invert(self._level_arr, y, lo, hi, vlo, vhi, 0.0)
+    def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) for p in [0, 1) meeting its Galois pair exactly, F and sf
+        computed: F(prev(Q)) < p <= F(Q) for p <= F(x_h), sf(Q) <= 1 - p <
+        sf(prev(Q)) above (`_knot_brackets`). It is `_quantile_within` over
+        [0, inf) at tolerance 0, so each row keeps its knot bracket."""
+        return self._quantile_within(p, 0.0, math.inf, 0.0)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1)."""

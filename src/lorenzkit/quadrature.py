@@ -115,8 +115,9 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _initial_edges(a: float, b: float, points) -> np.ndarray:
-    inner = np.asarray(sorted(p for p in points if a < p < b), dtype=float)
-    return np.unique(np.concatenate(([a], inner, [b])))
+    """a, the points strictly inside (a, b) and b, sorted and unique."""
+    points = np.asarray(points, dtype=float)
+    return np.unique(np.concatenate(([a], points[(points > a) & (points < b)], [b])))
 
 
 def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, X_CUT, Distribution, _invert, atom, require_member
+from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, X_CUT, Distribution, atom, require_member
 
 __all__ = [
     "w1",
@@ -56,33 +56,12 @@ def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 
 
 def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Left quantiles in [Q(p), Q(p) + tol] (tol 1e-10 s from `_w1_general`).
-
-    A law with a closed-form quantile (`Distribution._closed_quantile`)
-    returns it: exact to the float for finite-discrete laws, to a few eps
-    otherwise. A law that inverts from its knot table, a mixture of parts
-    or a Gaussian kernel estimate, stops within tol instead and shares the
-    split of `Distribution._bisect_quantile`: rows above F(x_h)
-    invert -sf against p - 1, the rest F against p (`_knot_brackets`). It
-    intersects the bracket [lo, hi], which must hold Q(p) elementwise, with
-    the bracket between adjacent kept knots of the law's table, evaluates
-    each row's level (`_level_arr`) at the ends the caller supplied, and
-    narrows by `measures._invert` to within tol. Callers that subdivide
-    cells pass the parents' quantile values back in, so brackets shrink as
-    cells do. A tolerance below the float spacing of a bracket yields Q(p)
-    itself.
-    """
-    q = d._closed_quantile(p)
-    if q is not None:
-        return q
-    lo_k, hi_k, vlo, vhi, y = d._knot_brackets(p)
-    lo = np.fmax(np.asarray(lo, dtype=float), lo_k)
-    hi = np.fmin(np.asarray(hi, dtype=float), hi_k)
-    own_lo, own_hi = lo != lo_k, hi != hi_k
-    if own_lo.any() or own_hi.any():
-        v = d._level_arr(np.concatenate([lo[own_lo], hi[own_hi]]), np.concatenate([y[own_lo], y[own_hi]]))
-        vlo[own_lo], vhi[own_hi] = np.split(v, [int(own_lo.sum())])
-    return _invert(d._level_arr, y, lo, hi, vlo, vhi, tol)
+    """Left quantiles in [Q(p), Q(p) + tol] (tol 1e-10 s from `_w1_general`)
+    for brackets [lo, hi] that hold Q(p): the closed form where the law has
+    one (`Distribution._closed_quantile`, exact to the float for
+    finite-discrete laws, to a few eps otherwise), else the inversion from
+    its knot table inside the bracket (`Distribution._quantile_within`)."""
+    return d._quantile_within(p, lo, hi, tol) if d._memoized else d._closed_quantile(p)
 
 
 #: where `_abs_gap_body` cuts an open cell, as fractions of its width: 8
@@ -90,13 +69,6 @@ def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
 _GAP_CUTS = np.arange(1.0, 8.0) / 8.0
 #: count of open cells that no level of `_abs_gap_body` takes past
 _GAP_CELL_LIMIT = 16384
-
-
-def _children(lo: np.ndarray, hi: np.ndarray, inner, cut: np.ndarray, wait: np.ndarray):
-    """Per-cell (lo, hi) arrays of the cells that wait, then of the children
-    of the cut cells, with `inner` holding `_GAP_CUTS.size` values a cut cell."""
-    grid = np.column_stack([lo[cut], np.reshape(inner, (cut.size, -1)), hi[cut]])
-    return np.concatenate([lo[wait], grid[:, :-1].ravel()]), np.concatenate([hi[wait], grid[:, 1:].ravel()])
 
 
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:
@@ -108,7 +80,9 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     g1 - g2 inside [g1(a) - g2(b), g1(b) - g2(a)]; cells where that interval
     has one sign contribute |A-difference| exactly, the rest are cut into 8
     equal children, everything vectorized one depth level at a time, each
-    cut point bracketed by its parent's end values. Ambiguous cells are
+    cut point bracketed by its parent's end values. A cell is a column of
+    `lo` and of `hi`, its ends' rows x, g1, A1, g2, A2; the waiting cells
+    come first, then each cut cell's children in order. Ambiguous cells are
     accepted once their width-times-oscillation bound fits the remaining
     error budget, or once their ends are adjacent floats; either way the
     bound is charged to the budget. No level takes the count of open cells
@@ -118,16 +92,15 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     (integral, A1 at the last edge, A2 at the last edge); the trailing
     antiderivative values serve tail corrections.
     """
-    v1, a1, v2, a2 = evaluate(edges, None, None)
-    end1, end2 = float(a1[-1]), float(a2[-1])
-    a, b = edges[:-1], edges[1:]
-    va1, vb1 = v1[:-1], v1[1:]
-    va2, vb2 = v2[:-1], v2[1:]
-    aa1, ab1 = a1[:-1], a1[1:]
-    aa2, ab2 = a2[:-1], a2[1:]
+    ends = np.stack([edges, *evaluate(edges, None, None)])
+    end1, end2 = float(ends[2, -1]), float(ends[4, -1])
+    lo, hi = ends[:, :-1], ends[:, 1:]
+    n = _GAP_CUTS.size
     total = 0.0
     spent = 0.0
     for depth in range(48):
+        a, va1, aa1, va2, aa2 = lo
+        b, vb1, ab1, vb2, ab2 = hi
         integ = (ab1 - aa1) - (ab2 - aa2)
         osc = (vb1 - va2) - (va1 - vb2)
         err = (b - a) * osc
@@ -144,7 +117,7 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
         total += float(np.abs(integ[done]).sum())
         open_ = np.flatnonzero(~done)
         # a cut cell gives way to _GAP_CUTS.size + 1 children
-        room = (_GAP_CELL_LIMIT - open_.size) // _GAP_CUTS.size
+        room = (_GAP_CELL_LIMIT - open_.size) // n
         if open_.size == 0 or depth == 47 or room < 1:
             total += float(np.abs(integ[open_]).sum())
             break
@@ -152,17 +125,16 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
             open_ = open_[np.argpartition(err[open_], -room)]
         wait, cut = open_[:-room], open_[-room:]
         x = np.minimum(a[cut, None] + (b - a)[cut, None] * _GAP_CUTS, b[cut, None])
-        n = _GAP_CUTS.size
-        m1, c1, m2, c2 = evaluate(
+        at_x = evaluate(
             x.ravel(),
             (np.repeat(va1[cut], n), np.repeat(vb1[cut], n)),
             (np.repeat(va2[cut], n), np.repeat(vb2[cut], n)),
         )
-        a, b = _children(a, b, x, cut, wait)
-        va1, vb1 = _children(va1, vb1, m1, cut, wait)
-        va2, vb2 = _children(va2, vb2, m2, cut, wait)
-        aa1, ab1 = _children(aa1, ab1, c1, cut, wait)
-        aa2, ab2 = _children(aa2, ab2, c2, cut, wait)
+        # rows x, g1, A1, g2, A2 by cut cell by its ends and its n cut points
+        inner = np.reshape([x.ravel(), *at_x], (5, -1, n))
+        grid = np.concatenate([lo[:, cut, None], inner, hi[:, cut, None]], axis=2)
+        lo = np.concatenate([lo[:, wait], grid[:, :, :-1].reshape(5, -1)], axis=1)
+        hi = np.concatenate([hi[:, wait], grid[:, :, 1:].reshape(5, -1)], axis=1)
     return total, end1, end2
 
 
@@ -196,12 +168,7 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     def eval_q(ps, br1, br2):
         out = []
         for d, br, hi_d in ((d1, br1, hi1), (d2, br2, hi2)):
-            if br is None:
-                lo = np.zeros_like(ps)
-                hi = np.full_like(ps, max(hi_d, 0.0))
-            else:
-                lo = np.maximum(br[0] - tol_q, 0.0)
-                hi = br[1]
+            lo, hi = (0.0, max(hi_d, 0.0)) if br is None else (np.maximum(br[0] - tol_q, 0.0), br[1])
             q = _q_within(d, ps, lo, hi, tol_q)
             out.extend((q, d._quantile_integral(ps, q)))
         return tuple(out)

@@ -503,6 +503,14 @@ def test_spec_rejects_non_integral_sizes(bad, match):
         ExperimentSpec(scheme="quantile_of_sample", source="uniform(0,1)", **bad)
 
 
+@pytest.mark.parametrize("seed", [2.5, math.nan, -1])
+def test_spec_rejects_unusable_seed(seed):
+    # These specs were built, and run_experiment failed inside numpy's
+    # default_rng: a TypeError for 2.5 and NaN, a ValueError for -1.
+    with pytest.raises(ValueError, match="seed must be"):
+        ExperimentSpec(scheme="sampling", source="uniform(0,1)", seed=seed)
+
+
 def test_spec_takes_integral_float_sizes():
     spec = ExperimentSpec(scheme="quantile_of_sample", source="uniform(0,1)", steps=2.0,
                           sample_sizes=(64.0, 128), table_sizes=(4.0, 8))

@@ -41,7 +41,7 @@ from lorenzkit.measures import (
     require_member,
     uniform,
 )
-from lorenzkit import measures, wasserstein
+from lorenzkit import measures
 from lorenzkit.quadrature import _XGK
 from lorenzkit.wasserstein import _q_within
 
@@ -220,6 +220,32 @@ def test_pointwise_methods_reject_nan_and_negative_x(evaluate, x):
     d = mixture([(0.3, atom(1.0)), (0.7, exponential(1.0))])
     with pytest.raises(ValueError):
         evaluate(d, x)
+
+
+@pytest.mark.parametrize("name", ["tail_moment", "excess_mean"])
+@pytest.mark.parametrize("x", [math.nan, -1.0], ids=["nan", "negative"])
+def test_tail_methods_reject_x_in_their_own_name(name, x):
+    # tail_moment passed NaN through its own check and excess_mean had none:
+    # both were rejected inside partial_expectation, in its name.
+    d = mixture([(0.3, atom(1.0)), (0.7, exponential(1.0))])
+    with pytest.raises(ValueError, match=f"^{name} is defined for x >= 0"):
+        getattr(d, name)(x)
+
+
+def test_support_hi_reads_the_largest_atom_from_the_pooled_block(monkeypatch):
+    # Every Atom part was asked for its support_hi, one at a time.
+    rng = np.random.default_rng(5)
+    parts = [(0.5, lognormal(0.0, 0.5)), (0.2, uniform(0.0, 3.0))]
+    parts += [(0.3 / 200, atom(x)) for x in rng.uniform(0.0, 9.0, size=200)]
+    d = mixture(parts)
+    expected = [max(c.support_hi(eps) for _, c in d.parts) for eps in (0.0, 1e-16, 1e-3)]
+
+    def refuse(self, eps):
+        raise AssertionError("an Atom part was walked")
+
+    monkeypatch.setattr(Atom, "support_hi", refuse)
+    got = [d.support_hi(eps) for eps in (0.0, 1e-16, 1e-3)]
+    assert got == expected and all(type(v) is float for v in got)
 
 
 @pytest.mark.parametrize(
@@ -425,6 +451,18 @@ def test_bracketed_quantile_within_tolerance_on_mixtures(name, d):
     for q in (wide, narrow):
         assert np.all(q >= exact)
         assert np.all(q <= exact + tol)
+
+
+def test_bracketed_quantile_over_the_half_line_is_the_quantile():
+    # The W1 route and the quantile memo invert through one method: over
+    # [0, inf) at tolerance 0 the bracketed quantile is Q itself, bit for bit.
+    sample = np.random.default_rng(3).lognormal(0.0, 0.5, size=200)
+    laws = [d for _, d in standard_battery() if d._memoized] + [kde(sample, "gaussian", 0.03)]
+    assert len(laws) > 1 and all(d._memoized for d in laws)
+    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS]))
+    for d in laws:
+        q = _q_within(Distribution(d.parts), ps, 0.0, math.inf, 0.0)
+        assert q.tobytes() == Distribution(d.parts).quantile(ps).tobytes()
 
 
 def test_mixture_keeps_the_monotone_knots_of_its_table(monkeypatch):
@@ -801,8 +839,7 @@ def test_inversion_never_evaluates_a_level_point_twice(monkeypatch, i):
 
         return invert(recorded, *args)
 
-    for module in (measures, wasserstein):
-        monkeypatch.setattr(module, "_invert", counted)
+    monkeypatch.setattr(measures, "_invert", counted)
     d = _repeat_laws()[i]
     ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS]))
     Distribution(d.parts).quantile(ps)

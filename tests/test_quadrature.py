@@ -41,6 +41,18 @@ def test_points_outside_interval_are_ignored():
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[-1.0, 0.5, 3.0, 7.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.5, 0.5], [1.5, 0.25, 1.75, 0.5], []],
+    ids=["outside", "at_ends", "duplicates", "unsorted", "empty"],
+)
+def test_initial_edges_keep_the_points_inside(points):
+    a, b = 0.0, 2.0
+    old_rule = np.unique(np.concatenate(([a], np.asarray(sorted(p for p in points if a < p < b), dtype=float), [b])))
+    for given in (points, np.asarray(points, dtype=float)):
+        assert quadrature._initial_edges(a, b, given).tobytes() == old_rule.tobytes()
+
+
 def test_empty_interval():
     assert integrate(np.sin, 2.0, 2.0) == 0.0
 

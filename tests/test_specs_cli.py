@@ -308,6 +308,15 @@ def test_converge_experiment_file(tmp_path, capsys):
     assert (tmp_path / "noise_report.json").exists()
 
 
+def test_converge_experiment_file_rejects_fractional_seed(tmp_path, capsys):
+    # The spec was built, and numpy's default_rng raised a TypeError that
+    # the command line printed as a traceback.
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({"scheme": "noise", "source": "uniform(0,1)", "steps": 2, "seed": 2.5}))
+    assert main(["converge", str(spec_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_converge_rejects_unknown_source(capsys):
     assert main(["converge", "no_such_thing"]) == 1
     err = capsys.readouterr().err

@@ -170,6 +170,28 @@ def test_far_atom_quantile_route_stops_at_float_resolution(monkeypatch):
     assert levels[0] <= 8
 
 
+def test_gap_body_cells_wait_under_a_small_cell_limit(monkeypatch):
+    # g1(x) = x against a staircase of k steps that crosses it in every
+    # step (the exact integral is 1/(4k)). Under a limit of 64 open cells,
+    # cells wait at each of the 10 levels that cut, and the cap then closes
+    # the last 61 open cells without charging their bound. The triple and
+    # the evaluations are the ones the integrator made when it kept ten
+    # parallel per-quantity cell arrays.
+    k = 1000
+
+    def evaluate(x, br1, br2):
+        calls.append(x.size)
+        j = np.floor(k * x)
+        g2 = (j + 0.5) / k
+        return x, 0.5 * x * x, g2, 0.5 * (j / k) ** 2 + (x - j / k) * g2
+
+    calls = []
+    monkeypatch.setattr(wasserstein, "_GAP_CELL_LIMIT", 64)
+    out = wasserstein._abs_gap_body(np.linspace(0.0, 1.0, 45), evaluate, 0.005)
+    assert [v.hex() for v in out] == ["0x1.7534d66bf2a78p-17", "0x1.0000000000000p-1", "0x1.0000000000000p-1"]
+    assert calls == [45, 14, 21, 21, 28, 28, 35, 35, 42, 49, 14]
+
+
 def test_bracketed_quantile_terminates_below_float_spacing(deadline):
     # At 7e11 the float spacing is 1.2e-4, far above the tolerance.
     d = exponential(1e-12)
