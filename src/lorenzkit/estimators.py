@@ -588,6 +588,14 @@ def kde(s, kernel: KernelSpec | str = GAUSSIAN, h: float = 0.1) -> Distribution:
 _SCHEMES = ("noise", "sampling", "quantile", "quantile_of_sample", "kde")
 
 
+def _count(name: str, v) -> int:
+    """v as an int >= 1; raises ValueError otherwise (`_whole`)."""
+    n = _whole(name, v)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {v!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one convergence experiment.
@@ -602,8 +610,8 @@ class ExperimentSpec:
     (`wasserstein._checked_thresholds`), so a bad one raises before any
     member is sampled or built; so are `steps`, `sample_size` and the
     entries of the integer schedules, which must be integral (and, but for
-    the noise exponents, >= 1), the bandwidths, finite and > 0, and
-    `seed`, integral and >= 0 (kept as an int).
+    the noise exponents, >= 1) and are kept as ints, the bandwidths, finite
+    and > 0, and `seed`, integral and >= 0 (kept as an int).
     """
 
     scheme: str
@@ -628,14 +636,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from {sorted(KERNELS)}"
             )
-        counts = [("steps", self.steps), ("sample_size", self.sample_size)]
-        for key in ("sample_sizes", "table_sizes"):
-            counts += [(f"{key} entry", v) for v in getattr(self, key) or ()]
-        for name, v in counts:
-            if _whole(name, v) < 1:
-                raise ValueError(f"{name} must be >= 1, got {v!r}")
-        for v in self.noise_exponents or ():
-            _whole("noise_exponents entry", v)
+        for name in ("steps", "sample_size"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for key, check in (("sample_sizes", _count), ("table_sizes", _count), ("noise_exponents", _whole)):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, tuple(check(f"{key} entry", v) for v in getattr(self, key)))
         for h in self.bandwidths or ():
             if not 0.0 < float(h) < math.inf:
                 raise ValueError(f"bandwidths entry must be finite and > 0, got {h!r}")
@@ -651,12 +656,12 @@ class ExperimentSpec:
 
     def schedule_sample_sizes(self) -> tuple[int, ...]:
         if self.sample_sizes is not None:
-            return tuple(int(n) for n in self.sample_sizes)
+            return self.sample_sizes
         return tuple(64 * 2**k for k in range(self.steps))
 
     def schedule_table_sizes(self) -> tuple[int, ...]:
         if self.table_sizes is not None:
-            return tuple(int(v) for v in self.table_sizes)
+            return self.table_sizes
         return tuple(2 ** (k + 1) for k in range(self.steps))
 
     def schedule_bandwidths(self) -> tuple[float, ...]:
@@ -666,7 +671,7 @@ class ExperimentSpec:
 
     def schedule_noise_exponents(self) -> tuple[int, ...]:
         if self.noise_exponents is not None:
-            return tuple(int(k) for k in self.noise_exponents)
+            return self.noise_exponents
         return tuple(range(1, self.steps + 1))
 
     @classmethod

@@ -14,14 +14,15 @@ kernel's ndtr in the estimators module, come from scipy.special, which `sp`
 imports at its first use: atoms, slabs, exponentials, quantile tables and
 compact-kernel estimates never load it.
 
-A mixture may carry hundreds of point-mass parts (`discrete` and `mixture`
-flatten every atom into its own part). A distribution therefore pools the
-atoms of all its atomic parts (atoms, step quantile tables) into one sorted
-block with prefix sums of mass and of mass times location, and suffix sums
-of mass: the CDF, survival function, atom mass and partial expectation of
-that block cost one ``searchsorted`` per call, and only the remaining parts
-(densities, linear quantile tables, plug-in components such as kernel
-mixtures) are evaluated one by one.
+A finite set of atoms is one component, `Atoms`: two float arrays of
+locations and masses in input order, which is what `discrete` builds, and
+`mixture` keeps it whole when it flattens. A distribution pools the atoms
+of all its atomic parts (atom blocks, single atoms, step quantile tables)
+into one sorted block with prefix sums of mass and of mass times location,
+and suffix sums of mass: the CDF, survival function, atom mass and partial
+expectation of that block cost one ``searchsorted`` per call, and only the
+remaining parts (densities, linear quantile tables, plug-in components such
+as kernel mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
@@ -66,6 +67,7 @@ __all__ = [
     "ZeroMeanError",
     "InfiniteMeanError",
     "Atom",
+    "Atoms",
     "UniformDensity",
     "Exponential",
     "Gamma",
@@ -167,6 +169,35 @@ def _check_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _check_location(loc) -> float:
+    """An atom location as a float; raises unless it is finite and >= 0."""
+    loc = _check_finite("atom location", loc)
+    if loc < 0:
+        raise ValueError(f"atom location must be >= 0, got {loc}")
+    return loc
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Raises unless every weight is finite and > 0, naming the first that
+    is not, and their running sum in order is 1 within `WEIGHT_TOL`."""
+    bad = ~(np.isfinite(w) & (w > 0.0))
+    if bad.any():
+        raise ValueError(f"component weights must be positive, got {float(w[bad.argmax()])}")
+    total = float(np.cumsum(w)[-1])
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"component weights must sum to 1, got {total!r}")
+
+
+def _float_vector(seq) -> np.ndarray:
+    """A read-only float copy of a 1-d array or of an iterable of numbers."""
+    if isinstance(seq, np.ndarray) and seq.ndim == 1:
+        arr = np.array(seq, dtype=float)
+    else:
+        arr = np.fromiter(seq, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _whole(name: str, v) -> int:
@@ -315,10 +346,7 @@ class Atom:
     location: float
 
     def __post_init__(self):
-        loc = _check_finite("atom location", self.location)
-        if loc < 0:
-            raise ValueError(f"atom location must be >= 0, got {loc}")
-        object.__setattr__(self, "location", loc)
+        object.__setattr__(self, "location", _check_location(self.location))
 
     def mean(self) -> float:
         return self.location
@@ -347,8 +375,76 @@ class Atom:
     def rescaled(self, alpha: float) -> "Atom":
         return Atom(alpha * self.location)
 
-    def atoms(self):
-        return ((self.location, 1.0),)
+    def atoms(self) -> np.ndarray:
+        return np.array([[self.location, 1.0]])
+
+
+@dataclass(frozen=True, eq=False)
+class Atoms:
+    """Point masses at nonnegative locations, as two float arrays in input
+    order; locations may repeat. The masses are finite, > 0 and sum to 1
+    (`WEIGHT_TOL`). Equal when both arrays are."""
+
+    locations: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self):
+        x, m = _float_vector(self.locations), _float_vector(self.masses)
+        if not x.size:
+            raise ValueError("a discrete distribution needs at least one atom")
+        if x.size != m.size:
+            raise ValueError("values and weights must have equal length")
+        bad = ~(np.isfinite(x) & (x >= 0.0))
+        if bad.any():  # raises, naming the first bad location
+            _check_location(x[bad.argmax()])
+        _check_weights(m)
+        object.__setattr__(self, "locations", x)
+        object.__setattr__(self, "masses", m)
+
+    def __eq__(self, other):
+        if not isinstance(other, Atoms):
+            return NotImplemented
+        return np.array_equal(self.locations, other.locations) and np.array_equal(self.masses, other.masses)
+
+    def __hash__(self):
+        return hash((tuple(self.locations.tolist()), tuple(self.masses.tolist())))
+
+    def mean(self) -> float:
+        # the running sum in input order, as `Distribution.mean` sums parts
+        return float(np.cumsum(self.masses * self.locations)[-1])
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.minimum((x[..., None] >= self.locations) @ self.masses, 1.0)
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.minimum((x[..., None] < self.locations) @ self.masses, 1.0)
+
+    def mass_at(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return (x[..., None] == self.locations) @ self.masses
+
+    def pe(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return (x[..., None] >= self.locations) @ (self.masses * self.locations)
+
+    def quantile(self, p: np.ndarray) -> np.ndarray:
+        order = np.argsort(self.locations, kind="stable")
+        cum = np.cumsum(self.masses[order])
+        return self.locations[order][np.minimum(np.searchsorted(cum, p, side="left"), cum.size - 1)]
+
+    def x_breaks(self) -> tuple[float, ...]:
+        return tuple(np.unique(self.locations))
+
+    def support_hi(self, eps: float) -> float:
+        return float(self.locations.max())
+
+    def rescaled(self, alpha: float) -> "Atoms":
+        return Atoms(alpha * self.locations, self.masses)
+
+    def atoms(self) -> np.ndarray:
+        return np.column_stack([self.locations, self.masses])
 
 
 @dataclass(frozen=True)
@@ -685,8 +781,7 @@ class QuantileTable:
         if self.mode != "step":
             return None
         g = np.asarray(self.grid)
-        w = np.append(np.diff(g), 1.0 - g[-1])
-        return tuple(zip(self.values, w))
+        return np.column_stack([self.values, np.append(np.diff(g), 1.0 - g[-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +797,9 @@ class Distribution:
     typed; anything exposing the small protocol used above (mean, cdf, sf,
     pe, mass_at, quantile, x_breaks, support_hi, rescaled, atoms)
     participates, which is how the KDE estimator plugs in its cut kernel
-    mixture without this module knowing about it.
+    mixture without this module knowing about it. ``atoms()`` returns the
+    component's point masses as an (n, 2) float array of (location, mass)
+    rows, or None when it has a non-atomic part.
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
     read the parts whose ``atoms()`` lists them from one pooled block
@@ -731,13 +828,7 @@ class Distribution:
         parts = tuple((float(w), c) for (w, c) in self.parts)
         if not parts:
             raise ValueError("a distribution needs at least one component")
-        total = 0.0
-        for w, _ in parts:
-            if not math.isfinite(w) or w <= 0:
-                raise ValueError(f"component weights must be positive, got {w}")
-            total += w
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"component weights must sum to 1, got {total!r}")
+        _check_weights(np.array([w for w, _ in parts]))
         object.__setattr__(self, "parts", parts)
 
     # -- structure ---------------------------------------------------------
@@ -755,18 +846,20 @@ class Distribution:
         with a trailing 0 and indexed the same way), and the remaining
         (weight, component) parts, which are evaluated one by one. When no
         part remains ``cum[-1]`` and ``tail[0]`` are 1.0 exactly.
+
+        The parts' (location, mass) rows are concatenated in part order, each
+        mass times its part's weight, then sorted stably by location and
+        merged (`np.unique`, `np.add.reduceat`): the only place atoms are
+        sorted or merged.
         """
-        locs, masses, rest = [], [], []
+        rows, rest = [np.empty((0, 2))], []
         for w, comp in self.parts:
             at = comp.atoms()
             if at is None:
                 rest.append((w, comp))
-                continue
-            for loc, m in at:
-                locs.append(loc)
-                masses.append(w * m)
-        locs = np.asarray(locs, dtype=float)
-        masses = np.asarray(masses, dtype=float)
+            else:
+                rows.append(at * (1.0, w))
+        locs, masses = np.concatenate(rows).T
         order = np.argsort(locs, kind="stable")
         support, start = np.unique(locs[order], return_index=True)
         weights = np.add.reduceat(masses[order], start)
@@ -1229,20 +1322,17 @@ def lognormal(log_mean: float, log_sd: float) -> Distribution:
 
 
 def discrete(values, weights=None) -> Distribution:
-    """Finite-discrete distribution from atom locations and weights.
+    """Finite-discrete distribution from atom locations and weights: a law
+    of one part, an `Atoms` block of both arrays in input order.
 
     With `weights` omitted the values are read as an equally weighted sample.
-    Duplicate locations are merged.
+    Duplicate locations are merged when the law pools its atoms
+    (`Distribution._atomic`).
     """
-    values = [float(v) for v in values]
-    if not values:
-        raise ValueError("a discrete distribution needs at least one atom")
+    values = _float_vector(values)
     if weights is None:
-        weights = [1.0 / len(values)] * len(values)
-    weights = [float(w) for w in weights]
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have equal length")
-    return Distribution(tuple((w, Atom(v)) for v, w in zip(values, weights)))
+        weights = np.full(values.size, 1.0 / max(values.size, 1))
+    return Distribution(((1.0, Atoms(values, weights)),))
 
 
 def quantile_table(grid, values, mode: str = "step") -> Distribution:

@@ -518,6 +518,25 @@ def test_spec_takes_integral_float_sizes():
     assert spec.schedule_table_sizes() == (4, 8)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"scheme": "sampling", "steps": 2.0},
+     {"scheme": "noise", "steps": 2, "sample_size": 100.0},
+     {"scheme": "noise", "sample_size": 100, "noise_exponents": (1.0, 2.0)},
+     {"scheme": "quantile_of_sample", "sample_sizes": (64.0, 128.0), "table_sizes": (4.0, 8.0)}],
+    ids=["steps", "sample_size", "noise_exponents", "schedules"],
+)
+def test_spec_keeps_integral_float_sizes_as_ints(spec):
+    # steps=2.0 failed in range() and sample_size=100.0 in numpy's
+    # default_rng, each with a TypeError, once the experiment ran.
+    spec = ExperimentSpec(source="uniform(0,1)", **spec)
+    for name in ("steps", "sample_size"):
+        assert type(getattr(spec, name)) is int
+    for name in ("sample_sizes", "table_sizes", "noise_exponents"):
+        assert all(type(v) is int for v in getattr(spec, name) or ())
+    assert len(run_experiment(spec).steps) == 2
+
+
 def test_spec_rel_tol_reaches_the_diagnostics_check():
     with pytest.raises(ValueError, match="rel_tol"):
         run_experiment(ExperimentSpec(scheme="quantile", source="uniform(0,1)", steps=2, rel_tol=math.nan))

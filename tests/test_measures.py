@@ -4,7 +4,9 @@ Parametric cdf values are cross-checked against scipy.stats, which shares
 no code with the closed forms inside the package.
 """
 
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from lorenzkit.estimators import kde, quantile_approx
 from lorenzkit.measures import (
     TAIL_LEVELS,
     Atom,
+    Atoms,
     Distribution,
     InfiniteMeanError,
     MeanDomainError,
@@ -78,14 +81,66 @@ def test_discrete_merges_duplicates():
     assert d.mean == pytest.approx(4.0 / 3.0)
 
 
-def test_discrete_empty_rejected():
-    with pytest.raises(ValueError, match="at least one atom"):
-        discrete([])
+@pytest.mark.parametrize(
+    "values, weights, message",
+    [
+        ([1.0, math.nan, -1.0], None, "atom location must be finite, got nan"),
+        ([1.0, math.inf], None, "atom location must be finite, got inf"),
+        ([2.0, -1.0, math.nan], None, "atom location must be >= 0, got -1.0"),
+        ([1.0, 2.0, 3.0], [0.5, -0.5, 1.0], "component weights must be positive, got -0.5"),
+        ([1.0, 2.0, 3.0], [0.5, math.nan, -1.0], "component weights must be positive, got nan"),
+        ([1.0, 2.0], [0.0, 1.0], "component weights must be positive, got 0.0"),
+        ([1.0, 2.0], [0.5, 0.6], "component weights must sum to 1, got 1.1"),
+        ([1.0], [0.5], "component weights must sum to 1, got 0.5"),
+        ([1.0, 2.0], [1.0], "values and weights must have equal length"),
+        ([], None, "a discrete distribution needs at least one atom"),
+        ([], [], "a discrete distribution needs at least one atom"),
+    ],
+    ids=["nan location", "inf location", "negative location", "negative weight",
+         "nan weight", "zero weight", "weights sum to 1.1", "weights sum to 0.5", "unequal lengths",
+         "no atoms", "no atoms or weights"],
+)
+def test_discrete_input_errors_name_the_first_offending_value(values, weights, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        discrete(values, weights)
 
 
-def test_discrete_weight_sum_checked():
-    with pytest.raises(ValueError, match="sum to 1"):
-        discrete([1.0], [0.5])
+def test_discrete_law_is_one_block_and_builds_no_atom(monkeypatch):
+    # Each value was its own Atom part.
+    def refuse(self):
+        raise AssertionError("an Atom was constructed")
+
+    monkeypatch.setattr(Atom, "__post_init__", refuse)
+    xs = np.random.default_rng(2).lognormal(0.0, 1.0, size=500)
+    d = discrete(xs)
+    assert len(d.parts) == 1 and isinstance(d.parts[0][1], Atoms)
+    assert d.is_finite_discrete and index_report(d).max_cross_route_residual <= 1e-9
+
+
+def test_discrete_pooling_and_mean_match_the_sequential_reference():
+    # The atoms were pooled one part at a time and the mean summed w x part
+    # by part, so a purely finite-discrete law keeps both bit for bit.
+    rng = np.random.default_rng(9)
+    xs = rng.choice(rng.lognormal(0.0, 1.2, size=60), size=300)
+    xs[:20] = 0.0
+    ws = rng.dirichlet(np.ones(xs.size))
+    mean = 0.0
+    for x, w in zip(xs.tolist(), ws.tolist()):
+        mean += w * x
+    order = np.argsort(xs, kind="stable")
+    support, start = np.unique(xs[order], return_index=True)
+    weights = np.add.reduceat(ws[order], start)
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    tail = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
+    cum[-1] = tail[0] = 1.0
+    cum_xm = np.concatenate([[0.0], np.cumsum(weights * support)])
+    d = discrete(xs, ws)
+    assert np.unique(xs).size < xs.size
+    assert d.mean.hex() == mean.hex()
+    *arrays, rest = d._atomic
+    assert rest == ()
+    for got, ref in zip(arrays, (support, weights, cum, cum_xm, tail)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_mixture_identity():
@@ -322,9 +377,7 @@ def _per_part(d, x):
 @pytest.mark.parametrize("name", list(_POOLED))
 def test_pooled_atoms_match_per_part_sums(name):
     d = _POOLED[name]
-    locs = np.concatenate(
-        [[loc for loc, _ in comp.atoms()] for _, comp in d.parts if comp.atoms() is not None]
-    )
+    locs = np.concatenate([comp.atoms()[:, 0] for _, comp in d.parts if comp.atoms() is not None])
     rng = np.random.default_rng(5)
     x = np.sort(np.concatenate([[0.0], locs, rng.uniform(0.0, 1.2 * d.support_hi(1e-6), 500)]))
     got = {
@@ -336,24 +389,26 @@ def test_pooled_atoms_match_per_part_sums(name):
     }
     # Pooling sums the atoms in location order instead of part order. Both
     # are running sums, whose rounding errors grow like sqrt(terms) ulps of
-    # the magnitude summed.
-    rel = 2.0 * math.sqrt(len(d.parts)) * np.finfo(float).eps
+    # the magnitude summed; each atom of a block is a term, any other part one.
+    terms = sum(len(comp.atoms()) if isinstance(comp, Atoms) else 1 for _, comp in d.parts)
+    rel = 2.0 * math.sqrt(terms) * np.finfo(float).eps
     for k, (ref, mag) in _per_part(d, x).items():
         assert np.all(np.abs(got[k] - ref) <= rel * mag), (name, k)
     assert np.all(np.diff(got["cdf"]) >= 0.0), name
 
 
 def test_atom_rich_mixture_never_evaluates_atom_parts(monkeypatch):
-    # Evaluations take the pooled block; a loop over the 200 Atom parts
-    # would call their methods thousands of times per index report.
+    # Evaluations take the pooled block; a loop over 200 Atom parts, or
+    # over the block's own methods, would evaluate the atoms thousands of
+    # times per index report.
     calls = []
-    for meth in ("cdf", "pe", "mass_at"):
+    for cls, meth in itertools.product((Atom, Atoms), ("cdf", "sf", "pe", "mass_at")):
 
-        def counted(self, x, original=getattr(Atom, meth)):
+        def counted(self, x, original=getattr(cls, meth)):
             calls.append(self)
             return original(self, x)
 
-        monkeypatch.setattr(Atom, meth, counted)
+        monkeypatch.setattr(cls, meth, counted)
     rng = np.random.default_rng(3)
     d = mixture([(0.5, exponential(1.0)), (0.5, discrete(rng.lognormal(0.0, 0.8, size=200)))])
     index_report(d)

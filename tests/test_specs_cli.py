@@ -317,6 +317,16 @@ def test_converge_experiment_file_rejects_fractional_seed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_converge_experiment_file_takes_integral_float_steps(tmp_path, capsys):
+    # The spec kept steps as 2.0, and range() raised a TypeError that the
+    # command line printed as a traceback.
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({"scheme": "sampling", "source": "uniform(0,1)", "steps": 2.0}))
+    assert main(["converge", str(spec_path), "--out", str(tmp_path / "report")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("verdict: ") and "Traceback" not in captured.err
+
+
 def test_converge_rejects_unknown_source(capsys):
     assert main(["converge", "no_such_thing"]) == 1
     err = capsys.readouterr().err
