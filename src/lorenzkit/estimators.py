@@ -611,7 +611,8 @@ class ExperimentSpec:
     member is sampled or built; so are `steps`, `sample_size` and the
     entries of the integer schedules, which must be integral (and, but for
     the noise exponents, >= 1) and are kept as ints, the bandwidths, finite
-    and > 0, and `seed`, integral and >= 0 (kept as an int).
+    and > 0, `seed`, integral and >= 0 (kept as an int), and the two
+    schedules of a two-parameter scheme, which must be of one length.
     """
 
     scheme: str
@@ -644,6 +645,9 @@ class ExperimentSpec:
         for h in self.bandwidths or ():
             if not 0.0 < float(h) < math.inf:
                 raise ValueError(f"bandwidths entry must be finite and > 0, got {h!r}")
+        second = {"quantile_of_sample": "table_sizes", "kde": "bandwidths"}.get(self.scheme)
+        if second and len(getattr(self, "schedule_" + second)()) != len(self.schedule_sample_sizes()):
+            raise ValueError(f"sample_sizes and {second} must pair up")
         _checked_thresholds(self.rel_tol, self.alpha_grid)
         if _whole("seed", self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
@@ -717,19 +721,11 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
         for ell in spec.schedule_table_sizes():
             members.append(quantile_approx(source, ell))
     elif spec.scheme == "quantile_of_sample":
-        sizes = spec.schedule_sample_sizes()
-        tables = spec.schedule_table_sizes()
-        if len(sizes) != len(tables):
-            raise ValueError("sample_sizes and table_sizes must pair up")
-        for j, (n, ell) in enumerate(zip(sizes, tables)):
+        for j, (n, ell) in enumerate(zip(spec.schedule_sample_sizes(), spec.schedule_table_sizes())):
             xs = source.sample_rng(_substream(spec.seed, j), n)
             members.append(quantile_of_sample(xs, ell))
     else:
-        sizes = spec.schedule_sample_sizes()
-        widths = spec.schedule_bandwidths()
-        if len(sizes) != len(widths):
-            raise ValueError("sample_sizes and bandwidths must pair up")
-        for j, (n, h) in enumerate(zip(sizes, widths)):
+        for j, (n, h) in enumerate(zip(spec.schedule_sample_sizes(), spec.schedule_bandwidths())):
             xs = source.sample_rng(_substream(spec.seed, j), n)
             members.append(kde(xs, KERNELS[spec.kernel], h))
     return sequence_diagnostics(

@@ -4,8 +4,15 @@ W1 between two laws on the half-line is both the L1 distance between their
 quantile functions on (0, 1) and the L1 distance between their distribution
 functions on (0, inf). Both routes are always computed; they must agree
 within tolerance or the call fails loudly, and the quantile-route value is
-what callers get. For a pair of finite-discrete laws both routes are exact
-sums over merged breakpoints.
+what callers get. Three cases:
+
+- two finite-discrete laws: both routes are exact sums over merged
+  breakpoints (`_w1_discrete`);
+- one finite-discrete law against any other: the quantile route is one
+  exact sum over the discrete law's cells (`_w1_step_quantile`), and the
+  cdf route is the cell integrator (`_abs_gap_body`);
+- two laws neither of which is finite-discrete: both routes are the cell
+  integrator.
 
 The diagnostics half of the module watches a sequence against a candidate
 limit and classifies it: convergent in W1, weakly convergent with escaping
@@ -138,45 +145,90 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     return total, end1, end2
 
 
+def _w1_step_quantile(d1: Distribution, d2: Distribution, tol: float) -> float:
+    """The quantile route of a finite-discrete d1 = sum_j w_j delta(s_j)
+    against any law d2, as one exact sum over d1's cells.
+
+    On the cell (c_{j-1}, c_j] of d1's cumulative masses Q1 = s_j, and by the
+    Galois pair Q2 <= s_j exactly where p <= F2(s_j). So the cell splits at
+    pi_j, F2(s_j) clipped to the cell, where S2(pi_j) = pe2(s_j), S2(p) the
+    integral of Q2 over [0, p]. The cell's integral of |Q1 - Q2| is then
+    s_j ((pi_j - c_{j-1}) - (c_j - pi_j)) + S2(c_{j-1}) + S2(c_j) - 2 S2(pi_j),
+    and a clipped cell gives +-(s_j w_j - (S2(c_j) - S2(c_{j-1}))). S2 at the
+    inner c_j is `Distribution._quantile_integral` at quantiles within tol
+    (one batch), S2(0) = 0 and S2(1) = m2, so no tail is cut.
+
+    Precision: each cell's width is its weight w_j, not a difference of
+    cumulative masses (an atom of mass 1e-9 at 1e12 would lose 2.8e-5 to
+    the rounding of 1 - 1e-9). Up to c_j = 1/2 the edge is the prefix sum
+    c_j and the offset c_j - pi_j is c_j - F2(s_j); above, the edge is
+    1 - r_j and the offset sf2(s_j) - r_j, r_j d1's mass right of s_j (a
+    suffix sum). So a far atom keeps the digits that F2 and c_j lose near
+    1, and an edge near 1 does not carry the rounding of a long prefix sum
+    into S2.
+    """
+    s, w, c = d1._discrete
+    _, _, _, _, tail, _ = d1._atomic
+    right = tail[1:]
+    h = int(np.searchsorted(c, 0.5, side="right"))
+    inner = np.concatenate([c[:h], 1.0 - right[h:]])[:-1]
+    s2 = d2._quantile_integral(inner, _q_within(d2, inner, 0.0, math.inf, tol))
+    s2_lo = np.concatenate([[0.0], s2])
+    s2_hi = np.concatenate([s2, [d2.mean]])
+    offset = np.concatenate([c[:h] - d2._cdf_arr(s[:h]), d2._sf_arr(s[h:]) - right[h:]])
+    b = np.clip(offset, 0.0, w)
+    s2_pi = np.where(b <= 0.0, s2_hi, np.where(b >= w, s2_lo, d2._pe_arr(s)))
+    return float(np.sum(s * ((w - b) - b) + s2_lo + s2_hi - 2.0 * s2_pi))
+
+
 def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     """Both W1 routes for at least one non-discrete law, quadrature free.
 
-    Quantile route: cells in p, cell integrals of Q from the partial
-    expectation identity (`Distribution._quantile_integral`), stationary in
-    its quantile argument, so approximate quantiles serve. CDF route: cells
-    in x, cell integrals of F from integration by parts, A(x) = x F(x) -
-    pe(x). Both truncate at matched tails whose first moments enter as a
-    difference. The first cells of each route are graded toward both ends,
-    where the two curves may touch and stay ambiguous for many levels: the
-    p-cells split at 2^-k and 1 - 2^-k for k = 1..40, the x-cells at
-    hi 2^-k for k = 1..60 (`HALVINGS`), hi the larger of the laws'
-    support_hi(`X_CUT`). Budgets scale with s = m1 + m2, a
-    bound on W1: 1e-7 s per route and quantiles to 1e-10 s, so rescaling
-    both laws rescales both.
+    A finite-discrete law is put first, so the routes see the pair in one
+    order whichever way it was given, and w1(a, b) == w1(b, a) bitwise.
+    Quantile route: against a finite-discrete d1 one exact sum
+    (`_w1_step_quantile`); otherwise cells in p, cell integrals of Q from
+    the partial expectation identity (`Distribution._quantile_integral`),
+    stationary in its quantile argument, so approximate quantiles serve, and
+    matched tails beyond `P_TAIL` whose first moments enter as a
+    difference. CDF route, for every pair: cells in x, cell integrals of F
+    from integration by parts, A(x) = x F(x) - pe(x), and matched tails
+    beyond hi, the larger of the laws' support_hi(`X_CUT`). It reads none
+    of the quantile route's values. The first cells of each integrator are
+    graded toward both ends, where the two curves may touch and stay
+    ambiguous for many levels: the p-cells split at 2^-k and 1 - 2^-k for
+    k = 1..40, the x-cells at hi 2^-k for k = 1..60 (`HALVINGS`). Budgets
+    scale with s = m1 + m2, a bound on W1: 1e-7 s per integrator and
+    quantiles to 1e-10 s, so rescaling both laws rescales both.
     """
+    if d2.is_finite_discrete:
+        d1, d2 = d2, d1
     scale = d1.mean + d2.mean
     budget = 1e-7 * scale
     hi1 = d1.support_hi(X_CUT)
     hi2 = d2.support_hi(X_CUT)
     tol_q = 1e-10 * scale
 
-    edges = np.concatenate(
-        [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), 1.0 - TAIL_LEVELS, TAIL_LEVELS]
-    )
-    edges = np.unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
+    if d1.is_finite_discrete:
+        by_quantile = _w1_step_quantile(d1, d2, tol_q)
+    else:
+        edges = np.concatenate(
+            [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), 1.0 - TAIL_LEVELS, TAIL_LEVELS]
+        )
+        edges = np.unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
 
-    def eval_q(ps, br1, br2):
-        out = []
-        for d, br, hi_d in ((d1, br1, hi1), (d2, br2, hi2)):
-            lo, hi = (0.0, max(hi_d, 0.0)) if br is None else (np.maximum(br[0] - tol_q, 0.0), br[1])
-            q = _q_within(d, ps, lo, hi, tol_q)
-            out.extend((q, d._quantile_integral(ps, q)))
-        return tuple(out)
+        def eval_q(ps, br1, br2):
+            out = []
+            for d, br, hi_d in ((d1, br1, hi1), (d2, br2, hi2)):
+                lo, hi = (0.0, max(hi_d, 0.0)) if br is None else (np.maximum(br[0] - tol_q, 0.0), br[1])
+                q = _q_within(d, ps, lo, hi, tol_q)
+                out.extend((q, d._quantile_integral(ps, q)))
+            return tuple(out)
 
-    body_q, s1_tail, s2_tail = _abs_gap_body(edges, eval_q, budget)
-    by_quantile = body_q + abs(
-        max(d1.mean - s1_tail, 0.0) - max(d2.mean - s2_tail, 0.0)
-    )
+        body_q, s1_tail, s2_tail = _abs_gap_body(edges, eval_q, budget)
+        by_quantile = body_q + abs(
+            max(d1.mean - s1_tail, 0.0) - max(d2.mean - s2_tail, 0.0)
+        )
 
     hi = max(hi1, hi2)
     xb = np.concatenate([d1.x_breakpoints(), d2.x_breakpoints()])
@@ -187,8 +239,8 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     def eval_x(xs, br1, br2):
         f1 = d1._cdf_arr(xs)
         f2 = d2._cdf_arr(xs)
-        a1 = xs * f1 - np.asarray(d1.partial_expectation(xs))
-        a2 = xs * f2 - np.asarray(d2.partial_expectation(xs))
+        a1 = xs * f1 - d1._pe_arr(xs)
+        a2 = xs * f2 - d2._pe_arr(xs)
         return f1, a1, f2, a2
 
     body_f, _, _ = _abs_gap_body(xedges, eval_x, budget)
@@ -199,9 +251,12 @@ def _w1_general(d1: Distribution, d2: Distribution) -> tuple[float, float]:
 def w1_routes(d1: Distribution, d2: Distribution) -> tuple[float, float]:
     """Both W1 evaluations (quantile-gap integral, cdf-gap integral).
 
-    The routes must agree within 1e-8 s (finite-discrete pair) or 1e-5 s,
-    s = m1 + m2. Raises RuntimeError on disagreement, which indicates an
-    evaluation bug rather than a property of the inputs.
+    A pair of finite-discrete laws takes two exact sums (`_w1_discrete`),
+    a pair with one an exact quantile sum and the cdf cell integrator, any
+    other pair the cell integrator twice (`_w1_general`). The routes must
+    agree within 1e-8 s (finite-discrete pair) or 1e-5 s, s = m1 + m2.
+    Raises RuntimeError on disagreement, which indicates an evaluation bug
+    rather than a property of the inputs.
     """
     exact = d1.is_finite_discrete and d2.is_finite_discrete
     by_quantile, by_cdf = (

@@ -491,6 +491,28 @@ def test_spec_scheme_and_pairing_validation():
 
 
 @pytest.mark.parametrize(
+    "fields,match",
+    [
+        ({"scheme": "quantile_of_sample", "sample_sizes": [10, 20], "table_sizes": [2]}, "table_sizes must pair up"),
+        ({"scheme": "quantile_of_sample", "table_sizes": [2, 4]}, "table_sizes must pair up"),
+        ({"scheme": "kde", "sample_sizes": [10, 20], "bandwidths": [0.1]}, "bandwidths must pair up"),
+        ({"scheme": "kde", "bandwidths": [0.2, 0.02]}, "bandwidths must pair up"),
+    ],
+)
+def test_spec_pairs_its_schedules_when_built(fields, match):
+    # Such specs were built, and only run_experiment raised; a default
+    # schedule has `steps` = 8 entries.
+    data = {"source": "uniform(0,1)", **fields}
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec.from_json(json.dumps(data))
+    # a schedule the scheme does not read is not paired
+    ExperimentSpec.from_json(json.dumps({**data, "scheme": "sampling"}))
+    ExperimentSpec.from_json(json.dumps({**data, "sample_sizes": [10, 20], "table_sizes": [2, 4], "bandwidths": [0.2, 0.02]}))
+
+
+@pytest.mark.parametrize(
     "bad,match",
     [({"steps": 2.5}, "steps"), ({"sample_size": 25.9}, "sample_size"),
      ({"sample_sizes": (25.9, 40)}, "sample_sizes entry"),

@@ -327,6 +327,19 @@ def test_converge_experiment_file_takes_integral_float_steps(tmp_path, capsys):
     assert captured.out.startswith("verdict: ") and "Traceback" not in captured.err
 
 
+def test_converge_experiment_file_rejects_unpaired_schedules(tmp_path, capsys, monkeypatch):
+    # The spec was built with eight default sample sizes against two
+    # bandwidths, and only run_experiment refused it; it is refused when built.
+    from lorenzkit import cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("an unpaired spec was run"))
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({"scheme": "kde", "source": "uniform(0,1)", "bandwidths": [0.2, 0.02]}))
+    assert main(["converge", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert "sample_sizes and bandwidths must pair up" in err and "Traceback" not in err
+
+
 def test_converge_rejects_unknown_source(capsys):
     assert main(["converge", "no_such_thing"]) == 1
     err = capsys.readouterr().err

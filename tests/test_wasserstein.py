@@ -73,6 +73,12 @@ SCALE_PAIRS = [
         exponential(1.0),
         0.5 - 1.5e-10 + 1e-10 * (1e8 - 2.0 * math.log(1e10)),
     ),
+    (
+        "far atom 1e12 on uniform",
+        mixture([(1.0 - 1e-9, uniform(0.0, 1.0)), (1e-9, atom(1e12))]),
+        exponential(1.0),
+        0.5 - 1.5e-9 + 1e-9 * (1e12 - 2.0 * math.log(1e9)),
+    ),
 ]
 
 
@@ -124,25 +130,26 @@ def test_route_agreement_over_battery_pairs(battery):
     assert worst_quad < 1e-5
 
 
-def _count_gap_levels(monkeypatch) -> list[int]:
-    """Refinement levels of every `_abs_gap_body` call, in call order: the
-    quantile route, then the cdf route, of each general pair."""
-    body, levels = wasserstein._abs_gap_body, []
+def _record_gap_calls(monkeypatch) -> list[list[np.ndarray]]:
+    """The points of every evaluation of every `_abs_gap_body` call, in call
+    order: the quantile route, then the cdf route, of each pair of laws
+    neither of which is finite-discrete, and the cdf route alone of a pair
+    with one. A call's first evaluation is its edges, and each further one a
+    refinement level."""
+    body, gap_calls = wasserstein._abs_gap_body, []
 
-    def counted_body(edges, evaluate, budget):
-        calls = []
+    def recording_body(edges, evaluate, budget):
+        points = []
+        gap_calls.append(points)
 
-        def counted(points, br1, br2):
-            calls.append(1)
-            return evaluate(points, br1, br2)
+        def recording(at, br1, br2):
+            points.append(np.array(at))
+            return evaluate(at, br1, br2)
 
-        try:
-            return body(edges, counted, budget)
-        finally:
-            levels.append(len(calls) - 1)
+        return body(edges, recording, budget)
 
-    monkeypatch.setattr(wasserstein, "_abs_gap_body", counted_body)
-    return levels
+    monkeypatch.setattr(wasserstein, "_abs_gap_body", recording_body)
+    return gap_calls
 
 
 def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
@@ -151,10 +158,11 @@ def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
     # [0, 2^-k] and of the cells where the two curves cross.
     general = [d for _, d in battery if not d.is_finite_discrete]
     assert len(general) == 12
-    levels = _count_gap_levels(monkeypatch)
+    gap_calls = _record_gap_calls(monkeypatch)
     for i, d1 in enumerate(general):
         for d2 in general[i + 1:]:
             w1_routes(d1, d2)
+    levels = [len(points) - 1 for points in gap_calls]
     assert len(levels) == 2 * 66
     assert max(levels[0::2]) <= 4
     assert max(levels[1::2]) <= 8
@@ -162,12 +170,51 @@ def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
 
 def test_far_atom_quantile_route_stops_at_float_resolution(monkeypatch):
     # The jump of Q1 to 1e12 at p = 1 - 1e-9 leaves a cell whose ends are
-    # adjacent floats and whose bound exceeds its share of the budget; it is
-    # accepted instead of being carried on to depth 47.
-    d1, d2 = [p[1:3] for p in SCALE_PAIRS if p[0] == "far atom 1e12"][0]
-    levels = _count_gap_levels(monkeypatch)
+    # adjacent floats and whose bound, 1e12 times an ulp of p, exceeds its
+    # share of the budget; it is accepted instead of being carried on to
+    # depth 47. The uniform part keeps Q1 off the exact sum of a
+    # finite-discrete law, so the quantile route is the cell integrator.
+    d1, d2 = [p[1:3] for p in SCALE_PAIRS if p[0] == "far atom 1e12 on uniform"][0]
+    gap_calls = _record_gap_calls(monkeypatch)
     w1_routes(d1, d2)
-    assert levels[0] <= 8
+    quantile_route = gap_calls[0]
+    ps = np.unique(np.concatenate(quantile_route))
+    assert np.any(np.nextafter(ps[:-1], 1.0) == ps[1:])
+    assert len(quantile_route) - 1 <= 8
+
+
+def _step_oracle_pairs():
+    """(d1 finite-discrete, d2 with a density part, W1) as built by
+    scripts/oracle_w1_step.py, whose value is W1 in mpmath at 40 digits,
+    from the cdf form in closed-form pieces, matched by the quantile form
+    to 1e-30."""
+    xs = lognormal(0.0, 1.0).sample(3, 1000)
+    yield discrete(xs), lognormal(0.0, 1.0), 0.091791934948212833
+    rng = np.random.default_rng(11)
+    xs = -np.log1p(-rng.random(400))
+    xs[:40] = 0.0
+    yield discrete(xs, rng.dirichlet(np.ones(400))), exponential(1.0), 0.17450072228908418
+    xs = -np.log1p(-np.random.default_rng(5).random(300))
+    shared = mixture([(0.75, exponential(1.0)), (0.25, discrete(xs[::10]))])
+    yield discrete(xs), shared, 0.072165160124648656
+
+
+@pytest.mark.parametrize(
+    "d1,d2,expected",
+    list(_step_oracle_pairs()),
+    ids=["lognormal sample", "dirichlet weights and zeros", "shared atoms"],
+)
+def test_discrete_against_density_matches_oracle(monkeypatch, d1, d2, expected):
+    # The quantile route is one exact sum over d1's cells, held to float
+    # resolution, and the cdf route the only cell integration, held to its
+    # own budget of 1e-7 s.
+    gap_calls = _record_gap_calls(monkeypatch)
+    by_q, by_f = w1_routes(d1, d2)
+    assert len(gap_calls) == 1
+    s = d1.mean + d2.mean
+    assert abs(by_q - expected) <= 1e-13 * s
+    assert abs(by_f - expected) <= 1e-7 * s
+    assert w1(d1, d2) == w1(d2, d1)
 
 
 def test_gap_body_cells_wait_under_a_small_cell_limit(monkeypatch):
