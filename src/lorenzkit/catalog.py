@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .measures import Distribution, _whole, atom, discrete, mixture, uniform
+from .measures import Distribution, _count, atom, discrete, mixture, uniform
 from .specs import parse_distribution
 
 __all__ = [
@@ -91,18 +91,14 @@ def three_group(h: float, alpha: float, mean: float = 1.0) -> Distribution:
 
 def counterexample1_step(n: int) -> Distribution:
     """Mass 1/n^2 escapes from 1 out to n^2; the rest sits at 1."""
-    n = _whole("step parameter", n)
-    if n < 2:
-        raise ValueError("step parameter must be >= 2")
+    n = _count("step parameter", n, 2)
     u = 1.0 / (n * n)
     return discrete([1.0, float(n * n)], [1.0 - u, u])
 
 
 def counterexample2_step(n: int) -> Distribution:
     """Half the mass at zero, a 1/n^2 lump escaping to n^2, the rest at 1."""
-    n = _whole("step parameter", n)
-    if n < 2:
-        raise ValueError("step parameter must be >= 2")
+    n = _count("step parameter", n, 2)
     u = 1.0 / (n * n)
     return discrete([0.0, 1.0, float(n * n)], [0.5, 0.5 - u, u])
 
@@ -117,9 +113,7 @@ def scenario_sequence(
 
     Steps use n = 4k for k = 1..steps, so fifty steps end at n = 200.
     """
-    steps = _whole("steps", steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _count("steps", steps)
     ns = [4 * k for k in range(1, steps + 1)]
     if name == "counterexample1":
         return [counterexample1_step(n) for n in ns], atom(1.0)

@@ -47,6 +47,9 @@ from .measures import (
     Distribution,
     ZeroMeanError,
     _MAX_ROUNDS,
+    _ArrayComponent,
+    _count,
+    _float_vector,
     _whole,
     discrete,
     require_member,
@@ -203,9 +206,7 @@ def quantile_approx(d: Distribution, ell: int) -> Distribution:
     there is always an atom at zero carrying weight 1/ell (or more).
     """
     require_member(d)
-    ell = _whole("table size", ell)
-    if ell < 1:
-        raise ValueError("table size must be a positive integer")
+    ell = _count("table size", ell)
     return discrete(d._quantile_arr(np.arange(ell) / ell))
 
 
@@ -315,8 +316,8 @@ def _epan_cell(a, d1, d2, d3):
 _CELL_POLYNOMIALS = {UNIFORM: _unif_cell, EPANECHNIKOV: _epan_cell}
 
 
-@dataclass(frozen=True)
-class _CutKernelMixture:
+@dataclass(frozen=True, eq=False)
+class _CutKernelMixture(_ArrayComponent):
     """Law of max(X + hY, 0): X uniform on the sample, Y from the kernel.
 
     Pointwise functionals average closed forms over the sample. Each query
@@ -334,15 +335,17 @@ class _CutKernelMixture:
     Illinois inversion of `Distribution`, which reads F up to F(x_h) and
     `sf` above. `sf` sums G(-u) over the same windows plus the points
     right of them, never 1 - cdf, so it keeps its digits in the tail.
+
+    `points` is kept as a sorted read-only float array, so the estimates of
+    a sample and of any permutation of it are equal.
     """
 
-    points: tuple[float, ...]
+    points: np.ndarray
     bandwidth: float
     kernel: KernelSpec
 
-    @cached_property
-    def _sorted(self) -> np.ndarray:
-        return np.sort(np.asarray(self.points, dtype=float))
+    def __post_init__(self):
+        object.__setattr__(self, "points", _float_vector(np.sort(self.points)))
 
     @cached_property
     def _radius(self) -> float:
@@ -353,10 +356,10 @@ class _CutKernelMixture:
         """G and M at each point's lower end -x_i/h, the per-point truncated
         means E[max(x_i + hY, 0)] and their prefix sums."""
         h = self.bandwidth
-        c = -self._sorted / h
+        c = -self.points / h
         g = np.asarray(self.kernel.cdf(c), dtype=float)
         m = np.asarray(self.kernel.partial_first_moment(c), dtype=float)
-        means = self._sorted * (1.0 - g) - h * m
+        means = self.points * (1.0 - g) - h * m
         return g, m, means, np.concatenate([[0.0], np.cumsum(means)])
 
     def mean(self) -> float:
@@ -367,8 +370,8 @@ class _CutKernelMixture:
         window and the end of the window."""
         flat = np.asarray(x, dtype=float).ravel()
         span = self._radius * self.bandwidth
-        lo = self._sorted.searchsorted(flat - span, side="right")
-        hi = np.maximum(self._sorted.searchsorted(flat + span, side="left"), lo)
+        lo = self.points.searchsorted(flat - span, side="right")
+        hi = np.maximum(self.points.searchsorted(flat + span, side="left"), lo)
         return flat, lo, hi
 
     def _window_sums(self, x, lo, hi, terms, count: int) -> np.ndarray:
@@ -402,7 +405,7 @@ class _CutKernelMixture:
         sums = np.zeros((count, x.size))
         i = np.arange(first[-1] + counts[-1]) + (lo - first).repeat(counts)
         if i.size:
-            u = (x.repeat(counts) - self._sorted.take(i)) / self.bandwidth
+            u = (x.repeat(counts) - self.points.take(i)) / self.bandwidth
             some = counts > 0
             for row, vals in zip(sums, terms(u, i)):
                 row[some] = np.add.reduceat(vals, first[some])
@@ -412,7 +415,7 @@ class _CutKernelMixture:
         flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(u),), 1)
-        out = np.where(flat < 0.0, 0.0, (lo + inside) / self._sorted.size)
+        out = np.where(flat < 0.0, 0.0, (lo + inside) / self.points.size)
         return out.reshape(np.shape(x))
 
     def sf(self, x) -> np.ndarray:
@@ -421,7 +424,7 @@ class _CutKernelMixture:
         flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(-u),), 1)
-        n = self._sorted.size
+        n = self.points.size
         out = np.where(flat < 0.0, 1.0, (n - hi + inside) / n)
         return out.reshape(np.shape(x))
 
@@ -434,7 +437,7 @@ class _CutKernelMixture:
 
     def pe(self, x) -> np.ndarray:
         """Partial expectation: averages E[(x_i + hY); 0 < x_i + hY <= x]."""
-        pts, h = self._sorted, self.bandwidth
+        pts, h = self.points, self.bandwidth
         kernel_cdf = self.kernel.cdf
         pfm = self.kernel.partial_first_moment
         g_low, m_low, _, prefix = self._lower_ends
@@ -467,7 +470,7 @@ class _CutKernelMixture:
         cell = _CELL_POLYNOMIALS.get(self.kernel)
         if cell is None:
             return None
-        x, h = self._sorted, self.bandwidth
+        x, h = self.points, self.bandwidth
         plus, minus = x + h, x - h
         tau = np.unique(np.concatenate([[0.0], minus, plus]))
         tau = tau[tau >= 0.0]
@@ -500,7 +503,7 @@ class _CutKernelMixture:
         table = self._knot_table
         tau, saturated, level, coeffs = table
         h = self.bandwidth
-        y = self._sorted.size * np.asarray(p, dtype=float)
+        y = self.points.size * np.asarray(p, dtype=float)
         j = np.searchsorted(level, y, side="left") - 1
         cell = np.clip(j, 0, tau.size - 2)
         c0, c1, c2, c3 = coeffs[:, cell]
@@ -544,17 +547,15 @@ class _CutKernelMixture:
         if table is not None:
             return table[0]
         span = self._radius * self.bandwidth
-        pts = self._sorted
+        pts = self.points
         return np.unique([0.0, max(pts[0] - span, 0.0), pts[-1] + span])
 
     def support_hi(self, eps: float) -> float:
         r = self.kernel.tail_radius(eps)
-        return float(self._sorted[-1] + r * self.bandwidth)
+        return float(self.points[-1] + r * self.bandwidth)
 
     def rescaled(self, alpha: float) -> "_CutKernelMixture":
-        return _CutKernelMixture(
-            tuple(alpha * v for v in self.points), alpha * self.bandwidth, self.kernel
-        )
+        return _CutKernelMixture(alpha * self.points, alpha * self.bandwidth, self.kernel)
 
     def atoms(self):
         return None
@@ -578,7 +579,7 @@ def kde(s, kernel: KernelSpec | str = GAUSSIAN, h: float = 0.1) -> Distribution:
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("bandwidth must be positive and finite")
     xs = as_sample_set(s)
-    return Distribution(((1.0, _CutKernelMixture(xs.values, h, kernel)),))
+    return Distribution(((1.0, _CutKernelMixture(xs.array, h, kernel)),))
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +587,6 @@ def kde(s, kernel: KernelSpec | str = GAUSSIAN, h: float = 0.1) -> Distribution:
 # ---------------------------------------------------------------------------
 
 _SCHEMES = ("noise", "sampling", "quantile", "quantile_of_sample", "kde")
-
-
-def _count(name: str, v) -> int:
-    """v as an int >= 1; raises ValueError otherwise (`_whole`)."""
-    n = _whole(name, v)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {v!r}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -649,9 +642,7 @@ class ExperimentSpec:
         if second and len(getattr(self, "schedule_" + second)()) != len(self.schedule_sample_sizes()):
             raise ValueError(f"sample_sizes and {second} must pair up")
         _checked_thresholds(self.rel_tol, self.alpha_grid)
-        if _whole("seed", self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
 
     def source_distribution(self) -> Distribution:
         from .specs import parse_distribution

@@ -29,6 +29,7 @@ import numpy as np
 
 from .measures import (
     Distribution,
+    _count,
     quantile_table,
     require_member,
     scalar_or_array,
@@ -152,8 +153,7 @@ def lorenz_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> boo
     order. Probes join `grid` uniform cells of [0, 1] (grid >= 2) and both
     operands' probe ladders (`Distribution._probe_ladder`).
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    grid = _count("grid", grid, 2)
     ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), d1._probe_ladder, d2._probe_ladder]))
     l1 = lorenz(d1).eval(ps)
     l2 = lorenz(d2).eval(ps)
@@ -213,7 +213,7 @@ def reconstruct(ell, target_mean: float, grid=None) -> Distribution:
     snap = 1e-11 * np.maximum(target_mean, q[1:])
     starts = np.concatenate([[True], np.diff(q) > snap])
     q = q[starts][np.cumsum(starts) - 1]
-    return quantile_table(tuple(ps[:-1]), tuple(q), mode="step")
+    return quantile_table(ps[:-1], q, mode="step")
 
 
 def integral_lorenz(curve: LorenzCurve) -> float:

@@ -14,11 +14,12 @@ kernel's ndtr in the estimators module, come from scipy.special, which `sp`
 imports at its first use: atoms, slabs, exponentials, quantile tables and
 compact-kernel estimates never load it.
 
-A finite set of atoms is one component, `Atoms`: two float arrays of
-locations and masses in input order, which is what `discrete` builds, and
-`mixture` keeps it whole when it flattens. A distribution pools the atoms
-of all its atomic parts (atom blocks, single atoms, step quantile tables)
-into one sorted block with prefix sums of mass and of mass times location,
+A finite set of atoms is one component, `Atoms`: two read-only float
+arrays of locations and masses in input order. `discrete` builds one, `atom`
+one of a single row, and `mixture` keeps it whole when it flattens; quantile
+tables hold read-only float arrays too. A distribution pools the atoms of
+all its atomic parts (atom blocks, step quantile tables) into one sorted
+block with prefix sums of mass and of mass times location,
 and suffix sums of mass: the CDF, survival function, atom mass and partial
 expectation of that block cost one ``searchsorted`` per call, and only the
 remaining parts (densities, linear quantile tables, plug-in components such
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -66,7 +67,6 @@ __all__ = [
     "MeanDomainError",
     "ZeroMeanError",
     "InfiniteMeanError",
-    "Atom",
     "Atoms",
     "UniformDensity",
     "Exponential",
@@ -171,14 +171,6 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _check_location(loc) -> float:
-    """An atom location as a float; raises unless it is finite and >= 0."""
-    loc = _check_finite("atom location", loc)
-    if loc < 0:
-        raise ValueError(f"atom location must be >= 0, got {loc}")
-    return loc
-
-
 def _check_weights(w: np.ndarray) -> None:
     """Raises unless every weight is finite and > 0, naming the first that
     is not, and their running sum in order is 1 within `WEIGHT_TOL`."""
@@ -206,6 +198,14 @@ def _whole(name: str, v) -> int:
     if not isinstance(v, numbers.Real) or not float(v).is_integer():
         raise ValueError(f"{name} must be an integer, got {v!r}")
     return int(v)
+
+
+def _count(name: str, v, least: int = 1) -> int:
+    """v as an int >= least; raises ValueError otherwise (`_whole`)."""
+    n = _whole(name, v)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {v!r}")
+    return n
 
 
 def _nonnegative(name: str, x) -> np.ndarray:
@@ -339,51 +339,34 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Point mass at a nonnegative location."""
+@dataclass(frozen=True, eq=False)
+class _ArrayComponent:
+    """Base of the components that hold read-only float arrays (`Atoms`,
+    `QuantileTable`, the kernel estimate of the estimators module): equal
+    when every field is, arrays by value, and hashed with each array as the
+    tuple of its floats, so 0.0 == -0.0 holds as it does for floats."""
 
-    location: float
+    def _key(self) -> tuple:
+        return tuple(
+            tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "location", _check_location(self.location))
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
 
-    def mean(self) -> float:
-        return self.location
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        return (x >= self.location).astype(float)
-
-    def sf(self, x: np.ndarray) -> np.ndarray:
-        return (x < self.location).astype(float)
-
-    def mass_at(self, x: np.ndarray) -> np.ndarray:
-        return (x == self.location).astype(float)
-
-    def pe(self, x: np.ndarray) -> np.ndarray:
-        return self.location * (x >= self.location)
-
-    def quantile(self, p: np.ndarray) -> np.ndarray:
-        return np.full_like(p, self.location)
-
-    def x_breaks(self) -> tuple[float, ...]:
-        return (self.location,)
-
-    def support_hi(self, eps: float) -> float:
-        return self.location
-
-    def rescaled(self, alpha: float) -> "Atom":
-        return Atom(alpha * self.location)
-
-    def atoms(self) -> np.ndarray:
-        return np.array([[self.location, 1.0]])
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True, eq=False)
-class Atoms:
-    """Point masses at nonnegative locations, as two float arrays in input
-    order; locations may repeat. The masses are finite, > 0 and sum to 1
-    (`WEIGHT_TOL`). Equal when both arrays are."""
+class Atoms(_ArrayComponent):
+    """Point masses at nonnegative locations, as two read-only float arrays
+    in input order; locations may repeat. The masses are finite, > 0 and sum
+    to 1 (`WEIGHT_TOL`). A point mass is the block of one row (`atom`).
+    Equal when both arrays are."""
 
     locations: np.ndarray
     masses: np.ndarray
@@ -395,19 +378,13 @@ class Atoms:
         if x.size != m.size:
             raise ValueError("values and weights must have equal length")
         bad = ~(np.isfinite(x) & (x >= 0.0))
-        if bad.any():  # raises, naming the first bad location
-            _check_location(x[bad.argmax()])
+        if bad.any():  # names the first bad location
+            loc = float(x[bad.argmax()])
+            need = "be >= 0" if math.isfinite(loc) else "be finite"
+            raise ValueError(f"atom location must {need}, got {loc}")
         _check_weights(m)
         object.__setattr__(self, "locations", x)
         object.__setattr__(self, "masses", m)
-
-    def __eq__(self, other):
-        if not isinstance(other, Atoms):
-            return NotImplemented
-        return np.array_equal(self.locations, other.locations) and np.array_equal(self.masses, other.masses)
-
-    def __hash__(self):
-        return hash((tuple(self.locations.tolist()), tuple(self.masses.tolist())))
 
     def mean(self) -> float:
         # the running sum in input order, as `Distribution.mean` sums parts
@@ -434,8 +411,8 @@ class Atoms:
         cum = np.cumsum(self.masses[order])
         return self.locations[order][np.minimum(np.searchsorted(cum, p, side="left"), cum.size - 1)]
 
-    def x_breaks(self) -> tuple[float, ...]:
-        return tuple(np.unique(self.locations))
+    def x_breaks(self) -> np.ndarray:
+        return np.unique(self.locations)
 
     def support_hi(self, eps: float) -> float:
         return float(self.locations.max())
@@ -445,6 +422,11 @@ class Atoms:
 
     def atoms(self) -> np.ndarray:
         return np.column_stack([self.locations, self.masses])
+
+
+#: `bench/tracing.py` patches ``Atom.{cdf,pe,quantile,mass_at}`` by this name;
+#: the alias goes when the tracer reads its counts from a ledger (ROADMAP 4d)
+Atom = Atoms
 
 
 @dataclass(frozen=True)
@@ -653,8 +635,8 @@ class Lognormal:
         return None
 
 
-@dataclass(frozen=True)
-class QuantileTable:
+@dataclass(frozen=True, eq=False)
+class QuantileTable(_ArrayComponent):
     """Quantile function given on a probability grid.
 
     Parameters
@@ -671,56 +653,51 @@ class QuantileTable:
         slabs between consecutive distinct values and is the natural carrier
         for reconstructed Lorenz derivatives; past the last grid point it
         stays constant, an atom at the last value.
+
+    `grid` and `values` are kept as read-only float arrays; two tables are
+    equal when both arrays and the mode are.
     """
 
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
+    grid: np.ndarray
+    values: np.ndarray
     mode: str = "step"
 
     def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        values = tuple(float(v) for v in self.values)
-        if len(grid) != len(values) or not grid:
+        g, v = _float_vector(self.grid), _float_vector(self.values)
+        if g.size != v.size or not g.size:
             raise ValueError("grid and values must be equal-length and nonempty")
-        if grid[0] != 0.0:
+        if g[0] != 0.0:
             raise ValueError("quantile grid must start at 0")
-        g = np.asarray(grid)
-        v = np.asarray(values)
         if not np.all(np.isfinite(g)) or not np.all(np.isfinite(v)):
             raise ValueError("quantile table entries must be finite")
-        if np.any(np.diff(g) <= 0) or grid[-1] >= 1.0:
+        if np.any(np.diff(g) <= 0) or g[-1] >= 1.0:
             raise ValueError("quantile grid must be strictly increasing within [0, 1)")
         if np.any(v < 0) or np.any(np.diff(v) < 0):
             raise ValueError("quantile values must be nonnegative and nondecreasing")
         if self.mode not in ("step", "linear"):
             raise ValueError(f"unknown quantile table mode {self.mode!r}")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "values", v)
 
     @cached_property
     def _pieces(self):
-        """Decompose into (slab_lo, slab_hi, slab_w) and (atom_loc, atom_w)."""
-        g = np.asarray(self.grid)
-        v = np.asarray(self.values)
+        """Decompose into (slab_lo, slab_hi, slab_w) and (atom_loc, atom_w).
+
+        A linear table's cell i is a slab where the values rise across it
+        and an atom at values[i] where they stay flat; the atoms list the
+        one at the last value first, then the flat cells in grid order."""
+        g, v = self.grid, self.values
         w = np.append(np.diff(g), 1.0 - g[-1])
         if self.mode == "step":
             return (np.empty(0), np.empty(0), np.empty(0), v, w)
-        slab_lo, slab_hi, slab_w = [], [], []
-        atom_loc, atom_w = [v[-1]], [1.0 - g[-1]]
-        for i in range(len(g) - 1):
-            if v[i + 1] > v[i]:
-                slab_lo.append(v[i])
-                slab_hi.append(v[i + 1])
-                slab_w.append(w[i])
-            else:
-                atom_loc.append(v[i])
-                atom_w.append(w[i])
+        rise = np.diff(v) > 0
+        flat = ~rise
         return (
-            np.asarray(slab_lo),
-            np.asarray(slab_hi),
-            np.asarray(slab_w),
-            np.asarray(atom_loc),
-            np.asarray(atom_w),
+            v[:-1][rise],
+            v[1:][rise],
+            w[:-1][rise],
+            np.concatenate([v[-1:], v[:-1][flat]]),
+            np.concatenate([w[-1:], w[:-1][flat]]),
         )
 
     def mean(self) -> float:
@@ -761,27 +738,24 @@ class QuantileTable:
         return out
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.grid)
-        v = np.asarray(self.values)
         if self.mode == "linear":
-            return np.interp(p, g, v)
-        idx = np.maximum(np.searchsorted(g, p, side="left") - 1, 0)
-        return v[idx]
+            return np.interp(p, self.grid, self.values)
+        idx = np.maximum(np.searchsorted(self.grid, p, side="left") - 1, 0)
+        return self.values[idx]
 
-    def x_breaks(self) -> tuple[float, ...]:
-        return tuple(np.unique(np.asarray(self.values)))
+    def x_breaks(self) -> np.ndarray:
+        return np.unique(self.values)
 
     def support_hi(self, eps: float) -> float:
-        return self.values[-1]
+        return float(self.values[-1])
 
     def rescaled(self, alpha: float) -> "QuantileTable":
-        return QuantileTable(self.grid, tuple(alpha * v for v in self.values), self.mode)
+        return QuantileTable(self.grid, alpha * self.values, self.mode)
 
     def atoms(self):
         if self.mode != "step":
             return None
-        g = np.asarray(self.grid)
-        return np.column_stack([self.values, np.append(np.diff(g), 1.0 - g[-1])])
+        return np.column_stack(self._pieces[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +773,9 @@ class Distribution:
     participates, which is how the KDE estimator plugs in its cut kernel
     mixture without this module knowing about it. ``atoms()`` returns the
     component's point masses as an (n, 2) float array of (location, mass)
-    rows, or None when it has a non-atomic part.
+    rows, or None when it has a non-atomic part. A point mass, a finite set
+    of atoms and a step quantile table list theirs; there is one atom
+    component, `Atoms`, and `atom(x)` is its block of one row.
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
     read the parts whose ``atoms()`` lists them from one pooled block
@@ -1303,8 +1279,7 @@ class Distribution:
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         """Inverse-transform sample: Q applied to n uniform draws from `seed`."""
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
+        n = _count("sample size", n)
         rng = np.random.default_rng(seed)
         return self.sample_rng(rng, n)
 
@@ -1318,7 +1293,8 @@ class Distribution:
 
 
 def atom(location: float) -> Distribution:
-    return Distribution(((1.0, Atom(location)),))
+    """The point mass at `location`: a law of one one-row `Atoms` block."""
+    return Distribution(((1.0, Atoms((location,), (1.0,))),))
 
 
 def uniform(a: float, b: float) -> Distribution:
@@ -1352,7 +1328,7 @@ def discrete(values, weights=None) -> Distribution:
 
 
 def quantile_table(grid, values, mode: str = "step") -> Distribution:
-    return Distribution(((1.0, QuantileTable(tuple(grid), tuple(values), mode)),))
+    return Distribution(((1.0, QuantileTable(grid, values, mode)),))
 
 
 def mixture(parts) -> Distribution:
@@ -1394,8 +1370,7 @@ def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     heavy-tailed laws whose mass sits far below the uniform grid's first
     step.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    grid = _count("grid", grid, 2)
     ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder, TAIL_LEVELS]))
     ps = ps[ps < 1.0]
     q1, q2 = d1._quantile_arr(ps), d2._quantile_arr(ps)

@@ -401,6 +401,29 @@ def test_gaussian_kde_w1_rescaling_identity(n, h, c):
         assert abs(value - (c - 1.0) * m1) <= 1e-7 * (m1 + m2)
 
 
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kde_is_equal_by_value_for_any_input_order_and_container(kernel):
+    # The estimate held its points as a float tuple in input order, so a
+    # permuted sample gave an unequal estimate of the same law.
+    xs = _uniform_sample(50)
+    perm = np.random.default_rng(4).permutation(xs)
+    laws = [kde(f(v), kernel, 0.03) for v in (xs, perm) for f in (list, tuple, np.array)]
+    for d in laws:
+        points = d.parts[0][1].points
+        assert not points.flags.writeable and np.all(np.diff(points) >= 0.0)
+        assert d == laws[0] and hash(d) == hash(laws[0])
+    assert kde(xs, kernel, 0.04) != laws[0] and kde(2.0 * xs, kernel, 0.03) != laws[0]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("c", [1e-6, 0.3, 7.0])
+def test_kde_rescaled_is_the_kde_of_the_rescaled_sample(kernel, c):
+    xs = _uniform_sample(40)
+    d = kde(xs, kernel, 0.03).rescaled(c)
+    assert d == kde(c * xs, kernel, c * 0.03)
+    assert hash(d) == hash(kde(c * xs, kernel, c * 0.03))
+
+
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
 def test_compact_kde_at_n_2000_routes_agree(kernel, deadline):
     d = kde(_uniform_sample(2000), kernel, 0.02)

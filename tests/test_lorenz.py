@@ -17,6 +17,7 @@ from lorenzkit import (
     atom,
     discrete,
     exponential,
+    fsd_dominates,
     midpoint_atom_mixture,
     integral_lorenz,
     kde,
@@ -199,6 +200,16 @@ def test_domination_rejects_grid_below_2():
     for grid in (0, 1):
         with pytest.raises(ValueError, match="grid must be >= 2"):
             lorenz_dominates(d, d, grid=grid)
+
+
+@pytest.mark.parametrize("check", [lorenz_dominates, fsd_dominates])
+def test_domination_grid_must_be_a_whole_number(check):
+    # grid=2.5, and grid=256.0 too, failed inside numpy's linspace.
+    d1, d2 = uniform(1.0, 2.0), discrete([0.5, 1.0, 1.5])
+    for a, b in ((d1, d2), (d2, d1)):
+        assert check(a, b, grid=256.0) is check(a, b, grid=256)
+    with pytest.raises(ValueError, match="^grid must be an integer, got 2.5$"):
+        check(d1, d2, grid=2.5)
 
 
 def test_domination_is_scale_blind():

@@ -4,7 +4,6 @@ Parametric cdf values are cross-checked against scipy.stats, which shares
 no code with the closed forms inside the package.
 """
 
-import itertools
 import math
 import re
 import warnings
@@ -27,11 +26,11 @@ from lorenzkit import (
 from lorenzkit.estimators import kde, quantile_approx
 from lorenzkit.measures import (
     TAIL_LEVELS,
-    Atom,
     Atoms,
     Distribution,
     InfiniteMeanError,
     MeanDomainError,
+    QuantileTable,
     ZeroMeanError,
     atom,
     discrete,
@@ -44,6 +43,7 @@ from lorenzkit.measures import (
     require_member,
     uniform,
 )
+import lorenzkit
 from lorenzkit import measures
 from lorenzkit.quadrature import _XGK
 from lorenzkit.wasserstein import _q_within
@@ -105,16 +105,28 @@ def test_discrete_input_errors_name_the_first_offending_value(values, weights, m
         discrete(values, weights)
 
 
-def test_discrete_law_is_one_block_and_builds_no_atom(monkeypatch):
-    # Each value was its own Atom part.
-    def refuse(self):
-        raise AssertionError("an Atom was constructed")
-
-    monkeypatch.setattr(Atom, "__post_init__", refuse)
+def test_discrete_law_is_one_block_and_builds_no_atom():
+    # Each value was its own single-atom part.
     xs = np.random.default_rng(2).lognormal(0.0, 1.0, size=500)
     d = discrete(xs)
     assert len(d.parts) == 1 and isinstance(d.parts[0][1], Atoms)
     assert d.is_finite_discrete and index_report(d).max_cross_route_residual <= 1e-9
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 2.5, 1e12])
+def test_atom_is_the_one_row_block_of_discrete(x):
+    # atom(x) had a component type of its own beside the atom block.
+    d = atom(x)
+    assert isinstance(d.parts[0][1], Atoms)
+    assert d == discrete([x]) and hash(d) == hash(discrete([x]))
+    assert d == atom(abs(x)) and hash(d) == hash(atom(abs(x)))
+
+
+def test_atom_name_is_only_an_alias_of_the_block():
+    # The bench tracer still patches measures.Atom by name.
+    assert measures.Atom is Atoms
+    assert "Atom" not in measures.__all__ and "Atom" not in lorenzkit.__all__
+    assert not hasattr(lorenzkit, "Atom")
 
 
 def test_discrete_pooling_and_mean_match_the_sequential_reference():
@@ -288,7 +300,7 @@ def test_tail_methods_reject_x_in_their_own_name(name, x):
 
 
 def test_support_hi_reads_the_largest_atom_from_the_pooled_block(monkeypatch):
-    # Every Atom part was asked for its support_hi, one at a time.
+    # Every single-atom part was asked for its support_hi, one at a time.
     rng = np.random.default_rng(5)
     parts = [(0.5, lognormal(0.0, 0.5)), (0.2, uniform(0.0, 3.0))]
     parts += [(0.3 / 200, atom(x)) for x in rng.uniform(0.0, 9.0, size=200)]
@@ -296,9 +308,9 @@ def test_support_hi_reads_the_largest_atom_from_the_pooled_block(monkeypatch):
     expected = [max(c.support_hi(eps) for _, c in d.parts) for eps in (0.0, 1e-16, 1e-3)]
 
     def refuse(self, eps):
-        raise AssertionError("an Atom part was walked")
+        raise AssertionError("an atom part was walked")
 
-    monkeypatch.setattr(Atom, "support_hi", refuse)
+    monkeypatch.setattr(Atoms, "support_hi", refuse)
     got = [d.support_hi(eps) for eps in (0.0, 1e-16, 1e-3)]
     assert got == expected and all(type(v) is float for v in got)
 
@@ -398,22 +410,80 @@ def test_pooled_atoms_match_per_part_sums(name):
 
 
 def test_atom_rich_mixture_never_evaluates_atom_parts(monkeypatch):
-    # Evaluations take the pooled block; a loop over 200 Atom parts, or
-    # over the block's own methods, would evaluate the atoms thousands of
+    # Evaluations take the pooled block; a loop over 200 single-atom parts,
+    # or over the block's own methods, would evaluate the atoms thousands of
     # times per index report.
     calls = []
-    for cls, meth in itertools.product((Atom, Atoms), ("cdf", "sf", "pe", "mass_at")):
+    for meth in ("cdf", "sf", "pe", "mass_at"):
 
-        def counted(self, x, original=getattr(cls, meth)):
+        def counted(self, x, original=getattr(Atoms, meth)):
             calls.append(self)
             return original(self, x)
 
-        monkeypatch.setattr(cls, meth, counted)
+        monkeypatch.setattr(Atoms, meth, counted)
     rng = np.random.default_rng(3)
     d = mixture([(0.5, exponential(1.0)), (0.5, discrete(rng.lognormal(0.0, 0.8, size=200)))])
     index_report(d)
     w1_routes(d, uniform(0.0, 2.0))
     assert not calls
+
+
+@pytest.mark.parametrize("mode", ["step", "linear"])
+def test_quantile_table_holds_read_only_arrays_equal_by_value(mode):
+    # The table held float tuples; it now holds arrays whatever came in.
+    grid, values = [0.0, 0.25, 0.5], [0.5, 1.0, 2.0]
+    tables = [QuantileTable(f(grid), f(values), mode) for f in (list, tuple, np.array)]
+    tables.append(QuantileTable(np.array([0, 0.25, 0.5]), np.array([0.5, 1, 2]), mode))
+    for t in tables:
+        for arr in (t.grid, t.values):
+            assert isinstance(arr, np.ndarray) and arr.dtype == float
+            assert not arr.flags.writeable
+        assert t == tables[0] and hash(t) == hash(tables[0])
+    assert QuantileTable(grid, [0.0, 1.0, 2.0], mode) == QuantileTable(grid, [-0.0, 1.0, 2.0], mode)
+    assert tables[0] != QuantileTable(grid, [0.5, 1.0, 2.5], mode)
+    assert tables[0] != QuantileTable(grid, values, "linear" if mode == "step" else "step")
+    assert quantile_table(grid, values, mode) == Distribution(((1.0, tables[0]),))
+    assert tables[0].rescaled(2.0) == QuantileTable(grid, [1.0, 2.0, 4.0], mode)
+
+
+def _pieces_loop(table):
+    """The loop `QuantileTable._pieces` replaced, kept as the reference for
+    a linear table: one cell at a time, a slab where the values rise and
+    an atom where they stay flat, after the atom at the last value."""
+    g, v = np.asarray(table.grid), np.asarray(table.values)
+    w = np.append(np.diff(g), 1.0 - g[-1])
+    slab_lo, slab_hi, slab_w = [], [], []
+    atom_loc, atom_w = [v[-1]], [1.0 - g[-1]]
+    for i in range(len(g) - 1):
+        if v[i + 1] > v[i]:
+            slab_lo.append(v[i])
+            slab_hi.append(v[i + 1])
+            slab_w.append(w[i])
+        else:
+            atom_loc.append(v[i])
+            atom_w.append(w[i])
+    return tuple(np.asarray(a) for a in (slab_lo, slab_hi, slab_w, atom_loc, atom_w))
+
+
+def _flat_run_tables():
+    yield [0.0, 0.3, 0.6, 0.9], [0.0, 1.0, 1.0, 3.0]
+    yield [0.0], [2.0]
+    yield [0.0, 0.5], [1.0, 1.0]
+    yield [0.0, 0.1, 0.2, 0.7], [0.0, 0.0, 0.0, 4.0]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        steps = rng.uniform(0.1, 1.0, size=n)
+        grid = np.concatenate([[0.0], np.cumsum(steps)[:-1]]) / steps.sum()
+        rises = rng.exponential(size=n) * (rng.uniform(size=n) < 0.5)
+        yield grid, np.cumsum(rises) * 10.0 ** rng.uniform(-6.0, 6.0)
+
+
+@pytest.mark.parametrize("grid, values", list(_flat_run_tables()))
+def test_linear_table_pieces_match_the_loop_bit_for_bit(grid, values):
+    table = QuantileTable(grid, values, "linear")
+    for got, ref in zip(table._pieces, _pieces_loop(table), strict=True):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +846,16 @@ def test_fsd_reflexive():
 
 def test_sample_of_atom_is_constant():
     assert list(atom(3.0).sample(12345, 5)) == [3.0] * 5
+
+
+def test_sample_size_must_be_a_whole_number():
+    # sample(1, 2.0) and sample(1, 2.5) failed inside numpy with TypeErrors.
+    d = mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))])
+    np.testing.assert_array_equal(d.sample(1, 2.0), d.sample(1, 2))
+    assert d.sample(1, 2.0).shape == (2,)
+    for n in (2.5, math.nan, "2", 0, -3):
+        with pytest.raises(ValueError, match="^sample size must be "):
+            d.sample(1, n)
 
 
 def test_sample_determinism():
