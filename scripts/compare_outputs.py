@@ -20,7 +20,12 @@ knot of its table where F >= 1/2 and top the last, and F(prev(Q)) < p <= F(Q)
 elsewhere; a tree without `Distribution._sf_arr` is held to the cdf form
 alone. A tree whose Gaussian kernel estimates invert their cdf at every p
 (before they took the knot table) is dumped with its own copy of this
-script, which holds them to the cdf form. The battery is
+script, which holds them to the cdf form. For each single-part kernel
+estimate with the uniform or Epanechnikov kernel, whose quantile is a root
+of the cdf's polynomial on one knot cell, it counts the probabilities of the
+same ladder, and of 1 - 2^-k for k = 41..53 up to nextafter(1, 0), that
+break F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps or the order of Q (key
+``sandwich``; the contract is 0). The battery is
 `standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
 density plus tens to hundreds of atoms), mixtures with quantile-table and
 kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
@@ -50,10 +55,10 @@ field and per kind (``discrete`` when every law involved is
 finite-discrete, else ``general``), how many values are bit-identical and
 the largest relative difference (for ``index.max_cross_route_residual``,
 each dump's largest residual instead, so a rise shows), and each dump's
-totals of Galois and batch failures, so a quantile that moved can be seen
-to meet the contract still. It lists as changed outcomes the dominance
-answers, text fields and raising calls that differ, then the keys found in
-one dump only.
+totals of Galois, batch and sandwich failures, so a quantile that moved
+can be seen to meet the contract still. It lists as changed outcomes the
+dominance answers, text fields and raising calls that differ, then the
+keys found in one dump only.
 
 Run each side against its own source tree, for example
 
@@ -129,6 +134,10 @@ LORENZ_PS = np.linspace(0.0, 1.0, 33)
 GALOIS_PS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS, PS]))
 #: chunks the shuffled Galois ladder is split into for the batch check
 BATCH_CHUNKS = 17
+#: probabilities of the sandwich check: the Galois ladder and 1 - 2^-k up to nextafter(1, 0)
+SANDWICH_PS = np.unique(np.concatenate([GALOIS_PS, 1.0 - 2.0 ** -np.arange(41.0, 54.0)]))
+#: single-part kernel estimates whose quantile solves the cdf's polynomial (the sandwich check)
+COMPACT_KDE = ("kde-uniform", "kde-epanechnikov")
 #: battery laws every extra law is paired with for W1
 W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
                "mix(0.3*atom(0),0.7*exp(1))")
@@ -340,6 +349,16 @@ def batch_failures(d, ps=GALOIS_PS):
     return int(np.sum(chunked.view(np.uint64) != whole.view(np.uint64)))
 
 
+def sandwich_failures(d, ps=SANDWICH_PS):
+    """How many p in the sorted `ps` break F(Q(p)-) - 4 eps <= p <=
+    F(Q(p)) + 4 eps, or see Q fall below the previous quantile."""
+    q = np.asarray(d.quantile(ps))
+    eps = np.finfo(float).eps
+    ok = (np.asarray(d.cdf_left(q)) - 4.0 * eps <= ps) & (ps <= np.asarray(d.cdf(q)) + 4.0 * eps)
+    ok[1:] &= q[1:] >= q[:-1]
+    return int(np.sum(~ok))
+
+
 def _index_fields(d):
     report = index_report(d)
     return [getattr(report, f) for f in INDEX_FIELDS]
@@ -359,6 +378,8 @@ def dump(path):
         if d.is_finite_discrete or len(d.parts) > 1 or name.startswith("kde-gaussian"):
             _attempt(values, f"{kind}|galois|{name}", lambda: galois_failures(d))
             _attempt(values, f"{kind}|batch|{name}", lambda: batch_failures(d))
+        if name.startswith(COMPACT_KDE):
+            _attempt(values, f"{kind}|sandwich|{name}", lambda: sandwich_failures(d))
         xs = np.unique(np.concatenate([[0.0], d.quantile(PS)]))
         _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
         _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))
@@ -438,7 +459,7 @@ def diff(path_a, path_b):
             print(f"{kind:9} {field:34} {n:7d} {same:9d}  largest {worst[kind][0]:.3g} -> {worst[kind][1]:.3g}")
         else:
             print(f"{kind:9} {field:34} {n:7d} {same:9d} {rel:12.3g}")
-    for check in ("galois", "batch"):
+    for check in ("galois", "batch", "sandwich"):
         for path, dumped in ((path_a, a), (path_b, b)):
             tag = f"|{check}|"
             fails = sum(float.fromhex(v) for k, v in dumped.items() if tag in k and not v.startswith("raise"))

@@ -19,12 +19,16 @@ turning data or a distribution into a tractable approximating law:
   inverts its cdf in closed form from a table of per-knot coefficients (cf.
   Fan & Marron, JCGS 1994). With the Gaussian kernel the cdf is smooth
   and has no closed-form inverse: the law inverts as a mixture does, from
-  the knot table of `Distribution` (`_knot_values`, a ladder of eight
-  knots per octave, so its size does not grow with n), by Illinois steps
-  on the cdf against p up to F(x_h), the first knot with F >= 1/2, and on
-  minus the survival function against p - 1 above it, where 1 - F has no
-  digits left but sf keeps them. No quantile, of a kernel estimate or a
-  mixture, is found by bisection from [0, hi].
+  the knot table of `Distribution` (`_knot_values`: a ladder of eight
+  knots per octave, knots at the ends of the sample's clusters where a gap
+  between points is wider than 4h, and a ladder of half-bandwidth steps
+  past the last point; the table grows with the number of such gaps, never
+  with n alone, and a sample whose spacing stays below 4h adds only the
+  18 tail knots), by Illinois steps on the cdf against p up to F(x_h), the
+  first knot with F >= 1/2, and on minus the survival function against
+  p - 1 above it, where 1 - F has no digits left but sf keeps them. No
+  quantile, of a kernel estimate or a mixture, is found by bisection from
+  [0, hi].
 
 ``run_experiment`` drives the convergence diagnostics over five sequence
 schemes (noise, sampling, quantile, quantile_of_sample, kde) from a
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -85,23 +89,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Nonnegative observations plus a note on where they came from."""
+    """Nonnegative observations plus a note on where they came from.
+
+    `values` is kept as a tuple of floats and `array` as a read-only float
+    array of the same values, both built and checked in one numpy pass;
+    a bad value raises, named by the first one in input order.
+    """
 
     values: tuple[float, ...]
     provenance: str = "unspecified"
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
+        arr = _float_vector(self.values)
+        if not arr.size:
             raise ValueError("a sample needs at least one value")
-        for v in vals:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"sample values must be finite and >= 0, got {v!r}")
-        object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        bad = ~(np.isfinite(arr) & (arr >= 0.0))
+        if bad.any():
+            raise ValueError(f"sample values must be finite and >= 0, got {float(arr[bad.argmax()])!r}")
+        object.__setattr__(self, "values", tuple(arr.tolist()))
+        object.__setattr__(self, "array", arr)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -110,7 +117,7 @@ class SampleSet:
 def as_sample_set(s, provenance: str = "unspecified") -> SampleSet:
     if isinstance(s, SampleSet):
         return s
-    return SampleSet(tuple(np.asarray(s, dtype=float).ravel()), provenance)
+    return SampleSet(np.asarray(s, dtype=float).ravel(), provenance)
 
 
 def read_sample_csv(path: str) -> SampleSet:
@@ -301,6 +308,16 @@ KERNELS = {k.name: k for k in (GAUSSIAN, EPANECHNIKOV, UNIFORM)}
 
 #: kernel terms evaluated per chunk of a windowed sum
 _PAIR_CHUNK = 1 << 16
+#: a Gaussian estimate's inversion table gets knots at the ends of every
+#: gap between sample points wider than this many bandwidths
+#: (`_CutKernelMixture.knot_candidates`)
+_GAP_WIDTH = 4.0
+#: bandwidths from a gap's ends to its knots, inward on both sides
+_GAP_OFFSETS = np.array([0.0, 1.0, 2.0, 4.0, 6.0, 8.0])
+#: bandwidths past the last sample point to the knots of the tail ladder
+_TAIL_OFFSETS = np.arange(1.0, 19.0) / 2.0
+_GAP_OFFSETS.flags.writeable = False
+_TAIL_OFFSETS.flags.writeable = False
 
 
 def _unif_cell(a, d1, d2, d3):
@@ -330,11 +347,15 @@ class _CutKernelMixture(_ArrayComponent):
     cdf, so the law's cdf is a polynomial between the knots 0 and x_i +- h.
     For them `_knot_table` holds every knot with its polynomial,
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
-    form. The Gaussian kernel has no polynomial knots and no `quantile` of
-    its own: `iterative_quantile` sends its law to the knot table and
-    Illinois inversion of `Distribution`, which reads F up to F(x_h) and
-    `sf` above. `sf` sums G(-u) over the same windows plus the points
-    right of them, never 1 - cdf, so it keeps its digits in the tail.
+    form, by Newton steps that stop at the cubic's rounding floor. The
+    Gaussian kernel has no polynomial knots and no `quantile` of its own:
+    `iterative_quantile` sends its law to the knot table and Illinois
+    inversion of `Distribution`, which reads F up to F(x_h) and `sf`
+    above. `knot_candidates` adds to that table the ends of the sample's
+    clusters and a ladder past its last point, where F bends on the scale
+    of h between knots of the table's own ladder. `sf` sums G(-u) over the
+    same windows plus the points right of them, never 1 - cdf, so it keeps
+    its digits in the tail.
 
     `points` is kept as a sorted read-only float array, so the estimates of
     a sample and of any permutation of it are equal.
@@ -493,8 +514,15 @@ class _CutKernelMixture(_ArrayComponent):
         with n F(tau_j) < n p, and its polynomial is solved for s: s is the
         cell's width when the polynomial stays below n p there, else
         safeguarded Newton runs from s = (n p - n F(tau_j)) / c1, which
-        already is the root for the uniform kernel, until a step moves Q by
-        at most an ulp. Then Q = tau_j + h s.
+        already is the root for the uniform kernel. Then Q = tau_j + h s.
+
+        Each round steps only the rows still open. A row stops once its
+        step moves Q by at most an ulp, or once its step stops shrinking
+        while its residual f is at the cubic's rounding floor, |f| <=
+        4 eps (|target| + |c1 s| + |c2 s^2| + |c3 s^3|). Near the top of a
+        cluster's support the cubic has a double root: Newton only halves
+        the error there and then bounces by an ulp of the target with steps
+        several ulps of Q wide, which the first test alone never stops.
 
         The Gaussian kernel has no table and no closed-form quantile: its
         law inverts from the knot table of `Distribution`, as a mixture
@@ -510,29 +538,58 @@ class _CutKernelMixture(_ArrayComponent):
         target = y - saturated[cell] - c0
         width = (tau[cell + 1] - tau[cell]) / h
         resolution = np.finfo(float).eps * (tau[cell] / h + width)
-
-        def excess(s):
-            return ((c3 * s + c2) * s + c1) * s - target
-
-        short = excess(width) <= 0.0
-        lo, hi = np.zeros_like(width), width
+        short = ((c3 * width + c2) * width + c1) * width - target <= 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(short, width, np.clip(np.nan_to_num(target / c1), 0.0, width))
-            live = (j >= 0) & ~short
+            (idx,) = np.nonzero((j >= 0) & ~short)
+            # one row per quantity, one column per open row: the iterate, its
+            # bracket, the cubic, the step resolution and the last step
+            state = np.stack(
+                [s[idx], np.zeros(idx.size), width[idx], c1[idx], c2[idx], c3[idx],
+                 target[idx], resolution[idx], np.full(idx.size, np.inf)]
+            )
             for _ in range(_MAX_ROUNDS):
-                if not live.any():
+                if not idx.size:
                     break
-                f = excess(s)
+                x, lo, hi, b1, b2, b3, t, res, last = state
+                f = ((b3 * x + b2) * x + b1) * x - t
+                floor = 4.0 * np.finfo(float).eps * (
+                    np.abs(t) + np.abs(b1 * x) + np.abs(b2 * x * x) + np.abs(b3 * x * x * x)
+                )
                 below = f < 0.0
-                lo = np.where(below, s, lo)
-                hi = np.where(below, hi, s)
-                nxt = s - f / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
+                np.copyto(lo, x, where=below)
+                np.copyto(hi, x, where=~below)
+                nxt = x - f / ((3.0 * b3 * x + 2.0 * b2) * x + b1)
                 nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-                step = np.abs(nxt - s)
-                s = np.where(live, nxt, s)
-                live &= step > resolution
+                step = np.abs(nxt - x)
+                open_ = (step > res) & ((step < last) | (np.abs(f) > floor))
+                np.copyto(x, nxt)
+                np.copyto(last, step)
+                if not open_.all():
+                    s[idx[~open_]] = x[~open_]
+                    idx, state = idx[open_], state[:, open_]
+            s[idx] = state[0]
         q = np.minimum(tau[cell] + h * s, tau[cell + 1])
         return np.where(j >= 0, q, 0.0)
+
+    def knot_candidates(self) -> np.ndarray:
+        """Abscissae the inversion table of a Gaussian estimate adds to its
+        own (`Distribution._knot_values`), where F bends on the scale of h.
+        Across a gap between sample points x_i < x_{i+1} wider than
+        `_GAP_WIDTH` bandwidths F is flat but for the kernel tails, so
+        x_i + k h and x_{i+1} - k h for k in `_GAP_OFFSETS`, cut to the gap,
+        are knots; past the last point x_n + k h for k in `_TAIL_OFFSETS`
+        are. That is at most 12 knots per gap and 18 more, so a sample whose
+        spacing stays within 4h adds only the tail ladder. A polynomial
+        kernel's table already holds every knot x_i +- h, and it adds none.
+        """
+        if self._knot_table is not None:
+            return np.empty(0)
+        x, h = self.points, self.bandwidth
+        (gap,) = np.nonzero(np.diff(x) > _GAP_WIDTH * h)
+        left, right, k = x[gap], x[gap + 1], h * _GAP_OFFSETS[:, None]
+        inside = [np.minimum(left + k, right).ravel(), np.maximum(right - k, left).ravel()]
+        return np.concatenate([*inside, x[-1] + h * _TAIL_OFFSETS])
 
     @property
     def iterative_quantile(self) -> bool:

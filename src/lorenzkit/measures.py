@@ -775,7 +775,12 @@ class Distribution:
     component's point masses as an (n, 2) float array of (location, mass)
     rows, or None when it has a non-atomic part. A point mass, a finite set
     of atoms and a step quantile table list theirs; there is one atom
-    component, `Atoms`, and `atom(x)` is its block of one row.
+    component, `Atoms`, and `atom(x)` is its block of one row. Two members
+    are optional and read with ``getattr``/``hasattr``: ``iterative_quantile``
+    (below), and ``knot_candidates()``, an array of abscissae the part adds
+    to the inversion table of a law that inverts from one (`_knot_values`),
+    where its cdf bends more sharply than the table's ladder resolves (the
+    Gaussian kernel estimate's sample gaps and tail).
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
     read the parts whose ``atoms()`` lists them from one pooled block
@@ -1130,8 +1135,9 @@ class Distribution:
 
         The candidates are 0, every breakpoint and the float below it, a
         ladder of eight knots per octave, top 2^(-k/8) for k = 0..480
-        (`_KNOT_LADDER`) with top = support_hi(1e-16), and a far knot
-        (`_upper_end`); one cdf and one sf call evaluate them. Only knots
+        (`_KNOT_LADDER`) with top = support_hi(1e-16), a far knot
+        (`_upper_end`), and the ``knot_candidates()`` of every part that has
+        them; one cdf and one sf call evaluate them. Only knots
         where both columns equal their running maximum are kept
         (`_monotone_knots`), so a bracket between adjacent kept knots
         depends on its p alone. x_h = x[h] is the first kept knot where
@@ -1141,8 +1147,9 @@ class Distribution:
         xb = self.x_breakpoints()
         top = self.support_hi(1e-16)
         far = _upper_end(self._cdf_arr, self.support_hi)
+        own = [c.knot_candidates() for _, c in self.parts if hasattr(c, "knot_candidates")]
         x = np.unique(
-            np.concatenate([[0.0, top, far], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER])
+            np.concatenate([[0.0, top, far], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER, *own])
         )
         x = x[np.isfinite(x)]
         f, g = self._cdf_arr(x), -self._sf_arr(x)

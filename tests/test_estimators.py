@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +23,8 @@ from lorenzkit import (
     w1,
     w1_routes,
 )
-from lorenzkit.measures import TAIL_LEVELS, Distribution
+from lorenzkit import estimators, measures
+from lorenzkit.measures import P_TAIL, TAIL_LEVELS, Distribution
 from lorenzkit.estimators import (
     EPANECHNIKOV,
     GAUSSIAN,
@@ -270,6 +272,48 @@ def test_compact_kde_quantile_sandwich(kernel, source, n, h):
     assert np.all(ps <= d.cdf(q) + 4.0 * eps)
 
 
+def _newton_rounds(monkeypatch):
+    """A list that gets the rounds of each compact-kernel `quantile` call's
+    Newton loop: it counts the steps of the one `range(_MAX_ROUNDS)` the
+    loop iterates, a call that stops early counting its last check too."""
+    rounds = []
+
+    def counted(*args):
+        if args != (estimators._MAX_ROUNDS,):
+            return range(*args)
+        rounds.append(0)
+
+        def steps():
+            for i in range(*args):
+                rounds[-1] += 1
+                yield i
+
+        return steps()
+
+    monkeypatch.setattr(estimators, "range", counted, raising=False)
+    return rounds
+
+
+def test_compact_kde_tail_quantile_stops_at_the_float_floor(monkeypatch):
+    # Near the top of the last cluster the Epanechnikov cubic has a double
+    # root: Newton halves the error, then bounces by an ulp of the target
+    # with steps several ulps of Q wide. A row stops once its step stops
+    # shrinking at the cubic's rounding floor; with the step test alone
+    # p = 1 - 10^-11 ran to the 64-round cap. Here at most 28 rounds.
+    d = kde(_knot_sample("mix", 200), EPANECHNIKOV, 0.03)
+    ps = np.sort(np.concatenate([1.0 - 10.0 ** -np.arange(1.0, 16.0), [P_TAIL]]))
+    rounds = _newton_rounds(monkeypatch)
+    q = np.array([d.quantile(p) for p in ps])
+    assert len(rounds) == ps.size and max(rounds) <= estimators._MAX_ROUNDS // 2
+    rounds.clear()
+    np.testing.assert_array_equal(d.quantile(ps), q)
+    assert rounds[0] <= estimators._MAX_ROUNDS // 2
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(q) >= 0.0)
+    assert np.all(d.cdf_left(q) - 4.0 * eps <= ps)
+    assert np.all(ps <= d.cdf(q) + 4.0 * eps)
+
+
 def _ladder(*extra):
     ps = np.concatenate([np.linspace(0.0, 1.0, 257), TAIL_LEVELS, *extra])
     return np.unique(ps[(ps >= 0.0) & (ps < 1.0)])
@@ -277,7 +321,7 @@ def _ladder(*extra):
 
 @pytest.mark.parametrize(
     "n,h,source",
-    [(n, h, source) for n, h in [(25, 0.1), (200, 0.03), (2000, 0.03)]
+    [(n, h, source) for n, h in [(25, 0.1), (200, 0.03), (2000, 0.03), (25, 0.002), (200, 0.0005)]
      for source in ("uniform", "mix", "gap")]
     + [(1, 0.1, "point"), (10, 0.1, "tied"), (10, 0.03, "tied")],
 )
@@ -288,7 +332,9 @@ def test_gaussian_kde_quantile_galois_pair(source, n, h):
     # computed sf above. Levels across [0.3, 2] put Q where the gap sample's
     # density nearly vanishes. 1 - 2^-52 and nextafter(1, 0) need the top
     # knots; the one-point sample has a single point, the tied sample
-    # repeats its points.
+    # repeats its points. With h below the sample's spacing (n = 25,
+    # h = 0.002 and n = 200, h = 0.0005) most neighbours are gaps, and the
+    # table holds the ends of every cluster.
     d = kde(_knot_sample(source, n), GAUSSIAN, h)
     levels = d.cdf(np.linspace(0.3, 2.0, 9))
     ps = _ladder(levels, np.nextafter(levels, 1.0), [1.0 - 2.0**-52, np.nextafter(1.0, 0.0)])
@@ -368,11 +414,12 @@ def test_gaussian_kde_quantile_kernel_work(monkeypatch):
 
 def test_gaussian_kde_knot_table_does_not_grow_with_n(monkeypatch):
     # The inversion table's candidates are 0, the support's ends, a ladder
-    # of eight knots per octave below the top and a far knot, none of them a
-    # sample point. A lone cold quantile at a p inside the atom at 0
-    # evaluates the table alone: as many query points at n = 2000 as at
-    # n = 200, where a table with a knot per sample point paid 2,004
-    # against 204.
+    # of eight knots per octave below the top, a far knot, 18 knots past the
+    # last sample point, and knots at the ends of gaps between sample points
+    # wider than 4h, of which a uniform sample at h = 0.03 has none at
+    # either n. A lone cold quantile at a p inside the atom at 0 evaluates
+    # the table alone: as many query points at n = 2000 as at n = 200, where
+    # a table with a knot per sample point paid 2,004 against 204.
     points = _counted_points(monkeypatch)
     xs = _uniform_sample(2000)
     spent = []
@@ -383,6 +430,52 @@ def test_gaussian_kde_knot_table_does_not_grow_with_n(monkeypatch):
         assert d.quantile(p) == 0.0
         spent.append(sum(points))
     assert spent[1] <= spent[0]
+
+
+def _gap_abscissae(xs, h):
+    """Points across every gap of the sorted sample wider than 4h, 0.5h to
+    8h from either end, and as far past its last point."""
+    (gap,) = np.nonzero(np.diff(xs) > 4.0 * h)
+    offsets = h * np.linspace(0.5, 8.0, 16)[:, None]
+    return np.concatenate([(xs[gap] + offsets).ravel(), (xs[gap + 1] - offsets).ravel(), xs[-1] + offsets.ravel()])
+
+
+@pytest.mark.parametrize("source,budget", [("mix", 15), ("gap", 24)])
+def test_gaussian_kde_gap_rows_level_budget(monkeypatch, source, budget):
+    # Rows whose quantile falls in a gap between the sample's clusters or
+    # past its last point, where F is flat but for Gaussian tails. Between
+    # ladder knots 7 to 12h apart Illinois crept there: 21.8 (mix) and 33.3
+    # (gap) level points per row inside `_invert`; knots at the clusters'
+    # ends and a tail ladder cut that to 12.7 and 19.9.
+    xs = np.sort(_knot_sample(source, 200))
+    h = 0.03
+    levels = kde(xs, GAUSSIAN, h).cdf(_gap_abscissae(xs, h))
+    ps = np.unique(levels[levels < 1.0])
+    spent = []
+    invert = measures._invert
+
+    def counted(level, y, *rest):
+        return invert(lambda t, target: spent.append(np.size(t)) or level(t, target), y, *rest)
+
+    monkeypatch.setattr(measures, "_invert", counted)
+    assert_galois_pair(kde(xs, GAUSSIAN, h), ps)
+    assert sum(spent) <= budget * ps.size
+
+
+@pytest.mark.parametrize(
+    "source,n,h", [("mix", 200, 0.03), ("gap", 200, 0.03), ("gap", 25, 0.1), ("uniform", 200, 0.003)]
+)
+def test_gaussian_kde_knot_table_grows_with_the_gaps_alone(monkeypatch, source, n, h):
+    # The table adds at most 12 knots per gap wider than 4h (x_i + k h and
+    # x_{i+1} - k h, k in {0, 1, 2, 4, 6, 8}) and 18 past the last point;
+    # the ends of every gap and the first tail knot are kept.
+    xs = np.sort(_knot_sample(source, n))
+    (gap,) = np.nonzero(np.diff(xs) > 4.0 * h)
+    x = kde(xs, GAUSSIAN, h)._knot_values[0]
+    assert np.all(np.isin(np.concatenate([xs[gap], xs[gap + 1], [xs[-1] + 0.5 * h]]), x))
+    monkeypatch.setattr(_CutKernelMixture, "knot_candidates", lambda self: np.empty(0))
+    bare = kde(xs, GAUSSIAN, h)._knot_values[0]
+    assert x.size <= bare.size + 12 * gap.size + 18
 
 
 @pytest.mark.parametrize("n,h", [(200, 0.03), (2000, 0.003)])
@@ -449,6 +542,29 @@ def test_sample_set_validation():
     assert s.values == (1.0, 2.0)
     assert s.provenance == "unit test"
     assert as_sample_set(s) is s
+
+
+@pytest.mark.parametrize(
+    "bad,named",
+    [((0.5, math.nan, -1.0), "nan"), ((0.5, 2.0, math.inf, math.nan), "inf"), ((0.5, -0.25, math.inf), "-0.25")],
+)
+def test_sample_set_names_the_first_bad_value(bad, named):
+    # One numpy pass checks every value; the message names the first bad
+    # one in input order, from any container.
+    message = re.escape(f"sample values must be finite and >= 0, got {named}") + "$"
+    for values in (bad, list(bad), np.array(bad)):
+        with pytest.raises(ValueError, match=message):
+            SampleSet(values)
+    with pytest.raises(ValueError, match=message):
+        kde(np.array(bad), GAUSSIAN, 0.1)
+
+
+def test_sample_set_keeps_a_float_tuple_and_a_read_only_array():
+    s = as_sample_set(np.array([[0.5], [2]]))
+    assert s.values == (0.5, 2.0) and all(type(v) is float for v in s.values)
+    assert not s.array.flags.writeable and s.array.tolist() == [0.5, 2.0]
+    assert s == SampleSet((0.5, 2.0)) and hash(s) == hash(SampleSet([0.5, 2.0]))
+    assert repr(s) == "SampleSet(values=(0.5, 2.0), provenance='unspecified')"
 
 
 def test_read_sample_csv(tmp_path):
