@@ -34,7 +34,10 @@ lognormal(0, 3), three battery laws rescaled by 1e-12, 1e-6, 1e6 and 1e12
 (uniform, Epanechnikov and Gaussian kernel, n = 200, h = 0.03) of one
 uniform(0,1) sample plus a Gaussian one (same n and h) of a two-cluster
 sample on [0, 0.3] and [2, 3], whose density nearly vanishes between the
-clusters, each paired with the W1 partners, and two mixtures of
+clusters, and two Gaussian ones of a lognormal(0, 1) sample
+(`lognormal(0, 1).sample(3, n)`) at (n, h) in `GAP_KDE`, whose bandwidth is
+far below most of the sample's gaps, each paired with the W1 partners, and
+two mixtures of
 lognormal(0, 0.5) and uniform(0.5, 1.5) (weights 1/2 and 3/10 on the
 uniform) whose computed F and -sf fall by an ulp between some candidate
 knots, so their tables keep only the monotone knots; they are paired with
@@ -149,6 +152,9 @@ SCALES = (1e-12, 1e-6, 1e6, 1e12)
 HEAVY_SIGMAS = (2.5, 3.0)
 #: kernels of the single-part KDE laws, sample size and bandwidth
 KDE_KERNELS, KDE_N, KDE_H = ("uniform", "epanechnikov", "gaussian"), 200, 0.03
+#: (sample size, bandwidth) of the Gaussian estimates of a lognormal sample
+#: whose bandwidth is far below the sample's spacing
+GAP_KDE = ((10, 1e-3), (200, 1e-4))
 #: grids of `lorenz_dominates` on the battery pairs: its default and one
 #: whose cells are not a power of two
 DOMINANCE_GRIDS = (256, 100)
@@ -205,14 +211,17 @@ def extra_laws():
 
 
 def kde_laws():
-    """Single-part kernel estimates of one uniform(0,1) sample, and a
-    Gaussian one of a two-cluster sample, as (name, distribution)."""
+    """Single-part kernel estimates of one uniform(0,1) sample, and
+    Gaussian ones of a two-cluster sample and of lognormal samples with a
+    bandwidth below their spacing, as (name, distribution)."""
     xs = np.random.default_rng(20241).uniform(0.0, 1.0, size=KDE_N)
     laws = [(f"kde-{k}-{KDE_N}-{KDE_H:g}", kde(xs, k, KDE_H)) for k in KDE_KERNELS]
     half = KDE_N // 2
     gap = np.concatenate([0.3 * np.random.default_rng(4).uniform(0.0, 1.0, size=half),
                           2.0 + np.random.default_rng(5).uniform(0.0, 1.0, size=KDE_N - half)])
     laws.append((f"kde-gaussian-gap-{KDE_N}-{KDE_H:g}", kde(gap, "gaussian", KDE_H)))
+    for n, h in GAP_KDE:
+        laws.append((f"kde-gaussian-lognormal-{n}-{h:g}", kde(lognormal(0.0, 1.0).sample(3, n), "gaussian", h)))
     return laws
 
 

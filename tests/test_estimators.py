@@ -12,6 +12,7 @@ from scipy.special import ndtr
 from lorenzkit import (
     ZeroMeanError,
     atom,
+    discrete,
     exponential,
     gini_mean_difference,
     hoover_mean_deviation,
@@ -314,6 +315,46 @@ def test_compact_kde_tail_quantile_stops_at_the_float_floor(monkeypatch):
     assert np.all(ps <= d.cdf(q) + 4.0 * eps)
 
 
+def test_compact_kde_double_root_takes_second_order_steps(monkeypatch):
+    # The ladder of the test above: near the top of the last cluster Newton
+    # halved its error each round, and p = 1 - 10^-k took about 2k rounds,
+    # 28 at most. Once its steps halve, a row steps to the root of the
+    # cubic's second-order model, exact at a double root: 13 rounds at most.
+    d = kde(_knot_sample("mix", 200), EPANECHNIKOV, 0.03)
+    ps = np.sort(np.concatenate([1.0 - 10.0 ** -np.arange(1.0, 16.0), [P_TAIL]]))
+    rounds = _newton_rounds(monkeypatch)
+    q = np.array([d.quantile(p) for p in ps])
+    assert len(rounds) == ps.size and max(rounds) <= 16 and sum(rounds) <= 160
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(q) >= 0.0)
+    assert np.all(d.cdf_left(q) - 4.0 * eps <= ps)
+    assert np.all(ps <= d.cdf(q) + 4.0 * eps)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_compact_kde_quantile_sandwich_on_tiny_samples(kernel, n):
+    # A float Q is off by up to an ulp, over which F rises by at most
+    # A K(0) ulp(Q) / (n h), A the sample points within h of Q and K(0) <= 3/4
+    # the kernel's peak. At n = 200 that stays under the 4 eps of the
+    # cubic's rounding; at n <= 5 it does not, and 4 eps alone missed 15 to
+    # 83 of these checks per kernel and size, by up to 12 eps. The bound
+    # F(Q-) - d <= p <= F(Q) + d, d = 4 eps + A ulp(Q) / (n h), holds.
+    src = mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))])
+    eps, h = np.finfo(float).eps, 0.03
+    ps = _ladder(1.0 - 2.0 ** -np.arange(41.0, 54.0))
+    for seed in range(3):
+        xs = src.sample(seed, n)
+        d = kde(xs, kernel, h)
+        q = d.quantile(ps)
+        ulp = np.spacing(q)
+        near = np.sum(np.abs(xs[None, :] - q[:, None]) <= h + 2.0 * ulp[:, None], axis=1)
+        slack = 4.0 * eps + near * ulp / (n * h)
+        assert np.all(np.diff(q) >= 0.0)
+        assert np.all(d.cdf_left(q) - slack <= ps)
+        assert np.all(ps <= d.cdf(q) + slack)
+
+
 def _ladder(*extra):
     ps = np.concatenate([np.linspace(0.0, 1.0, 257), TAIL_LEVELS, *extra])
     return np.unique(ps[(ps >= 0.0) & (ps < 1.0)])
@@ -524,6 +565,78 @@ def test_compact_kde_at_n_2000_routes_agree(kernel, deadline):
         assert index_report(d).max_cross_route_residual <= 1e-12
         by_quantile, by_cdf = w1_routes(d, uniform(0.0, 1.0))
     assert by_quantile == pytest.approx(by_cdf, abs=1e-5)
+
+
+def _lognormal_sample(n):
+    return lognormal(0.0, 1.0).sample(3, n)
+
+
+#: Gaussian estimates of lognormal(0, 1) samples whose bandwidth sits below
+#: much of the sample's spacing: (n, h) and the bound on the relative
+#: error of both `mean_routes`
+SMALL_H = [(n, h, 1e-9) for n in (10, 50) for h in (1e-2, 1e-3, 1e-4, 1e-6)] + [
+    (200, h, 2e-7) for h in (1e-2, 1e-3, 1e-4)
+]
+
+
+@pytest.mark.parametrize("n,h,mean_tol", SMALL_H)
+def test_gaussian_kde_small_bandwidth_routes_agree(n, h, mean_tol):
+    # The x-space routes split only at the sample's ends saw none of the
+    # spikes between them: residuals up to 1.4e-4 (n = 10), 1.3e-5 (50)
+    # and 1.1e-5 (200, h = 1e-3), and mean_routes off by up to 2.3e-5. With
+    # breaks in the sample's gaps every route's cells start at them: at
+    # most 1.2e-10 here. n = 200 at h = 1e-6 and n = 2,000 at h <= 1e-3
+    # still stop refining at the panel limit.
+    d = kde(_lognormal_sample(n), GAUSSIAN, h)
+    assert index_report(d).max_cross_route_residual <= 2e-10
+    for value in d.mean_routes():
+        assert value == pytest.approx(d.mean, rel=mean_tol)
+
+
+@pytest.mark.parametrize("n", [10, 50])
+def test_gaussian_kde_tiny_bandwidth_routes_meet_the_discrete_limit(n):
+    # At h = 1e-6 the estimate is the empirical law to O(h): each route
+    # within 0.1 h of the discrete law's. `hoover_mean_deviation` was off
+    # by 142 h (n = 10) and 12.6 h (n = 50), `gini_dorfman` by 0.46 h.
+    xs = _lognormal_sample(n)
+    h = 1e-6
+    report, limit = index_report(kde(xs, GAUSSIAN, h)), index_report(discrete(xs))
+    for name in ("gini_mean_difference", "gini_dorfman", "gini_lorenz",
+                 "hoover_mean_deviation", "hoover_cdf", "hoover_max"):
+        assert getattr(report, name) == pytest.approx(getattr(limit, name), abs=0.1 * h)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+@pytest.mark.parametrize("n", [10, 50, 200, 2000])
+def test_compact_kde_small_bandwidth_routes_agree(kernel, n):
+    # Compact kernels list every knot as a break: residual at most 2.7e-12
+    # on the same grid.
+    xs = _lognormal_sample(n)
+    for h in (1e-2, 1e-3, 1e-4, 1e-6):
+        assert index_report(kde(xs, kernel, h)).max_cross_route_residual <= 5e-12
+
+
+def test_gaussian_kde_breaks_are_capped():
+    # At n = 10^4 and h = 1e-6 nearly every neighbour is a gap, but only
+    # the widest `_BREAK_GAPS` get breaks: 6 each plus 0 and the support's
+    # ends, however large n grows.
+    xs = _lognormal_sample(10_000)
+    comp = kde(xs, GAUSSIAN, 1e-6).parts[0][1]
+    assert np.count_nonzero(np.diff(comp.points) > 4e-6) > estimators._BREAK_GAPS
+    assert comp.x_breaks().size <= 3 + 6 * estimators._BREAK_GAPS
+
+
+@pytest.mark.parametrize("source,h", [("mix", 0.03), ("gap", 0.03), ("uniform", 0.003)])
+def test_gaussian_kde_breaks_span_every_gap_under_the_cap(source, h):
+    # Fewer gaps than the cap: x_i + k h and x_{i+1} - k h, k = 0, 2, 4,
+    # for every gap wider than 4h, and nothing but 0 and the ends besides.
+    xs = np.sort(_knot_sample(source, 200))
+    (gap,) = np.nonzero(np.diff(xs) > 4.0 * h)
+    assert 0 < gap.size <= estimators._BREAK_GAPS
+    breaks = kde(xs, GAUSSIAN, h).parts[0][1].x_breaks()
+    k = h * np.array([0.0, 2.0, 4.0])[:, None]
+    assert np.all(np.isin(np.concatenate([(xs[gap] + k).ravel(), (xs[gap + 1] - k).ravel()]), breaks))
+    assert breaks.size <= 3 + 6 * gap.size
 
 
 # ---------------------------------------------------------------------------
