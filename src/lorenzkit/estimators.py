@@ -814,30 +814,48 @@ def _substream(seed: int, counter: int) -> np.random.Generator:
     return np.random.default_rng([seed, counter])
 
 
+def _quantiles(d: Distribution, ps: list[np.ndarray]) -> list[np.ndarray]:
+    """d's quantiles at each array of `ps`, from one call on them all,
+    split back: a law that inverts its cdf runs one batch of inversion
+    rounds, not one per array, and each value is the one a call of its own
+    returns (the memo's premise, `Distribution`). The batch bypasses the
+    quantile memo: random draws are p that no later read repeats, and a
+    schedule of 2^16 draws would fill the memo and leave no room for the
+    p that `sequence_diagnostics` reads again and again."""
+    p = np.concatenate(ps)
+    q = d._bisect_quantile(p) if d._memoized else d._closed_quantile(p)
+    return np.split(q, np.cumsum([a.size for a in ps])[:-1])
+
+
 def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
-    """Build the approximating sequence for the spec's scheme and diagnose it."""
+    """Build the approximating sequence for the spec's scheme and diagnose it.
+
+    Member j of the sampling, quantile_of_sample and kde schemes draws its
+    uniforms from substream j, as ``source.sample_rng`` would, and the
+    quantile scheme reads the source at k / ell, as `quantile_approx` does;
+    either way the source's quantiles for every member come from one batch
+    (`_quantiles`), bit-identical to one call per member.
+    """
     source = spec.source_distribution()
     require_member(source)
-    members: list[Distribution] = []
+    if spec.scheme in ("sampling", "quantile_of_sample", "kde"):
+        uniforms = [_substream(spec.seed, j).random(n) for j, n in enumerate(spec.schedule_sample_sizes())]
+        draws = _quantiles(source, uniforms)
     if spec.scheme == "noise":
         base = source.sample_rng(_substream(spec.seed, 0), spec.sample_size)
+        members = []
         for j, k in enumerate(spec.schedule_noise_exponents()):
             noise = _substream(spec.seed, j + 1).standard_normal(spec.sample_size)
             members.append(empirical(np.maximum(base + 2.0**-k * noise, 0.0)))
     elif spec.scheme == "sampling":
-        for j, n in enumerate(spec.schedule_sample_sizes()):
-            members.append(empirical(source.sample_rng(_substream(spec.seed, j), n)))
+        members = [empirical(xs) for xs in draws]
     elif spec.scheme == "quantile":
-        for ell in spec.schedule_table_sizes():
-            members.append(quantile_approx(source, ell))
+        grids = [np.arange(ell) / ell for ell in spec.schedule_table_sizes()]
+        members = [discrete(q) for q in _quantiles(source, grids)]
     elif spec.scheme == "quantile_of_sample":
-        for j, (n, ell) in enumerate(zip(spec.schedule_sample_sizes(), spec.schedule_table_sizes())):
-            xs = source.sample_rng(_substream(spec.seed, j), n)
-            members.append(quantile_of_sample(xs, ell))
+        members = [quantile_of_sample(xs, ell) for xs, ell in zip(draws, spec.schedule_table_sizes())]
     else:
-        for j, (n, h) in enumerate(zip(spec.schedule_sample_sizes(), spec.schedule_bandwidths())):
-            xs = source.sample_rng(_substream(spec.seed, j), n)
-            members.append(kde(xs, KERNELS[spec.kernel], h))
+        members = [kde(xs, KERNELS[spec.kernel], h) for xs, h in zip(draws, spec.schedule_bandwidths())]
     return sequence_diagnostics(
         members, source, rel_tol=spec.rel_tol, alpha_grid=spec.alpha_grid
     )

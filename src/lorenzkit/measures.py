@@ -658,7 +658,10 @@ class QuantileTable(_ArrayComponent):
         stays constant, an atom at the last value.
 
     `grid` and `values` are kept as read-only float arrays; two tables are
-    equal when both arrays and the mode are.
+    equal when both arrays and the mode are. The pointwise methods read
+    running sums over the sorted atoms and slabs (`_sums`), two binary
+    searches a point, so a table of thousands of rows costs no more per
+    point than one of ten.
     """
 
     grid: np.ndarray
@@ -707,37 +710,81 @@ class QuantileTable(_ArrayComponent):
         slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
         return float(np.dot(slab_w, 0.5 * (slab_lo + slab_hi)) + np.dot(atom_w, atom_loc))
 
+    @cached_property
+    def _sums(self):
+        """The pieces as sorted blocks with running sums, so a point costs
+        two ``searchsorted`` calls, not a pass over every piece.
+
+        Returns ``(loc, mass, cum, tail, cum_xm, lo, hi, w, cum_w, tail_w,
+        cum_pe)``: the atoms' sorted unique locations and merged masses, the
+        prefix sums of mass (padded with a leading 0), the suffix sums
+        (padded with a trailing 0) and the prefix sums of mass times
+        location; then the slabs in grid order, whose interiors are disjoint
+        and whose ends rise, with the prefix and suffix sums of their
+        weights and the prefix sums of their partial expectations w (lo +
+        hi) / 2, taken in the form (hi^2 - lo^2) / (2 (hi - lo)) w that
+        `pe` uses on the slab that holds its point."""
+        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
+        order = np.argsort(atom_loc, kind="stable")
+        loc, start = np.unique(atom_loc[order], return_index=True)
+        mass = np.add.reduceat(atom_w[order], start)
+        full_pe = (slab_hi * slab_hi - slab_lo * slab_lo) / (2.0 * (slab_hi - slab_lo)) * slab_w
+
+        def prefix(v):
+            return np.concatenate([[0.0], np.cumsum(v)])
+
+        def suffix(v):
+            return np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])
+
+        return (
+            loc, mass, prefix(mass), suffix(mass), prefix(mass * loc),
+            slab_lo, slab_hi, slab_w, prefix(slab_w), suffix(slab_w), prefix(full_pe),
+        )  # fmt: skip
+
+    def _slab_at(self, x: np.ndarray):
+        """(k, j, xc, inside) at points x of a table with slabs: k counts
+        the slabs wholly at or below x, slab j = min(k, count - 1) is the
+        only one that may hold x, xc is x clipped to it, and `inside` marks
+        the points where slab k exists (its part of F, sf and pe depends on
+        xc there, and is 0 elsewhere)."""
+        lo, hi = self._sums[5:7]
+        k = np.searchsorted(hi, x, side="right")
+        j = np.minimum(k, lo.size - 1)
+        return k, j, np.clip(x, lo[j], hi[j]), k < lo.size
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
-        out = (x[..., None] >= atom_loc) @ atom_w
-        if slab_lo.size:
-            # clipped to each slab first, as in `UniformDensity.cdf`
-            xc = np.clip(x[..., None], slab_lo, slab_hi)
-            out = out + ((xc - slab_lo) / (slab_hi - slab_lo)) @ slab_w
+        loc, _, cum, _, _, lo, hi, w, cum_w, _, _ = self._sums
+        out = cum[np.searchsorted(loc, x, side="right")]
+        if lo.size:
+            k, j, xc, inside = self._slab_at(x)
+            out = out + cum_w[k] + np.where(inside, (xc - lo[j]) / (hi[j] - lo[j]) * w[j], 0.0)
         return np.minimum(out, 1.0)
 
     def sf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
-        out = (x[..., None] < atom_loc) @ atom_w
-        if slab_lo.size:
-            xc = np.clip(x[..., None], slab_lo, slab_hi)
-            out = out + ((slab_hi - xc) / (slab_hi - slab_lo)) @ slab_w
+        loc, _, _, tail, _, lo, hi, w, _, tail_w, _ = self._sums
+        out = tail[np.searchsorted(loc, x, side="right")]
+        if lo.size:
+            k, j, xc, inside = self._slab_at(x)
+            part = np.where(inside, (hi[j] - xc) / (hi[j] - lo[j]) * w[j], 0.0)
+            out = out + tail_w[np.minimum(k + 1, lo.size)] + part
         return np.minimum(out, 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        _, _, _, atom_loc, atom_w = self._pieces
-        return (x[..., None] == atom_loc) @ atom_w
+        loc, mass = self._sums[:2]
+        at = np.minimum(np.searchsorted(loc, x), loc.size - 1)
+        return np.where(loc[at] == x, mass[at], 0.0)
 
     def pe(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
-        out = (x[..., None] >= atom_loc) @ (atom_w * atom_loc)
-        if slab_lo.size:
-            xc = np.clip(x[..., None], slab_lo, slab_hi)
-            out = out + ((xc * xc - slab_lo * slab_lo) / (2.0 * (slab_hi - slab_lo))) @ slab_w
+        loc, _, _, _, cum_xm, lo, hi, w, _, _, cum_pe = self._sums
+        out = cum_xm[np.searchsorted(loc, x, side="right")]
+        if lo.size:
+            k, j, xc, inside = self._slab_at(x)
+            part = (xc * xc - lo[j] * lo[j]) / (2.0 * (hi[j] - lo[j])) * w[j]
+            out = out + cum_pe[k] + np.where(inside, part, 0.0)
         return out
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
@@ -800,7 +847,9 @@ class Distribution:
     Its index routes read Q at many of the same p (the shared cells
     `_p_cells`, the sweep `_gap_sweep` of `hoover_max`), and each p is
     inverted once per law; `index_report` inverts every p its routes' first
-    rounds read in one batch (`_first_round_p`) before any route runs. The
+    rounds read in one batch (`_first_round_p`) before any route runs, and
+    `sequence_diagnostics` every p it reads a law at, `_mean_difference_p`
+    among them, in one batch before the law's step. The
     memo rests on one premise: a quantile depends on its p alone, never on
     the other rows of its batch, so a value read back from the memo is the
     value a cold law would compute. It holds at most `QUANTILE_MEMO_CAP`
@@ -883,13 +932,29 @@ class Distribution:
         return m
 
     def x_breakpoints(self) -> np.ndarray:
-        """Sorted abscissae where the CDF may jump or change analytic form."""
+        """Sorted abscissae where the CDF may jump or change analytic form:
+        the pooled atoms and the ``x_breaks()`` of every other part. Computed
+        once per law; the array is read-only and shared by every caller."""
+        return self._x_breaks
+
+    @cached_property
+    def _x_breaks(self) -> np.ndarray:
         support, _, _, _, _, rest = self._atomic
         pts = np.concatenate([support] + [np.asarray(comp.x_breaks()) for _, comp in rest])
-        return np.unique(pts[np.isfinite(pts)])
+        pts = np.unique(pts[np.isfinite(pts)])
+        pts.flags.writeable = False
+        return pts
 
     def p_breakpoints(self) -> np.ndarray:
-        """Probabilities where the quantile may jump or change analytic form."""
+        """Probabilities where the quantile may jump or change analytic form:
+        0, 1 and F and F- at every x breakpoint (the cumulative masses of a
+        finite-discrete law). Computed once per law, since a kernel part's F
+        costs window sums; the array is read-only and shared by every
+        caller."""
+        return self._p_breaks
+
+    @cached_property
+    def _p_breaks(self) -> np.ndarray:
         if self._discrete is not None:
             _, _, cum = self._discrete
             ps = np.concatenate([[0.0], cum])
@@ -897,7 +962,9 @@ class Distribution:
             xb = self.x_breakpoints()
             f = self._cdf_arr(xb)
             ps = np.concatenate([[0.0, 1.0], f, np.maximum(f - self._mass_arr(xb), 0.0)])
-        return np.unique(np.clip(ps, 0.0, 1.0))
+        ps = np.unique(np.clip(ps, 0.0, 1.0))
+        ps.flags.writeable = False
+        return ps
 
     def sup_support(self) -> float:
         """The supremum of the support, inf for an unbounded law."""
@@ -1119,17 +1186,31 @@ class Distribution:
         return ps
 
     @cached_property
+    def _mean_difference_p(self) -> np.ndarray:
+        """Every p below 1 at which `indices.gini_mean_difference` first
+        reads Q, sorted: the edges of `_p_cells`, where its cell integrals
+        of Q start, and the first-round Kronrod nodes of every cell but the
+        last (`quadrature.first_nodes`), where its diagonal starts.
+        `wasserstein.sequence_diagnostics` inverts them in the batch it
+        makes for each memoized law before the law's step."""
+        cells = self._p_cells
+        ps = np.unique(np.concatenate([cells, first_nodes(cells[:-1])]))
+        ps = ps[ps < 1.0]
+        ps.flags.writeable = False
+        return ps
+
+    @cached_property
     def _first_round_p(self) -> np.ndarray:
         """Every p below 1 at which the routes of `indices.index_report`
         first read Q, sorted.
 
-        They are the edges of `_p_cells`, the first-round Kronrod nodes of
-        its cells (`quadrature.first_nodes`: the Lorenz area's, and less the
-        last cell's the mean-difference diagonal's), and `_gap_sweep`. One
-        `_quantile_arr` call on them inverts all of these in one batch.
+        They are `_mean_difference_p`, the first-round Kronrod nodes of the
+        last cell of `_p_cells` (with those of the other cells, the Lorenz
+        area's first round), and `_gap_sweep`. One `_quantile_arr` call on
+        them inverts all of these in one batch.
         """
-        cells = self._p_cells
-        ps = np.unique(np.concatenate([cells, first_nodes(cells), self._gap_sweep]))
+        last = first_nodes(self._p_cells[-2:])
+        ps = np.unique(np.concatenate([self._mean_difference_p, last, self._gap_sweep]))
         ps = ps[ps < 1.0]
         ps.flags.writeable = False
         return ps

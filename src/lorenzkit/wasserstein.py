@@ -410,12 +410,30 @@ class ConvergenceReport:
 
 
 def _weak_probes(limit: Distribution) -> np.ndarray:
+    """The dyadic probes (`DYADIC`) farther than 1e-9 from every quantile
+    breakpoint of the limit inside (0, 1). The breakpoints are sorted, so a
+    probe's nearest one is a neighbour of its ``searchsorted`` slot, and the
+    cost grows with the probes plus the breakpoints, not their product."""
     jumps = limit.p_breakpoints()
     jumps = jumps[(jumps > 0.0) & (jumps < 1.0)]
     if not jumps.size:
         return DYADIC
-    clear = np.min(np.abs(DYADIC[:, None] - jumps[None, :]), axis=1) > 1e-9
-    return DYADIC[clear]
+    at = np.searchsorted(jumps, DYADIC)
+    below = np.abs(DYADIC - jumps[np.maximum(at - 1, 0)])
+    above = np.abs(DYADIC - jumps[np.minimum(at, jumps.size - 1)])
+    return DYADIC[np.minimum(below, above) > 1e-9]
+
+
+def _prefetch(d: Distribution, *ps: np.ndarray) -> None:
+    """Invert in one batch the p below 1 at which `sequence_diagnostics`
+    reads the quantile of a memoized law d (`Distribution._memoized`) at
+    fixed p, so that each of those reads is a memo hit: one run of inversion
+    rounds per law, not one per read. Changes no value, since a memo read
+    equals a cold inversion; a law with a closed-form quantile is left as
+    it is."""
+    if d._memoized:
+        p = np.concatenate(ps)
+        d._quantile_arr(p[p < 1.0])
 
 
 def _checked_thresholds(rel_tol, alpha_grid):
@@ -458,6 +476,14 @@ def sequence_diagnostics(
     that sits epsilon to the side of a jump of Q_inf, which is exactly the
     freedom weak convergence grants; a law that is genuinely displaced
     still fails because no nearby p explains its quantile values.
+
+    A law with a quantile memo (`Distribution._memoized`) inverts the p it
+    is read at here in one batch (`_prefetch`): the limit, before the steps,
+    its probes, both band edges, the ladder and the first round of its Gini
+    (`Distribution._mean_difference_p`); each member, before its step, the
+    ladder and the first round of its Gini. Every later read of those p is
+    a memo hit, and every value is what a cold law returns. The W1 routes
+    invert their own brackets to 1e-10 s (`_q_within`) and read no memo.
     """
     rel_tol, alpha_grid = _checked_thresholds(rel_tol, alpha_grid)
     members = list(seq)
@@ -476,15 +502,16 @@ def sequence_diagnostics(
         if probes.size == 0 or not np.all((probes > 0.0) & (probes < 1.0)):
             raise ValueError("probes must be a nonempty ladder inside (0, 1)")
     ladder = limit._probe_ladder
-    q_limit = limit._quantile_arr(probes)
     delta = 0.5 * rel_tol
-    band_lo = limit._quantile_arr(np.maximum(probes - delta, 0.0))
-    band_hi = limit._quantile_arr(np.minimum(probes + delta, P_TAIL))
+    p_lo, p_hi = np.maximum(probes - delta, 0.0), np.minimum(probes + delta, P_TAIL)
+    _prefetch(limit, probes, p_lo, p_hi, ladder, limit._mean_difference_p)
+    q_limit, band_lo, band_hi = (limit._quantile_arr(p) for p in (probes, p_lo, p_hi))
     l_limit = lorenz(limit).eval(ladder)
 
     steps = []
     for i, d in enumerate(members):
         require_member(d)
+        _prefetch(d, d._mean_difference_p, ladder)
         curve = lorenz(d)
         steps.append(
             StepDiagnostics(

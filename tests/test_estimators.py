@@ -828,6 +828,7 @@ def test_spec_rejects_bad_thresholds_before_sampling(monkeypatch, bad, match):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(Distribution, "sample_rng", no_sampling)
+    monkeypatch.setattr(estimators, "_substream", no_sampling)
     with pytest.raises(ValueError, match=match):
         run_experiment(ExperimentSpec(scheme="kde", source="uniform(0,1)", steps=2, **bad))
 
@@ -850,6 +851,7 @@ def test_spec_rejects_unusable_sizes_before_sampling(monkeypatch, bad, match):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(Distribution, "sample_rng", no_sampling)
+    monkeypatch.setattr(estimators, "_substream", no_sampling)
     spec = {"scheme": "kde", "source": "uniform(0,1)", "steps": 2, **bad}
     with pytest.raises(ValueError, match=match):
         run_experiment(ExperimentSpec(**spec))
@@ -881,3 +883,124 @@ def test_quantile_experiment_controls_cdf_error():
 def test_noise_experiment_converges():
     spec = ExperimentSpec(scheme="noise", source="mix(0.3*atom(0),0.7*exp(1))", steps=6)
     assert run_experiment(spec).verdict == "w1_convergent"
+
+
+def _experiment_log(monkeypatch, spec):
+    """Run `spec` cold and log, in order, each batch of p a law inverts
+    (`Distribution._bisect_quantile`, which `_quantile_arr` calls on its
+    memo misses), as ("invert", law, p), and each W1 of a step, as ("w1",
+    member). Returns the log, the members and the limit."""
+    from lorenzkit import wasserstein
+
+    log, seen = [], {}
+    invert, diagnose, distance = Distribution._bisect_quantile, estimators.sequence_diagnostics, wasserstein.w1
+
+    def logged_invert(self, p):
+        log.append(("invert", self, np.array(p)))
+        return invert(self, p)
+
+    def logged_w1(d1, d2):
+        log.append(("w1", d1, None))
+        return distance(d1, d2)
+
+    def logged_diagnose(members, limit, **kwargs):
+        seen.update(members=members, limit=limit)
+        return diagnose(members, limit, **kwargs)
+
+    monkeypatch.setattr(Distribution, "_bisect_quantile", logged_invert)
+    monkeypatch.setattr(wasserstein, "w1", logged_w1)
+    monkeypatch.setattr(estimators, "sequence_diagnostics", logged_diagnose)
+    run_experiment(spec)
+    return log, seen["members"], seen["limit"]
+
+
+def test_experiment_inverts_each_memoized_laws_fixed_p_in_one_batch(monkeypatch):
+    # Before, the limit inverted its fixed p in 6 batches (the probes, both
+    # band edges, the ladder, and the cell edges and diagonal first round of
+    # its Gini), its draws in one batch per member, and each memoized member
+    # its fixed p in 3 (cell edges, diagonal first round, ladder).
+    from lorenzkit import wasserstein
+
+    spec = ExperimentSpec(
+        scheme="kde", source="mix(0.3*atom(0),0.7*exp(1))", kernel="gaussian", seed=3,
+        sample_sizes=(25, 200), bandwidths=(1.0, 0.03), rel_tol=0.3,
+    )
+    log, members, limit = _experiment_log(monkeypatch, spec)
+    probes = wasserstein._weak_probes(limit)
+    ladder = limit._probe_ladder[limit._probe_ladder < 1.0]
+    fixed = np.concatenate([
+        probes, np.maximum(probes - 0.15, 0.0), np.minimum(probes + 0.15, P_TAIL), ladder, limit._mean_difference_p,
+    ])
+
+    def batches(law, ps):
+        return [i for i, (kind, d, p) in enumerate(log) if kind == "invert" and d is law and np.isin(p, ps).any()]
+
+    def w1_of(law):
+        return next(i for i, (kind, d, _) in enumerate(log) if kind == "w1" and d is law)
+
+    # before the first W1 the limit makes two batches: the draws, then its fixed p
+    draws, batch = [i for i, (kind, d, _) in enumerate(log) if kind == "invert" and d is limit and i < w1_of(members[0])]
+    assert log[draws][2].size == sum(spec.sample_sizes)
+    assert batches(limit, fixed) == [batch] and np.isin(fixed, log[batch][2]).all()
+    for d in members:
+        assert d._memoized
+        own = np.concatenate([d._mean_difference_p, ladder])
+        (batch,) = batches(d, own)
+        assert batch < w1_of(d) and np.isin(own, log[batch][2]).all()
+
+
+SOURCES = ["mix(0.3*atom(0),0.7*exp(1))", "exp(1)"]
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=["memoized", "closed_form"])
+@pytest.mark.parametrize("scheme", ["noise", "sampling", "quantile", "quantile_of_sample", "kde"])
+def test_experiment_members_equal_per_member_draws(monkeypatch, scheme, source):
+    # run_experiment inverts every member's uniforms (or quantile grid) in
+    # one batch; each member must equal the one its own draw builds.
+    spec = ExperimentSpec(scheme=scheme, source=source, seed=17, steps=3, sample_size=50)
+    _, members, _ = _experiment_log(monkeypatch, spec)
+    src = spec.source_distribution()
+    sizes, tables, hs = spec.schedule_sample_sizes(), spec.schedule_table_sizes(), spec.schedule_bandwidths()
+    draws = [src.sample_rng(estimators._substream(17, j), n) for j, n in enumerate(sizes)]
+    if scheme == "noise":
+        base = src.sample_rng(estimators._substream(17, 0), 50)
+        expected = [
+            empirical(np.maximum(base + 2.0**-k * estimators._substream(17, j + 1).standard_normal(50), 0.0))
+            for j, k in enumerate(spec.schedule_noise_exponents())
+        ]
+    elif scheme == "sampling":
+        expected = [empirical(xs) for xs in draws]
+    elif scheme == "quantile":
+        expected = [quantile_approx(src, ell) for ell in tables]
+    elif scheme == "quantile_of_sample":
+        expected = [quantile_of_sample(xs, ell) for xs, ell in zip(draws, tables)]
+    else:
+        expected = [kde(xs, GAUSSIAN, h) for xs, h in zip(draws, hs)]
+    assert members == expected
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        kde(lognormal(0.0, 1.0).sample(3, 200), GAUSSIAN, 1e-3),
+        kde(lognormal(0.0, 1.0).sample(3, 50), EPANECHNIKOV, 0.05),
+        mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))]),
+        discrete([0.0, 1.0, 1.0, 3.0]),
+    ],
+    ids=["gaussian_kde", "epanechnikov_kde", "mixture", "discrete"],
+)
+def test_breakpoints_are_computed_once_as_read_only_arrays(d):
+    # The uncached computation, as `Distribution` ran it on every call.
+    support, _, _, _, _, rest = d._atomic
+    xb = np.concatenate([support] + [np.asarray(c.x_breaks()) for _, c in rest])
+    xb = np.unique(xb[np.isfinite(xb)])
+    if d.is_finite_discrete:
+        pb = np.concatenate([[0.0], d._discrete[2]])
+    else:
+        f = d._cdf_arr(xb)
+        pb = np.concatenate([[0.0, 1.0], f, np.maximum(f - d._mass_arr(xb), 0.0)])
+    pb = np.unique(np.clip(pb, 0.0, 1.0))
+    for got, ref in ((d.x_breakpoints(), xb), (d.p_breakpoints(), pb)):
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+    assert d.x_breakpoints() is d.x_breakpoints() and d.p_breakpoints() is d.p_breakpoints()

@@ -12,6 +12,8 @@ from lorenzkit import (
     exponential,
     midpoint_atom_mixture,
     gamma_dist,
+    gini_mean_difference,
+    hoover_mean_deviation,
     index_report,
     limit_from_lorenz,
     lognormal,
@@ -523,3 +525,85 @@ def test_report_serialization_shape():
         "lorenz_sup_error", "ui_tail_at_alpha",
     )
     assert len(rows) == 3
+
+
+def _weak_probes_dense(limit):
+    """`_weak_probes` as it read before it searched the sorted breakpoints:
+    a probes-by-breakpoints distance matrix, kept as the reference."""
+    jumps = limit.p_breakpoints()
+    jumps = jumps[(jumps > 0.0) & (jumps < 1.0)]
+    if not jumps.size:
+        return wasserstein.DYADIC
+    clear = np.min(np.abs(wasserstein.DYADIC[:, None] - jumps[None, :]), axis=1) > 1e-9
+    return wasserstein.DYADIC[clear]
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [
+        mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))]),
+        # atoms at every 1/16 of mass: jumps on the dyadic probes themselves
+        discrete(np.arange(16.0)),
+        mixture([(0.5, discrete(np.random.default_rng(4).exponential(size=300))), (0.5, uniform(0.0, 2.0))]),
+    ],
+    ids=["atom_exp", "dyadic_jumps", "atom_rich"],
+)
+def test_weak_probes_match_the_dense_reference(limit):
+    probes = wasserstein._weak_probes(limit)
+    assert probes.tobytes() == _weak_probes_dense(limit).tobytes()
+
+
+def test_weak_probes_memory_does_not_grow_with_the_limits_jumps():
+    # The dense form built a 1023 x 20,000 distance matrix here (160 MB).
+    import tracemalloc
+
+    limit = discrete(np.random.default_rng(7).exponential(size=20_000))
+    limit.p_breakpoints()
+    tracemalloc.start()
+    try:
+        probes = wasserstein._weak_probes(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert probes.tobytes() == _weak_probes_dense(limit).tobytes()
+
+
+def _cold(d):
+    """A copy of d that shares no cache or quantile memo with it."""
+    return type(d)(d.parts)
+
+
+def test_diagnostics_fields_equal_each_route_run_alone_on_a_cold_law():
+    # sequence_diagnostics inverts each memoized law's fixed p in one batch
+    # before it reads them; every field must still be, bit for bit, what
+    # its route returns alone on a copy of the law with an empty memo.
+    from lorenzkit.estimators import kde
+
+    limit = mixture([(0.3, atom(0.0)), (0.7, exponential(1.0))])
+    sample = limit.sample(5, 120)
+    seq = [
+        kde(sample[:40], "gaussian", 0.2),
+        mixture([(0.5, exponential(1.0)), (0.2, atom(0.0)), (0.3, uniform(0.0, 1.5))]),
+        kde(sample, "epanechnikov", 0.05),
+        kde(sample, "gaussian", 0.03),
+    ]
+    report = sequence_diagnostics(seq, limit, rel_tol=0.3)
+    alpha_ref = report.alpha_ref
+    ladder = limit._probe_ladder
+    for step, d in zip(report.steps, seq):
+        gap = np.max(np.abs(lorenz(_cold(d)).eval(ladder) - lorenz(_cold(limit)).eval(ladder)))
+        alone = {
+            "w1_to_limit": w1(_cold(d), _cold(limit)),
+            "mean": _cold(d).mean,
+            "gini": gini_mean_difference(_cold(d)),
+            "hoover": hoover_mean_deviation(_cold(d)),
+            "lorenz_sup_error": float(gap),
+            "ui_tail_at_alpha": _cold(d).tail_moment(alpha_ref),
+        }
+        for name, value in alone.items():
+            assert getattr(step, name).hex() == value.hex(), (step.index, name)
+    summary = report.limit_summary
+    assert summary.mean.hex() == _cold(limit).mean.hex()
+    assert summary.gini.hex() == gini_mean_difference(_cold(limit)).hex()
+    assert summary.hoover.hex() == hoover_mean_deviation(_cold(limit)).hex()
