@@ -815,16 +815,11 @@ def _substream(seed: int, counter: int) -> np.random.Generator:
 
 
 def _quantiles(d: Distribution, ps: list[np.ndarray]) -> list[np.ndarray]:
-    """d's quantiles at each array of `ps`, from one call on them all,
-    split back: a law that inverts its cdf runs one batch of inversion
-    rounds, not one per array, and each value is the one a call of its own
-    returns (the memo's premise, `Distribution`). The batch bypasses the
-    quantile memo: random draws are p that no later read repeats, and a
-    schedule of 2^16 draws would fill the memo and leave no room for the
-    p that `sequence_diagnostics` reads again and again."""
-    p = np.concatenate(ps)
-    q = d._bisect_quantile(p) if d._memoized else d._closed_quantile(p)
-    return np.split(q, np.cumsum([a.size for a in ps])[:-1])
+    """d's quantiles at each array of `ps`, from one `_quantile_arr` call on
+    them all, split back: a law that inverts its cdf runs one batch of
+    inversion rounds, not one per array, and each value is the one a call
+    of its own returns (the memo's premise, `Distribution`)."""
+    return np.split(d._quantile_arr(np.concatenate(ps)), np.cumsum([a.size for a in ps])[:-1])
 
 
 def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:

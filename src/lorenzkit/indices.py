@@ -248,10 +248,11 @@ def index_report(d: Distribution) -> IndexReport:
 
     A law with a quantile memo first inverts, in one batch, every p that
     the routes' first rounds read (`Distribution._first_round_p`); the
-    routes then read those values from the memo.
+    routes then read those values from the memo. A batch too large for the
+    memo is not run (`Distribution._prefetch`).
     """
     if require_member(d)._memoized:
-        d._quantile_arr(d._first_round_p)
+        d._prefetch(d._first_round_p)
     ginis = (gini_mean_difference(d), gini_dorfman(d), gini_lorenz(d))
     hoovers = (hoover_mean_deviation(d), hoover_cdf(d), hoover_max(d))
     return IndexReport(

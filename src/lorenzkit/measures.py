@@ -848,7 +848,7 @@ class Distribution:
     `_p_cells`, the sweep `_gap_sweep` of `hoover_max`), and each p is
     inverted once per law; `index_report` inverts every p its routes' first
     rounds read in one batch (`_first_round_p`) before any route runs, and
-    `sequence_diagnostics` every p it reads a law at, `_mean_difference_p`
+    `sequence_diagnostics` the fixed p it reads a law at, `_mean_difference_p`
     among them, in one batch before the law's step. The
     memo rests on one premise: a quantile depends on its p alone, never on
     the other rows of its batch, so a value read back from the memo is the
@@ -1112,6 +1112,17 @@ class Distribution:
             out[miss] = new_q[back]
             self._remember(memo_p, memo_q, new_p, new_q)
         return out.reshape(p.shape)
+
+    def _prefetch(self, p: np.ndarray) -> None:
+        """Read Q at the p below 1 in one `_quantile_arr` batch, so that
+        later reads of them are memo hits: one run of inversion rounds, not
+        one per read. For a `_memoized` law. A batch that would not fit in
+        the memo beside what it holds is not run, since `_remember` keeps
+        only the smallest p and the reads would invert the rest again."""
+        p = p[p < 1.0]
+        memo_p = self.__dict__.get("_quantile_memo", (p[:0],))[0]
+        if memo_p.size + p.size <= QUANTILE_MEMO_CAP:
+            self._quantile_arr(p)
 
     def _remember(self, memo_p, memo_q, new_p, new_q) -> None:
         """Merge sorted new (p, Q) rows, none of them in the memo, into it.

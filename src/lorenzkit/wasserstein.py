@@ -424,18 +424,6 @@ def _weak_probes(limit: Distribution) -> np.ndarray:
     return DYADIC[np.minimum(below, above) > 1e-9]
 
 
-def _prefetch(d: Distribution, *ps: np.ndarray) -> None:
-    """Invert in one batch the p below 1 at which `sequence_diagnostics`
-    reads the quantile of a memoized law d (`Distribution._memoized`) at
-    fixed p, so that each of those reads is a memo hit: one run of inversion
-    rounds per law, not one per read. Changes no value, since a memo read
-    equals a cold inversion; a law with a closed-form quantile is left as
-    it is."""
-    if d._memoized:
-        p = np.concatenate(ps)
-        d._quantile_arr(p[p < 1.0])
-
-
 def _checked_thresholds(rel_tol, alpha_grid):
     """(rel_tol, alpha_grid) as a float and a float array (or None), or a
     ValueError unless rel_tol is finite and > 0 and alpha_grid, when given,
@@ -478,12 +466,13 @@ def sequence_diagnostics(
     still fails because no nearby p explains its quantile values.
 
     A law with a quantile memo (`Distribution._memoized`) inverts the p it
-    is read at here in one batch (`_prefetch`): the limit, before the steps,
-    its probes, both band edges, the ladder and the first round of its Gini
-    (`Distribution._mean_difference_p`); each member, before its step, the
-    ladder and the first round of its Gini. Every later read of those p is
-    a memo hit, and every value is what a cold law returns. The W1 routes
-    invert their own brackets to 1e-10 s (`_q_within`) and read no memo.
+    is read at here in one batch (`Distribution._prefetch`): the limit,
+    before the steps, its probes, both band edges, the ladder and the first
+    round of its Gini (`Distribution._mean_difference_p`); each member,
+    before its step, the ladder and the first round of its Gini. Every
+    later read of those p is a memo hit, and every value is what a cold law
+    returns. Other laws build no batch. The W1 routes invert their own
+    brackets to 1e-10 s (`_q_within`) and read no memo.
     """
     rel_tol, alpha_grid = _checked_thresholds(rel_tol, alpha_grid)
     members = list(seq)
@@ -504,14 +493,16 @@ def sequence_diagnostics(
     ladder = limit._probe_ladder
     delta = 0.5 * rel_tol
     p_lo, p_hi = np.maximum(probes - delta, 0.0), np.minimum(probes + delta, P_TAIL)
-    _prefetch(limit, probes, p_lo, p_hi, ladder, limit._mean_difference_p)
+    if limit._memoized:
+        limit._prefetch(np.concatenate([limit._mean_difference_p, probes, p_lo, p_hi, ladder]))
     q_limit, band_lo, band_hi = (limit._quantile_arr(p) for p in (probes, p_lo, p_hi))
     l_limit = lorenz(limit).eval(ladder)
 
     steps = []
     for i, d in enumerate(members):
         require_member(d)
-        _prefetch(d, d._mean_difference_p, ladder)
+        if d._memoized:
+            d._prefetch(np.concatenate([d._mean_difference_p, ladder]))
         curve = lorenz(d)
         steps.append(
             StepDiagnostics(

@@ -1004,3 +1004,14 @@ def test_breakpoints_are_computed_once_as_read_only_arrays(d):
         assert got.tobytes() == ref.tobytes()
         assert not got.flags.writeable
     assert d.x_breakpoints() is d.x_breakpoints() and d.p_breakpoints() is d.p_breakpoints()
+
+
+def test_sampling_experiment_builds_no_gini_cells_for_discrete_members(monkeypatch):
+    # Only a memoized law's Gini first round is inverted ahead of its step;
+    # an empirical member takes the discrete routes and never builds it.
+    spec = ExperimentSpec(scheme="sampling", source="mix(0.3*atom(0),0.7*exp(1))", seed=5, steps=3)
+    _, members, limit = _experiment_log(monkeypatch, spec)
+    assert limit._memoized and "_mean_difference_p" in limit.__dict__
+    for d in members:
+        assert d.is_finite_discrete
+        assert "_mean_difference_p" not in d.__dict__ and "_p_cells" not in d.__dict__

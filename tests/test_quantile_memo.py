@@ -24,6 +24,7 @@ from lorenzkit import (
     index_report,
     lorenz,
     robin_hood_shares,
+    sequence_diagnostics,
 )
 from lorenzkit.estimators import kde
 from lorenzkit.measures import (
@@ -31,6 +32,7 @@ from lorenzkit.measures import (
     QUANTILE_MEMO_CAP,
     TAIL_LEVELS,
     atom,
+    discrete,
     exponential,
     lognormal,
     mixture,
@@ -134,6 +136,37 @@ def test_memo_stops_at_its_cap():
     assert np.array_equal(_bits(first), _bits(cold))
     assert np.array_equal(_bits(again), _bits(cold))
     assert np.array_equal(_bits(memo_q), _bits(cold[np.searchsorted(ps, memo_p)]))
+
+
+def _atom_rich_law():
+    # 2,500 atoms give about 80,000 first-round p, more than the memo holds
+    atoms = discrete(np.random.default_rng(1).exponential(size=2_500))
+    return mixture([(0.5, atoms), (0.5, exponential(1.0))])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [index_report, lambda d: sequence_diagnostics([discrete([0.5, 1.0, 2.0])], d, rel_tol=0.3)],
+    ids=["index_report", "sequence_diagnostics"],
+)
+def test_prefetch_larger_than_the_memo_inverts_no_more_rows(monkeypatch, run):
+    # Inverting every first-round p ahead would keep only the smallest
+    # QUANTILE_MEMO_CAP of them, and the routes would invert the rest again.
+    assert _atom_rich_law()._first_round_p.size > QUANTILE_MEMO_CAP
+    rows = []
+    invert = Distribution._bisect_quantile
+
+    def counted(self, p):
+        rows.append(np.size(p))
+        return invert(self, p)
+
+    monkeypatch.setattr(Distribution, "_bisect_quantile", counted)
+    run(_atom_rich_law())
+    batched = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(Distribution, "_prefetch", lambda d, p: None)
+    run(_atom_rich_law())
+    assert batched <= sum(rows)
 
 
 def test_threads_sharing_one_law_read_cold_values(deadline):

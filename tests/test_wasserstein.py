@@ -607,3 +607,12 @@ def test_diagnostics_fields_equal_each_route_run_alone_on_a_cold_law():
     assert summary.mean.hex() == _cold(limit).mean.hex()
     assert summary.gini.hex() == gini_mean_difference(_cold(limit)).hex()
     assert summary.hoover.hex() == hoover_mean_deviation(_cold(limit)).hex()
+
+
+def test_diagnostics_build_no_gini_cells_for_a_discrete_limit():
+    limit = discrete(np.random.default_rng(2).exponential(size=500))
+    seq = [discrete(np.random.default_rng(3).exponential(size=n)) for n in (50, 200)]
+    sequence_diagnostics(seq, limit, rel_tol=0.3)
+    for d in (limit, *seq):
+        assert "_mean_difference_p" not in d.__dict__ and "_p_cells" not in d.__dict__
+
