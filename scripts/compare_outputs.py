@@ -25,7 +25,13 @@ estimate with the uniform or Epanechnikov kernel, whose quantile is a root
 of the cdf's polynomial on one knot cell, it counts the probabilities of the
 same ladder, and of 1 - 2^-k for k = 41..53 up to nextafter(1, 0), that
 break F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps or the order of Q (key
-``sandwich``; the contract is 0). The battery is
+``sandwich``; the contract is 0). Below the law, key ``component`` holds
+the own cdf, sf, pe, mass_at and quantile of every `Atoms` and
+`QuantileTable` part of the battery's laws, on the part's breakpoints, the
+floats beside them and `COMPONENT_STEPS` equal steps up to 1.25 times its
+last breakpoint (the quantile at `PS`), so a change below the pooled
+block shows; key ``large_sample`` holds `index_report` of the empirical
+law of a 10^5-point lognormal(0, 1) sample (`LARGE_SAMPLE`). The battery is
 `standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
 density plus tens to hundreds of atoms), mixtures with quantile-table and
 kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
@@ -96,6 +102,7 @@ from lorenzkit import (
     Distribution,
     atom,
     discrete,
+    empirical,
     exponential,
     fsd_dominates,
     gamma_dist,
@@ -114,7 +121,7 @@ from lorenzkit import (
     w1_routes,
 )
 from lorenzkit.cli import main as cli_main
-from lorenzkit.measures import TAIL_LEVELS
+from lorenzkit.measures import TAIL_LEVELS, Atoms, QuantileTable
 
 INDEX_FIELDS = (
     "gini_mean_difference",
@@ -166,6 +173,10 @@ DIAGNOSTICS_SCALARS = ("alpha_ref", "rel_tol")
 DIAGNOSTICS_TEXT = ("verdict", "deciding_diagnostic", "scheffe_verdict")
 #: steps of the built-in scenarios whose ``converge`` report files are dumped
 CLI_STEPS = 6
+#: equal steps of the abscissa grid a component's own methods are dumped on
+COMPONENT_STEPS = 64
+#: (seed, size) of the lognormal(0, 1) sample whose empirical law is dumped
+LARGE_SAMPLE = (31, 100_000)
 
 
 def _density(rng):
@@ -373,6 +384,22 @@ def _index_fields(d):
     return [getattr(report, f) for f in INDEX_FIELDS]
 
 
+def dump_components(values, laws):
+    """The own pointwise methods and quantile of every `Atoms` and
+    `QuantileTable` part of `laws`, keyed by the part's class as its kind."""
+    for name, d in laws:
+        for i, (_, comp) in enumerate(d.parts):
+            if not isinstance(comp, (Atoms, QuantileTable)):
+                continue
+            xb = np.asarray(comp.x_breaks(), dtype=float)
+            xs = np.unique(np.concatenate([xb, np.nextafter(xb, 0.0), np.nextafter(xb, np.inf),
+                                           np.linspace(0.0, 1.25 * xb[-1], COMPONENT_STEPS + 1)]))
+            kind, label = type(comp).__name__, f"{name} part {i}"
+            for meth in ("cdf", "sf", "pe", "mass_at"):
+                _attempt(values, f"{kind}|component.{meth}|{label}", lambda: getattr(comp, meth)(xs))
+            _attempt(values, f"{kind}|component.quantile|{label}", lambda: comp.quantile(PS))
+
+
 def dump(path):
     base, extra, smooth, dented = standard_battery(), extra_laws(), kde_laws(), dented_laws()
     unit = dict(base)
@@ -412,6 +439,10 @@ def dump(path):
     for a, b in pairs:
         d1, d2 = by_name[a], by_name[b]
         _attempt(values, f"{_kind(d1, d2)}|w1_routes|{a} vs {b}", lambda: w1_routes(d1, d2))
+    dump_components(values, laws)
+    seed, n = LARGE_SAMPLE
+    _attempt(values, f"discrete|large_sample|lognormal(0,1) n={n}",
+             lambda: _index_fields(empirical(lognormal(0.0, 1.0).sample(seed, n))))
     dump_dominance(values, standard_battery())
     dump_diagnostics(values)
     dump_cli(values, standard_battery())
@@ -425,8 +456,8 @@ def _field(key):
     """(kind, field) of a dump key; index values are split per index field,
     and the two-route values per route."""
     kind, field, rest = key.split("|", 2)
-    if field == "index":
-        field = "index." + INDEX_FIELDS[int(rest.rsplit("#", 1)[1])]
+    if field in ("index", "large_sample"):
+        field += "." + INDEX_FIELDS[int(rest.rsplit("#", 1)[1])]
     elif field == "w1_routes":
         field = "w1_routes." + ("quantile" if rest.endswith("#0") else "cdf")
     elif field == "mean_routes":

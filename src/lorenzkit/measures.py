@@ -17,13 +17,15 @@ compact-kernel estimates never load it.
 A finite set of atoms is one component, `Atoms`: two read-only float
 arrays of locations and masses in input order. `discrete` builds one, `atom`
 one of a single row, and `mixture` keeps it whole when it flattens; quantile
-tables hold read-only float arrays too. A distribution pools the atoms of
-all its atomic parts (atom blocks, step quantile tables) into one sorted
-block with prefix sums of mass and of mass times location,
-and suffix sums of mass: the CDF, survival function, atom mass and partial
-expectation of that block cost one ``searchsorted`` per call, and only the
-remaining parts (densities, linear quantile tables, plug-in components such
-as kernel mixtures) are evaluated one by one.
+tables hold read-only float arrays too. Atoms are read through one sorted
+block type, `_AtomBlock`, with prefix sums of mass and of mass times
+location and suffix sums of mass: its CDF, survival function, atom mass,
+partial expectation and quantile cost one ``searchsorted`` per call. An
+`Atoms` component reads its own block, a quantile table one of its atoms,
+and a distribution pools the atoms of all its atomic parts (atom blocks,
+step quantile tables) into one, so that only the remaining parts
+(densities, linear quantile tables, plug-in components such as kernel
+mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
@@ -176,13 +178,27 @@ def _check_finite(name: str, value: float) -> float:
 
 def _check_weights(w: np.ndarray) -> None:
     """Raises unless every weight is finite and > 0, naming the first that
-    is not, and their running sum in order is 1 within `WEIGHT_TOL`."""
+    is not, and their running sum in order is 1 within `WEIGHT_TOL` plus
+    the (n - 1) 2^-53 sum(w) that a running sum of n terms may round off
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
+    so n weights 1/n pass at any n. `mixture` has no rule of its own."""
     bad = ~(np.isfinite(w) & (w > 0.0))
     if bad.any():
         raise ValueError(f"component weights must be positive, got {float(w[bad.argmax()])}")
     total = float(np.cumsum(w)[-1])
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if abs(total - 1.0) > WEIGHT_TOL + (w.size - 1) * 2.0**-53 * total:
         raise ValueError(f"component weights must sum to 1, got {total!r}")
+
+
+def _prefix(v: np.ndarray) -> np.ndarray:
+    """Running sums of v, padded with a leading 0: entry i sums v[:i]."""
+    return np.concatenate([[0.0], np.cumsum(v)])
+
+
+def _suffix(v: np.ndarray) -> np.ndarray:
+    """Running sums of v from the end, padded with a trailing 0: entry i
+    sums v[i:]."""
+    return np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])
 
 
 def _float_vector(seq) -> np.ndarray:
@@ -365,11 +381,66 @@ class _ArrayComponent:
 
 
 @dataclass(frozen=True, eq=False)
+class _AtomBlock:
+    """Point masses as one sorted block, read with one ``searchsorted`` a
+    point: the sorted unique locations `loc`, their merged masses `mass`,
+    the running sums `cum` of mass and `cum_xm` of mass times location
+    (padded with a leading 0) and the suffix sums `tail` of mass (padded
+    with a trailing 0), all three indexed by
+    ``searchsorted(loc, x, side="right")``. An `Atoms` component, the atoms
+    of a `QuantileTable` and the pooled atoms of a `Distribution`
+    (`Distribution._atomic`) are each one block."""
+
+    loc: np.ndarray
+    mass: np.ndarray
+    cum: np.ndarray
+    cum_xm: np.ndarray
+    tail: np.ndarray
+
+    @classmethod
+    def of(cls, locs: np.ndarray, masses: np.ndarray, whole: bool = False) -> "_AtomBlock":
+        """The block of atoms given as locations and masses in any order,
+        sorted stably by location and merged (`np.unique`,
+        `np.add.reduceat`): the only place atoms are sorted or merged. A
+        `whole` block, one that is all of a law, has ``cum[-1]`` and
+        ``tail[0]`` set to 1.0 exactly."""
+        order = np.argsort(locs, kind="stable")
+        loc, start = np.unique(locs[order], return_index=True)
+        mass = np.add.reduceat(masses[order], start)
+        cum, tail = _prefix(mass), _suffix(mass)
+        if whole:
+            cum[-1] = tail[0] = 1.0
+        return cls(loc, mass, cum, _prefix(mass * loc), tail)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        return self.cum[np.searchsorted(self.loc, x, side="right")]
+
+    def sf(self, x: np.ndarray) -> np.ndarray:
+        return self.tail[np.searchsorted(self.loc, x, side="right")]
+
+    def pe(self, x: np.ndarray) -> np.ndarray:
+        return self.cum_xm[np.searchsorted(self.loc, x, side="right")]
+
+    def mass_at(self, x: np.ndarray) -> np.ndarray:
+        if not self.loc.size:
+            return np.zeros_like(x)
+        at = np.minimum(np.searchsorted(self.loc, x), self.loc.size - 1)
+        return np.where(self.loc[at] == x, self.mass[at], 0.0)
+
+    def quantile(self, p: np.ndarray) -> np.ndarray:
+        """The first location whose cumulative mass reaches p, and the last
+        location for a p above all of them."""
+        return self.loc[np.minimum(np.searchsorted(self.cum[1:], p, side="left"), self.loc.size - 1)]
+
+
+@dataclass(frozen=True, eq=False)
 class Atoms(_ArrayComponent):
     """Point masses at nonnegative locations, as two read-only float arrays
     in input order; locations may repeat. The masses are finite, > 0 and sum
-    to 1 (`WEIGHT_TOL`). A point mass is the block of one row (`atom`).
-    Equal when both arrays are."""
+    to 1 (`_check_weights`). A point mass is the block of one row (`atom`).
+    Equal when both arrays are. The pointwise methods and the quantile read
+    the atoms sorted and merged into one whole `_AtomBlock`, built at the
+    first call."""
 
     locations: np.ndarray
     masses: np.ndarray
@@ -393,26 +464,24 @@ class Atoms(_ArrayComponent):
         # the running sum in input order, as `Distribution.mean` sums parts
         return float(np.cumsum(self.masses * self.locations)[-1])
 
+    @cached_property
+    def _block(self) -> _AtomBlock:
+        return _AtomBlock.of(self.locations, self.masses, whole=True)
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.minimum((x[..., None] >= self.locations) @ self.masses, 1.0)
+        return np.minimum(self._block.cdf(np.asarray(x, dtype=float)), 1.0)
 
     def sf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.minimum((x[..., None] < self.locations) @ self.masses, 1.0)
+        return np.minimum(self._block.sf(np.asarray(x, dtype=float)), 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x[..., None] == self.locations) @ self.masses
+        return self._block.mass_at(np.asarray(x, dtype=float))
 
     def pe(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x[..., None] >= self.locations) @ (self.masses * self.locations)
+        return self._block.pe(np.asarray(x, dtype=float))
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
-        order = np.argsort(self.locations, kind="stable")
-        cum = np.cumsum(self.masses[order])
-        return self.locations[order][np.minimum(np.searchsorted(cum, p, side="left"), cum.size - 1)]
+        return self._block.quantile(np.asarray(p, dtype=float))
 
     def x_breaks(self) -> np.ndarray:
         return np.unique(self.locations)
@@ -659,9 +728,9 @@ class QuantileTable(_ArrayComponent):
 
     `grid` and `values` are kept as read-only float arrays; two tables are
     equal when both arrays and the mode are. The pointwise methods read
-    running sums over the sorted atoms and slabs (`_sums`), two binary
-    searches a point, so a table of thousands of rows costs no more per
-    point than one of ten.
+    running sums over the sorted atoms, one `_AtomBlock`, and over the
+    slabs (`_sums`), two binary searches a point, so a table of thousands
+    of rows costs no more per point than one of ten.
     """
 
     grid: np.ndarray
@@ -715,30 +784,18 @@ class QuantileTable(_ArrayComponent):
         """The pieces as sorted blocks with running sums, so a point costs
         two ``searchsorted`` calls, not a pass over every piece.
 
-        Returns ``(loc, mass, cum, tail, cum_xm, lo, hi, w, cum_w, tail_w,
-        cum_pe)``: the atoms' sorted unique locations and merged masses, the
-        prefix sums of mass (padded with a leading 0), the suffix sums
-        (padded with a trailing 0) and the prefix sums of mass times
-        location; then the slabs in grid order, whose interiors are disjoint
-        and whose ends rise, with the prefix and suffix sums of their
-        weights and the prefix sums of their partial expectations w (lo +
-        hi) / 2, taken in the form (hi^2 - lo^2) / (2 (hi - lo)) w that
-        `pe` uses on the slab that holds its point."""
+        Returns ``(atoms, lo, hi, w, cum_w, tail_w, cum_pe)``: the atoms as
+        one `_AtomBlock`; then the slabs in grid order, whose interiors are
+        disjoint and whose ends rise, with the prefix and suffix sums of
+        their weights (padded as the block's are) and the prefix sums of
+        their partial expectations w (lo + hi) / 2, taken in the form
+        (hi^2 - lo^2) / (2 (hi - lo)) w that `pe` uses on the slab that
+        holds its point."""
         slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
-        order = np.argsort(atom_loc, kind="stable")
-        loc, start = np.unique(atom_loc[order], return_index=True)
-        mass = np.add.reduceat(atom_w[order], start)
         full_pe = (slab_hi * slab_hi - slab_lo * slab_lo) / (2.0 * (slab_hi - slab_lo)) * slab_w
-
-        def prefix(v):
-            return np.concatenate([[0.0], np.cumsum(v)])
-
-        def suffix(v):
-            return np.concatenate([np.cumsum(v[::-1])[::-1], [0.0]])
-
         return (
-            loc, mass, prefix(mass), suffix(mass), prefix(mass * loc),
-            slab_lo, slab_hi, slab_w, prefix(slab_w), suffix(slab_w), prefix(full_pe),
+            _AtomBlock.of(atom_loc, atom_w),
+            slab_lo, slab_hi, slab_w, _prefix(slab_w), _suffix(slab_w), _prefix(full_pe),
         )  # fmt: skip
 
     def _slab_at(self, x: np.ndarray):
@@ -747,15 +804,15 @@ class QuantileTable(_ArrayComponent):
         only one that may hold x, xc is x clipped to it, and `inside` marks
         the points where slab k exists (its part of F, sf and pe depends on
         xc there, and is 0 elsewhere)."""
-        lo, hi = self._sums[5:7]
+        lo, hi = self._sums[1:3]
         k = np.searchsorted(hi, x, side="right")
         j = np.minimum(k, lo.size - 1)
         return k, j, np.clip(x, lo[j], hi[j]), k < lo.size
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        loc, _, cum, _, _, lo, hi, w, cum_w, _, _ = self._sums
-        out = cum[np.searchsorted(loc, x, side="right")]
+        atoms, lo, hi, w, cum_w, _, _ = self._sums
+        out = atoms.cdf(x)
         if lo.size:
             k, j, xc, inside = self._slab_at(x)
             out = out + cum_w[k] + np.where(inside, (xc - lo[j]) / (hi[j] - lo[j]) * w[j], 0.0)
@@ -763,8 +820,8 @@ class QuantileTable(_ArrayComponent):
 
     def sf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        loc, _, _, tail, _, lo, hi, w, _, tail_w, _ = self._sums
-        out = tail[np.searchsorted(loc, x, side="right")]
+        atoms, lo, hi, w, _, tail_w, _ = self._sums
+        out = atoms.sf(x)
         if lo.size:
             k, j, xc, inside = self._slab_at(x)
             part = np.where(inside, (hi[j] - xc) / (hi[j] - lo[j]) * w[j], 0.0)
@@ -772,15 +829,12 @@ class QuantileTable(_ArrayComponent):
         return np.minimum(out, 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        loc, mass = self._sums[:2]
-        at = np.minimum(np.searchsorted(loc, x), loc.size - 1)
-        return np.where(loc[at] == x, mass[at], 0.0)
+        return self._sums[0].mass_at(np.asarray(x, dtype=float))
 
     def pe(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        loc, _, _, _, cum_xm, lo, hi, w, _, _, cum_pe = self._sums
-        out = cum_xm[np.searchsorted(loc, x, side="right")]
+        atoms, lo, hi, w, _, _, cum_pe = self._sums
+        out = atoms.pe(x)
         if lo.size:
             k, j, xc, inside = self._slab_at(x)
             part = (xc * xc - lo[j] * lo[j]) / (2.0 * (hi[j] - lo[j])) * w[j]
@@ -835,9 +889,10 @@ class Distribution:
     candidates touch nothing but the table, so a part may list many.
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
-    read the parts whose ``atoms()`` lists them from one pooled block
-    (`_atomic`) and call the component methods of the other parts only; a
-    law with no other part is finite-discrete (`_discrete`).
+    read the parts whose ``atoms()`` lists them from one pooled
+    `_AtomBlock` (`_atomic`) and call the component methods of the other
+    parts only; a law with no other part is finite-discrete (`_discrete`),
+    and its quantile, breakpoints and integral of Q read the same block.
 
     A law whose quantile is iterative, a mixture of parts or a law of one
     part whose component sets ``iterative_quantile`` (the Gaussian kernel
@@ -872,20 +927,14 @@ class Distribution:
     def _atomic(self):
         """The atoms of every atomic part, pooled into one sorted block.
 
-        Returns ``(support, weights, cum, cum_xm, tail, rest)``: the sorted
-        unique locations of the atoms of every part whose ``atoms()`` lists
-        them, their merged masses, the cumulative mass and the cumulative mass
-        times location of the first i locations (both padded with a leading 0,
-        so ``searchsorted(support, x, side="right")`` indexes them directly),
-        the mass of the locations from the i-th on (the suffix sums, padded
-        with a trailing 0 and indexed the same way), and the remaining
-        (weight, component) parts, which are evaluated one by one. When no
-        part remains ``cum[-1]`` and ``tail[0]`` are 1.0 exactly.
-
-        The parts' (location, mass) rows are concatenated in part order, each
-        mass times its part's weight, then sorted stably by location and
-        merged (`np.unique`, `np.add.reduceat`): the only place atoms are
-        sorted or merged.
+        Returns ``(block, rest)``: an `_AtomBlock` of the atoms of every
+        part whose ``atoms()`` lists them, and the remaining (weight,
+        component) parts, which are evaluated one by one. The parts'
+        (location, mass) rows are concatenated in part order, each mass
+        times its part's weight, and sorted and merged by `_AtomBlock.of`;
+        the law reads the block alone, never its atomic parts' own methods.
+        When no part remains the block is whole: ``cum[-1]`` and ``tail[0]``
+        are 1.0 exactly.
         """
         rows, rest = [np.empty((0, 2))], []
         for w, comp in self.parts:
@@ -895,21 +944,13 @@ class Distribution:
             else:
                 rows.append(at * (1.0, w))
         locs, masses = np.concatenate(rows).T
-        order = np.argsort(locs, kind="stable")
-        support, start = np.unique(locs[order], return_index=True)
-        weights = np.add.reduceat(masses[order], start)
-        cum = np.concatenate([[0.0], np.cumsum(weights)])
-        tail = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-        if not rest:
-            cum[-1] = tail[0] = 1.0
-        cum_xm = np.concatenate([[0.0], np.cumsum(weights * support)])
-        return support, weights, cum, cum_xm, tail, tuple(rest)
+        return _AtomBlock.of(locs, masses, whole=not rest), tuple(rest)
 
     @cached_property
     def _discrete(self):
-        """(support, weights, cumweights) when purely atomic, else None."""
-        support, weights, cum, _, _, rest = self._atomic
-        return None if rest else (support, weights, cum[1:])
+        """The pooled `_AtomBlock` when the law is purely atomic, else None."""
+        block, rest = self._atomic
+        return None if rest else block
 
     @property
     def is_finite_discrete(self) -> bool:
@@ -919,8 +960,7 @@ class Distribution:
         """Sorted (support, weights) arrays for purely atomic distributions."""
         if self._discrete is None:
             raise ValueError("not a finite-discrete distribution")
-        support, weights, _ = self._discrete
-        return support.copy(), weights.copy()
+        return self._discrete.loc.copy(), self._discrete.mass.copy()
 
     @cached_property
     def mean(self) -> float:
@@ -939,8 +979,8 @@ class Distribution:
 
     @cached_property
     def _x_breaks(self) -> np.ndarray:
-        support, _, _, _, _, rest = self._atomic
-        pts = np.concatenate([support] + [np.asarray(comp.x_breaks()) for _, comp in rest])
+        block, rest = self._atomic
+        pts = np.concatenate([block.loc] + [np.asarray(comp.x_breaks()) for _, comp in rest])
         pts = np.unique(pts[np.isfinite(pts)])
         pts.flags.writeable = False
         return pts
@@ -956,8 +996,7 @@ class Distribution:
     @cached_property
     def _p_breaks(self) -> np.ndarray:
         if self._discrete is not None:
-            _, _, cum = self._discrete
-            ps = np.concatenate([[0.0], cum])
+            ps = self._discrete.cum
         else:
             xb = self.x_breakpoints()
             f = self._cdf_arr(xb)
@@ -974,15 +1013,15 @@ class Distribution:
         """An abscissa beyond which survival mass is at most eps: finite for
         eps > 0, and at eps = 0 the supremum of the support, inf for an
         unbounded law. Integrals in x to infinity cut at eps = `X_CUT`."""
-        support, _, _, _, _, rest = self._atomic
-        return float(max([comp.support_hi(eps) for _, comp in rest] + support[-1:].tolist()))
+        block, rest = self._atomic
+        return float(max([comp.support_hi(eps) for _, comp in rest] + block.loc[-1:].tolist()))
 
     # -- pointwise evaluations ---------------------------------------------
 
     def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        support, _, cum, _, _, rest = self._atomic
-        out = cum[np.searchsorted(support, x, side="right")]
+        block, rest = self._atomic
+        out = block.cdf(x)
         for w, comp in rest:
             out = out + w * comp.cdf(x)
         return np.minimum(out, 1.0)
@@ -991,8 +1030,8 @@ class Distribution:
         """P[X > x] as a sum of the parts' own survival functions, so it
         keeps its relative precision where 1 - F has none left."""
         x = np.asarray(x, dtype=float)
-        support, _, _, _, tail, rest = self._atomic
-        out = tail[np.searchsorted(support, x, side="right")]
+        block, rest = self._atomic
+        out = block.sf(x)
         for w, comp in rest:
             out = out + w * comp.sf(x)
         return np.minimum(out, 1.0)
@@ -1000,8 +1039,8 @@ class Distribution:
     def _pe_arr(self, x: np.ndarray) -> np.ndarray:
         """The partial expectation at x >= 0, unchecked (`partial_expectation`)."""
         x = np.asarray(x, dtype=float)
-        support, _, _, cum_xm, _, rest = self._atomic
-        out = cum_xm[np.searchsorted(support, x, side="right")]
+        block, rest = self._atomic
+        out = block.pe(x)
         for w, comp in rest:
             out = out + w * comp.pe(x)
         return out
@@ -1027,11 +1066,8 @@ class Distribution:
 
     def _mass_arr(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        support, weights, _, _, _, rest = self._atomic
-        out = np.zeros_like(x)
-        if support.size:
-            idx = np.minimum(np.searchsorted(support, x), support.size - 1)
-            out = np.where(support[idx] == x, weights[idx], 0.0)
+        block, rest = self._atomic
+        out = block.mass_at(x)
         for w, comp in rest:
             out = out + w * comp.mass_at(x)
         return out
@@ -1152,8 +1188,7 @@ class Distribution:
         out = np.zeros_like(p)
         pos = p > 0.0
         if self._discrete is not None:
-            support, _, cum = self._discrete
-            out[pos] = support[np.searchsorted(cum, p[pos], side="left")]
+            out[pos] = self._discrete.quantile(p[pos])
         else:
             out[pos] = self.parts[0][1].quantile(p[pos])
         return out
@@ -1314,10 +1349,10 @@ class Distribution:
             return 0.0
         if p == 1.0:
             return self.mean
-        if self._discrete is not None:
-            support, _, cum, cum_xm, _, _ = self._atomic
-            j = int(np.searchsorted(cum, p, side="left")) - 1
-            return float(cum_xm[j] + (p - cum[j]) * support[j])
+        block = self._discrete
+        if block is not None:
+            j = int(np.searchsorted(block.cum, p, side="left")) - 1
+            return float(block.cum_xm[j] + (p - block.cum[j]) * block.loc[j])
         qp = float(self._quantile_arr(np.asarray(p)))
         return self._x_integral(lambda x: p - self._cdf_arr(x), 0.0, qp, 1e-10)
 
@@ -1436,20 +1471,17 @@ def quantile_table(grid, values, mode: str = "step") -> Distribution:
 
 
 def mixture(parts) -> Distribution:
-    """Weighted mixture of distributions, flattened to one component list."""
+    """Weighted mixture of distributions, flattened to one component list,
+    whose weights must sum to 1 (`_check_weights`)."""
     flat: list[tuple[float, object]] = []
-    total = 0.0
     for w, d in parts:
         w = float(w)
         if w <= 0:
             raise ValueError(f"mixture weights must be positive, got {w}")
-        total += w
         if isinstance(d, Distribution):
             flat.extend((w * wi, comp) for wi, comp in d.parts)
         else:
             flat.append((w, d))
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights must sum to 1, got {total!r}")
     return Distribution(tuple(flat))
 
 

@@ -48,14 +48,11 @@ __all__ = [
 
 
 def _w1_discrete(d1: Distribution, d2: Distribution) -> tuple[float, float]:
-    s1, _, c1 = d1._discrete
-    s2, _, c2 = d2._discrete
-    levels = np.unique(np.concatenate([[0.0], c1, c2]))
+    b1, b2 = d1._discrete, d2._discrete
+    levels = np.unique(np.concatenate([b1.cum, b2.cum]))
     right = levels[1:]
-    q1 = s1[np.searchsorted(c1, right, side="left")]
-    q2 = s2[np.searchsorted(c2, right, side="left")]
-    by_quantile = float(np.sum(np.diff(levels) * np.abs(q1 - q2)))
-    xs = np.unique(np.concatenate([s1, s2]))
+    by_quantile = float(np.sum(np.diff(levels) * np.abs(b1.quantile(right) - b2.quantile(right))))
+    xs = np.unique(np.concatenate([b1.loc, b2.loc]))
     f1 = d1._cdf_arr(xs[:-1])
     f2 = d2._cdf_arr(xs[:-1])
     by_cdf = float(np.sum(np.diff(xs) * np.abs(f1 - f2)))
@@ -167,9 +164,8 @@ def _w1_step_quantile(d1: Distribution, d2: Distribution, tol: float) -> float:
     1, and an edge near 1 does not carry the rounding of a long prefix sum
     into S2.
     """
-    s, w, c = d1._discrete
-    _, _, _, _, tail, _ = d1._atomic
-    right = tail[1:]
+    block = d1._discrete
+    s, w, c, right = block.loc, block.mass, block.cum[1:], block.tail[1:]
     h = int(np.searchsorted(c, 0.5, side="right"))
     inner = np.concatenate([c[:h], 1.0 - right[h:]])[:-1]
     s2 = d2._quantile_integral(inner, _q_within(d2, inner, 0.0, math.inf, tol))

@@ -991,11 +991,11 @@ def test_experiment_members_equal_per_member_draws(monkeypatch, scheme, source):
 )
 def test_breakpoints_are_computed_once_as_read_only_arrays(d):
     # The uncached computation, as `Distribution` ran it on every call.
-    support, _, _, _, _, rest = d._atomic
-    xb = np.concatenate([support] + [np.asarray(c.x_breaks()) for _, c in rest])
+    block, rest = d._atomic
+    xb = np.concatenate([block.loc] + [np.asarray(c.x_breaks()) for _, c in rest])
     xb = np.unique(xb[np.isfinite(xb)])
     if d.is_finite_discrete:
-        pb = np.concatenate([[0.0], d._discrete[2]])
+        pb = np.concatenate([[0.0], d._discrete.cum[1:]])
     else:
         f = d._cdf_arr(xb)
         pb = np.concatenate([[0.0, 1.0], f, np.maximum(f - d._mass_arr(xb), 0.0)])

@@ -23,7 +23,7 @@ from lorenzkit import (
     w1,
     w1_routes,
 )
-from lorenzkit.estimators import kde, quantile_approx
+from lorenzkit.estimators import empirical, kde, quantile_approx
 from lorenzkit.measures import (
     TAIL_LEVELS,
     Atoms,
@@ -92,17 +92,37 @@ def test_discrete_merges_duplicates():
         ([1.0, 2.0], [0.0, 1.0], "component weights must be positive, got 0.0"),
         ([1.0, 2.0], [0.5, 0.6], "component weights must sum to 1, got 1.1"),
         ([1.0], [0.5], "component weights must sum to 1, got 0.5"),
+        ([1.0, 2.0, 3.0], [0.25, 0.25, 0.5 + 1e-9], "component weights must sum to 1, got 1.000000001"),
         ([1.0, 2.0], [1.0], "values and weights must have equal length"),
         ([], None, "a discrete distribution needs at least one atom"),
         ([], [], "a discrete distribution needs at least one atom"),
     ],
     ids=["nan location", "inf location", "negative location", "negative weight",
-         "nan weight", "zero weight", "weights sum to 1.1", "weights sum to 0.5", "unequal lengths",
+         "nan weight", "zero weight", "weights sum to 1.1", "weights sum to 0.5",
+         "three weights 1e-9 over", "unequal lengths",
          "no atoms", "no atoms or weights"],
 )
 def test_discrete_input_errors_name_the_first_offending_value(values, weights, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         discrete(values, weights)
+
+
+@pytest.mark.parametrize("n", [10**5, 3 * 10**5 + 1, 10**6])
+def test_equal_weight_samples_of_any_size_are_laws(n):
+    # The running sum of n weights 1/n was held to 1e-12 at every n; it
+    # misses 1 by 1.9e-12 at n = 10^5, so no sample this large was a law.
+    xs = np.random.default_rng(n).lognormal(0.0, 1.0, size=n)
+    d = discrete(xs)
+    assert d.is_finite_discrete and d.parts[0][1].masses[0] == 1.0 / n
+    assert empirical(xs) == d
+    if n == 10**6:
+        ps = np.append(1.0 - 2.0 ** -np.arange(1.0, 53.0), np.nextafter(1.0, 0.0))
+        _assert_galois_pair(d, ps, "10^6 atoms")
+
+
+def test_quantile_approx_takes_a_table_of_10_5_rows():
+    d = quantile_approx(lognormal(0.0, 1.0), 10**5)
+    assert d.is_finite_discrete and d.support_atoms()[0].size == 10**5
 
 
 def test_discrete_law_is_one_block_and_builds_no_atom():
@@ -149,8 +169,9 @@ def test_discrete_pooling_and_mean_match_the_sequential_reference():
     d = discrete(xs, ws)
     assert np.unique(xs).size < xs.size
     assert d.mean.hex() == mean.hex()
-    *arrays, rest = d._atomic
+    block, rest = d._atomic
     assert rest == ()
+    arrays = (block.loc, block.mass, block.cum, block.cum_xm, block.tail)
     for got, ref in zip(arrays, (support, weights, cum, cum_xm, tail)):
         assert got.tobytes() == ref.tobytes()
 
@@ -530,6 +551,89 @@ def test_linear_table_pointwise_memory_does_not_grow_with_points_times_pieces():
     tracemalloc.start()
     try:
         for method in (table.cdf, table.sf, table.mass_at, table.pe):
+            method(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def _atoms_dense(block, x, p):
+    """(cdf, sf, mass_at, pe, quantile) of an `Atoms` block as it evaluated
+    them before it read a sorted, merged block: points-by-atoms matrices,
+    and running sums of the masses sorted but not merged, kept as the
+    reference."""
+    loc, m = block.locations, block.masses
+    col = x[:, None]
+    order = np.argsort(loc, kind="stable")
+    cum = np.cumsum(m[order])
+    return (
+        np.minimum((col >= loc) @ m, 1.0),
+        np.minimum((col < loc) @ m, 1.0),
+        (col == loc) @ m,
+        (col >= loc) @ (m * loc),
+        loc[order][np.minimum(np.searchsorted(cum, p, side="left"), cum.size - 1)],
+    )
+
+
+def _atom_blocks():
+    yield [2.5], [1.0]
+    yield [0.0], [1.0]
+    yield [1.0, 1.0, 1.0], [0.2, 0.3, 0.5]
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        n = int(rng.integers(2, 400))
+        # drawn from a pool a third as large, so locations tie
+        yield rng.choice(rng.lognormal(0.0, 1.0, size=n // 3 + 1), size=n), rng.dirichlet(np.ones(n))
+    far = np.full(51, (1.0 - 1e-9) / 50)
+    far[-1] = 1e-9
+    yield np.append(rng.uniform(0.0, 2.0, size=50), 1e9), far
+    yield np.round(rng.lognormal(0.0, 1.0, size=4096), 2), rng.dirichlet(np.ones(4096))
+
+
+@pytest.mark.parametrize("locations, masses", list(_atom_blocks()))
+def test_atoms_values_match_the_dense_form(locations, masses):
+    # Each side sums the same nonnegative masses in its own order, so each
+    # is within (n - 1) u of the exact sum, relative to it (Higham, Accuracy
+    # and Stability of Numerical Algorithms, section 4.2), and the two are
+    # within 2 (n - 1) u = (n - 1) eps. The block sets its total mass to 1,
+    # off the exact sum by |1 - fsum(masses)|.
+    block = Atoms(locations, masses)
+    n, v = block.masses.size, np.unique(block.locations)
+    x = np.concatenate([[0.0, np.inf], v, np.nextafter(v, 0.0), np.nextafter(v, np.inf), np.linspace(0.0, 1.1 * v[-1], 301)])
+    p = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], 1.0 - 2.0 ** -np.arange(11.0, 54.0)])
+    p = np.concatenate([p, np.cumsum(block.masses), np.nextafter(np.cumsum(block.masses), 0.0)])
+    p = np.unique(p[(p > 0.0) & (p < 1.0)])
+    tol = (n - 1) * np.finfo(float).eps
+    total = abs(1.0 - math.fsum(block.masses.tolist()))
+    ref = _atoms_dense(block, x, p)
+    got = (block.cdf(x), block.sf(x), block.mass_at(x), block.pe(x))
+    for name, a, b in zip(("cdf", "sf", "mass_at", "pe"), got, ref):
+        assert np.all(np.abs(a - b) <= tol * np.abs(b) + (total if name in ("cdf", "sf") else 0.0)), name
+    # the quantile is a location: equal wherever p is clear of every
+    # running sum by the bound, and an exact Galois pair with the cdf
+    q = block.quantile(p)
+    edges = np.cumsum(block.masses[np.argsort(block.locations, kind="stable")])
+    at = np.searchsorted(edges, p)
+    gap = np.minimum(np.abs(p - edges[np.minimum(at, n - 1)]), np.abs(p - edges[np.maximum(at - 1, 0)]))
+    clear = gap > tol + total
+    assert np.array_equal(q[clear], ref[4][clear])
+    assert np.all(block.cdf(q) >= p) and np.all((q == 0.0) | (block.cdf(np.nextafter(q, 0.0)) < p))
+    assert np.all(np.diff(q) >= 0.0)
+
+
+def test_atoms_pointwise_memory_does_not_grow_with_points_times_atoms():
+    # The dense form held a 4,000 x 4,096 matrix per method (140.7 MB for
+    # the four), and at 8,000 x 8,000 points and atoms cdf alone 549 MB.
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    block = Atoms(rng.lognormal(0.0, 1.0, size=4096), rng.dirichlet(np.ones(4096)))
+    block.cdf(np.zeros(1))
+    x = np.linspace(0.0, 1.1 * block.locations.max(), 4_000)
+    tracemalloc.start()
+    try:
+        for method in (block.cdf, block.sf, block.mass_at, block.pe):
             method(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -9,6 +9,7 @@ import pytest
 
 from lorenzkit import (
     discrete,
+    estimate_gini,
     extremal_bimodal,
     midpoint_atom_mixture,
     gini_mean_difference,
@@ -33,10 +34,10 @@ def test_battery_law_is_the_law_its_name_parses_to(name, d):
     # The battery wrote each law twice, as a name and as constructor calls;
     # the 0.4/0.3/0.2/0.1 law's hand-built weights were not the parser's.
     parsed = parse_distribution(name)
-    *blocks, rest = d._atomic
-    *parsed_blocks, parsed_rest = parsed._atomic
-    for a, b in zip(blocks, parsed_blocks):
-        assert a.tobytes() == b.tobytes()
+    block, rest = d._atomic
+    parsed_block, parsed_rest = parsed._atomic
+    for field in ("loc", "mass", "cum", "cum_xm", "tail"):
+        assert getattr(block, field).tobytes() == getattr(parsed_block, field).tobytes()
     assert rest == parsed_rest
     assert d.mean == parsed.mean
 
@@ -148,6 +149,17 @@ def test_index_reads_sample_files(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["hoover_mean_deviation"] == pytest.approx(0.5, abs=1e-12)
     assert main(["index", f"file:{tmp_path / 'gone.csv'}"]) == 1
+
+
+def test_index_reads_a_sample_file_of_10_5_points(tmp_path, capsys):
+    # Its 10^5 weights 1/n summed to 1 - 1.9e-12, which the law rejected,
+    # and the command exited 1.
+    xs = np.random.default_rng(8).lognormal(0.0, 1.0, size=10**5)
+    p = tmp_path / "big.csv"
+    p.write_text("\n".join(map(repr, xs.tolist())) + "\n")
+    assert main(["index", f"file:{p}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gini_mean_difference"] == pytest.approx(estimate_gini(xs), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
