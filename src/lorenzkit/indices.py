@@ -31,7 +31,11 @@ plus one quadrature over p for the diagonal). Hoover comes as half the
 normalized mean absolute deviation (cdf quadrature), as the Lorenz gap at
 the cumulative probability of the mean with the quantile integral taken by
 cdf quadrature (`Distribution.integral_quantile`), and as the maximum Lorenz
-gap over a probability sweep (the identity).
+gap over a probability sweep (the identity). The sweep reads p that the
+index batch already holds (`Distribution._gap_sweep`): the edges of the
+probability cells and, in every cell at least 2^-10 wide, the first-round
+Kronrod nodes that the Gini routes integrate first, so it adds F(mean) alone
+to the batch.
 
 The mean-difference route rests on the double integral of |Q(u) - Q(v)| over
 the unit square. Cutting the square into cells [a_i, a_{i+1}) x [a_j, a_{j+1})
@@ -179,11 +183,14 @@ def hoover_max(d: Distribution) -> float:
     The gap is maximized at p = F(mean). The value there is read off the
     Lorenz curve, that is by the partial-expectation identity, which shares
     no quadrature with `hoover_cdf`'s x-space integral at the same p. It is
-    returned after a sweep over the probability breakpoints and the ladder
-    of step 2^-10 (which holds every dyadic probe down to that level)
-    confirms no probe beats it by more than numerical slack; F(mean) is
-    evaluated in the same batch as the sweep (`Distribution._gap_sweep`),
-    one curve call for all.
+    returned after a sweep confirms no probe beats it by more than
+    numerical slack. The sweep (`Distribution._gap_sweep`) reads the p of
+    the index batch: the edges of the probability cells, which hold the
+    quantile's breakpoints, and the first-round Kronrod nodes of every cell
+    at least 2^-10 wide, at most 1.7 2^-10 apart; a finite-discrete law,
+    whose gap is linear between its cumulative masses, is swept at the
+    edges alone. F(mean) is evaluated in the same batch, one curve call
+    for all.
     """
     require_member(d)
     p_star = float(d.cdf(d.mean))

@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import first_nodes, integrate
+from .quadrature import _nodes, first_nodes, integrate
 
 __all__ = [
     "MeanDomainError",
@@ -285,13 +285,13 @@ def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) ->
         lo = np.where(ge, lo, mid)
 
 
-def _reach(t, y, slope, tol: float = 0.0):
+def _reach(t, ulp_y, slope, tol: float = 0.0):
     """Half the bracket width at which the Illinois steps of `_invert` stop
     around an iterate t: max(tol, a few ulps of t plus a few ulps of the
     target y over the slope), since the computed level blurs its crossing
-    of y over about |spacing(y)| / slope in t; `_bisect` goes on from
-    there."""
-    return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + np.abs(np.spacing(y)) / slope))
+    of y over about ulp_y / slope in t, ulp_y = |spacing(y)|; `_bisect` goes
+    on from there."""
+    return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + ulp_y / slope))
 
 
 def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
@@ -313,43 +313,46 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
     Rows whose ends do not bracket y skip the steps and are bisected as
     given. At tol 0 the Galois pair level(prev(q)) < y <= level(q) holds
     exactly, as `quantile` needs.
+    Each quantity of the open rows is one flat array, rebuilt by
+    ``np.where`` each round; a secant point is clamped into the open
+    bracket only on the rows where it left it, since the clamp keeps a
+    point strictly inside as it is.
     """
     lo, hi = lo.copy(), hi.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first = _reach(hi, y, (vhi - vlo) / (hi - lo), tol)
+        ulp = np.abs(np.spacing(y))
+        first = _reach(hi, ulp, (vhi - vlo) / (hi - lo), tol)
         (idx,) = np.nonzero((vlo < y) & (y <= vhi) & (hi - lo > 2.0 * first))
-        # one row per quantity, one column per open target: the bracket, its
-        # level values, the Illinois residuals, the target, the residual
-        # floor, and the end the last step moved (1 upper, 0 lower, 0.5 none yet)
-        a, b, target = lo[idx], hi[idx], y[idx]
+        # the bracket, its level values, the Illinois residuals, the target,
+        # |spacing(target)| and the residual floor, one entry per open row;
+        # up_last says which end the last step moved (None before the first)
+        a, b, target, ulp = lo[idx], hi[idx], y[idx], ulp[idx]
         fa, fb = vlo[idx], vhi[idx]
-        state = np.stack(
-            [a, b, fa, fb, fa - target, fb - target, target,
-             0.5 * np.abs(np.spacing(target)), np.full_like(a, 0.5)]
-        )
+        ga, gb, floor = fa - target, fb - target, 0.5 * ulp
+        up_last = None
         for rnd in range(_MAX_ROUNDS):
             if not idx.size:
                 break
-            a, b, fa, fb, ga, gb, target, floor, moved = state
             s = a - ga * (b - a) / (np.maximum(gb, floor) - ga)
-            s = np.minimum(np.maximum(s, np.nextafter(a, b)), np.nextafter(b, a))
+            out = ~((a < s) & (s < b))
+            if out.any():
+                s[out] = np.minimum(np.maximum(s[out], np.nextafter(a[out], b[out])), np.nextafter(b[out], a[out]))
             fs = level(s, target)
             g = fs - target
             up = g >= 0.0
-            down = ~up
-            np.multiply(ga, 0.5, out=ga, where=up & (moved == 1.0))
-            np.multiply(gb, 0.5, out=gb, where=down & (moved == 0.0))
-            for row, new in ((a, s), (fa, fs), (ga, g)):
-                np.copyto(row, new, where=down)
-            for row, new in ((b, s), (fb, fs), (gb, g)):
-                np.copyto(row, new, where=up)
-            np.copyto(moved, up)
-            r = _reach(s, target, (fb - fa) / (b - a), tol)
+            if up_last is not None:
+                ga = np.where(up_last, 0.5 * ga, ga)
+                gb = np.where(up_last, gb, 0.5 * gb)
+            a, fa, ga = np.where(up, a, s), np.where(up, fa, fs), np.where(up, ga, g)
+            b, fb, gb = np.where(up, s, b), np.where(up, fs, fb), np.where(up, g, gb)
+            up_last = up
+            r = _reach(s, ulp, (fb - fa) / (b - a), tol)
             open_ = (b - a > 2.0 * r) & (rnd < _MAX_ROUNDS - 1)
             if not open_.all():
                 shut = ~open_
                 lo[idx[shut]], hi[idx[shut]] = a[shut], b[shut]
-                idx, state = idx[open_], state[:, open_]
+                idx, a, b, fa, fb, ga, gb = idx[open_], a[open_], b[open_], fa[open_], fb[open_], ga[open_], gb[open_]
+                target, ulp, floor, up_last = target[open_], ulp[open_], floor[open_], up_last[open_]
     return _bisect(level, y, lo, hi, tol)
 
 
@@ -1215,19 +1218,35 @@ class Distribution:
     @cached_property
     def _probe_ladder(self) -> np.ndarray:
         """The probe ladder over p: the levels k 2^-10, k = 0..1024, and the
-        quantile's breakpoints, sorted. The sweep of `hoover_max`
-        (`_gap_sweep`), the dominance checks (`lorenz.lorenz_dominates`,
-        `fsd_dominates`) and the Lorenz gap of
-        `wasserstein.sequence_diagnostics` all start from it."""
+        quantile's breakpoints, sorted. The dominance checks
+        (`lorenz.lorenz_dominates`, `fsd_dominates`) and the Lorenz gap of
+        `wasserstein.sequence_diagnostics` start from it; the sweep of
+        `hoover_max` reads the index batch's own p instead (`_gap_sweep`)."""
         ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1025), self.p_breakpoints()]))
         ps.flags.writeable = False
         return ps
 
     @cached_property
     def _gap_sweep(self) -> np.ndarray:
-        """The probabilities where `indices.hoover_max` reads the Lorenz gap:
-        the probe ladder (`_probe_ladder`) and F(mean)."""
-        ps = np.unique(np.concatenate([self._probe_ladder, [float(self.cdf(self.mean))]]))
+        """The probabilities where `indices.hoover_max` reads the Lorenz gap,
+        sorted: every edge of `_p_cells`, F(mean) (1 included), and, unless
+        the law is finite-discrete, the 15 first-round Kronrod nodes of each
+        cell at least 2^-10 wide, by the expression of
+        `quadrature.first_nodes`, so they are the p the Lorenz area and the
+        mean-difference diagonal read first, bit for bit. Below 1 and
+        besides F(mean) they are all in `_mean_difference_p`, since the last
+        cell is at most 2^-40 wide, so `_first_round_p` holds no row for the
+        sweep alone. Adjacent probes are at most 1.7 2^-10 apart (mid-cell
+        of a 1/64 cell), closer toward both ends. A finite-discrete law's
+        gap p - L(p) is linear between its cumulative masses, which are
+        edges, so its edges hold the maximum exactly."""
+        cells = self._p_cells
+        ps = [cells, [float(self.cdf(self.mean))]]
+        if self._discrete is None:
+            lo, hi = cells[:-1], cells[1:]
+            wide = hi - lo >= 2.0**-10
+            ps.append(_nodes(lo[wide], hi[wide]).ravel())
+        ps = np.unique(np.concatenate(ps))
         ps.flags.writeable = False
         return ps
 
@@ -1252,8 +1271,8 @@ class Distribution:
 
         They are `_mean_difference_p`, the first-round Kronrod nodes of the
         last cell of `_p_cells` (with those of the other cells, the Lorenz
-        area's first round), and `_gap_sweep`. One `_quantile_arr` call on
-        them inverts all of these in one batch.
+        area's first round), and `_gap_sweep`, whose p are these and F(mean).
+        One `_quantile_arr` call on them inverts all of these in one batch.
         """
         last = first_nodes(self._p_cells[-2:])
         ps = np.unique(np.concatenate([self._mean_difference_p, last, self._gap_sweep]))

@@ -170,6 +170,28 @@ def test_hoover_max_location_on_uniform():
     assert hoover_max(uniform(0.0, 1.0)) == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [uniform(0.0, 1.0), mixture([(0.6, gamma_dist(2.0, 1.0)), (0.4, atom(1.5))])],
+    ids=["uniform", "gamma_atom"],
+)
+def test_hoover_max_sweep_catches_a_gap_above_the_value(monkeypatch, d):
+    # A quantile read 10 % low at one probe past F(mean) lowers L there,
+    # so the sweep finds a gap above the one at F(mean) and raises.
+    p_star = float(d.cdf(d.mean))
+    sweep = d._gap_sweep
+    probe = sweep[np.searchsorted(sweep, p_star) + 3]
+    quantile = Distribution._quantile_arr
+
+    def low_at_probe(self, p):
+        q = quantile(self, p)
+        return np.where(np.asarray(p) == probe, 0.9 * q, q)
+
+    monkeypatch.setattr(Distribution, "_quantile_arr", low_at_probe)
+    with pytest.raises(RuntimeError, match="Lorenz gap sweep exceeded"):
+        hoover_max(d)
+
+
 def test_robin_hood_examples():
     assert robin_hood_shares(atom(2.0)) == (0.0, 0.0)
     r, p = robin_hood_shares(discrete([0.0, 1.0]))

@@ -1135,3 +1135,109 @@ def test_inversion_never_evaluates_a_level_point_twice(monkeypatch, i):
     Distribution(d.parts).quantile(ps)
     w1(Distribution(d.parts), exponential(1.0))
     assert repeats[0] == 0
+
+
+def _reach_reference(t, y, slope, tol):
+    return np.maximum(tol, measures._FINISH_ULPS * (np.spacing(t) + np.abs(np.spacing(y)) / slope))
+
+
+def _invert_reference(level, y, lo, hi, vlo, vhi, tol):
+    """The Illinois loop before its rows became flat arrays rebuilt by
+    ``np.where``: one (9, n) stack updated in place, the clamp on every
+    row and |spacing(y)| recomputed each round."""
+    lo, hi = lo.copy(), hi.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = _reach_reference(hi, y, (vhi - vlo) / (hi - lo), tol)
+        (idx,) = np.nonzero((vlo < y) & (y <= vhi) & (hi - lo > 2.0 * first))
+        a, b, target = lo[idx], hi[idx], y[idx]
+        fa, fb = vlo[idx], vhi[idx]
+        state = np.stack(
+            [a, b, fa, fb, fa - target, fb - target, target,
+             0.5 * np.abs(np.spacing(target)), np.full_like(a, 0.5)]
+        )
+        for rnd in range(measures._MAX_ROUNDS):
+            if not idx.size:
+                break
+            a, b, fa, fb, ga, gb, target, floor, moved = state
+            s = a - ga * (b - a) / (np.maximum(gb, floor) - ga)
+            s = np.minimum(np.maximum(s, np.nextafter(a, b)), np.nextafter(b, a))
+            fs = level(s, target)
+            g = fs - target
+            up = g >= 0.0
+            down = ~up
+            np.multiply(ga, 0.5, out=ga, where=up & (moved == 1.0))
+            np.multiply(gb, 0.5, out=gb, where=down & (moved == 0.0))
+            for row, new in ((a, s), (fa, fs), (ga, g)):
+                np.copyto(row, new, where=down)
+            for row, new in ((b, s), (fb, fs), (gb, g)):
+                np.copyto(row, new, where=up)
+            np.copyto(moved, up)
+            r = _reach_reference(s, target, (fb - fa) / (b - a), tol)
+            open_ = (b - a > 2.0 * r) & (rnd < measures._MAX_ROUNDS - 1)
+            if not open_.all():
+                shut = ~open_
+                lo[idx[shut]], hi[idx[shut]] = a[shut], b[shut]
+                idx, state = idx[open_], state[:, open_]
+    return measures._bisect(level, y, lo, hi, tol)
+
+
+def _replay(invert, level, args):
+    """`invert`'s output and every (t, y) it hands to `level`, as bits."""
+    seen = []
+
+    def recorded(t, y):
+        seen.append((np.asarray(t).view(np.uint64).copy(), np.asarray(y).view(np.uint64).copy()))
+        return level(t, y)
+
+    out = invert(recorded, *(np.copy(a) for a in args[:-1]), args[-1])
+    return out.view(np.uint64), seen
+
+
+def _assert_same_loop(level, args):
+    new, new_seen = _replay(measures._invert, level, args)
+    ref, ref_seen = _replay(_invert_reference, level, args)
+    assert np.array_equal(new, ref)
+    assert len(new_seen) == len(ref_seen)
+    for (t, y), (t_ref, y_ref) in zip(new_seen, ref_seen):
+        assert np.array_equal(t, t_ref) and np.array_equal(y, y_ref)
+
+
+def _lean_loop_laws():
+    sample = np.random.default_rng(7).lognormal(0.0, 0.5, size=200)
+    nested = _nested_budget_laws()
+    return nested + [
+        nested[0].rescaled(1e12),
+        nested[0].rescaled(1e-12),
+        mixture([(0.4, atom(0.0)), (0.6, gamma_dist(3.0, 0.5))]),
+        kde(sample, "gaussian", 0.03),
+    ]
+
+
+@pytest.mark.parametrize("i", range(len(_lean_loop_laws())))
+def test_lean_illinois_loop_repeats_the_reference_at_tol_0(i):
+    # Rebuilding the rows with np.where, clamping only the points that left
+    # their bracket and computing |spacing(y)| once per row must change no
+    # iterate: the same level points in the same order, the same quantiles.
+    d = _lean_loop_laws()[i]
+    lo, hi, vlo, vhi, y = d._knot_brackets(d._first_round_p)
+    _assert_same_loop(d._level_arr, (y, lo, hi, vlo, vhi, 0.0))
+
+
+@pytest.mark.parametrize("i", range(len(_lean_loop_laws())))
+def test_lean_illinois_loop_repeats_the_reference_on_w1_brackets(monkeypatch, i):
+    # W1's quantile route inverts within brackets its cells hand down, to
+    # 1e-10 times the scale.
+    calls = []
+    invert = measures._invert
+
+    def captured(level, *args):
+        calls.append((level, tuple(np.copy(a) for a in args[:-1]) + (args[-1],)))
+        return invert(level, *args)
+
+    monkeypatch.setattr(measures, "_invert", captured)
+    d1, d2 = _lean_loop_laws()[i], mixture([(0.5, exponential(1.0)), (0.5, uniform(0.5, 2.0))])
+    w1_routes(d1, d2)
+    monkeypatch.undo()
+    assert calls and {args[-1] for _, args in calls} == {1e-10 * (d1.mean + d2.mean)}
+    for level, args in calls:
+        _assert_same_loop(level, args)

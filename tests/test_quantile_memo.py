@@ -27,6 +27,7 @@ from lorenzkit import (
     sequence_diagnostics,
 )
 from lorenzkit.estimators import kde
+from lorenzkit.quadrature import first_nodes
 from lorenzkit.measures import (
     DYADIC,
     QUANTILE_MEMO_CAP,
@@ -61,7 +62,9 @@ def _bits(values) -> np.ndarray:
 
 def _warmed(d: Distribution, rng) -> Distribution:
     """`d` after one random batch of p, some of them on the grids the
-    routes read (the shared cells, the sweep of `hoover_max`)."""
+    routes read (the shared cells, whose edges and first-round nodes the
+    sweep of `hoover_max` reads, and the 2^-10 probe ladder of the
+    dominance checks and `sequence_diagnostics`)."""
     cells = d._p_cells[:-1]
     sweep = np.linspace(0.0, 1.0, 1025)[:-1]
     ps = np.concatenate([rng.random(300), rng.choice(cells, cells.size // 2), rng.choice(sweep, 200)])
@@ -120,6 +123,43 @@ def test_closed_form_laws_keep_no_memo():
     for d in (exponential(1.0), mixture([(0.5, atom(1.0)), (0.5, atom(2.0))]), smooth):
         d._quantile_arr(LADDER)
         assert "_quantile_memo" not in d.__dict__
+
+
+def _sweep_laws():
+    nested = _nested_budget_laws()
+    sample = np.random.default_rng(7).lognormal(0.0, 0.5, size=200)
+    return nested + [nested[0].rescaled(1e12), kde(sample, "gaussian", 0.03)]
+
+
+@pytest.mark.parametrize("i", range(len(_sweep_laws())))
+def test_index_batch_holds_the_gap_sweep(i):
+    # The sweep of hoover_max read a 2^-10 ladder of its own, about a
+    # quarter of the rows of index_report's batch. It reads the p the
+    # mean-difference route inverts first, and adds F(mean) alone.
+    d = _sweep_laws()[i]
+    p_star = float(d.cdf(d.mean))
+    sweep = d._gap_sweep
+    assert np.isin(sweep[(sweep < 1.0) & (sweep != p_star)], d._mean_difference_p).all()
+    batch = np.concatenate([d._mean_difference_p, first_nodes(d._p_cells[-2:]), [p_star]])
+    batch = np.unique(batch[batch < 1.0])
+    assert np.array_equal(_bits(d._first_round_p), _bits(batch))
+    assert np.diff(sweep).max() <= 1.7 * 2.0**-10
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        discrete(np.random.default_rng(5).lognormal(0.0, 1.0, size=3_000)),
+        discrete([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]),
+        atom(2.0),
+    ],
+    ids=["3000_atoms", "three_atoms", "one_atom"],
+)
+def test_finite_discrete_sweep_is_the_cell_edges(d):
+    # p - L(p) is linear between the cumulative masses, which are edges of
+    # the cells, so the edges and F(mean) hold its maximum.
+    edges = np.unique(np.concatenate([d._p_cells, [float(d.cdf(d.mean))]]))
+    assert np.array_equal(_bits(d._gap_sweep), _bits(edges))
 
 
 def test_memo_stops_at_its_cap():
