@@ -3,155 +3,24 @@
 Quantile-backed measure carriers, Lorenz and pseudo-Lorenz curves, Gini and
 Hoover coefficients computed by independent routes, the Wasserstein-1 metric
 with convergence diagnostics, and estimation pipelines from samples.
+
+The package exports each module's ``__all__``, in the order imported below.
 """
 
-from .measures import (
-    Atoms,
-    Distribution,
-    Exponential,
-    Gamma,
-    InfiniteMeanError,
-    Lognormal,
-    MeanDomainError,
-    QuantileTable,
-    UniformDensity,
-    ZeroMeanError,
-    atom,
-    discrete,
-    exponential,
-    fsd_dominates,
-    gamma_dist,
-    lognormal,
-    mixture,
-    quantile_table,
-    require_member,
-    uniform,
-)
-from .lorenz import (
-    LorenzCurve,
-    integral_lorenz,
-    kendall_points,
-    lorenz,
-    lorenz_dominates,
-    pseudo_lorenz,
-    reconstruct,
-)
-from .indices import (
-    IndexReport,
-    extremal_bimodal,
-    gini_dorfman,
-    gini_lorenz,
-    gini_mean_difference,
-    gini_range_given_hoover,
-    hoover_cdf,
-    hoover_max,
-    hoover_mean_deviation,
-    index_report,
-    robin_hood_shares,
-)
-from .wasserstein import (
-    ConvergenceReport,
-    LimitSummary,
-    StepDiagnostics,
-    limit_from_lorenz,
-    lorenz_tail_gap,
-    sequence_diagnostics,
-    ui_tail,
-    w1,
-    w1_routes,
-)
-from .estimators import (
-    ExperimentSpec,
-    KernelSpec,
-    SampleSet,
-    as_sample_set,
-    empirical,
-    estimate_gini,
-    estimate_hoover,
-    estimate_lorenz_at,
-    kde,
-    quantile_approx,
-    quantile_of_sample,
-    read_sample_csv,
-    run_experiment,
-)
-from .specs import format_mixture_of_atoms, parse_distribution
-from .catalog import (
-    SCENARIOS,
-    midpoint_atom_mixture,
-    scenario_sequence,
-    standard_battery,
-    three_group,
-)
+from . import lorenz as _lorenz  # the star import below rebinds `lorenz` to the function
+from .measures import *  # noqa: F403
+from .lorenz import *  # noqa: F403
+from .indices import *  # noqa: F403
+from .wasserstein import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .specs import *  # noqa: F403
+from .catalog import *  # noqa: F403
+from . import catalog, estimators, indices, measures, specs, wasserstein
 
 __all__ = [
-    "Atoms",
-    "Distribution",
-    "Exponential",
-    "Gamma",
-    "InfiniteMeanError",
-    "Lognormal",
-    "MeanDomainError",
-    "QuantileTable",
-    "UniformDensity",
-    "ZeroMeanError",
-    "atom",
-    "discrete",
-    "exponential",
-    "fsd_dominates",
-    "gamma_dist",
-    "lognormal",
-    "mixture",
-    "quantile_table",
-    "require_member",
-    "uniform",
-    "LorenzCurve",
-    "integral_lorenz",
-    "kendall_points",
-    "lorenz",
-    "lorenz_dominates",
-    "pseudo_lorenz",
-    "reconstruct",
-    "IndexReport",
-    "extremal_bimodal",
-    "gini_dorfman",
-    "gini_lorenz",
-    "gini_mean_difference",
-    "gini_range_given_hoover",
-    "hoover_cdf",
-    "hoover_max",
-    "hoover_mean_deviation",
-    "index_report",
-    "robin_hood_shares",
-    "ConvergenceReport",
-    "LimitSummary",
-    "StepDiagnostics",
-    "limit_from_lorenz",
-    "lorenz_tail_gap",
-    "sequence_diagnostics",
-    "ui_tail",
-    "w1",
-    "w1_routes",
-    "ExperimentSpec",
-    "KernelSpec",
-    "SampleSet",
-    "as_sample_set",
-    "empirical",
-    "estimate_gini",
-    "estimate_hoover",
-    "estimate_lorenz_at",
-    "kde",
-    "quantile_approx",
-    "quantile_of_sample",
-    "read_sample_csv",
-    "run_experiment",
-    "format_mixture_of_atoms",
-    "parse_distribution",
-    "SCENARIOS",
-    "midpoint_atom_mixture",
-    "scenario_sequence",
-    "standard_battery",
-    "three_group",
+    name
+    for module in (measures, _lorenz, indices, wasserstein, estimators, specs, catalog)
+    for name in module.__all__
 ]
 
 __version__ = "0.1.0"

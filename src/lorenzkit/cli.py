@@ -347,16 +347,10 @@ def main(argv=None) -> int:
         return 0 if ex.code in (0, None) else 1
     try:
         return args.handler(args)
-    except MeanDomainError as ex:
+    except (MeanDomainError, RuntimeError) as ex:  # before ValueError, its base
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except RuntimeError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ValueError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except OSError as ex:
+    except (ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

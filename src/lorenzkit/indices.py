@@ -77,10 +77,10 @@ __all__ = [
 
 
 def _mean_abs_difference_discrete(d: Distribution) -> float:
-    support, weights = d.support_atoms()
-    cum = np.cumsum(weights)
-    cum_prev = np.concatenate([[0.0], cum[:-1]])
-    return float(2.0 * np.sum(weights * support * (cum + cum_prev - 1.0)))
+    """E|X - X'| = 2 sum_k w_k x_k (mass below x_k - mass above x_k), from
+    the atom block's running sums (`Distribution._discrete`)."""
+    b = d._discrete
+    return float(2.0 * np.sum(b.mass * b.loc * (b.cum[:-1] - b.tail[1:])))
 
 
 def _quantile_integrals(d: Distribution) -> np.ndarray:
@@ -91,12 +91,8 @@ def _quantile_integrals(d: Distribution) -> np.ndarray:
     is the mean, so cell integrals are differences of exactly evaluable
     endpoint values; no quadrature enters.
     """
-    edges = d._p_cells
-    inner = edges[:-1] if edges[-1] == 1.0 else edges
-    s = d._quantile_integral(inner, d._quantile_arr(inner))
-    if edges[-1] == 1.0:
-        s = np.concatenate([s, [d.mean]])
-    return np.diff(s)
+    inner = d._p_cells[:-1]  # the cells end at 1, where S is the mean
+    return np.diff(np.append(d._quantile_integral(inner, d._quantile_arr(inner)), d.mean))
 
 
 def _mean_abs_difference(d: Distribution) -> float:
@@ -137,14 +133,10 @@ def gini_dorfman(d: Distribution) -> float:
     """Gini index as 1 - (integral of survival squared) / (integral of survival)."""
     require_member(d)
     if d.is_finite_discrete:
-        support, weights = d.support_atoms()
-        surv = 1.0 - np.cumsum(weights)
-        x = np.concatenate([[0.0], support])
-        s_steps = np.concatenate([[1.0], surv])
-        widths = np.diff(x)
-        i1 = float(np.sum(widths * s_steps[:-1]))
-        i2 = float(np.sum(widths * s_steps[:-1] ** 2))
-        return 1.0 - i2 / i1
+        # sf on the cell below atom k is the mass at and above it, tail[k]
+        b = d._discrete
+        widths, sf = np.diff(b.loc, prepend=0.0), b.tail[:-1]
+        return 1.0 - float(np.sum(widths * sf**2)) / float(np.sum(widths * sf))
     i1 = d._sf_integral(0.0, 1e-11)
     i2 = d._x_integral(lambda x: d._sf_arr(x) ** 2, 0.0, d.support_hi(X_CUT), 1e-11)
     return 1.0 - i2 / i1
@@ -160,8 +152,8 @@ def hoover_mean_deviation(d: Distribution) -> float:
     require_member(d)
     m = d.mean
     if d.is_finite_discrete:
-        support, weights = d.support_atoms()
-        return float(np.sum(weights * np.abs(support - m))) / (2.0 * m)
+        b = d._discrete
+        return float(np.sum(b.mass * np.abs(b.loc - m))) / (2.0 * m)
     below = d._x_integral(d._cdf_arr, 0.0, m, 1e-11)
     return (below + d._sf_integral(m, 1e-11)) / (2.0 * m)
 

@@ -85,6 +85,7 @@ __all__ = [
     "gamma_dist",
     "lognormal",
     "discrete",
+    "quantile_table",
     "mixture",
     "fsd_dominates",
     "require_member",
@@ -1021,32 +1022,27 @@ class Distribution:
 
     # -- pointwise evaluations ---------------------------------------------
 
-    def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
+    def _sum(self, method: str, x) -> np.ndarray:
+        """The pooled block's `method` at x plus, part by part, w times each
+        other part's: how every pointwise evaluation sums a law's parts."""
         x = np.asarray(x, dtype=float)
         block, rest = self._atomic
-        out = block.cdf(x)
+        out = getattr(block, method)(x)
         for w, comp in rest:
-            out = out + w * comp.cdf(x)
-        return np.minimum(out, 1.0)
+            out = out + w * getattr(comp, method)(x)
+        return out
+
+    def _cdf_arr(self, x: np.ndarray) -> np.ndarray:
+        return np.minimum(self._sum("cdf", x), 1.0)
 
     def _sf_arr(self, x: np.ndarray) -> np.ndarray:
         """P[X > x] as a sum of the parts' own survival functions, so it
         keeps its relative precision where 1 - F has none left."""
-        x = np.asarray(x, dtype=float)
-        block, rest = self._atomic
-        out = block.sf(x)
-        for w, comp in rest:
-            out = out + w * comp.sf(x)
-        return np.minimum(out, 1.0)
+        return np.minimum(self._sum("sf", x), 1.0)
 
     def _pe_arr(self, x: np.ndarray) -> np.ndarray:
         """The partial expectation at x >= 0, unchecked (`partial_expectation`)."""
-        x = np.asarray(x, dtype=float)
-        block, rest = self._atomic
-        out = block.pe(x)
-        for w, comp in rest:
-            out = out + w * comp.pe(x)
-        return out
+        return self._sum("pe", x)
 
     def _level_arr(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         """What an inversion row with target y compares with it (`_invert`):
@@ -1068,12 +1064,7 @@ class Distribution:
         return scalar_or_array(x, self._cdf_arr(_nonnegative("cdf", x)))
 
     def _mass_arr(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        block, rest = self._atomic
-        out = block.mass_at(x)
-        for w, comp in rest:
-            out = out + w * comp.mass_at(x)
-        return out
+        return self._sum("mass_at", x)
 
     def mass_at(self, x) -> float | np.ndarray:
         """P[X = x], the atom mass at x."""
@@ -1495,8 +1486,6 @@ def mixture(parts) -> Distribution:
     flat: list[tuple[float, object]] = []
     for w, d in parts:
         w = float(w)
-        if w <= 0:
-            raise ValueError(f"mixture weights must be positive, got {w}")
         if isinstance(d, Distribution):
             flat.extend((w * wi, comp) for wi, comp in d.parts)
         else:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,43 @@ def test_mass_only_in_the_last_p_cell(part):
     # has nothing to integrate and no scale to set its budget by.
     report = index_report(mixture([(1.0 - 1e-13, atom(0.0)), (1e-13, part)]))
     assert report.max_cross_route_residual <= 1e-4
+
+
+def _exact_gini_hoover(values, masses):
+    """Gini and Hoover of the law with these float atoms and masses, in
+    exact rational arithmetic (masses normalized by their exact sum)."""
+    x = [Fraction(v) for v in values]
+    w = [Fraction(m) for m in masses]
+    total = sum(w)
+    mean = sum(wi * xi for wi, xi in zip(w, x)) / total
+    diff = sum(wi * wj * abs(xi - xj) for wi, xi in zip(w, x) for wj, xj in zip(w, x))
+    dev = sum(wi * abs(xi - mean) for wi, xi in zip(w, x))
+    return diff / (2 * mean * total**2), dev / (2 * mean * total)
+
+
+FAR_ATOM_LAWS = [
+    ("1e12 of mass 1e-9", [1.0, 1e12], [1.0 - 1e-9, 1e-9]),
+    ("4.8e8 of mass 8.4e-10", [0.5, 1.0, 3.0, 4.8e8], [0.3, 0.3, 0.4 - 8.4e-10, 8.4e-10]),
+    (
+        "1e9 of mass 1e-10 over 100 points",
+        np.append(np.linspace(0.0, 1.0, 100), 1e9).tolist(),
+        [(1.0 - 1e-10) / 100] * 100 + [1e-10],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "values, masses", [law[1:] for law in FAR_ATOM_LAWS], ids=[law[0] for law in FAR_ATOM_LAWS]
+)
+def test_far_atom_of_tiny_mass_on_every_route(values, masses):
+    # gini_dorfman took the survival as 1 - cumsum(masses), which rounds the
+    # far atom's mass against 1: 2.0e-6 off on the 100-point law.
+    d = discrete(values, masses)
+    gini, hoover = (float(v) for v in _exact_gini_hoover(values, masses))
+    for route in GINI_ROUTES:
+        assert route(d) == pytest.approx(gini, rel=1e-14, abs=0.0), route.__name__
+    for route in HOOVER_ROUTES:
+        assert route(d) == pytest.approx(hoover, rel=1e-14, abs=0.0), route.__name__
 
 
 def test_midpoint_atom_mixture_cross_route():

@@ -4,6 +4,7 @@ Parametric cdf values are cross-checked against scipy.stats, which shares
 no code with the closed forms inside the package.
 """
 
+import importlib
 import math
 import re
 import warnings
@@ -115,6 +116,9 @@ def test_equal_weight_samples_of_any_size_are_laws(n):
     d = discrete(xs)
     assert d.is_finite_discrete and d.parts[0][1].masses[0] == 1.0 / n
     assert empirical(xs) == d
+    if n == 10**5:
+        # each route reads the atom block's running sums, none rebuilds them
+        assert index_report(d).max_cross_route_residual <= 1e-11
     if n == 10**6:
         ps = np.append(1.0 - 2.0 ** -np.arange(1.0, 53.0), np.nextafter(1.0, 0.0))
         _assert_galois_pair(d, ps, "10^6 atoms")
@@ -147,6 +151,22 @@ def test_atom_name_is_only_an_alias_of_the_block():
     assert measures.Atom is Atoms
     assert "Atom" not in measures.__all__ and "Atom" not in lorenzkit.__all__
     assert not hasattr(lorenzkit, "Atom")
+
+
+def test_package_exports_each_module_all_in_import_order():
+    # The package listed its names twice more, out of step with the modules:
+    # `quantile_table` was missing from `measures.__all__`, and six names the
+    # modules declare public were not exported.
+    modules = [
+        importlib.import_module(f"lorenzkit.{name}")
+        for name in ("measures", "lorenz", "indices", "wasserstein", "estimators", "specs", "catalog")
+    ]
+    joined = [name for module in modules for name in module.__all__]
+    assert lorenzkit.__all__ == joined and len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(lorenzkit, name) is getattr(module, name), name
+    assert lorenzkit.lorenz is modules[1].lorenz and callable(lorenzkit.lorenz)
 
 
 def test_discrete_pooling_and_mean_match_the_sequential_reference():
@@ -194,6 +214,11 @@ def test_mixture_cdf_is_weighted_sum():
 def test_mixture_weight_violation():
     with pytest.raises(ValueError):
         mixture([(0.6, atom(1.0)), (0.6, atom(2.0))])
+    # `mixture` has no weight rule of its own: the law's flattened weights
+    # meet the one every part list meets (`_check_weights`)
+    for w in (-0.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match="component weights must be positive"):
+            mixture([(w, atom(1.0)), (1.0, mixture([(0.5, atom(2.0)), (0.5, atom(3.0))]))])
 
 
 def test_membership_gate():
