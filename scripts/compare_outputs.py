@@ -47,10 +47,10 @@ two mixtures of
 lognormal(0, 0.5) and uniform(0.5, 1.5) (weights 1/2 and 3/10 on the
 uniform) whose computed F and -sf fall by an ulp between some candidate
 knots, so their tables keep only the monotone knots; they are paired with
-the W1 partners and with each other. It also dumps `lorenz_dominates` (at
-the default grid and at grid 100) and `fsd_dominates` over every ordered
-pair of `standard_battery()` laws, and every field of `sequence_diagnostics`
-on both built-in scenarios (`scenario_sequence`, 50 steps). Last, it runs
+the W1 partners and with each other. It also dumps `lorenz_dominates` and
+`fsd_dominates` over every ordered pair of `standard_battery()` laws, and
+every field of `sequence_diagnostics` on both built-in scenarios
+(`scenario_sequence`, 50 steps). Last, it runs
 the command line (`lorenzkit.cli.main`) in-process and records what the
 serializers write: the stdout of ``index NAME`` and ``index NAME --tsv`` for
 every `standard_battery()` name, and the stdout (with the output directory
@@ -162,9 +162,6 @@ KDE_KERNELS, KDE_N, KDE_H = ("uniform", "epanechnikov", "gaussian"), 200, 0.03
 #: (sample size, bandwidth) of the Gaussian estimates of a lognormal sample
 #: whose bandwidth is far below the sample's spacing
 GAP_KDE = ((10, 1e-3), (200, 1e-4))
-#: grids of `lorenz_dominates` on the battery pairs: its default and one
-#: whose cells are not a power of two
-DOMINANCE_GRIDS = (256, 100)
 #: multiples of the mean at which `excess_mean` and `tail_moment` are dumped
 TAIL_MULTIPLES = (1.0, 4.0, 16.0)
 #: the numeric fields of a `sequence_diagnostics` report outside its steps
@@ -261,16 +258,16 @@ def _kind(*ds):
 
 
 def dump_dominance(values, battery):
-    """`lorenz_dominates` at each of `DOMINANCE_GRIDS` and `fsd_dominates`
-    over every ordered pair of distinct battery laws."""
+    """`lorenz_dominates` and `fsd_dominates` over every ordered pair of
+    distinct battery laws. The `lorenz_dominates` key ends in ``grid 256``,
+    the default grid it took before it probed its operands' ladders alone,
+    so dumps of trees from either side line up."""
     for a, d1 in battery:
         for b, d2 in battery:
             if a == b:
                 continue
             kind = _kind(d1, d2)
-            for grid in DOMINANCE_GRIDS:
-                _attempt(values, f"{kind}|lorenz_dominates|{a} vs {b} grid {grid}",
-                         lambda: lorenz_dominates(d1, d2, grid=grid))
+            _attempt(values, f"{kind}|lorenz_dominates|{a} vs {b} grid 256", lambda: lorenz_dominates(d1, d2))
             _attempt(values, f"{kind}|fsd_dominates|{a} vs {b}", lambda: fsd_dominates(d1, d2))
 
 

@@ -161,7 +161,7 @@ def hoover_mean_deviation(d: Distribution) -> float:
 def hoover_cdf(d: Distribution) -> float:
     """Hoover index as F(mean) - L(F(mean)), the Lorenz gap at the mean.
 
-    L(F(mean)) is the quantile integral by cdf quadrature in x
+    L(F(mean)) is the quantile integral by cdf quadrature in x for every law
     (`Distribution.integral_quantile`), not the Lorenz curve's identity.
     """
     require_member(d)

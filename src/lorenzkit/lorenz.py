@@ -29,7 +29,6 @@ import numpy as np
 
 from .measures import (
     Distribution,
-    _count,
     quantile_table,
     require_member,
     scalar_or_array,
@@ -146,15 +145,14 @@ def kendall_points(d: Distribution, t_grid) -> list[tuple[float, float]]:
     return pts
 
 
-def lorenz_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
+def lorenz_dominates(d1: Distribution, d2: Distribution) -> bool:
     """True when L_{d1} <= L_{d2} everywhere on the probe ladder.
 
     Lower Lorenz curve means more unequal; this is the classical domination
-    order. Probes join `grid` uniform cells of [0, 1] (grid >= 2) and both
-    operands' probe ladders (`Distribution._probe_ladder`).
+    order. Probes join both operands' probe ladders
+    (`Distribution._probe_ladder`: k 2^-10 and the quantile's breakpoints).
     """
-    grid = _count("grid", grid, 2)
-    ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid + 1), d1._probe_ladder, d2._probe_ladder]))
+    ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder]))
     l1 = lorenz(d1).eval(ps)
     l2 = lorenz(d2).eval(ps)
     return bool(np.all(l1 <= l2 + 1e-10))

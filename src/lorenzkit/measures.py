@@ -1351,7 +1351,10 @@ class Distribution:
         return scalar_or_array(p, self._quantile_arr(arr))
 
     def integral_quantile(self, p: float) -> float:
-        """Integral of Q over [0, p], 0 <= p <= 1; equals the mean at p = 1."""
+        """Integral of Q over [0, p], 0 <= p <= 1; equals the mean at p = 1.
+
+        Inside, the integral of p - F over [0, Q(p)] by quadrature in x
+        (`_x_integral`) for every law: it never reads the Lorenz identity."""
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError("integral_quantile is defined on [0, 1]")
@@ -1359,10 +1362,6 @@ class Distribution:
             return 0.0
         if p == 1.0:
             return self.mean
-        block = self._discrete
-        if block is not None:
-            j = int(np.searchsorted(block.cum, p, side="left")) - 1
-            return float(block.cum_xm[j] + (p - block.cum[j]) * block.loc[j])
         qp = float(self._quantile_arr(np.asarray(p)))
         return self._x_integral(lambda x: p - self._cdf_arr(x), 0.0, qp, 1e-10)
 

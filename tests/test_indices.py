@@ -182,6 +182,25 @@ def test_far_atom_of_tiny_mass_on_every_route(values, masses):
         assert route(d) == pytest.approx(hoover, rel=1e-14, abs=0.0), route.__name__
 
 
+def test_hoover_cdf_of_a_discrete_law_integrates_in_x(monkeypatch):
+    # A finite-discrete law read L(F(mean)) off its atom block's running
+    # sums, the Lorenz identity hoover_max reads too, so the two routes
+    # agreed bit for bit and checked nothing.
+    calls = []
+    x_integral = Distribution._x_integral
+
+    def recording(self, f, a, b, tol):
+        calls.append((a, b))
+        return x_integral(self, f, a, b, tol)
+
+    monkeypatch.setattr(Distribution, "_x_integral", recording)
+    values, masses = [0.5, 1.0, 3.0, 7.0], [0.1, 0.4, 0.3, 0.2]
+    hoover = float(_exact_gini_hoover(values, masses)[1])
+    assert hoover_cdf(discrete(values, masses)) == pytest.approx(hoover, rel=1e-14, abs=0.0)
+    # F(mean) = 1/2, whose quantile is the atom at 1
+    assert calls == [(0.0, 1.0)]
+
+
 def test_midpoint_atom_mixture_cross_route():
     d = midpoint_atom_mixture()
     g = gini_mean_difference(d)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,80 @@ def test_discrete_against_density_matches_oracle(monkeypatch, d1, d2, expected):
     assert abs(by_q - expected) <= 1e-13 * s
     assert abs(by_f - expected) <= 1e-7 * s
     assert w1(d1, d2) == w1(d2, d1)
+
+
+def _exact_w1(d1, d2) -> Fraction:
+    """W1 of two finite-discrete laws in exact rational arithmetic: the
+    integral of |F1 - F2| between the merged atoms, each law's masses
+    normalized by their exact sum."""
+    events = []
+    for d, sign in ((d1, 1), (d2, -1)):
+        locs, masses = d.support_atoms()
+        ms = [Fraction(m) for m in masses.tolist()]
+        total = sum(ms)
+        events += [(Fraction(x), sign * m / total) for x, m in zip(locs.tolist(), ms)]
+    events.sort(key=lambda e: e[0])
+    out, gap = Fraction(0), Fraction(0)
+    for (x, m), (right, _) in zip(events, events[1:]):
+        gap += m
+        out += (right - x) * abs(gap)
+    return out
+
+
+def _two_discrete_pairs():
+    """(name, d1, d2): samples of 3,000 and 10 atoms, one with Dirichlet
+    weights, and far atoms of tiny mass against a few atoms."""
+    xs = discrete(lognormal(0.0, 1.0).sample(1, 3000))
+    weights = np.random.default_rng(3).dirichlet(np.ones(3000))
+    yield "3000 and 3000 weighted", xs, discrete(lognormal(0.0, 1.0).sample(2, 3000), weights)
+    yield "3000 and 10", xs, discrete(lognormal(0.0, 1.0).sample(4, 10))
+    at_1e12 = discrete([1.0, 1e12], [1.0 - 1e-9, 1e-9])
+    at_4e8 = discrete([0.5, 1.0, 3.0, 4.8e8], [0.3, 0.3, 0.4 - 8.4e-10, 8.4e-10])
+    at_1e9 = discrete(np.append(np.linspace(0.0, 1.0, 100), 1e9), [(1.0 - 1e-10) / 100] * 100 + [1e-10])
+    yield "1e12 and atom", at_1e12, atom(1.0)
+    yield "4.8e8 and two atoms", at_4e8, discrete([1.0, 2.0])
+    yield "1e9 and 50 atoms", at_1e9, discrete(np.linspace(0.0, 1.0, 50))
+    yield "1e9 and atom", at_1e9, atom(0.5)
+
+
+@pytest.mark.parametrize("d1,d2", [pytest.param(d1, d2, id=name) for name, d1, d2 in _two_discrete_pairs()])
+def test_two_discrete_routes_match_exact_sums(d1, d2):
+    # Both routes once read one merged table of the rounded prefix sums, so
+    # they agreed while both missed: a far atom's mass is lost to the
+    # rounding of 1 - w in a prefix sum near 1, times its distance. The
+    # weighted pair fails a step sum that reads S2 from F2 above the half.
+    expected = float(_exact_w1(d1, d2))
+    s = d1.mean + d2.mean
+    by_q, by_f = w1_routes(d1, d2)
+    assert abs(by_q - expected) <= 1e-13 * s
+    assert abs(by_f - expected) <= 1e-13 * s
+
+
+@pytest.mark.parametrize("step", [counterexample1_step, counterexample2_step])
+def test_escape_steps_sit_at_the_exact_distance_to_their_limit(step):
+    # mass u escapes to n^2 from 1, so W1 to the limit is u (n^2 - 1) for
+    # the step's own u; the 1 - 1/400 of n = 20 read 0.99749999999997874
+    name = "counterexample1" if step is counterexample1_step else "counterexample2"
+    seq, limit = scenario_sequence(name, 50)
+    for k, d in enumerate(seq, start=1):
+        n2 = (4 * k) ** 2
+        u = Fraction(float(d.support_atoms()[1][-1]))
+        exact = float(u * (n2 - 1))
+        assert abs(w1(d, limit) - exact) <= 1e-15 * exact, k
+
+
+def test_a_law_sits_at_distance_zero_from_itself():
+    # The exact sum over its cells rounded to -1.8e-15 for the first law; the
+    # second has mean 0 (each half of 5e-324 rounds to 0) but its merged
+    # atom sits at 5e-324, and its tolerance 1e-8 s is 0.
+    for d in (discrete([17.9, 39.6, 0.6]), discrete([5e-324, 5e-324])):
+        assert w1_routes(d, d) == (0.0, 0.0)
+
+
+def test_equal_sized_discrete_laws_are_ordered_one_way():
+    a = discrete([0.5, 1.0, 4.0], [0.2, 0.5, 0.3])
+    b = discrete([0.25, 2.0, 3.0], [0.6, 0.1, 0.3])
+    assert w1_routes(a, b) == w1_routes(b, a)
 
 
 def test_gap_body_cells_wait_under_a_small_cell_limit(monkeypatch):
