@@ -213,12 +213,13 @@ def estimate_lorenz_at(s, x) -> float | np.ndarray:
 def quantile_approx(d: Distribution, ell: int) -> Distribution:
     """Equal atoms at Q(k/ell) for k = 0..ell-1.
 
-    The result's cdf sits within [F, F + 1/ell] everywhere; since Q(0) = 0
-    there is always an atom at zero carrying weight 1/ell (or more).
+    The result's cdf sits within [F, F + 1/ell] everywhere, since each
+    Q(k/ell) is exact to the float (`Distribution._exact_quantile`); since
+    Q(0) = 0 there is always an atom at zero carrying weight 1/ell (or more).
     """
     require_member(d)
     ell = _count("table size", ell)
-    return discrete(d._quantile_arr(np.arange(ell) / ell))
+    return discrete(d._exact_quantile(np.arange(ell) / ell))
 
 
 def quantile_of_sample(s, ell: int) -> Distribution:
@@ -815,11 +816,13 @@ def _substream(seed: int, counter: int) -> np.random.Generator:
 
 
 def _quantiles(d: Distribution, ps: list[np.ndarray]) -> list[np.ndarray]:
-    """d's quantiles at each array of `ps`, from one `_quantile_arr` call on
-    them all, split back: a law that inverts its cdf runs one batch of
-    inversion rounds, not one per array, and each value is the one a call
-    of its own returns (the memo's premise, `Distribution`)."""
-    return np.split(d._quantile_arr(np.concatenate(ps)), np.cumsum([a.size for a in ps])[:-1])
+    """d's quantiles at each array of `ps`, exact to the float, from one
+    `Distribution._exact_quantile` call on them all, split back: a law that
+    inverts its cdf runs one batch of inversion rounds, not one per array,
+    and each value is the one a call of its own returns, since a quantile
+    depends on its p alone. The batch leaves the law's memo to the limit's
+    index routes."""
+    return np.split(d._exact_quantile(np.concatenate(ps)), np.cumsum([a.size for a in ps])[:-1])
 
 
 def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
@@ -829,7 +832,9 @@ def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:
     uniforms from substream j, as ``source.sample_rng`` would, and the
     quantile scheme reads the source at k / ell, as `quantile_approx` does;
     either way the source's quantiles for every member come from one batch
-    (`_quantiles`), bit-identical to one call per member.
+    (`_quantiles`), exact to the float and bit-identical to one call per
+    member. That batch does not fill the source's quantile memo, which
+    `sequence_diagnostics` then fills with the p it reads the limit at.
     """
     source = spec.source_distribution()
     require_member(source)

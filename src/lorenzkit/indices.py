@@ -6,7 +6,14 @@ different primitives.
 
 The routes of one law share its quantile values: a law with an iterative
 quantile inverts each p once and keeps it in a memo (`Distribution`), which
-changes no number because Q(p) depends on p alone. `index_report` inverts
+changes no number because a quantile depends on its p alone. The routes read
+Q only through S(p), the integral of Q over [0, p], or through the
+mean-difference diagonal, so the memo inverts each p to within tau =
+`measures.ROUTE_QUANTILE_TOL` times the mean above Q(p), not to the float:
+S(p) is stationary in Q and moves by at most tau (F(q-) - p) <= tau, and a
+diagonal cell of width w by at most tau w^2 / 2, tau / 128 over the 64-cell
+grid. Dropping tau to 0 moves no route by more than 1e-13 of its value on
+the test laws. `index_report` inverts
 every p the routes' first rounds read (`Distribution._first_round_p`) in one
 batch before any route runs, so a cold law pays one run of inversion rounds
 for them, not one per route. The routes share no quadrature: each integral
@@ -89,7 +96,8 @@ def _quantile_integrals(d: Distribution) -> np.ndarray:
 
     S(p) (`Distribution._quantile_integral`) is exact at every p < 1 and S(1)
     is the mean, so cell integrals are differences of exactly evaluable
-    endpoint values; no quadrature enters.
+    endpoint values; no quadrature enters. At the route quantile, within
+    tau above Q(p), S(p) is within tau (`Distribution._quantile_arr`).
     """
     inner = d._p_cells[:-1]  # the cells end at 1, where S is the mean
     return np.diff(np.append(d._quantile_integral(inner, d._quantile_arr(inner)), d.mean))
@@ -115,6 +123,8 @@ def _mean_abs_difference(d: Distribution) -> float:
     if ws == 0.0:
         return off_diagonal
 
+    # route quantiles, each within tau above Q: a cell's B moves by at most
+    # tau w^2 / 2
     def weighted_q(p: np.ndarray) -> np.ndarray:
         return (p - lo[np.searchsorted(lo, p, side="right") - 1]) * d._quantile_arr(p)
 

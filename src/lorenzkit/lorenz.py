@@ -65,7 +65,11 @@ class LorenzCurve:
     source_mean: float
 
     def _eval_sorted(self, p: np.ndarray) -> np.ndarray:
-        """Values at a flat, validated probability array, in any order."""
+        """Values at a flat, validated probability array, in any order.
+
+        q comes from the quantile memo, within tau = `ROUTE_QUANTILE_TOL`
+        times the mean above Q(p); S is stationary in q, so S(p) is within
+        tau (F(q-) - p) <= tau of its value at Q(p)."""
         d = self.source
         out = np.ones_like(p)
         inner = p < 1.0
@@ -84,7 +88,8 @@ class LorenzCurve:
     __call__ = eval
 
     def left_derivative(self, p) -> float | np.ndarray:
-        """Left derivative of the curve: Q(p) / mean on (0, 1].
+        """Left derivative of the curve: Q(p) / mean on (0, 1], with Q exact
+        to the float (`Distribution._exact_quantile`).
 
         At p = 1 this is the supremum of the support over the mean, which is
         inf for unbounded sources.
@@ -95,7 +100,7 @@ class LorenzCurve:
         out = np.empty_like(arr)
         top = arr == 1.0
         out[top] = self.source.sup_support() / self.source_mean
-        out[~top] = self.source._quantile_arr(arr[~top]) / self.source_mean
+        out[~top] = self.source._exact_quantile(arr[~top]) / self.source_mean
         return scalar_or_array(p, out)
 
 
@@ -118,7 +123,8 @@ def pseudo_lorenz(d: Distribution, p) -> float | np.ndarray:
         raise ValueError("pseudo-Lorenz is defined on [0, 1]")
     out = np.ones_like(arr)
     inner = arr < 1.0
-    q = d._quantile_arr(arr[inner])
+    # pe jumps at the atoms of d, so Q is read exact to the float
+    q = d._exact_quantile(arr[inner])
     out[inner] = np.asarray(d.partial_expectation(q)) / d.mean
     out = np.clip(out, 0.0, 1.0)
     return scalar_or_array(p, out)

@@ -29,8 +29,14 @@ mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
-F(0) >= 0 holds trivially. For quantiles found by inversion the contract is
-an exact Galois pair in floating point, with Q nondecreasing in p. A
+F(0) >= 0 holds trivially. The public quantile (`Distribution.quantile`),
+draws, and every caller that compares quantiles are exact to the float; the
+quantiles that the index routes, the Lorenz curve and the integrals of Q
+read (`Distribution._quantile_arr`) are within tau = `ROUTE_QUANTILE_TOL`
+times the mean above Q(p), since S(p), the integral of Q over [0, p], is
+stationary in Q: a q in [Q(p), Q(p) + tau] moves it by at most
+tau (F(q-) - p) <= tau. For exact quantiles found by inversion the contract
+is an exact Galois pair in floating point, with Q nondecreasing in p. A
 mixture of parts has a two-sided one. Let x_h be the first knot of its
 table (`Distribution._knot_values`) where F >= 1/2. Rows with p <= F(x_h)
 meet F(prev(Q)) < p <= F(Q) for the computed F, prev(Q) the float below Q;
@@ -125,6 +131,15 @@ _MAX_ROUNDS = 64
 _FINISH_ULPS = 4
 #: entries a law's quantile memo holds at most (`Distribution._quantile_arr`)
 QUANTILE_MEMO_CAP = 2**16
+#: how far above Q(p), in units of the law's mean, a quantile that the index
+#: routes read from the memo may land (`Distribution._quantile_arr`)
+ROUTE_QUANTILE_TOL = 1e-11
+#: shapes below which `Gamma` reads its cdf and sf near x / scale = 1 from
+#: the shape k + 1, where scipy's own series for shape k is slow
+_GAMMA_RAISE_BELOW = 1.25
+#: the largest amplification 1 + 2t / Q of rounding that `Gamma.sf` accepts
+#: from the cancellation of its recurrence Q(k + 1, u) - t
+_GAMMA_MAX_AMPLIFICATION = 8.0
 #: the largest float: the pointwise methods cap x at it where they multiply
 #: x by a mass that is 0 at x = inf
 _MAX_FLOAT = float(np.finfo(float).max)
@@ -627,11 +642,50 @@ class Gamma:
         the cap changes no value and keeps the ratio finite far out."""
         return np.minimum(np.maximum(x, 0.0), 1e300 * self.scale) / self.scale
 
+    def _raised(self, u: np.ndarray) -> np.ndarray:
+        """t = u^k e^-u / Gamma(k + 1) at u > 0, the step between shapes k
+        and k + 1: P(k, u) = P(k + 1, u) + t and Q(k, u) = Q(k + 1, u) - t
+        (DLMF 8.8.5)."""
+        return np.exp(self.shape * np.log(u) - u - math.lgamma(self.shape + 1.0))
+
+    def _pieced(self, f, u: np.ndarray, rows: np.ndarray, near) -> np.ndarray:
+        """f(k, u), with near(u) on the rows instead."""
+        if not rows.any():
+            return f(self.shape, u)
+        out = np.empty(u.shape)
+        out[rows] = near(u[rows])
+        out[~rows] = f(self.shape, u[~rows])
+        return out
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        return sp.gammainc(self.shape, self._scaled(x))
+        """gammainc(k, u), u = x / scale. For k < 1.25 on 1 < u <= 1.1, where
+        scipy sums a slow series, P(k + 1, u) + t (`_raised`) instead: a sum
+        of two positive terms, which cancels nothing."""
+        u = np.asarray(self._scaled(x))
+        if self.shape >= _GAMMA_RAISE_BELOW:
+            return sp.gammainc(self.shape, u)
+        rows = (u > 1.0) & (u <= 1.1)
+        return self._pieced(sp.gammainc, u, rows, lambda v: sp.gammainc(self.shape + 1.0, v) + self._raised(v))
 
     def sf(self, x: np.ndarray) -> np.ndarray:
-        return sp.gammaincc(self.shape, self._scaled(x))
+        """gammaincc(k, u), u = x / scale. For k < 1.25 on 0 < u <= 1.1, where
+        scipy sums a slow series, Q(k + 1, u) - t (`_raised`) instead, except
+        on the rows where that difference cancels enough to amplify the
+        terms' rounding more than `_GAMMA_MAX_AMPLIFICATION` fold (1 + 2t / Q),
+        which keep scipy's value. Tested against mpmath references to 16 eps."""
+        u = np.asarray(self._scaled(x))
+        if self.shape >= _GAMMA_RAISE_BELOW:
+            return sp.gammaincc(self.shape, u)
+
+        def near(v):
+            t = self._raised(v)
+            q = sp.gammaincc(self.shape + 1.0, v) - t
+            cancels = (_GAMMA_MAX_AMPLIFICATION - 1.0) * q < 2.0 * t
+            if cancels.any():
+                q[cancels] = sp.gammaincc(self.shape, v[cancels])
+            return q
+
+        return self._pieced(sp.gammaincc, u, (u > 0.0) & (u <= 1.1), near)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -901,8 +955,12 @@ class Distribution:
     A law whose quantile is iterative, a mixture of parts or a law of one
     part whose component sets ``iterative_quantile`` (the Gaussian kernel
     estimate), inverts its cdf, and its survival function above F(x_h), from
-    the knot table (`_knot_values`, `_quantile_within`, to the float in
-    `_bisect_quantile`), and keeps a memo of its quantiles (`_memoized`).
+    the knot table (`_knot_values`, `_quantile_within`, `_bisect_quantile`),
+    and keeps a memo of the quantiles its routes read (`_memoized`), each
+    inverted to within tau = `ROUTE_QUANTILE_TOL` times the mean above Q(p)
+    (`_quantile_arr`). The public quantile, draws and the callers that
+    compare quantiles invert cold to the float (`_exact_quantile`) and
+    neither read nor fill the memo.
     Its index routes read Q at many of the same p (the shared cells
     `_p_cells`, the sweep `_gap_sweep` of `hoover_max`), and each p is
     inverted once per law; `index_report` inverts every p its routes' first
@@ -1116,13 +1174,17 @@ class Distribution:
         return len(self.parts) > 1 or getattr(self.parts[0][1], "iterative_quantile", False)
 
     def _quantile_arr(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) at an array of p in [0, 1) of any shape, 0-d included.
+        """Quantiles in [Q(p), Q(p) + tau] at an array of p in [0, 1) of any
+        shape, 0-d included, tau = `ROUTE_QUANTILE_TOL` times the mean: what
+        the index routes, the Lorenz curve and the integrals of Q read.
 
         A law with an iterative quantile (`_memoized`) looks every finite p up
         in its memo, sorted (p, Q) arrays held as one tuple in the instance
         ``__dict__``. The misses are deduplicated and inverted in one batch
-        (`_bisect_quantile`), and `_remember` merges them in. Other laws read
-        their closed form each time.
+        to within tau (`_bisect_quantile`), and `_remember` merges them in.
+        Other laws read their closed form each time. Callers that need the
+        exact Galois pair read `_exact_quantile` instead, which never touches
+        the memo.
         """
         p = np.asarray(p, dtype=float)
         if not self._memoized:
@@ -1138,10 +1200,32 @@ class Distribution:
             miss = ~hit
         if miss.any():
             new_p, back = np.unique(flat[miss], return_inverse=True)
-            new_q = self._bisect_quantile(new_p)
+            new_q = self._bisect_quantile(new_p, tol=self._route_tol)
             out[miss] = new_q[back]
             self._remember(memo_p, memo_q, new_p, new_q)
         return out.reshape(p.shape)
+
+    @cached_property
+    def _route_tol(self) -> float:
+        """tau, the tolerance of the memo's inversions: `ROUTE_QUANTILE_TOL`
+        times the mean, and 0 for a law whose mean is 0 or overflows, whose
+        integral of Q below p = 1 is still finite (`integral_quantile`)."""
+        try:
+            return ROUTE_QUANTILE_TOL * self.mean
+        except (InfiniteMeanError, OverflowError):
+            return 0.0
+
+    def _exact_quantile(self, p: np.ndarray) -> np.ndarray:
+        """Q(p) meeting its Galois pair exactly, at an array of p in [0, 1)
+        of any shape: the closed form, or for a `_memoized` law one cold
+        inversion at tolerance 0 of the deduplicated p, which neither reads
+        nor fills the memo. The public quantile, draws and the callers that
+        compare quantiles read it."""
+        p = np.asarray(p, dtype=float)
+        if not self._memoized:
+            return self._closed_quantile(p)
+        new_p, back = np.unique(p.ravel(), return_inverse=True)
+        return self._bisect_quantile(new_p)[back].reshape(p.shape)
 
     def _prefetch(self, p: np.ndarray) -> None:
         """Read Q at the p below 1 in one `_quantile_arr` batch, so that
@@ -1336,25 +1420,31 @@ class Distribution:
             vlo[own_lo], vhi[own_hi] = np.split(v, [int(own_lo.sum())])
         return _invert(self._level_arr, y, lo, hi, vlo, vhi, tol)
 
-    def _bisect_quantile(self, p: np.ndarray) -> np.ndarray:
-        """Q(p) for p in [0, 1) meeting its Galois pair exactly, F and sf
-        computed: F(prev(Q)) < p <= F(Q) for p <= F(x_h), sf(Q) <= 1 - p <
-        sf(prev(Q)) above (`_knot_brackets`). It is `_quantile_within` over
-        [0, inf) at tolerance 0, so each row keeps its knot bracket."""
-        return self._quantile_within(p, 0.0, math.inf, 0.0)
+    def _bisect_quantile(self, p: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        """Quantiles in [Q(p), Q(p) + tol] for p in [0, 1): `_quantile_within`
+        over [0, inf), so each row keeps its knot bracket and its value
+        depends on its p alone. At tol 0 they meet the Galois pair exactly,
+        F and sf computed: F(prev(Q)) < p <= F(Q) for p <= F(x_h), sf(Q) <=
+        1 - p < sf(prev(Q)) above (`_knot_brackets`)."""
+        return self._quantile_within(p, 0.0, math.inf, tol)
 
     def quantile(self, p) -> float | np.ndarray:
-        """Left-continuous quantile Q(p) on [0, 1)."""
+        """Left-continuous quantile Q(p) on [0, 1), exact to the float (its
+        Galois pair) and computed cold (`_exact_quantile`): it neither reads
+        nor fills the memo of the index routes."""
         arr = np.asarray(p, dtype=float)
         if np.any(arr < 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
             raise ValueError("quantile is defined on [0, 1)")
-        return scalar_or_array(p, self._quantile_arr(arr))
+        return scalar_or_array(p, self._exact_quantile(arr))
 
     def integral_quantile(self, p: float) -> float:
         """Integral of Q over [0, p], 0 <= p <= 1; equals the mean at p = 1.
 
-        Inside, the integral of p - F over [0, Q(p)] by quadrature in x
-        (`_x_integral`) for every law: it never reads the Lorenz identity."""
+        Inside, the integral of p - F over [0, q] by quadrature in x
+        (`_x_integral`) for every law: it never reads the Lorenz identity.
+        q is the route quantile (`_quantile_arr`), within tau above Q(p),
+        and p - F is at most 0 between Q(p) and q, so the value is within
+        tau of the integral to Q(p)."""
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError("integral_quantile is defined on [0, 1]")
@@ -1404,7 +1494,9 @@ class Distribution:
         (`_sf_integral`), and the integral of Q over [P_TAIL, 1],
         E[(X - q)^+] + q (1 - P_TAIL) with q = Q(P_TAIL). The quantile route
         splits at the quantile's breakpoints and at `P_SPLITS`, like every
-        integral over p.
+        integral over p. It reads the route quantiles (`_quantile_arr`),
+        each within tau above Q, so its integral is within tau P_TAIL, a
+        tenth of its own budget, 1e-10 of the mean.
         """
         via_survival = self._sf_integral(0.0, 1e-10)
         q = float(self._quantile_arr(np.asarray(P_TAIL)))
@@ -1432,7 +1524,9 @@ class Distribution:
         return self.sample_rng(rng, n)
 
     def sample_rng(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._quantile_arr(rng.random(n))
+        """Q, exact to the float and outside the memo (`_exact_quantile`),
+        at n uniform draws from `rng`."""
+        return self._exact_quantile(rng.random(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1516,7 +1610,7 @@ def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     grid = _count("grid", grid, 2)
     ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder, TAIL_LEVELS]))
     ps = ps[ps < 1.0]
-    q1, q2 = d1._quantile_arr(ps), d2._quantile_arr(ps)
+    q1, q2 = d1._exact_quantile(ps), d2._exact_quantile(ps)
     quantile_route = bool(np.all(q1 >= q2))
     hi = max(d1.support_hi(1e-9), d2.support_hi(1e-9))
     xs = np.unique(

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print. Each criterion asserts its numeric tolerance and its runtime budget.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -189,13 +190,16 @@ def test_criterion_8_curve_round_trip():
                     assert err <= 1e-12, (name, err)
 
 
-def test_criterion_9_property_suites():
+def test_criterion_9_property_suites(tmp_path):
+    # A fresh example database: a saved failure would replay in a reuse
+    # phase whose statistics line adds a count and shrinks the generate one.
     with _Gate(9, "property suites at 200 cases", 120.0):
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "tests/test_properties.py",
              "-q", "-p", "no:cacheprovider", "--hypothesis-show-statistics"],
             capture_output=True, text=True, timeout=115,
             cwd=str(Path(__file__).resolve().parent.parent),
+            env={**os.environ, "HYPOTHESIS_STORAGE_DIRECTORY": str(tmp_path)},
         )
         assert proc.returncode == 0, proc.stdout[-2000:]
         counts = [int(m) for m in re.findall(r"(\d+) passing examples", proc.stdout)]

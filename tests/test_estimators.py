@@ -895,9 +895,9 @@ def _experiment_log(monkeypatch, spec):
     log, seen = [], {}
     invert, diagnose, distance = Distribution._bisect_quantile, estimators.sequence_diagnostics, wasserstein.w1
 
-    def logged_invert(self, p):
+    def logged_invert(self, p, **kwargs):
         log.append(("invert", self, np.array(p)))
-        return invert(self, p)
+        return invert(self, p, **kwargs)
 
     def logged_w1(d1, d2):
         log.append(("w1", d1, None))

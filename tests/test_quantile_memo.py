@@ -196,9 +196,9 @@ def test_prefetch_larger_than_the_memo_inverts_no_more_rows(monkeypatch, run):
     rows = []
     invert = Distribution._bisect_quantile
 
-    def counted(self, p):
+    def counted(self, p, **kwargs):
         rows.append(np.size(p))
-        return invert(self, p)
+        return invert(self, p, **kwargs)
 
     monkeypatch.setattr(Distribution, "_bisect_quantile", counted)
     run(_atom_rich_law())
