@@ -252,18 +252,6 @@ def _nonnegative(name: str, x) -> np.ndarray:
     return arr
 
 
-def _upper_end(cdf, support_hi) -> float:
-    """The top knot of a quantile's table: an abscissa where `cdf` reaches
-    min(nextafter(1, 0), F(inf)), capped since float weights of a mixture
-    may sum just below 1. The search starts at the support's end for a tail
-    mass a quarter of 1 - target (at most 1e-16) and doubles from there."""
-    y = min(np.nextafter(1.0, 0.0), float(cdf(np.array([math.inf]))[0]))
-    hi = max(support_hi(min(1e-16, max((1.0 - y) / 4.0, 1e-300))), 0.0)
-    while hi > 0.0 and cdf(np.array([hi]))[0] < y:
-        hi *= 2.0
-    return hi
-
-
 def _monotone_knots(*columns: np.ndarray) -> np.ndarray:
     """Which knots of a table to keep: those where every column equals its
     running maximum. The kept columns are nondecreasing, so a searchsorted
@@ -955,8 +943,10 @@ class Distribution:
     A law whose quantile is iterative, a mixture of parts or a law of one
     part whose component sets ``iterative_quantile`` (the Gaussian kernel
     estimate), inverts its cdf, and its survival function above F(x_h), from
-    the knot table (`_knot_values`, `_quantile_within`, `_bisect_quantile`),
-    and keeps a memo of the quantiles its routes read (`_memoized`), each
+    the knot table (`_knot_values`, `_quantile_within`): every row of every
+    inversion, W1's (`wasserstein._q_within`) too, starts between adjacent
+    kept knots, so a quantile depends on its p and tol alone. Such a law
+    keeps a memo of the quantiles its routes read (`_memoized`), each
     inverted to within tau = `ROUTE_QUANTILE_TOL` times the mean above Q(p)
     (`_quantile_arr`). The public quantile, draws and the callers that
     compare quantiles invert cold to the float (`_exact_quantile`) and
@@ -1026,9 +1016,14 @@ class Distribution:
 
     @cached_property
     def mean(self) -> float:
+        """The mean; raises `InfiniteMeanError` where it diverges or a
+        part's mean overflows the float range (lognormal(0, 40))."""
         m = 0.0
         for w, comp in self.parts:
-            m += w * comp.mean()
+            try:
+                m += w * comp.mean()
+            except OverflowError:
+                m = math.inf
         if not math.isfinite(m):
             raise InfiniteMeanError("mean diverges")
         return m
@@ -1167,8 +1162,8 @@ class Distribution:
     @cached_property
     def _memoized(self) -> bool:
         """Whether the quantile is iterative, inverted from the knot table
-        (`_quantile_within`) and memoized by `_quantile_arr`; if not, it
-        is `_closed_quantile`."""
+        (`_quantile_within`) by the memo, the exact quantile and W1's route
+        alike; if not, all three read `_closed_quantile`."""
         if self._discrete is not None:
             return False
         return len(self.parts) > 1 or getattr(self.parts[0][1], "iterative_quantile", False)
@@ -1212,7 +1207,7 @@ class Distribution:
         integral of Q below p = 1 is still finite (`integral_quantile`)."""
         try:
             return ROUTE_QUANTILE_TOL * self.mean
-        except (InfiniteMeanError, OverflowError):
+        except InfiniteMeanError:
             return 0.0
 
     def _exact_quantile(self, p: np.ndarray) -> np.ndarray:
@@ -1255,7 +1250,8 @@ class Distribution:
 
     def _closed_quantile(self, p: np.ndarray) -> np.ndarray:
         """Q(p) without inverting the cdf, for a law whose quantile is not
-        iterative (not `_memoized`).
+        iterative (not `_memoized`): what the memo, the exact quantile and
+        W1's route (`wasserstein._q_within`) read for it.
 
         Finite-discrete laws read their cumulative masses, which meets the
         cdf form of the Galois pair exactly; any other law of one part whose
@@ -1361,8 +1357,8 @@ class Distribution:
 
         The candidates are 0, every breakpoint and the float below it, a
         ladder of eight knots per octave, top 2^(-k/8) for k = 0..480
-        (`_KNOT_LADDER`) with top = support_hi(1e-16), a far knot
-        (`_upper_end`), and the ``knot_candidates()`` of every part that has
+        (`_KNOT_LADDER`) with top = support_hi(1e-16), a far knot (below),
+        and the ``knot_candidates()`` of every part that has
         them; one cdf and one sf call evaluate them. Only knots
         where both columns equal their running maximum are kept
         (`_monotone_knots`), so a bracket between adjacent kept knots
@@ -1372,7 +1368,13 @@ class Distribution:
         """
         xb = self.x_breakpoints()
         top = self.support_hi(1e-16)
-        far = _upper_end(self._cdf_arr, self.support_hi)
+        # the far knot, where F reaches min(nextafter(1, 0), F(inf)) (float
+        # weights may sum just below 1): from the support's end for a tail
+        # mass a quarter of 1 - that (at most 1e-16), doubling
+        f_far = min(np.nextafter(1.0, 0.0), float(self._cdf_arr(np.array([math.inf]))[0]))
+        far = max(self.support_hi(min(1e-16, max((1.0 - f_far) / 4.0, 1e-300))), 0.0)
+        while far > 0.0 and self._cdf_arr(np.array([far]))[0] < f_far:
+            far *= 2.0
         own = [c.knot_candidates() for _, c in self.parts if hasattr(c, "knot_candidates")]
         x = np.unique(
             np.concatenate([[0.0, top, far], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER, *own])
@@ -1404,29 +1406,22 @@ class Distribution:
         down = np.maximum(j - 1, np.where(upper, h, 0))
         return x[down], x[up], np.where(upper, g[down], f[down]), np.where(upper, g[up], f[up]), y
 
-    def _quantile_within(self, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
+    def _quantile_within(self, p: np.ndarray, tol: float) -> np.ndarray:
         """Quantiles in [Q(p), Q(p) + tol] of a law that inverts from its knot
-        table (`_memoized`), for brackets [lo, hi] (scalars or arrays) that
-        hold Q(p). Each bracket is cut down to the one between adjacent kept
-        knots (`_knot_brackets`: rows above F(x_h) compare -sf with p - 1),
-        the level (`_level_arr`) is evaluated at the caller's ends where
-        they are the tighter ones, and one `_invert` call narrows every row
-        to within tol; a tol below a bracket's float spacing yields Q(p)."""
-        lo_k, hi_k, vlo, vhi, y = self._knot_brackets(p)
-        lo, hi = np.fmax(lo, lo_k), np.fmin(hi, hi_k)
-        own_lo, own_hi = lo != lo_k, hi != hi_k
-        if own_lo.any() or own_hi.any():
-            v = self._level_arr(np.concatenate([lo[own_lo], hi[own_hi]]), np.concatenate([y[own_lo], y[own_hi]]))
-            vlo[own_lo], vhi[own_hi] = np.split(v, [int(own_lo.sum())])
+        table (`_memoized`): each row starts between adjacent kept knots
+        (`_knot_brackets`: rows above F(x_h) compare -sf with p - 1), so its
+        value depends on its p and tol alone, and one `_invert` call narrows
+        every row to within tol; a tol below a bracket's float spacing
+        yields Q(p). W1's quantile route calls it (`wasserstein._q_within`)."""
+        lo, hi, vlo, vhi, y = self._knot_brackets(p)
         return _invert(self._level_arr, y, lo, hi, vlo, vhi, tol)
 
     def _bisect_quantile(self, p: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Quantiles in [Q(p), Q(p) + tol] for p in [0, 1): `_quantile_within`
-        over [0, inf), so each row keeps its knot bracket and its value
-        depends on its p alone. At tol 0 they meet the Galois pair exactly,
-        F and sf computed: F(prev(Q)) < p <= F(Q) for p <= F(x_h), sf(Q) <=
-        1 - p < sf(prev(Q)) above (`_knot_brackets`)."""
-        return self._quantile_within(p, 0.0, math.inf, tol)
+        """Quantiles in [Q(p), Q(p) + tol] for p in [0, 1): `_quantile_within`,
+        entered here by the memo and the exact quantile alone, so the
+        benchmark tracer's ``measures.inversion`` counts their batches apart
+        from W1's. At tol 0 they meet the Galois pair of `_knot_brackets`."""
+        return self._quantile_within(p, tol)
 
     def quantile(self, p) -> float | np.ndarray:
         """Left-continuous quantile Q(p) on [0, 1), exact to the float (its
@@ -1595,19 +1590,18 @@ def require_member(d: Distribution) -> Distribution:
     return d
 
 
-def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
+def fsd_dominates(d1: Distribution, d2: Distribution) -> bool:
     """First-order stochastic dominance of d1 over d2.
 
     Checked on two routes that must agree: F_{d1} <= F_{d2} on an abscissa
     ladder, and Q_{d1} >= Q_{d2} on a probability ladder below 1. The
     probability ladder joins both operands' probe ladders
     (`Distribution._probe_ladder`) with the tail levels; the abscissa
-    ladder joins both operands' breakpoints, `grid` uniform points and both
+    ladder joins both operands' breakpoints, 256 uniform points and both
     quantile functions on the probability ladder, so it resolves
     heavy-tailed laws whose mass sits far below the uniform grid's first
     step.
     """
-    grid = _count("grid", grid, 2)
     ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder, TAIL_LEVELS]))
     ps = ps[ps < 1.0]
     q1, q2 = d1._exact_quantile(ps), d2._exact_quantile(ps)
@@ -1615,7 +1609,7 @@ def fsd_dominates(d1: Distribution, d2: Distribution, grid: int = 256) -> bool:
     hi = max(d1.support_hi(1e-9), d2.support_hi(1e-9))
     xs = np.unique(
         np.concatenate(
-            [d1.x_breakpoints(), d2.x_breakpoints(), np.linspace(0.0, hi, grid), q1, q2]
+            [d1.x_breakpoints(), d2.x_breakpoints(), np.linspace(0.0, hi, 256), q1, q2]
         )
     )
     cdf_route = bool(np.all(d1._cdf_arr(xs) <= d2._cdf_arr(xs)))

@@ -43,13 +43,13 @@ __all__ = [
 ]
 
 
-def _q_within(d: Distribution, p: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Left quantiles in [Q(p), Q(p) + tol] (tol 1e-10 s from `_w1_quantile`)
-    for brackets [lo, hi] that hold Q(p): the closed form where the law has
+def _q_within(d: Distribution, p: np.ndarray, tol: float) -> np.ndarray:
+    """Left quantiles in [Q(p), Q(p) + tol] (tol 1e-10 s from `_w1_quantile`),
+    each depending on its p and tol alone: the closed form where the law has
     one (`Distribution._closed_quantile`, exact to the float for
     finite-discrete laws, to a few eps otherwise), else the inversion from
-    its knot table inside the bracket (`Distribution._quantile_within`)."""
-    return d._quantile_within(p, lo, hi, tol) if d._memoized else d._closed_quantile(p)
+    its knot table (`Distribution._quantile_within`), which reads no memo."""
+    return d._quantile_within(p, tol) if d._memoized else d._closed_quantile(p)
 
 
 #: where `_abs_gap_body` cuts an open cell, as fractions of its width: 8
@@ -63,22 +63,23 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     """Integral of |g1 - g2| between two nondecreasing functions over cells.
 
     `evaluate(points, br1, br2)` returns (g1, A1, g2, A2) where A_i is an
-    exact antiderivative of g_i; `br_i` are bracket arrays for inverse-style
-    evaluators (None on the first call). On any cell, monotonicity pins
-    g1 - g2 inside [g1(a) - g2(b), g1(b) - g2(a)]; cells where that interval
-    has one sign contribute |A-difference| exactly, the rest are cut into 8
-    equal children, everything vectorized one depth level at a time, each
-    cut point bracketed by its parent's end values. A cell is a column of
+    exact antiderivative of g_i; `br_i` hold each point's parent cell's
+    (g_i(a), g_i(b)), None on the first call: no evaluator in lorenzkit
+    reads them, but the benchmark's tracer tells the first call from a level
+    by them. On any cell, monotonicity pins g1 - g2 inside [g1(a) - g2(b),
+    g1(b) - g2(a)]; cells where that interval has one sign contribute
+    |A-difference| exactly, the rest are cut into 8 equal children,
+    everything vectorized one depth level at a time. A cell is a column of
     `lo` and of `hi`, its ends' rows x, g1, A1, g2, A2; the waiting cells
     come first, then each cut cell's children in order. Ambiguous cells are
     accepted once their width-times-oscillation bound fits the remaining
     error budget, or once their ends are adjacent floats; either way the
     bound is charged to the budget. No level takes the count of open cells
-    past `_GAP_CELL_LIMIT`: near it only the open cells of largest bound
-    are cut and the others wait, and once none can be cut, or at depth 47,
-    the open cells are added without charging their bound. Returns
-    (integral, A1 at the last edge, A2 at the last edge); the trailing
-    antiderivative values serve tail corrections.
+    past `_GAP_CELL_LIMIT`: near it only the open cells of largest bound are
+    cut and the others wait, and once none can be cut, or at depth 47, the
+    open cells are added without charging their bound. Returns (integral, A1
+    at the last edge, A2 at the last edge); the trailing antiderivative
+    values serve tail corrections.
     """
     ends = np.stack([edges, *evaluate(edges, None, None)])
     end1, end2 = float(ends[2, -1]), float(ends[4, -1])
@@ -158,7 +159,7 @@ def _w1_step_quantile(d1: Distribution, d2: Distribution, tol: float) -> float:
     s, w, c, right = block.loc, block.mass, block.cum[1:], block.tail[1:]
     h = int(np.searchsorted(c, 0.5, side="right"))
     inner = np.concatenate([c[:h], 1.0 - right[h:]])[:-1]
-    q = _q_within(d2, inner, 0.0, math.inf, tol)
+    q = _q_within(d2, inner, tol)
     mass = d2._mass_arr(q)
     below = inner[:h] - np.maximum(d2._cdf_arr(q[:h]) - mass[:h], 0.0)
     level = np.concatenate([below, d2._sf_arr(q[h:]) + mass[h:] - right[h:-1]])
@@ -179,7 +180,8 @@ def _w1_quantile(d1: Distribution, d2: Distribution, scale: float) -> float:
     argument, so approximate quantiles serve, and matched tails beyond
     `P_TAIL`. The cells are graded toward both ends, where the curves may
     touch: they split at 2^-k and 1 - 2^-k for k = 1..40. Quantiles to
-    1e-10 s and a budget of 1e-7 s, s = `scale` = m1 + m2 a bound on W1.
+    1e-10 s, each from its p alone (`_q_within`), and a budget of 1e-7 s,
+    s = `scale` = m1 + m2 a bound on W1.
     """
     tol_q = 1e-10 * scale
     if d1.is_finite_discrete:
@@ -188,13 +190,11 @@ def _w1_quantile(d1: Distribution, d2: Distribution, scale: float) -> float:
         [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), 1.0 - TAIL_LEVELS, TAIL_LEVELS]
     )
     edges = np.unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
-    tops = (max(d1.support_hi(X_CUT), 0.0), max(d2.support_hi(X_CUT), 0.0))
 
     def eval_q(ps, br1, br2):
         out = []
-        for d, br, top in zip((d1, d2), (br1, br2), tops):
-            lo, hi = (0.0, top) if br is None else (np.maximum(br[0] - tol_q, 0.0), br[1])
-            q = _q_within(d, ps, lo, hi, tol_q)
+        for d in (d1, d2):
+            q = _q_within(d, ps, tol_q)
             out.extend((q, d._quantile_integral(ps, q)))
         return tuple(out)
 
@@ -468,8 +468,8 @@ def sequence_diagnostics(
     round of its Gini (`Distribution._mean_difference_p`); each member,
     before its step, the ladder and the first round of its Gini. Every
     later read of those p is a memo hit, and every value is what a cold law
-    returns. Other laws build no batch. The W1 routes invert their own
-    brackets to 1e-10 s (`_q_within`) and read no memo.
+    returns. Other laws build no batch. The W1 routes invert from each
+    law's knot table to 1e-10 s (`_q_within`) and read no memo.
     """
     rel_tol, alpha_grid = _checked_thresholds(rel_tol, alpha_grid)
     members = list(seq)

@@ -17,7 +17,6 @@ from lorenzkit import (
     atom,
     discrete,
     exponential,
-    fsd_dominates,
     midpoint_atom_mixture,
     integral_lorenz,
     kde,
@@ -192,23 +191,6 @@ def test_domination_examples():
     assert lorenz_dominates(discrete([0.0, 1.0]), atom(1.0))
     d = midpoint_atom_mixture()
     assert lorenz_dominates(d, d)
-
-
-def test_domination_rejects_grid_below_2():
-    # grid 0 or 1 would probe a 2-point abscissa grid
-    d = discrete([1.0, 2.0, 5.0])
-    for grid in (0, 1):
-        with pytest.raises(ValueError, match="grid must be >= 2"):
-            fsd_dominates(d, d, grid=grid)
-
-
-def test_domination_grid_must_be_a_whole_number():
-    # grid=2.5, and grid=256.0 too, failed inside numpy's linspace.
-    d1, d2 = uniform(1.0, 2.0), discrete([0.5, 1.0, 1.5])
-    for a, b in ((d1, d2), (d2, d1)):
-        assert fsd_dominates(a, b, grid=256.0) is fsd_dominates(a, b, grid=256)
-    with pytest.raises(ValueError, match="^grid must be an integer, got 2.5$"):
-        fsd_dominates(d1, d2, grid=2.5)
 
 
 def test_domination_is_scale_blind():

@@ -227,6 +227,11 @@ def test_membership_gate():
     assert issubclass(ZeroMeanError, MeanDomainError)
     assert issubclass(InfiniteMeanError, MeanDomainError)
     assert require_member(atom(1.0)).mean == 1.0
+    # lognormal(0, 40)'s mean e^800 overflows a float, which raised
+    # OverflowError from math.exp instead of a domain error
+    for d in (lognormal(0.0, 40.0), mixture([(0.5, lognormal(0.0, 40.0)), (0.5, exponential(1.0))])):
+        with pytest.raises(InfiniteMeanError, match="^mean diverges$"):
+            require_member(d)
 
 
 # ---------------------------------------------------------------------------
@@ -751,22 +756,20 @@ def test_bracketed_quantile_within_tolerance_on_mixtures(name, d):
     ps = ps[(ps > 0.0) & (ps <= d.cdf(hi))]
     exact = np.asarray(d.quantile(ps))
     tol = 1e-10 * d.mean
-    wide = _q_within(d, ps, np.zeros_like(ps), np.full_like(ps, hi), tol)
-    narrow = _q_within(d, ps, 0.5 * exact, np.minimum(2.0 * exact, hi), tol)
-    for q in (wide, narrow):
-        assert np.all(q >= exact)
-        assert np.all(q <= exact + tol)
+    q = _q_within(d, ps, tol)
+    assert np.all(q >= exact)
+    assert np.all(q <= exact + tol)
 
 
 def test_bracketed_quantile_over_the_half_line_is_the_quantile():
-    # The W1 route and the quantile memo invert through one method: over
-    # [0, inf) at tolerance 0 the bracketed quantile is Q itself, bit for bit.
+    # The W1 route and the quantile memo invert through one method, from
+    # the knot table: at tolerance 0 W1's quantile is Q itself, bit for bit.
     sample = np.random.default_rng(3).lognormal(0.0, 0.5, size=200)
     laws = [d for _, d in standard_battery() if d._memoized] + [kde(sample, "gaussian", 0.03)]
     assert len(laws) > 1 and all(d._memoized for d in laws)
     ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], TAIL_LEVELS]))
     for d in laws:
-        q = _q_within(Distribution(d.parts), ps, 0.0, math.inf, 0.0)
+        q = _q_within(Distribution(d.parts), ps, 0.0)
         assert q.tobytes() == Distribution(d.parts).quantile(ps).tobytes()
 
 
@@ -1250,8 +1253,9 @@ def test_lean_illinois_loop_repeats_the_reference_at_tol_0(i):
 
 @pytest.mark.parametrize("i", range(len(_lean_loop_laws())))
 def test_lean_illinois_loop_repeats_the_reference_on_w1_brackets(monkeypatch, i):
-    # W1's quantile route inverts within brackets its cells hand down, to
-    # 1e-10 times the scale.
+    # W1's quantile route inverts from each law's knot table, to 1e-10
+    # times the scale: every row starts between kept knots of its law's
+    # table, never at a parent cell's quantiles, so it depends on p alone.
     calls = []
     invert = measures._invert
 
@@ -1265,6 +1269,9 @@ def test_lean_illinois_loop_repeats_the_reference_on_w1_brackets(monkeypatch, i)
     monkeypatch.undo()
     assert calls and {args[-1] for _, args in calls} == {1e-10 * (d1.mean + d2.mean)}
     for level, args in calls:
+        x = level.__self__._knot_values[0]
+        _, lo, hi = args[:3]
+        assert np.all(np.isin(lo, x) & np.isin(hi, x))
         _assert_same_loop(level, args)
 
 

@@ -132,6 +132,18 @@ def test_index_exit_codes(capsys):
     assert main(["index"]) == 1  # missing operand is a usage error
 
 
+def test_overflowing_mean_exits_two(capsys):
+    # lognormal(0, 40)'s mean exp(800) overflows a float; it ended in an
+    # OverflowError traceback instead of the divergent-mean exit.
+    for argv in (
+        ["index", "lognormal(0,40)"],
+        ["index", "mix(0.5*lognormal(0,40),0.5*exp(1))"],
+        ["w1", "lognormal(0,40)", "exp(1)"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: mean diverges\n"
+
+
 def test_index_heavy_tail_exits_zero(capsys):
     assert main(["index", "lognormal(0,2.5)"]) == 0
     assert capsys.readouterr().err == ""
