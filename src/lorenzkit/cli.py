@@ -140,17 +140,11 @@ def _cmd_lorenz(args) -> int:
             payload["kendall"] = [[x, y] for x, y in kendall]
         _emit(_json_text(payload) + "\n", args.out)
         return 0
-    lines = [f"# mean {_f12(d.mean)}", "p\tlorenz\tpseudo_lorenz"]
-    lines.extend(
-        "\t".join((_f12(p), _f12(a), _f12(b)))
-        for p, a, b in zip(ps, lvals, pvals)
-    )
+    rows = [("p", "lorenz", "pseudo_lorenz"), *zip(ps, lvals, pvals)]
+    text = f"# mean {_f12(d.mean)}\n" + _tsv_text(rows)
     if kendall is not None:
-        lines.append("")
-        lines.append("# kendall points")
-        lines.append("F\tshare")
-        lines.extend("\t".join((_f12(x), _f12(y))) for x, y in kendall)
-    _emit("\n".join(lines) + "\n", args.out)
+        text += "\n# kendall points\n" + _tsv_text([("F", "share"), *kendall])
+    _emit(text, args.out)
     return 0
 
 

@@ -139,7 +139,7 @@ def kendall_points(d: Distribution, t_grid) -> list[tuple[float, float]]:
     """
     require_member(d)
     ts = np.asarray(sorted(float(t) for t in t_grid), dtype=float)
-    if ts.size and ts[0] < 0:
+    if not (ts >= 0.0).all():
         raise ValueError("Kendall grid abscissae must be >= 0")
     xs = d._cdf_arr(ts)
     ys = np.asarray(d.partial_expectation(ts)) / d.mean

@@ -735,7 +735,12 @@ class Lognormal:
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 0.0)) - self.log_mean - self.log_sd**2) / self.log_sd
-        return np.where(x > 0.0, self.mean() * sp.ndtr(z), 0.0)
+        try:
+            head = self.mean() * sp.ndtr(z)
+        except OverflowError:  # the mean overflows where pe need not; pe(inf) is inf
+            with np.errstate(over="ignore"):
+                head = np.exp(self.log_mean + 0.5 * self.log_sd**2 + sp.log_ndtr(z))
+        return np.where(x > 0.0, head, 0.0)
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         return np.exp(self.log_mean + self.log_sd * sp.ndtri(p))

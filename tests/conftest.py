@@ -1,4 +1,5 @@
 import contextlib
+import re
 import signal
 
 import pytest
@@ -40,3 +41,22 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Record each property suite's generate-phase passing count (None if it
+    did not pass) and its call time in `test_properties.GENERATED`, for
+    criterion 9."""
+    report = (yield).get_result()
+    if report.when == "call" and item.path.name == "test_properties.py":
+        stats = getattr(item, "hypothesis_statistics", "")
+        found = re.search(r"generate phase.*?(\d+) passing", stats, re.S)
+        count = int(found[1]) if found and report.passed else None
+        item.module.GENERATED[item.name] = (count, report.duration)
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    """Run criterion 9 last, so it reads the property suites of this run."""
+    items.sort(key=lambda item: item.name == "test_criterion_9_property_suites")

@@ -176,6 +176,13 @@ def test_kendall_point_on_uniform():
     assert share == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("grid", [[0.5, math.nan], [math.nan, -1.0], [-1.0]])
+def test_kendall_points_reject_negative_or_nan_abscissae(grid):
+    # sorted() leaves a NaN anywhere in the grid, and it can hide a negative
+    with pytest.raises(ValueError, match="Kendall grid"):
+        kendall_points(exponential(1.0), grid)
+
+
 def test_kendall_points_lie_on_lorenz_graph(battery):
     for name, d in battery:
         c = lorenz(d)

@@ -234,6 +234,18 @@ def test_membership_gate():
             require_member(d)
 
 
+def test_lognormal_partial_expectation_outlives_its_mean():
+    # e^800 overflows a float, but pe(x) = e^800 Phi(z) stays finite; mpmath
+    # at 50 digits gives the references
+    d = lognormal(0.0, 40.0)
+    refs = {1e-3: 9.7776480366532526e-06, 2.0: 0.019940305290798915,
+            1e5: 963.21331644706520, 1e300: 3.0426828171781716e+233}
+    for x, ref in refs.items():
+        assert float(d.partial_expectation(x)) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    mixed = mixture([(0.5, d), (0.5, exponential(1.0))])
+    assert float(mixed.partial_expectation(2.0)) == pytest.approx(0.30696722779048042, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # closed forms against scipy
 # ---------------------------------------------------------------------------
