@@ -65,9 +65,13 @@ finite-discrete, else ``general``), how many values are bit-identical and
 the largest relative difference (for ``index.max_cross_route_residual``,
 each dump's largest residual instead, so a rise shows), and each dump's
 totals of Galois, batch and sandwich failures, so a quantile that moved
-can be seen to meet the contract still. It lists as changed outcomes the
-dominance answers, text fields and raising calls that differ, then the
-keys found in one dump only.
+can be seen to meet the contract still. For each dump it prints how well
+the two W1 routes agree over the general ``w1_routes`` pairs: the median
+and the largest |quantile - cdf| / quantile and how many exceed 1e-9, so a
+change to the gap integrator is judged by its accuracy as well as by the
+keys it moved. It lists as changed outcomes the dominance answers, text
+fields and raising calls that differ, then the keys found in one dump
+only.
 
 Run each side against its own source tree, for example
 
@@ -462,6 +466,18 @@ def _field(key):
     return kind, field
 
 
+def _route_gaps(dumped):
+    """|quantile - cdf| / quantile of every general `w1_routes` pair of a
+    dump whose routes both returned (0 where both read 0)."""
+    gaps = []
+    for key, vq in dumped.items():
+        if not key.startswith("general|w1_routes|") or not key.endswith("#0") or vq.startswith(OUTCOMES):
+            continue
+        q, f = float.fromhex(vq), float.fromhex(dumped[key[:-1] + "1"])
+        gaps.append(abs(q - f) / q if q else (math.inf if f else 0.0))
+    return np.array(gaps)
+
+
 def diff(path_a, path_b):
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
@@ -501,6 +517,10 @@ def diff(path_a, path_b):
             tag = f"|{check}|"
             fails = sum(float.fromhex(v) for k, v in dumped.items() if tag in k and not v.startswith("raise"))
             print(f"{check} failures in {path}: {fails:g}")
+    for path, dumped in ((path_a, a), (path_b, b)):
+        gaps = _route_gaps(dumped)
+        print(f"general w1_routes |quantile - cdf| / quantile in {path}: median {np.median(gaps):.3g},"
+              f" max {np.max(gaps):.3g}, {int(np.sum(gaps > 1e-9))} of {gaps.size} above 1e-9")
     total = sum(r[0] for r in stats.values())
     same = sum(r[1] for r in stats.values())
     print(f"total: {same} of {total} values bit-identical")

@@ -52,9 +52,11 @@ def _q_within(d: Distribution, p: np.ndarray, tol: float) -> np.ndarray:
     return d._quantile_within(p, tol) if d._memoized else d._closed_quantile(p)
 
 
-#: where `_abs_gap_body` cuts an open cell, as fractions of its width: 8
-#: equal children
-_GAP_CUTS = np.arange(1.0, 8.0) / 8.0
+#: new points a level of `_abs_gap_body` may spend on few open cells: each
+#: is cut into the largest power of two of children whose count over the
+#: level stays within it, 8 at least, so a level that cuts more than 8 cells
+#: cuts each in 8
+_GAP_LEVEL_POINTS = 128
 #: count of open cells that no level of `_abs_gap_body` takes past
 _GAP_CELL_LIMIT = 16384
 
@@ -68,8 +70,12 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     reads them, but the benchmark's tracer tells the first call from a level
     by them. On any cell, monotonicity pins g1 - g2 inside [g1(a) - g2(b),
     g1(b) - g2(a)]; cells where that interval has one sign contribute
-    |A-difference| exactly, the rest are cut into 8 equal children,
-    everything vectorized one depth level at a time. A cell is a column of
+    |A-difference| exactly, the rest are cut into m equal children,
+    everything vectorized one depth level at a time. Each level pays one
+    evaluation pass whatever its size, so m is the largest power of two
+    that keeps the level's cells within `_GAP_LEVEL_POINTS` and the cell
+    limit, 8 at least: a level that cuts one crossing cuts it 128-fold, and
+    one that cuts more than 8 cells cuts each in 8. A cell is a column of
     `lo` and of `hi`, its ends' rows x, g1, A1, g2, A2; the waiting cells
     come first, then each cut cell's children in order. Ambiguous cells are
     accepted once their width-times-oscillation bound fits the remaining
@@ -84,7 +90,6 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     ends = np.stack([edges, *evaluate(edges, None, None)])
     end1, end2 = float(ends[2, -1]), float(ends[4, -1])
     lo, hi = ends[:, :-1], ends[:, 1:]
-    n = _GAP_CUTS.size
     total = 0.0
     spent = 0.0
     for depth in range(48):
@@ -105,7 +110,10 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
         done = sure | accept
         total += float(np.abs(integ[done]).sum())
         open_ = np.flatnonzero(~done)
-        # a cut cell gives way to _GAP_CUTS.size + 1 children
+        # a cut cell gives way to m equal children, at n = m - 1 cut points
+        grow = min(_GAP_LEVEL_POINTS, _GAP_CELL_LIMIT - open_.size) // max(open_.size, 1)
+        m = 8 if grow < 16 else 1 << (grow.bit_length() - 1)
+        n = m - 1
         room = (_GAP_CELL_LIMIT - open_.size) // n
         if open_.size == 0 or depth == 47 or room < 1:
             total += float(np.abs(integ[open_]).sum())
@@ -113,7 +121,7 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
         if open_.size > room:
             open_ = open_[np.argpartition(err[open_], -room)]
         wait, cut = open_[:-room], open_[-room:]
-        x = np.minimum(a[cut, None] + (b - a)[cut, None] * _GAP_CUTS, b[cut, None])
+        x = np.minimum(a[cut, None] + (b - a)[cut, None] * (np.arange(1.0, m) / m), b[cut, None])
         at_x = evaluate(
             x.ravel(),
             (np.repeat(va1[cut], n), np.repeat(vb1[cut], n)),

@@ -158,7 +158,10 @@ def _record_gap_calls(monkeypatch) -> list[list[np.ndarray]]:
 def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
     # Halving one level at a time took up to 17 quantile-route and 20
     # cdf-route levels on these pairs, one level per halving of the cells
-    # [0, 2^-k] and of the cells where the two curves cross.
+    # [0, 2^-k] and of the cells where the two curves cross. Cutting every
+    # open cell into 8 took up to 3 and 7 levels, 284 in all; a level that
+    # cuts few cells now cuts each into up to 128, and a crossing closes in
+    # fewer levels.
     general = [d for _, d in battery if not d.is_finite_discrete]
     assert len(general) == 12
     gap_calls = _record_gap_calls(monkeypatch)
@@ -167,8 +170,26 @@ def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
             w1_routes(d1, d2)
     levels = [len(points) - 1 for points in gap_calls]
     assert len(levels) == 2 * 66
-    assert max(levels[0::2]) <= 4
-    assert max(levels[1::2]) <= 8
+    assert max(levels[0::2]) <= 3
+    assert max(levels[1::2]) <= 4
+    assert sum(levels) <= 200
+
+
+def test_gap_body_cuts_a_lone_crossing_finely():
+    # g1(x) = x crosses the constant 1/3 in one of 44 cells. Cut into 8
+    # children a level, that cell took 5 levels of 7 points each to fit a
+    # budget of 1e-12; cut into 128, it takes 3 of 127.
+    c = 1.0 / 3.0
+    calls = []
+
+    def evaluate(x, br1, br2):
+        calls.append(x.size)
+        return x, 0.5 * x * x, np.full_like(x, c), c * x
+
+    budget = 1e-12
+    total, _, _ = wasserstein._abs_gap_body(np.linspace(0.0, 1.0, 45), evaluate, budget)
+    assert len(calls) - 1 <= 3
+    assert abs(total - (c * c + (1.0 - c) ** 2) / 2.0) <= budget
 
 
 def test_far_atom_quantile_route_stops_at_float_resolution(monkeypatch):
