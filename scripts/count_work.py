@@ -6,9 +6,11 @@
 Runs the ops that ``bench/run.py`` times at the same seed, untimed and
 unchecked, on this checkout's src/, and prints per W1 route of the gap
 integrator (``eval_q`` quantile, ``eval_x`` cdf) its calls, refinement
-levels and evaluated points; `measures._invert` calls and rows; and
-`Distribution._level_arr` calls and points. They depend on the code and
-the seed alone, so two trees compare exactly where wall times do not.
+levels and evaluated points, in all and, under ``family.<family>.``, per
+op family of the workload (`Op.family`: dd, dg, gg, hard_* on w1_pairs);
+`measures._invert` calls and rows; and `Distribution._level_arr` calls and
+points. They depend on the code and the seed alone, so two trees compare
+exactly where wall times do not.
 """
 
 import argparse
@@ -34,16 +36,20 @@ def counted(counts, name, fn, unit):
     return wrapper
 
 
-def counted_gap_body(counts, body):
+def counted_gap_body(counts, body, family):
     """`body` counting its calls, and the levels and points of its
-    evaluations, under the name of the route's evaluator."""
+    evaluations, under the name of the route's evaluator, in all and under
+    the family of the op in progress, ``family[0]``."""
     def gap_body(edges, evaluate, budget):
         route = f"gap_body.{evaluate.__name__}"
-        counts[f"{route}.calls"] += 1
+        names = (route, f"family.{family[0]}.{route}")
+        for name in names:
+            counts[f"{name}.calls"] += 1
 
         def evaluate_counted(points, br1, br2):
-            counts[f"{route}.levels"] += br1 is not None  # None on the first call
-            counts[f"{route}.points"] += points.size
+            for name in names:
+                counts[f"{name}.levels"] += br1 is not None  # None on the first call
+                counts[f"{name}.points"] += points.size
             return evaluate(points, br1, br2)
 
         return body(edges, evaluate_counted, budget)
@@ -57,13 +63,15 @@ def main():
     ap.add_argument("--rounds", type=int, required=True)
     args = ap.parse_args()
     counts = Counter({"ops.raised": 0})
-    wasserstein._abs_gap_body = counted_gap_body(counts, wasserstein._abs_gap_body)
+    family = [None]
+    wasserstein._abs_gap_body = counted_gap_body(counts, wasserstein._abs_gap_body, family)
     measures._invert = counted(counts, "_invert", measures._invert, "rows")
     measures.Distribution._level_arr = counted(counts, "_level_arr", measures.Distribution._level_arr, "points")
     workload = workloads.WORKLOADS[args.workload]
     strata = laws.Strata(args.seed, workload.stream)
     for rnd in range(args.rounds):
         for op in workload.round(args.seed, rnd, strata):
+            family[0] = op.family
             counts["ops"] += 1
             try:
                 op.call()

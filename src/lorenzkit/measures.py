@@ -407,12 +407,16 @@ class _AtomBlock:
     @classmethod
     def of(cls, locs: np.ndarray, masses: np.ndarray, whole: bool = False) -> "_AtomBlock":
         """The block of atoms given as locations and masses in any order,
-        sorted stably by location and merged (`np.unique`,
-        `np.add.reduceat`): the only place atoms are sorted or merged. A
-        `whole` block, one that is all of a law, has ``cum[-1]`` and
-        ``tail[0]`` set to 1.0 exactly."""
+        sorted stably by location, once, and merged (`np.add.reduceat` over
+        the runs of equal locations, each kept as its first, so -0.0 and 0.0
+        are one atom): the only place atoms are sorted or merged. A `whole`
+        block, one that is all of a law, has ``cum[-1]`` and ``tail[0]`` set
+        to 1.0 exactly."""
         order = np.argsort(locs, kind="stable")
-        loc, start = np.unique(locs[order], return_index=True)
+        sorted_locs = locs[order]
+        first = np.ones(sorted_locs.size, dtype=bool)
+        first[1:] = sorted_locs[1:] != sorted_locs[:-1]
+        loc, start = sorted_locs[first], np.flatnonzero(first)
         mass = np.add.reduceat(masses[order], start)
         cum, tail = _prefix(mass), _suffix(mass)
         if whole:
@@ -1082,10 +1086,16 @@ class Distribution:
 
     def _sum(self, method: str, x) -> np.ndarray:
         """The pooled block's `method` at x plus, part by part, w times each
-        other part's: how every pointwise evaluation sums a law's parts."""
+        other part's: how every pointwise evaluation sums a law's parts. A
+        law without atoms starts from its first other part, not from its
+        empty block's zeros (0 + w v is w v), so it reads no block."""
         x = np.asarray(x, dtype=float)
         block, rest = self._atomic
-        out = getattr(block, method)(x)
+        if block.loc.size:
+            out = getattr(block, method)(x)
+        else:
+            (w, comp), *rest = rest
+            out = w * getattr(comp, method)(x)
         for w, comp in rest:
             out = out + w * getattr(comp, method)(x)
         return out
@@ -1154,13 +1164,14 @@ class Distribution:
     def tail_moment(self, alpha: float) -> float:
         """Integral of x over (alpha, infinity): the first moment above alpha."""
         alpha = float(_nonnegative("tail_moment", alpha))
-        return max(self.mean - self.partial_expectation(alpha), 0.0)
+        return max(self.mean - float(self._pe_arr(np.array([alpha]))[0]), 0.0)
 
     def excess_mean(self, x: float) -> float:
         """E[(X - x)^+]: the first moment above x less x times the survival."""
         x = float(_nonnegative("excess_mean", x))
-        rest = self.mean - self.partial_expectation(x)
-        return max(rest - min(x, _MAX_FLOAT) * self.survival(x), 0.0)
+        at = np.array([x])
+        rest = self.mean - float(self._pe_arr(at)[0])
+        return max(rest - min(x, _MAX_FLOAT) * float(self._sf_arr(at)[0]), 0.0)
 
     # -- quantiles ----------------------------------------------------------
 

@@ -64,21 +64,23 @@ _GAP_CELL_LIMIT = 16384
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:
     """Integral of |g1 - g2| between two nondecreasing functions over cells.
 
-    `evaluate(points, br1, br2)` returns (g1, A1, g2, A2) where A_i is an
-    exact antiderivative of g_i; `br_i` hold each point's parent cell's
-    (g_i(a), g_i(b)), None on the first call: no evaluator in lorenzkit
-    reads them, but the benchmark's tracer tells the first call from a level
-    by them. On any cell, monotonicity pins g1 - g2 inside [g1(a) - g2(b),
-    g1(b) - g2(a)]; cells where that interval has one sign contribute
-    |A-difference| exactly, the rest are cut into m equal children,
-    everything vectorized one depth level at a time. Each level pays one
-    evaluation pass whatever its size, so m is the largest power of two
-    that keeps the level's cells within `_GAP_LEVEL_POINTS` and the cell
+    `evaluate(points, br1, br2)` returns (g1, A1, g2, A2, g1-, g2-) where
+    A_i is an exact antiderivative of g_i and g_i- its left limit g_i(x-);
+    `br_i` hold each point's parent cell's (g_i(a), g_i(b-)), None on the
+    first call: no evaluator in lorenzkit reads them, but the benchmark's
+    tracer tells the first call from a level by them. On the open cell
+    (a, b), monotonicity pins g1 - g2 inside [g1(a) - g2(b-), g1(b-) - g2(a)]:
+    a cell's left end reads g, its right end g-, so a jump at b, an atom of a
+    right-continuous cdf, widens no bound. Cells where that interval has one
+    sign contribute |A-difference| exactly, the rest are cut into m equal
+    children, everything vectorized one depth level at a time. Each level
+    pays one evaluation pass whatever its size, so m is the largest power of
+    two that keeps the level's cells within `_GAP_LEVEL_POINTS` and the cell
     limit, 8 at least: a level that cuts one crossing cuts it 128-fold, and
     one that cuts more than 8 cells cuts each in 8. A cell is a column of
-    `lo` and of `hi`, its ends' rows x, g1, A1, g2, A2; the waiting cells
-    come first, then each cut cell's children in order. Ambiguous cells are
-    accepted once their width-times-oscillation bound fits the remaining
+    `lo` and of `hi`, its ends' rows x, g1, A1, g2, A2, g1-, g2-; the waiting
+    cells come first, then each cut cell's children in order. Ambiguous cells
+    are accepted once their width-times-oscillation bound fits the remaining
     error budget, or once their ends are adjacent floats; either way the
     bound is charged to the budget. No level takes the count of open cells
     past `_GAP_CELL_LIMIT`: near it only the open cells of largest bound are
@@ -93,8 +95,8 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
     total = 0.0
     spent = 0.0
     for depth in range(48):
-        a, va1, aa1, va2, aa2 = lo
-        b, vb1, ab1, vb2, ab2 = hi
+        a, va1, aa1, va2, aa2 = lo[:5]
+        b, _, ab1, _, ab2, vb1, vb2 = hi
         integ = (ab1 - aa1) - (ab2 - aa2)
         osc = (vb1 - va2) - (va1 - vb2)
         err = (b - a) * osc
@@ -127,11 +129,11 @@ def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, fl
             (np.repeat(va1[cut], n), np.repeat(vb1[cut], n)),
             (np.repeat(va2[cut], n), np.repeat(vb2[cut], n)),
         )
-        # rows x, g1, A1, g2, A2 by cut cell by its ends and its n cut points
-        inner = np.reshape([x.ravel(), *at_x], (5, -1, n))
+        # rows x, g1, A1, g2, A2, g1-, g2- by cut cell by its ends and its n cut points
+        inner = np.reshape([x.ravel(), *at_x], (7, -1, n))
         grid = np.concatenate([lo[:, cut, None], inner, hi[:, cut, None]], axis=2)
-        lo = np.concatenate([lo[:, wait], grid[:, :, :-1].reshape(5, -1)], axis=1)
-        hi = np.concatenate([hi[:, wait], grid[:, :, 1:].reshape(5, -1)], axis=1)
+        lo = np.concatenate([lo[:, wait], grid[:, :, :-1].reshape(7, -1)], axis=1)
+        hi = np.concatenate([hi[:, wait], grid[:, :, 1:].reshape(7, -1)], axis=1)
     return total, end1, end2
 
 
@@ -187,8 +189,9 @@ def _w1_quantile(d1: Distribution, d2: Distribution, scale: float) -> float:
     identity (`Distribution._quantile_integral`), stationary in its quantile
     argument, so approximate quantiles serve, and matched tails beyond
     `P_TAIL`. The cells are graded toward both ends, where the curves may
-    touch: they split at 2^-k and 1 - 2^-k for k = 1..40. Quantiles to
-    1e-10 s, each from its p alone (`_q_within`), and a budget of 1e-7 s,
+    touch: they split at 2^-k and 1 - 2^-k for k = 1..40. Q is
+    left-continuous, so `eval_q` gives Q itself as its left limit. Quantiles
+    to 1e-10 s, each from its p alone (`_q_within`), and a budget of 1e-7 s,
     s = `scale` = m1 + m2 a bound on W1.
     """
     tol_q = 1e-10 * scale
@@ -204,7 +207,7 @@ def _w1_quantile(d1: Distribution, d2: Distribution, scale: float) -> float:
         for d in (d1, d2):
             q = _q_within(d, ps, tol_q)
             out.extend((q, d._quantile_integral(ps, q)))
-        return tuple(out)
+        return (*out, out[0], out[2])
 
     body_q, s1_tail, s2_tail = _abs_gap_body(edges, eval_q, 1e-7 * scale)
     return body_q + abs(max(d1.mean - s1_tail, 0.0) - max(d2.mean - s2_tail, 0.0))
@@ -220,7 +223,9 @@ def _w1_cdf(d1: Distribution, d2: Distribution, scale: float) -> float:
     cells in x, cell integrals of F from integration by parts,
     A(x) = x F(x) - pe(x), split at hi 2^-k for k = 1..60 (`HALVINGS`), and
     matched tails beyond hi, the larger of the laws' support_hi(`X_CUT`),
-    at a budget of 1e-7 s.
+    at a budget of 1e-7 s. `eval_x` gives F - mass_at as the left limit
+    F(x-), so a cell ending at an atom of either law closes unless the
+    curves cross inside it.
     """
     if d2.is_finite_discrete:
         b1, b2 = d1._discrete, d2._discrete
@@ -239,7 +244,7 @@ def _w1_cdf(d1: Distribution, d2: Distribution, scale: float) -> float:
         f2 = d2._cdf_arr(xs)
         a1 = xs * f1 - d1._pe_arr(xs)
         a2 = xs * f2 - d2._pe_arr(xs)
-        return f1, a1, f2, a2
+        return f1, a1, f2, a2, f1 - d1._mass_arr(xs), f2 - d2._mass_arr(xs)
 
     body_f, _, _ = _abs_gap_body(xedges, eval_x, 1e-7 * scale)
     return body_f + abs(d1.excess_mean(hi) - d2.excess_mean(hi))

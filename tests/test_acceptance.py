@@ -178,9 +178,10 @@ def test_criterion_8_curve_round_trip():
             rebuilt = reconstruct(lorenz(d).eval(grid), d.mean, grid)
             err, by_cdf = w1_routes(rebuilt, d)
             assert err <= 1e-3, (name, err)
-            # the rebuilt law crosses its source in every grid cell, so the
-            # gap integrator meets thousands of open cells at its first level;
-            # both routes must still meet their budget, not stop at a cap
+            # the rebuilt law's cdf is a staircase that meets its source's at
+            # its jumps, one in every grid cell, so the gap integrator meets
+            # thousands of cells that end at a jump; both routes must still
+            # meet their budget, not stop at a cap
             assert abs(err - by_cdf) <= 1e-7 * (rebuilt.mean + d.mean), name
             if d.is_finite_discrete:
                 _, masses = d.support_atoms()

@@ -171,10 +171,12 @@ def test_package_exports_each_module_all_in_import_order():
 
 def test_discrete_pooling_and_mean_match_the_sequential_reference():
     # The atoms were pooled one part at a time and the mean summed w x part
-    # by part, so a purely finite-discrete law keeps both bit for bit.
+    # by part, so a purely finite-discrete law keeps both bit for bit. The
+    # block keeps np.unique's runs, -0.0 and 0.0 in one run led by -0.0.
     rng = np.random.default_rng(9)
     xs = rng.choice(rng.lognormal(0.0, 1.2, size=60), size=300)
-    xs[:20] = 0.0
+    xs[:10] = -0.0
+    xs[10:20] = 0.0
     ws = rng.dirichlet(np.ones(xs.size))
     mean = 0.0
     for x, w in zip(xs.tolist(), ws.tolist()):
@@ -376,6 +378,25 @@ def test_support_hi_reads_the_largest_atom_from_the_pooled_block(monkeypatch):
     monkeypatch.setattr(Atoms, "support_hi", refuse)
     got = [d.support_hi(eps) for eps in (0.0, 1e-16, 1e-3)]
     assert got == expected and all(type(v) is float for v in got)
+
+
+def test_a_law_without_atoms_reads_no_atom_block(monkeypatch):
+    # Every pointwise evaluation of a law started from its pooled block's
+    # values, zeros when the law has no atom, at one searchsorted a call.
+    calls = []
+    for name in ("cdf", "sf", "pe", "mass_at"):
+        def counted(self, x, fn=getattr(measures._AtomBlock, name), name=name):
+            calls.append(name)
+            return fn(self, x)
+
+        monkeypatch.setattr(measures._AtomBlock, name, counted)
+    d1 = lognormal(0.0, 1.0)
+    d2 = mixture([(0.5, uniform(0.0, 2.0)), (0.5, gamma_dist(2.0, 0.5))])
+    index_report(d1)
+    index_report(d2)
+    w1_routes(d1, d2)
+    w1_routes(d2, exponential(1.0))
+    assert calls == []
 
 
 @pytest.mark.parametrize(

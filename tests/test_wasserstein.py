@@ -21,6 +21,7 @@ from lorenzkit import (
     lorenz,
     lorenz_tail_gap,
     mixture,
+    reconstruct,
     scenario_sequence,
     sequence_diagnostics,
     ui_tail,
@@ -133,15 +134,18 @@ def test_route_agreement_over_battery_pairs(battery):
     assert worst_quad < 1e-5
 
 
-def _record_gap_calls(monkeypatch) -> list[list[np.ndarray]]:
+def _record_gap_calls(monkeypatch, route=None) -> list[list[np.ndarray]]:
     """The points of every evaluation of every `_abs_gap_body` call, in call
     order: the quantile route, then the cdf route, of each pair of laws
     neither of which is finite-discrete, and the cdf route alone of a pair
-    with one. A call's first evaluation is its edges, and each further one a
-    refinement level."""
+    with one; only the calls of one route when `route` names its evaluator
+    (``eval_q``, ``eval_x``). A call's first evaluation is its edges, and
+    each further one a refinement level."""
     body, gap_calls = wasserstein._abs_gap_body, []
 
     def recording_body(edges, evaluate, budget):
+        if route is not None and evaluate.__name__ != route:
+            return body(edges, evaluate, budget)
         points = []
         gap_calls.append(points)
 
@@ -161,7 +165,8 @@ def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
     # [0, 2^-k] and of the cells where the two curves cross. Cutting every
     # open cell into 8 took up to 3 and 7 levels, 284 in all; a level that
     # cuts few cells now cuts each into up to 128, and a crossing closes in
-    # fewer levels.
+    # fewer levels: 187 in all. A cell bounded by F at its left end and by
+    # F- at its right end closes beside an atom at that end: 173.
     general = [d for _, d in battery if not d.is_finite_discrete]
     assert len(general) == 12
     gap_calls = _record_gap_calls(monkeypatch)
@@ -172,7 +177,53 @@ def test_gap_body_level_budget_over_battery_pairs(monkeypatch, battery):
     assert len(levels) == 2 * 66
     assert max(levels[0::2]) <= 3
     assert max(levels[1::2]) <= 4
-    assert sum(levels) <= 200
+    assert sum(levels) <= 180
+
+
+def test_gap_body_bounds_a_cell_by_the_left_limit_at_its_right_end():
+    # g1 jumps from 0 to 1 at x = 1 and g2 is 1/2: on the open cell
+    # (0.5, 1) the gap has one sign. Bounded by g1(1) = 1 at its right end,
+    # the cell was cut level after level toward the jump; g1(1-) = 0 closes
+    # it at once.
+    calls = []
+
+    def evaluate(x, br1, br2):
+        calls.append(x.size)
+        g1, g2 = (x >= 1.0).astype(float), np.full_like(x, 0.5)
+        return g1, np.zeros_like(x), g2, 0.5 * x, np.zeros_like(x), g2
+
+    total, _, _ = wasserstein._abs_gap_body(np.array([0.0, 0.5, 1.0]), evaluate, 1e-12)
+    assert calls == [3]
+    assert total == 0.5
+
+
+def test_cdf_route_levels_over_discrete_general_battery_pairs(monkeypatch, discrete_members, general_members):
+    # Each pair's only cell integration is the cdf route, whose F jumps at
+    # every atom of the finite-discrete law. A cell bounded by F at both
+    # ends was cut toward every atom at its right end: up to 5 levels a
+    # pair, 254 in all; read as F- there, such a cell closes at once.
+    gap_calls = _record_gap_calls(monkeypatch, "eval_x")
+    for _, d1 in discrete_members:
+        for _, d2 in general_members:
+            w1_routes(d1, d2)
+    levels = [len(points) - 1 for points in gap_calls]
+    assert len(levels) == 96
+    assert max(levels) <= 2
+    assert sum(levels) <= 100
+
+
+def test_cdf_route_levels_of_reconstructs_against_their_source(monkeypatch, battery):
+    # The law rebuilt from a 4096-grid Lorenz curve meets its source at its
+    # own jumps (criterion 8). Bounded by F at both ends, the cells ending at
+    # those jumps took up to 18 cdf-route levels a pair, 170 in all.
+    grid = np.linspace(0.0, 1.0, 4097)
+    gap_calls = _record_gap_calls(monkeypatch, "eval_x")
+    for _, d in battery:
+        w1_routes(reconstruct(lorenz(d).eval(grid), d.mean, grid), d)
+    levels = [len(points) - 1 for points in gap_calls]
+    assert len(levels) == 12
+    assert max(levels) <= 6
+    assert sum(levels) <= 60
 
 
 def test_gap_body_cuts_a_lone_crossing_finely():
@@ -184,7 +235,8 @@ def test_gap_body_cuts_a_lone_crossing_finely():
 
     def evaluate(x, br1, br2):
         calls.append(x.size)
-        return x, 0.5 * x * x, np.full_like(x, c), c * x
+        g2 = np.full_like(x, c)
+        return x, 0.5 * x * x, g2, c * x, x, g2
 
     budget = 1e-12
     total, _, _ = wasserstein._abs_gap_body(np.linspace(0.0, 1.0, 45), evaluate, budget)
@@ -328,7 +380,8 @@ def test_gap_body_cells_wait_under_a_small_cell_limit(monkeypatch):
         calls.append(x.size)
         j = np.floor(k * x)
         g2 = (j + 0.5) / k
-        return x, 0.5 * x * x, g2, 0.5 * (j / k) ** 2 + (x - j / k) * g2
+        # each g read as its own left limit, so every cell's right end reads g
+        return x, 0.5 * x * x, g2, 0.5 * (j / k) ** 2 + (x - j / k) * g2, x, g2
 
     calls = []
     monkeypatch.setattr(wasserstein, "_GAP_CELL_LIMIT", 64)
