@@ -35,8 +35,10 @@ law of a 10^5-point lognormal(0, 1) sample (`LARGE_SAMPLE`). The battery is
 `standard_battery()` plus seeded nested mixtures, atom-rich mixtures (a
 density plus tens to hundreds of atoms), mixtures with quantile-table and
 kernel-smoothed parts, the heavy-tailed lognormal(0, 2.5) and
-lognormal(0, 3), three battery laws rescaled by 1e-12, 1e-6, 1e6 and 1e12
-(W1 pairs them within each scale), and single-part kernel estimates
+lognormal(0, 3), a step quantile table (`STEP_TABLE`), the `reconstruct`
+of a four-atom battery law's Lorenz curve on 4,096 equal cells
+(`RECONSTRUCTED`), three battery laws rescaled by 1e-12, 1e-6, 1e6 and
+1e12 (W1 pairs them within each scale), and single-part kernel estimates
 (uniform, Epanechnikov and Gaussian kernel, n = 200, h = 0.03) of one
 uniform(0,1) sample plus a Gaussian one (same n and h) of a two-cluster
 sample on [0, 0.3] and [2, 3], whose density nearly vanishes between the
@@ -118,6 +120,7 @@ from lorenzkit import (
     mixture,
     quantile_approx,
     quantile_table,
+    reconstruct,
     scenario_sequence,
     sequence_diagnostics,
     standard_battery,
@@ -161,6 +164,13 @@ SCALED = ("mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))", "gamma(2,0.5
 SCALES = (1e-12, 1e-6, 1e6, 1e12)
 #: log-sd of the heavy-tailed lognormal laws dumped after the seeded ones
 HEAVY_SIGMAS = (2.5, 3.0)
+#: (grid, values) of the step quantile table dumped after them
+STEP_TABLE = ([0.0, 0.2, 0.45, 0.7, 0.9], [0.0, 0.5, 0.5, 1.5, 4.0])
+#: the battery law whose Lorenz curve is reconstructed last, on this many
+#: equal cells: its long runs of tied atoms make the table's mean, a running
+#: sum over every row, differ from the sum over its merged atoms
+RECONSTRUCTED = "mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))"
+RECONSTRUCT_CELLS = 4096
 #: kernels of the single-part KDE laws, sample size and bandwidth
 KDE_KERNELS, KDE_N, KDE_H = ("uniform", "epanechnikov", "gaussian"), 200, 0.03
 #: (sample size, bandwidth) of the Gaussian estimates of a lognormal sample
@@ -219,6 +229,11 @@ def extra_laws():
     smooth = kde(rng.lognormal(0.0, 0.5, size=40), "epanechnikov", 0.3)
     laws.append(("kde_mix", mixture([(0.7, smooth), (0.3, _atoms(rng, 25))])))
     laws.extend((f"lognormal(0,{s:g})", lognormal(0.0, s)) for s in HEAVY_SIGMAS)
+    laws.append(("step_table", quantile_table(*STEP_TABLE)))
+    source = dict(standard_battery())[RECONSTRUCTED]
+    grid = np.linspace(0.0, 1.0, RECONSTRUCT_CELLS + 1)
+    laws.append((f"reconstruct-{RECONSTRUCT_CELLS}({RECONSTRUCTED})",
+                 reconstruct(lorenz(source).eval(grid), source.mean, grid)))
     return laws
 
 

@@ -677,9 +677,6 @@ class _CutKernelMixture(_ArrayComponent):
     def rescaled(self, alpha: float) -> "_CutKernelMixture":
         return _CutKernelMixture(alpha * self.points, alpha * self.bandwidth, self.kernel)
 
-    def atoms(self):
-        return None
-
 
 def kde(s, kernel: KernelSpec | str = GAUSSIAN, h: float = 0.1) -> Distribution:
     """Cut-in-zero kernel density estimate as a first-class distribution.

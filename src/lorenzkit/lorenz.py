@@ -189,7 +189,9 @@ def reconstruct(ell, target_mean: float, grid=None) -> Distribution:
     resolve the curve: the result's quantile is the left divided difference
     of the grid values scaled by `target_mean`, a step function, so the match
     is exact for piecewise-affine input with vertices on the grid and
-    O(1/grid) otherwise.
+    O(1/grid) otherwise. The result is a step quantile table
+    (`quantile_table` in mode "step"): a finite-discrete law of one `Atoms`
+    part, an atom per grid cell.
     """
     target_mean = float(target_mean)
     if not (target_mean > 0) or not math.isfinite(target_mean):

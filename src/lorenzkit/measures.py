@@ -1,8 +1,8 @@
 """Concrete carriers for probability measures on the nonnegative half-line.
 
 A `Distribution` is a finite mixture of primitive components: point masses,
-uniform densities, lognormal / gamma / exponential densities, and quantile
-tables (step or piecewise-linear). Every component knows its exact mean, CDF,
+uniform densities, lognormal / gamma / exponential densities, and
+piecewise-linear quantile tables. Every component knows its exact mean, CDF,
 survival function ``sf(x) = P[X > x]``, atom masses and partial expectation
 ``pe(x) = integral of u over [0, x]``, so the quantities downstream modules
 need (Lorenz values, tail moments, Robin Hood shares) reduce to closed forms
@@ -16,16 +16,17 @@ compact-kernel estimates never load it.
 
 A finite set of atoms is one component, `Atoms`: two read-only float
 arrays of locations and masses in input order. `discrete` builds one, `atom`
-one of a single row, and `mixture` keeps it whole when it flattens; quantile
-tables hold read-only float arrays too. Atoms are read through one sorted
-block type, `_AtomBlock`, with prefix sums of mass and of mass times
-location and suffix sums of mass: its CDF, survival function, atom mass,
-partial expectation and quantile cost one ``searchsorted`` per call. An
-`Atoms` component reads its own block, a quantile table one of its atoms,
-and a distribution pools the atoms of all its atomic parts (atom blocks,
-step quantile tables) into one, so that only the remaining parts
-(densities, linear quantile tables, plug-in components such as kernel
-mixtures) are evaluated one by one.
+one of a single row, a step quantile table (`quantile_table` in mode
+"step", so `reconstruct`) one of a row per grid point, and `mixture` keeps
+it whole when it flattens; linear quantile tables hold read-only float
+arrays too. Atoms are read through one sorted block type, `_AtomBlock`,
+with prefix sums of mass and of mass times location and suffix sums of
+mass: its CDF, survival function, atom mass, partial expectation and
+quantile cost one ``searchsorted`` per call. An `Atoms` component reads its
+own block, a linear quantile table one of its atoms, and a distribution
+pools the atoms of all its `Atoms` parts into one, so that only the
+remaining parts (densities, linear quantile tables, plug-in components such
+as kernel mixtures) are evaluated one by one.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
@@ -396,7 +397,9 @@ class _AtomBlock:
     with a trailing 0), all three indexed by
     ``searchsorted(loc, x, side="right")``. An `Atoms` component, the atoms
     of a `QuantileTable` and the pooled atoms of a `Distribution`
-    (`Distribution._atomic`) are each one block."""
+    (`Distribution._atomic`) are each one block. A block that is read holds
+    at least one atom: a law without atoms never reads its empty pooled
+    block (`Distribution._sum`)."""
 
     loc: np.ndarray
     mass: np.ndarray
@@ -433,8 +436,6 @@ class _AtomBlock:
         return self.cum_xm[np.searchsorted(self.loc, x, side="right")]
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
-        if not self.loc.size:
-            return np.zeros_like(x)
         at = np.minimum(np.searchsorted(self.loc, x), self.loc.size - 1)
         return np.where(self.loc[at] == x, self.mass[at], 0.0)
 
@@ -448,7 +449,8 @@ class _AtomBlock:
 class Atoms(_ArrayComponent):
     """Point masses at nonnegative locations, as two read-only float arrays
     in input order; locations may repeat. The masses are finite, > 0 and sum
-    to 1 (`_check_weights`). A point mass is the block of one row (`atom`).
+    to 1 (`_check_weights`). A point mass is the block of one row (`atom`),
+    a step quantile table the block of its rows (`quantile_table`).
     Equal when both arrays are. The pointwise methods and the quantile read
     the atoms sorted and merged into one whole `_AtomBlock`, built at the
     first call."""
@@ -503,9 +505,6 @@ class Atoms(_ArrayComponent):
     def rescaled(self, alpha: float) -> "Atoms":
         return Atoms(alpha * self.locations, self.masses)
 
-    def atoms(self) -> np.ndarray:
-        return np.column_stack([self.locations, self.masses])
-
 
 #: `bench/tracing.py` patches ``Atom.{cdf,pe,quantile,mass_at}`` by this name;
 #: the alias goes when the tracer reads its counts from a ledger (ROADMAP 4d)
@@ -558,9 +557,6 @@ class UniformDensity:
     def rescaled(self, alpha: float) -> "UniformDensity":
         return UniformDensity(alpha * self.a, alpha * self.b)
 
-    def atoms(self):
-        return None
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -606,9 +602,6 @@ class Exponential:
 
     def rescaled(self, alpha: float) -> "Exponential":
         return Exponential(self.rate / alpha)
-
-    def atoms(self):
-        return None
 
 
 @dataclass(frozen=True)
@@ -698,9 +691,6 @@ class Gamma:
     def rescaled(self, alpha: float) -> "Gamma":
         return Gamma(self.shape, alpha * self.scale)
 
-    def atoms(self):
-        return None
-
 
 @dataclass(frozen=True)
 class Lognormal:
@@ -758,13 +748,29 @@ class Lognormal:
     def rescaled(self, alpha: float) -> "Lognormal":
         return Lognormal(self.log_mean + math.log(alpha), self.log_sd)
 
-    def atoms(self):
-        return None
+
+def _table_arrays(grid, values) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and values of a quantile table, in either mode, as read-only
+    float arrays; raises unless both are nonempty, of equal length and
+    finite, the grid rises strictly from 0 and stays below 1, and the values
+    are nonnegative and nondecreasing."""
+    g, v = _float_vector(grid), _float_vector(values)
+    if g.size != v.size or not g.size:
+        raise ValueError("grid and values must be equal-length and nonempty")
+    if g[0] != 0.0:
+        raise ValueError("quantile grid must start at 0")
+    if not np.all(np.isfinite(g)) or not np.all(np.isfinite(v)):
+        raise ValueError("quantile table entries must be finite")
+    if np.any(np.diff(g) <= 0) or g[-1] >= 1.0:
+        raise ValueError("quantile grid must be strictly increasing within [0, 1)")
+    if np.any(v < 0) or np.any(np.diff(v) < 0):
+        raise ValueError("quantile values must be nonnegative and nondecreasing")
+    return g, v
 
 
 @dataclass(frozen=True, eq=False)
 class QuantileTable(_ArrayComponent):
-    """Quantile function given on a probability grid.
+    """Piecewise-linear quantile function given on a probability grid.
 
     Parameters
     ----------
@@ -772,17 +778,14 @@ class QuantileTable(_ArrayComponent):
         Strictly increasing probabilities starting at 0, all < 1.
     values:
         Nondecreasing nonnegative quantile values, one per grid point.
-    mode:
-        "step" reads the table as a left-continuous step function, i.e. the
-        finite-discrete measure placing mass ``grid[i+1] - grid[i]`` at
-        ``values[i]`` (the last atom absorbs the remaining mass up to 1).
-        "linear" interpolates between grid points, which realizes uniform
-        slabs between consecutive distinct values and is the natural carrier
-        for reconstructed Lorenz derivatives; past the last grid point it
-        stays constant, an atom at the last value.
 
-    `grid` and `values` are kept as read-only float arrays; two tables are
-    equal when both arrays and the mode are. The pointwise methods read
+    The quantile interpolates between grid points, which realizes uniform
+    slabs between consecutive distinct values; past the last grid point it
+    stays constant, an atom at the last value. A step table is a finite set
+    of atoms, an `Atoms` part (`quantile_table`).
+
+    `grid` and `values` are kept as read-only float arrays (`_table_arrays`);
+    two tables are equal when both arrays are. The pointwise methods read
     running sums over the sorted atoms, one `_AtomBlock`, and over the
     slabs (`_sums`), two binary searches a point, so a table of thousands
     of rows costs no more per point than one of ten.
@@ -790,22 +793,9 @@ class QuantileTable(_ArrayComponent):
 
     grid: np.ndarray
     values: np.ndarray
-    mode: str = "step"
 
     def __post_init__(self):
-        g, v = _float_vector(self.grid), _float_vector(self.values)
-        if g.size != v.size or not g.size:
-            raise ValueError("grid and values must be equal-length and nonempty")
-        if g[0] != 0.0:
-            raise ValueError("quantile grid must start at 0")
-        if not np.all(np.isfinite(g)) or not np.all(np.isfinite(v)):
-            raise ValueError("quantile table entries must be finite")
-        if np.any(np.diff(g) <= 0) or g[-1] >= 1.0:
-            raise ValueError("quantile grid must be strictly increasing within [0, 1)")
-        if np.any(v < 0) or np.any(np.diff(v) < 0):
-            raise ValueError("quantile values must be nonnegative and nondecreasing")
-        if self.mode not in ("step", "linear"):
-            raise ValueError(f"unknown quantile table mode {self.mode!r}")
+        g, v = _table_arrays(self.grid, self.values)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -813,13 +803,11 @@ class QuantileTable(_ArrayComponent):
     def _pieces(self):
         """Decompose into (slab_lo, slab_hi, slab_w) and (atom_loc, atom_w).
 
-        A linear table's cell i is a slab where the values rise across it
-        and an atom at values[i] where they stay flat; the atoms list the
-        one at the last value first, then the flat cells in grid order."""
+        Cell i is a slab where the values rise across it and an atom at
+        values[i] where they stay flat; the atoms list the one at the last
+        value first, then the flat cells in grid order."""
         g, v = self.grid, self.values
         w = np.append(np.diff(g), 1.0 - g[-1])
-        if self.mode == "step":
-            return (np.empty(0), np.empty(0), np.empty(0), v, w)
         rise = np.diff(v) > 0
         flat = ~rise
         return (
@@ -897,10 +885,7 @@ class QuantileTable(_ArrayComponent):
         return out
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
-        if self.mode == "linear":
-            return np.interp(p, self.grid, self.values)
-        idx = np.maximum(np.searchsorted(self.grid, p, side="left") - 1, 0)
-        return self.values[idx]
+        return np.interp(p, self.grid, self.values)
 
     def x_breaks(self) -> np.ndarray:
         return np.unique(self.values)
@@ -909,12 +894,7 @@ class QuantileTable(_ArrayComponent):
         return float(self.values[-1])
 
     def rescaled(self, alpha: float) -> "QuantileTable":
-        return QuantileTable(self.grid, alpha * self.values, self.mode)
-
-    def atoms(self):
-        if self.mode != "step":
-            return None
-        return np.column_stack(self._pieces[3:])
+        return QuantileTable(self.grid, alpha * self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -928,26 +908,24 @@ class Distribution:
 
     `parts` is a tuple of (weight, component) pairs. Components are duck
     typed; anything exposing the small protocol used above (mean, cdf, sf,
-    pe, mass_at, quantile, x_breaks, support_hi, rescaled, atoms)
-    participates, which is how the KDE estimator plugs in its cut kernel
-    mixture without this module knowing about it. ``atoms()`` returns the
-    component's point masses as an (n, 2) float array of (location, mass)
-    rows, or None when it has a non-atomic part. A point mass, a finite set
-    of atoms and a step quantile table list theirs; there is one atom
-    component, `Atoms`, and `atom(x)` is its block of one row. Two members
-    are optional and read with ``getattr``/``hasattr``: ``iterative_quantile``
-    (below), and ``knot_candidates()``, an array of abscissae the part adds
-    to the inversion table of a law that inverts from one (`_knot_values`),
-    where its cdf bends more sharply than the table's ladder resolves (the
+    pe, mass_at, quantile, x_breaks, support_hi, rescaled) participates,
+    which is how the KDE estimator plugs in its cut kernel mixture without
+    this module knowing about it. There is one atom component, `Atoms`: a
+    point mass (`atom(x)`, its block of one row), a finite set of atoms and
+    a step quantile table are each one. Two members are optional and read
+    with ``getattr``/``hasattr``: ``iterative_quantile`` (below), and
+    ``knot_candidates()``, an array of abscissae the part adds to the
+    inversion table of a law that inverts from one (`_knot_values`), where
+    its cdf bends more sharply than the table's ladder resolves (the
     Gaussian kernel estimate's sample gaps and tail). Unlike ``x_breaks()``,
     whose every entry becomes a quadrature cell of every route, the
     candidates touch nothing but the table, so a part may list many.
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
-    read the parts whose ``atoms()`` lists them from one pooled
-    `_AtomBlock` (`_atomic`) and call the component methods of the other
-    parts only; a law with no other part is finite-discrete (`_discrete`),
-    and its quantile, breakpoints and integral of Q read the same block.
+    read the `Atoms` parts from one pooled `_AtomBlock` (`_atomic`) and
+    call the component methods of the other parts only; a law with no
+    other part is finite-discrete (`_discrete`), and its quantile,
+    breakpoints and integral of Q read the same block.
 
     A law whose quantile is iterative, a mixture of parts or a law of one
     part whose component sets ``iterative_quantile`` (the Gaussian kernel
@@ -986,26 +964,24 @@ class Distribution:
 
     @cached_property
     def _atomic(self):
-        """The atoms of every atomic part, pooled into one sorted block.
+        """The atoms of every `Atoms` part, pooled into one sorted block.
 
         Returns ``(block, rest)``: an `_AtomBlock` of the atoms of every
-        part whose ``atoms()`` lists them, and the remaining (weight,
-        component) parts, which are evaluated one by one. The parts'
-        (location, mass) rows are concatenated in part order, each mass
-        times its part's weight, and sorted and merged by `_AtomBlock.of`;
-        the law reads the block alone, never its atomic parts' own methods.
-        When no part remains the block is whole: ``cum[-1]`` and ``tail[0]``
-        are 1.0 exactly.
+        `Atoms` part, and the remaining (weight, component) parts, which are
+        evaluated one by one. The parts' locations and masses are
+        concatenated in part order, each mass times its part's weight, and
+        sorted and merged by `_AtomBlock.of`; the law reads the block alone,
+        never its `Atoms` parts' own methods. When no part remains the block
+        is whole: ``cum[-1]`` and ``tail[0]`` are 1.0 exactly.
         """
-        rows, rest = [np.empty((0, 2))], []
+        locs, masses, rest = [np.empty(0)], [np.empty(0)], []
         for w, comp in self.parts:
-            at = comp.atoms()
-            if at is None:
-                rest.append((w, comp))
+            if isinstance(comp, Atoms):
+                locs.append(comp.locations)
+                masses.append(w * comp.masses)
             else:
-                rows.append(at * (1.0, w))
-        locs, masses = np.concatenate(rows).T
-        return _AtomBlock.of(locs, masses, whole=not rest), tuple(rest)
+                rest.append((w, comp))
+        return _AtomBlock.of(np.concatenate(locs), np.concatenate(masses), whole=not rest), tuple(rest)
 
     @cached_property
     def _discrete(self):
@@ -1581,7 +1557,20 @@ def discrete(values, weights=None) -> Distribution:
 
 
 def quantile_table(grid, values, mode: str = "step") -> Distribution:
-    return Distribution(((1.0, QuantileTable(grid, values, mode)),))
+    """The law of a quantile function given on a probability grid.
+
+    Mode "linear" interpolates between grid points (`QuantileTable`).
+    Mode "step" reads the table as a left-continuous step function: the
+    finite-discrete law of one `Atoms` part with mass ``grid[i+1] - grid[i]``
+    at ``values[i]``, and the mass ``1 - grid[-1]`` left up to 1 at the last
+    value. Both modes check the table alike (`_table_arrays`).
+    """
+    if mode == "linear":
+        return Distribution(((1.0, QuantileTable(grid, values)),))
+    if mode != "step":
+        raise ValueError(f"unknown quantile table mode {mode!r}")
+    g, v = _table_arrays(grid, values)
+    return Distribution(((1.0, Atoms(v, np.append(np.diff(g), 1.0 - g[-1]))),))
 
 
 def mixture(parts) -> Distribution:

@@ -454,7 +454,6 @@ def _checked_thresholds(rel_tol, alpha_grid):
 def sequence_diagnostics(
     seq,
     limit: Distribution,
-    probes=None,
     rel_tol: float = 0.05,
     alpha_grid=None,
 ) -> ConvergenceReport:
@@ -466,8 +465,8 @@ def sequence_diagnostics(
     alpha_ref (the largest entry of alpha_grid, default mean * (2, 4, 8,
     16)). Thresholds are rel_tol times the limit mean throughout.
 
-    Weak convergence is probed on `probes` (default: a dyadic ladder that
-    sidesteps the limit's quantile jumps) through a two-sided band: the
+    Weak convergence is probed on a dyadic ladder that sidesteps the
+    limit's quantile jumps (`_weak_probes`) through a two-sided band: the
     final member's quantile at p has to land inside the limit's quantile
     range over [p - rel_tol/2, p + rel_tol/2], stretched by the value
     tolerance. The probability slack makes the probe insensitive to mass
@@ -494,12 +493,7 @@ def sequence_diagnostics(
         alpha_grid = m_inf * np.asarray([2.0, 4.0, 8.0, 16.0])
     alpha_ref = float(np.max(alpha_grid))
 
-    if probes is None:
-        probes = _weak_probes(limit)
-    else:
-        probes = np.asarray(list(probes), dtype=float)
-        if probes.size == 0 or not np.all((probes > 0.0) & (probes < 1.0)):
-            raise ValueError("probes must be a nonempty ladder inside (0, 1)")
+    probes = _weak_probes(limit)
     ladder = limit._probe_ladder
     delta = 0.5 * rel_tol
     p_lo, p_hi = np.maximum(probes - delta, 0.0), np.minimum(probes + delta, P_TAIL)

@@ -20,6 +20,7 @@ from lorenzkit import (
     integral_lorenz,
     kendall_points,
     lorenz,
+    reconstruct,
     standard_battery,
     w1,
     w1_routes,
@@ -32,6 +33,7 @@ from lorenzkit.measures import (
     InfiniteMeanError,
     MeanDomainError,
     QuantileTable,
+    UniformDensity,
     ZeroMeanError,
     atom,
     discrete,
@@ -106,6 +108,35 @@ def test_discrete_merges_duplicates():
 def test_discrete_input_errors_name_the_first_offending_value(values, weights, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         discrete(values, weights)
+
+
+@pytest.mark.parametrize("mode", ["step", "linear"])
+@pytest.mark.parametrize(
+    "grid, values, message",
+    [
+        ([0.0, 0.5], [1.0], "grid and values must be equal-length and nonempty"),
+        ([], [], "grid and values must be equal-length and nonempty"),
+        ([0.1, 0.5], [1.0, 2.0], "quantile grid must start at 0"),
+        ([0.0, math.nan], [1.0, 2.0], "quantile table entries must be finite"),
+        ([0.0, 0.5], [1.0, math.inf], "quantile table entries must be finite"),
+        ([0.0, 0.5, 0.5], [1.0, 2.0, 3.0], "quantile grid must be strictly increasing within [0, 1)"),
+        ([0.0, 1.0], [1.0, 2.0], "quantile grid must be strictly increasing within [0, 1)"),
+        ([0.0, 0.5], [-1.0, 2.0], "quantile values must be nonnegative and nondecreasing"),
+        ([0.0, 0.5], [2.0, 1.0], "quantile values must be nonnegative and nondecreasing"),
+    ],
+    ids=["unequal lengths", "empty", "grid not at 0", "nan grid", "inf value",
+         "tied grid", "grid reaches 1", "negative value", "falling values"],
+)
+def test_quantile_table_modes_check_their_rows_alike(grid, values, message, mode):
+    # A step table is an `Atoms` block and a linear one a `QuantileTable`;
+    # both read their rows through the same checks.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantile_table(grid, values, mode)
+
+
+def test_quantile_table_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown quantile table mode 'cubic'$"):
+        quantile_table([0.0, 0.5], [1.0, 2.0], "cubic")
 
 
 @pytest.mark.parametrize("n", [10**5, 3 * 10**5 + 1, 10**6])
@@ -473,7 +504,7 @@ def _per_part(d, x):
 @pytest.mark.parametrize("name", list(_POOLED))
 def test_pooled_atoms_match_per_part_sums(name):
     d = _POOLED[name]
-    locs = np.concatenate([comp.atoms()[:, 0] for _, comp in d.parts if comp.atoms() is not None])
+    locs = np.concatenate([comp.locations for _, comp in d.parts if isinstance(comp, Atoms)])
     rng = np.random.default_rng(5)
     x = np.sort(np.concatenate([[0.0], locs, rng.uniform(0.0, 1.2 * d.support_hi(1e-6), 500)]))
     got = {
@@ -486,7 +517,7 @@ def test_pooled_atoms_match_per_part_sums(name):
     # Pooling sums the atoms in location order instead of part order. Both
     # are running sums, whose rounding errors grow like sqrt(terms) ulps of
     # the magnitude summed; each atom of a block is a term, any other part one.
-    terms = sum(len(comp.atoms()) if isinstance(comp, Atoms) else 1 for _, comp in d.parts)
+    terms = sum(comp.masses.size if isinstance(comp, Atoms) else 1 for _, comp in d.parts)
     rel = 2.0 * math.sqrt(terms) * np.finfo(float).eps
     for k, (ref, mag) in _per_part(d, x).items():
         assert np.all(np.abs(got[k] - ref) <= rel * mag), (name, k)
@@ -512,22 +543,106 @@ def test_atom_rich_mixture_never_evaluates_atom_parts(monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("mode", ["step", "linear"])
-def test_quantile_table_holds_read_only_arrays_equal_by_value(mode):
+class _PlugIn:
+    """A plug-in component: the nine members of the component protocol,
+    each read from a uniform density, and nothing else."""
+
+    def __init__(self, density):
+        self.density = density
+
+    def mean(self):
+        return self.density.mean()
+
+    def cdf(self, x):
+        return self.density.cdf(x)
+
+    def sf(self, x):
+        return self.density.sf(x)
+
+    def pe(self, x):
+        return self.density.pe(x)
+
+    def mass_at(self, x):
+        return self.density.mass_at(x)
+
+    def quantile(self, p):
+        return self.density.quantile(p)
+
+    def x_breaks(self):
+        return self.density.x_breaks()
+
+    def support_hi(self, eps):
+        return self.density.support_hi(eps)
+
+    def rescaled(self, alpha):
+        return _PlugIn(self.density.rescaled(alpha))
+
+
+def test_plug_in_part_needs_no_atoms_hook():
+    # Every part had to answer atoms(), so a plug-in part without it raised
+    # AttributeError as soon as its law pooled its atoms. A law pools its
+    # `Atoms` parts by type and evaluates every other part as it is.
+    atoms = discrete([0.0, 0.5, 1.0, 3.0], [0.1, 0.2, 0.3, 0.4])
+    plugged = mixture([(0.6, Distribution(((1.0, _PlugIn(UniformDensity(0.5, 2.5))),))), (0.4, atoms)])
+    built = mixture([(0.6, uniform(0.5, 2.5)), (0.4, atoms)])
+
+    def values(d):
+        report = index_report(d)
+        w1 = [w1_routes(d, other) for other in (exponential(1.0), discrete([1.0, 2.0]), built)]
+        return np.array([getattr(report, f) for f in report.__dataclass_fields__] + np.ravel(w1).tolist())
+
+    assert values(plugged).tobytes() == values(built).tobytes()
+
+
+def _pooled_from_rows(parts, whole):
+    """The pooled block as a law built it when each atomic part listed its
+    (location, mass) rows from an ``atoms()`` hook, a step table's as its
+    values and the masses diff(grid) and 1 - grid[-1]: the rows of the
+    (weight, locations, masses) `parts` stacked in part order, each mass
+    times its weight. Kept as the reference."""
+    rows = [np.empty((0, 2))] + [np.column_stack([loc, m]) * (1.0, w) for w, loc, m in parts]
+    locs, masses = np.concatenate(rows).T
+    return measures._AtomBlock.of(locs, masses, whole=whole)
+
+
+def test_step_quantile_table_is_the_atoms_part_of_its_rows():
+    # A step table was a component of its own beside `Atoms`; it is now the
+    # `Atoms` part of its rows, and a law pools the block it pooled before.
+    rng = np.random.default_rng(8)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, size=300))])
+    values = np.cumsum(rng.exponential(size=301) * (rng.uniform(size=301) < 0.7))
+    masses = np.append(np.diff(grid), 1.0 - grid[-1])
+    step = quantile_table(grid, values)
+    assert step == discrete(values, masses)
+    few = discrete([0.0, 1.0, 40.0])
+    rich = mixture([(0.3, exponential(1.0)), (0.5, step), (0.2, few)])
+    few_rows = (0.2, few.parts[0][1].locations, few.parts[0][1].masses)
+    for d, parts in ((step, [(1.0, values, masses)]), (rich, [(0.5, values, masses), few_rows])):
+        got, ref = d._atomic[0], _pooled_from_rows(parts, whole=d.is_finite_discrete)
+        for name in ("loc", "mass", "cum", "cum_xm", "tail"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    # a reconstruct is a step table: one `Atoms` part, an atom per grid cell
+    g = np.linspace(0.0, 1.0, 4097)
+    (w, part), = reconstruct(lambda p: p * p, 1.0, g).parts
+    assert w == 1.0 and type(part) is Atoms
+    assert part.masses.tobytes() == np.append(np.diff(g[:-1]), 1.0 - g[-2]).tobytes()
+
+
+def test_quantile_table_holds_read_only_arrays_equal_by_value():
     # The table held float tuples; it now holds arrays whatever came in.
     grid, values = [0.0, 0.25, 0.5], [0.5, 1.0, 2.0]
-    tables = [QuantileTable(f(grid), f(values), mode) for f in (list, tuple, np.array)]
-    tables.append(QuantileTable(np.array([0, 0.25, 0.5]), np.array([0.5, 1, 2]), mode))
+    tables = [QuantileTable(f(grid), f(values)) for f in (list, tuple, np.array)]
+    tables.append(QuantileTable(np.array([0, 0.25, 0.5]), np.array([0.5, 1, 2])))
     for t in tables:
         for arr in (t.grid, t.values):
             assert isinstance(arr, np.ndarray) and arr.dtype == float
             assert not arr.flags.writeable
         assert t == tables[0] and hash(t) == hash(tables[0])
-    assert QuantileTable(grid, [0.0, 1.0, 2.0], mode) == QuantileTable(grid, [-0.0, 1.0, 2.0], mode)
-    assert tables[0] != QuantileTable(grid, [0.5, 1.0, 2.5], mode)
-    assert tables[0] != QuantileTable(grid, values, "linear" if mode == "step" else "step")
-    assert quantile_table(grid, values, mode) == Distribution(((1.0, tables[0]),))
-    assert tables[0].rescaled(2.0) == QuantileTable(grid, [1.0, 2.0, 4.0], mode)
+    assert QuantileTable(grid, [0.0, 1.0, 2.0]) == QuantileTable(grid, [-0.0, 1.0, 2.0])
+    assert tables[0] != QuantileTable(grid, [0.5, 1.0, 2.5])
+    assert quantile_table(grid, values, "linear") == Distribution(((1.0, tables[0]),))
+    assert quantile_table(grid, values, "linear") != quantile_table(grid, values, "step")
+    assert tables[0].rescaled(2.0) == QuantileTable(grid, [1.0, 2.0, 4.0])
 
 
 def _pieces_loop(table):
@@ -565,7 +680,7 @@ def _flat_run_tables():
 
 @pytest.mark.parametrize("grid, values", list(_flat_run_tables()))
 def test_linear_table_pieces_match_the_loop_bit_for_bit(grid, values):
-    table = QuantileTable(grid, values, "linear")
+    table = QuantileTable(grid, values)
     for got, ref in zip(table._pieces, _pieces_loop(table), strict=True):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -591,10 +706,9 @@ def _pointwise_dense(table, x):
 TABLE_REL_TOL = 16 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("mode", ["step", "linear"])
 @pytest.mark.parametrize("grid, values", list(_flat_run_tables()))
-def test_table_pointwise_values_match_the_dense_form(grid, values, mode):
-    table = QuantileTable(grid, values, mode)
+def test_table_pointwise_values_match_the_dense_form(grid, values):
+    table = QuantileTable(grid, values)
     v = table.values
     x = np.concatenate([[0.0, np.inf], v, np.nextafter(v, 0.0), np.nextafter(v, np.inf), np.linspace(0.0, 1.1 * v[-1], 301)])
     got = (table.cdf(x), table.sf(x), table.mass_at(x), table.pe(x))
@@ -608,7 +722,7 @@ def test_linear_table_pointwise_memory_does_not_grow_with_points_times_pieces():
     import tracemalloc
 
     grid = np.arange(4096) / 4096
-    table = QuantileTable(grid, lognormal(0.0, 1.0).quantile(grid), "linear")
+    table = QuantileTable(grid, lognormal(0.0, 1.0).quantile(grid))
     table.cdf(np.zeros(1))
     x = np.linspace(0.0, 2.0 * table.values[-1], 4_000)
     tracemalloc.start()
@@ -652,6 +766,10 @@ def _atom_blocks():
     far[-1] = 1e-9
     yield np.append(rng.uniform(0.0, 2.0, size=50), 1e9), far
     yield np.round(rng.lognormal(0.0, 1.0, size=4096), 2), rng.dirichlet(np.ones(4096))
+    # step quantile tables, whose flat runs are tied locations
+    for grid, values in _flat_run_tables():
+        block = quantile_table(grid, values).parts[0][1]
+        yield block.locations, block.masses
 
 
 @pytest.mark.parametrize("locations, masses", list(_atom_blocks()))
