@@ -8,9 +8,12 @@ unchecked, on this checkout's src/, and prints per W1 route of the gap
 integrator (``eval_q`` quantile, ``eval_x`` cdf) its calls, refinement
 levels and evaluated points, in all and, under ``family.<family>.``, per
 op family of the workload (`Op.family`: dd, dg, gg, hard_* on w1_pairs);
-`measures._invert` calls and rows; and `Distribution._level_arr` calls and
-points. They depend on the code and the seed alone, so two trees compare
-exactly where wall times do not.
+`measures._invert` calls and rows; the rows that its steps hand to
+`measures._bisect` still wider than the tolerance, and the bisection rounds
+they cost (``_bisect.wide_rows``, ``_bisect.rounds``), so the steps' stop
+rule shows; and `Distribution._level_arr` calls and points. They depend on
+the code and the seed alone, so two trees compare exactly where wall times
+do not.
 """
 
 import argparse
@@ -33,6 +36,20 @@ def counted(counts, name, fn, unit):
         counts[f"{name}.calls"] += 1
         counts[f"{name}.{unit}"] += np.size(args[1])
         return fn(*args)
+    return wrapper
+
+
+def counted_bisect(counts, bisect):
+    """`bisect` counting the rows it gets wider than its tolerance and the
+    level calls (rounds) it makes."""
+    def wrapper(level, y, lo, hi, tol):
+        counts["_bisect.wide_rows"] += int(np.count_nonzero(hi - lo > tol))
+
+        def level_counted(t, target):
+            counts["_bisect.rounds"] += 1
+            return level(t, target)
+
+        return bisect(level_counted, y, lo, hi, tol)
     return wrapper
 
 
@@ -66,6 +83,7 @@ def main():
     family = [None]
     wasserstein._abs_gap_body = counted_gap_body(counts, wasserstein._abs_gap_body, family)
     measures._invert = counted(counts, "_invert", measures._invert, "rows")
+    measures._bisect = counted_bisect(counts, measures._bisect)
     measures.Distribution._level_arr = counted(counts, "_level_arr", measures.Distribution._level_arr, "points")
     workload = workloads.WORKLOADS[args.workload]
     strata = laws.Strata(args.seed, workload.stream)

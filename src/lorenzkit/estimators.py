@@ -24,8 +24,8 @@ turning data or a distribution into a tractable approximating law:
   between points is wider than 4h, and a ladder of half-bandwidth steps
   past the last point; the table grows with the number of such gaps, never
   with n alone, and a sample whose spacing stays below 4h adds only the
-  18 tail knots), by Illinois steps on the cdf against p up to F(x_h), the
-  first knot with F >= 1/2, and on minus the survival function against
+  18 tail knots), by Chandrupatla steps on the cdf against p up to F(x_h),
+  the first knot with F >= 1/2, and on minus the survival function against
   p - 1 above it, where 1 - F has no digits left but sf keeps them. No
   quantile, of a kernel estimate or a mixture, is found by bisection from
   [0, hi]. Where the sample has a gap wider than 4h the Gaussian estimate's
@@ -359,7 +359,7 @@ class _CutKernelMixture(_ArrayComponent):
     `x_breaks` lists the knots, and `quantile` inverts the table in closed
     form, by Newton steps that stop at the cubic's rounding floor. The
     Gaussian kernel has no polynomial knots and no `quantile` of its own:
-    `iterative_quantile` sends its law to the knot table and Illinois
+    `iterative_quantile` sends its law to the knot table and Chandrupatla
     inversion of `Distribution`, which reads F up to F(x_h) and `sf`
     above. `knot_candidates` adds to that table the ends of the sample's
     clusters and a ladder past its last point, where F bends on the scale
@@ -643,8 +643,8 @@ class _CutKernelMixture(_ArrayComponent):
     def iterative_quantile(self) -> bool:
         """True without a polynomial knot table (the Gaussian kernel): the
         law then inverts its cdf, and its survival function above F(x_h),
-        from `Distribution._knot_values` by Illinois steps, and keeps a memo
-        of the quantiles (`Distribution._memoized`)."""
+        from `Distribution._knot_values` by Chandrupatla steps, and keeps a
+        memo of the quantiles (`Distribution._memoized`)."""
         return self._knot_table is None
 
     def x_breaks(self) -> np.ndarray:

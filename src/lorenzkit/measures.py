@@ -47,11 +47,12 @@ sum F = sum w_i F_i resolves only ulp(1) while sf resolves the tail
 (`_knot_brackets`). Every row brackets its target between adjacent kept
 knots, those where the computed F and -sf equal their running maximum (an
 atom may fall inside such a bracket, which the pair does not need), the
-Illinois steps of `_invert` narrow all rows of a batch in one loop, and
-the one bisection loop (`_bisect`) finishes them, so the pair holds exactly.
-Where the computed function is not monotone at the ulp level, more than one
-float can meet the pair, and which one is returned depends on the bracket:
-the pair, not "the smallest float that clears p", is the contract.
+Chandrupatla steps of `_invert` narrow all rows of a batch in one loop,
+and the one bisection loop (`_bisect`) finishes them, so the pair holds
+exactly. Where the computed function is not monotone at the ulp level,
+more than one float can meet the pair, and which one is returned depends on
+the bracket: the pair, not "the smallest float that clears p", is the
+contract.
 A kernel estimate with the Gaussian kernel, a law of one part whose
 component sets ``iterative_quantile``, inverts from the same table and
 meets the same two-sided pair. Finite-discrete laws meet the cdf form
@@ -124,11 +125,13 @@ X_CUT = 1e-13
 #: (`Distribution._knot_values`), eight knots per octave over the octaves
 #: of `HALVINGS`, so an inversion starts from a bracket under 10 % wide
 _KNOT_LADDER = 2.0 ** -(np.arange(1.0, 481.0) / 8.0)
-#: cap on the rounds of an iterative quantile inversion: the Illinois loop
-#: of `_invert` and the polynomial Newton of the compact-kernel estimates
+#: cap on the rounds of an iterative quantile inversion: the Chandrupatla
+#: steps of `_invert` and the polynomial Newton of the compact-kernel
+#: estimates
 _MAX_ROUNDS = 64
-#: ulps of Q, and of p over the slope, within which the Illinois steps of
-#: an iterative quantile stop before its one bisection (`_reach`)
+#: units of roundoff of Q, and ulps of p over the slope, within which the
+#: steps of `_invert` stop short of a finer tolerance and leave a row to its
+#: one bisection (`_reach`)
 _FINISH_ULPS = 4
 #: entries a law's quantile memo holds at most (`Distribution._quantile_arr`)
 QUANTILE_MEMO_CAP = 2**16
@@ -290,13 +293,14 @@ def _bisect(level, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float) ->
         lo = np.where(ge, lo, mid)
 
 
-def _reach(t, ulp_y, slope, tol: float = 0.0):
-    """Half the bracket width at which the Illinois steps of `_invert` stop
-    around an iterate t: max(tol, a few ulps of t plus a few ulps of the
-    target y over the slope), since the computed level blurs its crossing
-    of y over about ulp_y / slope in t, ulp_y = |spacing(y)|; `_bisect` goes
-    on from there."""
-    return np.maximum(tol, _FINISH_ULPS * (np.spacing(t) + ulp_y / slope))
+def _reach(t, ulp_y, slope, tol: float):
+    """Half the bracket width at which the steps of `_invert` stop around
+    an iterate t >= 0: max(tol / 8, blur), the blur a few units of roundoff
+    of t (2^-53 t, at most an ulp) plus a few ulps of the target y over the
+    slope, since the computed level resolves y only to ulp_y = |spacing(y)|
+    and so blurs its crossing over about ulp_y / slope in t. A row that
+    stops at its blur goes on in `_bisect`."""
+    return np.maximum(0.125 * tol, _FINISH_ULPS * (2.0**-53 * t + ulp_y / slope))
 
 
 def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
@@ -306,58 +310,69 @@ def _invert(level, y, lo, hi, vlo, vhi, tol: float) -> np.ndarray:
     target y: the cdf against p, or for the upper half of a mixture minus
     the survival function against p - 1 (`Distribution._level_arr`).
     Where the evaluated ends bracket the target by sign, vlo = level(lo) <
-    y <= vhi = level(hi), Illinois steps (regula falsi that halves the
-    residual of an end kept twice running; Dowell & Jarratt, BIT 1971)
-    narrow the bracket. The upper residual is floored at |spacing(y)| / 2
-    in the interpolation: where level(hi) = y exactly, as on a plateau, a
-    zero residual would pin every step to hi. A row stops once its bracket
-    is at most two `_reach` wide (the bracket's secant stands in for the
-    density), or after `_MAX_ROUNDS` steps. Each step's point replaces one
-    end, so the last iterate is an end of the bracket it leaves, and one
-    `_bisect` call then shrinks the brackets of the whole batch to tol.
+    y <= vhi = level(hi), Chandrupatla steps narrow the bracket: inverse
+    quadratic interpolation where it is safe, else bisection (T. R.
+    Chandrupatla, Adv. Eng. Software 28(3), 1997). Each open row keeps its
+    newest point a, the other end b of its bracket and the end c that its
+    last step dropped, each with its residual level - y; an upper residual
+    is floored at |spacing(y)| / 2, since where level = y exactly, as on a
+    plateau, a zero residual would pin every step to that end. The first
+    step is the bracket's secant. Later ones take the inverse quadratic
+    point through a, b and c where Chandrupatla's test accepts it, else the
+    midpoint, and every point stays one `_reach` inside the bracket. A row
+    stops once its bracket is at most two `_reach` wide (the bracket's
+    secant stands in for the density), or after `_MAX_ROUNDS` steps, and
+    one `_bisect` call then shrinks the brackets of the whole batch to tol:
+    a row that stopped within tol / 4 costs it nothing, while a row that
+    stopped at its level's blur, and every row at tol 0, finishes there.
     Rows whose ends do not bracket y skip the steps and are bisected as
     given. At tol 0 the Galois pair level(prev(q)) < y <= level(q) holds
     exactly, as `quantile` needs.
-    Each quantity of the open rows is one flat array, rebuilt by
-    ``np.where`` each round; a secant point is clamped into the open
-    bracket only on the rows where it left it, since the clamp keeps a
-    point strictly inside as it is.
+    Each quantity of the open rows is one flat array, and a row leaves them
+    when it stops; a point is clamped strictly inside the bracket only on
+    the rows where rounding put it on or past an end.
     """
     lo, hi = lo.copy(), hi.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ulp = np.abs(np.spacing(y))
-        first = _reach(hi, ulp, (vhi - vlo) / (hi - lo), tol)
-        (idx,) = np.nonzero((vlo < y) & (y <= vhi) & (hi - lo > 2.0 * first))
-        # the bracket, its level values, the Illinois residuals, the target,
-        # |spacing(target)| and the residual floor, one entry per open row;
-        # up_last says which end the last step moved (None before the first)
-        a, b, target, ulp = lo[idx], hi[idx], y[idx], ulp[idx]
-        fa, fb = vlo[idx], vhi[idx]
-        ga, gb, floor = fa - target, fb - target, 0.5 * ulp
-        up_last = None
-        for rnd in range(_MAX_ROUNDS):
+        (idx,) = np.nonzero((vlo < y) & (y <= vhi))
+        target = y[idx]
+        ulp = np.abs(np.spacing(target))
+        a, b, ga, gb = lo[idx], hi[idx], vlo[idx] - target, np.maximum(vhi[idx] - target, 0.5 * ulp)
+        c, gc = a, ga
+        for rnd in range(_MAX_ROUNDS + 1):
+            # the bracket, and one reach as a share of it: below 1/2 while open
+            w, left, right = b - a, np.minimum(a, b), np.maximum(a, b)
+            inset = _reach(a, ulp, (gb - ga) / w, tol) / (right - left)
+            open_ = (inset < 0.5) & (rnd < _MAX_ROUNDS)
+            if not open_.all():
+                (shut,) = np.nonzero(~open_)
+                lo[idx[shut]], hi[idx[shut]] = left[shut], right[shut]
+                (keep,) = np.nonzero(open_)
+                idx, target, ulp, a, b, c, ga, gb, gc, w, left, right, inset = (
+                    v[keep] for v in (idx, target, ulp, a, b, c, ga, gb, gc, w, left, right, inset)
+                )
             if not idx.size:
                 break
-            s = a - ga * (b - a) / (np.maximum(gb, floor) - ga)
-            out = ~((a < s) & (s < b))
+            if rnd == 0:
+                t = ga / (ga - gb)
+            else:
+                # the inverse quadratic point's share of the way from a to b
+                # (Chandrupatla's t), where his test on xi and phi accepts it
+                dab, dcb = ga - gb, gc - gb
+                xi, phi = w / (b - c), dab / dcb
+                t = ga / dcb * (gc / dab + (c - a) / w * gb / (gc - ga))
+                t = np.where((phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
+            s = a + np.minimum(np.maximum(t, inset), 1.0 - inset) * w
+            out = ~((left < s) & (s < right))
             if out.any():
-                s[out] = np.minimum(np.maximum(s[out], np.nextafter(a[out], b[out])), np.nextafter(b[out], a[out]))
-            fs = level(s, target)
-            g = fs - target
+                left, right = left[out], right[out]
+                s[out] = np.minimum(np.maximum(s[out], np.nextafter(left, right)), np.nextafter(right, left))
+            g = level(s, target) - target
             up = g >= 0.0
-            if up_last is not None:
-                ga = np.where(up_last, 0.5 * ga, ga)
-                gb = np.where(up_last, gb, 0.5 * gb)
-            a, fa, ga = np.where(up, a, s), np.where(up, fa, fs), np.where(up, ga, g)
-            b, fb, gb = np.where(up, s, b), np.where(up, fs, fb), np.where(up, g, gb)
-            up_last = up
-            r = _reach(s, ulp, (fb - fa) / (b - a), tol)
-            open_ = (b - a > 2.0 * r) & (rnd < _MAX_ROUNDS - 1)
-            if not open_.all():
-                shut = ~open_
-                lo[idx[shut]], hi[idx[shut]] = a[shut], b[shut]
-                idx, a, b, fa, fb, ga, gb = idx[open_], a[open_], b[open_], fa[open_], fb[open_], ga[open_], gb[open_]
-                target, ulp, floor, up_last = target[open_], ulp[open_], floor[open_], up_last[open_]
+            g = np.where(up, np.maximum(g, 0.5 * ulp), g)
+            same = up == (ga >= 0.0)
+            c, gc, b, gb = np.where(same, a, b), np.where(same, ga, gb), np.where(same, b, a), np.where(same, gb, ga)
+            a, ga = s, g
     return _bisect(level, y, lo, hi, tol)
 
 

@@ -367,15 +367,15 @@ def _ladder(*extra):
     + [(1, 0.1, "point"), (10, 0.1, "tied"), (10, 0.03, "tied")],
 )
 def test_gaussian_kde_quantile_galois_pair(source, n, h):
-    # Illinois steps from brackets between kept knots of the law's table,
-    # finished by float bisection: F(prev(Q)) < p <= F(Q) holds exactly for
-    # the computed cdf up to F(x_h), and sf(Q) <= 1 - p < sf(prev(Q)) for the
-    # computed sf above. Levels across [0.3, 2] put Q where the gap sample's
-    # density nearly vanishes. 1 - 2^-52 and nextafter(1, 0) need the top
-    # knots; the one-point sample has a single point, the tied sample
-    # repeats its points. With h below the sample's spacing (n = 25,
-    # h = 0.002 and n = 200, h = 0.0005) most neighbours are gaps, and the
-    # table holds the ends of every cluster.
+    # Chandrupatla steps from brackets between kept knots of the law's
+    # table, finished by float bisection: F(prev(Q)) < p <= F(Q) holds
+    # exactly for the computed cdf up to F(x_h), and sf(Q) <= 1 - p <
+    # sf(prev(Q)) for the computed sf above. Levels across [0.3, 2] put Q
+    # where the gap sample's density nearly vanishes. 1 - 2^-52 and
+    # nextafter(1, 0) need the top knots; the one-point sample has a single
+    # point, the tied sample repeats its points. With h below the sample's
+    # spacing (n = 25, h = 0.002 and n = 200, h = 0.0005) most neighbours
+    # are gaps, and the table holds the ends of every cluster.
     d = kde(_knot_sample(source, n), GAUSSIAN, h)
     levels = d.cdf(np.linspace(0.3, 2.0, 9))
     ps = _ladder(levels, np.nextafter(levels, 1.0), [1.0 - 2.0**-52, np.nextafter(1.0, 0.0)])
@@ -427,7 +427,8 @@ def _counted_points(monkeypatch):
 def test_gaussian_kde_quantile_cdf_budget(monkeypatch):
     # Points of cdf and sf calls, the knot table's included. Bisection from
     # [0, hi] spent 54.3 cdf points per probability here; the table and
-    # Illinois steps on F below x_h and on -sf above spend 12.1.
+    # Chandrupatla steps on F below x_h and on -sf above spend 11.2, as
+    # Illinois steps did.
     points = _counted_points(monkeypatch)
     ps = _ladder()
     kde(_uniform_sample(200), GAUSSIAN, 0.03).quantile(ps)
@@ -439,7 +440,8 @@ def test_gaussian_kde_quantile_kernel_work(monkeypatch):
     # included: (query, sample point) pairs times the term arrays of each
     # pair. Newton summed the cdf and the density every round, 1,259
     # evaluations per probability here; the law's table and Illinois steps
-    # spend 796.5.
+    # spent 774.0, and Chandrupatla steps, which stop a few ulps short and
+    # leave each row to bisection at tol 0, spend 772.8.
     work = []
     pair_sums = _CutKernelMixture._pair_sums
 
@@ -485,9 +487,10 @@ def _gap_abscissae(xs, h):
 def test_gaussian_kde_gap_rows_level_budget(monkeypatch, source, budget):
     # Rows whose quantile falls in a gap between the sample's clusters or
     # past its last point, where F is flat but for Gaussian tails. Between
-    # ladder knots 7 to 12h apart Illinois crept there: 21.8 (mix) and 33.3
-    # (gap) level points per row inside `_invert`; knots at the clusters'
-    # ends and a tail ladder cut that to 12.7 and 19.9.
+    # ladder knots 7 to 12h apart Illinois steps crept there: 21.8 (mix) and
+    # 33.3 (gap) level points per row inside `_invert`; knots at the
+    # clusters' ends and a tail ladder cut that to 12.7 and 19.9, and
+    # Chandrupatla steps to 12.1 and 18.9.
     xs = np.sort(_knot_sample(source, 200))
     h = 0.03
     levels = kde(xs, GAUSSIAN, h).cdf(_gap_abscissae(xs, h))

@@ -1061,7 +1061,7 @@ def test_index_report_inverts_each_p_once(monkeypatch, i):
 def test_index_report_inverts_in_one_batch(monkeypatch, i):
     # Each route inverted the p its first round read in a call of its own:
     # a cold index_report made 5 to 7 `_invert` calls, each a full run of
-    # Illinois rounds, where one batch of all those p now leaves 1 to 3.
+    # inversion rounds, where one batch of all those p now leaves 1 to 3.
     d = Distribution((_nested_budget_laws() + _creep_laws())[i].parts)
     invert, calls = measures._invert, []
 
@@ -1255,9 +1255,11 @@ def test_mixture_tail_quantile_steps_evenly(k):
 
 def test_quantile_round_budget_on_kronrod_nodes(monkeypatch):
     # One batch of 15 Kronrod nodes per p-cell, tail cells included: each
-    # inversion may evaluate its residual at most 36 times (Illinois steps
-    # and bisection rounds). From one knot per octave and a
-    # step-size stop it took up to 70.
+    # inversion may evaluate its residual at most 36 times (Chandrupatla
+    # steps and bisection rounds). From one knot per octave and a step-size
+    # stop it took up to 70; Illinois steps took 21 on the largest batch,
+    # and Chandrupatla steps, which close on a level's blur and bisect on,
+    # take 24.
     invert = measures._invert
     evaluations = []
 
@@ -1291,7 +1293,7 @@ def _repeat_laws():
 
 @pytest.mark.parametrize("i", range(3))
 def test_inversion_never_evaluates_a_level_point_twice(monkeypatch, i):
-    # After its Illinois steps the inversion probed one reach either side of
+    # After its steps an earlier inversion probed one reach either side of
     # the last iterate, which is always an end of its bracket: one probe
     # clipped onto that end and evaluated it again (33, 23 and 29 repeated
     # points on these three laws), the other did what a bisection round does.
@@ -1316,47 +1318,46 @@ def test_inversion_never_evaluates_a_level_point_twice(monkeypatch, i):
     assert repeats[0] == 0
 
 
-def _reach_reference(t, y, slope, tol):
-    return np.maximum(tol, measures._FINISH_ULPS * (np.spacing(t) + np.abs(np.spacing(y)) / slope))
-
-
 def _invert_reference(level, y, lo, hi, vlo, vhi, tol):
-    """The Illinois loop before its rows became flat arrays rebuilt by
-    ``np.where``: one (9, n) stack updated in place, the clamp on every
-    row and |spacing(y)| recomputed each round."""
+    """The Chandrupatla loop written plainly: one (6, n) stack of the rows
+    that start open, [a, b, c, ga, gb, gc], updated in place on the live
+    rows; a row that stops stays in the stack, masked off, and every point
+    is clamped strictly inside its bracket. The stop width restates
+    `measures._reach`."""
     lo, hi = lo.copy(), hi.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first = _reach_reference(hi, y, (vhi - vlo) / (hi - lo), tol)
-        (idx,) = np.nonzero((vlo < y) & (y <= vhi) & (hi - lo > 2.0 * first))
-        a, b, target = lo[idx], hi[idx], y[idx]
-        fa, fb = vlo[idx], vhi[idx]
-        state = np.stack(
-            [a, b, fa, fb, fa - target, fb - target, target,
-             0.5 * np.abs(np.spacing(target)), np.full_like(a, 0.5)]
-        )
-        for rnd in range(measures._MAX_ROUNDS):
-            if not idx.size:
+        (idx,) = np.nonzero((vlo < y) & (y <= vhi))
+        target = y[idx]
+        ulp = np.abs(np.spacing(target))
+        lower, upper = vlo[idx] - target, np.maximum(vhi[idx] - target, 0.5 * ulp)
+        state = np.stack([lo[idx], hi[idx], lo[idx], lower, upper, lower])
+        live = np.ones(idx.size, dtype=bool)
+        for rnd in range(measures._MAX_ROUNDS + 1):
+            a, b, c, ga, gb, gc = state
+            w, left, right = b - a, np.minimum(a, b), np.maximum(a, b)
+            blur = measures._FINISH_ULPS * (2.0**-53 * a + ulp / ((gb - ga) / w))
+            inset = np.maximum(0.125 * tol, blur) / (right - left)
+            stops = live & ~((inset < 0.5) & (rnd < measures._MAX_ROUNDS))
+            lo[idx[stops]], hi[idx[stops]] = left[stops], right[stops]
+            live &= ~stops
+            if not live.any():
                 break
-            a, b, fa, fb, ga, gb, target, floor, moved = state
-            s = a - ga * (b - a) / (np.maximum(gb, floor) - ga)
-            s = np.minimum(np.maximum(s, np.nextafter(a, b)), np.nextafter(b, a))
-            fs = level(s, target)
-            g = fs - target
+            if rnd == 0:
+                t = ga / (ga - gb)
+            else:
+                dab, dcb = ga - gb, gc - gb
+                xi, phi = w / (b - c), dab / dcb
+                t = ga / dcb * (gc / dab + (c - a) / w * gb / (gc - ga))
+                t = np.where((phi**2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), t, 0.5)
+            s = a + np.minimum(np.maximum(t, inset), 1.0 - inset) * w
+            s = np.minimum(np.maximum(s, np.nextafter(left, right)), np.nextafter(right, left))
+            g = np.zeros_like(s)
+            g[live] = level(s[live], target[live]) - target[live]
             up = g >= 0.0
-            down = ~up
-            np.multiply(ga, 0.5, out=ga, where=up & (moved == 1.0))
-            np.multiply(gb, 0.5, out=gb, where=down & (moved == 0.0))
-            for row, new in ((a, s), (fa, fs), (ga, g)):
-                np.copyto(row, new, where=down)
-            for row, new in ((b, s), (fb, fs), (gb, g)):
-                np.copyto(row, new, where=up)
-            np.copyto(moved, up)
-            r = _reach_reference(s, target, (fb - fa) / (b - a), tol)
-            open_ = (b - a > 2.0 * r) & (rnd < measures._MAX_ROUNDS - 1)
-            if not open_.all():
-                shut = ~open_
-                lo[idx[shut]], hi[idx[shut]] = a[shut], b[shut]
-                idx, state = idx[open_], state[:, open_]
+            g = np.where(up, np.maximum(g, 0.5 * ulp), g)
+            same = up == (ga >= 0.0)
+            stepped = [s, np.where(same, b, a), np.where(same, a, b), g, np.where(same, gb, ga), np.where(same, ga, gb)]
+            np.copyto(state, np.stack(stepped), where=live)
     return measures._bisect(level, y, lo, hi, tol)
 
 
@@ -1393,9 +1394,9 @@ def _lean_loop_laws():
 
 
 @pytest.mark.parametrize("i", range(len(_lean_loop_laws())))
-def test_lean_illinois_loop_repeats_the_reference_at_tol_0(i):
-    # Rebuilding the rows with np.where, clamping only the points that left
-    # their bracket and computing |spacing(y)| once per row must change no
+def test_chandrupatla_loop_repeats_the_reference_at_tol_0(i):
+    # Dropping stopped rows from flat arrays, and clamping only the points
+    # that rounding put on or past an end of their bracket, must change no
     # iterate: the same level points in the same order, the same quantiles.
     d = _lean_loop_laws()[i]
     lo, hi, vlo, vhi, y = d._knot_brackets(d._first_round_p)
@@ -1403,7 +1404,7 @@ def test_lean_illinois_loop_repeats_the_reference_at_tol_0(i):
 
 
 @pytest.mark.parametrize("i", range(len(_lean_loop_laws())))
-def test_lean_illinois_loop_repeats_the_reference_on_w1_brackets(monkeypatch, i):
+def test_chandrupatla_loop_repeats_the_reference_on_w1_brackets(monkeypatch, i):
     # W1's quantile route inverts from each law's knot table, to 1e-10
     # times the scale: every row starts between kept knots of its law's
     # table, never at a parent cell's quantiles, so it depends on p alone.
@@ -1424,6 +1425,62 @@ def test_lean_illinois_loop_repeats_the_reference_on_w1_brackets(monkeypatch, i)
         _, lo, hi = args[:3]
         assert np.all(np.isin(lo, x) & np.isin(hi, x))
         _assert_same_loop(level, args)
+
+
+def test_w1_routes_level_budget(monkeypatch):
+    # Illinois steps made 296 level calls over these seven W1 pairs; the
+    # inverse quadratic steps make 189, and stop a row within tol / 4, where
+    # Illinois stopped at two reaches and bisected on.
+    level, calls = Distribution._level_arr, [0]
+
+    def counted(self, t, y):
+        calls[0] += 1
+        return level(self, t, y)
+
+    monkeypatch.setattr(Distribution, "_level_arr", counted)
+    d2 = mixture([(0.5, exponential(1.0)), (0.5, uniform(0.5, 2.0))])
+    for d1 in _lean_loop_laws():
+        w1_routes(d1, d2)
+    assert 0 < calls[0] <= 230
+
+
+def _plateau_level(t, y):
+    """Slope 1 up to 0.5 at t = 0.5, flat at 0.5 up to 0.8, slope 1 again:
+    a row with y = 0.5 has residual exactly 0 at every upper point below
+    0.8, so two of them make the inverse quadratic formula divide by 0."""
+    return np.minimum(t, 0.5) + np.maximum(t - 0.8, 0.0)
+
+
+def _staircase_level(t, y):
+    """t rounded to a multiple of ulp(4) = 2^-50: flat over 8 to 16 ulps of
+    t on [0.25, 1), so the level blurs every crossing at the ulp scale."""
+    return (t + 4.0) - 4.0
+
+
+def _synthetic_targets():
+    steps = _staircase_level(np.linspace(0.1, 0.65, 41), None)
+    mids = np.linspace(0.1, 0.65, 37) + 2.0**-52
+    return np.unique(np.concatenate([steps, np.nextafter(steps, 0.0), mids, [0.5, np.nextafter(0.5, 0.0)]]))
+
+
+@pytest.mark.parametrize("level", [_plateau_level, _staircase_level], ids=["plateau", "staircase"])
+def test_invert_on_synthetic_levels(level, deadline):
+    # Each returned q clears its target, lies within tol above the tol-0
+    # result, and at tol 0 meets the Galois pair; no floating-point error
+    # escapes the loop, a zero residual on a plateau included.
+    y = _synthetic_targets()
+    lo, hi = np.full_like(y, 0.05), np.full_like(y, 1.0)
+    vlo, vhi = level(lo, y), level(hi, y)
+    with deadline(10), np.errstate(all="raise"):
+        exact = measures._invert(level, y, lo, hi, vlo, vhi, 0.0)
+        assert np.all(level(exact, y) >= y)
+        assert np.all(level(np.nextafter(exact, 0.0), y) < y)
+        for tol in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+            q = measures._invert(level, y, lo, hi, vlo, vhi, tol)
+            assert np.all(level(q, y) >= y)
+            assert np.all((exact <= q) & (q - exact <= tol))
+    if level is _plateau_level:
+        assert exact[y == 0.5] == 0.5
 
 
 #: (k, u, P(k, u), Q(k, u)) at 40 digits, rounded once to the float, from
