@@ -6,7 +6,10 @@ writes every value as ``float.hex``: the fields of `index_report`, both
 `w1_routes` values, quantiles, cdf and partial-expectation values, Lorenz
 values, both `mean_routes` values, the support's end (`sup_support`) and
 the Lorenz curve's left derivative at 1, `excess_mean` and `tail_moment` at
-the mean times each of `TAIL_MULTIPLES`, and, for each law whose quantile is float-exact (finite-discrete
+the mean times each of `TAIL_MULTIPLES`, the mean's own residues (key
+``mean_gap``: partial_expectation(inf) - mean and, for a law with bounded
+support, `tail_moment` and `excess_mean` at `sup_support`; the contract is
+0), and, for each law whose quantile is float-exact (finite-discrete
 laws, mixtures of parts, Gaussian kernel estimates), how many probabilities
 of a ladder break the exact Galois pair or the order of Q (key ``galois``;
 the contract is 0) and how many of the same probabilities get a quantile
@@ -67,7 +70,8 @@ finite-discrete, else ``general``), how many values are bit-identical and
 the largest relative difference (for ``index.max_cross_route_residual``,
 each dump's largest residual instead, so a rise shows), and each dump's
 totals of Galois, batch and sandwich failures, so a quantile that moved
-can be seen to meet the contract still. For each dump it prints how well
+can be seen to meet the contract still, and how many ``mean_gap`` values
+are not 0. For each dump it prints how well
 the two W1 routes agree over the general ``w1_routes`` pairs: the median
 and the largest |quantile - cdf| / quantile and how many exceed 1e-9, so a
 change to the gap integrator is judged by its accuracy as well as by the
@@ -167,8 +171,8 @@ HEAVY_SIGMAS = (2.5, 3.0)
 #: (grid, values) of the step quantile table dumped after them
 STEP_TABLE = ([0.0, 0.2, 0.45, 0.7, 0.9], [0.0, 0.5, 0.5, 1.5, 4.0])
 #: the battery law whose Lorenz curve is reconstructed last, on this many
-#: equal cells: its long runs of tied atoms make the table's mean, a running
-#: sum over every row, differ from the sum over its merged atoms
+#: equal cells: its long runs of tied atoms set a running sum over every
+#: row apart from the sum over its merged atoms, which the mean and pe read
 RECONSTRUCTED = "mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))"
 RECONSTRUCT_CELLS = 4096
 #: kernels of the single-part KDE laws, sample size and bandwidth
@@ -395,6 +399,14 @@ def sandwich_failures(d, ps=SANDWICH_PS):
     return int(np.sum(~ok))
 
 
+def _mean_gap(d):
+    """pe(inf) - mean, then tail_moment and excess_mean at the support's end
+    where it is finite: each 0 when the mean is the sum pe reads."""
+    gap = [d.partial_expectation(math.inf) - d.mean]
+    top = d.sup_support()
+    return gap + [d.tail_moment(top), d.excess_mean(top)] if math.isfinite(top) else gap
+
+
 def _index_fields(d):
     report = index_report(d)
     return [getattr(report, f) for f in INDEX_FIELDS]
@@ -443,6 +455,7 @@ def dump(path):
                  lambda: [d.excess_mean(c * d.mean) for c in TAIL_MULTIPLES])
         _attempt(values, f"{kind}|tail_moment|{name}",
                  lambda: [d.tail_moment(c * d.mean) for c in TAIL_MULTIPLES])
+        _attempt(values, f"{kind}|mean_gap|{name}", lambda: _mean_gap(d))
     base = [n for n, _ in base]
     extra = [n for n, _ in extra]
     pairs = [(a, b) for i, a in enumerate(base) for b in base[i + 1:]]
@@ -532,6 +545,10 @@ def diff(path_a, path_b):
             tag = f"|{check}|"
             fails = sum(float.fromhex(v) for k, v in dumped.items() if tag in k and not v.startswith("raise"))
             print(f"{check} failures in {path}: {fails:g}")
+    for path, dumped in ((path_a, a), (path_b, b)):
+        gaps = [v for k, v in dumped.items() if "|mean_gap|" in k]
+        off = sum(v.startswith("raise") or float.fromhex(v) != 0.0 for v in gaps)
+        print(f"mean_gap values not 0 in {path}: {off} of {len(gaps)}")
     for path, dumped in ((path_a, a), (path_b, b)):
         gaps = _route_gaps(dumped)
         print(f"general w1_routes |quantile - cdf| / quantile in {path}: median {np.median(gaps):.3g},"

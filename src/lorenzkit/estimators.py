@@ -396,7 +396,8 @@ class _CutKernelMixture(_ArrayComponent):
         return g, m, means, np.concatenate([[0.0], np.cumsum(means)])
 
     def mean(self) -> float:
-        return float(self._lower_ends[2].mean())
+        # the sum pe reads at x = inf, where every window is empty
+        return float(self._lower_ends[3][-1] / self.points.size)
 
     def _windows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat queries, the count of sample points left of each query's
@@ -671,8 +672,16 @@ class _CutKernelMixture(_ArrayComponent):
         return np.unique(np.concatenate([ends, self._gap_points(_BREAK_OFFSETS, _BREAK_GAPS)]))
 
     def support_hi(self, eps: float) -> float:
-        r = self.kernel.tail_radius(eps)
-        return float(self.points[-1] + r * self.bandwidth)
+        """pts[-1] + r h, r the kernel's reach at eps, rounded up to the
+        first float t whose window starts at or past the last point
+        (`_windows`), so every point counts whole at t: at eps = 0 a compact
+        kernel's F(t) is 1, sf(t) 0 and pe(t) the mean, where the rounded
+        sum could leave the last point's u = (t - pts[-1]) / h below 1."""
+        span = self.kernel.tail_radius(eps) * self.bandwidth
+        hi = float(self.points[-1] + span)
+        while hi - span < self.points[-1]:
+            hi = math.nextafter(hi, math.inf)
+        return hi
 
     def rescaled(self, alpha: float) -> "_CutKernelMixture":
         return _CutKernelMixture(alpha * self.points, alpha * self.bandwidth, self.kernel)

@@ -18,15 +18,19 @@ A finite set of atoms is one component, `Atoms`: two read-only float
 arrays of locations and masses in input order. `discrete` builds one, `atom`
 one of a single row, a step quantile table (`quantile_table` in mode
 "step", so `reconstruct`) one of a row per grid point, and `mixture` keeps
-it whole when it flattens; linear quantile tables hold read-only float
-arrays too. Atoms are read through one sorted block type, `_AtomBlock`,
-with prefix sums of mass and of mass times location and suffix sums of
-mass: its CDF, survival function, atom mass, partial expectation and
-quantile cost one ``searchsorted`` per call. An `Atoms` component reads its
-own block, a linear quantile table one of its atoms, and a distribution
-pools the atoms of all its `Atoms` parts into one, so that only the
-remaining parts (densities, linear quantile tables, plug-in components such
-as kernel mixtures) are evaluated one by one.
+it whole when it flattens. Atoms are read through one sorted block type,
+`_AtomBlock`, with prefix sums of mass and of mass times location and
+suffix sums of mass: its CDF, survival function, atom mass, partial
+expectation and quantile cost one ``searchsorted`` per call. An `Atoms`
+component reads its own block, and a distribution pools the atoms of all
+its `Atoms` parts into one, so that only the remaining parts (densities,
+linear quantile tables, plug-in components such as kernel mixtures) are
+evaluated one by one. A linear quantile table holds read-only float arrays
+too and reads its own rows, one ``searchsorted`` on its sorted values a
+call (`QuantileTable._cells`). Each component's mean is its pe at x = inf
+bit for bit (for atoms, tables and kernel estimates the last running sum
+pe reads there), and a law's mean adds them as `Distribution._sum` adds
+pe, so a law's pe(inf) is its mean.
 
 Quantiles follow the left-continuous convention ``Q(p) = min{q >= 0 : F(q) >= p}``
 on the domain [0, 1). In particular Q(0) = 0 for every distribution, because
@@ -410,9 +414,9 @@ class _AtomBlock:
     the running sums `cum` of mass and `cum_xm` of mass times location
     (padded with a leading 0) and the suffix sums `tail` of mass (padded
     with a trailing 0), all three indexed by
-    ``searchsorted(loc, x, side="right")``. An `Atoms` component, the atoms
-    of a `QuantileTable` and the pooled atoms of a `Distribution`
-    (`Distribution._atomic`) are each one block. A block that is read holds
+    ``searchsorted(loc, x, side="right")``. An `Atoms` component and the
+    pooled atoms of a `Distribution` (`Distribution._atomic`) are each one
+    block. A block that is read holds
     at least one atom: a law without atoms never reads its empty pooled
     block (`Distribution._sum`)."""
 
@@ -466,9 +470,9 @@ class Atoms(_ArrayComponent):
     in input order; locations may repeat. The masses are finite, > 0 and sum
     to 1 (`_check_weights`). A point mass is the block of one row (`atom`),
     a step quantile table the block of its rows (`quantile_table`).
-    Equal when both arrays are. The pointwise methods and the quantile read
-    the atoms sorted and merged into one whole `_AtomBlock`, built at the
-    first call."""
+    Equal when both arrays are. The mean, the pointwise methods and the
+    quantile read the atoms sorted and merged into one whole `_AtomBlock`,
+    built at the first call."""
 
     locations: np.ndarray
     masses: np.ndarray
@@ -489,8 +493,7 @@ class Atoms(_ArrayComponent):
         object.__setattr__(self, "masses", m)
 
     def mean(self) -> float:
-        # the running sum in input order, as `Distribution.mean` sums parts
-        return float(np.cumsum(self.masses * self.locations)[-1])
+        return float(self._block.cum_xm[-1])
 
     @cached_property
     def _block(self) -> _AtomBlock:
@@ -794,16 +797,17 @@ class QuantileTable(_ArrayComponent):
     values:
         Nondecreasing nonnegative quantile values, one per grid point.
 
-    The quantile interpolates between grid points, which realizes uniform
-    slabs between consecutive distinct values; past the last grid point it
-    stays constant, an atom at the last value. A step table is a finite set
-    of atoms, an `Atoms` part (`quantile_table`).
+    Cell i runs from grid[i] to the next grid point, the last one to 1.
+    Across it Q rises linearly from values[i] to values[i + 1], a uniform
+    density, or stays flat, an atom at values[i]; the last cell stays flat,
+    an atom at the last value. A step table is a finite set of atoms, an
+    `Atoms` part (`quantile_table`).
 
     `grid` and `values` are kept as read-only float arrays (`_table_arrays`);
     two tables are equal when both arrays are. The pointwise methods read
-    running sums over the sorted atoms, one `_AtomBlock`, and over the
-    slabs (`_sums`), two binary searches a point, so a table of thousands
-    of rows costs no more per point than one of ten.
+    the table's own rows (`_cells`), one ``searchsorted`` on the sorted
+    values a point, so a table of thousands of rows costs no more per point
+    than one of ten.
     """
 
     grid: np.ndarray
@@ -815,89 +819,79 @@ class QuantileTable(_ArrayComponent):
         object.__setattr__(self, "values", v)
 
     @cached_property
-    def _pieces(self):
-        """Decompose into (slab_lo, slab_hi, slab_w) and (atom_loc, atom_w).
+    def _cells(self):
+        """The table's rows as arrays indexed by the count of values at or
+        below a point x, k = ``searchsorted(values, x, side="right")``.
+        Where 0 < k < n, x lies in cell k - 1, which rises; at k = 0 x lies
+        below every cell, at k = n at or above all of them.
 
-        Cell i is a slab where the values rise across it and an atom at
-        values[i] where they stay flat; the atoms list the one at the last
-        value first, then the flat cells in grid order."""
+        Returns ``(lo, hi, span, w, below, above, cum_pe, atom)``:
+        - lo and hi, the values at the ends of cell k - 1: values[0] twice
+          at k = 0 and values[-1] twice at k = n, so x clipped to them is
+          the end itself there;
+        - span = hi - lo where the cell rises, else 1, and w its width,
+          else 0, so (xc - lo) / span * w is the cell's mass up to x;
+        - below, the mass of the cells wholly at or below x: grid[k - 1],
+          0 at k = 0 and 1 at k = n; above, that wholly above x:
+          1 - grid[k], 1 at k = 0 and 0 at k = n;
+        - cum_pe, the running sum of the cells' integrals of Q,
+          w (values[i] + values[i + 1]) / 2, over the cells below; its last
+          entry is the mean;
+        - atom, the mass of the flat run of values that ends at value
+          k - 1: grid[k - 1], or 1 at the last value, less the grid at the
+          run's first value."""
         g, v = self.grid, self.values
-        w = np.append(np.diff(g), 1.0 - g[-1])
-        rise = np.diff(v) > 0
-        flat = ~rise
-        return (
-            v[:-1][rise],
-            v[1:][rise],
-            w[:-1][rise],
-            np.concatenate([v[-1:], v[:-1][flat]]),
-            np.concatenate([w[-1:], w[:-1][flat]]),
-        )
+        rise = np.diff(v)
+        lo, hi = np.append(v[0], v), np.append(v, v[-1])
+        span = np.concatenate([[1.0], np.where(rise > 0.0, rise, 1.0), [1.0]])
+        w = np.concatenate([[0.0], np.diff(g), [0.0]])
+        below = np.concatenate([[0.0], g[:-1], [1.0]])
+        above = np.concatenate([[1.0], 1.0 - g[1:], [0.0]])
+        cum = _prefix(self._integrals())
+        cum_pe = np.concatenate([[0.0], cum[:-2], cum[-1:]])
+        atom = below - np.append(0.0, g[np.searchsorted(v, v)])
+        return lo, hi, span, w, below, above, cum_pe, atom
+
+    def _at(self, x: np.ndarray):
+        """(k, xc, lo, hi) at points x: the row k of `_cells` that x reads,
+        the values lo and hi at the ends of its cell, and x clipped to them,
+        so xc - lo and hi - xc are 0 off the rising cells and, on them, one
+        rounding of the exact difference (none where x <= 2 lo, by
+        Sterbenz's lemma)."""
+        k = np.searchsorted(self.values, x, side="right")
+        lo, hi = self._cells[0][k], self._cells[1][k]
+        return k, np.minimum(np.maximum(x, lo), hi), lo, hi
+
+    def _integrals(self) -> np.ndarray:
+        """Each cell's integral of Q, w (values[i] + values[i + 1]) / 2, the
+        last cell flat at values[-1]."""
+        v = self.values
+        return np.diff(self.grid, append=1.0) * (0.5 * (v + np.append(v[1:], v[-1])))
 
     def mean(self) -> float:
-        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
-        return float(np.dot(slab_w, 0.5 * (slab_lo + slab_hi)) + np.dot(atom_w, atom_loc))
-
-    @cached_property
-    def _sums(self):
-        """The pieces as sorted blocks with running sums, so a point costs
-        two ``searchsorted`` calls, not a pass over every piece.
-
-        Returns ``(atoms, lo, hi, w, cum_w, tail_w, cum_pe)``: the atoms as
-        one `_AtomBlock`; then the slabs in grid order, whose interiors are
-        disjoint and whose ends rise, with the prefix and suffix sums of
-        their weights (padded as the block's are) and the prefix sums of
-        their partial expectations w (lo + hi) / 2, taken in the form
-        (hi^2 - lo^2) / (2 (hi - lo)) w that `pe` uses on the slab that
-        holds its point."""
-        slab_lo, slab_hi, slab_w, atom_loc, atom_w = self._pieces
-        full_pe = (slab_hi * slab_hi - slab_lo * slab_lo) / (2.0 * (slab_hi - slab_lo)) * slab_w
-        return (
-            _AtomBlock.of(atom_loc, atom_w),
-            slab_lo, slab_hi, slab_w, _prefix(slab_w), _suffix(slab_w), _prefix(full_pe),
-        )  # fmt: skip
-
-    def _slab_at(self, x: np.ndarray):
-        """(k, j, xc, inside) at points x of a table with slabs: k counts
-        the slabs wholly at or below x, slab j = min(k, count - 1) is the
-        only one that may hold x, xc is x clipped to it, and `inside` marks
-        the points where slab k exists (its part of F, sf and pe depends on
-        xc there, and is 0 elsewhere)."""
-        lo, hi = self._sums[1:3]
-        k = np.searchsorted(hi, x, side="right")
-        j = np.minimum(k, lo.size - 1)
-        return k, j, np.clip(x, lo[j], hi[j]), k < lo.size
+        # cum_pe[-1] of `_cells`, what pe reads at x = inf, without the rest
+        return float(np.cumsum(self._integrals())[-1])
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        atoms, lo, hi, w, cum_w, _, _ = self._sums
-        out = atoms.cdf(x)
-        if lo.size:
-            k, j, xc, inside = self._slab_at(x)
-            out = out + cum_w[k] + np.where(inside, (xc - lo[j]) / (hi[j] - lo[j]) * w[j], 0.0)
-        return np.minimum(out, 1.0)
+        k, xc, lo, _ = self._at(x)
+        _, _, span, w, below, *_ = self._cells
+        return np.minimum(below[k] + (xc - lo) / span[k] * w[k], 1.0)
 
     def sf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        atoms, lo, hi, w, _, tail_w, _ = self._sums
-        out = atoms.sf(x)
-        if lo.size:
-            k, j, xc, inside = self._slab_at(x)
-            part = np.where(inside, (hi[j] - xc) / (hi[j] - lo[j]) * w[j], 0.0)
-            out = out + tail_w[np.minimum(k + 1, lo.size)] + part
-        return np.minimum(out, 1.0)
+        k, xc, _, hi = self._at(x)
+        _, _, span, w, _, above, *_ = self._cells
+        return np.minimum(above[k] + (hi - xc) / span[k] * w[k], 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
-        return self._sums[0].mass_at(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        k = np.searchsorted(self.values, x, side="right")
+        lo, *_, atom = self._cells
+        return np.where(lo[k] == x, atom[k], 0.0)
 
     def pe(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        atoms, lo, hi, w, _, _, cum_pe = self._sums
-        out = atoms.pe(x)
-        if lo.size:
-            k, j, xc, inside = self._slab_at(x)
-            part = (xc * xc - lo[j] * lo[j]) / (2.0 * (hi[j] - lo[j])) * w[j]
-            out = out + cum_pe[k] + np.where(inside, part, 0.0)
-        return out
+        k, xc, lo, _ = self._at(x)
+        _, _, span, w, _, _, cum_pe, _ = self._cells
+        return cum_pe[k] + (xc - lo) / span[k] * w[k] * (0.5 * (xc + lo))
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
         return np.interp(p, self.grid, self.values)
@@ -940,7 +934,9 @@ class Distribution:
     read the `Atoms` parts from one pooled `_AtomBlock` (`_atomic`) and
     call the component methods of the other parts only; a law with no
     other part is finite-discrete (`_discrete`), and its quantile,
-    breakpoints and integral of Q read the same block.
+    breakpoints and integral of Q read the same block. The mean sums the
+    block and the other parts in the same order (`mean`), so a part whose
+    mean is its pe(inf) keeps the law's pe(inf) equal to its mean.
 
     A law whose quantile is iterative, a mixture of parts or a law of one
     part whose component sets ``iterative_quantile`` (the Gaussian kernel
@@ -1017,9 +1013,15 @@ class Distribution:
     @cached_property
     def mean(self) -> float:
         """The mean; raises `InfiniteMeanError` where it diverges or a
-        part's mean overflows the float range (lognormal(0, 40))."""
-        m = 0.0
-        for w, comp in self.parts:
+        part's mean overflows the float range (lognormal(0, 40)). It is the
+        pooled block's ``cum_xm[-1]`` plus, part by part, w times each other
+        part's mean: the sum `_sum` takes of pe, so pe(inf) is the mean."""
+        m, rest = 0.0, self.parts
+        # a law without `Atoms` parts builds no empty block to read 0 from
+        if any(isinstance(comp, Atoms) for _, comp in rest):
+            block, rest = self._atomic
+            m = float(block.cum_xm[-1])
+        for w, comp in rest:
             try:
                 m += w * comp.mean()
             except OverflowError:

@@ -149,11 +149,8 @@ def _w1_step_quantile(d1: Distribution, d2: Distribution, tol: float) -> float:
     and a clipped cell gives +-(s_j w_j - (S2(c_j) - S2(c_{j-1}))). S2 at an
     inner edge p is pe2(q-) + q (p - F2(q-)), stationary in q, at quantiles
     q within tol (one batch); S2(0) = 0 and S2(1) = m2, so no tail is cut.
-    A finite-discrete d2 reads S2(1) from its block (``cum_xm[-1]``) like
-    pe2, not from its mean, a sum in input order: discrete([5e-324, 5e-324])
-    has mean 0 and block sum 5e-324. Each cell's integral is >= 0, so the
-    sum is clipped at 0, where rounding takes it below (a law against
-    itself).
+    Each cell's integral is >= 0, so the sum is clipped at 0, where rounding
+    takes it below (a law against itself).
 
     Precision: a cell's width is its weight w_j, not a difference of
     cumulative masses (an atom of mass 1e-9 at 1e12 would lose 2.8e-5 to
@@ -175,7 +172,7 @@ def _w1_step_quantile(d1: Distribution, d2: Distribution, tol: float) -> float:
     level = np.concatenate([below, d2._sf_arr(q[h:]) + mass[h:] - right[h:-1]])
     s2 = np.maximum(d2._pe_arr(q) - q * mass, 0.0) + q * level
     s2_lo = np.concatenate([[0.0], s2])
-    s2_hi = np.concatenate([s2, [d2._discrete.cum_xm[-1] if d2.is_finite_discrete else d2.mean]])
+    s2_hi = np.concatenate([s2, [d2.mean]])
     offset = np.concatenate([c[:h] - d2._cdf_arr(s[:h]), d2._sf_arr(s[h:]) - right[h:]])
     b = np.clip(offset, 0.0, w)
     s2_pi = np.where(b <= 0.0, s2_hi, np.where(b >= w, s2_lo, d2._pe_arr(s)))

@@ -8,6 +8,7 @@ import importlib
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,17 +202,16 @@ def test_package_exports_each_module_all_in_import_order():
 
 
 def test_discrete_pooling_and_mean_match_the_sequential_reference():
-    # The atoms were pooled one part at a time and the mean summed w x part
-    # by part, so a purely finite-discrete law keeps both bit for bit. The
-    # block keeps np.unique's runs, -0.0 and 0.0 in one run led by -0.0.
+    # The atoms were pooled one part at a time, so a purely finite-discrete
+    # law keeps the block bit for bit. The block keeps np.unique's runs,
+    # -0.0 and 0.0 in one run led by -0.0. The mean is the block's last
+    # running sum of w x, the sum pe(inf) reads; it had been the sum in
+    # input order, which here equals it only by chance.
     rng = np.random.default_rng(9)
     xs = rng.choice(rng.lognormal(0.0, 1.2, size=60), size=300)
     xs[:10] = -0.0
     xs[10:20] = 0.0
     ws = rng.dirichlet(np.ones(xs.size))
-    mean = 0.0
-    for x, w in zip(xs.tolist(), ws.tolist()):
-        mean += w * x
     order = np.argsort(xs, kind="stable")
     support, start = np.unique(xs[order], return_index=True)
     weights = np.add.reduceat(ws[order], start)
@@ -221,7 +221,7 @@ def test_discrete_pooling_and_mean_match_the_sequential_reference():
     cum_xm = np.concatenate([[0.0], np.cumsum(weights * support)])
     d = discrete(xs, ws)
     assert np.unique(xs).size < xs.size
-    assert d.mean.hex() == mean.hex()
+    assert d.mean.hex() == cum_xm[-1].hex()
     block, rest = d._atomic
     assert rest == ()
     arrays = (block.loc, block.mass, block.cum, block.cum_xm, block.tail)
@@ -452,6 +452,58 @@ def test_pointwise_methods_return_their_limit_at_inf(evaluate, limit):
     assert evaluate(d, math.inf) == pytest.approx(limit(d), rel=1e-15, abs=0.0)
 
 
+def _table_rows(rng):
+    """(grid, values) of a random table: 2 to 59 rows, about half of its
+    cells flat, values scaled by 1e-6 to 1e6."""
+    n = int(rng.integers(2, 60))
+    steps = rng.uniform(0.1, 1.0, size=n)
+    grid = np.concatenate([[0.0], np.cumsum(steps)[:-1]]) / steps.sum()
+    rises = rng.exponential(size=n) * (rng.uniform(size=n) < 0.5)
+    return grid, np.cumsum(rises) * 10.0 ** rng.uniform(-6.0, 6.0)
+
+
+def _mean_families():
+    """(name, seeded builder of its laws): the battery, discrete samples,
+    mixtures of discrete parts, each kernel's estimates and linear tables."""
+    def samples(rng):
+        return [discrete(rng.lognormal(0.0, 1.0, size=int(rng.integers(2, 200)))) for _ in range(100)]
+
+    def atom_mixtures(rng):
+        def one():
+            ws = rng.dirichlet(np.ones(int(rng.integers(2, 5))))
+            return mixture([(w, discrete(rng.lognormal(0.0, 1.0, size=int(rng.integers(2, 40))))) for w in ws])
+        return [one() for _ in range(100)]
+
+    def estimates(kernel):
+        return lambda rng: [
+            kde(rng.lognormal(0.0, 1.0, size=int(rng.integers(2, 100))), kernel, float(10.0 ** rng.uniform(-2.0, 0.0)))
+            for _ in range(60)
+        ]
+
+    yield "battery", lambda rng: [d for _, d in standard_battery()]
+    yield "discrete", samples
+    yield "atom mixtures", atom_mixtures
+    for kernel in ("uniform", "epanechnikov", "gaussian"):
+        yield f"kde {kernel}", estimates(kernel)
+    yield "linear tables", lambda rng: [quantile_table(*_table_rows(rng), "linear") for _ in range(300)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _mean_families()], ids=[n for n, _ in _mean_families()])
+def test_partial_expectation_at_inf_is_the_mean_bit_for_bit(build):
+    # The mean summed other terms than pe: atoms in input order, not the
+    # block's running sum, a kernel estimate's per-point means by np.mean,
+    # and a linear table by dot products over its slabs and atoms. pe(inf)
+    # missed it on 70 of these 100 discrete samples and 211 of 300 tables,
+    # and tail_moment and excess_mean at the support's end left a residue,
+    # also where a compact kernel's rounded support end fell short of the
+    # last point's window.
+    for d in build(np.random.default_rng(1)):
+        assert d.partial_expectation(math.inf) == d.mean
+        top = d.sup_support()
+        if math.isfinite(top):
+            assert d.tail_moment(top) == d.excess_mean(top) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # pooled atoms against the per-part sums
 # ---------------------------------------------------------------------------
@@ -646,9 +698,9 @@ def test_quantile_table_holds_read_only_arrays_equal_by_value():
 
 
 def _pieces_loop(table):
-    """The loop `QuantileTable._pieces` replaced, kept as the reference for
-    a linear table: one cell at a time, a slab where the values rise and
-    an atom where they stay flat, after the atom at the last value."""
+    """The slabs and atoms of a linear table, one cell at a time: a slab
+    where the values rise and an atom where they stay flat, after the atom
+    at the last value. Kept as the reference the dense form reads."""
     g, v = np.asarray(table.grid), np.asarray(table.values)
     w = np.append(np.diff(g), 1.0 - g[-1])
     slab_lo, slab_hi, slab_w = [], [], []
@@ -669,51 +721,104 @@ def _flat_run_tables():
     yield [0.0], [2.0]
     yield [0.0, 0.5], [1.0, 1.0]
     yield [0.0, 0.1, 0.2, 0.7], [0.0, 0.0, 0.0, 4.0]
+    # a flat run of width 1e-12, an atom of that mass, right after a wide cell
+    yield [0.0, 0.9, 0.9 + 1e-12, 0.95], [0.0, 2.0, 2.0, 5.0]
     for seed in range(6):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 60))
-        steps = rng.uniform(0.1, 1.0, size=n)
-        grid = np.concatenate([[0.0], np.cumsum(steps)[:-1]]) / steps.sum()
-        rises = rng.exponential(size=n) * (rng.uniform(size=n) < 0.5)
-        yield grid, np.cumsum(rises) * 10.0 ** rng.uniform(-6.0, 6.0)
-
-
-@pytest.mark.parametrize("grid, values", list(_flat_run_tables()))
-def test_linear_table_pieces_match_the_loop_bit_for_bit(grid, values):
-    table = QuantileTable(grid, values)
-    for got, ref in zip(table._pieces, _pieces_loop(table), strict=True):
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        yield _table_rows(np.random.default_rng(seed))
 
 
 def _pointwise_dense(table, x):
-    """(cdf, sf, mass_at, pe) of a table as it evaluated them before it
-    searched sorted pieces: points-by-pieces matrices, every slab and atom
-    at every point, kept as the reference."""
-    slab_lo, slab_hi, slab_w, atom_loc, atom_w = table._pieces
+    """(cdf, sf, mass_at) of a table as it evaluated them before it searched
+    sorted pieces: points-by-pieces matrices, every slab and atom at every
+    point, kept as the reference."""
+    slab_lo, slab_hi, slab_w, atom_loc, atom_w = _pieces_loop(table)
     col = x[:, None]
     cdf, sf = (col >= atom_loc) @ atom_w, (col < atom_loc) @ atom_w
-    mass, pe = (col == atom_loc) @ atom_w, (col >= atom_loc) @ (atom_w * atom_loc)
+    mass = (col == atom_loc) @ atom_w
     if slab_lo.size:
         xc, width = np.clip(col, slab_lo, slab_hi), slab_hi - slab_lo
         cdf = cdf + ((xc - slab_lo) / width) @ slab_w
         sf = sf + ((slab_hi - xc) / width) @ slab_w
-        pe = pe + ((xc * xc - slab_lo * slab_lo) / (2.0 * width)) @ slab_w
-    return np.minimum(cdf, 1.0), np.minimum(sf, 1.0), mass, pe
+    return np.minimum(cdf, 1.0), np.minimum(sf, 1.0), mass
 
 
-#: relative bound on a table's pointwise values against the dense form: both
-#: add the same nonnegative terms, in another order, over at most 60 pieces
+def _exact_table_pe(table, x: float) -> Fraction:
+    """The partial expectation of a linear table at x, summed exactly over
+    its cells that start at or below x: w (xc^2 - lo^2) / (2 (hi - lo)) on
+    one that rises, with xc = min(x, hi), and w lo on a flat one."""
+    g = [Fraction(p) for p in table.grid] + [Fraction(1)]
+    v = [Fraction(q) for q in table.values]
+    v.append(v[-1])
+    x, total = Fraction(x), Fraction(0)
+    for i in range(len(g) - 1):
+        w, lo, hi = g[i + 1] - g[i], v[i], v[i + 1]
+        if x < lo:
+            break
+        if hi > lo:
+            xc = min(x, hi)
+            total += w * (xc * xc - lo * lo) / (2 * (hi - lo))
+        else:
+            total += w * lo
+    return total
+
+
+#: relative bound on a table's cdf, sf and mass_at against the dense form:
+#: both add the same nonnegative terms, in another order, over at most 60
+#: pieces
 TABLE_REL_TOL = 16 * np.finfo(float).eps
+#: relative bound on a table's pe against its exact value
+TABLE_PE_REL_TOL = 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("grid, values", list(_flat_run_tables()))
 def test_table_pointwise_values_match_the_dense_form(grid, values):
+    # The pe of the dense form, (xc^2 - lo^2) / (2 (hi - lo)) w, cancels
+    # just above a slab's start, where it was up to 0.32 relative off; pe
+    # reads (x - lo) there, so it is held to the exact sum.
     table = QuantileTable(grid, values)
     v = table.values
-    x = np.concatenate([[0.0, np.inf], v, np.nextafter(v, 0.0), np.nextafter(v, np.inf), np.linspace(0.0, 1.1 * v[-1], 301)])
-    got = (table.cdf(x), table.sf(x), table.mass_at(x), table.pe(x))
-    for name, a, b in zip(("cdf", "sf", "mass_at", "pe"), got, _pointwise_dense(table, x)):
+    up = np.nextafter(v, np.inf)
+    x = np.concatenate([[0.0, np.inf], v, np.nextafter(v, 0.0), up, np.nextafter(up, np.inf),
+                        np.linspace(0.0, 1.1 * v[-1], 301)])
+    got = (table.cdf(x), table.sf(x), table.mass_at(x))
+    for name, a, b in zip(("cdf", "sf", "mass_at"), got, _pointwise_dense(table, x)):
         assert np.all(np.abs(a - b) <= TABLE_REL_TOL * np.abs(b)), name
+    # the exact pe at x = 5e-324 on a table from 0 lies below the smallest
+    # subnormal, so 0 is as near as a float gets: one such unit is allowed
+    floor = Fraction(np.nextafter(0.0, 1.0))
+    for xi, pe in zip(x.tolist(), table.pe(x).tolist()):
+        if math.isinf(xi):
+            assert pe == table.mean(), "pe(inf)"
+            continue
+        exact = _exact_table_pe(table, xi)
+        assert abs(Fraction(pe) - exact) <= Fraction(TABLE_PE_REL_TOL) * exact + floor, ("pe", xi)
+    assert table.cdf(v[-1]) == 1.0 and table.sf(v[-1]) == 0.0
+
+
+def _cells_loop(table):
+    """The rows of `QuantileTable._cells`, one k at a time: nothing at
+    k = 0, cell k - 1 for 0 < k < n, everything at k = n, with the cells'
+    integrals of Q summed in a running float."""
+    g, v = table.grid.tolist() + [1.0], table.values.tolist()
+    n = len(v)
+    first = [v.index(q) for q in v]
+    rows, total = [(v[0], v[0], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0)], 0.0
+    for c in range(n - 1):
+        lo, hi = v[c], v[c + 1]
+        rows.append((lo, hi, hi - lo if hi > lo else 1.0, g[c + 1] - g[c], g[c], 1.0 - g[c + 1], total,
+                     g[c] - g[first[c]]))
+        total += (g[c + 1] - g[c]) * (0.5 * (lo + hi))
+    total += (g[n] - g[n - 1]) * (0.5 * (v[-1] + v[-1]))
+    rows.append((v[-1], v[-1], 1.0, 0.0, 1.0, 0.0, total, 1.0 - g[first[-1]]))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("grid, values", list(_flat_run_tables()))
+def test_linear_table_cells_match_the_loop_bit_for_bit(grid, values):
+    table = QuantileTable(grid, values)
+    for got, ref in zip(table._cells, _cells_loop(table), strict=True):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert table._cells[6][-1] == table.mean()
 
 
 def test_linear_table_pointwise_memory_does_not_grow_with_points_times_pieces():
