@@ -28,9 +28,11 @@ estimate with the uniform or Epanechnikov kernel, whose quantile is a root
 of the cdf's polynomial on one knot cell, it counts the probabilities of the
 same ladder, and of 1 - 2^-k for k = 41..53 up to nextafter(1, 0), that
 break F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps or the order of Q (key
-``sandwich``; the contract is 0). Below the law, key ``component`` holds
-the own cdf, sf, pe, mass_at and quantile of every `Atoms` and
-`QuantileTable` part of the battery's laws, on the part's breakpoints, the
+``sandwich``; the contract is 0), and dumps its survival function at the
+`TOP_ULPS` floats just below `sup_support` (key ``sf_top``), where the
+Epanechnikov kernel's G(-u) rounds below 0. Below the law, key
+``component`` holds the own cdf, sf, pe, mass_at and quantile of every
+`Atoms` and `QuantileTable` part of the battery's laws, on the part's breakpoints, the
 floats beside them and `COMPONENT_STEPS` equal steps up to 1.25 times its
 last breakpoint (the quantile at `PS`), so a change below the pooled
 block shows; key ``large_sample`` holds `index_report` of the empirical
@@ -159,6 +161,8 @@ BATCH_CHUNKS = 17
 SANDWICH_PS = np.unique(np.concatenate([GALOIS_PS, 1.0 - 2.0 ** -np.arange(41.0, 54.0)]))
 #: single-part kernel estimates whose quantile solves the cdf's polynomial (the sandwich check)
 COMPACT_KDE = ("kde-uniform", "kde-epanechnikov")
+#: floats just below the support's end at which their survival is dumped
+TOP_ULPS = 49
 #: battery laws every extra law is paired with for W1
 W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
                "mix(0.3*atom(0),0.7*exp(1))")
@@ -399,6 +403,15 @@ def sandwich_failures(d, ps=SANDWICH_PS):
     return int(np.sum(~ok))
 
 
+def _below_top(d, count=TOP_ULPS):
+    """The `count` floats just below `sup_support`, descending."""
+    x, out = d.sup_support(), []
+    for _ in range(count):
+        x = math.nextafter(x, 0.0)
+        out.append(x)
+    return out
+
+
 def _mean_gap(d):
     """pe(inf) - mean, then tail_moment and excess_mean at the support's end
     where it is finite: each 0 when the mean is the sum pe reads."""
@@ -444,6 +457,7 @@ def dump(path):
             _attempt(values, f"{kind}|batch|{name}", lambda: batch_failures(d))
         if name.startswith(COMPACT_KDE):
             _attempt(values, f"{kind}|sandwich|{name}", lambda: sandwich_failures(d))
+            _attempt(values, f"{kind}|sf_top|{name}", lambda: d.survival(_below_top(d)))
         xs = np.unique(np.concatenate([[0.0], d.quantile(PS)]))
         _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
         _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))

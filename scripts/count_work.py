@@ -11,9 +11,13 @@ op family of the workload (`Op.family`: dd, dg, gg, hard_* on w1_pairs);
 `measures._invert` calls and rows; the rows that its steps hand to
 `measures._bisect` still wider than the tolerance, and the bisection rounds
 they cost (``_bisect.wide_rows``, ``_bisect.rounds``), so the steps' stop
-rule shows; and `Distribution._level_arr` calls and points. They depend on
-the code and the seed alone, so two trees compare exactly where wall times
-do not.
+rule shows; and `Distribution._level_arr` calls and points. It also
+prints, in all and per op family, the fixed per-call work beside them:
+`_AtomBlock.of` builds and how many of them had no atom
+(``_AtomBlock.of.builds``, ``_AtomBlock.of.empty``), ``mass_at`` calls per
+component type (``mass_at.<type>.calls``, the pooled `_AtomBlock` among
+them) and ``np.unique`` calls. They depend on the code and the seed alone,
+so two trees compare exactly where wall times do not.
 """
 
 import argparse
@@ -28,7 +32,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import laws  # noqa: E402
 import workloads  # noqa: E402
-from lorenzkit import measures, wasserstein  # noqa: E402
+from lorenzkit import estimators, measures, wasserstein  # noqa: E402
+
+#: the classes whose ``mass_at`` calls are counted, by class name
+MASS_AT_TYPES = (
+    measures._AtomBlock, measures.Atoms, measures.UniformDensity, measures.Exponential,
+    measures.Gamma, measures.Lognormal, measures.QuantileTable, estimators._CutKernelMixture,
+)
 
 def counted(counts, name, fn, unit):
     """`fn` counting its calls and the size of its second argument."""
@@ -51,6 +61,30 @@ def counted_bisect(counts, bisect):
 
         return bisect(level_counted, y, lo, hi, tol)
     return wrapper
+
+
+def bump(counts, family, name, k=1):
+    """Add k to `name`, in all and, inside an op, under its family."""
+    counts[name] += k
+    if family[0] is not None:
+        counts[f"family.{family[0]}.{name}"] += k
+
+
+def tallied(counts, family, name, fn):
+    """`fn` counting its calls under `name` (`bump`)."""
+    def wrapper(*args, **kwargs):
+        bump(counts, family, name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def tallied_block_of(counts, family, of):
+    """The bound classmethod `of` counting its builds, and those of no atom."""
+    def wrapper(cls, locs, masses, whole=False):
+        bump(counts, family, "_AtomBlock.of.builds")
+        bump(counts, family, "_AtomBlock.of.empty", int(np.size(locs) == 0))
+        return of(locs, masses, whole)
+    return classmethod(wrapper)
 
 
 def counted_gap_body(counts, body, family):
@@ -85,6 +119,10 @@ def main():
     measures._invert = counted(counts, "_invert", measures._invert, "rows")
     measures._bisect = counted_bisect(counts, measures._bisect)
     measures.Distribution._level_arr = counted(counts, "_level_arr", measures.Distribution._level_arr, "points")
+    measures._AtomBlock.of = tallied_block_of(counts, family, measures._AtomBlock.of)
+    for cls in MASS_AT_TYPES:
+        cls.mass_at = tallied(counts, family, f"mass_at.{cls.__name__}.calls", cls.mass_at)
+    np.unique = tallied(counts, family, "np.unique.calls", np.unique)
     workload = workloads.WORKLOADS[args.workload]
     strata = laws.Strata(args.seed, workload.stream)
     for rnd in range(args.rounds):
@@ -95,6 +133,7 @@ def main():
                 op.call()
             except Exception:  # counted, as bench/run.py counts a failed op
                 counts["ops.raised"] += 1
+            family[0] = None
     for name in sorted(counts):
         print(f"{name} {counts[name]}")
 

@@ -34,6 +34,7 @@ from .indices import (
 )
 from .lorenz import kendall_points, lorenz, pseudo_lorenz
 from .measures import MeanDomainError
+from .quadrature import _unique
 from .specs import format_mixture_of_atoms, parse_distribution
 from .wasserstein import sequence_diagnostics, w1_routes
 
@@ -122,7 +123,7 @@ def _cmd_lorenz(args) -> int:
     pvals = np.asarray(pseudo_lorenz(d, ps))
     kendall = None
     if args.kendall:
-        ts = np.unique(
+        ts = _unique(
             np.concatenate(
                 [d._quantile_arr(ps[ps < 1.0]), d.x_breakpoints()]
             )

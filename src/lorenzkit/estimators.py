@@ -63,6 +63,7 @@ from .measures import (
     require_member,
     scalar_or_array,
 )
+from .quadrature import _unique
 from .wasserstein import ConvergenceReport, _checked_thresholds, sequence_diagnostics
 
 __all__ = [
@@ -454,12 +455,16 @@ class _CutKernelMixture(_ArrayComponent):
 
     def sf(self, x) -> np.ndarray:
         """P[X > x]: points right of each query's window count whole, and
-        the window adds G(-u) per point, so the tail keeps its digits."""
+        the window adds G(-u) per point, so the tail keeps its digits. The
+        sum is floored at 0: the Epanechnikov G(-u) = (1 - u)^2 (2 + u) / 4,
+        evaluated as its cubic in -u, rounds below 0 for u within about
+        1e-8 of 1, and with no point right of the window that put sf below
+        0 just under the support's end."""
         flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(-u),), 1)
         n = self.points.size
-        out = np.where(flat < 0.0, 1.0, (n - hi + inside) / n)
+        out = np.where(flat < 0.0, 1.0, np.maximum(n - hi + inside, 0.0) / n)
         return out.reshape(np.shape(x))
 
     @cached_property
@@ -506,7 +511,7 @@ class _CutKernelMixture(_ArrayComponent):
             return None
         x, h = self.points, self.bandwidth
         plus, minus = x + h, x - h
-        tau = np.unique(np.concatenate([[0.0], minus, plus]))
+        tau = _unique(np.concatenate([[0.0], minus, plus]))
         tau = tau[tau >= 0.0]
         saturated = np.searchsorted(plus, tau, side="right")
         reached = np.searchsorted(minus, tau, side="right")
@@ -669,7 +674,7 @@ class _CutKernelMixture(_ArrayComponent):
         span = self._radius * self.bandwidth
         pts = self.points
         ends = [0.0, max(pts[0] - span, 0.0), pts[-1] + span]
-        return np.unique(np.concatenate([ends, self._gap_points(_BREAK_OFFSETS, _BREAK_GAPS)]))
+        return _unique(np.concatenate([ends, self._gap_points(_BREAK_OFFSETS, _BREAK_GAPS)]))
 
     def support_hi(self, eps: float) -> float:
         """pts[-1] + r h, r the kernel's reach at eps, rounded up to the

@@ -33,7 +33,7 @@ from .measures import (
     require_member,
     scalar_or_array,
 )
-from .quadrature import integrate
+from .quadrature import _unique, integrate
 
 __all__ = [
     "LorenzCurve",
@@ -158,7 +158,7 @@ def lorenz_dominates(d1: Distribution, d2: Distribution) -> bool:
     order. Probes join both operands' probe ladders
     (`Distribution._probe_ladder`: k 2^-10 and the quantile's breakpoints).
     """
-    ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder]))
+    ps = _unique(np.concatenate([d1._probe_ladder, d2._probe_ladder]))
     l1 = lorenz(d1).eval(ps)
     l2 = lorenz(d2).eval(ps)
     return bool(np.all(l1 <= l2 + 1e-10))
@@ -167,7 +167,7 @@ def lorenz_dominates(d1: Distribution, d2: Distribution) -> bool:
 def _curve_values(ell, grid) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(ell, LorenzCurve):
         if grid is None:
-            ps = np.unique(
+            ps = _unique(
                 np.concatenate([np.linspace(0.0, 1.0, 4097), ell.source.p_breakpoints()])
             )
         else:

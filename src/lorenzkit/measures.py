@@ -78,7 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import _nodes, first_nodes, integrate
+from .quadrature import _nodes, _unique, first_nodes, integrate
 
 __all__ = [
     "MeanDomainError",
@@ -116,7 +116,7 @@ P_TAIL = 1.0 - 2.0**-40
 #: `TAIL_LEVELS`, so the first round of quadrature already has panels at
 #: every scale toward both ends, where Q may be singular (p^(1/k) at 0 for a
 #: gamma-like part, a log-like run at 1)
-P_SPLITS = np.unique(np.concatenate([2.0 ** -np.arange(1.0, 11.0), TAIL_LEVELS]))
+P_SPLITS = _unique(np.concatenate([2.0 ** -np.arange(1.0, 11.0), TAIL_LEVELS]))
 #: factors 2^-k, k = 1..60: an x-space integral over [a, b] also splits at
 #: b 2^-k, so panels are geometric in x and a heavy tail is resolved at
 #: every scale between b 2^-60 and b, with no quantile inversion (the knot
@@ -151,11 +151,22 @@ _GAMMA_MAX_AMPLIFICATION = 8.0
 #: the largest float: the pointwise methods cap x at it where they multiply
 #: x by a mass that is 0 at x = inf
 _MAX_FLOAT = float(np.finfo(float).max)
+#: the smallest subnormal float, where `Lognormal` floors x before its log,
+#: so log(x) is finite at x = 0 and raises no warning to silence
+_LEAST_FLOAT = math.ulp(0.0)
+#: the edges of 64 equal cells of [0, 1], among the edges of every law's
+#: `Distribution._p_cells`
+_P_CELL_GRID = np.linspace(0.0, 1.0, 65)
+#: the levels k 2^-10, k = 0..1024, of every law's
+#: `Distribution._probe_ladder`
+_PROBE_GRID = np.linspace(0.0, 1.0, 1025)
 DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
 P_SPLITS.flags.writeable = False
 HALVINGS.flags.writeable = False
 _KNOT_LADDER.flags.writeable = False
+_P_CELL_GRID.flags.writeable = False
+_PROBE_GRID.flags.writeable = False
 
 
 class _SpecialOnFirstUse:
@@ -416,9 +427,9 @@ class _AtomBlock:
     with a trailing 0), all three indexed by
     ``searchsorted(loc, x, side="right")``. An `Atoms` component and the
     pooled atoms of a `Distribution` (`Distribution._atomic`) are each one
-    block. A block that is read holds
-    at least one atom: a law without atoms never reads its empty pooled
-    block (`Distribution._sum`)."""
+    block. Every law without `Atoms` parts shares one read-only empty
+    block, `_NO_ATOMS`, whose running sums are 0; its pointwise methods are
+    never called (`Distribution._sum`)."""
 
     loc: np.ndarray
     mass: np.ndarray
@@ -462,6 +473,12 @@ class _AtomBlock:
         """The first location whose cumulative mass reaches p, and the last
         location for a p above all of them."""
         return self.loc[np.minimum(np.searchsorted(self.cum[1:], p, side="left"), self.loc.size - 1)]
+
+
+#: the pooled block of every law without `Atoms` parts, read-only: no
+#: atom, and each running sum the single entry 0, as `_AtomBlock.of` builds
+#: it from no atoms (`Distribution._atomic`)
+_NO_ATOMS = _AtomBlock(*map(_float_vector, ([], [], [0.0], [0.0], [0.0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,7 +532,7 @@ class Atoms(_ArrayComponent):
         return self._block.quantile(np.asarray(p, dtype=float))
 
     def x_breaks(self) -> np.ndarray:
-        return np.unique(self.locations)
+        return _unique(self.locations)
 
     def support_hi(self, eps: float) -> float:
         return float(self.locations.max())
@@ -730,14 +747,12 @@ class Lognormal:
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 0.0)) - self.log_mean) / self.log_sd
+        z = (np.log(np.maximum(x, _LEAST_FLOAT)) - self.log_mean) / self.log_sd
         return np.where(x > 0.0, sp.ndtr(z), 0.0)
 
     def sf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 0.0)) - self.log_mean) / self.log_sd
+        z = (np.log(np.maximum(x, _LEAST_FLOAT)) - self.log_mean) / self.log_sd
         return np.where(x > 0.0, sp.ndtr(-z), 1.0)
 
     def mass_at(self, x: np.ndarray) -> np.ndarray:
@@ -745,8 +760,7 @@ class Lognormal:
 
     def pe(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            z = (np.log(np.maximum(x, 0.0)) - self.log_mean - self.log_sd**2) / self.log_sd
+        z = (np.log(np.maximum(x, _LEAST_FLOAT)) - self.log_mean - self.log_sd**2) / self.log_sd
         try:
             head = self.mean() * sp.ndtr(z)
         except OverflowError:  # the mean overflows where pe need not; pe(inf) is inf
@@ -897,7 +911,7 @@ class QuantileTable(_ArrayComponent):
         return np.interp(p, self.grid, self.values)
 
     def x_breaks(self) -> np.ndarray:
-        return np.unique(self.values)
+        return _unique(self.values)
 
     def support_hi(self, eps: float) -> float:
         return float(self.values[-1])
@@ -929,6 +943,11 @@ class Distribution:
     Gaussian kernel estimate's sample gaps and tail). Unlike ``x_breaks()``,
     whose every entry becomes a quadrature cell of every route, the
     candidates touch nothing but the table, so a part may list many.
+
+    A part's atoms lie at its own ``x_breaks()``: every jump of its cdf is
+    a breakpoint. So the law probes each part's ``mass_at`` once, at its
+    breakpoints, and the atom mass sums only the parts that have one there
+    (`_mass_arr`).
 
     Pointwise evaluations (cdf, survival, atom mass, partial expectation)
     read the `Atoms` parts from one pooled `_AtomBlock` (`_atomic`) and
@@ -983,15 +1002,18 @@ class Distribution:
         concatenated in part order, each mass times its part's weight, and
         sorted and merged by `_AtomBlock.of`; the law reads the block alone,
         never its `Atoms` parts' own methods. When no part remains the block
-        is whole: ``cum[-1]`` and ``tail[0]`` are 1.0 exactly.
+        is whole: ``cum[-1]`` and ``tail[0]`` are 1.0 exactly. A law without
+        `Atoms` parts builds no block: it shares the empty `_NO_ATOMS`.
         """
-        locs, masses, rest = [np.empty(0)], [np.empty(0)], []
+        locs, masses, rest = [], [], []
         for w, comp in self.parts:
             if isinstance(comp, Atoms):
                 locs.append(comp.locations)
                 masses.append(w * comp.masses)
             else:
                 rest.append((w, comp))
+        if not locs:
+            return _NO_ATOMS, tuple(rest)
         return _AtomBlock.of(np.concatenate(locs), np.concatenate(masses), whole=not rest), tuple(rest)
 
     @cached_property
@@ -1015,12 +1037,10 @@ class Distribution:
         """The mean; raises `InfiniteMeanError` where it diverges or a
         part's mean overflows the float range (lognormal(0, 40)). It is the
         pooled block's ``cum_xm[-1]`` plus, part by part, w times each other
-        part's mean: the sum `_sum` takes of pe, so pe(inf) is the mean."""
-        m, rest = 0.0, self.parts
-        # a law without `Atoms` parts builds no empty block to read 0 from
-        if any(isinstance(comp, Atoms) for _, comp in rest):
-            block, rest = self._atomic
-            m = float(block.cum_xm[-1])
+        part's mean: the sum `_sum` takes of pe, so pe(inf) is the mean. A
+        law without `Atoms` parts reads 0 from the shared empty block."""
+        block, rest = self._atomic
+        m = float(block.cum_xm[-1])
         for w, comp in rest:
             try:
                 m += w * comp.mean()
@@ -1040,7 +1060,7 @@ class Distribution:
     def _x_breaks(self) -> np.ndarray:
         block, rest = self._atomic
         pts = np.concatenate([block.loc] + [np.asarray(comp.x_breaks()) for _, comp in rest])
-        pts = np.unique(pts[np.isfinite(pts)])
+        pts = _unique(pts[np.isfinite(pts)])
         pts.flags.writeable = False
         return pts
 
@@ -1060,7 +1080,7 @@ class Distribution:
             xb = self.x_breakpoints()
             f = self._cdf_arr(xb)
             ps = np.concatenate([[0.0, 1.0], f, np.maximum(f - self._mass_arr(xb), 0.0)])
-        ps = np.unique(np.clip(ps, 0.0, 1.0))
+        ps = _unique(np.clip(ps, 0.0, 1.0))
         ps.flags.writeable = False
         return ps
 
@@ -1077,18 +1097,23 @@ class Distribution:
 
     # -- pointwise evaluations ---------------------------------------------
 
-    def _sum(self, method: str, x) -> np.ndarray:
+    def _sum(self, method: str, x, parts=None) -> np.ndarray:
         """The pooled block's `method` at x plus, part by part, w times each
-        other part's: how every pointwise evaluation sums a law's parts. A
-        law without atoms starts from its first other part, not from its
-        empty block's zeros (0 + w v is w v), so it reads no block."""
+        other part's, or each of `parts` alone: how every pointwise
+        evaluation sums a law's parts. A law without atoms starts from its
+        first other part, not from the zeros of the shared empty block
+        (0 + w v is w v), so it calls no block method; with no part either
+        the sum is zeros."""
         x = np.asarray(x, dtype=float)
         block, rest = self._atomic
+        rest = rest if parts is None else parts
         if block.loc.size:
             out = getattr(block, method)(x)
-        else:
+        elif rest:
             (w, comp), *rest = rest
             out = w * getattr(comp, method)(x)
+        else:
+            return np.zeros(x.shape)
         for w, comp in rest:
             out = out + w * getattr(comp, method)(x)
         return out
@@ -1125,7 +1150,20 @@ class Distribution:
         return scalar_or_array(x, self._cdf_arr(_nonnegative("cdf", x)))
 
     def _mass_arr(self, x: np.ndarray) -> np.ndarray:
-        return self._sum("mass_at", x)
+        """The atom mass at x: the pooled block's and that of the parts with
+        an atom (`_parts_with_atoms`), summed by `_sum`. Every other part's
+        mass_at is 0 at every x, and 0 + w 0 adds nothing, so skipping them
+        changes no bit."""
+        return self._sum("mass_at", x, self._parts_with_atoms)
+
+    @cached_property
+    def _parts_with_atoms(self) -> tuple:
+        """The parts other than `Atoms` that carry mass at one of the law's
+        breakpoints, as (weight, component) pairs in part order: one
+        mass_at call per part, once per law. A part's atoms lie at its own
+        ``x_breaks()``, so a part left out has none anywhere."""
+        xb = self.x_breakpoints()
+        return tuple((w, comp) for w, comp in self._atomic[1] if np.any(comp.mass_at(xb) > 0.0))
 
     def mass_at(self, x) -> float | np.ndarray:
         """P[X = x], the atom mass at x."""
@@ -1288,10 +1326,8 @@ class Distribution:
         Kronrod nodes is one set of p, and the quantile memo answers it for
         whichever route comes second.
         """
-        edges = np.concatenate(
-            [self.p_breakpoints(), np.linspace(0.0, 1.0, 65), P_SPLITS, [0.0, 1.0]]
-        )
-        edges = np.unique(np.clip(edges, 0.0, 1.0))
+        edges = np.concatenate([self.p_breakpoints(), _P_CELL_GRID, P_SPLITS, [0.0, 1.0]])
+        edges = _unique(np.clip(edges, 0.0, 1.0))
         edges.flags.writeable = False
         return edges
 
@@ -1302,7 +1338,7 @@ class Distribution:
         (`lorenz.lorenz_dominates`, `fsd_dominates`) and the Lorenz gap of
         `wasserstein.sequence_diagnostics` start from it; the sweep of
         `hoover_max` reads the index batch's own p instead (`_gap_sweep`)."""
-        ps = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1025), self.p_breakpoints()]))
+        ps = _unique(np.concatenate([_PROBE_GRID, self.p_breakpoints()]))
         ps.flags.writeable = False
         return ps
 
@@ -1326,7 +1362,7 @@ class Distribution:
             lo, hi = cells[:-1], cells[1:]
             wide = hi - lo >= 2.0**-10
             ps.append(_nodes(lo[wide], hi[wide]).ravel())
-        ps = np.unique(np.concatenate(ps))
+        ps = _unique(np.concatenate(ps))
         ps.flags.writeable = False
         return ps
 
@@ -1339,7 +1375,7 @@ class Distribution:
         `wasserstein.sequence_diagnostics` inverts them in the batch it
         makes for each memoized law before the law's step."""
         cells = self._p_cells
-        ps = np.unique(np.concatenate([cells, first_nodes(cells[:-1])]))
+        ps = _unique(np.concatenate([cells, first_nodes(cells[:-1])]))
         ps = ps[ps < 1.0]
         ps.flags.writeable = False
         return ps
@@ -1355,7 +1391,7 @@ class Distribution:
         One `_quantile_arr` call on them inverts all of these in one batch.
         """
         last = first_nodes(self._p_cells[-2:])
-        ps = np.unique(np.concatenate([self._mean_difference_p, last, self._gap_sweep]))
+        ps = _unique(np.concatenate([self._mean_difference_p, last, self._gap_sweep]))
         ps = ps[ps < 1.0]
         ps.flags.writeable = False
         return ps
@@ -1385,7 +1421,7 @@ class Distribution:
         while far > 0.0 and self._cdf_arr(np.array([far]))[0] < f_far:
             far *= 2.0
         own = [c.knot_candidates() for _, c in self.parts if hasattr(c, "knot_candidates")]
-        x = np.unique(
+        x = _unique(
             np.concatenate([[0.0, top, far], xb, np.nextafter(xb[xb > 0.0], 0.0), top * _KNOT_LADDER, *own])
         )
         x = x[np.isfinite(x)]
@@ -1624,12 +1660,12 @@ def fsd_dominates(d1: Distribution, d2: Distribution) -> bool:
     heavy-tailed laws whose mass sits far below the uniform grid's first
     step.
     """
-    ps = np.unique(np.concatenate([d1._probe_ladder, d2._probe_ladder, TAIL_LEVELS]))
+    ps = _unique(np.concatenate([d1._probe_ladder, d2._probe_ladder, TAIL_LEVELS]))
     ps = ps[ps < 1.0]
     q1, q2 = d1._exact_quantile(ps), d2._exact_quantile(ps)
     quantile_route = bool(np.all(q1 >= q2))
     hi = max(d1.support_hi(1e-9), d2.support_hi(1e-9))
-    xs = np.unique(
+    xs = _unique(
         np.concatenate(
             [d1.x_breakpoints(), d2.x_breakpoints(), np.linspace(0.0, hi, 256), q1, q2]
         )

@@ -29,6 +29,7 @@ import numpy as np
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
 from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, X_CUT, Distribution, _AtomBlock, atom, require_member
+from .quadrature import _unique
 
 __all__ = [
     "w1",
@@ -59,6 +60,12 @@ def _q_within(d: Distribution, p: np.ndarray, tol: float) -> np.ndarray:
 _GAP_LEVEL_POINTS = 128
 #: count of open cells that no level of `_abs_gap_body` takes past
 _GAP_CELL_LIMIT = 16384
+#: the edges of 128 equal cells of [0, 1], among the first edges of both W1
+#: routes: in p as they are, in x times the routes' hi, which equals
+#: ``np.linspace(0, hi, 129)`` bit for bit for every normal hi, since 128 is
+#: a power of two
+_W1_GRID = np.linspace(0.0, 1.0, 129)
+_W1_GRID.flags.writeable = False
 
 
 def _abs_gap_body(edges: np.ndarray, evaluate, budget: float) -> tuple[float, float, float]:
@@ -195,9 +202,9 @@ def _w1_quantile(d1: Distribution, d2: Distribution, scale: float) -> float:
     if d1.is_finite_discrete:
         return _w1_step_quantile(d1, d2, tol_q)
     edges = np.concatenate(
-        [d1.p_breakpoints(), d2.p_breakpoints(), np.linspace(0.0, 1.0, 129), 1.0 - TAIL_LEVELS, TAIL_LEVELS]
+        [d1.p_breakpoints(), d2.p_breakpoints(), _W1_GRID, 1.0 - TAIL_LEVELS, TAIL_LEVELS]
     )
-    edges = np.unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
+    edges = _unique(np.concatenate([edges[edges < P_TAIL], [0.0, P_TAIL]]))
 
     def eval_q(ps, br1, br2):
         out = []
@@ -232,8 +239,8 @@ def _w1_cdf(d1: Distribution, d2: Distribution, scale: float) -> float:
         return float(np.sum(np.diff(x) * np.abs(gap)))
     hi = max(d1.support_hi(X_CUT), d2.support_hi(X_CUT))
     xb = np.concatenate([d1.x_breakpoints(), d2.x_breakpoints()])
-    xedges = np.unique(
-        np.concatenate([xb[(xb > 0.0) & (xb < hi)], np.linspace(0.0, hi, 129), hi * HALVINGS])
+    xedges = _unique(
+        np.concatenate([xb[(xb > 0.0) & (xb < hi)], hi * _W1_GRID, hi * HALVINGS])
     )
 
     def eval_x(xs, br1, br2):

@@ -1,4 +1,5 @@
-"""scipy.special is imported on first use, not with the package.
+"""scipy.special is imported on first use, not with the package, and
+numpy.ma, which np.unique imports, not at all on scipy-free laws.
 
 Each check runs in a fresh interpreter, since the test process itself has
 scipy loaded long before these tests run.
@@ -57,6 +58,25 @@ def test_support_end_of_a_scipy_free_law_never_loads_it(law):
     # the supremum is support_hi(0.0), which reads no special function here
     code = f"import lorenzkit as L\nd = {law}\nd.sup_support()\nL.lorenz(d).left_derivative(1.0)"
     assert not _loads_special(code)
+
+
+def test_scipy_free_laws_never_load_numpy_ma():
+    # np.unique asks numpy.ma whether its input is masked; the package
+    # dedupes with quadrature._unique, and the memo's np.unique with
+    # return_inverse never asks
+    code = (
+        "import sys, lorenzkit as L\n"
+        "mix = L.mixture([(0.3, L.atom(0.0)), (0.7, L.exponential(1.0))])\n"
+        "for d in (L.discrete([0.0, 1.0, 1.0, 5.0]), L.uniform(0.0, 2.0), mix):\n"
+        "    L.index_report(d)\n"
+        "L.w1_routes(L.discrete([1.0, 2.0, 7.0]), L.discrete([0.5, 3.0]))\n"
+        "L.w1_routes(L.discrete([1.0, 2.0, 7.0]), mix)\n"
+        "L.w1_routes(L.uniform(0.0, 2.0), mix)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = _fresh("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_lognormal_loads_it_and_reports_the_same():

@@ -430,6 +430,40 @@ def test_a_law_without_atoms_reads_no_atom_block(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, size", [("_P_CELL_GRID", 65), ("_PROBE_GRID", 1025)])
+def test_grid_constants_are_their_linspace_and_read_only(name, size):
+    grid, want = getattr(measures, name), np.linspace(0.0, 1.0, size)
+    assert grid.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert not grid.flags.writeable
+
+
+def test_a_law_without_atoms_builds_no_block_and_probes_each_density_once(monkeypatch):
+    # Each such law built an empty block, and each atom mass summed every
+    # density's zeros.
+    built, probed = [], []
+    of = measures._AtomBlock.of
+    monkeypatch.setattr(measures._AtomBlock, "of", classmethod(lambda cls, *a, **k: built.append(a) or of(*a, **k)))
+    for cls in (UniformDensity, measures.Exponential, measures.Gamma, measures.Lognormal):
+        def counted(self, x, fn=cls.mass_at):
+            probed.append(id(self))
+            return fn(self, x)
+
+        monkeypatch.setattr(cls, "mass_at", counted)
+    d1 = lognormal(0.0, 1.0)
+    d2 = mixture([(0.5, uniform(0.0, 2.0)), (0.5, gamma_dist(2.0, 0.5))])
+    d3 = exponential(1.0)
+    for d in (d1, d2, d3):
+        index_report(d)
+    w1_routes(d1, d2)
+    w1_routes(d2, d3)
+    w1_routes(d3, uniform(0.5, 1.5))
+    assert built == []
+    assert len(probed) == len(set(probed)) <= 5
+    before = len(probed)
+    assert d2.mass_at(np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 0.0, 0.0]
+    assert len(probed) == before
+
+
 @pytest.mark.parametrize(
     "evaluate, limit",
     [

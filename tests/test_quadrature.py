@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorenzkit import quadrature
-from lorenzkit.quadrature import PANEL_LIMIT, first_nodes, integrate
+from lorenzkit.quadrature import PANEL_LIMIT, _unique, first_nodes, integrate
 
 from test_measures import _nested_budget_laws
 
@@ -107,3 +108,30 @@ def test_first_round_evaluates_first_nodes(route):
 
     integrate(f, 0.0, edges[-1], points=points)
     assert np.array_equal(seen[0].view(np.uint64), first_nodes(edges).view(np.uint64))
+
+
+#: floats that tie, differ only in sign, or are subnormal or tiny
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_subnormal=True)),
+        max_size=40,
+    ),
+    order=st.sampled_from(("given", "sorted", "reversed")),
+)
+def test_unique_is_np_unique_bit_for_bit(values, order):
+    a = np.array(values, dtype=float)
+    if order != "given":
+        a = np.sort(a)[:: 1 if order == "sorted" else -1]
+    got, want = _unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("a", [[], [3.5], [-0.0], [0.0, -0.0], [-0.0, 0.0], [[2.0, 1.0], [1.0, -0.0]]])
+def test_unique_of_empty_one_element_and_nested_arrays(a):
+    a = np.array(a, dtype=float)
+    assert _unique(a).view(np.uint64).tolist() == np.unique(a).view(np.uint64).tolist()

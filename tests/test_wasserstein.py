@@ -47,6 +47,18 @@ GOLDEN_PAIRS = [
 ]
 
 
+def test_w1_grid_is_its_linspace_at_every_scale():
+    # in x the cdf route's edges are hi times the grid, in place of
+    # np.linspace(0, hi, 129): equal bit for bit, since 128 is a power of two
+    grid = wasserstein._W1_GRID
+    assert not grid.flags.writeable
+    assert grid.view(np.uint64).tolist() == np.linspace(0.0, 1.0, 129).view(np.uint64).tolist()
+    mantissas = np.random.default_rng(46).uniform(1.0, 2.0, size=601)
+    for hi in np.geomspace(1e-300, 1e300, 601) * mantissas:
+        want = np.linspace(0.0, hi, 129)
+        assert (hi * grid).view(np.uint64).tolist() == want.view(np.uint64).tolist(), hi
+
+
 @pytest.mark.parametrize("d1,d2,expected", GOLDEN_PAIRS)
 def test_closed_form_distances(d1, d2, expected):
     assert w1(d1, d2) == pytest.approx(expected, abs=1e-9)
