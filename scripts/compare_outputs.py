@@ -30,7 +30,11 @@ same ladder, and of 1 - 2^-k for k = 41..53 up to nextafter(1, 0), that
 break F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps or the order of Q (key
 ``sandwich``; the contract is 0), and dumps its survival function at the
 `TOP_ULPS` floats just below `sup_support` (key ``sf_top``), where the
-Epanechnikov kernel's G(-u) rounds below 0. Below the law, key
+Epanechnikov kernel's G(-u) rounds below 0, and its cdf at the `TOP_ULPS`
+floats just above max(x_(1) - h, 0) (key ``cdf_bottom``), where G(u) does;
+the same key holds that cdf for the uniform and Epanechnikov estimates of
+small lognormal(0, 1) samples whose x_(1) - h > 0 (`CDF_BOTTOM_KDE`),
+whose bottom the battery's estimates do not reach. Below the law, key
 ``component`` holds the own cdf, sf, pe, mass_at and quantile of every
 `Atoms` and `QuantileTable` part of the battery's laws, on the part's breakpoints, the
 floats beside them and `COMPONENT_STEPS` equal steps up to 1.25 times its
@@ -58,11 +62,14 @@ the W1 partners and with each other. It also dumps `lorenz_dominates` and
 `fsd_dominates` over every ordered pair of `standard_battery()` laws, and
 every field of `sequence_diagnostics` on both built-in scenarios
 (`scenario_sequence`, 50 steps). Last, it runs
-the command line (`lorenzkit.cli.main`) in-process and records what the
-serializers write: the stdout of ``index NAME`` and ``index NAME --tsv`` for
-every `standard_battery()` name, and the stdout (with the output directory
-masked) and the JSON and TSV report files of ``converge SCENARIO --steps 6``
-(``--out`` in a temporary directory) for both built-in scenarios, so a
+the command line (`lorenzkit.cli.main`) in-process and records the exit
+code, stdout and stderr of every subcommand under each output flag
+(`dump_cli`): ``index`` and ``lorenz`` (with and without ``--kendall``) of
+every `standard_battery()` name, ``w1`` of each against exp(1) (with and
+without ``--verbose``, and with ``--tol`` 0 and 1), ``extremal`` at four
+Hoover values (with and without ``--alpha``), and ``converge SCENARIO
+--steps 6`` of both built-in scenarios with the JSON and TSV report files
+it writes (``--out`` in a temporary directory, masked in stdout), so a
 changed byte shows. A call that raises is recorded by its exception type, a
 text field (a verdict, a CLI output) as ``text:`` and its value.
 
@@ -101,6 +108,7 @@ differs, with both values, then how many count metrics it compared:
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -161,8 +169,12 @@ BATCH_CHUNKS = 17
 SANDWICH_PS = np.unique(np.concatenate([GALOIS_PS, 1.0 - 2.0 ** -np.arange(41.0, 54.0)]))
 #: single-part kernel estimates whose quantile solves the cdf's polynomial (the sandwich check)
 COMPACT_KDE = ("kde-uniform", "kde-epanechnikov")
-#: floats just below the support's end at which their survival is dumped
+#: floats just below the support's end at which their survival is dumped,
+#: and just above max(x_(1) - h, 0) at which their cdf is
 TOP_ULPS = 49
+#: kernels, sample sizes, bandwidths and seeds of the compact-kernel estimates
+#: of small lognormal(0, 1) samples whose cdf is dumped above x_(1) - h > 0
+CDF_BOTTOM_KDE = (("uniform", "epanechnikov"), (2, 5, 20), (0.01, 0.3), range(10))
 #: battery laws every extra law is paired with for W1
 W1_PARTNERS = ("uniform(0,1)", "exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))",
                "mix(0.3*atom(0),0.7*exp(1))")
@@ -192,6 +204,14 @@ DIAGNOSTICS_SCALARS = ("alpha_ref", "rel_tol")
 DIAGNOSTICS_TEXT = ("verdict", "deciding_diagnostic", "scheffe_verdict")
 #: steps of the built-in scenarios whose ``converge`` report files are dumped
 CLI_STEPS = 6
+#: the output flags every subcommand but ``extremal`` (no ``--tsv``) is run with
+CLI_FORMATS = ([], ["--json"], ["--tsv"])
+#: grid cells of the ``lorenz`` tables
+CLI_RES = 16
+#: the battery law every battery law is paired with by ``w1``
+CLI_W1_PARTNER = "exp(1)"
+#: Hoover values of the ``extremal`` runs, each also with alpha = (1 + h) / 2
+CLI_HOOVER = (0.1, 0.3, 0.5, 0.9)
 #: equal steps of the abscissa grid a component's own methods are dumped on
 COMPONENT_STEPS = 64
 #: (seed, size) of the lognormal(0, 1) sample whose empirical law is dumped
@@ -318,12 +338,12 @@ def dump_diagnostics(values):
             _attempt(values, f"{kind}|diagnostics.{field}|{name}", lambda: report[field])
 
 
-def _cli_stdout(argv):
-    """What `lorenzkit.cli.main(argv)` writes to stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli_main(argv)
-    return out.getvalue()
+def _cli_run(argv):
+    """The exit code, stdout and stderr of `lorenzkit.cli.main(argv)`, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"exit {code}\nstdout:\n{out.getvalue()}stderr:\n{err.getvalue()}"
 
 
 def _read(path):
@@ -332,24 +352,51 @@ def _read(path):
 
 
 def dump_cli(values, battery):
-    """CLI output as ``text:`` values: ``index`` stdout, JSON and TSV, for
-    each battery law, and the stdout (its output directory masked) and
-    report files of ``converge`` on each built-in scenario."""
+    """CLI runs as ``text:`` values, each its exit code, stdout and stderr:
+    for each battery law, ``index`` and ``lorenz`` (``--res CLI_RES``, with
+    and without ``--kendall``) under each of `CLI_FORMATS`, ``index --tol
+    0``, and ``w1`` against `CLI_W1_PARTNER` under each format with and
+    without ``--verbose`` and with ``--tol`` 0 and 1, so both outcomes of
+    the route check show; ``extremal`` at each of `CLI_HOOVER`, with and
+    without ``--alpha`` and ``--json``; and ``converge`` of each built-in
+    scenario under each format (``--out`` in a temporary directory, masked
+    in stdout) with the report files it writes."""
+    partner = dict(battery)[CLI_W1_PARTNER]
     for name, d in battery:
         kind = _kind(d)
-        _attempt(values, f"{kind}|cli.index|{name}", lambda: _cli_stdout(["index", name]))
-        _attempt(values, f"{kind}|cli.index_tsv|{name}",
-                 lambda: _cli_stdout(["index", name, "--tsv"]))
+        for fmt in CLI_FORMATS:
+            tag = "".join(fmt)
+            _attempt(values, f"{kind}|cli.index{tag}|{name}", lambda: _cli_run(["index", name, *fmt]))
+            for extra in ([], ["--kendall"]):
+                argv = ["lorenz", name, "--res", str(CLI_RES), *fmt, *extra]
+                _attempt(values, f"{kind}|cli.lorenz{tag}{''.join(extra)}|{name}", lambda: _cli_run(argv))
+            for extra in ([], ["--verbose"]):
+                argv = ["w1", name, CLI_W1_PARTNER, *fmt, *extra]
+                _attempt(values, f"{_kind(d, partner)}|cli.w1{tag}{''.join(extra)}|{name} vs {CLI_W1_PARTNER}",
+                         lambda: _cli_run(argv))
+        _attempt(values, f"{kind}|cli.index--tol0|{name}", lambda: _cli_run(["index", name, "--tol", "0"]))
+        for tol in ("0", "1"):
+            _attempt(values, f"{_kind(d, partner)}|cli.w1--tol{tol}|{name} vs {CLI_W1_PARTNER}",
+                     lambda: _cli_run(["w1", name, CLI_W1_PARTNER, "--verbose", "--tol", tol]))
+    for h in CLI_HOOVER:
+        for extra in ([], ["--alpha", f"{(1.0 + h) / 2.0:g}"]):
+            for fmt in ([], ["--json"]):
+                argv = ["extremal", f"{h:g}", *extra, *fmt]
+                _attempt(values, f"discrete|cli.extremal{''.join(extra[:1] + fmt)}|{' '.join(argv[1:])}",
+                         lambda: _cli_run(argv))
     with tempfile.TemporaryDirectory() as tmp:
         for name in SCENARIOS:
             seq, limit = scenario_sequence(name, CLI_STEPS)
-            kind, base = _kind(limit, *seq), os.path.join(tmp, name)
-            argv = ["converge", name, "--steps", str(CLI_STEPS), "--out", base]
-            _attempt(values, f"{kind}|cli.converge|{name}",
-                     lambda: _cli_stdout(argv).replace(tmp, "<out>"))
-            for ext in ("json", "tsv"):
-                _attempt(values, f"{kind}|cli.converge.{ext}|{name}",
-                         lambda: _read(f"{base}.{ext}"))
+            kind = _kind(limit, *seq)
+            for fmt in CLI_FORMATS:
+                tag, base = "".join(fmt), os.path.join(tmp, name + "".join(fmt))
+                argv = ["converge", name, "--steps", str(CLI_STEPS), "--out", base, *fmt]
+                _attempt(values, f"{kind}|cli.converge{tag}|{name}",
+                         lambda: _cli_run(argv).replace(tmp, "<out>"))
+                for ext in ("json", "tsv"):
+                    if os.path.exists(f"{base}.{ext}"):
+                        _attempt(values, f"{kind}|cli.converge{tag}.{ext}|{name}",
+                                 lambda: _read(f"{base}.{ext}"))
 
 
 def _sf_form(d, ps):
@@ -412,6 +459,27 @@ def _below_top(d, count=TOP_ULPS):
     return out
 
 
+def _above_bottom(d, count=TOP_ULPS):
+    """The `count` floats just above max(x_(1) - h, 0) of a one-part kernel
+    estimate, ascending: there the Epanechnikov kernel's G(u) rounds below 0."""
+    (_, part), = d.parts
+    x, out = max(float(part.points[0] - part.bandwidth), 0.0), []
+    for _ in range(count):
+        x = math.nextafter(x, math.inf)
+        out.append(x)
+    return out
+
+
+def bottom_laws():
+    """The compact-kernel estimates of `CDF_BOTTOM_KDE`, as (name, distribution)."""
+    laws = []
+    for k, n, h, seed in itertools.product(*CDF_BOTTOM_KDE):
+        d = kde(lognormal(0.0, 1.0).sample(seed, n), k, h)
+        if d.parts[0][1].points[0] - h > 0.0:
+            laws.append((f"kde-{k}-lognormal(0,1)-{n}-{h:g} seed {seed}", d))
+    return laws
+
+
 def _mean_gap(d):
     """pe(inf) - mean, then tail_moment and excess_mean at the support's end
     where it is finite: each 0 when the mean is the sum pe reads."""
@@ -458,6 +526,7 @@ def dump(path):
         if name.startswith(COMPACT_KDE):
             _attempt(values, f"{kind}|sandwich|{name}", lambda: sandwich_failures(d))
             _attempt(values, f"{kind}|sf_top|{name}", lambda: d.survival(_below_top(d)))
+            _attempt(values, f"{kind}|cdf_bottom|{name}", lambda: d.cdf(_above_bottom(d)))
         xs = np.unique(np.concatenate([[0.0], d.quantile(PS)]))
         _attempt(values, f"{kind}|cdf|{name}", lambda: d.cdf(xs))
         _attempt(values, f"{kind}|partial_expectation|{name}", lambda: d.partial_expectation(xs))
@@ -483,6 +552,8 @@ def dump(path):
         d1, d2 = by_name[a], by_name[b]
         _attempt(values, f"{_kind(d1, d2)}|w1_routes|{a} vs {b}", lambda: w1_routes(d1, d2))
     dump_components(values, laws)
+    for name, d in bottom_laws():
+        _attempt(values, f"general|cdf_bottom|{name}", lambda: d.cdf(_above_bottom(d)))
     seed, n = LARGE_SAMPLE
     _attempt(values, f"discrete|large_sample|lognormal(0,1) n={n}",
              lambda: _index_fields(empirical(lognormal(0.0, 1.0).sample(seed, n))))

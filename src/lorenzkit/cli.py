@@ -11,6 +11,12 @@ Distributions are given in the grammar of the specs module, including
 problems, 2 when the mathematics rejects the input (zero or infinite mean)
 or a cross-route check fails. Output is byte-deterministic: JSON carries 17
 significant digits, TSV 12.
+
+Each subcommand but ``converge`` builds one payload and writes it through
+`_write`: JSON under ``--json``, TSV under ``--tsv``, its own text
+otherwise (``index`` has none and writes JSON), to ``--out`` or stdout.
+``converge`` writes its report files, ``--out`` the base of their names,
+and its verdict to stdout.
 """
 
 from __future__ import annotations
@@ -88,6 +94,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write(args, payload, text: str | None = None, tsv=None) -> None:
+    """Write a subcommand's output to --out or stdout: the rows `tsv` under
+    --tsv, the JSON of `payload` under --json or when the subcommand has no
+    `text` form, else `text`. A subcommand whose --tsv is its text passes no
+    rows."""
+    if args.tsv and tsv is not None:
+        text = _tsv_text(tsv)
+    elif args.json or text is None:
+        text = _json_text(payload) + "\n"
+    _emit(text, args.out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -96,12 +114,9 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_index(args) -> int:
     report = index_report(parse_distribution(args.spec))
     payload = report.to_json_dict()
-    if args.tsv:
-        rows = [(k, v) for k, v in payload.items() if k != "residuals"]
-        rows.extend((f"residual_{k}", v) for k, v in payload["residuals"].items())
-        _emit(_tsv_text(rows), args.out)
-    else:
-        _emit(_json_text(payload) + "\n", args.out)
+    rows = [(k, v) for k, v in payload.items() if k != "residuals"]
+    rows.extend((f"residual_{k}", v) for k, v in payload["residuals"].items())
+    _write(args, payload, tsv=rows)
     tol = args.tol if args.tol is not None else 1e-4
     if report.max_cross_route_residual > tol:
         print(
@@ -117,35 +132,16 @@ def _cmd_lorenz(args) -> int:
     if args.res < 2:
         raise ValueError("--res must be at least 2")
     d = parse_distribution(args.spec)
-    curve = lorenz(d)
     ps = np.linspace(0.0, 1.0, args.res + 1)
-    lvals = np.asarray(curve.eval(ps))
-    pvals = np.asarray(pseudo_lorenz(d, ps))
-    kendall = None
+    lvals, pvals = np.asarray(lorenz(d).eval(ps)), np.asarray(pseudo_lorenz(d, ps))
+    rows = [[float(p), float(a), float(b)] for p, a, b in zip(ps, lvals, pvals)]
+    payload = {"mean": d.mean, "columns": ["p", "lorenz", "pseudo_lorenz"], "rows": rows}
+    text = f"# mean {_f12(d.mean)}\n" + _tsv_text([payload["columns"], *rows])
     if args.kendall:
-        ts = _unique(
-            np.concatenate(
-                [d._quantile_arr(ps[ps < 1.0]), d.x_breakpoints()]
-            )
-        )
-        kendall = kendall_points(d, ts)
-    if args.json:
-        payload = {
-            "mean": d.mean,
-            "columns": ["p", "lorenz", "pseudo_lorenz"],
-            "rows": [
-                [float(p), float(a), float(b)] for p, a, b in zip(ps, lvals, pvals)
-            ],
-        }
-        if kendall is not None:
-            payload["kendall"] = [[x, y] for x, y in kendall]
-        _emit(_json_text(payload) + "\n", args.out)
-        return 0
-    rows = [("p", "lorenz", "pseudo_lorenz"), *zip(ps, lvals, pvals)]
-    text = f"# mean {_f12(d.mean)}\n" + _tsv_text(rows)
-    if kendall is not None:
-        text += "\n# kendall points\n" + _tsv_text([("F", "share"), *kendall])
-    _emit(text, args.out)
+        ts = _unique(np.concatenate([d._quantile_arr(ps[ps < 1.0]), d.x_breakpoints()]))
+        payload["kendall"] = [[x, y] for x, y in kendall_points(d, ts)]
+        text += "\n# kendall points\n" + _tsv_text([("F", "share"), *payload["kendall"]])
+    _write(args, payload, text)
     return 0
 
 
@@ -160,25 +156,10 @@ def _cmd_w1(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.json:
-        _emit(
-            _json_text(
-                {"w1": by_quantile, "quantile_route": by_quantile, "cdf_route": by_cdf}
-            )
-            + "\n",
-            args.out,
-        )
-    elif args.tsv:
-        rows = [("w1", by_quantile)]
-        if args.verbose:
-            rows.extend([("quantile_route", by_quantile), ("cdf_route", by_cdf)])
-        _emit(_tsv_text(rows), args.out)
-    else:
-        lines = [_f17(by_quantile)]
-        if args.verbose:
-            lines.append(f"quantile_route\t{_f17(by_quantile)}")
-            lines.append(f"cdf_route\t{_f17(by_cdf)}")
-        _emit("\n".join(lines) + "\n", args.out)
+    routes = [("quantile_route", by_quantile), ("cdf_route", by_cdf)]
+    shown = routes if args.verbose else []
+    text = _f17(by_quantile) + "\n" + "".join(f"{k}\t{_f17(v)}\n" for k, v in shown)
+    _write(args, {"w1": by_quantile, **dict(routes)}, text, [("w1", by_quantile), *shown])
     return 0
 
 
@@ -208,15 +189,11 @@ def _cmd_converge(args) -> int:
     base = args.out or "convergence_report"
     written = []
     if not args.tsv:
-        path = f"{base}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(report.to_json_dict()) + "\n")
-        written.append(path)
+        written.append(f"{base}.json")
+        _emit(_json_text(report.to_json_dict()) + "\n", written[-1])
     if not args.json:
-        path = f"{base}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_tsv_text(report.tsv_rows()))
-        written.append(path)
+        written.append(f"{base}.tsv")
+        _emit(_tsv_text(report.tsv_rows()), written[-1])
     print(f"verdict: {report.verdict}")
     print(f"# {report.deciding_diagnostic}")
     for path in written:
@@ -226,23 +203,17 @@ def _cmd_converge(args) -> int:
 
 def _cmd_extremal(args) -> int:
     low, high = gini_range_given_hoover(args.h)
-    lines = [f"[{_f12(low)}, {_f12(high)})"]
     payload = {"hoover": float(args.h), "gini_low": low, "gini_high_exclusive": high}
+    text = f"[{_f12(low)}, {_f12(high)})\n"
     if args.alpha is not None:
         d = extremal_bimodal(args.h, args.mean, args.alpha)
         spec_text = format_mixture_of_atoms(d)
-        g = gini_mean_difference(d)
-        hv = hoover_mean_deviation(d)
-        lines.append(spec_text)
-        lines.append(f"G = {_f12(g)}")
-        lines.append(f"H = {_f12(hv)}")
+        g, hv = gini_mean_difference(d), hoover_mean_deviation(d)
         payload.update({"distribution": spec_text, "gini": g, "hoover": hv})
+        text += f"{spec_text}\nG = {_f12(g)}\nH = {_f12(hv)}\n"
     else:
-        lines.append("# upper bound open: the supremum is approached, not attained")
-    if args.json:
-        _emit(_json_text(payload) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
+        text += "# upper bound open: the supremum is approached, not attained\n"
+    _write(args, payload, text)
     return 0
 
 
@@ -272,6 +243,8 @@ def _output_flags(p: argparse.ArgumentParser, tsv: bool = True) -> None:
     fmt.add_argument("--json", action="store_true", help="emit JSON")
     if tsv:
         fmt.add_argument("--tsv", action="store_true", help="emit TSV")
+    else:
+        p.set_defaults(tsv=False)
     p.add_argument("--out", default=None, help="write output to this path")
 
 

@@ -447,10 +447,15 @@ class _CutKernelMixture(_ArrayComponent):
         return sums
 
     def cdf(self, x) -> np.ndarray:
+        """P[X <= x]: points left of each query's window count whole, and
+        the window adds G(u) per point. The sum is floored at 0, the mirror
+        of `sf`: the Epanechnikov G(u) rounds below 0 for u within about
+        1e-8 of -1, and with no point left of the window that put F below
+        0 just above x_(1) - h."""
         flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(u),), 1)
-        out = np.where(flat < 0.0, 0.0, (lo + inside) / self.points.size)
+        out = np.where(flat < 0.0, 0.0, np.maximum(lo + inside, 0.0) / self.points.size)
         return out.reshape(np.shape(x))
 
     def sf(self, x) -> np.ndarray:

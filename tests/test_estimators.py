@@ -201,6 +201,33 @@ def test_epanechnikov_survival_stays_nonnegative_below_the_support_end():
                 assert np.all(sf >= 0.0), (n, h, seed, float(sf.min()))
 
 
+def _above_support_start(d, h):
+    """x_(1) - h, the 49 floats above it and 49 evenly spaced points in
+    its first 1e-3 h."""
+    bottom = float(d.parts[0][1].points[0] - h)
+    ulps = [bottom]
+    for _ in range(49):
+        ulps.append(math.nextafter(ulps[-1], math.inf))
+    return np.concatenate([ulps, bottom + 1e-3 * h * np.arange(1.0, 50.0) / 49.0])
+
+
+def test_epanechnikov_cdf_stays_nonnegative_above_the_support_start():
+    # the mirror of the survival case: G(u) rounds below 0 for u just above
+    # -1; unfloored, 1,337 of these 10,494 values (106 estimates whose
+    # x_(1) - h > 0) read below 0, the lowest -2.8e-17
+    probed = 0
+    for n in (2, 3, 5, 20):
+        for h in (0.01, 0.0835, 0.3, 1.0):
+            for seed in range(10):
+                d = kde(lognormal(0.0, 1.0).sample(seed, n), EPANECHNIKOV, h)
+                if d.parts[0][1].points[0] - h <= 0.0:
+                    continue
+                probed += 1
+                cdf = d.cdf(_above_support_start(d, h))
+                assert np.all(cdf >= 0.0), (n, h, seed, float(cdf.min()))
+    assert probed == 106
+
+
 def test_bandwidth_sweep_tightens_the_fit():
     target = lognormal(0.0, 0.5)
     rng = np.random.default_rng(7)
@@ -433,6 +460,22 @@ def test_gaussian_kde_quantile_keeps_the_monotone_knots(monkeypatch):
     q = assert_galois_pair(d, ps)
     cold = kde(xs, GAUSSIAN, 0.1)
     assert [cold.quantile(p) for p in ps] == list(q)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", EPANECHNIKOV])
+@pytest.mark.parametrize("other", [exponential(1.0), atom(0.5), uniform(0.5, 2.0)], ids=["exp", "atom", "uniform"])
+def test_compact_kernel_estimate_inside_a_mixture(kernel, other):
+    # A polynomial kernel's own table already holds every x_i +- h, so the
+    # estimate adds no knot candidates to its mixture's table; the mixture
+    # inverts from that table and meets the exact pair of each row's form.
+    part = kde(lognormal(0.0, 0.5).sample(11, 40), kernel, 0.2)
+    assert part.parts[0][1].knot_candidates().size == 0
+    d = mixture([(0.6, part), (0.4, other)])
+    assert d._memoized
+    ps = _ladder()
+    assert_galois_pair(d, ps)
+    assert sf_form_rows(d, ps).any()
+    assert index_report(d).max_cross_route_residual < 1e-11
 
 
 def _counted_points(monkeypatch):

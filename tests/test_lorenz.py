@@ -283,6 +283,17 @@ def test_reconstruct_round_trips_a_discrete_curve():
     assert index_report(back).max_cross_route_residual <= 1e-15
 
 
+def test_reconstruct_reads_a_curve_on_its_default_grid():
+    # A Lorenz curve given without a grid is read on 4,096 equal cells plus
+    # its source's p breakpoints, so no cell straddles a kink: the battery's
+    # four-atom mix comes back as its four atoms (W1 7.7e-13).
+    four = dict(standard_battery())["mix(0.4*atom(0.5),0.3*atom(1),0.2*atom(2),0.1*atom(4))"]
+    back = reconstruct(lorenz(four), four.mean)
+    locs, _ = back.support_atoms()
+    np.testing.assert_allclose(locs, [0.5, 1.0, 2.0, 4.0], rtol=1e-10)
+    assert w1(back, four) < 1e-11
+
+
 def test_reconstruct_validation():
     grid = np.linspace(0.0, 1.0, 65)
     with pytest.raises(ValueError, match="convex"):

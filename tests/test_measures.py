@@ -940,6 +940,11 @@ def test_atoms_values_match_the_dense_form(locations, masses):
     assert np.array_equal(q[clear], ref[4][clear])
     assert np.all(block.cdf(q) >= p) and np.all((q == 0.0) | (block.cdf(np.nextafter(q, 0.0)) < p))
     assert np.all(np.diff(q) >= 0.0)
+    # a law reads its pooled block, never its one part's own mean() and
+    # x_breaks(); those equal the law's values bit for bit
+    d = discrete(locations, masses)
+    assert block.mean() == d.mean
+    assert np.asarray(block.x_breaks()).tobytes() == np.asarray(d.x_breakpoints()).tobytes()
 
 
 def test_atoms_pointwise_memory_does_not_grow_with_points_times_atoms():

@@ -132,6 +132,26 @@ def test_index_exit_codes(capsys):
     assert main(["index"]) == 1  # missing operand is a usage error
 
 
+def test_index_writes_its_report_then_checks_the_tolerance(tmp_path, capsys):
+    # index writes the report first and checks --tol after it: the report
+    # is on stdout (or in --out), the error on stderr, and the exit is 2
+    assert main(["index", "lognormal(0,1)", "--tol", "0"]) == 2
+    captured = capsys.readouterr()
+    residual = json.loads(captured.out)["max_cross_route_residual"]
+    assert residual > 0.0
+    assert captured.err == f"error: cross-route residual {residual:.3e} exceeds tolerance 0\n"
+    target = tmp_path / "report.tsv"
+    assert main(["index", "lognormal(0,1)", "--tol", "0", "--tsv", "--out", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    rows = dict(line.split("\t") for line in target.read_text().splitlines())
+    assert rows["max_cross_route_residual"] == f"{residual:.12g}"
+    # exp(1)'s routes agree to the bit, and a residual of 0 passes --tol 0
+    assert main(["index", "exp(1)", "--tol", "0"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["max_cross_route_residual"] == 0.0
+    assert captured.err == ""
+
+
 def test_overflowing_mean_exits_two(capsys):
     # lognormal(0, 40)'s mean exp(800) overflows a float; it ended in an
     # OverflowError traceback instead of the divergent-mean exit.
@@ -200,6 +220,40 @@ def test_lorenz_kendall_block(capsys):
     assert (0.5, 0.25) in [(round(a, 10), round(b, 10)) for a, b in pairs]
 
 
+def _cells(lines):
+    return [line.split("\t") for line in lines]
+
+
+def _f12_cells(rows):
+    return [[f"{v:.12g}" for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("expr", ["exp(1)", "mix(0.5*atom(0),0.25*atom(1),0.25*atom(3))"])
+def test_lorenz_json_holds_the_table_values(expr, capsys):
+    # --json and the table (the default, and --tsv) write one row list, at
+    # 17 and 12 digits
+    argv = ["lorenz", expr, "--res", "8", "--kendall"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["mean", "columns", "rows", "kendall"]
+    assert main(argv + ["--tsv"]) == 0
+    table = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == table
+    curve, kendall = table.split("\n# kendall points\n")
+    lines = curve.splitlines()
+    assert lines[0] == f"# mean {payload['mean']:.12g}"
+    assert _cells(lines[1:2]) == [payload["columns"]] == [["p", "lorenz", "pseudo_lorenz"]]
+    assert len(payload["rows"]) == 9
+    assert _cells(lines[2:]) == _f12_cells(payload["rows"])
+    lines = kendall.splitlines()
+    assert lines[0] == "F\tshare"
+    assert payload["kendall"] and _cells(lines[1:]) == _f12_cells(payload["kendall"])
+    assert main(["lorenz", expr, "--res", "8", "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert plain == {k: v for k, v in payload.items() if k != "kendall"}
+
+
 def test_lorenz_res_validation(capsys):
     assert main(["lorenz", "atom(1)", "--res", "1"]) == 1
     assert "--res must be at least 2" in capsys.readouterr().err
@@ -260,6 +314,34 @@ def test_w1_route_gap_tolerance(capsys):
     assert main(["w1", "uniform(0,1)", "exp(1)", "--tol", "1e-30"]) == 2
     err = capsys.readouterr().err
     assert "W1 routes differ by" in err
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_w1_formats_write_one_route_list(verbose, capsys):
+    # JSON always holds both routes; --tsv (12 digits) and the default text
+    # (17 digits) add them to W1 under --verbose
+    argv = ["w1", "exp(1)", "uniform(0,2)"] + (["--verbose"] if verbose else [])
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["w1", "quantile_route", "cdf_route"]
+    assert payload["w1"] == payload["quantile_route"]
+    routes = [("w1", payload["w1"])]
+    if verbose:
+        routes += [("quantile_route", payload["quantile_route"]), ("cdf_route", payload["cdf_route"])]
+    assert main(argv + ["--tsv"]) == 0
+    assert capsys.readouterr().out == "".join(f"{k}\t{v:.12g}\n" for k, v in routes)
+    assert main(argv) == 0
+    lines = [f"{payload['w1']:.17g}"] + [f"{k}\t{v:.17g}" for k, v in routes[1:]]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_w1_checks_the_route_gap_before_it_writes(tmp_path, capsys):
+    # unlike index, w1 writes nothing when its routes differ by more than --tol
+    target = tmp_path / "w1.json"
+    assert main(["w1", "uniform(0,1)", "exp(1)", "--tol", "1e-30", "--json", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err.startswith("error: W1 routes differ by ")
 
 
 @pytest.mark.parametrize(
@@ -332,6 +414,36 @@ def test_converge_experiment_file(tmp_path, capsys):
     assert (tmp_path / "noise_report.json").exists()
 
 
+def test_converge_experiment_file_takes_seed_and_tol_overrides(tmp_path, capsys):
+    # --seed and --tol replace the file's seed and rel_tol: the reports equal,
+    # byte for byte, those of a file that holds the overriding values
+    spec = {"scheme": "noise", "source": "uniform(0,1)", "steps": 3, "sample_size": 500, "seed": 2}
+    given, overridden = tmp_path / "given.json", tmp_path / "overridden.json"
+    given.write_text(json.dumps(spec))
+    overridden.write_text(json.dumps({**spec, "seed": 5, "rel_tol": 0.2}))
+    argv = ["converge", str(given), "--seed", "5", "--tol", "0.2", "--out", str(tmp_path / "a")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:] == [f"# wrote {tmp_path / 'a'}.json", f"# wrote {tmp_path / 'a'}.tsv"]
+    assert main(["converge", str(overridden), "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == out[:2]
+    for ext in ("json", "tsv"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+    assert json.loads((tmp_path / "a.json").read_text())["rel_tol"] == 0.2
+    assert main(["converge", str(given), "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "c.json").read_bytes() != (tmp_path / "a.json").read_bytes()
+
+
+def test_converge_experiment_file_rejects_bad_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text('{"scheme": "noise",')
+    assert main(["converge", "exp.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp.json: bad experiment spec: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
 def test_converge_experiment_file_rejects_fractional_seed(tmp_path, capsys):
     # The spec was built, and numpy's default_rng raised a TypeError that
     # the command line printed as a traceback.
@@ -387,6 +499,29 @@ def test_extremal_with_alpha_prints_witness(capsys):
     out = capsys.readouterr().out
     assert "mix(0.5*atom(0),0.5*atom(2))" in out
     assert "G = " in out and "H = " in out
+
+
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "0.5", "--mean", "3"]])
+def test_extremal_json_holds_the_text_values(alpha, capsys):
+    argv = ["extremal", "0.3", *alpha]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"[{payload['gini_low']:.12g}, {payload['gini_high_exclusive']:.12g})"
+    if alpha:
+        # the witness's own Hoover value replaces the argument
+        assert list(payload) == ["hoover", "gini_low", "gini_high_exclusive", "distribution", "gini"]
+        assert lines[1:] == [
+            payload["distribution"], f"G = {payload['gini']:.12g}", f"H = {payload['hoover']:.12g}"
+        ]
+        assert parse_distribution(payload["distribution"]).mean == pytest.approx(3.0)
+        assert payload["hoover"] == pytest.approx(0.3, abs=1e-12)
+    else:
+        assert payload == {
+            "hoover": 0.3, "gini_low": payload["gini_low"], "gini_high_exclusive": payload["gini_high_exclusive"]
+        }
+        assert lines[1:] == ["# upper bound open: the supremum is approached, not attained"]
 
 
 def test_extremal_domain_error(capsys):

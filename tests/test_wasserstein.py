@@ -510,6 +510,34 @@ def test_limit_from_mass_escape_curve():
     assert w1(d, discrete([0.0, 1.0])) < 1e-9
 
 
+def test_limit_from_lorenz_reads_an_array_of_values():
+    # values on the default grid (1,024 equal cells of [0, 1)) are the
+    # callable's values there: the same limit, bit for bit
+    def f(p):
+        return 0.0 if p < 0.5 else (2.0 / 3.0) * p - 1.0 / 3.0
+
+    grid = np.linspace(0.0, 1.0, 1025)[:-1]
+    d, m = limit_from_lorenz(np.array([f(p) for p in grid]), 1.5)
+    d_call, m_call = limit_from_lorenz(f, 1.5)
+    assert m == m_call
+    (_, block), (_, block_call) = d.parts[0], d_call.parts[0]
+    assert block.locations.tobytes() == block_call.locations.tobytes()
+    assert block.masses.tobytes() == block_call.masses.tobytes()
+    assert w1(d, discrete([0.0, 1.0])) < 1e-9
+    # with an explicit grid of its own length
+    coarse = np.linspace(0.0, 1.0, 9)[:-1]
+    d, m = limit_from_lorenz(coarse, 2.0, coarse)
+    assert m == pytest.approx(2.0, rel=1e-12)
+    np.testing.assert_allclose(d.support_atoms()[0], [2.0], rtol=1e-12)
+
+
+def test_limit_from_lorenz_rejects_values_off_the_grid():
+    with pytest.raises(ValueError, match="curve values must match the grid"):
+        limit_from_lorenz(np.linspace(0.0, 1.0, 10), 1.0)
+    with pytest.raises(ValueError, match="curve values must match the grid"):
+        limit_from_lorenz(np.zeros((2, 4)), 1.0, np.linspace(0.0, 1.0, 9)[:-1])
+
+
 def test_limit_from_lorenz_validation():
     with pytest.raises(ValueError, match="grid"):
         limit_from_lorenz(lambda p: p, 1.0, np.array([0.0, 0.5, 1.0]))
