@@ -11,7 +11,12 @@ op family of the workload (`Op.family`: dd, dg, gg, hard_* on w1_pairs);
 `measures._invert` calls and rows; the rows that its steps hand to
 `measures._bisect` still wider than the tolerance, and the bisection rounds
 they cost (``_bisect.wide_rows``, ``_bisect.rounds``), so the steps' stop
-rule shows; and `Distribution._level_arr` calls and points. It also
+rule shows; `Distribution._level_arr` calls and points; the Lorenz
+curve's evaluations (`LorenzCurve._eval_sorted` calls and points, the sweep
+of `hoover_max` among them); and the batches that `Distribution._prefetch`
+runs and their rows (``_prefetch.calls``, ``_prefetch.batches``,
+``_prefetch.rows``), counted at its `_quantile_arr` call, so any signature
+of `_prefetch` counts alike. It also
 prints, in all and per op family, the fixed per-call work beside them:
 `_AtomBlock.of` builds and how many of them had no atom
 (``_AtomBlock.of.builds``, ``_AtomBlock.of.empty``), ``mass_at`` calls per
@@ -33,6 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import laws  # noqa: E402
 import workloads  # noqa: E402
 from lorenzkit import estimators, measures, wasserstein  # noqa: E402
+from lorenzkit.lorenz import LorenzCurve  # noqa: E402
 
 #: the classes whose ``mass_at`` calls are counted, by class name
 MASS_AT_TYPES = (
@@ -107,6 +113,28 @@ def counted_gap_body(counts, body, family):
     return gap_body
 
 
+def counted_prefetch(counts, prefetch, quantile_arr):
+    """`prefetch` counting its calls, and the `quantile_arr` batches it runs
+    and their rows, with `quantile_arr` counting only inside it."""
+    inside = [False]
+
+    def quantile_counted(self, p):
+        if inside[0]:
+            counts["_prefetch.batches"] += 1
+            counts["_prefetch.rows"] += np.size(p)
+        return quantile_arr(self, p)
+
+    def prefetch_counted(self, *args):
+        counts["_prefetch.calls"] += 1
+        inside[0] = True
+        try:
+            return prefetch(self, *args)
+        finally:
+            inside[0] = False
+
+    return prefetch_counted, quantile_counted
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -119,6 +147,10 @@ def main():
     measures._invert = counted(counts, "_invert", measures._invert, "rows")
     measures._bisect = counted_bisect(counts, measures._bisect)
     measures.Distribution._level_arr = counted(counts, "_level_arr", measures.Distribution._level_arr, "points")
+    LorenzCurve._eval_sorted = counted(counts, "_eval_sorted", LorenzCurve._eval_sorted, "points")
+    measures.Distribution._prefetch, measures.Distribution._quantile_arr = counted_prefetch(
+        counts, measures.Distribution._prefetch, measures.Distribution._quantile_arr
+    )
     measures._AtomBlock.of = tallied_block_of(counts, family, measures._AtomBlock.of)
     for cls in MASS_AT_TYPES:
         cls.mass_at = tallied(counts, family, f"mass_at.{cls.__name__}.calls", cls.mass_at)

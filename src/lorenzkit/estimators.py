@@ -737,10 +737,11 @@ class ExperimentSpec:
     parameters sharpen together. `rel_tol` and `alpha_grid` are checked at
     construction, as `sequence_diagnostics` checks them
     (`wasserstein._checked_thresholds`), so a bad one raises before any
-    member is sampled or built; so are `steps`, `sample_size` and the
-    entries of the integer schedules, which must be integral (and, but for
-    the noise exponents, >= 1) and are kept as ints, the bandwidths, finite
-    and > 0, `seed`, integral and >= 0 (kept as an int), and the two
+    member is sampled or built, and are kept as a float and a tuple of
+    floats; so are `steps`, `sample_size` and the entries of the integer
+    schedules, which must be integral (and, but for the noise exponents,
+    >= 1) and are kept as ints, the bandwidths, finite and > 0 (kept as
+    floats), `seed`, integral and >= 0 (kept as an int), and the two
     schedules of a two-parameter scheme, which must be of one length.
     """
 
@@ -774,10 +775,14 @@ class ExperimentSpec:
         for h in self.bandwidths or ():
             if not 0.0 < float(h) < math.inf:
                 raise ValueError(f"bandwidths entry must be finite and > 0, got {h!r}")
+        if self.bandwidths is not None:
+            object.__setattr__(self, "bandwidths", tuple(float(h) for h in self.bandwidths))
         second = {"quantile_of_sample": "table_sizes", "kde": "bandwidths"}.get(self.scheme)
         if second and len(getattr(self, "schedule_" + second)()) != len(self.schedule_sample_sizes()):
             raise ValueError(f"sample_sizes and {second} must pair up")
-        _checked_thresholds(self.rel_tol, self.alpha_grid)
+        rel_tol, alpha_grid = _checked_thresholds(self.rel_tol, self.alpha_grid)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "alpha_grid", None if alpha_grid is None else tuple(alpha_grid.tolist()))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
 
     def source_distribution(self) -> Distribution:
@@ -797,7 +802,7 @@ class ExperimentSpec:
 
     def schedule_bandwidths(self) -> tuple[float, ...]:
         if self.bandwidths is not None:
-            return tuple(float(h) for h in self.bandwidths)
+            return self.bandwidths
         return tuple(2.0 ** -(k + 1) for k in range(self.steps))
 
     def schedule_noise_exponents(self) -> tuple[int, ...]:
@@ -807,11 +812,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text_or_dict) -> "ExperimentSpec":
-        data = (
-            json.loads(text_or_dict)
-            if isinstance(text_or_dict, (str, bytes))
-            else dict(text_or_dict)
-        )
+        data = json.loads(text_or_dict) if isinstance(text_or_dict, (str, bytes)) else text_or_dict
+        if not isinstance(data, dict):
+            raise TypeError(f"experiment spec must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")

@@ -38,11 +38,10 @@ plus one quadrature over p for the diagonal). Hoover comes as half the
 normalized mean absolute deviation (cdf quadrature), as the Lorenz gap at
 the cumulative probability of the mean with the quantile integral taken by
 cdf quadrature (`Distribution.integral_quantile`), and as the maximum Lorenz
-gap over a probability sweep (the identity). The sweep reads p that the
-index batch already holds (`Distribution._gap_sweep`): the edges of the
-probability cells and, in every cell at least 2^-10 wide, the first-round
-Kronrod nodes that the Gini routes integrate first, so it adds F(mean) alone
-to the batch.
+gap over a probability sweep (the identity). The sweep reads the p of the
+index batch (`Distribution._first_round_p`): the edges of the probability
+cells, the first-round Kronrod nodes of every cell, which the Gini routes
+integrate first, and F(mean).
 
 The mean-difference route rests on the double integral of |Q(u) - Q(v)| over
 the unit square. Cutting the square into cells [a_i, a_{i+1}) x [a_j, a_{j+1})
@@ -179,6 +178,11 @@ def hoover_cdf(d: Distribution) -> float:
     return p_star - d.integral_quantile(p_star) / d.mean
 
 
+def _sweep(d: Distribution) -> np.ndarray:
+    """The sorted p where `hoover_max` reads the Lorenz gap."""
+    return d._p_cells if d.is_finite_discrete else np.append(d._first_round_p, 1.0)
+
+
 def hoover_max(d: Distribution) -> float:
     """Hoover index as the largest vertical gap p - L(p).
 
@@ -186,17 +190,16 @@ def hoover_max(d: Distribution) -> float:
     Lorenz curve, that is by the partial-expectation identity, which shares
     no quadrature with `hoover_cdf`'s x-space integral at the same p. It is
     returned after a sweep confirms no probe beats it by more than
-    numerical slack. The sweep (`Distribution._gap_sweep`) reads the p of
-    the index batch: the edges of the probability cells, which hold the
-    quantile's breakpoints, and the first-round Kronrod nodes of every cell
-    at least 2^-10 wide, at most 1.7 2^-10 apart; a finite-discrete law,
-    whose gap is linear between its cumulative masses, is swept at the
-    edges alone. F(mean) is evaluated in the same batch, one curve call
-    for all.
+    numerical slack. The sweep (`_sweep`) reads the p of the index batch:
+    the edges of the probability cells, which hold the quantile's
+    breakpoints, the first-round Kronrod nodes of every cell, at most
+    1.7 2^-10 apart, and F(mean), one curve call for all; a finite-discrete
+    law, whose gap is linear between its cumulative masses, is swept at the
+    edges alone, F(mean) among them.
     """
     require_member(d)
     p_star = float(d.cdf(d.mean))
-    ps = d._gap_sweep
+    ps = _sweep(d)
     gaps = ps - lorenz(d).eval(ps)
     value = float(gaps[np.searchsorted(ps, p_star)])
     sweep = float(np.max(gaps))
@@ -257,11 +260,10 @@ def index_report(d: Distribution) -> IndexReport:
 
     A law with a quantile memo first inverts, in one batch, every p that
     the routes' first rounds read (`Distribution._first_round_p`); the
-    routes then read those values from the memo. A batch too large for the
-    memo is not run (`Distribution._prefetch`).
+    routes then read those values from the memo. Other laws, and a batch
+    too large for the memo, run none (`Distribution._prefetch`).
     """
-    if require_member(d)._memoized:
-        d._prefetch(d._first_round_p)
+    require_member(d)._prefetch()
     ginis = (gini_mean_difference(d), gini_dorfman(d), gini_lorenz(d))
     hoovers = (hoover_mean_deviation(d), hoover_cdf(d), hoover_max(d))
     return IndexReport(

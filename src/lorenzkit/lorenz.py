@@ -199,10 +199,12 @@ def reconstruct(ell, target_mean: float, grid=None) -> Distribution:
     ps, vals = _curve_values(ell, grid)
     if ps.size < 3:
         raise ValueError("need at least 3 grid points to resolve a curve")
-    if np.any(np.diff(ps) <= 0):
-        raise ValueError("curve grid must be strictly increasing")
     if abs(ps[0]) > 1e-12 or abs(ps[-1] - 1.0) > 1e-12:
         raise ValueError("curve grid must span [0, 1]")
+    # the table starts at 0 exactly, and its cells end at 1
+    ps = np.concatenate([[0.0], ps[1:-1], [1.0]])
+    if np.any(np.diff(ps) <= 0):
+        raise ValueError("curve grid must be strictly increasing")
     if abs(vals[0]) > 1e-9:
         raise ValueError("a Lorenz curve must start at 0")
     if abs(vals[-1] - 1.0) > 1e-9:

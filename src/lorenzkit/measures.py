@@ -78,7 +78,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import _nodes, _unique, first_nodes, integrate
+from .quadrature import _unique, first_nodes, integrate
 
 __all__ = [
     "MeanDomainError",
@@ -106,8 +106,6 @@ __all__ = [
 #: validation slack for weights and probabilities
 WEIGHT_TOL = 1e-12
 
-#: the 1023 dyadic probabilities k / 2^j, k odd, j <= 10, level by level
-DYADIC = np.asarray([k / 2.0**lvl for lvl in range(1, 11) for k in range(1, 2**lvl, 2)])
 #: tail probability levels 1 - 2^-k, k = 1..40
 TAIL_LEVELS = 1.0 - 2.0 ** -np.arange(1.0, 41.0)
 #: where probability-space integrals and ladders stop short of 1
@@ -158,9 +156,9 @@ _LEAST_FLOAT = math.ulp(0.0)
 #: `Distribution._p_cells`
 _P_CELL_GRID = np.linspace(0.0, 1.0, 65)
 #: the levels k 2^-10, k = 0..1024, of every law's
-#: `Distribution._probe_ladder`
+#: `Distribution._probe_ladder`; the inner ones are the weak-convergence
+#: probes of `wasserstein._weak_probes`
 _PROBE_GRID = np.linspace(0.0, 1.0, 1025)
-DYADIC.flags.writeable = False
 TAIL_LEVELS.flags.writeable = False
 P_SPLITS.flags.writeable = False
 HALVINGS.flags.writeable = False
@@ -969,14 +967,13 @@ class Distribution:
     compare quantiles invert cold to the float (`_exact_quantile`) and
     neither read nor fill the memo.
     Its index routes read Q at many of the same p (the shared cells
-    `_p_cells`, the sweep `_gap_sweep` of `hoover_max`), and each p is
-    inverted once per law; `index_report` inverts every p its routes' first
-    rounds read in one batch (`_first_round_p`) before any route runs, and
-    `sequence_diagnostics` the fixed p it reads a law at, `_mean_difference_p`
-    among them, in one batch before the law's step. The
-    memo rests on one premise: a quantile depends on its p alone, never on
-    the other rows of its batch, so a value read back from the memo is the
-    value a cold law would compute. It holds at most `QUANTILE_MEMO_CAP`
+    `_p_cells`, whose edges, first-round nodes and F(mean) are the one set
+    `_first_round_p`), and each p is inverted once per law: `_prefetch`
+    inverts that set, with any extra p of its caller, in one batch, before
+    `index_report` runs its routes and before each law's step of
+    `sequence_diagnostics`. The memo rests on one premise: a quantile
+    depends on its p alone, never on the other rows of its batch, so a
+    value read back from the memo is the value a cold law would compute. It holds at most `QUANTILE_MEMO_CAP`
     entries and stops growing there; a copy ``Distribution(d.parts)`` starts
     cold.
     """
@@ -1269,12 +1266,17 @@ class Distribution:
         new_p, back = np.unique(p.ravel(), return_inverse=True)
         return self._bisect_quantile(new_p)[back].reshape(p.shape)
 
-    def _prefetch(self, p: np.ndarray) -> None:
-        """Read Q at the p below 1 in one `_quantile_arr` batch, so that
-        later reads of them are memo hits: one run of inversion rounds, not
-        one per read. For a `_memoized` law. A batch that would not fit in
-        the memo beside what it holds is not run, since `_remember` keeps
-        only the smallest p and the reads would invert the rest again."""
+    def _prefetch(self, *extra: np.ndarray) -> None:
+        """For a `_memoized` law, read Q at `_first_round_p` and the p of
+        `extra` below 1 in one `_quantile_arr` batch, so that later reads of
+        them are memo hits: one run of inversion rounds, not one per read.
+        Any other law returns at once and builds no set. A batch that would
+        not fit in the memo beside what it holds is not run, since
+        `_remember` keeps only the smallest p and the reads would invert the
+        rest again."""
+        if not self._memoized:
+            return
+        p = np.concatenate([self._first_round_p, *extra])
         p = p[p < 1.0]
         memo_p = self.__dict__.get("_quantile_memo", (p[:0],))[0]
         if memo_p.size + p.size <= QUANTILE_MEMO_CAP:
@@ -1337,61 +1339,22 @@ class Distribution:
         quantile's breakpoints, sorted. The dominance checks
         (`lorenz.lorenz_dominates`, `fsd_dominates`) and the Lorenz gap of
         `wasserstein.sequence_diagnostics` start from it; the sweep of
-        `hoover_max` reads the index batch's own p instead (`_gap_sweep`)."""
+        `hoover_max` reads the index batch's own p instead
+        (`_first_round_p`)."""
         ps = _unique(np.concatenate([_PROBE_GRID, self.p_breakpoints()]))
         ps.flags.writeable = False
         return ps
 
     @cached_property
-    def _gap_sweep(self) -> np.ndarray:
-        """The probabilities where `indices.hoover_max` reads the Lorenz gap,
-        sorted: every edge of `_p_cells`, F(mean) (1 included), and, unless
-        the law is finite-discrete, the 15 first-round Kronrod nodes of each
-        cell at least 2^-10 wide, by the expression of
-        `quadrature.first_nodes`, so they are the p the Lorenz area and the
-        mean-difference diagonal read first, bit for bit. Below 1 and
-        besides F(mean) they are all in `_mean_difference_p`, since the last
-        cell is at most 2^-40 wide, so `_first_round_p` holds no row for the
-        sweep alone. Adjacent probes are at most 1.7 2^-10 apart (mid-cell
-        of a 1/64 cell), closer toward both ends. A finite-discrete law's
-        gap p - L(p) is linear between its cumulative masses, which are
-        edges, so its edges hold the maximum exactly."""
-        cells = self._p_cells
-        ps = [cells, [float(self.cdf(self.mean))]]
-        if self._discrete is None:
-            lo, hi = cells[:-1], cells[1:]
-            wide = hi - lo >= 2.0**-10
-            ps.append(_nodes(lo[wide], hi[wide]).ravel())
-        ps = _unique(np.concatenate(ps))
-        ps.flags.writeable = False
-        return ps
-
-    @cached_property
-    def _mean_difference_p(self) -> np.ndarray:
-        """Every p below 1 at which `indices.gini_mean_difference` first
-        reads Q, sorted: the edges of `_p_cells`, where its cell integrals
-        of Q start, and the first-round Kronrod nodes of every cell but the
-        last (`quadrature.first_nodes`), where its diagonal starts.
-        `wasserstein.sequence_diagnostics` inverts them in the batch it
-        makes for each memoized law before the law's step."""
-        cells = self._p_cells
-        ps = _unique(np.concatenate([cells, first_nodes(cells[:-1])]))
-        ps = ps[ps < 1.0]
-        ps.flags.writeable = False
-        return ps
-
-    @cached_property
     def _first_round_p(self) -> np.ndarray:
-        """Every p below 1 at which the routes of `indices.index_report`
-        first read Q, sorted.
-
-        They are `_mean_difference_p`, the first-round Kronrod nodes of the
-        last cell of `_p_cells` (with those of the other cells, the Lorenz
-        area's first round), and `_gap_sweep`, whose p are these and F(mean).
-        One `_quantile_arr` call on them inverts all of these in one batch.
-        """
-        last = first_nodes(self._p_cells[-2:])
-        ps = _unique(np.concatenate([self._mean_difference_p, last, self._gap_sweep]))
+        """Every p below 1 at which the index routes first read Q, sorted:
+        the edges of `_p_cells`, where the cell integrals of Q start, the
+        first-round Kronrod nodes of every cell (`quadrature.first_nodes`),
+        where the Lorenz area and the mean-difference diagonal start, and
+        F(mean), where `indices.hoover_max` reads its value. `_prefetch`
+        inverts them in one batch."""
+        cells = self._p_cells
+        ps = _unique(np.concatenate([cells, first_nodes(cells), [float(self.cdf(self.mean))]]))
         ps = ps[ps < 1.0]
         ps.flags.writeable = False
         return ps

@@ -28,7 +28,7 @@ import numpy as np
 
 from .indices import gini_mean_difference, hoover_mean_deviation
 from .lorenz import lorenz, reconstruct
-from .measures import DYADIC, HALVINGS, P_TAIL, TAIL_LEVELS, X_CUT, Distribution, _AtomBlock, atom, require_member
+from .measures import HALVINGS, P_TAIL, TAIL_LEVELS, X_CUT, Distribution, _AtomBlock, _PROBE_GRID, atom, require_member
 from .quadrature import _unique
 
 __all__ = [
@@ -424,18 +424,20 @@ class ConvergenceReport:
 
 
 def _weak_probes(limit: Distribution) -> np.ndarray:
-    """The dyadic probes (`DYADIC`) farther than 1e-9 from every quantile
-    breakpoint of the limit inside (0, 1). The breakpoints are sorted, so a
-    probe's nearest one is a neighbour of its ``searchsorted`` slot, and the
-    cost grows with the probes plus the breakpoints, not their product."""
+    """The dyadic probes k 2^-10, k = 1..1023, sorted, farther than 1e-9
+    from every quantile breakpoint of the limit inside (0, 1). The
+    breakpoints are sorted, so a probe's nearest one is a neighbour of its
+    ``searchsorted`` slot, and the cost grows with the probes plus the
+    breakpoints, not their product."""
+    dyadic = _PROBE_GRID[1:-1]
     jumps = limit.p_breakpoints()
     jumps = jumps[(jumps > 0.0) & (jumps < 1.0)]
     if not jumps.size:
-        return DYADIC
-    at = np.searchsorted(jumps, DYADIC)
-    below = np.abs(DYADIC - jumps[np.maximum(at - 1, 0)])
-    above = np.abs(DYADIC - jumps[np.minimum(at, jumps.size - 1)])
-    return DYADIC[np.minimum(below, above) > 1e-9]
+        return dyadic
+    at = np.searchsorted(jumps, dyadic)
+    below = np.abs(dyadic - jumps[np.maximum(at - 1, 0)])
+    above = np.abs(dyadic - jumps[np.minimum(at, jumps.size - 1)])
+    return dyadic[np.minimum(below, above) > 1e-9]
 
 
 def _checked_thresholds(rel_tol, alpha_grid):
@@ -479,13 +481,13 @@ def sequence_diagnostics(
     still fails because no nearby p explains its quantile values.
 
     A law with a quantile memo (`Distribution._memoized`) inverts the p it
-    is read at here in one batch (`Distribution._prefetch`): the limit,
-    before the steps, its probes, both band edges, the ladder and the first
-    round of its Gini (`Distribution._mean_difference_p`); each member,
-    before its step, the ladder and the first round of its Gini. Every
-    later read of those p is a memo hit, and every value is what a cold law
-    returns. Other laws build no batch. The W1 routes invert from each
-    law's knot table to 1e-10 s (`_q_within`) and read no memo.
+    is read at here in one batch (`Distribution._prefetch`): its index
+    first round (`Distribution._first_round_p`), where its Gini starts, and
+    the ladder, with, for the limit, its probes and both band edges; the
+    limit before the steps, each member before its step. Every later read
+    of those p is a memo hit, and every value is what a cold law returns.
+    Other laws build no batch. The W1 routes invert from each law's knot
+    table to 1e-10 s (`_q_within`) and read no memo.
     """
     rel_tol, alpha_grid = _checked_thresholds(rel_tol, alpha_grid)
     members = list(seq)
@@ -501,16 +503,14 @@ def sequence_diagnostics(
     ladder = limit._probe_ladder
     delta = 0.5 * rel_tol
     p_lo, p_hi = np.maximum(probes - delta, 0.0), np.minimum(probes + delta, P_TAIL)
-    if limit._memoized:
-        limit._prefetch(np.concatenate([limit._mean_difference_p, probes, p_lo, p_hi, ladder]))
+    limit._prefetch(probes, p_lo, p_hi, ladder)
     q_limit, band_lo, band_hi = (limit._quantile_arr(p) for p in (probes, p_lo, p_hi))
     l_limit = lorenz(limit).eval(ladder)
 
     steps = []
     for i, d in enumerate(members):
         require_member(d)
-        if d._memoized:
-            d._prefetch(np.concatenate([d._mean_difference_p, ladder]))
+        d._prefetch(ladder)
         curve = lorenz(d)
         steps.append(
             StepDiagnostics(
@@ -535,7 +535,6 @@ def sequence_diagnostics(
     weak_gap = float(
         np.max(np.maximum(band_lo - q_last, q_last - band_hi), initial=0.0)
     )
-    weak_gap = max(weak_gap, 0.0)
     weak_ok = weak_gap <= q_scale
     mean_gap = abs(steps[-1].mean - m_inf)
     means_ok = mean_gap <= scale

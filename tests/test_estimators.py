@@ -793,6 +793,29 @@ def test_spec_rejects_unknown_keys():
         ExperimentSpec.from_json('{"scheme": "noise", "source": "atom(1)", "bogus": 3}')
 
 
+@pytest.mark.parametrize("text, kind", [('"abc"', "str"), ("[1, 2]", "list"), ("5", "int"), ("null", "NoneType")])
+def test_spec_from_json_rejects_what_is_no_object(text, kind):
+    with pytest.raises(TypeError, match=f"^experiment spec must be a JSON object, got {kind}$"):
+        ExperimentSpec.from_json(text)
+
+
+def test_spec_keeps_the_floats_its_checks_read():
+    # rel_tol and the bandwidths were checked as floats but kept as given,
+    # so a spec of strings wrote strings and equalled no spec of floats.
+    given = ExperimentSpec(
+        scheme="kde", source="exp(1)", rel_tol="0.1", bandwidths=("0.5", "0.25"),
+        sample_sizes=(10, 20), alpha_grid=["1", 2],
+    )
+    floats = ExperimentSpec(
+        scheme="kde", source="exp(1)", rel_tol=0.1, bandwidths=(0.5, 0.25),
+        sample_sizes=(10, 20), alpha_grid=(1.0, 2.0),
+    )
+    assert given == floats and hash(given) == hash(floats)
+    payload = given.to_json_dict()
+    assert (payload["rel_tol"], payload["bandwidths"], payload["alpha_grid"]) == (0.1, [0.5, 0.25], [1.0, 2.0])
+    assert all(type(v) is float for v in (given.rel_tol, *given.bandwidths, *given.alpha_grid))
+
+
 def test_spec_scheme_and_pairing_validation():
     with pytest.raises(ValueError, match="unknown scheme 'nope'"):
         run_experiment(ExperimentSpec(scheme="nope", source="atom(1)"))
@@ -997,7 +1020,7 @@ def test_experiment_inverts_each_memoized_laws_fixed_p_in_one_batch(monkeypatch)
     probes = wasserstein._weak_probes(limit)
     ladder = limit._probe_ladder[limit._probe_ladder < 1.0]
     fixed = np.concatenate([
-        probes, np.maximum(probes - 0.15, 0.0), np.minimum(probes + 0.15, P_TAIL), ladder, limit._mean_difference_p,
+        probes, np.maximum(probes - 0.15, 0.0), np.minimum(probes + 0.15, P_TAIL), ladder, limit._first_round_p,
     ])
 
     def batches(law, ps):
@@ -1012,7 +1035,7 @@ def test_experiment_inverts_each_memoized_laws_fixed_p_in_one_batch(monkeypatch)
     assert batches(limit, fixed) == [batch] and np.isin(fixed, log[batch][2]).all()
     for d in members:
         assert d._memoized
-        own = np.concatenate([d._mean_difference_p, ladder])
+        own = np.concatenate([d._first_round_p, ladder])
         (batch,) = batches(d, own)
         assert batch < w1_of(d) and np.isin(own, log[batch][2]).all()
 
@@ -1079,7 +1102,7 @@ def test_sampling_experiment_builds_no_gini_cells_for_discrete_members(monkeypat
     # an empirical member takes the discrete routes and never builds it.
     spec = ExperimentSpec(scheme="sampling", source="mix(0.3*atom(0),0.7*exp(1))", seed=5, steps=3)
     _, members, limit = _experiment_log(monkeypatch, spec)
-    assert limit._memoized and "_mean_difference_p" in limit.__dict__
+    assert limit._memoized and "_first_round_p" in limit.__dict__
     for d in members:
         assert d.is_finite_discrete
-        assert "_mean_difference_p" not in d.__dict__ and "_p_cells" not in d.__dict__
+        assert "_first_round_p" not in d.__dict__ and "_p_cells" not in d.__dict__

@@ -30,7 +30,7 @@ from lorenzkit import (
     uniform,
 )
 from lorenzkit import quadrature
-from lorenzkit.indices import IndexReport
+from lorenzkit.indices import IndexReport, _sweep
 from lorenzkit.measures import Distribution, ZeroMeanError
 
 GINI_ROUTES = (gini_mean_difference, gini_dorfman, gini_lorenz)
@@ -236,7 +236,7 @@ def test_hoover_max_sweep_catches_a_gap_above_the_value(monkeypatch, d):
     # A quantile read 10 % low at one probe past F(mean) lowers L there,
     # so the sweep finds a gap above the one at F(mean) and raises.
     p_star = float(d.cdf(d.mean))
-    sweep = d._gap_sweep
+    sweep = _sweep(d)
     probe = sweep[np.searchsorted(sweep, p_star) + 3]
     quantile = Distribution._quantile_arr
 
@@ -245,6 +245,28 @@ def test_hoover_max_sweep_catches_a_gap_above_the_value(monkeypatch, d):
         return np.where(np.asarray(p) == probe, 0.9 * q, q)
 
     monkeypatch.setattr(Distribution, "_quantile_arr", low_at_probe)
+    with pytest.raises(RuntimeError, match="Lorenz gap sweep exceeded"):
+        hoover_max(d)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [uniform(0.0, 1.0), mixture([(0.6, gamma_dist(2.0, 1.0)), (0.4, atom(1.5))])],
+    ids=["uniform", "gamma_atom"],
+)
+def test_hoover_max_sweep_reads_the_nodes_of_narrow_tail_cells(monkeypatch, d):
+    # The sweep skipped the nodes of cells narrower than 2^-10, so a quantile
+    # read 0 mid-cell of [1 - 2^-11, 1 - 2^-12] went unseen. It now reads
+    # the first-round nodes of every cell.
+    probe = quadrature.first_nodes(np.array([1.0 - 2.0**-11, 1.0 - 2.0**-12]))[7]
+    assert probe in _sweep(d)
+    quantile = Distribution._quantile_arr
+
+    def zero_at_probe(self, p):
+        q = quantile(self, p)
+        return np.where(np.asarray(p) == probe, 0.0, q)
+
+    monkeypatch.setattr(Distribution, "_quantile_arr", zero_at_probe)
     with pytest.raises(RuntimeError, match="Lorenz gap sweep exceeded"):
         hoover_max(d)
 

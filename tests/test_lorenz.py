@@ -302,3 +302,13 @@ def test_reconstruct_validation():
         reconstruct(lambda p: 0.5 * p, 1.0, grid)
     with pytest.raises(ValueError, match="positive"):
         reconstruct(lambda p: p, 0.0, grid)
+
+
+def test_reconstruct_builds_a_grid_whose_ends_are_within_its_slack():
+    # The check let the ends lie within 1e-12 of 0 and 1, and then the
+    # quantile table rejected a first point that was not exactly 0.
+    grid = np.array([1e-13, 0.5, 1.0 - 1e-13])
+    d = reconstruct([0.0, 0.3, 1.0], 1.0, grid=grid)
+    assert d.mean == 1.0
+    assert d.support_atoms()[0].tolist() == [0.6, 1.4]
+    assert grid.tolist() == [1e-13, 0.5, 1.0 - 1e-13]

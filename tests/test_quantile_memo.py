@@ -27,9 +27,9 @@ from lorenzkit import (
     sequence_diagnostics,
 )
 from lorenzkit.estimators import kde
+from lorenzkit.indices import _sweep
 from lorenzkit.quadrature import first_nodes
 from lorenzkit.measures import (
-    DYADIC,
     QUANTILE_MEMO_CAP,
     TAIL_LEVELS,
     atom,
@@ -52,6 +52,8 @@ def _memo_laws():
     )
 
 
+#: the dyadic levels k 2^-10, k = 1..1023
+DYADIC = np.arange(1, 1024) / 1024
 #: probabilities the comparisons read: a uniform ladder, the dyadic and tail levels
 LADDER = np.unique(np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], DYADIC, TAIL_LEVELS]))
 
@@ -134,15 +136,17 @@ def _sweep_laws():
 @pytest.mark.parametrize("i", range(len(_sweep_laws())))
 def test_index_batch_holds_the_gap_sweep(i):
     # The sweep of hoover_max read a 2^-10 ladder of its own, about a
-    # quarter of the rows of index_report's batch. It reads the p the
-    # mean-difference route inverts first, and adds F(mean) alone.
+    # quarter of the rows of index_report's batch. It reads the batch: the
+    # cell edges, the first-round nodes of every cell and F(mean), and 1.
     d = _sweep_laws()[i]
     p_star = float(d.cdf(d.mean))
-    sweep = d._gap_sweep
-    assert np.isin(sweep[(sweep < 1.0) & (sweep != p_star)], d._mean_difference_p).all()
-    batch = np.concatenate([d._mean_difference_p, first_nodes(d._p_cells[-2:]), [p_star]])
+    cells = d._p_cells
+    batch = np.concatenate([cells, first_nodes(cells), [p_star]])
     batch = np.unique(batch[batch < 1.0])
     assert np.array_equal(_bits(d._first_round_p), _bits(batch))
+    sweep = _sweep(d)
+    assert np.array_equal(_bits(sweep), _bits(np.append(batch, 1.0)))
+    assert p_star in sweep
     assert np.diff(sweep).max() <= 1.7 * 2.0**-10
 
 
@@ -157,9 +161,9 @@ def test_index_batch_holds_the_gap_sweep(i):
 )
 def test_finite_discrete_sweep_is_the_cell_edges(d):
     # p - L(p) is linear between the cumulative masses, which are edges of
-    # the cells, so the edges and F(mean) hold its maximum.
-    edges = np.unique(np.concatenate([d._p_cells, [float(d.cdf(d.mean))]]))
-    assert np.array_equal(_bits(d._gap_sweep), _bits(edges))
+    # the cells, F(mean) among them, so the edges hold its maximum.
+    assert np.array_equal(_bits(_sweep(d)), _bits(d._p_cells))
+    assert float(d.cdf(d.mean)) in d._p_cells
 
 
 def test_memo_stops_at_its_cap():
@@ -204,7 +208,7 @@ def test_prefetch_larger_than_the_memo_inverts_no_more_rows(monkeypatch, run):
     run(_atom_rich_law())
     batched = sum(rows)
     rows.clear()
-    monkeypatch.setattr(Distribution, "_prefetch", lambda d, p: None)
+    monkeypatch.setattr(Distribution, "_prefetch", lambda d, *extra: None)
     run(_atom_rich_law())
     assert batched <= sum(rows)
 

@@ -444,6 +444,19 @@ def test_converge_experiment_file_rejects_bad_json(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
 
+@pytest.mark.parametrize(
+    "text, kind", [('"abc"', "str"), ("[1, 2]", "list"), ("5", "int"), ("null", "NoneType")]
+)
+def test_converge_experiment_file_that_is_no_object_says_so(tmp_path, capsys, monkeypatch, text, kind):
+    # A string or list was read as its keys ("unknown experiment keys"), and
+    # a number or null raised "object is not iterable".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(text)
+    assert main(["converge", "exp.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: exp.json: bad experiment spec: experiment spec must be a JSON object, got {kind}\n"
+
+
 def test_converge_experiment_file_rejects_fractional_seed(tmp_path, capsys):
     # The spec was built, and numpy's default_rng raised a TypeError that
     # the command line printed as a traceback.
