@@ -21,8 +21,14 @@ prints, in all and per op family, the fixed per-call work beside them:
 `_AtomBlock.of` builds and how many of them had no atom
 (``_AtomBlock.of.builds``, ``_AtomBlock.of.empty``), ``mass_at`` calls per
 component type (``mass_at.<type>.calls``, the pooled `_AtomBlock` among
-them) and ``np.unique`` calls. They depend on the code and the seed alone,
-so two trees compare exactly where wall times do not.
+them) and ``np.unique`` calls. For the uniform and Epanechnikov kernel
+estimates it prints, in all and per op family, the calls of
+`_CutKernelMixture.quantile` and their rows
+(``kernel_quantile.<kernel>.calls``, ``.rows``), the iterations of its one
+``range(_MAX_ROUNDS)`` loop, a call's last empty check among them, as the
+tests' ``_newton_rounds`` counts them (``.rounds``), and the iterations that
+stepped at least one row (``.steps``). They depend on the code and the seed
+alone, so two trees compare exactly where wall times do not.
 """
 
 import argparse
@@ -135,6 +141,37 @@ def counted_prefetch(counts, prefetch, quantile_arr):
     return prefetch_counted, quantile_counted
 
 
+def counted_kernel_quantile(counts, family, quantile):
+    """`quantile` counting its calls and rows under the kernel's name, with a
+    `range` for the `estimators` module that counts, inside it, the rounds
+    of its Newton loop, and the steps: the rounds resumed after their body
+    ran, which a round that stops the loop never is."""
+    name = [None]
+
+    def rounds(*args):
+        if name[0] is None or args != (estimators._MAX_ROUNDS,):
+            return range(*args)
+
+        def counted_range():
+            for i in range(*args):
+                bump(counts, family, f"{name[0]}.rounds")
+                yield i
+                bump(counts, family, f"{name[0]}.steps")
+
+        return counted_range()
+
+    def quantile_counted(self, p):
+        name[0] = f"kernel_quantile.{self.kernel.name}"
+        for key, k in (("calls", 1), ("rows", int(np.size(p))), ("rounds", 0), ("steps", 0)):
+            bump(counts, family, f"{name[0]}.{key}", k)
+        try:
+            return quantile(self, p)
+        finally:
+            name[0] = None
+
+    return rounds, quantile_counted
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
@@ -155,6 +192,9 @@ def main():
     for cls in MASS_AT_TYPES:
         cls.mass_at = tallied(counts, family, f"mass_at.{cls.__name__}.calls", cls.mass_at)
     np.unique = tallied(counts, family, "np.unique.calls", np.unique)
+    estimators.range, estimators._CutKernelMixture.quantile = counted_kernel_quantile(
+        counts, family, estimators._CutKernelMixture.quantile
+    )
     workload = workloads.WORKLOADS[args.workload]
     strata = laws.Strata(args.seed, workload.stream)
     for rnd in range(args.rounds):

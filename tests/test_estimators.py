@@ -298,12 +298,15 @@ def _knot_sample(source, n):
     return np.concatenate([0.3 * _uniform_sample(n // 2, 4), 2.0 + _uniform_sample(n - n // 2, 5)])
 
 
+#: (source, n, h) of the compact-kernel quantile tests
+_COMPACT_SOURCES = [
+    ("uniform", 25, 0.3), ("mix", 25, 0.3), ("uniform", 200, 0.03), ("mix", 200, 0.03),
+    ("gap", 25, 0.1),
+]
+
+
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
-@pytest.mark.parametrize(
-    "source,n,h",
-    [("uniform", 25, 0.3), ("mix", 25, 0.3), ("uniform", 200, 0.03), ("mix", 200, 0.03),
-     ("gap", 25, 0.1)],
-)
+@pytest.mark.parametrize("source,n,h", _COMPACT_SOURCES)
 def test_compact_kde_quantile_sandwich(kernel, source, n, h):
     # Q comes from the knot table, the cdf from window sums: within a few
     # eps, F(Q(p)-) <= p <= F(Q(p)), and Q is nondecreasing in p.
@@ -344,12 +347,34 @@ def _newton_rounds(monkeypatch):
     return rounds
 
 
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+@pytest.mark.parametrize("source,n,h", _COMPACT_SOURCES)
+def test_compact_kde_quantile_starts_at_its_cells_root(monkeypatch, kernel, source, n, h):
+    # Each row starts at the closed-form root of its cell's polynomial, and
+    # a row already at the cubic's rounding floor leaves there: a uniform
+    # call steps no row and counts only the loop's last check, an
+    # Epanechnikov call a Newton round or two for the rows a few ulps off.
+    # From the cell's linear guess they counted 2, and 9 to 15. Each row
+    # depends on its p alone: one call, one call per p and a shuffled call
+    # agree bit for bit.
+    d = kde(_knot_sample(source, n), kernel, h)
+    ps = _ladder()
+    rounds = _newton_rounds(monkeypatch)
+    q = d.quantile(ps)
+    assert len(rounds) == 1 and rounds[0] <= (1 if kernel == "uniform" else 4)
+    np.testing.assert_array_equal([d.quantile(p) for p in ps], q)
+    order = np.random.default_rng(0).permutation(ps.size)
+    np.testing.assert_array_equal(d.quantile(ps[order]), q[order])
+
+
 def test_compact_kde_tail_quantile_stops_at_the_float_floor(monkeypatch):
     # Near the top of the last cluster the Epanechnikov cubic has a double
     # root: Newton halves the error, then bounces by an ulp of the target
     # with steps several ulps of Q wide. A row stops once its step stops
     # shrinking at the cubic's rounding floor; with the step test alone
-    # p = 1 - 10^-11 ran to the 64-round cap. Here at most 28 rounds.
+    # p = 1 - 10^-11 ran to the 64-round cap. From the cell's linear guess
+    # these rows took 13 rounds at most; from its closed-form root each
+    # leaves at the floor.
     d = kde(_knot_sample("mix", 200), EPANECHNIKOV, 0.03)
     ps = np.sort(np.concatenate([1.0 - 10.0 ** -np.arange(1.0, 16.0), [P_TAIL]]))
     rounds = _newton_rounds(monkeypatch)
@@ -366,14 +391,49 @@ def test_compact_kde_tail_quantile_stops_at_the_float_floor(monkeypatch):
 
 def test_compact_kde_double_root_takes_second_order_steps(monkeypatch):
     # The ladder of the test above: near the top of the last cluster Newton
-    # halved its error each round, and p = 1 - 10^-k took about 2k rounds,
-    # 28 at most. Once its steps halve, a row steps to the root of the
-    # cubic's second-order model, exact at a double root: 13 rounds at most.
+    # halved its error each round from the cell's linear guess, and
+    # p = 1 - 10^-k took about 2k rounds, 28 at most. Once its steps halve,
+    # a row steps to the root of the cubic's second-order model, exact at a
+    # double root: 13 rounds at most, 134 in all. From the closed-form root
+    # each call counts one round, its last check.
     d = kde(_knot_sample("mix", 200), EPANECHNIKOV, 0.03)
     ps = np.sort(np.concatenate([1.0 - 10.0 ** -np.arange(1.0, 16.0), [P_TAIL]]))
     rounds = _newton_rounds(monkeypatch)
     q = np.array([d.quantile(p) for p in ps])
     assert len(rounds) == ps.size and max(rounds) <= 16 and sum(rounds) <= 160
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(q) >= 0.0)
+    assert np.all(d.cdf_left(q) - 4.0 * eps <= ps)
+    assert np.all(ps <= d.cdf(q) + 4.0 * eps)
+
+
+def test_compact_kde_tail_ladder_leaves_at_the_closed_form_root(monkeypatch):
+    # The ladder of the tests above, one p a call: the closed-form root of
+    # each row's cell already sits at the cubic's rounding floor, so a call
+    # steps at most once. From the cell's linear guess they took 13 rounds
+    # at most and 134 in all.
+    d = kde(_knot_sample("mix", 200), EPANECHNIKOV, 0.03)
+    ps = np.sort(np.concatenate([1.0 - 10.0 ** -np.arange(1.0, 16.0), [P_TAIL]]))
+    rounds = _newton_rounds(monkeypatch)
+    for p in ps:
+        d.quantile(p)
+    assert len(rounds) == ps.size and max(rounds) <= 2 and sum(rounds) <= 32
+
+
+def test_compact_kde_lone_point_top_takes_second_order_steps(monkeypatch):
+    # At h = 1e-3 many points of a lognormal sample are alone in their
+    # window. The cell that ends at such a point's x_i + h has one active
+    # point, and n F reaches the whole number k there with G'(1) = 0: at
+    # p = k / n the cubic has a double root at the cell's end, which the
+    # closed form gets only to about half its digits. Those rows step to
+    # the root of the cubic's second-order model, and meet the sandwich;
+    # from the cell's linear guess the call took 11 rounds, now 8.
+    n = 2000
+    d = kde(_lognormal_sample(n), EPANECHNIKOV, 1e-3)
+    ps = np.arange(1.0, n) / n
+    rounds = _newton_rounds(monkeypatch)
+    q = d.quantile(ps)
+    assert len(rounds) == 1 and 3 <= rounds[0] <= 10
     eps = np.finfo(float).eps
     assert np.all(np.diff(q) >= 0.0)
     assert np.all(d.cdf_left(q) - 4.0 * eps <= ps)
