@@ -30,8 +30,9 @@ same ladder, and of 1 - 2^-k for k = 41..53 up to nextafter(1, 0), that
 break F(Q(p)-) - 4 eps <= p <= F(Q(p)) + 4 eps or the order of Q (key
 ``sandwich``; the contract is 0), and dumps its survival function at the
 `TOP_ULPS` floats just below `sup_support` (key ``sf_top``), where the
-Epanechnikov kernel's G(-u) rounds below 0, and its cdf at the `TOP_ULPS`
-floats just above max(x_(1) - h, 0) (key ``cdf_bottom``), where G(u) does;
+Epanechnikov kernel's G(-u) nears 0, and its cdf at the `TOP_ULPS` floats
+just above max(x_(1) - h, 0) (key ``cdf_bottom``), where G(u) does, so a
+value that loses its digits or its sign there shows;
 the same key holds that cdf for the uniform and Epanechnikov estimates of
 small lognormal(0, 1) samples whose x_(1) - h > 0 (`CDF_BOTTOM_KDE`),
 whose bottom the battery's estimates do not reach. Below the law, key
@@ -461,7 +462,7 @@ def _below_top(d, count=TOP_ULPS):
 
 def _above_bottom(d, count=TOP_ULPS):
     """The `count` floats just above max(x_(1) - h, 0) of a one-part kernel
-    estimate, ascending: there the Epanechnikov kernel's G(u) rounds below 0."""
+    estimate, ascending: there the Epanechnikov kernel's G(u) nears 0."""
     (_, part), = d.parts
     x, out = max(float(part.points[0] - part.bandwidth), 0.0), []
     for _ in range(count):

@@ -18,8 +18,8 @@ turning data or a distribution into a tractable approximating law:
   knots 0 and x_i +- h: the law lists every knot as a breakpoint and
   inverts its cdf from a table of per-knot coefficients (cf. Fan & Marron,
   JCGS 1994), by each cell's closed-form root (linear, or the
-  trigonometric root of the cubic), which Newton finishes only on rows off
-  the cubic's rounding floor. With the Gaussian kernel the cdf is smooth
+  trigonometric root of the cubic, then one step to the root of the
+  cubic's second-order model). With the Gaussian kernel the cdf is smooth
   and has no closed-form inverse: the law inverts as a mixture does, from
   the knot table of `Distribution` (`_knot_values`: a ladder of eight
   knots per octave, knots at the ends of the sample's clusters where a gap
@@ -56,7 +56,6 @@ from . import measures
 from .measures import (
     Distribution,
     ZeroMeanError,
-    _MAX_ROUNDS,
     _ArrayComponent,
     _count,
     _float_vector,
@@ -247,16 +246,22 @@ def _gauss_cdf(y):
 
 
 # Powers are written as products: numpy sends y**3 and y**4 to pow(), about
-# 60 times slower than multiplying, and these run on every kernel term.
+# 60 times slower than multiplying, and these run on every kernel term. The
+# Epanechnikov pieces are factored at the ends of [-1, 1], where their
+# expanded polynomials cancel, so each keeps relative digits in its own end's
+# frame: G(y) is (1 + y)^2 (2 - y) / 4 below 0 and 1 - (1 - y)^2 (2 + y) / 4
+# above, never below 0 or above 1, and M(y) = -(3/16) ((1 - y)(1 + y))^2.
 def _epan_cdf(y):
     y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
-    return 0.25 * (2.0 + 3.0 * y - y * y * y)
+    a = np.abs(y)
+    tail = 0.25 * (1.0 - a) * (1.0 - a) * (2.0 + a)
+    return np.where(y < 0.0, tail, 1.0 - tail)
 
 
 def _epan_partial_first(y):
     y = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
-    y2 = y * y
-    return 0.75 * (0.5 * y2 - 0.25 * y2 * y2) - 3.0 / 16.0
+    w = (1.0 - y) * (1.0 + y)
+    return -3.0 / 16.0 * w * w
 
 
 def _unif_cdf(y):
@@ -346,16 +351,6 @@ def _epan_cell(a, d1, d2, d3):
 _CELL_POLYNOMIALS = {UNIFORM: _unif_cell, EPANECHNIKOV: _epan_cell}
 
 
-def _cubic_residual(s, c1, c2, c3, target):
-    """A cell polynomial's residual f = c1 s + c2 s^2 + c3 s^3 - target at s,
-    and its rounding floor 4 eps (|target| + |c1 s| + |c2 s^2| + |c3 s^3|)."""
-    f = ((c3 * s + c2) * s + c1) * s - target
-    floor = 4.0 * np.finfo(float).eps * (
-        np.abs(target) + np.abs(c1 * s) + np.abs(c2 * s * s) + np.abs(c3 * s * s * s)
-    )
-    return f, floor
-
-
 def _increasing_root(c1, c2, c3, target):
     """The root of c1 s + c2 s^2 + c3 s^3 = target on the cubic's increasing
     branch, for c3 < 0 (an Epanechnikov cell, c3 = -A/4): with B = c2 / c3,
@@ -368,6 +363,19 @@ def _increasing_root(c1, c2, c3, target):
     q = 2.0 * b * b * b / 27.0 - b * c1 / (3.0 * c3) - target / c3
     angle = np.arccos(np.clip(1.5 * q / p * np.sqrt(-3.0 / p), -1.0, 1.0))
     return 2.0 * np.sqrt(-p / 3.0) * np.cos(angle / 3.0 - 2.0 * np.pi / 3.0) - b / 3.0
+
+
+def _model_step(x, c1, c2, c3, target, width):
+    """One step from x to the nearer root of the second-order model at x of
+    f = c1 x + c2 x^2 + c3 x^3 - target, exact at a double root of f, or
+    Newton's step where that model has no real root; a step that leaves [0,
+    width] is not taken."""
+    f = ((c3 * x + c2) * x + c1) * x - target
+    slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+    disc = slope * slope - 2.0 * f * (6.0 * c3 * x + 2.0 * c2)
+    model = 2.0 * f / (slope + np.copysign(np.sqrt(np.maximum(disc, 0.0)), slope))
+    nxt = x - np.where(disc < 0.0, f / slope, model)
+    return np.where((nxt >= 0.0) & (nxt <= width), nxt, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,8 +392,8 @@ class _CutKernelMixture(_ArrayComponent):
     cdf, so the law's cdf is a polynomial between the knots 0 and x_i +- h.
     For them `_knot_table` holds every knot with its polynomial,
     `x_breaks` lists the knots, and `quantile` answers each row by the
-    closed-form root of its cell's polynomial, which safeguarded Newton
-    steps finish where it is not yet at the cubic's rounding floor. The
+    closed-form root of its cell's polynomial, which one step to the root
+    of the cubic's second-order model takes to the rounding floor. The
     Gaussian kernel has no polynomial knots and no `quantile` of its own:
     `iterative_quantile` sends its law to the knot table and Chandrupatla
     inversion of `Distribution`, which reads F up to F(x_h) and `sf`
@@ -475,28 +483,21 @@ class _CutKernelMixture(_ArrayComponent):
 
     def cdf(self, x) -> np.ndarray:
         """P[X <= x]: points left of each query's window count whole, and
-        the window adds G(u) per point. The sum is floored at 0, the mirror
-        of `sf`: the Epanechnikov G(u) rounds below 0 for u within about
-        1e-8 of -1, and with no point left of the window that put F below
-        0 just above x_(1) - h."""
+        the window adds G(u) per point."""
         flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(u),), 1)
-        out = np.where(flat < 0.0, 0.0, np.maximum(lo + inside, 0.0) / self.points.size)
+        out = np.where(flat < 0.0, 0.0, (lo + inside) / self.points.size)
         return out.reshape(np.shape(x))
 
     def sf(self, x) -> np.ndarray:
         """P[X > x]: points right of each query's window count whole, and
-        the window adds G(-u) per point, so the tail keeps its digits. The
-        sum is floored at 0: the Epanechnikov G(-u) = (1 - u)^2 (2 + u) / 4,
-        evaluated as its cubic in -u, rounds below 0 for u within about
-        1e-8 of 1, and with no point right of the window that put sf below
-        0 just under the support's end."""
+        the window adds G(-u) per point, so the tail keeps its digits."""
         flat, lo, hi = self._windows(x)
         kernel_cdf = self.kernel.cdf
         (inside,) = self._window_sums(flat, lo, hi, lambda u, i: (kernel_cdf(-u),), 1)
         n = self.points.size
-        out = np.where(flat < 0.0, 1.0, np.maximum(n - hi + inside, 0.0) / n)
+        out = np.where(flat < 0.0, 1.0, (n - hi + inside) / n)
         return out.reshape(np.shape(x))
 
     @cached_property
@@ -561,40 +562,27 @@ class _CutKernelMixture(_ArrayComponent):
         """Q(p) from the knot table of a polynomial kernel.
 
         Q(p) = 0 when n F(0) >= n p. Otherwise the cell is the last knot
-        with n F(tau_j) < n p, and its polynomial is solved for s, target =
-        n p - n F(tau_j): s is the cell's width when the polynomial stays
-        below n p there, else the cell's closed-form root, target / c1 on a
-        uniform cell and `_increasing_root` of the cubic on an Epanechnikov
-        one (target / c1 where that root is not finite), clipped to [0,
-        width]. Then Q = tau_j + h s.
+        with n F(tau_j) < n p, and its polynomial P(s) = c1 s + c2 s^2 +
+        c3 s^3 is solved for target = n p - n F(tau_j): s is the cell's
+        width w when P(w) <= target, else the cell's closed-form root,
+        target / c1 on a uniform cell and `_increasing_root` of the cubic on
+        an Epanechnikov one (target / c1 where that root is not finite),
+        clipped to [0, w]. A uniform row is exact there, and Q = tau_j + h s.
 
-        A row whose residual f there is within the cubic's rounding
-        floor, |f| <= 4 eps (|target| + |c1 s| + |c2 s^2| + |c3 s^3|),
-        leaves with that root. Every uniform row does; an Epanechnikov
-        row is often a few ulps off, since its root is t - B/3 with |B|
-        up to 3, and then takes a Newton step or two. The rows off the
-        floor enter safeguarded Newton, and each round steps only the
-        rows still open. A row stops once its step moves Q by at most
-        an ulp, or once its step stops shrinking while its residual is
-        at the floor. Near a double root of the cubic Newton only
-        halves the error and then bounces by an ulp of the target with
-        steps several ulps of Q wide, which the first test alone never
-        stops. So once a row's Newton step is between a quarter and
-        three quarters of its last, it steps from then on to the nearer
-        root of the cubic's second-order model, which is exact at a
-        double root; where that model has no real root it takes
-        Newton's step, and a step that leaves the row's bracket is a
-        bisection. The rows that still take such steps are those whose
-        cell ends at the top x_i + h of its one active point with n p =
-        n F there, a whole number: G'(1) = 0 puts a double root at the
-        cell's end, and the closed form keeps only about half its
-        digits there. On p = k / 2000 of a 2,000-point lognormal sample
-        at h = 1e-3 a call takes 8 rounds, 11 from the linear guess
-        target / c1; on the tail ladder p = 1 - 10^-k, k = 1..15, of a
-        mix-source estimate (n = 200, h = 0.03), where the linear guess
-        took up to 13 rounds and Newton alone 28, every row leaves at
-        the floor. A round here counts the loop's last check, so a call
-        of only uniform rows counts 1.
+        An Epanechnikov row then takes one step to the nearer root of the
+        cubic's second-order model (`_model_step`). The root is t - B/3
+        with |B| up to 3, so it is often hundreds of ulps of Q off, and one
+        step puts Q within about an ulp of the cubic's exact root away from
+        a double root (1.3 ulps at most on p = k / 256 and the tail ladder
+        of n = 200, h = 0.03 estimates). A row whose root lies in the
+        cell's upper half takes that step in the top end's frame: with v =
+        w - s the cubic reads a1 v + a2 v^2 + c3 v^3 = r, where a1 = P'(w),
+        a2 = -(c2 + 3 c3 w) and r = P(w) - target, and Q = tau_{j+1} - h v.
+        At the top x_i + h of a lone point, with n p = n F there a whole
+        number, G'(1) = 0 puts a double root at v = 0: the closed form
+        keeps only about half its digits there, the model is exact, and v
+        keeps its own digits where s = w - v would not, so Q stays
+        nondecreasing in p up to the cell's end.
 
         Q is a root of the table's cubic, F comes from window sums, and a
         float Q is off by up to an ulp, over which F rises by at most
@@ -607,8 +595,7 @@ class _CutKernelMixture(_ArrayComponent):
         law inverts from the knot table of `Distribution`, as a mixture
         does (`iterative_quantile`).
         """
-        table = self._knot_table
-        tau, saturated, level, coeffs = table
+        tau, saturated, level, coeffs = self._knot_table
         h = self.bandwidth
         y = self.points.size * np.asarray(p, dtype=float)
         j = np.searchsorted(level, y, side="left") - 1
@@ -616,51 +603,22 @@ class _CutKernelMixture(_ArrayComponent):
         c0, c1, c2, c3 = coeffs[:, cell]
         target = y - saturated[cell] - c0
         width = (tau[cell + 1] - tau[cell]) / h
-        resolution = np.finfo(float).eps * (tau[cell] / h + width)
-        short = ((c3 * width + c2) * width + c1) * width - target <= 0.0
-        s = width.copy()
-        (idx,) = np.nonzero((j >= 0) & ~short)
-        b1, b2, b3, t = c1[idx], c2[idx], c3[idx], target[idx]
+        r = ((c3 * width + c2) * width + c1) * width - target
+        # s from tau_j, or v from tau_{j+1} on the `upper` rows
+        s, upper = width.copy(), np.zeros(width.shape, dtype=bool)
+        (idx,) = np.nonzero((j >= 0) & (r > 0.0))
+        b1, b2, b3, t, w = c1[idx], c2[idx], c3[idx], target[idx], width[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             root, linear = _increasing_root(b1, b2, b3, t), np.nan_to_num(t / b1)
-            s[idx] = np.clip(np.where(np.isfinite(root), root, linear), 0.0, width[idx])
-            f, floor = _cubic_residual(s[idx], b1, b2, b3, t)
-            idx = idx[np.abs(f) > floor]
-            # one row per quantity, one column per open row: the iterate, its
-            # bracket, the cubic, the step resolution, the last step and
-            # whether the row takes second-order steps (1.0) or Newton's (0.0)
-            state = np.stack(
-                [s[idx], np.zeros(idx.size), width[idx], c1[idx], c2[idx], c3[idx],
-                 target[idx], resolution[idx], np.full(idx.size, np.inf), np.zeros(idx.size)]
-            )
-            for _ in range(_MAX_ROUNDS):
-                if not idx.size:
-                    break
-                x, lo, hi, b1, b2, b3, t, res, last, second = state
-                f, floor = _cubic_residual(x, b1, b2, b3, t)
-                below = f < 0.0
-                np.copyto(lo, x, where=below)
-                np.copyto(hi, x, where=~below)
-                slope = (3.0 * b3 * x + 2.0 * b2) * x + b1
-                newton = f / slope
-                # Once a row's Newton steps halve, a double root is near, and
-                # from then on it steps to the nearer root of the cubic's
-                # second-order model, which is exact at a double root.
-                disc = slope * slope - 2.0 * f * (6.0 * b3 * x + 2.0 * b2)
-                halving = (np.abs(newton) > 0.25 * last) & (np.abs(newton) < 0.75 * last)
-                np.copyto(second, (halving | (second > 0.0)) & (disc >= 0.0))
-                model = 2.0 * f / (slope + np.copysign(np.sqrt(np.maximum(disc, 0.0)), slope))
-                nxt = x - np.where(second > 0.0, model, newton)
-                nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-                step = np.abs(nxt - x)
-                open_ = (step > res) & ((step < last) | (np.abs(f) > floor))
-                np.copyto(x, nxt)
-                np.copyto(last, step)
-                if not open_.all():
-                    s[idx[~open_]] = x[~open_]
-                    idx, state = idx[open_], state[:, open_]
-            s[idx] = state[0]
-        q = np.minimum(tau[cell] + h * s, tau[cell + 1])
+            x = np.clip(np.where(np.isfinite(root), root, linear), 0.0, w)
+            up = (b3 < 0.0) & (x > 0.5 * w)
+            a1 = np.where(up, (3.0 * b3 * w + 2.0 * b2) * w + b1, b1)
+            a2 = np.where(up, -(b2 + 3.0 * b3 * w), b2)
+            x = np.where(up, w - x, x)
+            stepped = _model_step(x, a1, a2, b3, np.where(up, r[idx], t), w)
+            s[idx] = np.where(b3 < 0.0, stepped, x)
+        upper[idx] = up
+        q = np.where(upper, tau[cell + 1] - h * s, np.minimum(tau[cell] + h * s, tau[cell + 1]))
         return np.where(j >= 0, q, 0.0)
 
     def knot_candidates(self) -> np.ndarray:
